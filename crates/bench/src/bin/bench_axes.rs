@@ -697,8 +697,7 @@ impl SnapshotCell {
 fn measure_snapshot(big: &Document) -> SnapshotCell {
     use xpath_xml::snap;
     let xml = big.serialize(big.root());
-    let path =
-        std::env::temp_dir().join(format!("gkp_bench_snapshot_{}.gksnap", std::process::id()));
+    let path = xpath_xml::temp::TempPath::new("bench_snapshot.gksnap");
     let info = snap::write(big, &path).expect("snapshot write");
     // Correctness gate: the mapped document must answer a bench query
     // identically to a freshly parsed one.
@@ -721,16 +720,14 @@ fn measure_snapshot(big: &Document) -> SnapshotCell {
     let load_ns = time_ns(|| {
         std::hint::black_box(snap::load(&path).expect("snapshot load"));
     });
-    let cell = SnapshotCell {
+    SnapshotCell {
         nodes: big.len(),
         xml_bytes: xml.len(),
         snapshot_bytes: info.file_bytes,
         resident_bytes: big.resident_bytes(),
         parse_ns,
         load_ns,
-    };
-    let _ = std::fs::remove_file(&path);
-    cell
+    }
 }
 
 /// `--calibrate`: measure the cost-model constants on this machine and

@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 
 use xpath_bench::serve_bench::{
-    check_serve, closed_loop, direct_eval_ns, BenchServer, LoadSummary, SERVE_CHECK_QUERY,
+    check_serve, closed_loop, measure_overhead, BenchServer, LoadSummary, ServeOverhead,
 };
 use xpath_core::serve::Json;
 use xpath_xml::generate::doc_balanced;
@@ -159,17 +159,13 @@ fn main() {
     }
 
     // Single-client round trip vs direct in-process evaluation: the
-    // protocol tax (framing + socket + admission) on one request.
-    let direct_ns = direct_eval_ns(&doc);
-    let single = closed_loop(
-        &bench.sock,
-        1,
-        requests,
-        &format!(r#"{{"doc":"bench","query":"{SERVE_CHECK_QUERY}"}}"#),
-    );
-    let roundtrip_ns = single.p50_us * 1_000;
+    // protocol tax (framing + socket + admission) on one request, both
+    // sides sampled interleaved.
+    let ServeOverhead { direct_ns, roundtrip_ns, samples } =
+        measure_overhead(&bench.sock, &doc, requests);
     eprintln!(
-        "serve overhead: roundtrip p50 {roundtrip_ns}ns vs direct {direct_ns}ns ({:.2}x)",
+        "serve overhead: roundtrip p50 {roundtrip_ns}ns vs direct p50 {direct_ns}ns ({:.2}x, \
+         {samples} interleaved samples each)",
         roundtrip_ns as f64 / direct_ns.max(1) as f64
     );
     bench.shutdown();
@@ -182,6 +178,7 @@ fn main() {
         ("workloads", Json::Arr(workload_rows)),
         ("direct_eval_ns", Json::num(direct_ns)),
         ("roundtrip_p50_ns", Json::num(roundtrip_ns)),
+        ("overhead_samples", Json::num(samples as u64)),
         (
             "overhead_ratio",
             Json::Num(((roundtrip_ns as f64 / direct_ns.max(1) as f64) * 100.0).round() / 100.0),

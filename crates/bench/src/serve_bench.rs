@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use xpath_core::serve::{ServeConfig, Server};
 use xpath_core::Compiler;
+use xpath_xml::temp::TempPath;
 use xpath_xml::Document;
 
 /// An in-process [`Server`] bound to a Unix socket in a private temp
@@ -24,7 +25,9 @@ pub struct BenchServer {
     pub server: Arc<Server>,
     /// Path of the Unix socket clients should connect to.
     pub sock: PathBuf,
-    dir: PathBuf,
+    /// The private directory; removed when the server drops, after
+    /// `stop` has drained the accept loop.
+    _dir: TempPath,
     accept: Option<thread::JoinHandle<std::io::Result<()>>>,
 }
 
@@ -38,9 +41,7 @@ impl BenchServer {
     /// On any I/O failure while setting up the store or socket (this is
     /// a bench harness; there is nothing to recover).
     pub fn start(doc: &Document, permits: usize) -> BenchServer {
-        let dir =
-            std::env::temp_dir().join(format!("gkp_bench_serve_{}_{permits}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempPath::new(&format!("bench_serve_{permits}"));
         let mut config = ServeConfig::new(dir.join("store"));
         config.permits = permits;
         config.read_timeout = Duration::from_millis(25);
@@ -58,7 +59,7 @@ impl BenchServer {
         while !sock.exists() && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(5));
         }
-        BenchServer { server, sock, dir, accept: Some(accept) }
+        BenchServer { server, sock, _dir: dir, accept: Some(accept) }
     }
 
     /// Drain the accept loop and delete the temp directory.
@@ -71,7 +72,6 @@ impl BenchServer {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -218,28 +218,61 @@ pub fn closed_loop(
 /// The query both the guard and the `serve` section time end to end.
 pub const SERVE_CHECK_QUERY: &str = "count(//c)";
 
-/// Median direct (in-process, no protocol) evaluation time of
-/// [`SERVE_CHECK_QUERY`] on `doc`, in nanoseconds — the baseline the
-/// socket round trip is compared against.
+/// The protocol tax on one request: medians of the direct (in-process,
+/// no protocol) evaluation of [`SERVE_CHECK_QUERY`] and of its
+/// single-client socket round trip, in nanoseconds.
+#[derive(Clone, Copy, Debug)]
+pub struct ServeOverhead {
+    /// Median direct evaluation time.
+    pub direct_ns: u64,
+    /// Median socket round-trip time.
+    pub roundtrip_ns: u64,
+    /// Samples behind each median.
+    pub samples: usize,
+}
+
+/// Measure [`ServeOverhead`] against the server listening on `sock`,
+/// which serves `doc` as `bench`. The two sides are sampled interleaved
+/// — one direct evaluation, then one round trip, `samples` times — so
+/// both medians rest on the same sample count and see the same machine
+/// state (frequency, co-tenants), and their ratio does not drift with
+/// noise that hits only one phase.
 ///
 /// # Panics
-/// If the query fails to compile or evaluate.
-pub fn direct_eval_ns(doc: &Document) -> u64 {
+/// If the query fails to compile or evaluate, or on transport errors.
+pub fn measure_overhead(sock: &Path, doc: &Document, samples: usize) -> ServeOverhead {
+    const WARMUP: usize = 10;
     let compiled = Compiler::new().compile(SERVE_CHECK_QUERY).expect("compile check query");
-    compiled.evaluate_root(doc).expect("direct evaluation");
-    let mut samples = Vec::with_capacity(7);
-    for _ in 0..7 {
+    let request = format!(r#"{{"doc":"bench","query":"{SERVE_CHECK_QUERY}"}}"#);
+    let mut client = BenchClient::connect(sock);
+    let elapsed_ns = |t: Instant| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let mut direct = Vec::with_capacity(samples);
+    let mut roundtrip = Vec::with_capacity(samples);
+    for i in 0..WARMUP + samples {
         let t = Instant::now();
         std::hint::black_box(compiled.evaluate_root(doc).expect("direct evaluation"));
-        samples.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let d = elapsed_ns(t);
+        let t = Instant::now();
+        client.roundtrip(&request);
+        let r = elapsed_ns(t);
+        if i >= WARMUP {
+            direct.push(d);
+            roundtrip.push(r);
+        }
     }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    direct.sort_unstable();
+    roundtrip.sort_unstable();
+    ServeOverhead {
+        direct_ns: quantile(&direct, 0.5),
+        roundtrip_ns: quantile(&roundtrip, 0.5),
+        samples,
+    }
 }
 
 /// `bench_serve --check` / `bench_axes --check` serve guard: a
 /// single-client socket round trip of [`SERVE_CHECK_QUERY`] must stay
-/// within `5×` the direct in-process evaluation plus a 1 ms fixed
+/// within `5×` the direct in-process evaluation (both medians of 100
+/// interleaved samples, [`measure_overhead`]) plus a 1 ms fixed
 /// allowance (socket wakeups + JSON framing; the observed overhead is
 /// tens of µs — the loose bar only refuses a protocol layer that went
 /// accidentally quadratic or started re-compiling per request). Like
@@ -252,17 +285,16 @@ pub fn check_serve(doc: &Document) -> Result<(), String> {
     const ATTEMPTS: u32 = 3;
     const MULT: u64 = 5;
     const FLOOR_NS: u64 = 1_000_000;
+    const SAMPLES: usize = 100;
     let bench = BenchServer::start(doc, 2);
-    let request = format!(r#"{{"doc":"bench","query":"{SERVE_CHECK_QUERY}"}}"#);
     let mut failure = None;
     for attempt in 1..=ATTEMPTS {
-        let direct_ns = direct_eval_ns(doc);
-        let load = closed_loop(&bench.sock, 1, 100, &request);
-        let roundtrip_ns = load.p50_us * 1_000;
+        let ServeOverhead { direct_ns, roundtrip_ns, .. } =
+            measure_overhead(&bench.sock, doc, SAMPLES);
         let bar = MULT * direct_ns + FLOOR_NS;
         eprintln!(
-            "check: serve roundtrip p50 {roundtrip_ns}ns  direct {direct_ns}ns  \
-             bar {bar}ns ({MULT}x + {FLOOR_NS}ns)"
+            "check: serve roundtrip p50 {roundtrip_ns}ns  direct p50 {direct_ns}ns \
+             ({SAMPLES} interleaved samples each)  bar {bar}ns ({MULT}x + {FLOOR_NS}ns)"
         );
         if roundtrip_ns <= bar {
             failure = None;

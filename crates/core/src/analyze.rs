@@ -1,12 +1,12 @@
-//! Compile-time query analysis: satisfiability, reverse-axis rewriting,
-//! and streamability classification.
+//! Compile-time query analysis: satisfiability and the lazy verdict.
 //!
 //! The paper's whole point is that Core XPath is *statically tractable* —
 //! so the compiler should learn everything it can about a query before
 //! touching a document. [`analyze`] runs once per
-//! [`CompiledQuery`](crate::query::CompiledQuery) (the report is cached
-//! alongside it in the [`QueryCache`](crate::cache::QueryCache)) and
-//! produces a [`QueryReport`] with three layers:
+//! [`Plan`](crate::plan::Plan) build (the report is cached alongside the
+//! [`CompiledQuery`](crate::query::CompiledQuery) in the
+//! [`QueryCache`](crate::cache::QueryCache)) and produces a
+//! [`QueryReport`] with two layers:
 //!
 //! 1. **Satisfiability / emptiness.** A sound (never-wrong, incomplete)
 //!    emptiness check over the normalized IR: contradictory node tests,
@@ -15,41 +15,14 @@
 //!    constant plan node ([`QueryReport::const_result`]) that
 //!    [`Plan::execute`](crate::plan::Plan::execute) returns without
 //!    evaluating anything.
-//! 2. **Reverse-axis rewriting.** The Olteanu-style forwardization rules
-//!    ([`xpath_syntax::rewrite::forwardize`]) eliminate
-//!    `parent`/`ancestor(-or-self)`/`preceding(-sibling)` spines of
-//!    absolute paths, emitting a differential-testable forward IR
-//!    ([`QueryReport::forward_expr`]).
-//! 3. **Streamability classification.** Every query lands in the
-//!    [`Streamability`] lattice, and
-//!    [`Plan`](crate::plan::Plan) picks the streaming matcher from this
-//!    classification instead of re-running ad-hoc fragment checks.
-//!
-//! # The classification lattice
-//!
-//! ```text
-//!        Streamable            single pass, no buffered candidates:
-//!            |                 emission at the start tag
-//!        NeedsBuffering        single pass, candidates buffered until
-//!            |                 their subtree closes (predicates, =s,
-//!            |                 positional tests) — possibly only after
-//!            |                 the reverse-axis rewrite
-//!        InMemoryOnly          outside the (rewritten) forward fragment:
-//!                              needs the materialized tree
-//! ```
-//!
-//! # Rewrite rules (absolute paths, non-positional predicates)
-//!
-//! | before | after |
-//! |---|---|
-//! | `/d-o-s::node()/child::tf[Pf]/χʳ::tr[Pr]/π` | `/d-o-s::tr[Pr][boolean(χʳ⁻¹::tf[Pf])]/π` |
-//! | `/descendant(-or-self)::tf[Pf]/χʳ::tr[Pr]/π` | `/d-o-s::tr[Pr][boolean(χʳ⁻¹::tf[Pf])]/π` |
-//!
-//! where `χʳ` is a reverse axis (`parent`, `ancestor`, `ancestor-or-self`,
-//! `preceding`, `preceding-sibling`) and `χʳ⁻¹` its natural inverse
-//! (`child`, `descendant`, `descendant-or-self`, `following`,
-//! `following-sibling`). The rule iterates left-to-right, so chains of
-//! reverse steps collapse.
+//! 2. **The lazy verdict.** [`laziness`] is the one definition of "can
+//!    this query run lazily": the
+//!    [`QueryCursor`](crate::cursor::QueryCursor) pipeline, `xpq --lint`
+//!    and `xpq --explain` all read [`QueryReport::laziness`], so they
+//!    cannot disagree. A query is [`Laziness::Lazy`] iff it runs on the
+//!    Core XPath / XPatterns algebra, does not const-fold, has no
+//!    trailing `=s` restriction on its compiled spine, and every spine
+//!    axis is preorder-monotone ([`xpath_axes::is_streamable`]).
 //!
 //! # Emptiness rules
 //!
@@ -84,12 +57,13 @@
 use std::fmt;
 
 use xpath_syntax::{
-    rewrite, static_type, Axis, BinaryOp, Expr, ExprType, KindTest, LocationPath, NodeTest,
-    PathStart, Step,
+    static_type, Axis, BinaryOp, Expr, ExprType, KindTest, LocationPath, NodeTest, PathStart, Step,
 };
 
+use crate::corexpath::CoreQuery;
 use crate::functions;
 use crate::nodeset::NodeSet;
+use crate::plan::Strategy;
 use crate::value::Value;
 
 /// Can the query ever select anything?
@@ -102,25 +76,37 @@ pub enum Satisfiability {
     Empty(String),
 }
 
-/// Where the query sits in the streamability lattice.
+/// Can the query run lazily? See [`laziness`].
 #[derive(Clone, Debug, PartialEq)]
-pub enum Streamability {
-    /// Single pass, O(depth·|Q|) memory, emission at the start tag.
-    Streamable,
-    /// Single pass, but candidates buffer until their subtree closes
-    /// (predicates, `= s` tests, positional tests), possibly only after
-    /// the reverse-axis rewrite; the reason says which.
-    NeedsBuffering(String),
-    /// Outside the forward fragment even after rewriting: evaluation
-    /// needs the materialized tree.
-    InMemoryOnly(String),
+pub enum Laziness {
+    /// The cursor can run the compiled spine on its block-synchronous
+    /// lazy pipeline: `exists`/`first`/`take(k)` stop at the first
+    /// witnesses instead of computing the whole answer.
+    Lazy,
+    /// The answer must be computed whole before the first node is known;
+    /// the reason says why.
+    Materialize(String),
+}
+
+impl Laziness {
+    /// Is the verdict [`Laziness::Lazy`]?
+    pub fn is_lazy(&self) -> bool {
+        matches!(self, Laziness::Lazy)
+    }
+}
+
+impl fmt::Display for Laziness {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Laziness::Lazy => f.write_str("lazy"),
+            Laziness::Materialize(why) => write!(f, "materialize — {why}"),
+        }
+    }
 }
 
 /// Diagnostic severity, ordered by weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Informational note (e.g. a rewrite fired).
-    Info,
     /// The query is legal but almost certainly not what was meant
     /// (provably empty, constant result).
     Warning,
@@ -132,7 +118,6 @@ impl Severity {
     /// Lower-case name, as printed by `xpq --lint`.
     pub fn name(self) -> &'static str {
         match self {
-            Severity::Info => "info",
             Severity::Warning => "warning",
             Severity::Error => "error",
         }
@@ -167,16 +152,8 @@ impl fmt::Display for Diagnostic {
 pub struct QueryReport {
     /// Emptiness verdict for the whole query.
     pub satisfiability: Satisfiability,
-    /// The reverse-axis-free rewrite of the query, when the forwardization
-    /// rules applied. Differentially tested to be bit-identical to the
-    /// original.
-    pub forward_expr: Option<Expr>,
-    /// Streamability classification (of the rewritten form, when only
-    /// that form streams).
-    pub streamability: Streamability,
-    /// Whether streaming requires the rewritten IR ([`Self::forward_expr`])
-    /// rather than the original expression.
-    pub streams_via_rewrite: bool,
+    /// Whether the query can run lazily ([`laziness`]).
+    pub laziness: Laziness,
     /// The document-independent constant result, when the query folds
     /// (empty node set, `count(ε) = 0`, `boolean(ε) = false`,
     /// `not(ε) = true`). [`Plan::execute`](crate::plan::Plan::execute)
@@ -209,14 +186,10 @@ pub struct AnalysisStats {
     pub provably_empty: u64,
     /// Queries folded to a document-independent constant.
     pub const_folded: u64,
-    /// Queries whose reverse axes were rewritten away.
-    pub rewritten: u64,
-    /// Queries classified [`Streamability::Streamable`].
-    pub streamable: u64,
-    /// Queries classified [`Streamability::NeedsBuffering`].
-    pub needs_buffering: u64,
-    /// Queries classified [`Streamability::InMemoryOnly`].
-    pub in_memory_only: u64,
+    /// Queries with the [`Laziness::Lazy`] verdict.
+    pub lazy: u64,
+    /// Queries with the [`Laziness::Materialize`] verdict.
+    pub materialized: u64,
     /// Error-severity diagnostics.
     pub errors: u64,
     /// Warning-severity diagnostics.
@@ -230,11 +203,8 @@ impl AnalysisStats {
             analyzed: 1,
             provably_empty: report.is_empty_query() as u64,
             const_folded: report.const_result.is_some() as u64,
-            rewritten: report.forward_expr.is_some() as u64,
-            streamable: matches!(report.streamability, Streamability::Streamable) as u64,
-            needs_buffering: matches!(report.streamability, Streamability::NeedsBuffering(_))
-                as u64,
-            in_memory_only: matches!(report.streamability, Streamability::InMemoryOnly(_)) as u64,
+            lazy: report.laziness.is_lazy() as u64,
+            materialized: !report.laziness.is_lazy() as u64,
             errors: report.diagnostics.iter().filter(|d| d.severity == Severity::Error).count()
                 as u64,
             warnings: report.diagnostics.iter().filter(|d| d.severity == Severity::Warning).count()
@@ -248,10 +218,8 @@ impl AnalysisStats {
             analyzed: self.analyzed + o.analyzed,
             provably_empty: self.provably_empty + o.provably_empty,
             const_folded: self.const_folded + o.const_folded,
-            rewritten: self.rewritten + o.rewritten,
-            streamable: self.streamable + o.streamable,
-            needs_buffering: self.needs_buffering + o.needs_buffering,
-            in_memory_only: self.in_memory_only + o.in_memory_only,
+            lazy: self.lazy + o.lazy,
+            materialized: self.materialized + o.materialized,
             errors: self.errors + o.errors,
             warnings: self.warnings + o.warnings,
         }
@@ -262,23 +230,23 @@ impl fmt::Display for AnalysisStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} analyzed: {} empty, {} const-folded, {} rewritten; \
-             {} streamable / {} buffered / {} in-memory; {} errors, {} warnings",
+            "{} analyzed: {} empty, {} const-folded; {} lazy / {} materialized; \
+             {} errors, {} warnings",
             self.analyzed,
             self.provably_empty,
             self.const_folded,
-            self.rewritten,
-            self.streamable,
-            self.needs_buffering,
-            self.in_memory_only,
+            self.lazy,
+            self.materialized,
             self.errors,
             self.warnings
         )
     }
 }
 
-/// Run the full static analysis over a normalized expression.
-pub fn analyze(e: &Expr) -> QueryReport {
+/// Run the full static analysis over a normalized expression that
+/// [`Plan::build`](crate::plan::Plan::build) resolved to `strategy` and,
+/// for the fragment strategies, compiled to `algebra`.
+pub fn analyze(e: &Expr, strategy: Strategy, algebra: Option<&CoreQuery>) -> QueryReport {
     let mut diagnostics = Vec::new();
 
     // Layer 0: evaluation-time failures visible statically.
@@ -337,61 +305,48 @@ pub fn analyze(e: &Expr) -> QueryReport {
         });
     }
 
-    // Layer 2: reverse-axis elimination.
-    let forward_expr = rewrite::forwardize(e);
-    if let Some(f) = &forward_expr {
-        diagnostics.push(Diagnostic::new(
-            Severity::Info,
-            "reverse-axes-rewritten",
-            format!("reverse axes rewritten to the forward form {f}"),
-        ));
-    }
+    // Layer 2: the lazy verdict.
+    let laziness = laziness(strategy, const_result.as_ref(), algebra);
 
-    // Layer 3: streamability, preferring the original IR and falling back
-    // to the rewritten one.
-    let (streamability, streams_via_rewrite) = match crate::streaming::compile_expr(e) {
-        Ok(q) if !q.buffers() => (Streamability::Streamable, false),
-        Ok(_) => (
-            Streamability::NeedsBuffering(
-                "candidates buffer until their subtree closes \
-                 (predicates / = s / positional state)"
-                    .to_string(),
-            ),
-            false,
-        ),
-        Err(err) => {
-            let fallback =
-                forward_expr.as_ref().and_then(|f| crate::streaming::compile_expr(f).ok());
-            match fallback {
-                Some(_) => (
-                    Streamability::NeedsBuffering(
-                        "streams only via the reverse-axis rewrite \
-                         (witness predicates buffer candidates)"
-                            .to_string(),
-                    ),
-                    true,
-                ),
-                None => (Streamability::InMemoryOnly(fragment_reason(err)), false),
-            }
-        }
-    };
-
-    QueryReport {
-        satisfiability,
-        forward_expr,
-        streamability,
-        streams_via_rewrite,
-        const_result,
-        diagnostics,
-    }
+    QueryReport { satisfiability, laziness, const_result, diagnostics }
 }
 
-/// Unwrap the message of an `UnsupportedFragment` error (avoid the
-/// `unsupported fragment:` prefix repeating inside classification text).
-fn fragment_reason(err: crate::context::EvalError) -> String {
-    match err {
-        crate::context::EvalError::UnsupportedFragment(msg) => msg,
-        other => other.to_string(),
+/// The one definition of "can this query run lazily", read by the
+/// cursor, `--lint` and `--explain` alike. A query is lazy iff
+///
+/// * it runs on the Core XPath / XPatterns algebra (`strategy` and its
+///   compiled `algebra`),
+/// * it does not const-fold (`const_result` is `None`: the plan answers
+///   without evaluating anything),
+/// * its compiled spine has no trailing `=s` restriction (which needs the
+///   finished set), and
+/// * every spine axis is preorder-monotone ([`xpath_axes::is_streamable`]),
+///   so the pipeline emits nodes in document order block by block.
+///
+/// Predicates never block laziness: the pipeline evaluates them per
+/// block against the whole document.
+pub fn laziness(
+    strategy: Strategy,
+    const_result: Option<&Value>,
+    algebra: Option<&CoreQuery>,
+) -> Laziness {
+    if const_result.is_some() {
+        return Laziness::Materialize(
+            "the plan short-circuits to a document-independent constant".into(),
+        );
+    }
+    let (Strategy::CoreXPath | Strategy::XPatterns, Some(q)) = (strategy, algebra) else {
+        return Laziness::Materialize(format!("runs on {strategy:?}, not the Core XPath algebra"));
+    };
+    if q.path.eq.is_some() {
+        return Laziness::Materialize("trailing =s restriction needs the finished set".into());
+    }
+    match q.path.steps.iter().find(|s| !xpath_axes::is_streamable(s.axis)) {
+        Some(s) => Laziness::Materialize(format!(
+            "{}:: in the spine is not preorder-monotone",
+            s.axis.name()
+        )),
+        None => Laziness::Lazy,
     }
 }
 
@@ -702,7 +657,8 @@ mod tests {
     use xpath_syntax::parse_normalized;
 
     fn report(q: &str) -> QueryReport {
-        analyze(&parse_normalized(q).unwrap())
+        let plan = crate::plan::Plan::build(parse_normalized(q).unwrap(), Strategy::Auto, None);
+        plan.unwrap().report().clone()
     }
 
     #[test]
@@ -802,25 +758,27 @@ mod tests {
     }
 
     #[test]
-    fn reverse_axes_rewrite_and_classify_as_buffering() {
-        let r = report("//author/parent::book");
-        let f = r.forward_expr.as_ref().expect("forwardize applies");
-        assert_eq!(f.to_string(), "/descendant-or-self::book[boolean(child::author)]");
-        assert!(r.streams_via_rewrite);
-        assert!(matches!(r.streamability, Streamability::NeedsBuffering(_)), "{r:?}");
-        assert!(r.diagnostics.iter().any(|d| d.code == "reverse-axes-rewritten"));
-    }
-
-    #[test]
-    fn streamability_lattice() {
-        assert!(matches!(report("//a/b").streamability, Streamability::Streamable));
-        assert!(matches!(report("//a[b]").streamability, Streamability::NeedsBuffering(_)));
-        assert!(matches!(report("//b[1]").streamability, Streamability::NeedsBuffering(_)));
-        // preceding:: forwardizes to following-inside-a-predicate, which
-        // the matcher rejects: in-memory only.
-        assert!(matches!(report("//c/preceding::a").streamability, Streamability::InMemoryOnly(_)));
-        assert!(matches!(report("count(//a)").streamability, Streamability::InMemoryOnly(_)));
-        assert!(matches!(report("a/b").streamability, Streamability::InMemoryOnly(_)));
+    fn lazy_verdict() {
+        for q in ["//a/b", "//a[b]", "a/b", "//a[not(b)]/following::c", "//a[b = 'x']"] {
+            assert_eq!(report(q).laziness, Laziness::Lazy, "{q}");
+        }
+        for (q, why) in [
+            ("count(//a)", "not the Core XPath algebra"),
+            ("//b[1]", "not the Core XPath algebra"),
+            ("//a/parent::b", "parent:: in the spine"),
+            ("//a[b]/preceding::c", "preceding:: in the spine"),
+            ("//a = 'x'", "not the Core XPath algebra"),
+            ("//text()/child::*", "short-circuits"),
+        ] {
+            match report(q).laziness {
+                Laziness::Materialize(reason) => assert!(reason.contains(why), "{q}: {reason}"),
+                Laziness::Lazy => panic!("{q} must materialize"),
+            }
+        }
+        // Only the fragment strategies run lazily, whatever the query.
+        let e = parse_normalized("//a/b").unwrap();
+        let plan = crate::plan::Plan::build(e, Strategy::TopDown, None).unwrap();
+        assert!(!plan.report().laziness.is_lazy());
     }
 
     #[test]
@@ -830,9 +788,8 @@ mod tests {
         let s = a.plus(b);
         assert_eq!(s.analyzed, 2);
         assert_eq!(s.provably_empty, 1);
-        // Streamability is orthogonal to emptiness: the empty query is
-        // still (vacuously) a streamable forward spine.
-        assert_eq!(s.streamable, 2);
+        // The empty query const-folds, so only the other one is lazy.
+        assert_eq!((s.lazy, s.materialized), (1, 1));
         assert!(s.warnings >= 1);
     }
 

@@ -253,9 +253,9 @@ impl QueryCache {
     }
 
     /// Aggregate static-analysis verdicts across every resident compiled
-    /// query: how many are provably empty, const-folded, reverse-axis
-    /// rewritten, and how the fleet splits across the streamability
-    /// lattice. The analyzer's counterpart of [`QueryCache::planner_stats`].
+    /// query: how many are provably empty, const-folded, lazy or
+    /// materialized. The analyzer's counterpart of
+    /// [`QueryCache::planner_stats`].
     pub fn analysis_stats(&self) -> crate::analyze::AnalysisStats {
         self.shards
             .iter()

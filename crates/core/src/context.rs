@@ -115,7 +115,7 @@ pub type EvalResult<T> = Result<T, EvalError>;
 /// Every evaluation entry point accepts a budget (`evaluate_with`,
 /// `Plan::execute_with`, `QuerySet::evaluate_all_with`, the cursor
 /// layer) and polls it at **block boundaries** — between axis passes,
-/// CVT row fills, cursor blocks, streaming event chunks — never inside
+/// CVT row fills, cursor blocks — never inside
 /// a kernel's inner loop. A tripped budget surfaces as
 /// [`EvalError::Cancelled`] or [`EvalError::DeadlineExceeded`]; the
 /// evaluator unwinds through ordinary `Result` propagation, so pooled

@@ -28,8 +28,10 @@
 //! never revisited — a caller that stops pulling never pays for the
 //! document past its last window.
 //!
-//! Spines outside the streamable shape (reverse axes, `parent`, `id`,
-//! trailing `=s` restrictions, non-path queries) fall back to a
+//! Which queries take the pipeline is decided once, at compile time, by
+//! the analyzer's lazy verdict ([`crate::analyze::laziness`]). Queries
+//! it rules out (reverse axes, `parent`, `id`, trailing `=s`
+//! restrictions, non-path queries, const-folded plans) fall back to a
 //! *materializing* cursor: the first pull runs the plan's ordinary
 //! evaluation under the cursor's [`EvalBudget`] and subsequent pulls
 //! serve slices of the finished set. [`CostModel::pick_lazy`] arbitrates
@@ -117,16 +119,8 @@ enum State<'q, 'd> {
 }
 
 impl<'q, 'd> QueryCursor<'q, 'd> {
-    /// Can `path` run on the lazy pipeline at all? Requires every spine
-    /// axis streamable (preorder-monotone) and no trailing `=s`
-    /// restriction; any start point works (all three produce a sorted
-    /// start set).
-    pub(crate) fn spine_is_streamable(path: &CorePath) -> bool {
-        path.eq.is_none() && path.steps.iter().all(|s| xpath_axes::is_streamable(s.axis))
-    }
-
-    /// Build the lazy pipeline cursor (caller has checked
-    /// [`QueryCursor::spine_is_streamable`]).
+    /// Build the lazy pipeline cursor (caller has checked the query's
+    /// [`Laziness`](crate::analyze::Laziness) verdict).
     pub(crate) fn lazy(
         doc: &'d Document,
         path: &'q CorePath,
@@ -319,7 +313,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
             .iter()
             .map(|s| {
                 StepStreamer::new(doc, s.axis)
-                    .expect("caller checked spine_is_streamable before building the pipeline")
+                    .expect("caller checked the lazy verdict before building the pipeline")
             })
             .collect();
         LazyPipeline {

@@ -234,15 +234,6 @@ impl<'d> Engine<'d> {
             let v = CoreXPathEvaluator::new(self.doc).evaluate(&q, &[ctx.node]);
             check("core-xpath", Ok(Value::NodeSet(v)))?;
         }
-        // The streaming matcher only covers absolute forward queries
-        // (possibly with one positional test); where it applies — and the
-        // context is the root, the only context it models — it must agree.
-        if ctx.node == self.doc.root() {
-            if let Ok(sq) = crate::streaming::compile_expr(e) {
-                let v = crate::streaming::evaluate_stream(&sq, self.doc);
-                check("streaming", Ok(Value::NodeSet(v)))?;
-            }
-        }
         Ok(reference)
     }
 }
@@ -325,33 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_strategy_through_the_engine() {
-        let d = doc_bookstore();
-        let engine = Engine::new(&d);
-        // `//author/parent::book` streams through the analyzer's
-        // reverse-axis rewrite.
-        for q in ["//book[author]", "//book[2]", "//section/book[last()]", "//author/parent::book"]
-        {
-            let got = engine.evaluate_with(q, Strategy::Streaming).unwrap();
-            let want = engine.evaluate_with(q, Strategy::TopDown).unwrap();
-            assert!(got.semantically_equal(&want), "{q}");
-        }
-        // preceding:: stays outside the fragment even after rewriting.
-        assert!(matches!(
-            engine.evaluate_with("//book/preceding::author", Strategy::Streaming),
-            Err(EvalError::UnsupportedFragment(_))
-        ));
-    }
-
-    #[test]
     fn with_compiler_strategy_applies_to_every_entry_point() {
         let d = doc_bookstore();
         let engine =
-            Engine::with_compiler(&d, Compiler::new().default_strategy(Strategy::Streaming));
-        // Outside the streamable fragment (even after the reverse-axis
-        // rewrite): evaluate, evaluate_at and select must all reject
-        // consistently.
-        let q = "//book/preceding::author";
+            Engine::with_compiler(&d, Compiler::new().default_strategy(Strategy::CoreXPath));
+        // Outside the Core XPath fragment: evaluate, evaluate_at and
+        // select must all reject consistently.
+        let q = "//book[position() = 2]";
         assert!(matches!(engine.evaluate(q), Err(EvalError::UnsupportedFragment(_))));
         assert!(matches!(engine.evaluate_at(q, d.root()), Err(EvalError::UnsupportedFragment(_))));
         assert!(matches!(engine.select(q), Err(EvalError::UnsupportedFragment(_))));

@@ -14,7 +14,9 @@ use std::fmt::Write as _;
 
 use xpath_syntax::{Expr, PathStart};
 
-use crate::fragment::{classify, Fragment};
+use crate::analyze::Laziness;
+use crate::fragment::Fragment;
+use crate::plan::{Plan, Strategy};
 use crate::relev::relev;
 use crate::wadler;
 
@@ -29,49 +31,37 @@ pub struct Explanation {
     pub bottomup_paths: usize,
 }
 
-/// Explain a prepared (normalized) query. `doc_size` parameterizes the
-/// table-size estimates; pass the target document's `len()` or an
-/// indicative size.
-pub fn explain(e: &Expr, doc_size: usize) -> Explanation {
-    let c = classify(e);
+/// Explain a compiled plan. `doc_size` parameterizes the table-size
+/// estimates; pass the target document's `len()` or an indicative size.
+pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
+    let e = &plan.expr;
+    let c = &plan.classification;
     let mut report = String::new();
     let _ = writeln!(report, "query:     {e}");
     let _ = writeln!(report, "fragment:  {} ({})", c.fragment.name(), c.fragment.complexity());
-    let strategy = match c.fragment {
-        Fragment::CoreXPath => "CoreXPath (S→/S←/E1 algebra)",
-        Fragment::XPatterns => "XPatterns (Core XPath + id axis + =s predicates)",
-        Fragment::ExtendedWadler | Fragment::FullXPath => {
-            "OptMinContext (Algorithm 11.1: bottom-up paths + MinContext)"
+    let _ = match plan.strategy {
+        Strategy::CoreXPath => writeln!(report, "strategy:  CoreXPath (S→/S←/E1 algebra)"),
+        Strategy::XPatterns => {
+            writeln!(report, "strategy:  XPatterns (Core XPath + id axis + =s predicates)")
         }
+        Strategy::OptMinContext => writeln!(
+            report,
+            "strategy:  OptMinContext (Algorithm 11.1: bottom-up paths + MinContext)"
+        ),
+        other => writeln!(report, "strategy:  {other:?} (explicitly requested)"),
     };
-    let _ = writeln!(report, "strategy:  {strategy}");
     for v in &c.wadler_violations {
         let _ = writeln!(report, "  wadler:  {v}");
     }
-    // Static analysis (crate::analyze): satisfiability, reverse-axis
-    // rewriting, streamability classification, diagnostics.
-    let report_a = crate::analyze::analyze(e);
-    if let Some(v) = &report_a.const_result {
+    // Static analysis (crate::analyze): satisfiability, diagnostics.
+    let analysis = plan.report();
+    if let Some(v) = &analysis.const_result {
         let _ = writeln!(
             report,
             "const:     result is document-independent — the plan short-circuits to {v}"
         );
     }
-    if let Some(f) = &report_a.forward_expr {
-        let _ = writeln!(report, "rewrite:   reverse axes eliminated → {f}");
-    }
-    match &report_a.streamability {
-        crate::analyze::Streamability::Streamable => {
-            let _ = writeln!(report, "streaming: yes (single pass, O(depth·|Q|) memory)");
-        }
-        crate::analyze::Streamability::NeedsBuffering(why) => {
-            let _ = writeln!(report, "streaming: yes, buffered — {why}");
-        }
-        crate::analyze::Streamability::InMemoryOnly(why) => {
-            let _ = writeln!(report, "streaming: no — {why}");
-        }
-    }
-    for d in &report_a.diagnostics {
+    for d in &analysis.diagnostics {
         let _ = writeln!(report, "  lint:    {d}");
     }
 
@@ -79,8 +69,8 @@ pub fn explain(e: &Expr, doc_size: usize) -> Explanation {
     // program runs on and why — the crossovers are functions of |D| and
     // the calibrated cost model, the final pick is made per application
     // from the actual input density at runtime.
-    if let Ok(q) = crate::corexpath::compile_xpatterns(e) {
-        let model = xpath_axes::CostModel::global();
+    let model = xpath_axes::CostModel::global();
+    if let Some(q) = plan.algebra() {
         let mut axes = std::collections::BTreeMap::new();
         collect_axes(&q.path, &mut axes);
         let _ = writeln!(
@@ -94,9 +84,8 @@ pub fn explain(e: &Expr, doc_size: usize) -> Explanation {
                 writeln!(report, "  {}", xpath_axes::cost::describe(axis, doc_size as u32, model));
         }
         // Parallel CVT layer: the per-pass spawn gate at this |D| and the
-        // process-default thread budget (an explicit Compiler/--threads
-        // budget overrides the default shown here).
-        let threads = crate::parallel::resolve_threads(0);
+        // plan's thread budget.
+        let threads = crate::parallel::resolve_threads(plan.threads());
         if threads <= 1 {
             let _ = writeln!(
                 report,
@@ -114,29 +103,20 @@ pub fn explain(e: &Expr, doc_size: usize) -> Explanation {
                 model.axis_shard_crossover(doc_size as u32),
             );
         }
-        // Lazy cursor verdict: can exists/first/take(k) early-exit on the
-        // block-synchronous pipeline, and would the cost model pick it at
-        // this |D| for a full drain?
-        let streamable_spine =
-            q.path.eq.is_none() && q.path.steps.iter().all(|s| xpath_axes::is_streamable(s.axis));
-        if streamable_spine {
-            let _ = writeln!(
-                report,
-                "lazy:      spine streams (forward axes, preorder-monotone) — \
-                 exists/first/take(k) early-exit; full drains go lazy at \
-                 |D| ≥ {} (here: {})",
-                model.lazy_take_crossover(),
-                if model.pick_lazy(doc_size as u32, None) { "lazy" } else { "materialize" },
-            );
-        } else {
-            let why = if q.path.eq.is_some() {
-                "trailing =s restriction needs the finished set"
-            } else {
-                "non-forward step in the spine"
-            };
-            let _ = writeln!(report, "lazy:      materialize — {why}");
-        }
     }
+    // The analyzer's lazy verdict (the one the cursor dispatches on), and
+    // for lazy queries whether the cost model would take the pipeline for
+    // a full drain at this |D|.
+    let _ = match &analysis.laziness {
+        Laziness::Lazy => writeln!(
+            report,
+            "lazy:      lazy — spine streams (forward axes, preorder-monotone); \
+             exists/first/take(k) early-exit; full drains go lazy at |D| ≥ {} (here: {})",
+            model.lazy_take_crossover(),
+            if model.pick_lazy(doc_size as u32, None) { "lazy" } else { "materialize" },
+        ),
+        materialize => writeln!(report, "lazy:      {materialize}"),
+    };
 
     // Per-subexpression relevance and bottom-up candidacy.
     let mut bottomup_paths = 0usize;
@@ -273,12 +253,15 @@ fn one_line(e: &Expr, max: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xpath_syntax::parse_normalized;
+    use crate::query::Compiler;
+
+    fn explain_q(q: &str, doc_size: usize) -> Explanation {
+        explain(Compiler::new().compile(q).unwrap().plan(), doc_size)
+    }
 
     #[test]
     fn explain_core_query() {
-        let e = parse_normalized("//a[b]").unwrap();
-        let x = explain(&e, 100);
+        let x = explain_q("//a[b]", 100);
         assert_eq!(x.fragment, Fragment::CoreXPath);
         assert!(x.report.contains("CoreXPath"), "{}", x.report);
         assert_eq!(x.bottomup_paths, 1, "boolean(child::b) is a candidate");
@@ -286,8 +269,7 @@ mod tests {
 
     #[test]
     fn explain_reports_axis_planner_kernels() {
-        let e = parse_normalized("//a[b]/following::c/ancestor::d").unwrap();
-        let x = explain(&e, 21846);
+        let x = explain_q("//a[b]/following::c/ancestor::d", 21846);
         assert!(x.report.contains("axis planner"), "{}", x.report);
         // One line per distinct axis, naming the kernel choice and why.
         assert!(x.report.contains("descendant-or-self: staircase"), "{}", x.report);
@@ -304,7 +286,7 @@ mod tests {
             x.report
         );
         // Outside the fragment engines there is no planner section.
-        let y = explain(&parse_normalized("count(//a)").unwrap(), 100);
+        let y = explain_q("count(//a)", 100);
         assert!(!y.report.contains("axis planner"), "{}", y.report);
         assert!(!y.report.contains("parallel: budget"), "{}", y.report);
     }
@@ -312,40 +294,42 @@ mod tests {
     #[test]
     fn explain_reports_the_static_analysis() {
         // Provably empty: the constant-empty short-circuit is visible.
-        let x = explain(&parse_normalized("//text()/child::*").unwrap(), 100);
+        let x = explain_q("//text()/child::*", 100);
         assert!(x.report.contains("const:"), "{}", x.report);
         assert!(x.report.contains("lint:"), "{}", x.report);
-        // Reverse axes: the rewrite and the buffered classification print.
-        let x = explain(&parse_normalized("//author/parent::book").unwrap(), 100);
-        assert!(x.report.contains("rewrite:   reverse axes eliminated"), "{}", x.report);
-        assert!(x.report.contains("streaming: yes, buffered"), "{}", x.report);
-        // Pure forward spines keep the unqualified "streaming: yes".
-        let x = explain(&parse_normalized("//a/b").unwrap(), 100);
-        assert!(x.report.contains("streaming: yes (single pass"), "{}", x.report);
-        // In-memory-only queries keep "streaming: no".
-        let x = explain(&parse_normalized("count(//a)").unwrap(), 100);
-        assert!(x.report.contains("streaming: no"), "{}", x.report);
+        // The const-folded plan never runs the cursor pipeline.
+        assert!(
+            x.report.contains("lazy:      materialize — the plan short-circuits"),
+            "{}",
+            x.report
+        );
     }
 
     #[test]
     fn explain_reports_lazy_cursor_verdict() {
         // Streamable spine, small document: early-exit available, but a
         // full drain stays materialized below the crossover.
-        let x = explain(&parse_normalized("//a[b]").unwrap(), 100);
-        assert!(x.report.contains("lazy:      spine streams"), "{}", x.report);
+        let x = explain_q("//a[b]", 100);
+        assert!(x.report.contains("lazy:      lazy — spine streams"), "{}", x.report);
         assert!(x.report.contains("here: materialize"), "{}", x.report);
         // Past the crossover the drain verdict flips.
-        let x = explain(&parse_normalized("//a[b]").unwrap(), 200_000);
+        let x = explain_q("//a[b]", 200_000);
         assert!(x.report.contains("here: lazy"), "{}", x.report);
         // A reverse step in the spine rules the pipeline out.
-        let x = explain(&parse_normalized("//a/parent::b").unwrap(), 100);
-        assert!(x.report.contains("lazy:      materialize — non-forward step"), "{}", x.report);
+        let x = explain_q("//a/parent::b", 100);
+        assert!(x.report.contains("lazy:      materialize — parent::"), "{}", x.report);
+        // Outside the fragment engines the verdict still prints.
+        let x = explain_q("count(//a)", 100);
+        assert!(
+            x.report.contains("lazy:      materialize — runs on OptMinContext"),
+            "{}",
+            x.report
+        );
     }
 
     #[test]
     fn explain_full_xpath_query() {
-        let e = parse_normalized("//a[count(b) > 1]").unwrap();
-        let x = explain(&e, 100);
+        let x = explain_q("//a[count(b) > 1]", 100);
         assert_eq!(x.fragment, Fragment::FullXPath);
         assert!(x.report.contains("OptMinContext"), "{}", x.report);
         assert!(x.report.contains("Restriction 2"), "{}", x.report);
@@ -364,8 +348,7 @@ mod tests {
 
     #[test]
     fn relevances_listed() {
-        let e = parse_normalized("//a[position() != last()]").unwrap();
-        let x = explain(&e, 50);
+        let x = explain_q("//a[position() != last()]", 50);
         assert!(x.report.contains("{cp,cs}"), "{}", x.report);
         assert!(x.report.contains("{cp}"), "{}", x.report);
         assert!(x.report.contains("{cs}"), "{}", x.report);
@@ -373,10 +356,7 @@ mod tests {
 
     #[test]
     fn long_queries_abbreviated() {
-        let e =
-            parse_normalized("//a[b[c[d[e = 'a very long string literal that goes on and on']]]]")
-                .unwrap();
-        let x = explain(&e, 10);
+        let x = explain_q("//a[b[c[d[e = 'a very long string literal that goes on and on']]]]", 10);
         // Subexpression lines are abbreviated (the header echoes the full
         // query and is exempt).
         for line in x.report.lines().filter(|l| l.trim_start().starts_with('{')) {

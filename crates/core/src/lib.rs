@@ -13,13 +13,12 @@
 //! | [`mincontext`] | §8, App. A | relevant-context analysis + MinContext |
 //! | [`corexpath`] | §10.1 | linear-time Core XPath algebra |
 //! | [`cursor`] | — | lazy pull-based [`NodeCursor`] layer: early exit, deadlines, cancellation |
-//! | [`streaming`] | §1–§2 related work | single-pass matcher for the forward Core XPath fragment |
 //! | [`xpatterns`] | §10.2 | Core XPath + id axis + XSLT-Patterns predicates |
 //! | [`wadler`] | §11.1 | Extended Wadler fragment, bottom-up inner paths |
 //! | [`optmincontext`] | §11.2 | OptMinContext (Algorithm 11.1) |
 //! | [`nodeset`] | §3 | the hybrid bitset/sorted-vec [`nodeset::NodeSet`] currency |
 //! | [`fragment`] | Fig. 1 | fragment lattice classification |
-//! | [`analyze`] | — | static analysis: satisfiability, reverse-axis rewriting, streamability |
+//! | [`analyze`] | — | static analysis: satisfiability, const folding, the one lazy verdict |
 //! | [`plan`] | — | document-independent execution plans (static phase) |
 //! | [`query`] | — | [`Compiler`] / [`CompiledQuery`]: compile once, evaluate many |
 //! | [`cache`] | — | sharded LRU [`QueryCache`] shared across workers |
@@ -57,15 +56,12 @@ pub mod query;
 pub mod relev;
 pub mod serve;
 pub mod store;
-pub mod streaming;
 pub mod topdown;
 pub mod value;
 pub mod wadler;
 pub mod xpatterns;
 
-pub use analyze::{
-    AnalysisStats, Diagnostic, QueryReport, Satisfiability, Severity, Streamability,
-};
+pub use analyze::{AnalysisStats, Diagnostic, Laziness, QueryReport, Satisfiability, Severity};
 pub use batch::{BatchResult, BatchStats, QuerySet, QuerySetBuilder};
 pub use cache::{CacheStats, QueryCache};
 pub use context::{Context, EvalBudget, EvalError, EvalResult};

@@ -9,9 +9,10 @@
 //! * the normalized (and possibly rewritten) expression,
 //! * its [`Classification`] in the Figure-1 lattice,
 //! * the resolved [`Strategy`] (never [`Strategy::Auto`]),
-//! * eagerly compiled artifacts for the fragment engines — the Core
-//!   XPath/XPatterns algebra program (§10) and the streaming automaton —
-//!   so per-evaluation work is pure runtime.
+//! * the eagerly compiled Core XPath/XPatterns algebra program (§10) for
+//!   the fragment engines, so per-evaluation work is pure runtime,
+//! * the static-analysis [`QueryReport`], including the lazy verdict the
+//!   cursor dispatches on.
 //!
 //! Because eager compilation happens here, a query outside an explicitly
 //! requested fragment fails at *plan-build* time with
@@ -21,7 +22,7 @@
 use xpath_syntax::Expr;
 use xpath_xml::Document;
 
-use crate::analyze::{self, QueryReport, Streamability};
+use crate::analyze::{self, QueryReport};
 use crate::bottomup::BottomUpEvaluator;
 use crate::context::{Context, EvalBudget, EvalResult};
 use crate::corexpath::{self, CoreDialect, CoreQuery, CoreXPathEvaluator};
@@ -30,7 +31,6 @@ use crate::mincontext::MinContextEvaluator;
 use crate::naive::NaiveEvaluator;
 use crate::optmincontext::OptMinContextEvaluator;
 use crate::pool::PoolEvaluator;
-use crate::streaming::{self, StreamQuery};
 use crate::topdown::TopDownEvaluator;
 use crate::value::Value;
 
@@ -54,9 +54,6 @@ pub enum Strategy {
     CoreXPath,
     /// §10.2: linear-time XPatterns (rejects other queries).
     XPatterns,
-    /// Single-pass streaming matcher for the forward Core XPath fragment
-    /// (§1–§2 related work; rejects non-streamable queries).
-    Streaming,
     /// Classify via Figure 1 and pick the best algorithm.
     #[default]
     Auto,
@@ -91,11 +88,8 @@ pub struct Plan {
     /// Eagerly compiled Core XPath / XPatterns algebra program, present
     /// iff `strategy` is [`Strategy::CoreXPath`] or [`Strategy::XPatterns`].
     algebra: Option<CoreQuery>,
-    /// Eagerly compiled streaming automaton, present iff `strategy` is
-    /// [`Strategy::Streaming`].
-    automaton: Option<StreamQuery>,
     /// The static-analysis report ([`crate::analyze`]): satisfiability,
-    /// reverse-axis rewrite, streamability classification, diagnostics.
+    /// lazy verdict, diagnostics.
     report: QueryReport,
     /// Step budget for the exponential naive baseline, if bounded.
     naive_budget: Option<u64>,
@@ -109,7 +103,7 @@ impl Plan {
     /// all fragment artifacts eagerly.
     ///
     /// With an explicit fragment strategy ([`Strategy::CoreXPath`],
-    /// [`Strategy::XPatterns`], [`Strategy::Streaming`]) a query outside
+    /// [`Strategy::XPatterns`]) a query outside
     /// that fragment is rejected **here**, so callers see
     /// [`EvalError::UnsupportedFragment`](crate::EvalError::UnsupportedFragment)
     /// once at compile time rather than on every evaluation.
@@ -132,58 +126,23 @@ impl Plan {
         threads: u32,
     ) -> EvalResult<Plan> {
         let classification = classify(&expr);
-        let report = analyze::analyze(&expr);
         let auto = requested == Strategy::Auto;
         let mut strategy = if auto { resolve_auto(&classification) } else { requested };
 
         let mut algebra = None;
-        let mut automaton = None;
-        match strategy {
-            Strategy::CoreXPath | Strategy::XPatterns => {
-                let dialect = if strategy == Strategy::CoreXPath {
-                    CoreDialect::CoreXPath
-                } else {
-                    CoreDialect::XPatterns
-                };
-                match corexpath::compile_dialect(&expr, dialect) {
-                    Ok(q) => algebra = Some(q),
-                    // The classifier approves exactly what the algebra
-                    // compiler accepts, so under Auto this is unreachable;
-                    // fall back to the general engine defensively rather
-                    // than failing a query the lattice admits.
-                    Err(_) if auto => strategy = Strategy::OptMinContext,
-                    Err(e) => return Err(e),
-                }
+        if let Some(dialect) = fragment_dialect(strategy) {
+            match corexpath::compile_dialect(&expr, dialect) {
+                Ok(q) => algebra = Some(q),
+                // The classifier approves exactly what the algebra
+                // compiler accepts, so under Auto this is unreachable;
+                // fall back to the general engine defensively rather
+                // than failing a query the lattice admits.
+                Err(_) if auto => strategy = Strategy::OptMinContext,
+                Err(e) => return Err(e),
             }
-            // The streaming matcher is picked from the analyzer's
-            // classification, not a fresh fragment probe: a query that
-            // streams only in its reverse-axis-rewritten form compiles
-            // the automaton from that rewrite.
-            Strategy::Streaming => match &report.streamability {
-                Streamability::InMemoryOnly(why) => {
-                    return Err(crate::context::EvalError::UnsupportedFragment(why.clone()));
-                }
-                _ => {
-                    let source = if report.streams_via_rewrite {
-                        report.forward_expr.as_ref().expect("streams_via_rewrite implies a rewrite")
-                    } else {
-                        &expr
-                    };
-                    automaton = Some(streaming::compile_expr(source)?);
-                }
-            },
-            _ => {}
         }
-        Ok(Plan {
-            expr,
-            classification,
-            strategy,
-            algebra,
-            automaton,
-            report,
-            naive_budget,
-            threads,
-        })
+        let report = analyze::analyze(&expr, strategy, algebra.as_ref());
+        Ok(Plan { expr, classification, strategy, algebra, report, naive_budget, threads })
     }
 
     /// Run the plan against `doc` from context `ctx`.
@@ -196,7 +155,7 @@ impl Plan {
 
     /// [`Plan::execute`] under an [`EvalBudget`]: every strategy polls the
     /// budget at its natural pass boundary (location steps, table passes,
-    /// axis passes, stream-event blocks) and fails with
+    /// axis passes) and fails with
     /// [`EvalError::Cancelled`](crate::EvalError::Cancelled) /
     /// [`EvalError::DeadlineExceeded`](crate::EvalError::DeadlineExceeded)
     /// once it trips — never a poisoned evaluator or a partial result.
@@ -215,7 +174,6 @@ impl Plan {
             &self.expr,
             self.strategy,
             self.algebra.as_ref(),
-            self.automaton.as_ref(),
             self.naive_budget,
             self.threads,
             doc,
@@ -255,7 +213,6 @@ impl Plan {
             &self.expr,
             self.strategy,
             self.algebra.as_ref(),
-            self.automaton.as_ref(),
             self.naive_budget,
             self.threads,
             doc,
@@ -277,18 +234,13 @@ impl Plan {
         self.algebra.as_ref()
     }
 
-    /// The compiled streaming automaton, if this plan streams.
-    pub fn automaton(&self) -> Option<&StreamQuery> {
-        self.automaton.as_ref()
-    }
-
     /// The naive-evaluator step budget, if one was configured.
     pub fn naive_budget(&self) -> Option<u64> {
         self.naive_budget
     }
 
     /// The static-analysis report produced at build time (satisfiability,
-    /// reverse-axis rewrite, streamability classification, diagnostics).
+    /// lazy verdict, diagnostics).
     pub fn report(&self) -> &QueryReport {
         &self.report
     }
@@ -313,18 +265,14 @@ pub fn execute_adhoc(
             let resolved = resolve_auto(&classify(expr));
             execute_adhoc(expr, resolved, naive_budget, doc, ctx)
         }
-        Strategy::CoreXPath | Strategy::XPatterns => {
-            let dialect = if strategy == Strategy::CoreXPath {
-                CoreDialect::CoreXPath
-            } else {
-                CoreDialect::XPatterns
-            };
-            let q = corexpath::compile_dialect(expr, dialect)?;
+        _ => {
+            let algebra = fragment_dialect(strategy)
+                .map(|d| corexpath::compile_dialect(expr, d))
+                .transpose()?;
             run(
                 expr,
                 strategy,
-                Some(&q),
-                None,
+                algebra.as_ref(),
                 naive_budget,
                 0,
                 doc,
@@ -333,33 +281,16 @@ pub fn execute_adhoc(
                 &EvalBudget::unlimited(),
             )
         }
-        Strategy::Streaming => {
-            let sq = streaming::compile_expr(expr)?;
-            run(
-                expr,
-                strategy,
-                None,
-                Some(&sq),
-                naive_budget,
-                0,
-                doc,
-                ctx,
-                None,
-                &EvalBudget::unlimited(),
-            )
-        }
-        _ => run(
-            expr,
-            strategy,
-            None,
-            None,
-            naive_budget,
-            0,
-            doc,
-            ctx,
-            None,
-            &EvalBudget::unlimited(),
-        ),
+    }
+}
+
+/// The algebra dialect a fragment strategy compiles to, `None` for the
+/// general evaluators.
+fn fragment_dialect(strategy: Strategy) -> Option<CoreDialect> {
+    match strategy {
+        Strategy::CoreXPath => Some(CoreDialect::CoreXPath),
+        Strategy::XPatterns => Some(CoreDialect::XPatterns),
+        _ => None,
     }
 }
 
@@ -374,7 +305,6 @@ fn run(
     expr: &Expr,
     strategy: Strategy,
     algebra: Option<&CoreQuery>,
-    automaton: Option<&StreamQuery>,
     naive_budget: Option<u64>,
     threads: u32,
     doc: &Document,
@@ -419,12 +349,6 @@ fn run(
             }
             Ok(Value::NodeSet(out))
         }
-        Strategy::Streaming => {
-            // Streamable queries are absolute, so the context node is
-            // irrelevant to the result (P[[/π]] starts at the root).
-            let sq = automaton.expect("streaming dispatch requires a compiled automaton");
-            Ok(Value::NodeSet(streaming::try_evaluate_stream(sq, doc, budget)?))
-        }
         Strategy::Auto => unreachable!("callers resolve Auto before run()"),
     }
 }
@@ -457,36 +381,12 @@ mod tests {
     fn fragment_artifacts_compile_eagerly() {
         let p = plan("//book[author]", Strategy::CoreXPath).unwrap();
         assert!(p.algebra().is_some());
-        let p = plan("//book[author]", Strategy::Streaming).unwrap();
-        assert!(p.automaton().is_some());
+        assert!(p.report().laziness.is_lazy(), "the verdict reads the compiled spine");
         // Outside the fragment: the error surfaces at build time.
         assert!(matches!(
             plan("count(//book)", Strategy::CoreXPath),
             Err(EvalError::UnsupportedFragment(_))
         ));
-        // preceding:: forwardizes to following-inside-a-predicate, which
-        // the matcher rejects even after the rewrite.
-        assert!(matches!(
-            plan("//c/preceding::a", Strategy::Streaming),
-            Err(EvalError::UnsupportedFragment(_))
-        ));
-    }
-
-    #[test]
-    fn streaming_plans_through_the_reverse_axis_rewrite() {
-        // Unstreamable as written, streamable once forwardized: the plan
-        // compiles the automaton from the rewritten IR and agrees with
-        // the reference evaluator.
-        let p = plan("//author/parent::book", Strategy::Streaming).unwrap();
-        assert!(p.automaton().is_some());
-        assert!(p.report().streams_via_rewrite);
-        let d = doc_bookstore();
-        let ctx = Context::of(d.root());
-        let reference = plan("//author/parent::book", Strategy::TopDown).unwrap();
-        assert!(p
-            .execute(&d, ctx)
-            .unwrap()
-            .semantically_equal(&reference.execute(&d, ctx).unwrap()));
     }
 
     #[test]

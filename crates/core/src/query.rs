@@ -220,8 +220,7 @@ impl CompiledQuery {
     }
 
     /// The static-analysis report computed at compile time: satisfiability
-    /// verdict, reverse-axis rewrite, streamability classification and
-    /// lint diagnostics (see [`crate::analyze`]).
+    /// verdict, lazy verdict and lint diagnostics (see [`crate::analyze`]).
     pub fn report(&self) -> &crate::analyze::QueryReport {
         self.plan.report()
     }
@@ -334,7 +333,7 @@ impl CompiledQuery {
         take_hint: Option<usize>,
     ) -> QueryCursor<'q, 'd> {
         if self.lazy_eligible() {
-            let path = &self.plan.algebra().expect("lazy_eligible checked algebra").path;
+            let path = &self.plan.algebra().expect("a lazy verdict implies an algebra").path;
             let universe = doc.len() as u32;
             if xpath_axes::CostModel::global().pick_lazy(universe, take_hint) {
                 return QueryCursor::lazy(doc, path, ctx, budget);
@@ -343,14 +342,12 @@ impl CompiledQuery {
         QueryCursor::materializing(doc, &self.plan, self.kernels.clone(), ctx, budget)
     }
 
-    /// Can this query run on the lazy cursor pipeline at all (fragment
-    /// strategy, compiled algebra, fully streamable spine)? The cost
-    /// model may still choose to materialize small documents — see
+    /// Can this query run on the lazy cursor pipeline at all? Reads the
+    /// analyzer's verdict ([`crate::analyze::laziness`]). The cost model
+    /// may still choose to materialize small documents — see
     /// [`CompiledQuery::select_lazy_with`].
     pub fn lazy_eligible(&self) -> bool {
-        matches!(self.plan.strategy, Strategy::CoreXPath | Strategy::XPatterns)
-            && self.plan.report().const_result.is_none()
-            && self.plan.algebra().is_some_and(|q| QueryCursor::spine_is_streamable(&q.path))
+        self.plan.report().laziness.is_lazy()
     }
 }
 

@@ -1225,10 +1225,8 @@ impl Server {
                     ("analyzed", Json::num(analysis.analyzed)),
                     ("provably_empty", Json::num(analysis.provably_empty)),
                     ("const_folded", Json::num(analysis.const_folded)),
-                    ("rewritten", Json::num(analysis.rewritten)),
-                    ("streamable", Json::num(analysis.streamable)),
-                    ("needs_buffering", Json::num(analysis.needs_buffering)),
-                    ("in_memory_only", Json::num(analysis.in_memory_only)),
+                    ("lazy", Json::num(analysis.lazy)),
+                    ("materialized", Json::num(analysis.materialized)),
                     ("errors", Json::num(analysis.errors)),
                     ("warnings", Json::num(analysis.warnings)),
                 ]),
@@ -1462,16 +1460,11 @@ impl Conn for std::net::TcpStream {
 mod tests {
     use super::*;
     use xpath_xml::generate::doc_bookstore;
+    use xpath_xml::temp::TempPath;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gkp_serve_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn test_server(tag: &str) -> (Arc<Server>, PathBuf) {
-        let dir = temp_dir(tag);
-        let server = Arc::new(Server::new(ServeConfig::new(&dir)).unwrap());
+    fn test_server(tag: &str) -> (Arc<Server>, TempPath) {
+        let dir = TempPath::new(&format!("serve_{tag}"));
+        let server = Arc::new(Server::new(ServeConfig::new(dir.path())).unwrap());
         server.store().publish("books", &doc_bookstore()).unwrap();
         (server, dir)
     }
@@ -1537,19 +1530,18 @@ mod tests {
 
     #[test]
     fn single_query_roundtrips() {
-        let (server, dir) = test_server("single");
+        let (server, _dir) = test_server("single");
         let resp = respond(&server, r#"{"id":7,"doc":"books","query":"count(//book)"}"#);
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(resp.get("id"), Some(&Json::Num(7.0)));
         let result = &resp.get("results").unwrap().as_arr().unwrap()[0];
         assert_eq!(result.get("type").unwrap().as_str(), Some("number"));
         assert!(result.get("value").unwrap().as_f64().unwrap() > 0.0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn batch_request_reports_batch_stats_and_per_query_results() {
-        let (server, dir) = test_server("batch");
+        let (server, _dir) = test_server("batch");
         let resp = respond(
             &server,
             r#"{"doc":"books","queries":["//book[author]","//book[author]/title","count(//book)","//nosuch["]}"#,
@@ -1568,12 +1560,11 @@ mod tests {
             Some("parse_error")
         );
         assert!(resp.get("batch").is_some(), "batched evals report batch stats");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn zero_deadline_trips_as_structured_error() {
-        let (server, dir) = test_server("deadline");
+        let (server, _dir) = test_server("deadline");
         let resp = respond(&server, r#"{"doc":"books","query":"//book[author]","timeout_ms":0}"#);
         // The transport-level response is ok; the query's own slot
         // carries the structured deadline error.
@@ -1585,12 +1576,11 @@ mod tests {
             Some("deadline_exceeded")
         );
         assert_eq!(server.metrics().deadline_exceeded.load(Ordering::Relaxed), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn malformed_and_invalid_requests_fail_structurally() {
-        let (server, dir) = test_server("invalid");
+        let (server, _dir) = test_server("invalid");
         for (line, kind) in [
             ("this is not json", "invalid_request"),
             ("[1,2,3]", "invalid_request"),
@@ -1610,23 +1600,21 @@ mod tests {
                 "{line}"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn limit_caps_values_but_count_stays_exact() {
-        let (server, dir) = test_server("limit");
+        let (server, _dir) = test_server("limit");
         let resp = respond(&server, r#"{"doc":"books","query":"//*","limit":2}"#);
         let result = &resp.get("results").unwrap().as_arr().unwrap()[0];
         let count = result.get("count").unwrap().as_u64().unwrap();
         assert!(count > 2);
         assert_eq!(result.get("values").unwrap().as_arr().unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stats_probe_reports_live_metrics() {
-        let (server, dir) = test_server("stats");
+        let (server, _dir) = test_server("stats");
         respond(&server, r#"{"doc":"books","query":"//book"}"#);
         respond(&server, r#"{"doc":"books","query":"//book"}"#);
         let resp = respond(&server, r#"{"op":"stats","id":"s1"}"#);
@@ -1644,12 +1632,11 @@ mod tests {
         );
         assert!(stats.get("planner").unwrap().get("per_node").is_some());
         assert!(stats.get("analysis").unwrap().get("analyzed").unwrap().as_u64().unwrap() >= 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn shutdown_op_flips_cancel_and_rejects_new_evals() {
-        let (server, dir) = test_server("shutdown");
+        let (server, _dir) = test_server("shutdown");
         let resp = respond(&server, r#"{"op":"shutdown"}"#);
         assert_eq!(resp.get("shutting_down"), Some(&Json::Bool(true)));
         assert!(server.shutting_down());
@@ -1659,12 +1646,11 @@ mod tests {
         // Introspection ops still answer during the drain.
         let resp = respond(&server, r#"{"op":"stats"}"#);
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn generational_reload_is_visible_through_eval() {
-        let (server, dir) = test_server("reload");
+        let (server, _dir) = test_server("reload");
         let before = respond(&server, r#"{"doc":"books","query":"count(//extra)"}"#);
         let n_before =
             before.get("results").unwrap().as_arr().unwrap()[0].get("value").unwrap().as_f64();
@@ -1678,6 +1664,5 @@ mod tests {
         let n_after =
             after.get("results").unwrap().as_arr().unwrap()[0].get("value").unwrap().as_f64();
         assert_eq!(n_after, Some(2.0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -323,17 +323,16 @@ fn validate_name(name: &str) -> Result<(), StoreError> {
 mod tests {
     use super::*;
     use xpath_xml::generate::{doc_bookstore, doc_figure8};
+    use xpath_xml::temp::TempPath;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gkp_store_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn temp_dir(tag: &str) -> TempPath {
+        TempPath::new(&format!("store_{tag}"))
     }
 
     #[test]
     fn publish_then_open_roundtrips_and_hits_cache() {
         let dir = temp_dir("roundtrip");
-        let store = DocumentStore::open(&dir).unwrap();
+        let store = DocumentStore::open(dir.path()).unwrap();
         let doc = doc_figure8();
         let info = store.publish("fig8", &doc).unwrap();
         assert_eq!(info.nodes as usize, doc.len());
@@ -345,13 +344,12 @@ mod tests {
         assert_eq!(a.serialize(a.root()), doc.serialize(doc.root()));
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.reloads), (1, 1, 0));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn republish_triggers_generational_reload() {
         let dir = temp_dir("reload");
-        let store = DocumentStore::open(&dir).unwrap();
+        let store = DocumentStore::open(dir.path()).unwrap();
         store.publish("d", &doc_figure8()).unwrap();
         let old = store.open_doc("d").unwrap();
         let old_len = old.len();
@@ -370,26 +368,24 @@ mod tests {
             f.serialize(f.root())
         });
         assert_eq!(store.stats().reloads, 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn names_listing_and_remove() {
         let dir = temp_dir("names");
-        let store = DocumentStore::open(&dir).unwrap();
+        let store = DocumentStore::open(dir.path()).unwrap();
         store.publish("b", &doc_figure8()).unwrap();
         store.publish("a", &doc_figure8()).unwrap();
         assert_eq!(store.names().unwrap(), vec!["a".to_owned(), "b".to_owned()]);
         assert!(store.remove("a").unwrap());
         assert!(!store.remove("a").unwrap());
         assert_eq!(store.names().unwrap(), vec!["b".to_owned()]);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn invalid_names_are_rejected() {
         let dir = temp_dir("badnames");
-        let store = DocumentStore::open(&dir).unwrap();
+        let store = DocumentStore::open(dir.path()).unwrap();
         for bad in ["", "..", ".hidden", "a/b", "a\\b", "x y", "é"] {
             assert!(
                 matches!(store.open_doc(bad), Err(StoreError::InvalidName(_))),
@@ -397,13 +393,12 @@ mod tests {
             );
         }
         assert!(matches!(store.open_doc("absent"), Err(StoreError::NotFound(_))));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn open_doc_is_mmap_backed_by_default() {
         let dir = temp_dir("mmap");
-        let store = DocumentStore::open(&dir).unwrap();
+        let store = DocumentStore::open(dir.path()).unwrap();
         store.publish("d", &doc_figure8()).unwrap();
         let doc = store.open_doc("d").unwrap();
         // On Linux with mmap available the load is zero-copy; the
@@ -411,6 +406,5 @@ mod tests {
         if std::env::var_os(xpath_xml::NO_MMAP_ENV).is_none() && cfg!(target_os = "linux") {
             assert!(doc.is_mapped());
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -22,11 +22,6 @@
 //!    literals);
 //! 6. removal of constant-`true()` predicates (a predicate that is `true`
 //!    in every context filters nothing).
-//!
-//! Separately from [`optimize`], [`forwardize`] eliminates reverse axes
-//! from absolute descendant spines (the Olteanu et al. "looking forward"
-//! rules); the static analyzer in `xpath-core` uses it to widen the
-//! streamable fragment and to emit a differential-testable forward IR.
 
 use crate::ast::{
     static_type, BinaryOp, Expr, ExprType, KindTest, LocationPath, NodeTest, PathStart, Step,
@@ -36,11 +31,7 @@ use crate::axis::Axis;
 /// Whether an expression's value can depend on the context position or
 /// size (conservative syntactic check: any `position()`/`last()` call
 /// outside a nested location-step predicate makes it positional).
-///
-/// Public because the static analyzer reuses it: positional predicates
-/// block both the `//`-merge below and the [`forwardize`] rewriting (the
-/// merged/forwardized step would count different siblings).
-pub fn is_positional(e: &Expr) -> bool {
+fn is_positional(e: &Expr) -> bool {
     match e {
         Expr::Call { name, .. } if name == "position" || name == "last" => true,
         Expr::Call { args, .. } => args.iter().any(is_positional),
@@ -249,153 +240,6 @@ fn optimize_path(p: &LocationPath) -> LocationPath {
     LocationPath { start, steps }
 }
 
-// ----- reverse-axis elimination (forwardization) -----
-
-/// The reverse axes [`forwardize`] eliminates.
-fn is_reverse(a: Axis) -> bool {
-    matches!(
-        a,
-        Axis::Parent
-            | Axis::Ancestor
-            | Axis::AncestorOrSelf
-            | Axis::Preceding
-            | Axis::PrecedingSibling
-    )
-}
-
-/// Rewrite reverse-axis steps at the head of **absolute** descendant
-/// spines into equivalent forward forms, after Olteanu, Meuss, Furche &
-/// Bry, *XPath: Looking Forward* (rule set RR):
-///
-/// ```text
-/// /descendant-or-self::node()/child::tf[Pf]/χʳ::tr[Pr]/π
-///   ≡ /descendant-or-self::tr[Pr][boolean(inv(χʳ)::tf[Pf])]/π
-/// /descendant(-or-self)::tf[Pf]/χʳ::tr[Pr]/π  (same right-hand side)
-/// ```
-///
-/// for every reverse axis `χʳ` ∈ {`parent`, `ancestor`,
-/// `ancestor-or-self`, `preceding`, `preceding-sibling`} with
-/// `inv(χʳ)` ∈ {`child`, `descendant`, `descendant-or-self`,
-/// `following`, `following-sibling`} respectively ([`Axis::inverse`]).
-///
-/// The rewriting is sound because node sets are duplicate-free and in
-/// document order (§3): the left-hand side collects, over every `tf`
-/// node of the document, the `χʳ`-related `tr` nodes — exactly the `tr`
-/// nodes with an `inv(χʳ)`-related `tf` witness, which the right-hand
-/// side enumerates from the root directly. It requires
-///
-/// * an **absolute** path (a relative spine's `descendant` steps are not
-///   universal: an ancestor can lie outside the context's subtree), and
-/// * **non-positional** predicates `Pf`, `Pr` ([`is_positional`]): the
-///   rewritten step enumerates a different candidate sequence, so
-///   `position()`/`last()` would count different nodes.
-///
-/// The rule iterates left-to-right, so reverse-step *chains*
-/// (`//b/ancestor::a/ancestor::c`) collapse into nested forward
-/// predicates. Steps deeper in the path (after a non-universal prefix,
-/// e.g. `//a/b/ancestor::c`) are left alone. Nested absolute paths
-/// inside predicates are rewritten recursively.
-///
-/// Returns the rewritten expression, or `None` when no rule applied.
-/// Operates on normalized ASTs and emits normalized ASTs (existence
-/// predicates are `boolean(…)`-wrapped).
-pub fn forwardize(e: &Expr) -> Option<Expr> {
-    let mut changed = false;
-    let out = fw_expr(e, &mut changed);
-    changed.then_some(out)
-}
-
-fn fw_expr(e: &Expr, changed: &mut bool) -> Expr {
-    match e {
-        Expr::Path(p) => Expr::Path(fw_path(p, changed)),
-        Expr::Filter { primary, predicates } => Expr::Filter {
-            primary: Box::new(fw_expr(primary, changed)),
-            predicates: predicates.iter().map(|p| fw_expr(p, changed)).collect(),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(fw_expr(left, changed)),
-            right: Box::new(fw_expr(right, changed)),
-        },
-        Expr::Neg(inner) => Expr::Neg(Box::new(fw_expr(inner, changed))),
-        Expr::Call { name, args } => Expr::Call {
-            name: name.clone(),
-            args: args.iter().map(|a| fw_expr(a, changed)).collect(),
-        },
-        Expr::Literal(_) | Expr::Number(_) | Expr::Var(_) => e.clone(),
-    }
-}
-
-fn fw_path(p: &LocationPath, changed: &mut bool) -> LocationPath {
-    let start = match &p.start {
-        PathStart::Expr(head) => PathStart::Expr(Box::new(fw_expr(head, changed))),
-        other => other.clone(),
-    };
-    let mut steps: Vec<Step> = p
-        .steps
-        .iter()
-        .map(|s| Step {
-            axis: s.axis,
-            test: s.test.clone(),
-            predicates: s.predicates.iter().map(|pr| fw_expr(pr, changed)).collect(),
-        })
-        .collect();
-    if matches!(start, PathStart::Root) {
-        while let Some((step, consumed)) = fw_head(&steps) {
-            steps.splice(0..consumed, [step]);
-            *changed = true;
-        }
-    }
-    LocationPath { start, steps }
-}
-
-/// If `steps` begins with a universal descendant prefix followed by a
-/// reverse step, return the merged forward step and how many input steps
-/// it replaces.
-fn fw_head(steps: &[Step]) -> Option<(Step, usize)> {
-    // The universal prefix: every node the source step can select,
-    // selected from the root. Two shapes — the normalizer's `//tf[Pf]`
-    // pair, and a single descendant(-or-self) step.
-    let (src, prefix_len) = if steps.len() >= 2
-        && steps[0].axis == Axis::DescendantOrSelf
-        && steps[0].test == NodeTest::Kind(KindTest::Node)
-        && steps[0].predicates.is_empty()
-        && steps[1].axis == Axis::Child
-    {
-        (&steps[1], 2)
-    } else if steps
-        .first()
-        .is_some_and(|s| matches!(s.axis, Axis::Descendant | Axis::DescendantOrSelf))
-    {
-        (&steps[0], 1)
-    } else {
-        return None;
-    };
-    let rev = steps.get(prefix_len)?;
-    if !is_reverse(rev.axis) {
-        return None;
-    }
-    if src.predicates.iter().any(is_positional) || rev.predicates.iter().any(is_positional) {
-        return None;
-    }
-    // x ∈ χʳ(y) ⟺ y ∈ inv(χʳ)(x): the source step becomes an existence
-    // witness on the rewritten step's candidates.
-    let witness = Expr::Path(LocationPath {
-        start: PathStart::ContextNode,
-        steps: vec![Step {
-            axis: rev.axis.inverse(),
-            test: src.test.clone(),
-            predicates: src.predicates.clone(),
-        }],
-    });
-    let mut predicates = rev.predicates.clone();
-    predicates.push(Expr::call("boolean", vec![witness]));
-    Some((
-        Step { axis: Axis::DescendantOrSelf, test: rev.test.clone(), predicates },
-        prefix_len + 1,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,99 +338,6 @@ mod tests {
             let once = optimize(&parse_normalized(q).unwrap());
             let twice = optimize(&once);
             assert_eq!(once, twice, "{q}");
-        }
-    }
-
-    fn fwd(q: &str) -> Option<String> {
-        forwardize(&parse_normalized(q).unwrap()).map(|e| e.to_string())
-    }
-
-    #[test]
-    fn forwardize_eliminates_each_reverse_axis() {
-        assert_eq!(
-            fwd("//author/parent::book").as_deref(),
-            Some("/descendant-or-self::book[boolean(child::author)]")
-        );
-        assert_eq!(
-            fwd("//b/ancestor::a").as_deref(),
-            Some("/descendant-or-self::a[boolean(descendant::b)]")
-        );
-        assert_eq!(
-            fwd("//b/ancestor-or-self::a").as_deref(),
-            Some("/descendant-or-self::a[boolean(descendant-or-self::b)]")
-        );
-        assert_eq!(
-            fwd("//c/preceding::a").as_deref(),
-            Some("/descendant-or-self::a[boolean(following::c)]")
-        );
-        assert_eq!(
-            fwd("//c/preceding-sibling::a").as_deref(),
-            Some("/descendant-or-self::a[boolean(following-sibling::c)]")
-        );
-    }
-
-    #[test]
-    fn forwardize_carries_predicates_and_trailing_steps() {
-        assert_eq!(
-            fwd("//b[c]/ancestor::a[d]/e").as_deref(),
-            Some(
-                "/descendant-or-self::a[boolean(child::d)]\
-                 [boolean(descendant::b[boolean(child::c)])]/child::e"
-            )
-        );
-        // Single-step descendant prefixes (the optimizer's merged form).
-        assert_eq!(
-            fwd("/descendant::b/ancestor::a").as_deref(),
-            Some("/descendant-or-self::a[boolean(descendant::b)]")
-        );
-    }
-
-    #[test]
-    fn forwardize_collapses_chains() {
-        assert_eq!(
-            fwd("//b/ancestor::a/ancestor::c").as_deref(),
-            Some(
-                "/descendant-or-self::c\
-                 [boolean(descendant::a[boolean(descendant::b)])]"
-            )
-        );
-    }
-
-    #[test]
-    fn forwardize_rewrites_nested_absolute_paths() {
-        assert_eq!(
-            fwd("//x[//b/ancestor::a]").as_deref(),
-            Some(
-                "/descendant-or-self::node()/child::x\
-                 [boolean(/descendant-or-self::a[boolean(descendant::b)])]"
-            )
-        );
-    }
-
-    #[test]
-    fn forwardize_respects_its_preconditions() {
-        // Positional predicates on either side block the rule.
-        assert_eq!(fwd("//b[2]/ancestor::a"), None);
-        assert_eq!(fwd("//b/ancestor::a[last()]"), None);
-        // Relative spines are not universal.
-        assert_eq!(fwd("b/ancestor::a"), None);
-        // Non-universal prefixes (an intervening child step) block it.
-        assert_eq!(fwd("//a/b/ancestor::c"), None);
-        // Forward queries are untouched.
-        assert_eq!(fwd("//a//b[c]"), None);
-    }
-
-    #[test]
-    fn forwardized_queries_reparse() {
-        for q in [
-            "//author/parent::book",
-            "//b[c]/ancestor::a/d",
-            "//c/preceding::a",
-            "//b/ancestor::a/ancestor::c",
-        ] {
-            let f = forwardize(&parse_normalized(q).unwrap()).unwrap();
-            let printed = f.to_string();
-            assert_eq!(parse(&printed).unwrap(), f, "{q} → {printed}");
         }
     }
 }

@@ -450,12 +450,11 @@ mod tests {
 
     #[test]
     fn map_file_reads_back_contents() {
-        let path = std::env::temp_dir().join(format!("gkp_bytes_test_{}.bin", std::process::id()));
+        let path = crate::temp::TempPath::new("bytes_test.bin");
         let payload: Vec<u8> = (0..=255).collect();
         std::fs::write(&path, &payload).unwrap();
         let (region, _mapped) = ByteRegion::map_file(&path).unwrap();
         assert_eq!(region.bytes(), payload.as_slice());
         assert_eq!(region.bytes().as_ptr() as usize % 8, 0);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -23,8 +23,7 @@
 //!   attribute/namespace mask, built once per document
 //!   ([`Document::axis_index`]) and backing the set-at-a-time bulk axes
 //!   of `xpath-axes`;
-//! * a serializer ([`Document::serialize`]), a SAX-style event stream
-//!   ([`events`]) for the streaming matcher, document statistics
+//! * a serializer ([`Document::serialize`]), document statistics
 //!   ([`stats`]), and name indexes ([`index`]);
 //! * generators for every document family used in the paper's experiments
 //!   ([`generate`]);
@@ -38,7 +37,8 @@
 //!   either heap memory or an mmap'd byte region (`bytes`, internal),
 //!   and the on-disk snapshot format ([`snap`]) reloads a parsed
 //!   document — axis index, id/ref tables and all — with one `mmap(2)`
-//!   and zero parse work.
+//!   and zero parse work;
+//! * unique, self-removing scratch paths for tests and tools ([`temp`]).
 
 // `simd`, `bytes` and `signal` carry the workspace's three scoped
 // `unsafe` exemptions (the workspace lints pin `unsafe_code = deny`; a
@@ -52,7 +52,6 @@ mod bytes;
 mod document;
 pub mod dtd;
 mod error;
-pub mod events;
 pub mod generate;
 pub mod index;
 mod node;
@@ -64,13 +63,13 @@ pub mod signal;
 pub mod simd;
 pub mod snap;
 pub mod stats;
+pub mod temp;
 
 pub use axis_index::AxisIndex;
 pub use builder::DocumentBuilder;
 pub use bytes::NO_MMAP_ENV;
 pub use document::{Children, Document, IdPolicy, NameId, Refs};
 pub use error::ParseError;
-pub use events::StreamEvent;
 pub use node::{NodeId, NodeKind};
 pub use nodeset::NodeSet;
 pub use parser::ParseOptions;

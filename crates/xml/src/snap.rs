@@ -830,8 +830,8 @@ mod tests {
     use super::*;
     use crate::generate::{doc_bookstore, doc_figure8};
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("gkp_snap_unit_{}_{name}", std::process::id()))
+    fn tmp(name: &str) -> crate::temp::TempPath {
+        crate::temp::TempPath::new(&format!("snap_unit_{name}"))
     }
 
     #[test]
@@ -885,7 +885,6 @@ mod tests {
                 doc.refs().iter().collect::<Vec<_>>()
             );
             crate::axis_index::verify_against(&loaded, loaded.axis_index());
-            std::fs::remove_file(&path).unwrap();
         }
     }
 
@@ -900,7 +899,6 @@ mod tests {
         assert_eq!(streamed.len() as u64, info.file_bytes);
         assert_eq!(std::fs::read(&path).unwrap(), streamed);
         verify(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -912,7 +910,6 @@ mod tests {
         let loaded = load_with(&path, &opts).unwrap();
         assert!(!loaded.is_mapped());
         assert_eq!(loaded.serialize(loaded.root()), doc.serialize(doc.root()));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -924,6 +921,5 @@ mod tests {
         assert_eq!(i.nodes as usize, doc.len());
         assert_eq!(i.version, FORMAT_VERSION);
         assert!(i.file_bytes > 0);
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -40,8 +40,8 @@
 //!                           combines with -e
 //!   -s, --strategy <name>   naive | pool | bottomup | topdown | mincontext |
 //!                           optmincontext | corexpath | xpatterns |
-//!                           streaming (alias: stream) | auto (default) —
-//!                           overrides the Figure-1 auto dispatch
+//!                           auto (default) — overrides the Figure-1 auto
+//!                           dispatch
 //!   -O, --optimize          run the semantics-preserving rewrite pass
 //!                           (//-step merging, self::node() elimination,
 //!                           constant folding) during compilation
@@ -61,13 +61,13 @@
 //!   -n, --normalize         print the normalized (unabbreviated) query and exit
 //!       --explain           print the query plan (fragment, Relev sets,
 //!                           bottom-up candidates, adaptive axis-kernel
-//!                           crossovers, static-analysis verdicts; for
-//!                           batches, additionally the batch-mode
-//!                           decision) and exit
-//!       --lint              run the static analyzer over every query and
-//!                           print its diagnostics (satisfiability,
-//!                           reverse-axis rewrites, streamability
-//!                           classification) without reading a document.
+//!                           crossovers, static-analysis verdicts including
+//!                           the lazy verdict; for batches, additionally
+//!                           the batch-mode decision) and exit
+//!       --lint              compile every query and print the static
+//!                           analyzer's findings (satisfiability, const
+//!                           folding, the lazy verdict the cursor uses)
+//!                           without reading a document.
 //!                           Exits 1 if any diagnostic has error severity
 //!                           (unknown functions, unparseable queries) —
 //!                           suitable as a CI gate over query corpora
@@ -157,9 +157,13 @@ struct Options {
     file: Option<String>,
 }
 
+/// The `-s` names, as listed in the usage text.
+const STRATEGIES: &str =
+    "naive pool bottomup topdown mincontext optmincontext corexpath xpatterns auto";
+
 fn usage() -> &'static str {
     "usage: xpq [-s STRATEGY] [-O] [-r N] [-T N] [-c] [-n] [--explain] [--lint [--json]] [-v] [--serialize] [--verify] [--stats] [--ns] [--time] [--exists | --first | --limit K] [--timeout-ms N] (<QUERY> | -e EXPR... | --query-file F) [FILE]\n\
-     strategies: naive pool bottomup topdown mincontext optmincontext corexpath xpatterns streaming auto\n\
+     strategies: naive pool bottomup topdown mincontext optmincontext corexpath xpatterns auto\n\
      -e/--expr: add a query to the batch (repeatable); --query-file: one query per line (#-comments skipped)\n\
      -T/--threads: parallel shard budget (0 = auto via GKP_THREADS/machine, 1 = serial)\n\
      --lint: static-analyze the queries (no document); exits 1 on error-severity diagnostics\n\
@@ -212,9 +216,12 @@ fn parse_args() -> Result<Options, String> {
                     "optmincontext" => Strategy::OptMinContext,
                     "corexpath" => Strategy::CoreXPath,
                     "xpatterns" => Strategy::XPatterns,
-                    "stream" | "streaming" => Strategy::Streaming,
                     "auto" => Strategy::Auto,
-                    other => return Err(format!("unknown strategy {other:?}")),
+                    other => {
+                        return Err(format!(
+                            "unknown strategy {other:?}; valid strategies: {STRATEGIES}"
+                        ))
+                    }
                 };
             }
             "-O" | "--optimize" => o.optimize = true,
@@ -398,27 +405,29 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// `--lint`: run the static analyzer over every query (document-free) and
-/// report diagnostics. Exit code 1 when any diagnostic reaches error
-/// severity — including unparseable queries — so corpora can be gated in
-/// CI; warnings and infos exit 0.
+/// `--lint`: compile every query (document-free) and report the static
+/// analyzer's findings from the compiled plan, so the lazy verdict is the
+/// one the cursor dispatches on. Exit code 1 when any diagnostic reaches
+/// error severity — including unparseable queries and queries outside an
+/// explicitly requested fragment — so corpora can be gated in CI;
+/// warnings exit 0.
 fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
-    use gkp_xpath::core::analyze::{analyze, AnalysisStats, Severity, Streamability};
+    use gkp_xpath::core::analyze::{AnalysisStats, Laziness, Severity};
 
     let mut any_error = false;
     let mut stats = AnalysisStats::default();
-    // (query text, Ok(report) | Err(parse error)) in input order.
+    // (query text, Ok(compiled) | Err((code, message))) in input order.
     let reports: Vec<_> = queries
         .iter()
         .map(|q| {
-            let outcome = match compiler.parse(q) {
-                Ok(e) => Ok(analyze(&e)),
-                Err(err) => Err(err.to_string()),
-            };
+            let outcome = compiler.compile(q).map_err(|err| match err {
+                EvalError::Parse(msg) => ("parse-error", msg),
+                other => ("compile-error", other.to_string()),
+            });
             match &outcome {
-                Ok(r) => {
-                    stats = stats.plus(AnalysisStats::of(r));
-                    any_error |= r.max_severity() == Some(Severity::Error);
+                Ok(c) => {
+                    stats = stats.plus(AnalysisStats::of(c.report()));
+                    any_error |= c.report().max_severity() == Some(Severity::Error);
                 }
                 Err(_) => any_error = true,
             }
@@ -432,11 +441,13 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
         for (i, (q, outcome)) in reports.iter().enumerate() {
             let comma = if i + 1 < reports.len() { "," } else { "" };
             match outcome {
-                Ok(r) => {
-                    let (class, why) = match &r.streamability {
-                        Streamability::Streamable => ("streamable", None),
-                        Streamability::NeedsBuffering(w) => ("needs-buffering", Some(w)),
-                        Streamability::InMemoryOnly(w) => ("in-memory-only", Some(w)),
+                Ok(c) => {
+                    let r = c.report();
+                    let laziness = match &r.laziness {
+                        Laziness::Lazy => "\"lazy\"".to_string(),
+                        Laziness::Materialize(why) => {
+                            format!("\"materialize\", \"reason\": \"{}\"", json_escape(why))
+                        }
                     };
                     let diags: Vec<String> = r
                         .diagnostics
@@ -451,14 +462,10 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
                         })
                         .collect();
                     println!(
-                        "    {{\"query\": \"{}\", \"satisfiable\": {}, \
-                         \"streamability\": \"{class}\"{}, \"rewritten\": {}, \
+                        "    {{\"query\": \"{}\", \"satisfiable\": {}, \"laziness\": {laziness}, \
                          \"const\": {}, \"diagnostics\": [{}]}}{comma}",
                         json_escape(q),
                         !r.is_empty_query(),
-                        why.map(|w| format!(", \"reason\": \"{}\"", json_escape(w)))
-                            .unwrap_or_default(),
-                        r.forward_expr.is_some(),
                         r.const_result.as_ref().map_or_else(
                             || "null".to_string(),
                             |v| format!("\"{}\"", json_escape(&v.to_string()))
@@ -466,10 +473,10 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
                         diags.join(", ")
                     );
                 }
-                Err(msg) => {
+                Err((code, msg)) => {
                     println!(
                         "    {{\"query\": \"{}\", \"diagnostics\": [{{\"severity\": \"error\", \
-                         \"code\": \"parse-error\", \"message\": \"{}\"}}]}}{comma}",
+                         \"code\": \"{code}\", \"message\": \"{}\"}}]}}{comma}",
                         json_escape(q),
                         json_escape(msg)
                     );
@@ -479,15 +486,12 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
         println!("  ],");
         println!(
             "  \"summary\": {{\"analyzed\": {}, \"provably_empty\": {}, \"const_folded\": {}, \
-             \"rewritten\": {}, \"streamable\": {}, \"needs_buffering\": {}, \
-             \"in_memory_only\": {}, \"errors\": {}, \"warnings\": {}}}",
+             \"lazy\": {}, \"materialized\": {}, \"errors\": {}, \"warnings\": {}}}",
             stats.analyzed,
             stats.provably_empty,
             stats.const_folded,
-            stats.rewritten,
-            stats.streamable,
-            stats.needs_buffering,
-            stats.in_memory_only,
+            stats.lazy,
+            stats.materialized,
             stats.errors,
             stats.warnings
         );
@@ -496,13 +500,9 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
         for (q, outcome) in &reports {
             println!("# {q}");
             match outcome {
-                Ok(r) => {
-                    let class = match &r.streamability {
-                        Streamability::Streamable => "streamable".to_string(),
-                        Streamability::NeedsBuffering(w) => format!("needs buffering — {w}"),
-                        Streamability::InMemoryOnly(w) => format!("in-memory only — {w}"),
-                    };
-                    println!("  streamability: {class}");
+                Ok(c) => {
+                    let r = c.report();
+                    println!("  laziness: {}", r.laziness);
                     for d in &r.diagnostics {
                         println!("  {d}");
                     }
@@ -510,7 +510,7 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
                         println!("  ok");
                     }
                 }
-                Err(msg) => println!("  error[parse-error]: {msg}"),
+                Err((code, msg)) => println!("  error[{code}]: {msg}"),
             }
         }
         println!("lint: {stats}");
@@ -897,9 +897,10 @@ fn main() -> ExitCode {
         return lint(&compiler, &queries, opts.json);
     }
 
-    // Parse-only modes (no document needed: the static phase is
+    // Static-only modes (no document needed: the static phase is
     // document-independent). Each batch member prints under its own
-    // header; --explain additionally reports the batch-mode decision.
+    // header; --explain explains the compiled plan and additionally
+    // reports the batch-mode decision.
     if opts.normalize_only || opts.classify_only || opts.explain_only {
         for q in &queries {
             let parsed = match compiler.parse(q) {
@@ -921,8 +922,13 @@ fn main() -> ExitCode {
                     println!("  {v}");
                 }
             } else {
-                let x = gkp_xpath::core::explain::explain(&parsed, 1000);
-                print!("{}", x.report);
+                match compiler.compile(q) {
+                    Ok(c) => print!("{}", gkp_xpath::core::explain::explain(c.plan(), 1000).report),
+                    Err(e) => {
+                        eprintln!("evaluation error: {e}");
+                        return ExitCode::from(1);
+                    }
+                }
             }
         }
         if batch && opts.explain_only {

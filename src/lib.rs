@@ -106,7 +106,7 @@ pub use xpath_xml as xml;
 
 pub use xpath_axes::{BatchMode, KernelCounts};
 pub use xpath_core::analyze::{
-    AnalysisStats, Diagnostic, QueryReport, Satisfiability, Severity, Streamability,
+    AnalysisStats, Diagnostic, Laziness, QueryReport, Satisfiability, Severity,
 };
 pub use xpath_core::batch::{BatchResult, BatchStats, QuerySet, QuerySetBuilder};
 pub use xpath_core::cache::{CacheStats, QueryCache};

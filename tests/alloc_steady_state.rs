@@ -71,7 +71,7 @@ fn steady_state_evaluation_is_allocation_free() {
     let docs = [doc_bookstore(), doc_balanced(4, 5, &["section", "book", "author", "title"])];
 
     // Fragment-engine queries only: the general engines (bottom-up CVT,
-    // streaming, …) materialize data-dependent per-node tables; the
+    // MinContext, …) materialize data-dependent per-node tables; the
     // zero-allocation guarantee targets the compile-once / evaluate-many
     // fragment paths. `threads(1)` keeps every pass on this thread —
     // scoped workers would bring their own (cold) shelves.

@@ -5,18 +5,17 @@
 //! * **Empty ⇒ ∅**: a query marked provably-empty evaluates to the empty
 //!   node set on random documents under every general strategy, from
 //!   every context tried.
-//! * **Rewrites are bit-identical**: the reverse-axis-free IR selects the
-//!   same nodes, in the same document order, as the original on the
-//!   backend-differential document shapes.
-//! * **`Streamable` means it**: a streaming-classified plan agrees with
-//!   the tree-based oracle on the streaming-differential inputs.
+//! * **`Lazy` means it**: a query with the lazy verdict runs on the
+//!   cursor's lazy pipeline and agrees with the tree-based oracle; a
+//!   `Materialize` verdict never builds the pipeline.
 //! * **Corpus coverage**: every query in the BENCH and w3c corpora gets a
 //!   `QueryReport`, and the checked-in corpus files stay in sync with the
 //!   tests they mirror.
 
-use gkp_xpath::core::analyze::{analyze, Severity, Streamability};
+use gkp_xpath::axes::CostModel;
+use gkp_xpath::core::analyze::{QueryReport, Severity};
 use gkp_xpath::core::plan::{execute_adhoc, Plan};
-use gkp_xpath::core::{Context, Strategy, Value};
+use gkp_xpath::core::{Context, EvalBudget, Strategy, Value};
 use gkp_xpath::syntax::parse_normalized;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
 use gkp_xpath::{Compiler, Document};
@@ -43,6 +42,11 @@ fn contexts(doc: &Document) -> Vec<Context> {
         }
     }
     out
+}
+
+/// The analyzer's report for `e`, as the auto-dispatched plan computes it.
+fn analyze(e: &gkp_xpath::syntax::Expr) -> QueryReport {
+    Plan::build(e.clone(), Strategy::Auto, None).unwrap().report().clone()
 }
 
 fn node_set(v: Value) -> gkp_xpath::xml::NodeSet {
@@ -130,84 +134,50 @@ fn analyzer_never_marks_nonempty_results_empty() {
 }
 
 #[test]
-fn reverse_axis_rewrites_are_bit_identical() {
+fn lazy_verdict_matches_the_cursor() {
+    // Forward spines (with and without predicates, absolute and
+    // relative) are lazy; reverse spines, positional and scalar queries
+    // and const-folded plans materialize. Either way the cursor follows
+    // the verdict and agrees with the tree-based oracle.
     let corpus = [
-        "//c/parent::a",
-        "//d/ancestor::b",
-        "//c/ancestor-or-self::*",
-        "//b/preceding-sibling::a",
-        "//c/preceding::a",
-        "//b[c]/parent::a[b]",
-        "//a/parent::*/child::b",
-        "//b/ancestor::a/descendant::d",
-        "//d/parent::c/parent::b",
-        "//author/parent::book",
-        // NOT here: `//c[preceding::a]/descendant::d` — its reverse axis
-        // sits inside a predicate (a relative path), where the
-        // forwardization rules don't apply.
+        ("/self::node()", true),
+        ("/descendant-or-self::node()", true),
+        ("/child::*[self::a]", true),
+        ("/descendant::*[self::b[child::c]]", true),
+        ("/descendant::a[not(self::a[child::b])]", true),
+        ("/descendant::text()", true),
+        ("/child::a/descendant-or-self::node()/child::b", true),
+        ("//a/b", true),
+        ("//a[b]", true),
+        ("a/b", true),
+        ("//a[b = 'x']/following::c", true),
+        ("//b[1]", false),
+        ("//c/parent::a", false),
+        ("//d/ancestor::b[c]", false),
+        ("//text()/child::*", false),
     ];
-    let docs: Vec<Document> = (0..10u64)
-        .map(|seed| doc_random(seed, &RandomDocConfig { elements: 60, ..Default::default() }))
-        .chain([doc_bookstore(), doc_balanced(4, 5, &["a", "b", "c", "d"])])
-        .collect();
-    for q in corpus {
+    let compiler = Compiler::new();
+    let model = CostModel::global();
+    for (q, lazy) in corpus {
+        let compiled = compiler.compile(q).unwrap();
+        assert_eq!(compiled.lazy_eligible(), lazy, "{q}: {:?}", compiled.report().laziness);
         let e = parse_normalized(q).unwrap();
-        let report = analyze(&e);
-        let f =
-            report.forward_expr.as_ref().unwrap_or_else(|| panic!("{q}: forwardize should apply"));
-        // The rewrite is reverse-axis-free on its spine by construction;
-        // re-analysis of the rewritten IR must not rewrite again.
-        assert!(analyze(f).forward_expr.is_none(), "{q}: rewrite of a rewrite");
-        for doc in &docs {
-            for ctx in contexts(doc) {
-                let want = node_set(execute_adhoc(&e, Strategy::TopDown, None, doc, ctx).unwrap());
-                for &s in GENERAL {
-                    let got = node_set(execute_adhoc(f, s, None, doc, ctx).unwrap());
-                    assert_eq!(
-                        got.to_vec(),
-                        want.to_vec(),
-                        "{q}: rewritten form diverges under {s:?} (rewrite: {f})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn streaming_classification_matches_the_matcher() {
-    // Forward shapes (classified Streamable or NeedsBuffering as written)
-    // plus reverse shapes that stream only via the rewrite: a
-    // Streaming-strategy plan must agree with the tree-based oracle.
-    let corpus = [
-        "/self::node()",
-        "/descendant-or-self::node()",
-        "/child::*[self::a]",
-        "/descendant::*[self::b[child::c]]",
-        "/descendant::a[not(self::a[child::b])]",
-        "/descendant::text()",
-        "/child::a/descendant-or-self::node()/child::b",
-        "//a/b",
-        "//a[b]",
-        "//b[1]",
-        "//c/parent::a",
-        "//d/ancestor::b[c]",
-    ];
-    for q in corpus {
-        let e = parse_normalized(q).unwrap();
-        let report = analyze(&e);
-        assert!(
-            !matches!(report.streamability, Streamability::InMemoryOnly(_)),
-            "{q} should be streamable (possibly via rewrite): {report:?}"
-        );
-        let plan = Plan::build(e.clone(), Strategy::Streaming, None).unwrap();
+        let mut lazy_runs = 0;
         for seed in 0..8u64 {
             let doc = doc_random(seed, &RandomDocConfig { elements: 35, ..Default::default() });
-            let ctx = Context::of(doc.root());
-            let want = node_set(execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap());
-            let got = node_set(plan.execute(&doc, ctx).unwrap());
-            assert_eq!(got.to_vec(), want.to_vec(), "{q} seed {seed}: stream diverges from tree");
+            // A take of one streams on all but the tiniest documents.
+            let pipeline = lazy && model.pick_lazy(doc.len() as u32, Some(1));
+            for ctx in contexts(&doc) {
+                let want = node_set(execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap());
+                let mut cursor =
+                    compiled.select_lazy_with(&doc, ctx, EvalBudget::unlimited(), Some(1));
+                assert_eq!(cursor.is_lazy(), pipeline, "{q}: cursor ignored the verdict");
+                lazy_runs += usize::from(pipeline);
+                let got = cursor.collect_set().unwrap();
+                assert_eq!(got.to_vec(), want.to_vec(), "{q} seed {seed}: cursor diverges");
+            }
         }
+        assert!(!lazy || lazy_runs > 0, "{q}: the pipeline never ran");
     }
 }
 
@@ -286,6 +256,6 @@ fn bench_corpus_contains_a_short_circuiting_query() {
         .copied()
         .collect();
     assert!(!folded.is_empty(), "no BENCH query const-folds");
-    let x = gkp_xpath::core::explain::explain(&parse_normalized(folded[0]).unwrap(), 1000);
+    let x = gkp_xpath::core::explain::explain(compiler.compile(folded[0]).unwrap().plan(), 1000);
     assert!(x.report.contains("const:"), "{}", x.report);
 }

@@ -71,16 +71,21 @@ fn normalize_mode() {
 
 #[test]
 fn explain_mode_reports_streamability() {
+    // The lazy: line carries the analyzer's two-valued verdict.
     let (stdout, _, code) = xpq(&["--explain", "//book[title]"], "");
     assert_eq!(code, 0);
-    assert!(stdout.contains("streaming: yes"), "{stdout}");
-    // Reverse axes now stream through the analyzer's rewrite; only
-    // queries outside the rewritten forward fragment stay in-memory.
+    assert!(stdout.contains("lazy:      lazy — spine streams"), "{stdout}");
+    // A reverse step in the spine, or a query outside the algebra,
+    // materializes and says why.
     let (stdout, _, _) = xpq(&["--explain", "//book/parent::*"], "");
-    assert!(stdout.contains("streaming: yes, buffered"), "{stdout}");
-    assert!(stdout.contains("rewrite:"), "{stdout}");
-    let (stdout, _, _) = xpq(&["--explain", "//title/preceding::book"], "");
-    assert!(stdout.contains("streaming: no"), "{stdout}");
+    assert!(stdout.contains("lazy:      materialize — parent::"), "{stdout}");
+    let (stdout, _, _) = xpq(&["--explain", "count(//book)"], "");
+    assert!(stdout.contains("lazy:      materialize — runs on OptMinContext"), "{stdout}");
+    // An explicit general strategy materializes even a forward spine.
+    let (stdout, _, _) = xpq(&["--explain", "-s", "topdown", "//book[title]"], "");
+    assert!(stdout.contains("lazy:      materialize — runs on TopDown"), "{stdout}");
+    // The lazy: line is the only laziness verdict explain prints.
+    assert!(!stdout.contains("streaming:") && !stdout.contains("rewrite:"), "{stdout}");
 }
 
 #[test]
@@ -109,11 +114,16 @@ fn lint_mode_reports_diagnostics_and_exit_codes() {
     assert_eq!(code, 1);
     assert!(stdout.contains("error[parse-error]"), "{stdout}");
     assert!(stdout.contains("# //a/b"), "{stdout}");
-    // Clean queries report their classification and exit 0.
+    // Clean queries report their lazy verdict and exit 0.
     let (stdout, _, code) = xpq(&["--lint", "-e", "//a/b", "-e", "//author/parent::book"], "");
     assert_eq!(code, 0);
-    assert!(stdout.contains("streamability: streamable"), "{stdout}");
-    assert!(stdout.contains("info[reverse-axes-rewritten]"), "{stdout}");
+    assert!(stdout.contains("laziness: lazy\n"), "{stdout}");
+    assert!(stdout.contains("laziness: materialize — parent::"), "{stdout}");
+    assert!(stdout.contains("lint: 2 analyzed: 0 empty, 0 const-folded; 1 lazy / 1 materialized"));
+    // A query outside an explicitly requested fragment is an error.
+    let (stdout, _, code) = xpq(&["--lint", "-s", "corexpath", "count(//a)"], "");
+    assert_eq!(code, 1);
+    assert!(stdout.contains("error[compile-error]: unsupported fragment"), "{stdout}");
 }
 
 #[test]
@@ -122,7 +132,9 @@ fn lint_json_is_machine_readable() {
         xpq(&["--lint", "--json", "-e", "//text()/child::*", "-e", "//a/b"], "");
     assert_eq!(code, 0);
     assert!(stdout.contains("\"satisfiable\": false"), "{stdout}");
-    assert!(stdout.contains("\"streamability\": \"streamable\""), "{stdout}");
+    assert!(stdout.contains("\"laziness\": \"lazy\""), "{stdout}");
+    assert!(stdout.contains("\"laziness\": \"materialize\", \"reason\": \"the plan"), "{stdout}");
+    assert!(stdout.contains("\"lazy\": 1, \"materialized\": 1"), "{stdout}");
     assert!(stdout.contains("\"code\": \"empty-query\""), "{stdout}");
     assert!(stdout.contains("\"summary\""), "{stdout}");
     assert!(stdout.contains("\"provably_empty\": 1"), "{stdout}");
@@ -142,11 +154,21 @@ fn explicit_strategies_agree() {
         assert_eq!(code, 0, "{s}: {stderr}");
         assert_eq!(stdout.trim(), "2", "{s}");
     }
-    // Fragment strategies on fragment queries ("streaming" aliases "stream").
-    for s in ["corexpath", "xpatterns", "stream", "streaming"] {
+    // Fragment strategies on fragment queries.
+    for s in ["corexpath", "xpatterns"] {
         let (stdout, _, code) = xpq(&["-s", s, "//title"], XML);
         assert_eq!(code, 0, "{s}");
         assert_eq!(stdout, "Foundations\nXPath\n", "{s}");
+    }
+    // There is no streaming strategy (the cursor is the one lazy
+    // evaluator): unknown names are usage errors listing the valid
+    // strategies, never a silent fallback to auto.
+    for s in ["stream", "streaming", "fast"] {
+        let (stdout, stderr, code) = xpq(&["-s", s, "//title"], XML);
+        assert_eq!(code, 2, "{s}: {stderr}");
+        assert!(stdout.is_empty(), "{s}: {stdout}");
+        assert!(stderr.contains(&format!("unknown strategy \"{s}\"")), "{stderr}");
+        assert!(stderr.contains("valid strategies: naive pool bottomup topdown"), "{stderr}");
     }
 }
 
@@ -296,9 +318,7 @@ fn batch_verbose_reports_mode_and_memo_hits() {
 
 #[test]
 fn query_file_feeds_the_batch() {
-    let dir = std::env::temp_dir().join(format!("xpq-batch-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("queries.txt");
+    let path = gkp_xpath::xml::temp::TempPath::new("queries.txt");
     std::fs::write(&path, "# a comment\n//title\n\ncount(//book)\n").unwrap();
     let (stdout, stderr, code) = xpq(&["--query-file", path.to_str().unwrap()], XML);
     assert_eq!(code, 0, "{stderr}");
@@ -307,7 +327,6 @@ fn query_file_feeds_the_batch() {
     let (_, stderr, code) = xpq(&["--query-file", "/no/such/file"], XML);
     assert_eq!(code, 2);
     assert!(stderr.contains("cannot read"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -362,4 +381,89 @@ fn batch_per_query_errors_keep_the_rest() {
     let (stdout, _, code) = xpq(&["-e", "count(//book)", "-e", "1 div 0"], XML);
     assert_eq!(code, 0);
     assert!(stdout.contains("Infinity") || stdout.contains("inf"), "{stdout}");
+}
+
+/// The per-query `laziness` values of an `xpq --lint --json` report, in
+/// input order.
+fn lint_json_verdicts(stdout: &str) -> Vec<bool> {
+    stdout
+        .lines()
+        .filter(|l| l.trim_start().starts_with("{\"query\""))
+        .map(|l| {
+            if l.contains("\"laziness\": \"lazy\"") {
+                true
+            } else if l.contains("\"laziness\": \"materialize\"") {
+                false
+            } else {
+                panic!("no laziness verdict in {l}")
+            }
+        })
+        .collect()
+}
+
+/// The `lazy:` verdicts of an `xpq --explain` batch report, in input
+/// order.
+fn explain_verdicts(stdout: &str) -> Vec<bool> {
+    stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("lazy:"))
+        .map(|rest| match rest.split_whitespace().next() {
+            Some("lazy") => true,
+            Some("materialize") => false,
+            other => panic!("unexpected lazy: line {other:?}"),
+        })
+        .collect()
+}
+
+/// `--lint`, `--explain` and the cursor all read one lazy verdict: on
+/// every query of every checked-in corpus, plus predicate, relative,
+/// scalar and const-folded shapes, the three must agree.
+#[test]
+fn lint_explain_and_cursor_agree_on_the_lazy_verdict() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("queries");
+    let mut corpora: Vec<(String, Vec<String>)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| {
+            let queries = std::fs::read_to_string(&p)
+                .unwrap()
+                .lines()
+                .map(str::trim)
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .map(String::from)
+                .collect();
+            (p.display().to_string(), queries)
+        })
+        .collect();
+    corpora.sort();
+    assert!(corpora.len() >= 3, "{corpora:?}");
+    let extras = ["//a[b]", "a/b", "count(//a)", "//text()/child::*"];
+    corpora.push(("extras".into(), extras.iter().map(ToString::to_string).collect()));
+
+    let compiler = gkp_xpath::Compiler::new();
+    let mut verdicts = std::collections::HashMap::new();
+    for (name, queries) in &corpora {
+        let mut args: Vec<&str> = Vec::new();
+        for q in queries {
+            args.extend(["-e", q.as_str()]);
+        }
+        let (lint, stderr, code) = xpq(&[&["--lint", "--json"][..], &args].concat(), "");
+        assert_eq!(code, 0, "{name}: {stderr}");
+        let (explain, stderr, code) = xpq(&[&["--explain"][..], &args].concat(), "");
+        assert_eq!(code, 0, "{name}: {stderr}");
+        let (lint, explain) = (lint_json_verdicts(&lint), explain_verdicts(&explain));
+        assert_eq!(lint.len(), queries.len(), "{name}");
+        assert_eq!(explain.len(), queries.len(), "{name}");
+        for (i, q) in queries.iter().enumerate() {
+            let cursor = compiler.compile(q).unwrap().lazy_eligible();
+            assert_eq!(lint[i], cursor, "{name}: {q}: --lint disagrees with the cursor");
+            assert_eq!(explain[i], cursor, "{name}: {q}: --explain disagrees with the cursor");
+            verdicts.insert(q.clone(), cursor);
+        }
+    }
+    assert!(verdicts["//a[b]"], "//a[b] runs lazily");
+    assert!(verdicts["a/b"], "relative forward spines run lazily");
+    assert!(!verdicts["count(//a)"], "scalar queries materialize");
+    assert!(!verdicts["//text()/child::*"], "const-folded plans materialize");
 }

@@ -78,7 +78,7 @@ fn evaluate_many_is_per_document() {
 #[test]
 fn unsupported_fragment_surfaces_at_compile_time() {
     use gkp_xpath::core::EvalError;
-    for s in [Strategy::CoreXPath, Strategy::XPatterns, Strategy::Streaming] {
+    for s in [Strategy::CoreXPath, Strategy::XPatterns] {
         let err = Compiler::new()
             .default_strategy(s)
             .compile("count(//book)")
@@ -86,11 +86,11 @@ fn unsupported_fragment_surfaces_at_compile_time() {
         assert!(matches!(err, EvalError::UnsupportedFragment(_)), "{s:?}: {err}");
     }
     // Compile-time success implies artifacts are ready: evaluation of a
-    // streaming query involves no further compilation.
-    let sq =
-        Compiler::new().default_strategy(Strategy::Streaming).compile("//book[author]").unwrap();
-    assert!(sq.plan().automaton().is_some());
-    assert_eq!(sq.select(&doc_bookstore()).unwrap().len(), 4);
+    // fragment query involves no further compilation.
+    let cq =
+        Compiler::new().default_strategy(Strategy::CoreXPath).compile("//book[author]").unwrap();
+    assert!(cq.plan().algebra().is_some());
+    assert_eq!(cq.select(&doc_bookstore()).unwrap().len(), 4);
 }
 
 /// Hit/miss/eviction accounting of the shared cache.

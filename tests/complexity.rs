@@ -132,38 +132,6 @@ fn topdown_linear_in_query_depth() {
     }
 }
 
-/// Streaming memory bound: spine candidates never exceed the element
-/// nesting depth (candidates are open ancestors of the current position),
-/// regardless of document width.
-#[test]
-fn streaming_candidates_bounded_by_depth() {
-    use gkp_xpath::core::streaming::{self, StreamMatcher};
-
-    // Wide, shallow document: 20,000 entries at depth 2, each a candidate
-    // of the predicate query at some point — but never more than one open.
-    let wide = doc_flat_text(20_000);
-    let q = streaming::compile_str("//b[child::text()]").unwrap();
-    let mut m = StreamMatcher::new(&q);
-    for ev in wide.events() {
-        m.on_event(&ev);
-    }
-    assert!(m.peak_candidates() <= 2, "wide doc: peak {}", m.peak_candidates());
-    let hits = m.finish();
-    assert_eq!(hits.len(), 20_000);
-
-    // Deep document: every <b> on the path is simultaneously a candidate,
-    // so the peak tracks the depth exactly — the documented worst case.
-    let deep = gkp_xpath::xml::generate::doc_deep_path(300);
-    let q = streaming::compile_str("//b[descendant::b]").unwrap();
-    let mut m = StreamMatcher::new(&q);
-    for ev in deep.events() {
-        m.on_event(&ev);
-    }
-    let peak = m.peak_candidates();
-    assert!(peak <= 300, "deep doc: peak {peak}");
-    assert_eq!(m.finish().len(), 299);
-}
-
 /// Pre/post-plane construction is a single linear pass: 16x the nodes must
 /// cost far less than 16²x the time.
 #[test]

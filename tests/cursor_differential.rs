@@ -150,7 +150,6 @@ fn cancellation_surfaces_promptly_across_strategies() {
         Strategy::MinContext,
         Strategy::OptMinContext,
         Strategy::CoreXPath,
-        Strategy::Streaming,
     ] {
         let c = Compiler::new().default_strategy(strat).compile(q).unwrap();
         assert_eq!(c.strategy(), strat, "{q} did not resolve to the forced strategy");

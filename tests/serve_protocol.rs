@@ -12,11 +12,10 @@ use std::time::{Duration, Instant};
 
 use gkp_xpath::core::serve::{Json, ServeConfig, Server};
 use gkp_xpath::xml::generate::doc_balanced;
+use gkp_xpath::xml::temp::TempPath;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gkp_serveit_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempPath {
+    TempPath::new(&format!("serveit_{tag}"))
 }
 
 struct Client {
@@ -51,9 +50,10 @@ impl Client {
 }
 
 /// Start a server over a fresh store (one published balanced document)
-/// on a Unix socket in the store's parent dir. Returns the server, the
-/// socket path, and the accept-loop thread handle.
-fn start(tag: &str) -> (Arc<Server>, PathBuf, thread::JoinHandle<std::io::Result<()>>) {
+/// on a Unix socket in the store's parent dir. Returns that directory
+/// (removed on drop), the server, the socket path, and the accept-loop
+/// thread handle.
+fn start(tag: &str) -> (TempPath, Arc<Server>, PathBuf, thread::JoinHandle<std::io::Result<()>>) {
     let dir = temp_dir(tag);
     let mut config = ServeConfig::new(dir.join("store"));
     config.read_timeout = Duration::from_millis(25);
@@ -73,7 +73,7 @@ fn start(tag: &str) -> (Arc<Server>, PathBuf, thread::JoinHandle<std::io::Result
         let sock = sock.clone();
         thread::spawn(move || server.serve_unix(&sock))
     };
-    (server, sock, accept)
+    (dir, server, sock, accept)
 }
 
 fn finish(
@@ -84,8 +84,6 @@ fn finish(
     server.begin_shutdown();
     accept.join().expect("accept loop panicked").expect("accept loop I/O");
     assert!(!sock.exists(), "socket file is removed on drain");
-    let dir = sock.parent().unwrap();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -93,7 +91,7 @@ fn concurrent_clients_get_exact_unmixed_responses() {
     const CLIENTS: usize = 8;
     const REQUESTS: usize = 25;
 
-    let (server, sock, accept) = start("concurrent");
+    let (_dir, server, sock, accept) = start("concurrent");
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let sock = sock.clone();
@@ -136,7 +134,7 @@ fn concurrent_clients_get_exact_unmixed_responses() {
 
 #[test]
 fn deadline_trips_are_structured_and_connection_survives() {
-    let (server, sock, accept) = start("deadline");
+    let (_dir, server, sock, accept) = start("deadline");
     let mut client = Client::connect(&sock);
     let resp =
         client.roundtrip(r#"{"id":1,"doc":"bench","query":"//c[@id]//d//a","timeout_ms":0}"#);
@@ -156,7 +154,7 @@ fn deadline_trips_are_structured_and_connection_survives() {
 
 #[test]
 fn stats_over_the_wire_reflect_served_requests() {
-    let (server, sock, accept) = start("stats");
+    let (_dir, server, sock, accept) = start("stats");
     let mut client = Client::connect(&sock);
     for _ in 0..3 {
         client.roundtrip(r#"{"doc":"bench","query":"count(//b)"}"#);
@@ -174,15 +172,13 @@ fn stats_over_the_wire_reflect_served_requests() {
 
 #[test]
 fn shutdown_op_drains_and_returns_clean() {
-    let (server, sock, accept) = start("shutdown");
+    let (_dir, server, sock, accept) = start("shutdown");
     let mut client = Client::connect(&sock);
     let resp = client.roundtrip(r#"{"op":"shutdown"}"#);
     assert_eq!(resp.get("shutting_down"), Some(&Json::Bool(true)));
     accept.join().expect("accept loop panicked").expect("clean drain");
     assert!(server.shutting_down());
     assert!(!sock.exists());
-    let dir = sock.parent().unwrap().to_path_buf();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

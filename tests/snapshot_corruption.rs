@@ -5,11 +5,11 @@
 //! section offsets), payload damage under deep verification, and the
 //! `xpq --snapshot` CLI surface (nonzero exit, diagnostic on stderr).
 
-use std::path::PathBuf;
 use std::process::Command;
 
 use gkp_xpath::xml::generate::doc_bookstore;
 use gkp_xpath::xml::snap::{self, SnapError, FORMAT_VERSION};
+use gkp_xpath::xml::temp::TempPath;
 
 /// Byte offsets from the version-1 header layout (`snap` module docs).
 const OFF_VERSION: usize = 8;
@@ -23,13 +23,11 @@ const ENTRY_CHECKSUM: usize = 24;
 fn pristine() -> Vec<u8> {
     let path = temp("pristine");
     snap::write(&doc_bookstore(), &path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    bytes
+    std::fs::read(&path).unwrap()
 }
 
-fn temp(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("gkp_snapcorrupt_{tag}_{}.gksnap", std::process::id()))
+fn temp(tag: &str) -> TempPath {
+    TempPath::new(&format!("snapcorrupt_{tag}.gksnap"))
 }
 
 /// Write `bytes` to a temp snapshot, quick-open it, clean up, and return
@@ -37,9 +35,7 @@ fn temp(tag: &str) -> PathBuf {
 fn open_bytes(tag: &str, bytes: &[u8]) -> Result<(), SnapError> {
     let path = temp(tag);
     std::fs::write(&path, bytes).unwrap();
-    let result = snap::load(&path).map(|_| ());
-    let _ = std::fs::remove_file(&path);
-    result
+    snap::load(&path).map(|_| ())
 }
 
 /// Re-seal the header checksum after tampering with header or directory
@@ -62,7 +58,6 @@ fn pristine_snapshot_opens_and_deep_verifies() {
     snap::verify(&path).unwrap();
     let loaded = snap::load(&path).unwrap();
     assert_eq!(loaded.len(), doc.len());
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -175,7 +170,6 @@ fn payload_damage_is_caught_by_deep_verify() {
         Err(SnapError::ChecksumMismatch(_) | SnapError::Malformed(_)) => {}
         other => panic!("deep verify must reject payload damage, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// `xpq --snapshot <corrupt>` and `xpq snapshot verify <corrupt>` exit
@@ -204,8 +198,6 @@ fn xpq_rejects_corrupt_snapshots() {
     let out =
         Command::new(xpq).args(["//*", "--snapshot", path.to_str().unwrap()]).output().unwrap();
     assert!(!out.status.success(), "truncated --snapshot must exit nonzero");
-
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A healthy snapshot through the CLI: `--snapshot` output matches the
@@ -214,7 +206,7 @@ fn xpq_rejects_corrupt_snapshots() {
 fn xpq_snapshot_output_matches_parse_path() {
     let xpq = env!("CARGO_BIN_EXE_xpq");
     let doc = doc_bookstore();
-    let xml_path = std::env::temp_dir().join(format!("gkp_snapcli_{}.xml", std::process::id()));
+    let xml_path = TempPath::new("snapcli.xml");
     std::fs::write(&xml_path, doc.serialize(doc.root())).unwrap();
     let snap_path = temp("cli_ok");
 
@@ -233,7 +225,4 @@ fn xpq_snapshot_output_matches_parse_path() {
         assert!(from_xml.status.success() && from_snap.status.success(), "{q}");
         assert_eq!(from_xml.stdout, from_snap.stdout, "{q}: snapshot diverges from parse");
     }
-
-    let _ = std::fs::remove_file(&xml_path);
-    let _ = std::fs::remove_file(&snap_path);
 }

@@ -12,6 +12,7 @@ use gkp_xpath::xml::generate::{
     doc_balanced, doc_bookstore, doc_figure8, doc_idref_chain, doc_random, RandomDocConfig,
 };
 use gkp_xpath::xml::snap::{self, OpenOptions};
+use gkp_xpath::xml::temp::TempPath;
 use gkp_xpath::xml::ParseOptions;
 use gkp_xpath::{Compiler, Document, QuerySetBuilder};
 
@@ -26,7 +27,6 @@ const STRATEGIES: &[Strategy] = &[
     Strategy::OptMinContext,
     Strategy::CoreXPath,
     Strategy::XPatterns,
-    Strategy::Streaming,
     Strategy::Auto,
 ];
 
@@ -77,16 +77,10 @@ fn shapes() -> Vec<(String, Document)> {
 /// Write `doc` to a fresh snapshot, deep-verify it, and reload it under
 /// `opts`.
 fn roundtrip(doc: &Document, tag: &str, opts: &OpenOptions) -> Document {
-    let path = std::env::temp_dir().join(format!(
-        "gkp_snapdiff_{tag}_{}_{}.gksnap",
-        std::process::id(),
-        opts.mmap
-    ));
+    let path = TempPath::new(&format!("snapdiff_{tag}_{}.gksnap", opts.mmap));
     snap::write(doc, &path).unwrap_or_else(|e| panic!("{tag}: write failed: {e}"));
     snap::verify(&path).unwrap_or_else(|e| panic!("{tag}: deep verify failed: {e}"));
-    let loaded = snap::load_with(&path, opts).unwrap_or_else(|e| panic!("{tag}: load failed: {e}"));
-    let _ = std::fs::remove_file(&path);
-    loaded
+    snap::load_with(&path, opts).unwrap_or_else(|e| panic!("{tag}: load failed: {e}"))
 }
 
 /// Structural bit-identity: every accessor over every node.

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::thread;
 
 use gkp_xpath::core::store::DocumentStore;
+use gkp_xpath::xml::temp::TempPath;
 use gkp_xpath::{CompiledQuery, Document};
 
 /// A generation-`g` document: `<gen n="g">` with `g % 7 + 1` `<item>`
@@ -55,10 +56,8 @@ fn assert_consistent(doc: &Document) -> u64 {
     g
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("gkp_store_conc_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempPath {
+    TempPath::new(&format!("store_conc_{tag}"))
 }
 
 #[test]
@@ -67,7 +66,7 @@ fn readers_stay_consistent_across_concurrent_republish() {
     const PUBLISHES: u64 = 40;
 
     let dir = temp_dir("republish");
-    let store = Arc::new(DocumentStore::open(&dir).unwrap());
+    let store = Arc::new(DocumentStore::open(dir.path()).unwrap());
     store.publish("live", &gen_doc(0)).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -127,13 +126,12 @@ fn readers_stay_consistent_across_concurrent_republish() {
     drop(pinned);
     let final_doc = store.open_doc("live").unwrap();
     assert_eq!(assert_consistent(&final_doc), PUBLISHES);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn open_doc_from_many_threads_shares_one_mapping() {
     let dir = temp_dir("share");
-    let store = Arc::new(DocumentStore::open(&dir).unwrap());
+    let store = Arc::new(DocumentStore::open(dir.path()).unwrap());
     store.publish("d", &gen_doc(3)).unwrap();
 
     let handles: Vec<_> = (0..8)
@@ -151,5 +149,4 @@ fn open_doc_from_many_threads_shares_one_mapping() {
     let stats = store.stats();
     assert_eq!(stats.misses, 1, "exactly one thread loaded; the rest hit the cache");
     assert_eq!(stats.hits, 7);
-    let _ = std::fs::remove_dir_all(&dir);
 }
