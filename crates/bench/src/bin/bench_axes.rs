@@ -24,6 +24,11 @@
 //!   `QuerySet::evaluate_all` (single-thread, lock-step memo sharing) vs
 //!   N independent `CompiledQuery` evaluations, with the mode taken and
 //!   the memo hit counts recorded;
+//! * **strategy_choice** — what `Strategy::Auto` picks for served
+//!   aggregates: `count(//c)` (the serve workload's query) and the
+//!   `count()`-wrapped bench shapes, timed under Auto (which lifts the
+//!   path onto the §10 algebra), as the bare path on its fragment engine,
+//!   and under forced OptMinContext (what Auto picked before lifting);
 //! * **early_exit** — the lazy cursor layer (`xpath_core::cursor`):
 //!   `first()`/`exists()` (stop at the first witness) vs a full
 //!   materializing evaluation of the same compiled query on the
@@ -48,7 +53,10 @@
 //!                    predicate-free streamable spine (the cursor guard),
 //!                    or if an mmap snapshot load is not ≥100× faster
 //!                    than a cold parse / the snapshot file exceeds 2×
-//!                    the in-memory arena size (the snapshot guard).
+//!                    the in-memory arena size (the snapshot guard), or
+//!                    if Auto on `count(//c)` is slower than 1.2× the bare
+//!                    `//c` on its fragment engine (the strategy-choice
+//!                    guard).
 //!                    The timing baseline is pinned to a 1-thread budget —
 //!                    the parallel backend is correctness-checked here,
 //!                    never timed, so CI core counts can't flake the guard
@@ -64,7 +72,7 @@ use std::time::{Duration, Instant};
 use xpath_axes::bulk;
 use xpath_axes::cost::CostModel;
 use xpath_core::corexpath::{compile, AxisBackend, CoreXPathEvaluator};
-use xpath_core::Compiler;
+use xpath_core::{Compiler, Strategy};
 use xpath_syntax::Axis;
 use xpath_xml::generate::doc_balanced;
 
@@ -384,6 +392,62 @@ fn measure_batch(doc: &Document, workload: &'static str, texts: &[String]) -> Ba
     }
 }
 
+/// One strategy-choice cell: a `count()`-wrapped path under Auto, the
+/// bare path on its fragment engine, and the wrapped query under forced
+/// OptMinContext, timed interleaved at a 1-thread budget after checking
+/// that Auto and OptMinContext agree.
+struct ChoiceCell {
+    query: String,
+    auto_strategy: Strategy,
+    auto_ns: u64,
+    bare_ns: u64,
+    opt_min_context_ns: u64,
+}
+
+impl ChoiceCell {
+    fn auto_vs_bare(&self) -> f64 {
+        self.auto_ns as f64 / self.bare_ns.max(1) as f64
+    }
+
+    fn speedup_vs_opt_min_context(&self) -> f64 {
+        self.opt_min_context_ns as f64 / self.auto_ns.max(1) as f64
+    }
+}
+
+/// The serve workload's query path, then the bench shapes.
+fn choice_paths() -> impl Iterator<Item = &'static str> {
+    std::iter::once("//c").chain(BENCH_QUERIES.iter().copied())
+}
+
+fn measure_choice(doc: &Document, path: &str) -> ChoiceCell {
+    let compiler = Compiler::new().threads(1);
+    let query = format!("count({path})");
+    let auto = compiler.compile(&query).unwrap();
+    let bare = compiler.compile(path).unwrap();
+    let forced =
+        compiler.clone().default_strategy(Strategy::OptMinContext).compile(&query).unwrap();
+    let want = forced.evaluate_root(doc).unwrap();
+    assert!(auto.evaluate_root(doc).unwrap().semantically_equal(&want), "{query}: Auto diverges");
+    let times = time_ns_interleaved(&mut [
+        &mut || {
+            std::hint::black_box(auto.evaluate_root(doc).unwrap());
+        },
+        &mut || {
+            std::hint::black_box(bare.evaluate_root(doc).unwrap());
+        },
+        &mut || {
+            std::hint::black_box(forced.evaluate_root(doc).unwrap());
+        },
+    ]);
+    ChoiceCell {
+        query,
+        auto_strategy: auto.strategy(),
+        auto_ns: times[0],
+        bare_ns: times[1],
+        opt_min_context_ns: times[2],
+    }
+}
+
 /// `--check`: the CI crossover guard. Fails when the adaptive backend is
 /// more than 10% slower than the seed's per-node loop in any
 /// axis-application cell (the bar the planner exists to hold), or 20% slower than the
@@ -552,6 +616,36 @@ fn check(doc: &Document) -> Result<(), String> {
         if let Some(failure) = snap_failure {
             return Err(failure);
         }
+    }
+    // Strategy-choice guard: Auto on the served `count(//c)` must cost at
+    // most 1.2x the bare `//c` on its fragment engine — the count is one
+    // O(1) fold over the lifted path's node set, so anything more means
+    // Auto stopped lifting. Re-measured like the other timing guards.
+    let mut choice_failure = None;
+    for attempt in 1..=CHECK_ATTEMPTS {
+        let c = measure_choice(doc, "//c");
+        let ratio = c.auto_vs_bare();
+        eprintln!(
+            "check: strategy choice {} via {:?} {:>9}ns  bare path {:>9}ns  ({ratio:.2}x)  \
+             OptMinContext {:>9}ns",
+            c.query, c.auto_strategy, c.auto_ns, c.bare_ns, c.opt_min_context_ns
+        );
+        if ratio <= 1.2 {
+            choice_failure = None;
+            break;
+        }
+        choice_failure = Some(format!(
+            "strategy choice {}: Auto ({:?}) {}ns vs bare path {}ns ({ratio:.2}x > 1.2x)",
+            c.query, c.auto_strategy, c.auto_ns, c.bare_ns
+        ));
+        if attempt < CHECK_ATTEMPTS {
+            eprintln!(
+                "check: strategy-choice attempt {attempt}/{CHECK_ATTEMPTS} over 1.2x; re-measuring"
+            );
+        }
+    }
+    if let Some(failure) = choice_failure {
+        return Err(failure);
     }
     // Serve guard: a single-client socket round trip through the query
     // server must stay within 5x of a direct in-process evaluation (+1ms
@@ -876,8 +970,8 @@ fn main() {
             Ok(()) => {
                 eprintln!(
                     "check: adaptive within 10% of per-node and 20% of the best \
-                     backend in every axis-application cell; batch and lazy \
-                     early-exit bars met"
+                     backend in every axis-application cell; batch, lazy \
+                     early-exit and strategy-choice bars met"
                 );
                 return;
             }
@@ -1161,6 +1255,31 @@ fn main() {
                 c.speedup(),
             );
         }
+    }
+    json.push_str("\n  ],\n");
+
+    // ---- strategy choice: Auto vs the bare path on its fragment engine vs
+    // forced OptMinContext, on count()-wrapped paths (1-thread budget) ----
+    json.push_str("  \"strategy_choice\": [\n");
+    for (i, path) in choice_paths().enumerate() {
+        let c = measure_choice(&doc, path);
+        if i > 0 {
+            json.push_str(",\n");
+        }
+        let _ = write!(
+            json,
+            "    {{ \"query\": \"{}\", \"bare_path\": \"{path}\", \"nodes\": {n}, \
+             \"auto_strategy\": \"{:?}\", \"auto_ns\": {}, \"bare_path_ns\": {}, \
+             \"opt_min_context_ns\": {}, \"auto_vs_bare_path\": {:.2}, \
+             \"speedup_auto_vs_opt_min_context\": {:.2} }}",
+            c.query,
+            c.auto_strategy,
+            c.auto_ns,
+            c.bare_ns,
+            c.opt_min_context_ns,
+            c.auto_vs_bare(),
+            c.speedup_vs_opt_min_context(),
+        );
     }
     json.push_str("\n  ],\n");
 

@@ -314,8 +314,10 @@ pub fn analyze(e: &Expr, strategy: Strategy, algebra: Option<&CoreQuery>) -> Que
 /// The one definition of "can this query run lazily", read by the
 /// cursor, `--lint` and `--explain` alike. A query is lazy iff
 ///
-/// * it runs on the Core XPath / XPatterns algebra (`strategy` and its
-///   compiled `algebra`),
+/// * it runs on the Core XPath / XPatterns algebra as one whole-query
+///   path (`strategy` and its compiled `algebra`; a query whose paths were
+///   lifted out of an aggregate has no `algebra` — its fold needs every
+///   node),
 /// * it does not const-fold (`const_result` is `None`: the plan answers
 ///   without evaluating anything),
 /// * its compiled spine has no trailing `=s` restriction (which needs the
@@ -336,7 +338,13 @@ pub fn laziness(
         );
     }
     let (Strategy::CoreXPath | Strategy::XPatterns, Some(q)) = (strategy, algebra) else {
-        return Laziness::Materialize(format!("runs on {strategy:?}, not the Core XPath algebra"));
+        return Laziness::Materialize(match strategy {
+            Strategy::CoreXPath | Strategy::XPatterns => {
+                "paths lifted onto the algebra feed an outer fold that needs their whole node sets"
+                    .to_string()
+            }
+            _ => format!("runs on {strategy:?}, not the Core XPath algebra"),
+        });
     };
     if q.path.eq.is_some() {
         return Laziness::Materialize("trailing =s restriction needs the finished set".into());
@@ -763,11 +771,12 @@ mod tests {
             assert_eq!(report(q).laziness, Laziness::Lazy, "{q}");
         }
         for (q, why) in [
-            ("count(//a)", "not the Core XPath algebra"),
+            ("count(//a)", "outer fold"),
             ("//b[1]", "not the Core XPath algebra"),
             ("//a/parent::b", "parent:: in the spine"),
             ("//a[b]/preceding::c", "preceding:: in the spine"),
-            ("//a = 'x'", "not the Core XPath algebra"),
+            ("//a = 'x'", "outer fold"),
+            ("count(//b[1])", "not the Core XPath algebra"),
             ("//text()/child::*", "short-circuits"),
         ] {
             match report(q).laziness {

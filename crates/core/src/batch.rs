@@ -73,6 +73,7 @@
 //! assert_eq!(out.results()[2].as_ref().unwrap().to_string(), "2");
 //! ```
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,8 +86,8 @@ use xpath_xml::Document;
 
 use crate::context::{Context, EvalBudget, EvalResult};
 use crate::corexpath::{AxisBackend, CorePred, CoreQuery, CoreXPathEvaluator, EqTest};
+use crate::lift::Program;
 use crate::nodeset::NodeSet;
-use crate::plan::Strategy;
 use crate::query::{CompiledQuery, Compiler};
 use crate::value::Value;
 
@@ -100,7 +101,7 @@ fn mix(h: u64, v: u64) -> u64 {
 /// a faithful structural rendering of the compiled-query types, so equal
 /// structures hash equally (process-local keys only).
 fn hash_debug<T: std::fmt::Debug>(v: &T) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = DefaultHasher::new();
     format!("{v:?}").hash(&mut h);
     h.finish()
 }
@@ -405,32 +406,32 @@ struct LockStepScratch {
 /// will serve without re-running.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchSharing {
-    /// Step + predicate units across all fragment-engine queries (each
-    /// pays one memo probe under lock-step evaluation).
+    /// Step + predicate units across all fragment-engine queries' lifted
+    /// paths (each pays one memo probe under lock-step evaluation).
     pub total_units: usize,
     /// Units duplicated across the batch (guaranteed memo hits).
     pub shared_units: usize,
     /// Queries running on the Core XPath / XPatterns fragment engines —
-    /// the ones that can share axis passes.
+    /// whole paths and aggregates over lifted paths alike; the ones that
+    /// can share axis passes.
     pub fragment_queries: usize,
 }
 
-/// The compiled Core XPath / XPatterns program of a query, if it runs on
-/// a fragment engine (only those share axis passes).
-fn fragment_program(q: &CompiledQuery) -> Option<&CoreQuery> {
-    match q.strategy() {
-        Strategy::CoreXPath | Strategy::XPatterns => q.plan().algebra(),
-        _ => None,
-    }
+/// Every lifted path of the batch's fragment-engine queries (only those
+/// share axis passes), query-major: the order of the lock-step state
+/// slots.
+fn lifted_paths(queries: &[Arc<CompiledQuery>]) -> impl Iterator<Item = &CoreQuery> {
+    queries.iter().filter_map(|q| q.plan().program()).flat_map(Program::paths).map(|lp| &lp.query)
 }
 
 fn analyze_sharing(queries: &[Arc<CompiledQuery>]) -> BatchSharing {
-    let mut out = BatchSharing::default();
+    let mut out = BatchSharing {
+        fragment_queries: queries.iter().filter(|q| q.plan().program().is_some()).count(),
+        ..BatchSharing::default()
+    };
     let mut seen_prefixes: HashSet<u64> = HashSet::new();
     let mut seen_preds: HashSet<u64> = HashSet::new();
-    for q in queries {
-        let Some(program) = fragment_program(q) else { continue };
-        out.fragment_queries += 1;
+    for program in lifted_paths(queries) {
         // Chain step hashes down the spine: a step unit repeats exactly
         // when its whole prefix (start + steps so far, predicates
         // included) repeats — which is when the lock-step memo is
@@ -634,20 +635,14 @@ impl QuerySet {
             .with_cost_model(self.cost)
             .with_memo(Arc::clone(&memo));
         let ctx_nodes = [ctx.node];
-        // Fragment queries advance lock-step; the rest run their normal
+        // Every lifted path of every fragment query advances lock-step
+        // (one state slot each, query-major); the rest run their normal
         // engines below.
         let states = scratch.arena.begin();
         states.extend(
-            self.queries
-                .iter()
-                .map(|q| fragment_program(q).map(|cq| ev.start_set(&cq.path.start, &ctx_nodes))),
+            lifted_paths(&self.queries).map(|cq| Some(ev.start_set(&cq.path.start, &ctx_nodes))),
         );
-        let rounds = self
-            .queries
-            .iter()
-            .filter_map(|q| fragment_program(q).map(|cq| cq.path.steps.len()))
-            .max()
-            .unwrap_or(0);
+        let rounds = lifted_paths(&self.queries).map(|cq| cq.path.steps.len()).max().unwrap_or(0);
         // Budget granularity: one lock-step round (a whole batch-wide
         // layer of axis passes). A trip poisons no state — every
         // unfinished slot just reports the trip error.
@@ -657,34 +652,48 @@ impl QuerySet {
                 tripped = Some(e);
                 break;
             }
-            for (q, state) in self.queries.iter().zip(states.iter_mut()) {
-                if let (Some(cq), Some(n)) = (fragment_program(q), state.as_mut()) {
-                    if let Some(step) = cq.path.steps.get(k) {
-                        *n = ev.advance_step(step, n);
-                    }
+            for (cq, state) in lifted_paths(&self.queries).zip(states.iter_mut()) {
+                if let (Some(step), Some(n)) = (cq.path.steps.get(k), state.as_mut()) {
+                    *n = ev.advance_step(step, n);
                 }
             }
         }
+        // Each fragment query folds over its own run of slots.
+        let mut first_slot = 0;
         let mut results = crate::pool::take_results();
-        results.extend(self.queries.iter().zip(states.drain(..)).enumerate().map(
-            |(i, (q, state))| match (&tripped, fragment_program(q), state) {
-                (Some(e), ..) => Err(e.clone()),
-                (None, Some(cq), Some(n)) => Ok(Value::NodeSet(ev.finish_path(&cq.path, n))),
-                _ => self.eval_one(doc, ctx, i, budget),
-            },
-        ));
+        results.extend(self.queries.iter().enumerate().map(|(i, q)| {
+            let Some(program) = q.plan().program() else {
+                return match &tripped {
+                    Some(e) => Err(e.clone()),
+                    None => self.eval_one(doc, ctx, i, budget),
+                };
+            };
+            let slots = &mut states[first_slot..first_slot + program.paths().len()];
+            first_slot += slots.len();
+            if let Some(e) = &tripped {
+                return Err(e.clone());
+            }
+            program.fold().eval(doc, &ctx, &mut |j| {
+                let n = slots[j].take().expect("a fold reads each lifted path once");
+                Ok(ev.finish_path(&program.paths()[j].query.path, n))
+            })
+        }));
         self.kernels.merge(ev.kernel_counts());
-        BatchResult {
-            results,
-            stats: BatchStats {
-                mode: BatchMode::LockStepShared,
-                queries: self.len(),
-                fragment_queries: self.sharing.fragment_queries,
-                memo_hits: memo.hits(),
-                memo_misses: memo.misses(),
-                workers: 1,
-            },
-        }
+        let stats = BatchStats {
+            mode: BatchMode::LockStepShared,
+            queries: self.len(),
+            fragment_queries: self.sharing.fragment_queries,
+            memo_hits: memo.hits(),
+            memo_misses: memo.misses(),
+            workers: 1,
+        };
+        // Hand the round's buffers back now, not at the next round's
+        // start: evaluations between rounds then see every buffer on the
+        // shelves, which keeps the steady state a function of the shelved
+        // capacities alone (see `xpath_xml::pool`).
+        memo.begin_evaluation();
+        states.clear();
+        BatchResult { results, stats }
     }
 
     /// A rendered report of how this batch will evaluate on a document of
@@ -771,6 +780,7 @@ pub struct BatchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Strategy;
     use xpath_xml::generate::{doc_bookstore, doc_figure8};
 
     fn always_share() -> CostModel {
@@ -783,8 +793,9 @@ mod tests {
         let queries = [
             "//book[author]",
             "//book[author]/title",
-            "//book[author]", // duplicate: full sharing
-            "count(//book)",  // non-fragment: normal engine inside the batch
+            "//book[author]",   // duplicate: full sharing
+            "count(//book)",    // lifted: its path joins the lock-step rounds
+            "count(//book[1])", // non-fragment: normal engine inside the batch
             "//section/book[title = 'XPath Processing']",
         ];
         let independent: Vec<Value> = queries

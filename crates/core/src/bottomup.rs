@@ -293,7 +293,7 @@ impl<'d> BottomUpEvaluator<'d> {
                         .iter()
                         .map(|t| t.value_at(ctx).expect("child table covers context").clone())
                         .collect();
-                    functions::apply(self.doc, name, argv, &ctx)
+                    functions::apply(self.doc, name, &argv, &ctx)
                 })
             }
         }

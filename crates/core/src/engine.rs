@@ -34,7 +34,6 @@ use crate::bottomup::BottomUpEvaluator;
 use crate::cache::{CacheStats, QueryCache};
 use crate::context::{Context, EvalError, EvalResult};
 use crate::corexpath::{self, CoreDialect, CoreXPathEvaluator};
-use crate::fragment::classify;
 use crate::mincontext::MinContextEvaluator;
 use crate::naive::NaiveEvaluator;
 use crate::nodeset::NodeSet;
@@ -155,10 +154,12 @@ impl<'d> Engine<'d> {
         plan::execute_adhoc(e, strategy, self.compiler.configured_naive_budget(), self.doc, ctx)
     }
 
-    /// The strategy [`Strategy::Auto`] resolves to for a query, per the
-    /// Figure 1 lattice.
+    /// The strategy [`Strategy::Auto`] resolves to for a query — the same
+    /// resolution [`Plan::build`](crate::Plan::build) makes
+    /// ([`plan::auto_strategy`]): a fragment engine when every path outside
+    /// a predicate lifts onto the §10 algebra, else Figure 1's choice.
     pub fn auto_strategy(&self, e: &Expr) -> Strategy {
-        plan::resolve_auto(&classify(e))
+        plan::auto_strategy(e)
     }
 
     /// Evaluate a node-set query at the root and return the nodes.
@@ -251,7 +252,10 @@ mod tests {
         assert_eq!(s("//book[author]"), Strategy::CoreXPath);
         assert_eq!(s("//book[title = 'DB Monthly']"), Strategy::XPatterns);
         assert_eq!(s("//book[position() = last()]"), Strategy::OptMinContext);
-        assert_eq!(s("count(//book)"), Strategy::OptMinContext);
+        // Aggregates over fragment paths lift onto the algebra.
+        assert_eq!(s("count(//book)"), Strategy::CoreXPath);
+        assert_eq!(s("count(//book[title = 'DB Monthly'])"), Strategy::XPatterns);
+        assert_eq!(s("count(//book[position() = last()])"), Strategy::OptMinContext);
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! For a prepared query, [`explain`] reports
 //!
 //! * the Figure 1 fragment classification and the strategy `Auto` picks;
-//! * Extended-Wadler restriction violations, if any;
+//! * for a query whose paths were lifted onto the §10 algebra
+//!   ([`crate::lift`]), each lifted path with its dialect and the outer
+//!   fold over them;
+//! * Extended-Wadler restriction violations, if the query runs on a
+//!   general evaluator;
 //! * the relevant-context set `Relev(N)` (§8.2) of every subexpression;
 //! * which subexpressions OptMinContext will evaluate bottom-up
 //!   (`boolean(π)` / `π RelOp c` occurrences, §11.1);
@@ -15,6 +19,7 @@ use std::fmt::Write as _;
 use xpath_syntax::{Expr, PathStart};
 
 use crate::analyze::Laziness;
+use crate::corexpath::CoreDialect;
 use crate::fragment::Fragment;
 use crate::plan::{Plan, Strategy};
 use crate::relev::relev;
@@ -50,8 +55,32 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
         ),
         other => writeln!(report, "strategy:  {other:?} (explicitly requested)"),
     };
-    for v in &c.wadler_violations {
-        let _ = writeln!(report, "  wadler:  {v}");
+    match plan.program() {
+        // Lifted paths under an outer fold: the fragment label above is
+        // the whole query's, the work is the paths'.
+        Some(program) if program.whole_path().is_none() => {
+            let _ = writeln!(
+                report,
+                "lifted:    {} path(s) on the §10 algebra; outer fold: {}",
+                program.paths().len(),
+                program.fold()
+            );
+            for (i, p) in program.paths().iter().enumerate() {
+                let dialect = match p.dialect {
+                    CoreDialect::CoreXPath => "Core XPath",
+                    CoreDialect::XPatterns => "XPatterns",
+                };
+                let _ = writeln!(report, "  #{i} {dialect:<10} {}", p.source);
+            }
+        }
+        Some(_) => {}
+        // Why the query is outside the Extended Wadler fragment, which
+        // is what the general evaluators' bounds depend on.
+        None => {
+            for v in &c.wadler_violations {
+                let _ = writeln!(report, "  wadler:  {v}");
+            }
+        }
     }
     // Static analysis (crate::analyze): satisfiability, diagnostics.
     let analysis = plan.report();
@@ -70,9 +99,11 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
     // the calibrated cost model, the final pick is made per application
     // from the actual input density at runtime.
     let model = xpath_axes::CostModel::global();
-    if let Some(q) = plan.algebra() {
+    if let Some(program) = plan.program() {
         let mut axes = std::collections::BTreeMap::new();
-        collect_axes(&q.path, &mut axes);
+        for p in program.paths() {
+            collect_axes(&p.query.path, &mut axes);
+        }
         let _ = writeln!(
             report,
             "axis planner (adaptive kernel picks @ |D| = {doc_size}; constants \
@@ -285,8 +316,11 @@ mod tests {
             "{}",
             x.report
         );
+        // Lifted paths get a planner section too.
+        let y = explain_q("count(//a/following::b)", 100);
+        assert!(y.report.contains("following: "), "{}", y.report);
         // Outside the fragment engines there is no planner section.
-        let y = explain_q("count(//a)", 100);
+        let y = explain_q("count(//a[count(b) > 1])", 100);
         assert!(!y.report.contains("axis planner"), "{}", y.report);
         assert!(!y.report.contains("parallel: budget"), "{}", y.report);
     }
@@ -319,12 +353,36 @@ mod tests {
         let x = explain_q("//a/parent::b", 100);
         assert!(x.report.contains("lazy:      materialize — parent::"), "{}", x.report);
         // Outside the fragment engines the verdict still prints.
-        let x = explain_q("count(//a)", 100);
+        let x = explain_q("count(//a[count(b) > 1])", 100);
         assert!(
             x.report.contains("lazy:      materialize — runs on OptMinContext"),
             "{}",
             x.report
         );
+        // Lifted paths under a fold materialize: the fold needs every node.
+        let x = explain_q("count(//a)", 100);
+        assert!(x.report.contains("lazy:      materialize — paths lifted"), "{}", x.report);
+    }
+
+    #[test]
+    fn explain_lists_lifted_paths_and_the_fold() {
+        let x = explain_q("sum(//a/@n) > count(//b[c = 'x'])", 100);
+        assert!(x.report.contains("strategy:  XPatterns"), "{}", x.report);
+        assert!(
+            x.report.contains(
+                "lifted:    2 path(s) on the §10 algebra; outer fold: sum(#0) > count(#1)"
+            ),
+            "{}",
+            x.report
+        );
+        assert!(x.report.contains("#0 Core XPath"), "{}", x.report);
+        assert!(x.report.contains("#1 XPatterns"), "{}", x.report);
+        // The Figure-1 label stays; the Wadler restrictions, which only
+        // bound the general evaluators, do not print.
+        assert!(x.report.contains("fragment:  Full XPath"), "{}", x.report);
+        assert!(!x.report.contains("wadler:"), "{}", x.report);
+        // A whole-query path prints no lifted section.
+        assert!(!explain_q("//a[b]", 100).report.contains("lifted:"));
     }
 
     #[test]

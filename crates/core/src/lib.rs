@@ -18,6 +18,7 @@
 //! | [`optmincontext`] | §11.2 | OptMinContext (Algorithm 11.1) |
 //! | [`nodeset`] | §3 | the hybrid bitset/sorted-vec [`nodeset::NodeSet`] currency |
 //! | [`fragment`] | Fig. 1 | fragment lattice classification |
+//! | [`lift`] | §10 | Auto's lifting of Core XPath / XPatterns paths out of aggregates and comparisons |
 //! | [`analyze`] | — | static analysis: satisfiability, const folding, the one lazy verdict |
 //! | [`plan`] | — | document-independent execution plans (static phase) |
 //! | [`query`] | — | [`Compiler`] / [`CompiledQuery`]: compile once, evaluate many |
@@ -44,6 +45,7 @@ pub mod eval_common;
 pub mod explain;
 pub mod fragment;
 pub mod functions;
+pub mod lift;
 pub mod mincontext;
 pub mod naive;
 pub mod node_test;

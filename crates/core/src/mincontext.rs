@@ -280,7 +280,7 @@ impl<'d> MinContextEvaluator<'d> {
                     for a in args {
                         argv.push(self.eval_single_context(a, ctx)?);
                     }
-                    table.insert(ctx, functions::apply(self.doc, name, argv, &ctx)?);
+                    table.insert(ctx, functions::apply(self.doc, name, &argv, &ctx)?);
                 }
             }
         }
@@ -331,7 +331,7 @@ impl<'d> MinContextEvaluator<'d> {
                 for a in args {
                     argv.push(self.eval_single_context(a, ctx)?);
                 }
-                functions::apply(self.doc, name, argv, &ctx)
+                functions::apply(self.doc, name, &argv, &ctx)
             }
             // Paths/filters/constants are cn-only and handled above.
             _ => unreachable!("cp/cs-relevant expression of unexpected shape"),

@@ -136,7 +136,7 @@ impl<'d> NaiveEvaluator<'d> {
                 for a in args {
                     vals.push(self.eval(a, ctx)?);
                 }
-                functions::apply(self.doc, name, vals, &ctx)
+                functions::apply(self.doc, name, &vals, &ctx)
             }
         }
     }

@@ -9,10 +9,25 @@
 //! * the normalized (and possibly rewritten) expression,
 //! * its [`Classification`] in the Figure-1 lattice,
 //! * the resolved [`Strategy`] (never [`Strategy::Auto`]),
-//! * the eagerly compiled Core XPath/XPatterns algebra program (§10) for
-//!   the fragment engines, so per-evaluation work is pure runtime,
+//! * for the fragment engines, the eagerly compiled §10 algebra
+//!   [`Program`] — its lifted paths and the fold over them — so
+//!   per-evaluation work is pure runtime,
 //! * the static-analysis [`QueryReport`], including the lazy verdict the
 //!   cursor dispatches on.
+//!
+//! # The Auto rule
+//!
+//! [`resolve_auto`] lifts every maximal location path outside a predicate
+//! onto the linear-time algebra ([`crate::lift`]). When every such path is
+//! Core XPath or XPatterns — `//a[b]`, but also `count(//a[b])`,
+//! `sum(//a/@n) > 10`, `//a | //b`, `id(//r)` — the plan runs each path
+//! once on [`CoreXPathEvaluator`] at the query's context and folds the
+//! rest of the query over their node sets; it reports
+//! [`Strategy::CoreXPath`], or [`Strategy::XPatterns`] if any lifted path
+//! needs it. Otherwise the query resolves by Figure 1: Extended Wadler and
+//! Full XPath both run on [`Strategy::OptMinContext`]. Explicitly
+//! requested strategies never lift; they run the paper's algorithms on the
+//! whole query, which is what makes them differential oracles.
 //!
 //! Because eager compilation happens here, a query outside an explicitly
 //! requested fragment fails at *plan-build* time with
@@ -25,8 +40,9 @@ use xpath_xml::Document;
 use crate::analyze::{self, QueryReport};
 use crate::bottomup::BottomUpEvaluator;
 use crate::context::{Context, EvalBudget, EvalResult};
-use crate::corexpath::{self, CoreDialect, CoreQuery, CoreXPathEvaluator};
-use crate::fragment::{classify, Classification, Fragment};
+use crate::corexpath::{CoreDialect, CoreQuery, CoreXPathEvaluator};
+use crate::fragment::{classify, Classification};
+use crate::lift::Program;
 use crate::mincontext::MinContextEvaluator;
 use crate::naive::NaiveEvaluator;
 use crate::optmincontext::OptMinContextEvaluator;
@@ -54,21 +70,34 @@ pub enum Strategy {
     CoreXPath,
     /// §10.2: linear-time XPatterns (rejects other queries).
     XPatterns,
-    /// Classify via Figure 1 and pick the best algorithm.
+    /// Lift Core XPath / XPatterns paths onto the §10 algebra, else
+    /// classify via Figure 1 (see [`resolve_auto`]).
     #[default]
     Auto,
 }
 
-/// The strategy [`Strategy::Auto`] resolves to for a classified query,
-/// per the Figure 1 lattice.
-pub fn resolve_auto(classification: &Classification) -> Strategy {
-    match classification.fragment {
-        Fragment::CoreXPath => Strategy::CoreXPath,
-        Fragment::XPatterns => Strategy::XPatterns,
-        // OptMinContext realizes both the Wadler bounds and the general
-        // MinContext bounds (Algorithm 11.1).
-        Fragment::ExtendedWadler | Fragment::FullXPath => Strategy::OptMinContext,
+/// Auto's choice for a query that does not lift. Every Core XPath /
+/// XPatterns query lifts whole, so what is left is Extended Wadler or Full
+/// XPath: OptMinContext realizes both the Wadler bounds and the general
+/// MinContext bounds (Algorithm 11.1).
+const FIGURE_1_CHOICE: Strategy = Strategy::OptMinContext;
+
+/// The one resolution of [`Strategy::Auto`], shared by [`Plan::build`] and
+/// [`execute_adhoc`]: the lifted [`Program`] and the fragment strategy it
+/// reports when every path outside a predicate fits the algebra, else
+/// Figure 1's choice. [`auto_strategy`] is the same verdict without the
+/// program.
+pub fn resolve_auto(expr: &Expr) -> (Strategy, Option<Program>) {
+    match Program::lift(expr) {
+        Some(program) => (program.strategy(), Some(program)),
+        None => (FIGURE_1_CHOICE, None),
     }
+}
+
+/// The strategy [`resolve_auto`] picks, decided by
+/// [`Program::lift_strategy`] without building the program.
+pub fn auto_strategy(expr: &Expr) -> Strategy {
+    Program::lift_strategy(expr).unwrap_or(FIGURE_1_CHOICE)
 }
 
 /// A fully resolved, immutable, document-independent execution plan.
@@ -85,9 +114,9 @@ pub struct Plan {
     pub classification: Classification,
     /// The resolved strategy (never [`Strategy::Auto`]).
     pub strategy: Strategy,
-    /// Eagerly compiled Core XPath / XPatterns algebra program, present
+    /// Eagerly compiled algebra program (lifted paths + fold), present
     /// iff `strategy` is [`Strategy::CoreXPath`] or [`Strategy::XPatterns`].
-    algebra: Option<CoreQuery>,
+    program: Option<Program>,
     /// The static-analysis report ([`crate::analyze`]): satisfiability,
     /// lazy verdict, diagnostics.
     report: QueryReport,
@@ -126,23 +155,10 @@ impl Plan {
         threads: u32,
     ) -> EvalResult<Plan> {
         let classification = classify(&expr);
-        let auto = requested == Strategy::Auto;
-        let mut strategy = if auto { resolve_auto(&classification) } else { requested };
-
-        let mut algebra = None;
-        if let Some(dialect) = fragment_dialect(strategy) {
-            match corexpath::compile_dialect(&expr, dialect) {
-                Ok(q) => algebra = Some(q),
-                // The classifier approves exactly what the algebra
-                // compiler accepts, so under Auto this is unreachable;
-                // fall back to the general engine defensively rather
-                // than failing a query the lattice admits.
-                Err(_) if auto => strategy = Strategy::OptMinContext,
-                Err(e) => return Err(e),
-            }
-        }
-        let report = analyze::analyze(&expr, strategy, algebra.as_ref());
-        Ok(Plan { expr, classification, strategy, algebra, report, naive_budget, threads })
+        let (strategy, program) = resolve(&expr, requested)?;
+        let report =
+            analyze::analyze(&expr, strategy, program.as_ref().and_then(Program::whole_path));
+        Ok(Plan { expr, classification, strategy, program, report, naive_budget, threads })
     }
 
     /// Run the plan against `doc` from context `ctx`.
@@ -173,7 +189,7 @@ impl Plan {
         run(
             &self.expr,
             self.strategy,
-            self.algebra.as_ref(),
+            self.program.as_ref(),
             self.naive_budget,
             self.threads,
             doc,
@@ -212,7 +228,7 @@ impl Plan {
         run(
             &self.expr,
             self.strategy,
-            self.algebra.as_ref(),
+            self.program.as_ref(),
             self.naive_budget,
             self.threads,
             doc,
@@ -228,10 +244,18 @@ impl Plan {
         self.threads
     }
 
-    /// The compiled Core XPath / XPatterns algebra program, if this plan
-    /// uses a fragment engine.
+    /// The compiled Core XPath / XPatterns program of the whole query —
+    /// present only when the query *is* one algebra path (identity fold),
+    /// which is what the lazy cursor pipeline needs.
     pub fn algebra(&self) -> Option<&CoreQuery> {
-        self.algebra.as_ref()
+        self.program.as_ref().and_then(Program::whole_path)
+    }
+
+    /// The fragment engines' program: the lifted algebra paths and the
+    /// fold over them (a whole-query path is one path with an identity
+    /// fold). `None` for the general evaluators.
+    pub fn program(&self) -> Option<&Program> {
+        self.program.as_ref()
     }
 
     /// The naive-evaluator step budget, if one was configured.
@@ -247,12 +271,15 @@ impl Plan {
 }
 
 /// One-shot evaluation of an already-prepared expression without building
-/// a persistent [`Plan`]: dispatches directly on `strategy` (classifying
-/// only under [`Strategy::Auto`]) and borrows the expression, so a call
-/// costs the same as pre-plan `Engine::evaluate_expr` did — no AST clone,
-/// no classification for explicit strategies. Fragment artifacts are
-/// compiled per call; keep a [`Plan`] (via
-/// [`crate::query::Compiler::compile`]) to amortize them.
+/// a persistent [`Plan`]: resolves `strategy` exactly as [`Plan::build`]
+/// does (lifting only under [`Strategy::Auto`]) and borrows the
+/// expression. An explicitly requested general evaluator costs the same
+/// as pre-plan `Engine::evaluate_expr` did — no AST clone, no
+/// classification. Under Auto every call first tries to lift, compiling
+/// each path outside a predicate (and cloning the lifted ones); a query
+/// that does not lift pays for that attempt before it runs on
+/// OptMinContext. Keep a [`Plan`] (via [`crate::query::Compiler::compile`])
+/// to pay for the resolution and the fragment programs once.
 pub fn execute_adhoc(
     expr: &Expr,
     strategy: Strategy,
@@ -260,28 +287,18 @@ pub fn execute_adhoc(
     doc: &Document,
     ctx: Context,
 ) -> EvalResult<Value> {
-    match strategy {
-        Strategy::Auto => {
-            let resolved = resolve_auto(&classify(expr));
-            execute_adhoc(expr, resolved, naive_budget, doc, ctx)
-        }
-        _ => {
-            let algebra = fragment_dialect(strategy)
-                .map(|d| corexpath::compile_dialect(expr, d))
-                .transpose()?;
-            run(
-                expr,
-                strategy,
-                algebra.as_ref(),
-                naive_budget,
-                0,
-                doc,
-                ctx,
-                None,
-                &EvalBudget::unlimited(),
-            )
-        }
-    }
+    let (strategy, program) = resolve(expr, strategy)?;
+    run(expr, strategy, program.as_ref(), naive_budget, 0, doc, ctx, None, &EvalBudget::unlimited())
+}
+
+/// Resolve a requested strategy: [`resolve_auto`] under Auto; otherwise
+/// the request itself, with the whole query compiled when it names a
+/// fragment engine (rejecting queries outside that fragment).
+fn resolve(expr: &Expr, requested: Strategy) -> EvalResult<(Strategy, Option<Program>)> {
+    Ok(match requested {
+        Strategy::Auto => resolve_auto(expr),
+        _ => (requested, fragment_dialect(requested).map(|d| Program::whole(expr, d)).transpose()?),
+    })
 }
 
 /// The algebra dialect a fragment strategy compiles to, `None` for the
@@ -294,8 +311,8 @@ fn fragment_dialect(strategy: Strategy) -> Option<CoreDialect> {
     }
 }
 
-/// Shared runtime dispatch. `strategy` is resolved (never `Auto`) and any
-/// fragment artifacts it needs are supplied by the caller. When `kernels`
+/// Shared runtime dispatch. `strategy` is resolved (never `Auto`) and the
+/// fragment program it needs is supplied by the caller. When `kernels`
 /// is given, the fragment engines' adaptive planner decisions are merged
 /// into it after the evaluation. `threads` caps the parallel CVT layer
 /// for the engines that have one (Core XPath / XPatterns axis passes, the
@@ -304,7 +321,7 @@ fn fragment_dialect(strategy: Strategy) -> Option<CoreDialect> {
 fn run(
     expr: &Expr,
     strategy: Strategy,
-    algebra: Option<&CoreQuery>,
+    program: Option<&Program>,
     naive_budget: Option<u64>,
     threads: u32,
     doc: &Document,
@@ -338,16 +355,16 @@ fn run(
             .with_eval_budget(budget.clone())
             .evaluate(expr, ctx),
         Strategy::CoreXPath | Strategy::XPatterns => {
-            let q = algebra.expect("fragment dispatch requires a compiled algebra program");
+            let program = program.expect("fragment dispatch requires a compiled program");
             let ev = CoreXPathEvaluator::with_backend(
                 doc,
                 crate::corexpath::AxisBackend::Parallel(threads),
             );
-            let out = ev.try_evaluate(q, &[ctx.node], budget)?;
+            let out = program.execute(&ev, doc, ctx, budget);
             if let Some(counters) = kernels {
                 counters.merge(ev.kernel_counts());
             }
-            Ok(Value::NodeSet(out))
+            out
         }
         Strategy::Auto => unreachable!("callers resolve Auto before run()"),
     }
@@ -378,6 +395,16 @@ mod tests {
     }
 
     #[test]
+    fn auto_lifts_fragment_paths_out_of_aggregates() {
+        let p = plan("count(//book[author])", Strategy::Auto).unwrap();
+        assert_eq!(p.strategy, Strategy::CoreXPath);
+        assert_eq!(p.program().unwrap().paths().len(), 1);
+        // A fold is not a whole-query path: no algebra for the cursor.
+        assert!(p.algebra().is_none());
+        assert!(!p.report().laziness.is_lazy());
+    }
+
+    #[test]
     fn fragment_artifacts_compile_eagerly() {
         let p = plan("//book[author]", Strategy::CoreXPath).unwrap();
         assert!(p.algebra().is_some());
@@ -405,7 +432,12 @@ mod tests {
     #[test]
     fn execute_matches_topdown() {
         let d = doc_bookstore();
-        for q in ["//book[author]", "count(//book)", "//book[position() = last()]"] {
+        for q in [
+            "//book[author]",
+            "count(//book)",
+            "//book[position() = last()]",
+            "sum(//book/@year) > 4000 and //magazine",
+        ] {
             let auto = plan(q, Strategy::Auto).unwrap();
             let reference = plan(q, Strategy::TopDown).unwrap();
             let ctx = Context::of(d.root());

@@ -189,7 +189,7 @@ impl<'d> PoolEvaluator<'d> {
                 for a in args {
                     vals.push(self.eval(a, ctx)?);
                 }
-                functions::apply(self.doc, name, vals, &ctx)
+                functions::apply(self.doc, name, &vals, &ctx)
             }
             Expr::Number(_) | Expr::Literal(_) | Expr::Var(_) => unreachable!("handled in eval"),
         }
@@ -329,7 +329,8 @@ thread_local! {
 /// How many result vectors a thread keeps (batches rarely nest).
 const MAX_POOLED_RESULTS: usize = 8;
 
-/// Take a recycled result vector, or a fresh (empty, capacity-0) one.
+/// Take the largest recycled result vector, or a fresh (empty,
+/// capacity-0) one.
 pub(crate) fn take_results() -> Vec<EvalResult<Value>> {
     RESULT_SHELF.try_with(|s| s.borrow_mut().pop()).ok().flatten().unwrap_or_default()
 }
@@ -343,9 +344,12 @@ pub(crate) fn give_results(mut v: Vec<EvalResult<Value>>) {
         return;
     }
     let _ = RESULT_SHELF.try_with(|s| {
+        // Sorted by capacity, largest taken first, as in `xpath_xml::pool`.
         let mut shelf = s.borrow_mut();
-        if shelf.len() < MAX_POOLED_RESULTS {
-            shelf.push(v);
+        let at = shelf.partition_point(|b| b.capacity() <= v.capacity());
+        shelf.insert(at, v);
+        if shelf.len() > MAX_POOLED_RESULTS {
+            shelf.remove(0);
         }
     });
 }

@@ -13,7 +13,7 @@
 //!
 //! // Compile once (no document needed)…
 //! let q = Compiler::new().compile("count(//b)").unwrap();
-//! assert_eq!(q.strategy(), Strategy::OptMinContext);
+//! assert_eq!(q.strategy(), Strategy::CoreXPath); // `//b` runs on the §10 algebra
 //!
 //! // …evaluate many times, against any documents, from any thread.
 //! let d1 = Document::parse_str("<a><b/><b/></a>").unwrap();
@@ -452,8 +452,12 @@ mod tests {
         let clone = q.clone();
         clone.evaluate_root(&d).unwrap();
         assert_eq!(q.planner_stats().total(), after_one * 2);
+        // Paths lifted out of an aggregate run on the planner too.
+        let lifted = CompiledQuery::compile("count(//book)").unwrap();
+        lifted.evaluate_root(&d).unwrap();
+        assert!(lifted.planner_stats().total() > 0);
         // Non-fragment strategies record nothing.
-        let scalar = CompiledQuery::compile("count(//book)").unwrap();
+        let scalar = CompiledQuery::compile("count(//book[1])").unwrap();
         scalar.evaluate_root(&d).unwrap();
         assert_eq!(scalar.planner_stats().total(), 0);
     }

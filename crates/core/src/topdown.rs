@@ -106,7 +106,7 @@ impl<'d> TopDownEvaluator<'d> {
                     .enumerate()
                     .map(|(i, c)| {
                         let argv: Vec<Value> = arg_vecs.iter().map(|col| col[i].clone()).collect();
-                        functions::apply(self.doc, name, argv, c)
+                        functions::apply(self.doc, name, &argv, c)
                     })
                     .collect()
             }

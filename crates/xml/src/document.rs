@@ -685,6 +685,15 @@ impl Refs<'_> {
         self.from.iter().zip(self.to.iter()).map(|(&x, &y)| (NodeId(x), NodeId(y)))
     }
 
+    /// The targets `y` of every pair `(x, y)` with `lo ≤ x < hi`, in pair
+    /// order — one contiguous range of the `from`-sorted relation, found
+    /// by two binary searches.
+    pub fn targets_in(&self, lo: u32, hi: u32) -> impl Iterator<Item = NodeId> + '_ {
+        let a = self.from.partition_point(|&x| x < lo);
+        let b = a + self.from[a..].partition_point(|&x| x < hi);
+        self.to[a..b].iter().map(|&y| NodeId(y))
+    }
+
     /// Membership test (binary search over the sorted pair arrays).
     pub fn contains(&self, pair: &(NodeId, NodeId)) -> bool {
         let lo = self.from.partition_point(|&x| x < pair.0 .0);

@@ -17,9 +17,19 @@
 //!   independently; the zero-allocation guarantee is therefore a
 //!   per-thread steady-state property.
 //! * **Bounded.** At most [`MAX_POOLED`] buffers per class are kept;
-//!   further returns fall through to the allocator. Capacity is never
-//!   trimmed — a shelf converges to the largest demands seen, which is
-//!   exactly what reset-and-reuse arenas want.
+//!   past that the smallest is dropped. Capacity is never trimmed — a
+//!   shelf converges to the largest demands seen, which is exactly what
+//!   reset-and-reuse arenas want.
+//! * **Order independence.** A shelf is kept sorted by capacity and a
+//!   take hands out the largest buffer, so what a take receives depends
+//!   on the *multiset* of shelved capacities, never on the order in which
+//!   buffers came back (a hash map's drop order, say). A repeated
+//!   workload that starts each round with its buffers shelved therefore
+//!   runs each round as a function of that multiset; a round that
+//!   allocates nothing grows no buffer and loses none, so it leaves the
+//!   multiset as it found it, and every later round allocates nothing
+//!   too. Rounds that do allocate only grow capacities toward the
+//!   workload's high-water marks, so that state is reached.
 //! * **Teardown-safe.** Returns during thread destruction (after the
 //!   shelf itself is gone) silently fall back to a plain drop via
 //!   [`std::thread::LocalKey::try_with`].
@@ -49,8 +59,7 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned to a shelf for reuse.
     pub recycled: u64,
-    /// Buffers dropped because the shelf was full (or had no capacity
-    /// worth keeping).
+    /// Buffers dropped because the shelf was full (the smallest goes).
     pub discarded: u64,
 }
 
@@ -80,7 +89,7 @@ thread_local! {
 
 macro_rules! pool_class {
     ($take:ident, $give:ident, $field:ident, $t:ty, $doc:expr) => {
-        #[doc = concat!("Take an empty, possibly pre-allocated ", $doc, " buffer.")]
+        #[doc = concat!("Take the largest shelved ", $doc, " buffer (emptied), or a fresh one.")]
         pub fn $take() -> $t {
             SHELVES
                 .try_with(|s| {
@@ -113,10 +122,14 @@ macro_rules! pool_class {
             v.clear();
             let _ = SHELVES.try_with(|s| {
                 let mut s = s.borrow_mut();
-                if s.$field.len() < MAX_POOLED {
-                    s.stats.recycled += 1;
-                    s.$field.push(v);
-                } else {
+                // Sorted by capacity, largest last (see "Order
+                // independence"); a full shelf drops its smallest buffer.
+                let at = s.$field.partition_point(|b| b.capacity() <= v.capacity());
+                s.$field.insert(at, v);
+                s.stats.recycled += 1;
+                if s.$field.len() > MAX_POOLED {
+                    // Shelved buffers are empty: this drop re-enters nothing.
+                    s.$field.remove(0);
                     s.stats.discarded += 1;
                 }
             });

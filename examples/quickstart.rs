@@ -95,7 +95,7 @@ fn main() {
         .query("//shelf/book/title")
         .query("//shelf/book[title]") // shares the //shelf/book prefix
         .query("//shelf/book/title") // duplicate: fully shared
-        .query("count(//shelf)") // non-fragment queries ride along
+        .query("count(//shelf)") // lifted onto the algebra: its path shares too
         .mode(gkp_xpath::BatchMode::LockStepShared)
         .build()
         .expect("all queries valid");

@@ -23,7 +23,8 @@
 //! use gkp_xpath::{Compiler, Document, Strategy};
 //!
 //! let query = Compiler::new().optimize(true).compile("count(//b)").unwrap();
-//! assert_eq!(query.strategy(), Strategy::OptMinContext); // resolved statically
+//! // Resolved statically: `//b` is lifted onto the linear-time algebra.
+//! assert_eq!(query.strategy(), Strategy::CoreXPath);
 //!
 //! let d1 = Document::parse_str("<a><b/><b/></a>").unwrap();
 //! let d2 = Document::parse_str("<a><b/><b/><b/></a>").unwrap();
@@ -59,7 +60,7 @@
 //! let set = QuerySetBuilder::new()
 //!     .query("//b/c")
 //!     .query("//b[c]")      // shares the //b prefix pass
-//!     .query("count(//b)")  // non-fragment queries ride along
+//!     .query("count(//b)")  // lifted onto the algebra: shares the //b pass too
 //!     .build()
 //!     .unwrap();
 //! let doc = Document::parse_str("<a><b><c/></b><b/></a>").unwrap();

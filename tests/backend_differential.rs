@@ -6,13 +6,16 @@
 //! interchangeability claim, enforced at the evaluator level for the
 //! cost-based planner and the parallel CVT layer (which additionally
 //! runs under a forced always-shard cost model so every pass really
-//! crosses the scoped thread pool).
+//! crosses the scoped thread pool). The sparse `id` axis is held to the
+//! Theorem 10.7 scan it replaced the same way.
 
+use gkp_xpath::axes::id::{id_set_ref, id_set_ref_scan};
 use gkp_xpath::axes::CostModel;
 use gkp_xpath::core::corexpath::{compile, AxisBackend, CoreXPathEvaluator};
 use gkp_xpath::syntax::parse_normalized;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
-use gkp_xpath::xml::NodeSet;
+use gkp_xpath::xml::rng::Rng;
+use gkp_xpath::xml::{DocumentBuilder, NodeId, NodeSet};
 use gkp_xpath::Document;
 
 /// The seven query shapes benchmarked in BENCH_axes.json (the last is
@@ -144,4 +147,58 @@ fn adaptive_kernel_decisions_cover_both_routes() {
     let counts = ev.kernel_counts();
     assert!(counts.bulk_dense > 0, "no dense kernel picks across the bench corpus: {counts:?}");
     assert!(counts.bulk_sparse > 0, "no sparse kernel picks across the bench corpus: {counts:?}");
+}
+
+/// A random tree whose elements carry ids `r0, r1, …` and whose leaf texts
+/// are IDREFS lists: a few tokens each, some dangling, some repeated.
+fn doc_random_idrefs(seed: u64, elements: usize) -> Document {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut b = DocumentBuilder::new();
+    let (mut open, mut made) = (0usize, 0usize);
+    b.open_element("r");
+    while made < elements {
+        if open > 0 && rng.random_bool(0.35) {
+            b.close_element();
+            open -= 1;
+            continue;
+        }
+        b.open_element(["a", "b", "c"][rng.random_range(0..3usize)]);
+        if rng.random_bool(0.6) {
+            b.attribute("id", &format!("r{made}"));
+        }
+        made += 1;
+        if rng.random_bool(0.5) {
+            let tokens: Vec<String> = (0..rng.random_range(1..4usize))
+                .map(|_| format!("r{}", rng.random_range(0..elements + 8)))
+                .collect();
+            b.text(&format!("{} ", tokens.join(" ")));
+        }
+        open += 1;
+    }
+    for _ in 0..=open {
+        b.close_element();
+    }
+    b.finish()
+}
+
+/// The sparse `id` axis (range lookups on the `ref` relation's sorted
+/// source column) against the Theorem 10.7 two-scan form it replaced, on
+/// random IDREFS documents and inputs of every density, nested subtrees
+/// and non-element nodes included.
+#[test]
+fn sparse_id_axis_matches_the_theorem_10_7_scan() {
+    for seed in 0..16u64 {
+        let doc = doc_random_idrefs(seed, 40 + 20 * seed as usize);
+        assert!(!doc.refs().is_empty(), "seed {seed}: generator made no references");
+        let mut rng = Rng::seed_from_u64(seed ^ 0x1d);
+        for density in [0.0, 0.02, 0.1, 0.5, 1.0] {
+            let set: Vec<NodeId> = doc.all_nodes().filter(|_| rng.random_bool(density)).collect();
+            assert_eq!(
+                id_set_ref(&doc, &set),
+                id_set_ref_scan(&doc, &set),
+                "seed {seed}, density {density}"
+            );
+        }
+        assert_eq!(id_set_ref(&doc, &[doc.root()]), id_set_ref_scan(&doc, &[doc.root()]));
+    }
 }

@@ -182,3 +182,31 @@ fn non_root_contexts_agree_too() {
         }
     }
 }
+
+#[test]
+fn count_wrapped_shared_prefix_batches_share_lock_step() {
+    // Aggregates over shared-prefix paths: every path lifts onto the
+    // algebra, so the whole batch runs lock-step and shares passes.
+    let doc = doc_balanced(4, 5, &["a", "b", "c", "d"]);
+    let batch = [
+        "count(//a//b)",
+        "count(//a//b//c)",
+        "count(//a//b//c//d)",
+        "boolean(//a//b[following::c])",
+        "count(//a//b) + count(//a//b//c) > 10",
+        "count(//a//b//c | //d)",
+    ];
+    assert_batches_match(&doc, &batch, "count-wrapped shared prefix");
+    let set = QuerySetBuilder::new()
+        .queries(batch)
+        .mode(BatchMode::LockStepShared)
+        .threads(1)
+        .build()
+        .unwrap();
+    let sharing = set.sharing();
+    assert_eq!(sharing.fragment_queries, batch.len(), "{sharing:?}");
+    assert!(sharing.shared_units > 0, "{sharing:?}");
+    let out = set.evaluate_all(&doc);
+    assert_eq!(out.stats().fragment_queries, batch.len());
+    assert!(out.stats().memo_hits > 0, "{:?}", out.stats());
+}

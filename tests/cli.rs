@@ -79,13 +79,38 @@ fn explain_mode_reports_streamability() {
     // materializes and says why.
     let (stdout, _, _) = xpq(&["--explain", "//book/parent::*"], "");
     assert!(stdout.contains("lazy:      materialize — parent::"), "{stdout}");
-    let (stdout, _, _) = xpq(&["--explain", "count(//book)"], "");
+    let (stdout, _, _) = xpq(&["--explain", "count(//book[1])"], "");
     assert!(stdout.contains("lazy:      materialize — runs on OptMinContext"), "{stdout}");
+    // Paths lifted out of an aggregate feed a fold, which needs them whole.
+    let (stdout, _, _) = xpq(&["--explain", "count(//book)"], "");
+    assert!(stdout.contains("lazy:      materialize — paths lifted onto the algebra"), "{stdout}");
     // An explicit general strategy materializes even a forward spine.
     let (stdout, _, _) = xpq(&["--explain", "-s", "topdown", "//book[title]"], "");
     assert!(stdout.contains("lazy:      materialize — runs on TopDown"), "{stdout}");
     // The lazy: line is the only laziness verdict explain prints.
     assert!(!stdout.contains("streaming:") && !stdout.contains("rewrite:"), "{stdout}");
+}
+
+#[test]
+fn explain_lists_lifted_paths_and_the_outer_fold() {
+    let (stdout, _, code) =
+        xpq(&["--explain", "count(//book[author]) > count(//book[@id = 'b1'])"], "");
+    assert_eq!(code, 0);
+    assert!(stdout.contains("strategy:  XPatterns"), "{stdout}");
+    assert!(
+        stdout
+            .contains("lifted:    2 path(s) on the §10 algebra; outer fold: count(#0) > count(#1)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("#0 Core XPath"), "{stdout}");
+    assert!(stdout.contains("#1 XPatterns"), "{stdout}");
+    // The general evaluators' Wadler restrictions no longer explain it.
+    assert!(!stdout.contains("OptMinContext") && !stdout.contains("is not allowed"), "{stdout}");
+    assert!(stdout.contains("lazy:      materialize — paths lifted"), "{stdout}");
+    // A remainder that does not lift keeps Figure 1's account.
+    let (stdout, _, _) = xpq(&["--explain", "count(//book[count(author) > 1])"], "");
+    assert!(stdout.contains("OptMinContext") && stdout.contains("is not allowed"), "{stdout}");
+    assert!(!stdout.contains("lifted:"), "{stdout}");
 }
 
 #[test]
