@@ -20,9 +20,9 @@
 //!    [`QueryCursor`](crate::cursor::QueryCursor) pipeline, `xpq --lint`
 //!    and `xpq --explain` all read [`QueryReport::laziness`], so they
 //!    cannot disagree. A query is [`Laziness::Lazy`] iff it runs on the
-//!    Core XPath / XPatterns algebra, does not const-fold, has no
-//!    trailing `=s` restriction on its compiled spine, and every spine
-//!    axis is preorder-monotone ([`xpath_axes::is_streamable`]).
+//!    Core XPath / XPatterns algebra as one whole-query path, does not
+//!    const-fold, and every spine axis is preorder-monotone
+//!    ([`xpath_axes::is_streamable`]).
 //!
 //! # Emptiness rules
 //!
@@ -319,9 +319,7 @@ pub fn analyze(e: &Expr, strategy: Strategy, algebra: Option<&CoreQuery>) -> Que
 ///   lifted out of an aggregate has no `algebra` — its fold needs every
 ///   node),
 /// * it does not const-fold (`const_result` is `None`: the plan answers
-///   without evaluating anything),
-/// * its compiled spine has no trailing `=s` restriction (which needs the
-///   finished set), and
+///   without evaluating anything), and
 /// * every spine axis is preorder-monotone ([`xpath_axes::is_streamable`]),
 ///   so the pipeline emits nodes in document order block by block.
 ///
@@ -346,9 +344,6 @@ pub fn laziness(
             _ => format!("runs on {strategy:?}, not the Core XPath algebra"),
         });
     };
-    if q.path.eq.is_some() {
-        return Laziness::Materialize("trailing =s restriction needs the finished set".into());
-    }
     match q.path.steps.iter().find(|s| !xpath_axes::is_streamable(s.axis)) {
         Some(s) => Laziness::Materialize(format!(
             "{}:: in the spine is not preorder-monotone",

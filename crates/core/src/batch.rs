@@ -18,9 +18,9 @@
 //!   `(axis, node-test, input-set memo key)` ([`NodeSet::memo_key`]):
 //!   identical applications across the batch run **once**. Equal inputs
 //!   (in the same representation) key equally, so sharing cascades down
-//!   shared spine prefixes step by step, and the document-global `T(t)`,
-//!   predicate (`E1`) and `=s` scans dedupe across every position in
-//!   the batch.
+//!   shared spine prefixes step by step, and the document-global `T(t)`
+//!   and predicate (`E1`) sets (value tests included) dedupe across every
+//!   position in the batch.
 //! * **per-query sharded** ([`BatchMode::PerQuerySharded`]) — nothing to
 //!   share, but a multi-thread budget: the batch fans out one chunk of
 //!   queries per scoped worker ([`crate::parallel::run_sharded`]), each
@@ -85,7 +85,7 @@ use xpath_xml::rng::splitmix64;
 use xpath_xml::Document;
 
 use crate::context::{Context, EvalBudget, EvalResult};
-use crate::corexpath::{AxisBackend, CorePred, CoreQuery, CoreXPathEvaluator, EqTest};
+use crate::corexpath::{AxisBackend, CorePred, CoreQuery, CoreXPathEvaluator};
 use crate::lift::Program;
 use crate::nodeset::NodeSet;
 use crate::query::{CompiledQuery, Compiler};
@@ -112,7 +112,6 @@ const OP_STEP: u64 = 0x5354_4550; // forward step: axis + node test
 const OP_TSET: u64 = 0x5453_4554; // document-global T(t)
 const OP_INV: u64 = 0x2049_4e56; // inverse axis pass χ⁻¹
 const OP_PRED: u64 = 0x5052_4544; // document-global E1[[pred]]
-const OP_EQ: u64 = 0x2045_5120; // document-global =s scan
 
 /// The per-evaluation axis-result memo behind
 /// [`BatchMode::LockStepShared`]: maps
@@ -237,16 +236,6 @@ impl AxisMemo {
         compute: impl FnOnce() -> NodeSet,
     ) -> NodeSet {
         let key = mix(OP_PRED, self.structural_hash(pred));
-        self.get_or(key, counters, compute)
-    }
-
-    pub(crate) fn eq(
-        &self,
-        eq: &EqTest,
-        counters: &KernelCounters,
-        compute: impl FnOnce() -> NodeSet,
-    ) -> NodeSet {
-        let key = mix(OP_EQ, self.structural_hash(eq));
         self.get_or(key, counters, compute)
     }
 }
@@ -674,8 +663,7 @@ impl QuerySet {
                 return Err(e.clone());
             }
             program.fold().eval(doc, &ctx, &mut |j| {
-                let n = slots[j].take().expect("a fold reads each lifted path once");
-                Ok(ev.finish_path(&program.paths()[j].query.path, n))
+                Ok(slots[j].take().expect("a fold reads each lifted path once"))
             })
         }));
         self.kernels.merge(ev.kernel_counts());

@@ -15,7 +15,7 @@ fn is_eq_op(op: BinaryOp) -> bool {
     matches!(op, BinaryOp::Eq | BinaryOp::Ne)
 }
 
-fn num_cmp(op: BinaryOp, a: f64, b: f64) -> bool {
+pub(crate) fn num_cmp(op: BinaryOp, a: f64, b: f64) -> bool {
     match op {
         BinaryOp::Eq => a == b,
         BinaryOp::Ne => a != b,
@@ -27,7 +27,7 @@ fn num_cmp(op: BinaryOp, a: f64, b: f64) -> bool {
     }
 }
 
-fn str_cmp(op: BinaryOp, a: &str, b: &str) -> bool {
+pub(crate) fn str_cmp(op: BinaryOp, a: &str, b: &str) -> bool {
     match op {
         BinaryOp::Eq => a == b,
         BinaryOp::Ne => a != b,
@@ -45,7 +45,7 @@ fn bool_cmp(op: BinaryOp, a: bool, b: bool) -> bool {
 }
 
 /// Mirror a comparison operator: `a op b ⇔ b mirror(op) a`.
-fn mirror(op: BinaryOp) -> BinaryOp {
+pub(crate) fn mirror(op: BinaryOp) -> BinaryOp {
     match op {
         BinaryOp::Lt => BinaryOp::Gt,
         BinaryOp::Le => BinaryOp::Ge,

@@ -12,15 +12,36 @@
 //! * the `id` axis (`π1/id(π2)/π3 ≡ π1/π2/id/π3`, Lemma 10.6), evaluated in
 //!   linear time via the `ref` relation (Theorem 10.7);
 //! * `id(c)` path heads;
-//! * the `=s` string-comparison feature of Table VI, realized as a
-//!   precomputed unary predicate `{x | strval(x) = s}`.
+//! * the `=s` string-comparison feature of Table VI, generalized to the
+//!   **value tests** `π op c` and `c op π` (`op ∈ = != < <= > >=`, `c` a
+//!   string, a number or a negated number; XPath 1.0 comparison rules).
+//!
+//! The paper realizes `=s` as the precomputed unary predicate
+//! `{x | strval(x) = s}`; any fixed test on one node's string value, such
+//! as `{x | number(strval(x)) > c}`, is a unary predicate of the same
+//! kind, so a value test keeps the `O(|D|·|Q|)` bound of Theorems
+//! 10.7/10.8. Instead of filling the predicate for the whole document,
+//! the evaluator applies it as a filter to the candidates that reach it:
+//! the last step's `T(t) ∩ E1[[…]]` in `S←` before the inverse pass, and
+//! the nodes a predicate path reaches in the per-candidate witness walk.
+//! Each candidate is tested once. An attribute, text or other leaf
+//! candidate reads its stored text, so a pass over such candidates costs
+//! one `O(|D|)` sweep. An element candidate's string value concatenates
+//! its subtree's text; [`Document::string_value`] builds it once and
+//! caches it, so all value tests together never pay more than building
+//! every element's string value once, which is exactly what precomputing
+//! the predicate for the whole document costs. Only predicate paths
+//! carry a test ([`CorePred::Path`]); a query's spine never does.
 //!
 //! [`compile`] accepts the pure Core XPath fragment;
-//! [`compile_xpatterns`] additionally accepts the XPatterns features.
+//! [`compile_xpatterns`] additionally accepts the XPatterns features and
+//! value tests. [`is_xpatterns`] keeps Figure 1's label: only the `=`
+//! tests of Table VI count towards it.
 
 use xpath_syntax::{Axis, BinaryOp, Expr, LocationPath, NodeTest, PathStart};
 use xpath_xml::{Document, NodeId};
 
+use crate::compare::{mirror, num_cmp, str_cmp};
 use crate::context::{EvalBudget, EvalError, EvalResult};
 use crate::node_test;
 use crate::nodeset::NodeSet;
@@ -52,8 +73,6 @@ pub struct CorePath {
     pub start: CoreStart,
     /// Steps in order.
     pub steps: Vec<CoreStep>,
-    /// Optional `=s` restriction on the path's result nodes (XPatterns).
-    pub eq: Option<EqTest>,
 }
 
 /// One compiled step.
@@ -76,18 +95,43 @@ pub enum CorePred {
     Or(Box<CorePred>, Box<CorePred>),
     /// `not(pred)`
     Not(Box<CorePred>),
-    /// A location path with ∃-semantics (optionally `= s`-restricted).
-    Path(CorePath),
+    /// A location path with ∃-semantics, optionally restricted by a value
+    /// test on the nodes it reaches (XPatterns). Only predicate paths
+    /// carry a test, so a query's spine never has one.
+    Path(CorePath, Option<ValueTest>),
 }
 
-/// The `=s` comparison of Table VI: string or numeric matching against the
-/// node's string value.
+/// A value test `π op c`: Table VI's `=s` generalized to every comparison
+/// operator. The predicate holds at a node of `π` iff its string value
+/// compares true against the constant under XPath 1.0 rules (existential
+/// over the nodes of `π`, like every node-set comparison).
 #[derive(Clone, Debug, PartialEq)]
-pub enum EqTest {
-    /// `π = 'literal'` — string-value equality.
+pub struct ValueTest {
+    /// One of `= != < <= > >=`, oriented as `strval(x) op constant`.
+    pub op: BinaryOp,
+    /// The constant side.
+    pub constant: Constant,
+}
+
+/// The constant side of a [`ValueTest`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Constant {
+    /// A string literal: `=`/`!=` compare strings, the other operators
+    /// compare `number(strval)` with `number(literal)`.
     Str(String),
-    /// `π = number` — numeric equality of `to_number(strval)`.
+    /// A number: every operator compares `number(strval)` with it.
     Num(f64),
+}
+
+impl ValueTest {
+    /// Does a node with string value `strval` pass the test? NaN fails
+    /// `= < <= > >=` and passes `!=`.
+    pub fn holds(&self, strval: &str) -> bool {
+        match &self.constant {
+            Constant::Str(s) => str_cmp(self.op, strval, s),
+            Constant::Num(v) => num_cmp(self.op, str_to_number(strval), *v),
+        }
+    }
 }
 
 /// Which language the compiler accepts.
@@ -95,7 +139,8 @@ pub enum EqTest {
 pub enum CoreDialect {
     /// Pure Core XPath (Definition 10.2).
     CoreXPath,
-    /// XPatterns: Core XPath + id axis + `=s` predicates (§10.2).
+    /// XPatterns: Core XPath + id axis + value tests (§10.2; `=s`
+    /// generalized to every comparison operator).
     XPatterns,
 }
 
@@ -143,9 +188,6 @@ fn compile_path(p: &LocationPath, dialect: CoreDialect) -> EvalResult<CorePath> 
                         // id(π2)/π3 ≡ π2/id/π3 (Lemma 10.6).
                         Expr::Path(p2) => {
                             let inner = compile_path(p2, dialect)?;
-                            if inner.eq.is_some() {
-                                return Err(unsupported("=s inside id() argument"));
-                            }
                             let mut steps = inner.steps;
                             steps.push(CoreStep {
                                 axis: Axis::Id,
@@ -173,7 +215,7 @@ fn compile_path(p: &LocationPath, dialect: CoreDialect) -> EvalResult<CorePath> 
             s.predicates.iter().map(|e| compile_pred(e, dialect)).collect::<Result<Vec<_>, _>>()?;
         steps.push(CoreStep { axis: s.axis, test: s.test.clone(), preds });
     }
-    Ok(CorePath { start, steps, eq: None })
+    Ok(CorePath { start, steps })
 }
 
 fn compile_pred(e: &Expr, dialect: CoreDialect) -> EvalResult<CorePred> {
@@ -193,25 +235,27 @@ fn compile_pred(e: &Expr, dialect: CoreDialect) -> EvalResult<CorePred> {
         Expr::Call { name, args } if name == "boolean" && args.len() == 1 => {
             compile_pred(&args[0], dialect)
         }
-        Expr::Path(p) => Ok(CorePred::Path(compile_path(p, dialect)?)),
-        // XPatterns `=s`: π = 'literal' / π = number (either side).
-        Expr::Binary { op: BinaryOp::Eq, left, right } if dialect == CoreDialect::XPatterns => {
-            let (path, scalar) = match (&**left, &**right) {
-                (Expr::Path(p), s) => (p, s),
-                (s, Expr::Path(p)) => (p, s),
-                _ => return Err(unsupported("comparison is not π = scalar")),
+        Expr::Path(p) => Ok(CorePred::Path(compile_path(p, dialect)?, None)),
+        // XPatterns value tests: π op c, or c op π with the operator
+        // mirrored.
+        Expr::Binary { op, left, right }
+            if op.is_relational() && dialect == CoreDialect::XPatterns =>
+        {
+            let (path, scalar, op) = match (&**left, &**right) {
+                (Expr::Path(p), s) => (p, s, *op),
+                (s, Expr::Path(p)) => (p, s, mirror(*op)),
+                _ => return Err(unsupported("comparison is not π op constant")),
             };
-            let eq = match scalar {
-                Expr::Literal(s) => EqTest::Str(s.clone()),
-                Expr::Number(v) => EqTest::Num(*v),
-                _ => return Err(unsupported("=s requires a literal or number")),
+            let constant = match scalar {
+                Expr::Literal(s) => Constant::Str(s.clone()),
+                Expr::Number(v) => Constant::Num(*v),
+                Expr::Neg(inner) => match &**inner {
+                    Expr::Number(v) => Constant::Num(-v),
+                    _ => return Err(unsupported("value test requires a literal or number")),
+                },
+                _ => return Err(unsupported("value test requires a literal or number")),
             };
-            let mut cp = compile_path(path, dialect)?;
-            if cp.eq.is_some() {
-                return Err(unsupported("nested =s"));
-            }
-            cp.eq = Some(eq);
-            Ok(CorePred::Path(cp))
+            Ok(CorePred::Path(compile_path(path, dialect)?, Some(ValueTest { op, constant })))
         }
         _ => Err(unsupported("predicate outside Core XPath / XPatterns")),
     }
@@ -269,8 +313,8 @@ pub struct CoreXPathEvaluator<'d> {
     index: Option<xpath_xml::index::NameIndex>,
     /// Optional shared axis-result memo for batched evaluation
     /// ([`crate::batch`]): when present, step expansions, `T(t)` scans,
-    /// inverse passes, predicate sets and `=s` scans are served from the
-    /// memo on repeat applications. Never changes results — only whether a
+    /// inverse passes and predicate sets are served from the memo on
+    /// repeat applications. Never changes results — only whether a
     /// pass re-runs.
     memo: Option<std::sync::Arc<crate::batch::AxisMemo>>,
 }
@@ -310,7 +354,7 @@ impl<'d> CoreXPathEvaluator<'d> {
 
     /// Attach a shared axis-result memo ([`crate::batch::AxisMemo`]):
     /// repeat `(axis, node-test, input-fingerprint)` applications — and
-    /// the document-global `T(t)`, predicate and `=s` sets — are then
+    /// the document-global `T(t)` and predicate sets — are then
     /// served from the memo instead of re-running their passes. This is
     /// how [`crate::batch::QuerySet`] amortizes one document traversal
     /// over a whole batch of queries; results are unchanged.
@@ -378,7 +422,7 @@ impl<'d> CoreXPathEvaluator<'d> {
             n = self.try_advance_step(step, &n, budget)?;
         }
         budget.check()?;
-        Ok(self.finish_path(p, n))
+        Ok(n)
     }
 
     /// Compile and evaluate a query string.
@@ -476,7 +520,7 @@ impl<'d> CoreXPathEvaluator<'d> {
         for step in &p.steps {
             n = self.advance_step(step, &n);
         }
-        self.finish_path(p, n)
+        n
     }
 
     /// Advance one spine step: `χ(N) ∩ T(t) ∩ E1[[e1]] ∩ …` — the
@@ -525,44 +569,33 @@ impl<'d> CoreXPathEvaluator<'d> {
                 CorePred::Not(inner) => {
                     Ok(self.try_pred_set(inner, budget)?.complement(self.doc.len() as u32))
                 }
-                CorePred::Path(p) => self.try_s_backward(p, budget),
+                CorePred::Path(p, test) => self.try_s_backward(p, test.as_ref(), budget),
             },
         }
     }
 
     /// Budgeted [`CoreXPathEvaluator::s_backward`]: polls before each
     /// step's `T(t)`/inverse pass.
-    fn try_s_backward(&self, p: &CorePath, budget: &EvalBudget) -> EvalResult<NodeSet> {
-        let mut acc: Option<NodeSet> = p.eq.as_ref().map(|eq| self.eq_set(eq));
+    fn try_s_backward(
+        &self,
+        p: &CorePath,
+        test: Option<&ValueTest>,
+        budget: &EvalBudget,
+    ) -> EvalResult<NodeSet> {
+        let mut acc: Option<NodeSet> = None;
         for step in p.steps.iter().rev() {
             budget.check()?;
             let mut base = self.t_set(step.axis, &step.test);
             for pred in &step.preds {
                 base = base.intersect(&self.try_pred_set(pred, budget)?);
             }
-            if let Some(a) = acc {
-                base = base.intersect(&a);
-            }
+            base = match acc {
+                Some(a) => base.intersect(&a),
+                None => self.value_filter(test, base),
+            };
             acc = Some(self.inverse_expand(step.axis, &base));
         }
-        let acc = acc.unwrap_or_else(|| self.all.clone());
-        Ok(match &p.start {
-            CoreStart::Context => acc,
-            CoreStart::Root => {
-                if acc.contains(self.doc.root()) {
-                    self.all.clone()
-                } else {
-                    NodeSet::new()
-                }
-            }
-            CoreStart::Ids(s) => {
-                if acc.intersect(&NodeSet::from_sorted(self.doc.deref_ids(s))).is_empty() {
-                    NodeSet::new()
-                } else {
-                    self.all.clone()
-                }
-            }
-        })
+        Ok(self.backward_start(p, test, acc))
     }
 
     /// Witness-only predicate check for one candidate node: does `pred`
@@ -592,12 +625,18 @@ impl<'d> CoreXPathEvaluator<'d> {
                 Ok(self.pred_holds(l, x, budget)? || self.pred_holds(r, x, budget)?)
             }
             CorePred::Not(inner) => Ok(!self.pred_holds(inner, x, budget)?),
-            CorePred::Path(p) => self.path_holds_from(p, x, budget),
+            CorePred::Path(p, test) => self.path_holds_from(p, test.as_ref(), x, budget),
         }
     }
 
     /// `S→[[π]]({x}) ≠ ∅` with empty-frontier early exit.
-    fn path_holds_from(&self, p: &CorePath, x: NodeId, budget: &EvalBudget) -> EvalResult<bool> {
+    fn path_holds_from(
+        &self,
+        p: &CorePath,
+        test: Option<&ValueTest>,
+        x: NodeId,
+        budget: &EvalBudget,
+    ) -> EvalResult<bool> {
         let ctx = [x];
         let mut n = self.start_set(&p.start, &ctx);
         for step in &p.steps {
@@ -607,16 +646,20 @@ impl<'d> CoreXPathEvaluator<'d> {
             budget.check()?;
             n = self.try_advance_step(step, &n, budget)?;
         }
-        Ok(!self.finish_path(p, n).is_empty())
+        Ok(!self.value_filter(test, n).is_empty())
     }
 
-    /// Apply a path's trailing `=s` restriction (XPatterns), completing
-    /// `S→` after the last step.
-    pub(crate) fn finish_path(&self, p: &CorePath, n: NodeSet) -> NodeSet {
-        match &p.eq {
-            Some(eq) => n.intersect(&self.eq_set(eq)),
-            None => n,
+    /// Keep the candidates that pass a predicate path's value test (all
+    /// of them when it has none): in `S→` the nodes the path reaches, in
+    /// `S←` the last step's base before its inverse pass. The test reads
+    /// each candidate's string value once: an attribute's or a text
+    /// node's straight from the document, an element's through the
+    /// document's per-node cache, so no element string is built twice.
+    fn value_filter(&self, test: Option<&ValueTest>, mut candidates: NodeSet) -> NodeSet {
+        if let Some(test) = test {
+            candidates.retain(|n| test.holds(self.doc.string_value(n)));
         }
+        candidates
     }
 
     /// `χ(N) ∩ T(t)` — the axis application plus node test of one step,
@@ -652,45 +695,51 @@ impl<'d> CoreXPathEvaluator<'d> {
             CorePred::And(l, r) => self.pred_set(l).intersect(&self.pred_set(r)),
             CorePred::Or(l, r) => self.pred_set(l).union(&self.pred_set(r)),
             CorePred::Not(inner) => self.pred_set(inner).complement(self.doc.len() as u32),
-            CorePred::Path(p) => self.s_backward(p),
+            CorePred::Path(p, test) => self.s_backward(p, test.as_ref()),
         }
     }
 
     /// `S←` (Definition 10.2): the set of context nodes from which the path
     /// matches at least one node.
-    fn s_backward(&self, p: &CorePath) -> NodeSet {
-        // Start from the `=s` restriction if present, else unrestricted.
-        let mut acc: Option<NodeSet> = p.eq.as_ref().map(|eq| self.eq_set(eq));
+    fn s_backward(&self, p: &CorePath, test: Option<&ValueTest>) -> NodeSet {
+        let mut acc: Option<NodeSet> = None;
         for step in p.steps.iter().rev() {
-            // base = T(t) ∩ E1[[e1]] ∩ … (∩ S←[[rest]]).
+            // base = T(t) ∩ E1[[e1]] ∩ … ∩ S←[[rest]]; the last step's
+            // base is filtered by the value test instead.
             let mut base = self.t_set(step.axis, &step.test);
             for pred in &step.preds {
                 base = base.intersect(&self.pred_set(pred));
             }
-            if let Some(a) = acc {
-                base = base.intersect(&a);
-            }
+            base = match acc {
+                Some(a) => base.intersect(&a),
+                None => self.value_filter(test, base),
+            };
             acc = Some(self.inverse_expand(step.axis, &base));
         }
-        let acc = acc.unwrap_or_else(|| self.all.clone());
-        match &p.start {
-            CoreStart::Context => acc,
-            // S←[[/π]] := dom/root(S←[[π]]).
-            CoreStart::Root => {
-                if acc.contains(self.doc.root()) {
-                    self.all.clone()
-                } else {
-                    NodeSet::new()
-                }
-            }
-            // id(c)/π matches from anywhere iff some id target survives.
-            CoreStart::Ids(s) => {
-                if acc.intersect(&NodeSet::from_sorted(self.doc.deref_ids(s))).is_empty() {
-                    NodeSet::new()
-                } else {
-                    self.all.clone()
-                }
-            }
+        self.backward_start(p, test, acc)
+    }
+
+    /// Close `S←[[p]]` at the path's start, given `acc` = `S←` of its
+    /// steps (`None` for a step-less path, whose value test then filters
+    /// the start nodes themselves).
+    fn backward_start(
+        &self,
+        p: &CorePath,
+        test: Option<&ValueTest>,
+        acc: Option<NodeSet>,
+    ) -> NodeSet {
+        let start = match (&p.start, acc) {
+            (CoreStart::Context, Some(acc)) => return acc,
+            (CoreStart::Context, None) => return self.value_filter(test, self.all.clone()),
+            (_, Some(acc)) => self.start_set(&p.start, &[]).intersect(&acc),
+            (_, None) => self.value_filter(test, self.start_set(&p.start, &[])),
+        };
+        // S←[[/π]] := dom/root(S←[[π]]); id(c)/π matches from anywhere
+        // iff some id target survives.
+        if start.is_empty() {
+            NodeSet::new()
+        } else {
+            self.all.clone()
         }
     }
 
@@ -699,7 +748,7 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// pattern-matching use case: "which nodes does this template pattern
     /// apply to?" in one `O(|D|·|Q|)` pass.
     pub fn matching_contexts(&self, q: &CoreQuery) -> NodeSet {
-        self.s_backward(&q.path)
+        self.s_backward(&q.path, None)
     }
 
     /// `χ⁻¹(X)` through the batch memo when attached, keyed on
@@ -710,26 +759,6 @@ impl<'d> CoreXPathEvaluator<'d> {
             None => self.axis_backward(axis, set),
         }
     }
-
-    /// The unary predicate `{x | strval(x) = s}` of Table VI (computed by
-    /// string search over the document, `O(|D|)`; memoized per batch — the
-    /// scan is document-global).
-    fn eq_set(&self, eq: &EqTest) -> NodeSet {
-        let compute = || match eq {
-            EqTest::Str(s) => {
-                self.doc.all_nodes().filter(|&n| self.doc.string_value(n) == s.as_str()).collect()
-            }
-            EqTest::Num(v) => self
-                .doc
-                .all_nodes()
-                .filter(|&n| str_to_number(self.doc.string_value(n)) == *v)
-                .collect(),
-        };
-        match &self.memo {
-            Some(m) => m.eq(eq, &self.kernels, compute),
-            None => compute(),
-        }
-    }
 }
 
 /// Is the expression in the Core XPath fragment?
@@ -737,9 +766,25 @@ pub fn is_core_xpath(e: &Expr) -> bool {
     compile(e).is_ok()
 }
 
-/// Is the expression in the XPatterns fragment?
+/// Is the expression in the XPatterns fragment of Figure 1? Its value
+/// tests are Table VI's `=s` only; the other comparison operators compile
+/// to the same algebra ([`compile_xpatterns`]) but keep the query's
+/// Figure 1 label.
 pub fn is_xpatterns(e: &Expr) -> bool {
-    compile_xpatterns(e).is_ok()
+    compile_xpatterns(e).is_ok_and(|q| only_eq_tests(&q.path))
+}
+
+fn only_eq_tests(p: &CorePath) -> bool {
+    fn pred_ok(pred: &CorePred) -> bool {
+        match pred {
+            CorePred::And(l, r) | CorePred::Or(l, r) => pred_ok(l) && pred_ok(r),
+            CorePred::Not(inner) => pred_ok(inner),
+            CorePred::Path(p, test) => {
+                test.as_ref().is_none_or(|t| t.op == BinaryOp::Eq) && only_eq_tests(p)
+            }
+        }
+    }
+    p.steps.iter().all(|s| s.preds.iter().all(pred_ok))
 }
 
 #[cfg(test)]
@@ -820,6 +865,55 @@ mod tests {
         ] {
             assert_eq!(core_eval(&d, q), naive_eval(&d, q), "{q}");
         }
+    }
+
+    #[test]
+    fn value_tests_agree_with_naive() {
+        let d = doc_figure8();
+        for q in [
+            "//*[child::d > 50]",
+            "//*[50 < child::d]",
+            "//*[child::* != '100']",
+            "//*[child::c <= 'x']",
+            "//*[self::d >= -1]",
+            "//b[not(child::d < 100)]/child::c",
+            "//*[/ != 'x']",
+        ] {
+            assert_eq!(core_eval(&d, q), naive_eval(&d, q), "{q}");
+        }
+    }
+
+    #[test]
+    fn value_tests_compile_to_xpatterns_but_keep_the_figure_1_label() {
+        let e = parse_normalized("//b[100 < d]").unwrap();
+        let q = compile_xpatterns(&e).unwrap();
+        let CorePred::Path(_, test) = &q.path.steps[1].preds[0] else { panic!("{q:?}") };
+        assert_eq!(
+            *test,
+            Some(ValueTest { op: BinaryOp::Gt, constant: Constant::Num(100.0) }),
+            "c op π mirrors the operator"
+        );
+        assert!(!is_xpatterns(&e));
+        assert!(is_xpatterns(&parse_normalized("//b[100 = d]").unwrap()));
+        assert!(compile_xpatterns(&parse_normalized("//b[d > -(1)]").unwrap()).is_ok());
+        for q in ["//b[d > c]", "//b[d > 1 + 1]", "//b[d > true()]", "//b[d > --1]"] {
+            assert!(compile_xpatterns(&parse_normalized(q).unwrap()).is_err(), "{q}");
+        }
+    }
+
+    #[test]
+    fn value_test_semantics() {
+        let t = |op, constant| ValueTest { op, constant };
+        let num = Constant::Num;
+        let s = |v: &str| Constant::Str(v.to_string());
+        assert!(t(BinaryOp::Gt, num(5.0)).holds(" 7 "));
+        assert!(!t(BinaryOp::Gt, num(5.0)).holds("abc"));
+        assert!(t(BinaryOp::Ne, num(5.0)).holds("abc"), "NaN passes !=");
+        assert!(!t(BinaryOp::Eq, num(f64::NAN)).holds("NaN"));
+        assert!(!t(BinaryOp::Lt, s("abc")).holds("1"), "relational string compares numbers");
+        assert!(t(BinaryOp::Le, s("2")).holds("2.0"));
+        assert!(!t(BinaryOp::Eq, s("2")).holds("2.0"), "= against a string compares strings");
+        assert!(t(BinaryOp::Ne, s("x")).holds(""));
     }
 
     #[test]

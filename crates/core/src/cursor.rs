@@ -30,13 +30,13 @@
 //!
 //! Which queries take the pipeline is decided once, at compile time, by
 //! the analyzer's lazy verdict ([`crate::analyze::laziness`]). Queries
-//! it rules out (reverse axes, `parent`, `id`, trailing `=s`
-//! restrictions, non-path queries, const-folded plans) fall back to a
-//! *materializing* cursor: the first pull runs the plan's ordinary
-//! evaluation under the cursor's [`EvalBudget`] and subsequent pulls
-//! serve slices of the finished set. [`CostModel::pick_lazy`] arbitrates
-//! between the two routes even for streamable spines — an unbounded
-//! drain of a small document is cheaper word-parallel.
+//! it rules out (reverse axes, `parent`, `id`, non-path queries,
+//! const-folded plans) fall back to a *materializing* cursor: the first
+//! pull runs the plan's ordinary evaluation under the cursor's
+//! [`EvalBudget`] and subsequent pulls serve slices of the finished set.
+//! [`CostModel::pick_lazy`] arbitrates between the two routes even for
+//! streamable spines — an unbounded drain of a small document is cheaper
+//! word-parallel.
 //!
 //! # Cursor invariants
 //!
@@ -239,7 +239,12 @@ struct LazyPipeline<'q, 'd> {
 /// (`self`/`child`/`parent`/`ancestor(-or-self)`/`attribute`/`namespace`
 /// — at most a fanout or a root path per step), no step carries nested
 /// predicates (those route through a document-global `E1` pass *inside*
-/// the walk), and there is no trailing `=s` restriction. Everything else
+/// the walk). A value test on the path is one string-value test per node
+/// the walk reaches, so it keeps the walk bounded: the walk for
+/// `[@qty > 5]` is one attribute hop plus one test. An element's string
+/// value is built once and cached by the document, so an ancestor that
+/// many candidates reach (`[parent::* != 'x']`) is not rescanned per
+/// candidate. Everything else
 /// — `descendant`, the sibling axes, `following`/`preceding`, `id` — can
 /// materialize an Ω(|D|) frontier **per candidate**, so a window of
 /// candidates would cost Ω(|D|·window) and a lazy `first()` would come
@@ -247,20 +252,19 @@ struct LazyPipeline<'q, 'd> {
 /// document-global predicate set once and probes it instead.
 fn witness_walk_is_bounded(p: &CorePath) -> bool {
     use xpath_syntax::Axis;
-    p.eq.is_none()
-        && p.steps.iter().all(|s| {
-            s.preds.is_empty()
-                && matches!(
-                    s.axis,
-                    Axis::SelfAxis
-                        | Axis::Child
-                        | Axis::Parent
-                        | Axis::Ancestor
-                        | Axis::AncestorOrSelf
-                        | Axis::Attribute
-                        | Axis::Namespace
-                )
-        })
+    p.steps.iter().all(|s| {
+        s.preds.is_empty()
+            && matches!(
+                s.axis,
+                Axis::SelfAxis
+                    | Axis::Child
+                    | Axis::Parent
+                    | Axis::Ancestor
+                    | Axis::AncestorOrSelf
+                    | Axis::Attribute
+                    | Axis::Namespace
+            )
+    })
 }
 
 impl std::fmt::Debug for LazyPipeline<'_, '_> {
@@ -459,7 +463,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
                 Ok(self.pred_holds_cached(l, x, budget)? || self.pred_holds_cached(r, x, budget)?)
             }
             CorePred::Not(inner) => Ok(!self.pred_holds_cached(inner, x, budget)?),
-            CorePred::Path(p) if !matches!(p.start, CoreStart::Context) => {
+            CorePred::Path(p, _) if !matches!(p.start, CoreStart::Context) => {
                 let key = pred as *const CorePred as usize;
                 if let Some(&v) = self.globals.get(&key) {
                     return Ok(v);
@@ -468,8 +472,10 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
                 self.globals.insert(key, v);
                 Ok(v)
             }
-            CorePred::Path(p) if witness_walk_is_bounded(p) => self.ev.pred_holds(pred, x, budget),
-            CorePred::Path(_) => {
+            CorePred::Path(p, _) if witness_walk_is_bounded(p) => {
+                self.ev.pred_holds(pred, x, budget)
+            }
+            CorePred::Path(..) => {
                 let key = pred as *const CorePred as usize;
                 if let Some(s) = self.pred_sets.get(&key) {
                     return Ok(s.contains(x));
@@ -518,6 +524,27 @@ mod tests {
         assert_eq!(first, want.first().copied());
         let second = c.next().unwrap();
         assert_eq!(second, want.get(1).copied());
+    }
+
+    #[test]
+    fn value_tested_predicates_walk_per_candidate() {
+        let pred_path = |q: &str| {
+            let c =
+                crate::corexpath::compile_xpatterns(&xpath_syntax::parse_normalized(q).unwrap())
+                    .unwrap();
+            match &c.path.steps.last().unwrap().preds[0] {
+                CorePred::Path(p, _) => p.clone(),
+                other => panic!("{q}: {other:?}"),
+            }
+        };
+        assert!(witness_walk_is_bounded(&pred_path("//book[@price > 30]")));
+        assert!(witness_walk_is_bounded(&pred_path("//book[author/last != 'Hull']")));
+        assert!(!witness_walk_is_bounded(&pred_path("//book[.//last < 3]")));
+        let d = doc_bookstore();
+        let q = CompiledQuery::compile("//book[@price > 30]/title").unwrap();
+        let want = q.select(&d).unwrap();
+        assert_eq!(want.len(), 3);
+        assert_eq!(lazy_cursor(&q, &d).collect_set().unwrap(), want);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
     let _ = match plan.strategy {
         Strategy::CoreXPath => writeln!(report, "strategy:  CoreXPath (S→/S←/E1 algebra)"),
         Strategy::XPatterns => {
-            writeln!(report, "strategy:  XPatterns (Core XPath + id axis + =s predicates)")
+            writeln!(report, "strategy:  XPatterns (Core XPath + id axis + value tests π op c)")
         }
         Strategy::OptMinContext => writeln!(
             report,
@@ -230,7 +230,7 @@ fn collect_pred_axes(
             collect_pred_axes(r, out);
         }
         CorePred::Not(inner) => collect_pred_axes(inner, out),
-        CorePred::Path(p) => collect_axes(p, out),
+        CorePred::Path(p, _) => collect_axes(p, out),
     }
 }
 

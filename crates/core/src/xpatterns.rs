@@ -12,11 +12,18 @@
 //! first-of-type() := ∪_{l∈Σ} (T(l) − nextsibling⁺(T(l)))
 //! last-of-type()  := ∪_{l∈Σ} (T(l) − (nextsibling⁻¹)⁺(T(l)))
 //! "@n", "@*", "text()", "comment()", "pi(n)", "pi()" — sets provided with
-//! the document; "=s" — string search (see `corexpath::EqTest`); "id(s)" —
-//! computable before evaluation.
+//! the document; "=s" — string search; "id(s)" — computable before
+//! evaluation.
 //! ```
 //!
-//! The compiled XPatterns evaluator lives in [`crate::corexpath`]; this
+//! The compiled XPatterns evaluator lives in [`crate::corexpath`]. There
+//! `=s` is one case of a value test `π op c` (see
+//! [`corexpath::ValueTest`](crate::corexpath::ValueTest)), with `op` any
+//! of `= != < <= > >=`. Each value test is a unary predicate on one node's
+//! string value, just like `=s`, so Theorem 10.8's argument treats it the
+//! same way. The evaluator does not populate it for the whole document:
+//! it applies the test only to the candidates that reach it, reading
+//! element string values through the document's per-node cache. This
 //! module exposes the predicate sets directly, as Theorem 10.8's proof
 //! uses them, plus a registry that populates all predicates needed by a
 //! query in one `O(|D|·|Q|)` pass.

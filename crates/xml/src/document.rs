@@ -425,28 +425,29 @@ impl Document {
 
     /// The string value of a node. For element and root nodes this is the
     /// concatenation of the string values of descendant text nodes in
-    /// document order; for the other kinds it is their character content.
-    /// Cached per node because `strval(root)` is O(|D|); the cache table
-    /// itself is allocated on first use.
+    /// document order, cached per node because `strval(root)` is O(|D|);
+    /// the cache table itself is allocated on first use. The other kinds
+    /// return their character content straight from the text arena and
+    /// leave the cache untouched.
     pub fn string_value(&self, n: NodeId) -> &str {
+        if !matches!(self.kind(n), NodeKind::Element | NodeKind::Root) {
+            return self.value(n).unwrap_or("");
+        }
         let table = self.strvals.get_or_init(|| {
             (0..self.len()).map(|_| OnceLock::new()).collect::<Vec<_>>().into_boxed_slice()
         });
-        table[n.index()].get_or_init(|| match self.kind(n) {
-            NodeKind::Element | NodeKind::Root => {
-                let mut out = String::new();
-                // Descendants of n are the id range (n, subtree_end(n)).
-                for i in (n.0 + 1)..self.subtree_end(n) {
-                    let d = NodeId(i);
-                    if self.kind(d) == NodeKind::Text {
-                        // Text nodes inside attribute values don't exist; all
-                        // text in the range belongs to the element content.
-                        out.push_str(self.value(d).unwrap_or(""));
-                    }
+        table[n.index()].get_or_init(|| {
+            let mut out = String::new();
+            // Descendants of n are the id range (n, subtree_end(n)).
+            for i in (n.0 + 1)..self.subtree_end(n) {
+                let d = NodeId(i);
+                if self.kind(d) == NodeKind::Text {
+                    // Text nodes inside attribute values don't exist; all
+                    // text in the range belongs to the element content.
+                    out.push_str(self.value(d).unwrap_or(""));
                 }
-                out.into_boxed_str()
             }
-            _ => self.value(n).unwrap_or("").into(),
+            out.into_boxed_str()
         })
     }
 
@@ -762,6 +763,19 @@ mod tests {
         assert_eq!(d.string_value(x24), "100");
         let x10 = d.element_by_id("10").unwrap();
         assert_eq!(d.string_value(x10), d.string_value(d.root()));
+    }
+
+    #[test]
+    fn non_element_string_values_skip_the_cache() {
+        let d = Document::parse_str(r#"<a x="1"><b>t</b><!--c--></a>"#).unwrap();
+        let x = d.all_nodes().find(|&n| d.kind(n) == NodeKind::Attribute).unwrap();
+        assert_eq!(d.string_value(x), "1");
+        let leaves =
+            d.all_nodes().filter(|&n| !matches!(d.kind(n), NodeKind::Element | NodeKind::Root));
+        assert!(leaves.into_iter().all(|n| d.string_value(n) == d.value(n).unwrap_or("")));
+        assert!(d.strvals.get().is_none(), "non-element reads leave the cache unallocated");
+        assert_eq!(d.string_value(d.root()), "t");
+        assert!(d.strvals.get().is_some());
     }
 
     #[test]

@@ -190,6 +190,7 @@ fn every_corpus_query_gets_a_clean_report() {
     let compiler = Compiler::new();
     for (name, content) in [
         ("queries/bench_axes.txt", include_str!("../queries/bench_axes.txt")),
+        ("queries/value_tests.txt", include_str!("../queries/value_tests.txt")),
         ("queries/w3c_examples.txt", include_str!("../queries/w3c_examples.txt")),
     ] {
         let queries = corpus_queries(content);

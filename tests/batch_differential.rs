@@ -210,3 +210,32 @@ fn count_wrapped_shared_prefix_batches_share_lock_step() {
     assert_eq!(out.stats().fragment_queries, batch.len());
     assert!(out.stats().memo_hits > 0, "{:?}", out.stats());
 }
+
+#[test]
+fn value_test_batches_share_lock_step() {
+    // Shared-prefix aggregates whose predicates carry value tests: every
+    // path lifts onto the XPatterns algebra, and the memo serves the
+    // repeated `//b` prefix and predicate sets across the batch.
+    let batch = [
+        "count(//b[d > 100])",
+        "count(//b[100 < d])",
+        "count(//b[d <= 50]/d) + count(//b[50 >= d])",
+        "boolean(//b[d != 7][c >= 20])",
+        "//b[not(d < 'abc')]",
+        "count(//b[d > 100]/c)",
+    ];
+    for seed in 0..4u64 {
+        let doc = doc_random(seed, &RandomDocConfig { elements: 80, ..RandomDocConfig::default() });
+        assert_batches_match(&doc, &batch, &format!("value tests, random seed {seed}"));
+    }
+    let set = QuerySetBuilder::new()
+        .queries(batch)
+        .mode(BatchMode::LockStepShared)
+        .threads(1)
+        .build()
+        .unwrap();
+    assert_eq!(set.sharing().fragment_queries, batch.len(), "{:?}", set.sharing());
+    let doc = doc_random(0, &RandomDocConfig { elements: 80, ..RandomDocConfig::default() });
+    let out = set.evaluate_all(&doc);
+    assert!(out.stats().memo_hits > 0, "{:?}", out.stats());
+}

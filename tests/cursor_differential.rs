@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gkp_xpath::core::Context;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
@@ -120,6 +120,90 @@ fn cursor_matches_evaluate_on_random_documents() {
         let doc = doc_random(seed, &cfg);
         assert_cursor_matches(&doc, &queries, &format!("random seed {seed}"));
     }
+}
+
+/// Value tests (`π op c`): the lazy pipeline checks `[@qty > 5]` by one
+/// attribute hop plus a string-value test per candidate; `exists`,
+/// `first`, prefixes and drains must match full evaluation, including on
+/// non-numeric and whitespace-padded values.
+#[test]
+fn cursor_matches_evaluate_on_value_tests() {
+    let mut xml = String::from("<catalog>");
+    for i in 0..300u32 {
+        let qty = if i % 17 == 0 { "n/a".to_string() } else { ((i * 37) % 1000).to_string() };
+        let (price, d) = ((i * 13) % 500, i % 7);
+        xml.push_str(&format!(
+            r#"<item qty="{qty}" price=" {price} "><title>t{i}</title><d>{d}</d></item>"#
+        ));
+    }
+    xml.push_str("</catalog>");
+    let doc = Document::parse_str(&xml).unwrap();
+    let queries = [
+        "//item[@qty > 5]",
+        "//item[990 < @qty]",
+        "//item[@qty > 999]",
+        "//item[@price <= 3]/title",
+        "//item[d = 6][@qty != 'n/a']",
+        "//item[not(@qty >= 0)]",
+        "//item[title = 't299']",
+        "//item[@qty > -1 and d < 1]/@qty",
+    ];
+    let compiler = Compiler::new();
+    for q in queries {
+        let c = compiler.compile(q).unwrap();
+        assert_eq!(c.strategy(), Strategy::XPatterns, "{q}");
+        assert!(c.lazy_eligible(), "{q}: a value-tested predicate keeps the spine lazy");
+    }
+    assert_cursor_matches(&doc, &queries, "value tests");
+}
+
+/// An attribute-only catalog: every item's only node below it is an
+/// attribute, so the catalog's string value is empty but reading it
+/// means scanning the whole catalog.
+fn attribute_only_catalog(items: usize) -> Document {
+    let mut xml = String::from("<catalog>");
+    for i in 0..items {
+        xml.push_str(&format!(r#"<item q="{}"/>"#, i % 9));
+    }
+    xml.push_str("</catalog>");
+    Document::parse_str(&xml).unwrap()
+}
+
+/// A value test on a `parent`/`ancestor` hop reads the same element's
+/// string value from every candidate. The lazy pipeline must agree with
+/// full evaluation there, and must not rebuild that string per
+/// candidate: 4× the items may cost about 4× the time, never the 16× of
+/// a per-candidate rescan of the catalog.
+#[test]
+fn value_tests_on_shared_ancestors_stay_linear() {
+    let queries =
+        ["//item[parent::* != 'x']", "//item[ancestor::* = '']", "//item[parent::catalog > 1]"];
+    assert_cursor_matches(&attribute_only_catalog(300), &queries, "attribute-only catalog");
+    let mut deep = String::new();
+    for i in 0..60 {
+        deep.push_str(&format!(r#"<a q="{i}">"#));
+    }
+    deep.push_str(&"</a>".repeat(60));
+    assert_cursor_matches(&Document::parse_str(&deep).unwrap(), &queries[..2], "deep");
+
+    let q = Compiler::new().compile(queries[0]).unwrap();
+    // Best of three cold drains, each on a fresh document so no run
+    // starts with the string value already cached.
+    let drain = |items: usize| {
+        let mut best = Duration::MAX;
+        for _ in 0..3 {
+            let doc = attribute_only_catalog(items);
+            let mut cur =
+                q.select_lazy_with(&doc, Context::of(doc.root()), EvalBudget::unlimited(), Some(1));
+            assert!(cur.is_lazy());
+            let t = Instant::now();
+            assert_eq!(cur.collect_set().unwrap().len(), items);
+            best = best.min(t.elapsed());
+        }
+        best.as_secs_f64()
+    };
+    let (small, large) = (drain(2_000), drain(8_000));
+    assert!(large < small * 10.0 + 0.005, "quadratic in the items: {small} -> {large}");
 }
 
 #[test]

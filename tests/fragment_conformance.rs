@@ -26,6 +26,11 @@ const CLASSIFIED: &[(&str, Fragment)] = &[
     ("//*[position() = 1 or position() = last()]", Fragment::ExtendedWadler),
     ("//b[position() > last() * 0.5]", Fragment::ExtendedWadler),
     ("//*[c = '100' and position() != 1]", Fragment::ExtendedWadler),
+    // Value tests other than `=`: Extended Wadler by Figure 1, though Auto
+    // runs them on the XPatterns algebra.
+    ("//b[d > 100]", Fragment::ExtendedWadler),
+    ("//b[100 < d]", Fragment::ExtendedWadler),
+    ("//b[c != 'x']", Fragment::ExtendedWadler),
     // Full XPath.
     ("//b[count(c) > 1]", Fragment::FullXPath),
     ("//b[c = d]", Fragment::FullXPath),
@@ -122,8 +127,14 @@ fn auto_dispatch_picks_the_advertised_strategy() {
     let doc = doc_figure8();
     let engine = Engine::new(&doc);
     // Full XPath only by its aggregate: the path inside lifts onto the
-    // linear-time algebra.
-    let lifted = [("sum(//d)", Strategy::CoreXPath)];
+    // linear-time algebra. Extended Wadler only by a value test other
+    // than `=`: the XPatterns algebra takes it.
+    let lifted = [
+        ("sum(//d)", Strategy::CoreXPath),
+        ("//b[d > 100]", Strategy::XPatterns),
+        ("//b[100 < d]", Strategy::XPatterns),
+        ("//b[c != 'x']", Strategy::XPatterns),
+    ];
     for (q, frag) in CLASSIFIED {
         let e = engine.prepare(q).unwrap();
         let strategy = engine.auto_strategy(&e);

@@ -5,8 +5,10 @@
 //! TopDown (§7) and OptMinContext (§11.2) evaluators — which never lift —
 //! on generated documents, from the root and from relative contexts, for
 //! every query of `queries/*.txt` and for aggregate, comparison,
-//! arithmetic, union and `id()` shapes. Queries with a path the algebra
-//! rejects must fall back to Figure 1's choice.
+//! arithmetic, union and `id()` shapes, and for value tests (`π op c`)
+//! over numeric, non-numeric, empty and whitespace-padded values.
+//! Queries with a path the algebra rejects must fall back to Figure 1's
+//! choice.
 
 use std::time::Duration;
 
@@ -57,6 +59,44 @@ const LIFTED: &[&str] = &[
     "count(child::*)",
     "count(descendant::*) - count(child::*)",
     "string(.)",
+    // Value tests π op c: each operator in both orientations.
+    "//item[@qty > 5]",
+    "//item[5 < @qty]",
+    "//*[d >= 100]",
+    "//*[100 <= d]",
+    "//*[d < 50]",
+    "//*[50 > d]",
+    "//*[d <= 13]",
+    "//*[13 >= d]",
+    "//*[d = 7]",
+    "//*[7 = d]",
+    "//*[d != 100]",
+    "//*[100 != d]",
+    // Negated constants.
+    "//item[@qty > -3]",
+    "//*[-2.5 = @qty]",
+    "//*[d <= -1]",
+    // A string constant under a relational operator compares numbers:
+    // never true for a non-numeric string, numeric for '40'.
+    "//*[d < 'abc']",
+    "//*['abc' >= d]",
+    "//*[d > '40']",
+    // != against a string and against a number.
+    "//*[c != 'x']",
+    "//item[@qty != 5]",
+    // Value tests under not(...) and or.
+    "//b[not(d > 50)]",
+    "//*[c or d >= 100]",
+    "//item[not(@price != ' 12 ') or title < 3]",
+    // Value tests under count, sum and boolean.
+    "count(//item[@qty > 5])",
+    "sum(//d[. < 500])",
+    "sum(//item[@price < 100]/@qty)",
+    "boolean(//item[review/rating = 5][not(stock)][@qty > 328])",
+    "boolean(//item[@price > 10][@sale])",
+    // Step-less paths: the test filters the start node.
+    "//d[/ = 'x']",
+    "count(//*[/ != 'x'])",
 ];
 
 /// Paths outside both dialects, a filter expression, or no path at all
@@ -80,6 +120,7 @@ fn corpus_queries() -> Vec<&'static str> {
     [
         include_str!("../queries/adversarial.txt"),
         include_str!("../queries/bench_axes.txt"),
+        include_str!("../queries/value_tests.txt"),
         include_str!("../queries/w3c_examples.txt"),
     ]
     .into_iter()
@@ -90,6 +131,7 @@ fn corpus_queries() -> Vec<&'static str> {
 fn documents() -> Vec<(String, Document)> {
     let labels = ["doc", "chapter", "para", "section", "title", "a", "b", "c", "d"];
     let mut docs = vec![
+        ("values".to_string(), doc_values()),
         ("bookstore".to_string(), doc_bookstore()),
         ("balanced".to_string(), doc_balanced(3, 4, &["a", "b", "c", "d"])),
         ("idref chain".to_string(), doc_idref_chain(9)),
@@ -103,6 +145,24 @@ fn documents() -> Vec<(String, Document)> {
         docs.push((format!("random seed {seed}"), doc_random(seed, &cfg)));
     }
     docs
+}
+
+/// A catalog whose values are numeric, non-numeric, empty,
+/// whitespace-padded, negative, and (for `d` with an element inside)
+/// joined from several text nodes.
+fn doc_values() -> Document {
+    Document::parse_str(concat!(
+        r#"<catalog>"#,
+        r#"<item id="i1" qty="5" price=" 12 " sale="y"><title>A</title><d>100</d>"#,
+        r#"<review><rating>5</rating></review></item>"#,
+        r#"<item id="i2" qty="abc" price=""><title/><d>  7  </d><d>-3</d><stock>1</stock></item>"#,
+        r#"<item id="i3" qty=" 330 " price="1e3"><title>2</title><d/><c>5</c>"#,
+        r#"<review><rating> 5 </rating></review></item>"#,
+        r#"<item id="i4" qty="-2.5" price="NaN" sale=""><d>4<b>0</b></d><c>x</c></item>"#,
+        r#"<b><c>100</c><d>NaN</d></b><b><d>50</d><d>abc</d></b><b><c>x</c></b>"#,
+        r#"</catalog>"#
+    ))
+    .expect("value corpus is well-formed")
 }
 
 /// The root plus a few element contexts spread over the document.
