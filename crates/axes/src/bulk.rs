@@ -85,36 +85,6 @@ pub fn inverse_axis_set_planned(
     }
 }
 
-/// Shard entry point for the parallel CVT layer
-/// (`xpath_core::parallel`): the planned axis application restricted to
-/// the input ids in `[lo, hi)`. Pure and side-effect free — every axis
-/// function distributes over input union (`χ(S) = ∪ᵢ χ(S ∩ rangeᵢ)`), so
-/// shards can run this concurrently over a partition of the id universe
-/// and union the per-shard results word-parallel at the join.
-pub fn axis_set_planned_range(
-    doc: &Document,
-    axis: Axis,
-    set: &NodeSet,
-    lo: u32,
-    hi: u32,
-    model: &CostModel,
-) -> (NodeSet, Kernel) {
-    axis_set_planned(doc, axis, &set.restrict_range(lo, hi), model)
-}
-
-/// [`axis_set_planned_range`] for the inverse axis function `χ⁻¹` — the
-/// shard entry point behind the parallel `S←` passes.
-pub fn inverse_axis_set_planned_range(
-    doc: &Document,
-    axis: Axis,
-    set: &NodeSet,
-    lo: u32,
-    hi: u32,
-    model: &CostModel,
-) -> (NodeSet, Kernel) {
-    inverse_axis_set_planned(doc, axis, &set.restrict_range(lo, hi), model)
-}
-
 /// Untyped set-to-set axis function `χ0(S)` (§3), set-at-a-time.
 pub fn axis_set_untyped(doc: &Document, axis: Axis, set: &NodeSet) -> NodeSet {
     axis_set_inner(doc, axis, set, false)
@@ -613,34 +583,6 @@ mod tests {
                         want,
                         "planned inverse({name})={kernel:?} {axis:?}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_entry_points_reassemble_every_axis() {
-        // χ(S) = ∪ᵢ χ(S ∩ rangeᵢ) over any word-aligned partition, for the
-        // forward and the inverse axis functions alike.
-        use xpath_xml::nodeset::shard_ranges;
-        let doc = doc_random(11, &RandomDocConfig { elements: 60, ..RandomDocConfig::default() });
-        let n = doc.len() as u32;
-        let ids: Vec<NodeId> = doc.all_nodes().filter(|x| x.0 % 2 == 0).collect();
-        let model = CostModel::CALIBRATED;
-        for set in [NodeSet::from_sorted(ids.clone()), NodeSet::from_sorted(ids).densify(n)] {
-            for axis in Axis::STANDARD {
-                let (want_fwd, _) = axis_set_planned(&doc, axis, &set, &model);
-                let (want_inv, _) = inverse_axis_set_planned(&doc, axis, &set, &model);
-                for shards in [2usize, 3, 8] {
-                    let ranges = shard_ranges(n, shards);
-                    let fwd = NodeSet::union_shards(ranges.iter().map(|&(lo, hi)| {
-                        axis_set_planned_range(&doc, axis, &set, lo, hi, &model).0
-                    }));
-                    assert_eq!(fwd, want_fwd, "{axis:?} forward, {shards} shards");
-                    let inv = NodeSet::union_shards(ranges.iter().map(|&(lo, hi)| {
-                        inverse_axis_set_planned_range(&doc, axis, &set, lo, hi, &model).0
-                    }));
-                    assert_eq!(inv, want_inv, "{axis:?} inverse, {shards} shards");
                 }
             }
         }

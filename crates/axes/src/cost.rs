@@ -49,13 +49,15 @@
 //! to the defaults silently; keys not mentioned keep their defaults.
 //! [`CostModel::global`] reads the variable once per process.
 //!
-//! # Sharded parallel passes
+//! # Batch modes
 //!
-//! The same model gates the parallel CVT evaluation layer
-//! (`xpath_core::parallel`): [`CostModel::pick_shards`] weighs the
-//! divisible portion of a pass against the per-worker spawn cost
-//! ([`CostModel::spawn_ns`]) and the word-parallel merge at the join
-//! ([`CostModel::merge_word_ns`]), per pass — small passes stay serial.
+//! The same model picks how a batch of queries evaluates
+//! ([`CostModel::pick_batch_mode`]): lock-step sharing weighs the axis
+//! passes a shared memo avoids against every pass's memo probe, and the
+//! per-query fan-out ([`CostModel::pick_shards`]) weighs the divisible
+//! work against the per-worker spawn cost ([`CostModel::spawn_ns`]).
+//! That fan-out is the only place evaluation spawns threads; a single
+//! query's axis passes always run on the calling thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -67,11 +69,10 @@ use xpath_syntax::Axis;
 /// e.g. `GKP_AXIS_COST=dense_word_ns=2.2,chain_ns=4.0`.
 pub const COST_ENV: &str = "GKP_AXIS_COST";
 
-/// Hard cap on the shard count any single pass can split into,
-/// regardless of the requested thread budget: CVT passes are
-/// memory-bound, so fan-out beyond this buys nothing, and the cap keeps
-/// [`CostModel::pick_shards`] O(1) and the per-pass spawn count bounded
-/// even for absurd `--threads` requests.
+/// Hard cap on the workers a batch fan-out can split into, regardless of
+/// the requested thread budget: the cap keeps [`CostModel::pick_shards`]
+/// O(1) and the spawn count bounded even for absurd `--threads`
+/// requests.
 pub const MAX_SHARDS: usize = 64;
 
 /// Which kernel the planner picked for one axis application.
@@ -114,15 +115,10 @@ pub struct CostModel {
     /// Assumed average chain length (tree depth / sibling-run length)
     /// when the real lengths are unknown before walking.
     pub est_chain_len: f64,
-    /// Cost of spawning + joining one scoped worker thread for a sharded
-    /// pass (`std::thread::scope`). Gates the parallel CVT layer: a pass
-    /// shards only when the divisible work saved exceeds this per extra
-    /// worker.
+    /// Cost of spawning + joining one scoped worker thread
+    /// (`std::thread::scope`). Gates the batch fan-out: a batch splits
+    /// only when the divisible work saved exceeds this per extra worker.
     pub spawn_ns: f64,
-    /// Cost per bitset word per extra shard merged at a join (the
-    /// word-parallel union of per-shard results, plus each shard's scan
-    /// over its zero prefix/suffix words).
-    pub merge_word_ns: f64,
     /// Fixed cost of one batched-evaluation memo-table probe (key build,
     /// hash-map lookup, and the result clone a hit hands back). Gates the
     /// lock-step-shared batch mode: memoizing only pays when duplicated
@@ -139,7 +135,7 @@ impl CostModel {
     /// tiered word-sweep kernels landed in `xpath_xml::simd`). The
     /// vectorized sweeps pulled the per-word costs down ~3× relative to
     /// the 2026-07 pass (`dense_word_ns` 2.6 → 0.9, `sparse_out_ns`
-    /// 1.4 → 0.25, `merge_word_ns` 0.25 → 0.5 re-measured), which moves
+    /// 1.4 → 0.25), which moves
     /// every dense-vs-sparse crossover toward the dense kernels. The
     /// fingerprint is vectorized too (AVX-512 where available), but its
     /// multiply chain keeps it near `dense_word_ns` per word — the reason
@@ -152,7 +148,6 @@ impl CostModel {
         chain_ns: 7.4,
         est_chain_len: 12.0,
         spawn_ns: 18_000.0,
-        merge_word_ns: 0.5,
         memo_probe_ns: 30.0,
         fingerprint_word_ns: 0.85,
     };
@@ -205,7 +200,6 @@ impl CostModel {
                 "chain_ns" => &mut self.chain_ns,
                 "est_chain_len" => &mut self.est_chain_len,
                 "spawn_ns" => &mut self.spawn_ns,
-                "merge_word_ns" => &mut self.merge_word_ns,
                 "memo_probe_ns" => &mut self.memo_probe_ns,
                 "fingerprint_word_ns" => &mut self.fingerprint_word_ns,
                 _ => {
@@ -295,23 +289,18 @@ impl CostModel {
         (by_cost.ceil() as usize).min(by_repr)
     }
 
-    // ----- sharded parallel passes -----
+    // ----- batched multi-query evaluation -----
 
-    /// How many shards a pass should run on, at most `max_threads`
-    /// (itself clamped to [`MAX_SHARDS`] — a pass never splits further
-    /// than that no matter how large a thread budget the caller requests,
-    /// which also bounds this search loop). `divisible_ns` is the
-    /// estimated pass cost that splits evenly across shards;
-    /// `per_shard_ns` is the fixed extra cost each additional shard adds
-    /// (its own materialization plus the word-parallel merge at the
-    /// join). Returns 1 — the planner *refuses to spawn* — whenever no
-    /// shard count beats running the pass serially on the caller's
-    /// thread.
-    pub fn pick_shards(&self, divisible_ns: f64, per_shard_ns: f64, max_threads: usize) -> usize {
+    /// How many workers a batch fan-out should split `divisible_ns` of
+    /// estimated work across, at most `max_threads` (itself clamped to
+    /// [`MAX_SHARDS`], which also bounds this search loop). Each extra
+    /// worker costs [`CostModel::spawn_ns`]. Returns 1 — the planner
+    /// *refuses to spawn* — whenever no worker count beats running the
+    /// batch serially on the caller's thread.
+    pub fn pick_shards(&self, divisible_ns: f64, max_threads: usize) -> usize {
         let mut best = (divisible_ns, 1usize);
         for k in 2..=max_threads.clamp(1, MAX_SHARDS) {
-            let extra = (k - 1) as f64;
-            let cost = divisible_ns / k as f64 + (self.spawn_ns + per_shard_ns) * extra;
+            let cost = divisible_ns / k as f64 + self.spawn_ns * (k - 1) as f64;
             if cost < best.0 {
                 best = (cost, k);
             }
@@ -319,30 +308,14 @@ impl CostModel {
         best.1
     }
 
-    /// Calibrated per-row cost estimate for a bottom-up CVT row pass (one
+    /// Calibrated per-row cost estimate for a context-value-table row (one
     /// per-node axis enumeration + predicate filtering per row) — the
-    /// chain-walk estimate stands in, as row costs are unknown before the
-    /// pass runs.
+    /// chain-walk estimate stands in, as row costs are unknown before a
+    /// query runs. Prices a general-engine query in the batch fan-out's
+    /// divisible work.
     pub fn cvt_row_ns(&self) -> f64 {
         self.chain_ns * self.est_chain_len
     }
-
-    /// The row count at which a bottom-up CVT row pass first shards
-    /// (2 shards beat serial: the halved work must repay one spawn).
-    pub fn row_shard_crossover(&self) -> usize {
-        (2.0 * self.spawn_ns / self.cvt_row_ns()).ceil() as usize
-    }
-
-    /// The input cardinality at which a set-at-a-time axis pass over
-    /// `universe` ids first shards: the halved input scan must repay one
-    /// spawn plus one extra dense materialization + merge.
-    pub fn axis_shard_crossover(&self, universe: u32) -> usize {
-        let words = universe as f64 / 64.0;
-        let per_shard = (self.dense_word_ns + self.merge_word_ns) * words;
-        (2.0 * (self.spawn_ns + per_shard) / self.input_ns).ceil() as usize
-    }
-
-    // ----- batched multi-query evaluation -----
 
     /// Estimated overhead one memoized step unit adds in lock-step-shared
     /// batch evaluation: a memo probe plus fingerprinting the input set
@@ -399,7 +372,7 @@ impl CostModel {
         let lock_step =
             (shared_units > 0 && saved > overhead).then_some(divisible_ns - saved + overhead);
         let sharded = (threads > 1)
-            .then(|| self.pick_shards(divisible_ns, 0.0, threads.min(queries)))
+            .then(|| self.pick_shards(divisible_ns, threads.min(queries)))
             .filter(|&k| k > 1)
             .map(|k| divisible_ns / k as f64 + self.spawn_ns * (k - 1) as f64);
         match (lock_step, sharded) {
@@ -482,8 +455,8 @@ pub enum BatchMode {
     /// through a per-evaluation memo table — each distinct axis pass over
     /// the document runs once for the whole batch.
     LockStepShared,
-    /// The batch fans out one-query-per-worker across the scoped shard
-    /// pool (`parallel::run_sharded`); each worker evaluates its chunk
+    /// The batch fans out one chunk of queries per scoped worker
+    /// (`xpath_core::batch::QuerySet`); each worker evaluates its chunk
     /// exactly as an independent evaluation would.
     PerQuerySharded,
     /// N independent evaluations on the caller's thread — the fallback
@@ -552,8 +525,6 @@ pub struct KernelCounters {
     per_node: AtomicU64,
     bulk_sparse: AtomicU64,
     bulk_dense: AtomicU64,
-    sharded_passes: AtomicU64,
-    shards_spawned: AtomicU64,
     memo_hits: AtomicU64,
 }
 
@@ -563,9 +534,7 @@ impl KernelCounters {
         KernelCounters::default()
     }
 
-    /// Record one axis application that ran on `kernel`. Sharded passes
-    /// record each shard's kernel individually (the per-shard planner
-    /// decisions merge losslessly) plus one [`KernelCounters::record_sharded`].
+    /// Record one axis application that ran on `kernel`.
     pub fn record(&self, kernel: Kernel) {
         let slot = match kernel {
             Kernel::PerNode => &self.per_node,
@@ -573,13 +542,6 @@ impl KernelCounters {
             Kernel::BulkDense => &self.bulk_dense,
         };
         slot.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one pass that the parallel layer split across `shards`
-    /// scoped workers.
-    pub fn record_sharded(&self, shards: usize) {
-        self.sharded_passes.fetch_add(1, Ordering::Relaxed);
-        self.shards_spawned.fetch_add(shards as u64, Ordering::Relaxed);
     }
 
     /// Record one axis application a batched evaluation served from its
@@ -593,8 +555,6 @@ impl KernelCounters {
         self.per_node.fetch_add(counts.per_node, Ordering::Relaxed);
         self.bulk_sparse.fetch_add(counts.bulk_sparse, Ordering::Relaxed);
         self.bulk_dense.fetch_add(counts.bulk_dense, Ordering::Relaxed);
-        self.sharded_passes.fetch_add(counts.sharded_passes, Ordering::Relaxed);
-        self.shards_spawned.fetch_add(counts.shards_spawned, Ordering::Relaxed);
         self.memo_hits.fetch_add(counts.memo_hits, Ordering::Relaxed);
     }
 
@@ -604,8 +564,6 @@ impl KernelCounters {
             per_node: self.per_node.load(Ordering::Relaxed),
             bulk_sparse: self.bulk_sparse.load(Ordering::Relaxed),
             bulk_dense: self.bulk_dense.load(Ordering::Relaxed),
-            sharded_passes: self.sharded_passes.load(Ordering::Relaxed),
-            shards_spawned: self.shards_spawned.load(Ordering::Relaxed),
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
         }
     }
@@ -620,11 +578,6 @@ pub struct KernelCounts {
     pub bulk_sparse: u64,
     /// Axis applications run on the dense word-parallel kernels.
     pub bulk_dense: u64,
-    /// Passes the parallel layer split across scoped worker threads
-    /// (each contributing one kernel record per shard above).
-    pub sharded_passes: u64,
-    /// Total shards those passes spawned.
-    pub shards_spawned: u64,
     /// Axis applications a batched evaluation served from its shared memo
     /// table — whole passes that never ran because an identical
     /// `(axis, node-test, input-fingerprint)` application already had.
@@ -632,8 +585,7 @@ pub struct KernelCounts {
 }
 
 impl KernelCounts {
-    /// Total recorded axis applications (per-shard applications of a
-    /// sharded pass each count once).
+    /// Total recorded axis applications.
     pub fn total(&self) -> u64 {
         self.per_node + self.bulk_sparse + self.bulk_dense
     }
@@ -644,8 +596,6 @@ impl KernelCounts {
             per_node: self.per_node + other.per_node,
             bulk_sparse: self.bulk_sparse + other.bulk_sparse,
             bulk_dense: self.bulk_dense + other.bulk_dense,
-            sharded_passes: self.sharded_passes + other.sharded_passes,
-            shards_spawned: self.shards_spawned + other.shards_spawned,
             memo_hits: self.memo_hits + other.memo_hits,
         }
     }
@@ -658,9 +608,6 @@ impl std::fmt::Display for KernelCounts {
             "{} per-node, {} bulk-sparse, {} bulk-dense",
             self.per_node, self.bulk_sparse, self.bulk_dense
         )?;
-        if self.sharded_passes > 0 {
-            write!(f, "; {} sharded passes ({} shards)", self.sharded_passes, self.shards_spawned)?;
-        }
         if self.memo_hits > 0 {
             write!(f, "; {} memo-shared", self.memo_hits)?;
         }
@@ -691,10 +638,13 @@ mod tests {
         assert_eq!(m.sparse_out_ns, CostModel::CALIBRATED.sparse_out_ns);
         assert_eq!(m.est_chain_len, CostModel::CALIBRATED.est_chain_len);
         assert_eq!(rejected.len(), 2, "{rejected:?}");
-        // The spawn/merge constants are overridable like the rest.
-        let rejected = m.apply_overrides("spawn_ns=100,merge_word_ns=0.5");
-        assert!(rejected.is_empty(), "{rejected:?}");
-        assert_eq!((m.spawn_ns, m.merge_word_ns), (100.0, 0.5));
+        // The spawn constant is overridable like the rest; the retired
+        // shard-merge constant is now an unknown key (its name is spelled
+        // in two halves so the removed key appears nowhere in the source).
+        let retired = concat!("merge_", "word_ns");
+        let rejected = m.apply_overrides(&format!("spawn_ns=100,{retired}=0.5"));
+        assert_eq!(m.spawn_ns, 100.0);
+        assert_eq!(rejected, [format!("unknown key {retired:?}")]);
     }
 
     #[test]
@@ -746,62 +696,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_passes_tally_losslessly() {
-        let c = KernelCounters::new();
-        // One pass sharded 4 ways: four per-shard kernel records plus the
-        // shard provenance.
-        c.record_sharded(4);
-        for _ in 0..4 {
-            c.record(Kernel::BulkDense);
-        }
-        let s = c.snapshot();
-        assert_eq!((s.sharded_passes, s.shards_spawned, s.bulk_dense), (1, 4, 4));
-        c.merge(s);
-        let doubled = c.snapshot();
-        assert_eq!((doubled.sharded_passes, doubled.shards_spawned), (2, 8));
-        assert!(s.to_string().contains("1 sharded passes (4 shards)"), "{s}");
-        // Serial tallies don't mention sharding at all.
-        assert!(!KernelCounts::default().to_string().contains("sharded"));
-    }
-
-    #[test]
     fn pick_shards_gates_on_spawn_cost() {
         let m = CostModel::CALIBRATED;
         // A pass far below the spawn cost stays serial.
-        assert_eq!(m.pick_shards(1_000.0, 0.0, 8), 1);
-        // A pass worth many spawns splits, but never past the budget.
-        assert!(m.pick_shards(100.0 * m.spawn_ns, 0.0, 4) > 1);
-        assert!(m.pick_shards(1e12, 0.0, 4) <= 4);
+        assert_eq!(m.pick_shards(1_000.0, 8), 1);
+        // Work worth many spawns splits, but never past the budget.
+        assert!(m.pick_shards(100.0 * m.spawn_ns, 4) > 1);
+        assert!(m.pick_shards(1e12, 4) <= 4);
         // A budget of one thread always refuses.
-        assert_eq!(m.pick_shards(1e12, 0.0, 1), 1);
-        // Per-shard merge cost pushes the crossover up.
-        let cheap = m.pick_shards(4.0 * m.spawn_ns, 0.0, 4);
-        let costly = m.pick_shards(4.0 * m.spawn_ns, 10.0 * m.spawn_ns, 4);
-        assert!(costly <= cheap);
-        // Forcing spawn/merge free makes sharding always win (the
-        // always-shard model the differential suite uses).
-        let free = CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..m };
-        assert_eq!(free.pick_shards(1.0, 0.0, 8), 8);
+        assert_eq!(m.pick_shards(1e12, 1), 1);
+        // The first split pays once the halved work repays one spawn.
+        assert_eq!(m.pick_shards(1.9 * m.spawn_ns, 2), 1);
+        assert_eq!(m.pick_shards(2.1 * m.spawn_ns, 2), 2);
+        // Forcing spawns free makes splitting always win.
+        let free = CostModel { spawn_ns: 1e-9, ..m };
+        assert_eq!(free.pick_shards(1.0, 8), 8);
         // An absurd budget is clamped, not searched: the pick stays at
         // MAX_SHARDS and returns immediately.
-        assert_eq!(free.pick_shards(1e18, 0.0, usize::MAX), MAX_SHARDS);
-    }
-
-    #[test]
-    fn shard_crossovers_are_consistent_with_pick() {
-        let m = CostModel::CALIBRATED;
-        let rows = m.row_shard_crossover();
-        assert!(rows > 0);
-        assert_eq!(m.pick_shards((rows - 1) as f64 * m.cvt_row_ns(), 0.0, 2), 1);
-        assert!(m.pick_shards((rows + 1) as f64 * m.cvt_row_ns(), 0.0, 2) > 1);
-        let n = 1 << 20;
-        let inputs = m.axis_shard_crossover(n);
-        let words = n as f64 / 64.0;
-        let per_shard = (m.dense_word_ns + m.merge_word_ns) * words;
-        assert_eq!(m.pick_shards((inputs - 1) as f64 * m.input_ns, per_shard, 2), 1);
-        assert!(m.pick_shards((inputs + 1) as f64 * m.input_ns, per_shard, 2) > 1);
-        // Bigger universes merge more words, so the axis crossover grows.
-        assert!(m.axis_shard_crossover(1 << 22) > m.axis_shard_crossover(1 << 16));
+        assert_eq!(free.pick_shards(1e18, usize::MAX), MAX_SHARDS);
     }
 
     #[test]

@@ -13,12 +13,6 @@
 //!   sorted-vec representation across densities;
 //! * **queries** — whole-query Core XPath evaluation with the adaptive and
 //!   bulk backends vs the per-node direct backend;
-//! * **parallel_cvt** — the sharded parallel layer (`xpath_core::parallel`)
-//!   on a ≥10⁵-node document: bottom-up CVT row fills and set-at-a-time
-//!   descendant/following axis passes at 1/2/4 shards vs the serial
-//!   baseline, with `threads_available` recorded so single-core runs are
-//!   interpretable (shard counts are forced through a spawn-free cost
-//!   model; wall-clock speedup needs real cores);
 //! * **batch_eval** — the batched multi-query layer (`xpath_core::batch`):
 //!   a 16-query shared-prefix batch and a disjoint batch, each as one
 //!   `QuerySet::evaluate_all` (single-thread, lock-step memo sharing) vs
@@ -57,12 +51,11 @@
 //!                    if Auto on `count(//c)` is slower than 1.2× the bare
 //!                    `//c` on its fragment engine (the strategy-choice
 //!                    guard).
-//!                    The timing baseline is pinned to a 1-thread budget —
-//!                    the parallel backend is correctness-checked here,
-//!                    never timed, so CI core counts can't flake the guard
-//!   `… --calibrate`  measure the cost-model constants (incl. the
-//!                    spawn/merge constants gating the parallel layer and
-//!                    the memo-probe/fingerprint constants gating batch
+//!                    The timing baseline is pinned to a 1-thread budget,
+//!                    so CI core counts can't flake the guard
+//!   `… --calibrate`  measure the cost-model constants (incl. the spawn
+//!                    constant gating the batch fan-out and the
+//!                    memo-probe/fingerprint constants gating batch
 //!                    sharing) on this machine and print a
 //!                    `GKP_AXIS_COST=…` override
 
@@ -420,7 +413,7 @@ fn choice_paths() -> impl Iterator<Item = &'static str> {
 }
 
 fn measure_choice(doc: &Document, path: &str) -> ChoiceCell {
-    let compiler = Compiler::new().threads(1);
+    let compiler = Compiler::new();
     let query = format!("count({path})");
     let auto = compiler.compile(&query).unwrap();
     let bare = compiler.compile(path).unwrap();
@@ -461,13 +454,6 @@ fn measure_choice(doc: &Document, path: &str) -> ChoiceCell {
 const CHECK_ATTEMPTS: u32 = 3;
 
 fn check(doc: &Document) -> Result<(), String> {
-    // The parallel backend is correctness-checked, never timed: the
-    // timing cells below all run serial engines (a 1-thread baseline), so
-    // the guard's ratios cannot flake with the runner's core count.
-    let parallel_failures = check_parallel_equivalence(doc);
-    if !parallel_failures.is_empty() {
-        return Err(parallel_failures.join("\n"));
-    }
     // Kernel-tier guard: on AVX2 hardware the vector sweeps must beat the
     // scalar loop by ≥1.3x on the dense set ops (the ratio the cost model
     // and the BENCH_axes.json `simd` section advertise; the real margin is
@@ -670,30 +656,6 @@ fn check(doc: &Document) -> Result<(), String> {
     Err(last_failures)
 }
 
-/// Deterministic (untimed) guard: the parallel backend at a forced
-/// always-shard model must be bit-identical to Adaptive on the seven bench
-/// queries — sharding may only change the route, never the answer.
-fn check_parallel_equivalence(doc: &Document) -> Vec<String> {
-    let always_shard = CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..*CostModel::global() };
-    let adaptive = CoreXPathEvaluator::with_backend(doc, AxisBackend::Adaptive);
-    let parallel = CoreXPathEvaluator::with_backend(doc, AxisBackend::Parallel(4))
-        .with_cost_model(always_shard);
-    let mut failures = Vec::new();
-    for q in BENCH_QUERIES {
-        let c = compile(&xpath_syntax::parse_normalized(q).unwrap()).unwrap();
-        let want = adaptive.evaluate(&c, &[doc.root()]);
-        let got = parallel.evaluate(&c, &[doc.root()]);
-        if got != want {
-            failures.push(format!("{q}: Parallel(4) diverges from Adaptive"));
-        }
-    }
-    let sharded = parallel.kernel_counts();
-    if sharded.sharded_passes == 0 {
-        failures.push("forced always-shard model never sharded a pass".to_string());
-    }
-    failures
-}
-
 fn check_pass(doc: &Document) -> Vec<String> {
     let mut failures = Vec::new();
     for c in measure_axis_cells(doc) {
@@ -886,24 +848,13 @@ fn calibrate(doc: &Document) {
     let chain_ns = t_chain as f64 / (ids.len() as f64 * est_chain_len);
 
     // spawn_ns: one scoped worker spawned + joined around a trivial body —
-    // the per-worker overhead the parallel layer's gate must amortize.
+    // the per-worker overhead the batch fan-out's gate must amortize.
     let t_spawn = time_ns(|| {
         std::thread::scope(|s| {
             s.spawn(|| std::hint::black_box(1u64));
         });
     });
     let spawn_ns = (t_spawn as f64).max(1.0);
-
-    // merge_word_ns: the word-parallel union of two dense full-universe
-    // sets, per word — the per-shard cost at a parallel join.
-    let da = NodeSet::full(n);
-    let db = NodeSet::full(n);
-    let t_merge = time_ns(|| {
-        let mut acc = da.clone();
-        acc.union_with(&db);
-        std::hint::black_box(acc);
-    });
-    let merge_word_ns = (t_merge as f64 / words).max(0.01);
 
     // fingerprint_word_ns: the content hash of a dense set, per word —
     // the per-unit key cost of the batch memo. Probed on a large dense
@@ -938,7 +889,6 @@ fn calibrate(doc: &Document) {
         ids.len()
     );
     println!("  scoped worker spawn:    {t_spawn}ns -> spawn_ns = {spawn_ns:.0}");
-    println!("  dense shard merge:      {t_merge}ns -> merge_word_ns = {merge_word_ns:.2}");
     println!(
         "  full-set fingerprint:   {t_fp}ns -> fingerprint_word_ns = {fingerprint_word_ns:.2}"
     );
@@ -947,7 +897,7 @@ fn calibrate(doc: &Document) {
     println!(
         "{}=dense_word_ns={dense_word_ns:.2},sparse_out_ns={sparse_out_ns:.2},\
          input_ns={input_ns:.2},chain_ns={chain_ns:.2},est_chain_len={est_chain_len:.1},\
-         spawn_ns={spawn_ns:.0},merge_word_ns={merge_word_ns:.2},\
+         spawn_ns={spawn_ns:.0},\
          memo_probe_ns={memo_probe_ns:.0},fingerprint_word_ns={fingerprint_word_ns:.2}",
         xpath_axes::cost::COST_ENV
     );
@@ -1136,93 +1086,9 @@ fn main() {
     }
     json.push_str("\n  ],\n");
 
-    // ---- parallel CVT passes: sharded fills on a ≥1e5-node document ----
-    // Shard counts are forced through a spawn-free cost model so the
-    // parallel code path is measured even where the calibrated gate would
-    // refuse; the 1-shard column goes through the gate's serial branch
-    // and must stay within noise of the serial (Adaptive-path) baseline.
-    // `threads_available` is recorded because wall-clock speedup needs
-    // real cores: on a 1-core runner the 2/4-shard columns measure
-    // sharding overhead, not parallelism.
-    json.push_str("  \"parallel_cvt\": [\n");
+    // The ≥1e5-node document of the early-exit and snapshot sections.
     let big = doc_balanced(4, 9, &["a", "b", "c", "d"]);
     big.axis_index();
-    {
-        use xpath_core::bottomup::BottomUpEvaluator;
-        use xpath_core::Context;
-        let bn = big.len();
-        let threads_available =
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let forced = CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..*CostModel::global() };
-        let mut first = true;
-        let mut emit = |json: &mut String,
-                        workload: &str,
-                        subject: &str,
-                        serial_ns: u64,
-                        shard_ns: [u64; 3]| {
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{ \"workload\": \"{workload}\", \"subject\": \"{subject}\", \
-                 \"nodes\": {bn}, \"threads_available\": {threads_available}, \
-                 \"serial_ns\": {serial_ns}, \"shard1_ns\": {}, \"shard2_ns\": {}, \
-                 \"shard4_ns\": {}, \"speedup_shard1_vs_serial\": {:.2}, \
-                 \"speedup_shard4_vs_serial\": {:.2} }}",
-                shard_ns[0],
-                shard_ns[1],
-                shard_ns[2],
-                serial_ns as f64 / shard_ns[0].max(1) as f64,
-                serial_ns as f64 / shard_ns[2].max(1) as f64,
-            );
-        };
-        // Bottom-up CVT row fills: the per-node step tables plus the
-        // reachability fold, sharded over contiguous id ranges.
-        for q in ["descendant::b", "following-sibling::c"] {
-            let e = xpath_syntax::parse_normalized(q).unwrap();
-            let serial_ev = BottomUpEvaluator::new(&big);
-            let want = serial_ev.table(&e).unwrap();
-            let probe = Context::of(big.root());
-            let mut shard_ns = [0u64; 3];
-            for (i, k) in [1u32, 2, 4].into_iter().enumerate() {
-                let ev = BottomUpEvaluator::new(&big).with_threads(k).with_cost_model(forced);
-                let t = ev.table(&e).unwrap();
-                assert_eq!(t.len(), want.len(), "{q} at {k} shards");
-                assert_eq!(t.value_at(probe), want.value_at(probe), "{q} at {k} shards");
-                shard_ns[i] = time_ns(|| {
-                    std::hint::black_box(ev.table(&e).unwrap());
-                });
-            }
-            let serial_ns = time_ns(|| {
-                std::hint::black_box(serial_ev.table(&e).unwrap());
-            });
-            emit(&mut json, "bottomup_cvt", q, serial_ns, shard_ns);
-        }
-        // Set-at-a-time axis passes (the Core XPath E1/S← pass unit) on a
-        // full-universe input set.
-        let all: NodeSet = big.all_nodes().collect();
-        for axis in [Axis::Descendant, Axis::Following] {
-            let want = bulk::axis_set_planned(&big, axis, &all, CostModel::global()).0;
-            let mut shard_ns = [0u64; 3];
-            for (i, k) in [1usize, 2, 4].into_iter().enumerate() {
-                let got =
-                    xpath_core::parallel::axis_set_sharded(&big, axis, &all, k, &forced, None);
-                assert_eq!(got, want, "{axis:?} at {k} shards");
-                shard_ns[i] = time_ns(|| {
-                    std::hint::black_box(xpath_core::parallel::axis_set_sharded(
-                        &big, axis, &all, k, &forced, None,
-                    ));
-                });
-            }
-            let serial_ns = time_ns(|| {
-                std::hint::black_box(bulk::axis_set_planned(&big, axis, &all, CostModel::global()));
-            });
-            emit(&mut json, "axis_pass", axis.name(), serial_ns, shard_ns);
-        }
-    }
-    json.push_str("\n  ],\n");
 
     // ---- batched multi-query evaluation: one QuerySet pass vs N
     // independent evaluations (single-thread budget, so the speedup is

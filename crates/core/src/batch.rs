@@ -23,8 +23,10 @@
 //!   position in the batch.
 //! * **per-query sharded** ([`BatchMode::PerQuerySharded`]) — nothing to
 //!   share, but a multi-thread budget: the batch fans out one chunk of
-//!   queries per scoped worker ([`crate::parallel::run_sharded`]), each
-//!   evaluated exactly as an independent evaluation would be.
+//!   queries per scoped worker, each evaluated exactly as an independent
+//!   evaluation would be. This fan-out is the only place query
+//!   evaluation spawns threads: every single evaluation, a worker's
+//!   included, runs on its calling thread.
 //! * **serial** ([`BatchMode::Serial`]) — N independent evaluations on
 //!   the caller's thread, the fallback when neither sharing nor spawning
 //!   repays its overhead.
@@ -57,6 +59,16 @@
 //! decision — and the memo hit counts — surface in
 //! [`BatchStats`], [`QuerySet::planner_stats`] and `xpq --explain`.
 //!
+//! # Thread budget
+//!
+//! The budget caps the per-query fan-out. It resolves as: explicit
+//! request ([`QuerySetBuilder::threads`], [`Compiler::threads`], `xpq
+//! --threads N`) > the [`THREADS_ENV`] environment variable >
+//! [`std::thread::available_parallelism`] capped at [`MAX_AUTO_THREADS`]
+//! (see [`resolve_threads`]). Whether the fan-out runs at all is
+//! cost-gated per document by [`CostModel::pick_batch_mode`]: the work it
+//! divides must repay [`CostModel::spawn_ns`] per extra worker.
+//!
 //! ```
 //! use xpath_core::batch::QuerySetBuilder;
 //! use xpath_xml::Document;
@@ -77,7 +89,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use xpath_axes::{BatchMode, CostModel, KernelCounters, KernelCounts};
 use xpath_syntax::{Axis, NodeTest};
@@ -85,11 +97,90 @@ use xpath_xml::rng::splitmix64;
 use xpath_xml::Document;
 
 use crate::context::{Context, EvalBudget, EvalResult};
-use crate::corexpath::{AxisBackend, CorePred, CoreQuery, CoreXPathEvaluator};
+use crate::corexpath::{CorePred, CoreQuery, CoreXPathEvaluator};
 use crate::lift::Program;
 use crate::nodeset::NodeSet;
 use crate::query::{CompiledQuery, Compiler};
 use crate::value::Value;
+
+/// Environment variable bounding the auto-resolved thread budget, e.g.
+/// `GKP_THREADS=4`. `GKP_THREADS=1` keeps every batch on the caller's
+/// thread process-wide.
+pub const THREADS_ENV: &str = "GKP_THREADS";
+
+/// Cap on the auto-resolved budget. Each fan-out worker evaluates whole
+/// queries, and those are memory-bound axis passes over one shared
+/// document, so workers past a few cores mostly contend for memory
+/// bandwidth; a server also evaluates several requests at once. The cap
+/// is a bound on oversubscription, not a measured optimum.
+pub const MAX_AUTO_THREADS: usize = 8;
+
+/// Resolve a requested thread budget: an explicit `n ≥ 1` wins; `0`
+/// (auto) reads [`THREADS_ENV`] once per process, falling back to
+/// [`std::thread::available_parallelism`] capped at [`MAX_AUTO_THREADS`]
+/// when the variable is unset or rejected (see
+/// [`threads_env_diagnostics`]).
+pub fn resolve_threads(requested: u32) -> usize {
+    if requested >= 1 {
+        return requested as usize;
+    }
+    auto_threads().0
+}
+
+/// Diagnostics from the one-time [`THREADS_ENV`] read behind
+/// [`resolve_threads`]: one line when the value was rejected (not a
+/// positive integer), empty when the variable was unset or valid.
+/// `xpq -v` prints these.
+pub fn threads_env_diagnostics() -> &'static [String] {
+    &auto_threads().1
+}
+
+/// The one-time [`THREADS_ENV`] read: the auto budget and its diagnostics.
+fn auto_threads() -> &'static (usize, Vec<String>) {
+    static AUTO: OnceLock<(usize, Vec<String>)> = OnceLock::new();
+    AUTO.get_or_init(|| {
+        let machine =
+            std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_AUTO_THREADS));
+        let value = std::env::var_os(THREADS_ENV).map(|v| v.to_string_lossy().into_owned());
+        parse_threads_env(value.as_deref(), machine)
+    })
+}
+
+/// Parse a [`THREADS_ENV`] value: a positive integer wins; unset or blank
+/// means `fallback`; anything else also means `fallback`, plus one
+/// diagnostic line naming the rejected value.
+fn parse_threads_env(value: Option<&str>, fallback: usize) -> (usize, Vec<String>) {
+    let Some(raw) = value.filter(|v| !v.trim().is_empty()) else {
+        return (fallback, Vec::new());
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => (n, Vec::new()),
+        _ => (
+            fallback,
+            vec![format!(
+                "{THREADS_ENV}: ignored {raw:?}: not a positive integer; \
+                 using {fallback} (machine parallelism)"
+            )],
+        ),
+    }
+}
+
+/// Split `[0, items)` into at most `shards` near-equal contiguous ranges:
+/// the chunks of the query list a [`QuerySet`] fans out, one per worker.
+fn chunk_ranges(items: u32, shards: usize) -> Vec<(u32, u32)> {
+    if items == 0 || shards <= 1 {
+        return vec![(0, items)];
+    }
+    let per_shard = items.div_ceil(shards as u32).max(1);
+    let mut out = Vec::with_capacity(shards);
+    let mut lo = 0u32;
+    while lo < items {
+        let hi = (lo + per_shard).min(items);
+        out.push((lo, hi));
+        lo = hi;
+    }
+    out
+}
 
 /// One splitmix64 chaining step for memo keys.
 #[inline]
@@ -316,10 +407,10 @@ impl QuerySetBuilder {
     }
 
     /// Thread budget for batch evaluation: `0` auto-resolves
-    /// (`GKP_THREADS` / the machine), `1` keeps everything on the
-    /// caller's thread. Defaults to the builder compiler's budget. The
-    /// budget gates [`BatchMode::PerQuerySharded`] and the parallel axis
-    /// passes inside lock-step evaluation; it never changes results.
+    /// (`GKP_THREADS` / the machine, see [`resolve_threads`]), `1` keeps
+    /// everything on the caller's thread. Defaults to the builder
+    /// compiler's budget. The budget caps the workers of
+    /// [`BatchMode::PerQuerySharded`]; it never changes results.
     pub fn threads(mut self, threads: u32) -> QuerySetBuilder {
         self.threads = Some(threads);
         self
@@ -490,10 +581,9 @@ impl QuerySet {
     }
 
     /// Axis-planner decisions accumulated across this batch's
-    /// evaluations: kernel picks, sharded passes, and memo-shared
-    /// applications. Complements the per-query
-    /// [`CompiledQuery::planner_stats`] (which batch evaluations leave
-    /// untouched).
+    /// evaluations: kernel picks and memo-shared applications.
+    /// Complements the per-query [`CompiledQuery::planner_stats`] (which
+    /// batch evaluations leave untouched).
     pub fn planner_stats(&self) -> KernelCounts {
         self.kernels.snapshot()
     }
@@ -505,7 +595,7 @@ impl QuerySet {
         if let Some(pinned) = self.mode {
             return pinned;
         }
-        let threads = crate::parallel::resolve_threads(self.threads);
+        let threads = resolve_threads(self.threads);
         // Divisible work estimate for the per-query fan-out: one axis
         // pass per fragment step unit, plus a CVT-row-scale estimate per
         // general-engine query (their evaluators materialize per-node
@@ -586,15 +676,27 @@ impl QuerySet {
         }
     }
 
+    /// The per-query fan-out: one chunk of queries per scoped worker, the
+    /// caller's thread running the first chunk, so `k` chunks spawn
+    /// `k − 1` workers. Results are collected in chunk order, i.e. input
+    /// order; a panicking worker propagates after the scope joins.
     fn run_sharded(&self, doc: &Document, ctx: Context, budget: &EvalBudget) -> BatchResult {
-        let threads = crate::parallel::resolve_threads(self.threads).min(self.len()).max(1);
-        let ranges = crate::parallel::chunk_ranges(self.len() as u32, threads);
+        let threads = resolve_threads(self.threads).min(self.len()).max(1);
+        let ranges = chunk_ranges(self.len() as u32, threads);
         let workers = ranges.len();
-        let parts = crate::parallel::run_sharded(&ranges, |_, lo, hi| {
-            (lo..hi).map(|i| self.eval_one(doc, ctx, i as usize, budget)).collect::<Vec<_>>()
-        });
+        let eval_chunk = |(lo, hi): (u32, u32)| -> Vec<EvalResult<Value>> {
+            (lo..hi).map(|i| self.eval_one(doc, ctx, i as usize, budget)).collect()
+        };
+        let eval_chunk = &eval_chunk;
         let mut results = crate::pool::take_results();
-        results.extend(parts.into_iter().flatten());
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> =
+                ranges[1..].iter().map(|&r| scope.spawn(move || eval_chunk(r))).collect();
+            results.extend(eval_chunk(ranges[0]));
+            for worker in spawned {
+                results.extend(worker.join().expect("batch worker panicked"));
+            }
+        });
         BatchResult {
             results,
             stats: BatchStats {
@@ -620,9 +722,8 @@ impl QuerySet {
         };
         scratch.memo.begin_evaluation();
         let memo = Arc::clone(&scratch.memo);
-        let ev = CoreXPathEvaluator::with_backend(doc, AxisBackend::Parallel(self.threads))
-            .with_cost_model(self.cost)
-            .with_memo(Arc::clone(&memo));
+        let ev =
+            CoreXPathEvaluator::new(doc).with_cost_model(self.cost).with_memo(Arc::clone(&memo));
         let ctx_nodes = [ctx.node];
         // Every lifted path of every fragment query advances lock-step
         // (one state slot each, query-major); the rest run their normal
@@ -843,6 +944,33 @@ mod tests {
         // A single query is serial even when pinned sharing would win.
         let one = QuerySetBuilder::new().query("//b").build().unwrap();
         assert_eq!(one.plan_mode(1 << 20), BatchMode::Serial);
+    }
+
+    #[test]
+    fn resolve_threads_explicit_wins() {
+        assert_eq!(resolve_threads(3), 3);
+        assert_eq!(resolve_threads(1), 1);
+        assert!(resolve_threads(0) >= 1, "auto resolves to at least one thread");
+    }
+
+    #[test]
+    fn threads_env_rejects_are_reported_and_fall_back() {
+        // Valid values win silently; unset and blank fall back silently.
+        assert_eq!(parse_threads_env(Some("4"), 2), (4, Vec::new()));
+        assert_eq!(parse_threads_env(Some(" 3 "), 2), (3, Vec::new()));
+        assert_eq!(parse_threads_env(None, 2), (2, Vec::new()));
+        assert_eq!(parse_threads_env(Some("  "), 2), (2, Vec::new()));
+        // Garbage, zero and negatives fall back to the same value, with
+        // one report each naming the variable and the rejected value.
+        for bad in ["abc", "0", "-1", "2.5"] {
+            let (n, diagnostics) = parse_threads_env(Some(bad), 2);
+            assert_eq!(n, 2, "{bad}");
+            assert_eq!(diagnostics.len(), 1, "{bad}: {diagnostics:?}");
+            assert!(diagnostics[0].starts_with(THREADS_ENV), "{diagnostics:?}");
+            assert!(diagnostics[0].contains(&format!("{bad:?}")), "{diagnostics:?}");
+        }
+        // The process-wide read reports at most one line.
+        assert!(threads_env_diagnostics().len() <= 1);
     }
 
     #[test]

@@ -174,21 +174,10 @@ impl CvTable {
 type RowIter<'a> = Box<dyn Iterator<Item = ((u32, u32, u32), &'a Value)> + 'a>;
 
 /// The bottom-up evaluator (Algorithm 6.3).
-///
-/// The per-node table fills are data-parallel: every row of a CVT pass is
-/// computed independently from the (immutable) child tables. With a
-/// thread budget above 1 ([`BottomUpEvaluator::with_threads`]), passes
-/// whose row count clears the cost model's spawn gate run sharded over
-/// contiguous node-id ranges on a scoped thread pool
-/// ([`crate::parallel`]); smaller passes stay serial and bit-identical.
 pub struct BottomUpEvaluator<'d> {
     doc: &'d Document,
     /// Maximum rows per context-value table; exceeded → [`EvalError::Capacity`].
     row_cap: usize,
-    /// Shard budget for the CVT row passes (1 = always serial).
-    threads: usize,
-    /// Cost model gating the per-pass spawn decision.
-    cost: xpath_axes::CostModel,
     /// Deadline/cancellation budget, polled before every table pass.
     eval_budget: EvalBudget,
 }
@@ -196,13 +185,7 @@ pub struct BottomUpEvaluator<'d> {
 impl<'d> BottomUpEvaluator<'d> {
     /// Default row cap: 2 million rows per table.
     pub fn new(doc: &'d Document) -> Self {
-        BottomUpEvaluator {
-            doc,
-            row_cap: 2_000_000,
-            threads: 1,
-            cost: *xpath_axes::CostModel::global(),
-            eval_budget: EvalBudget::unlimited(),
-        }
+        BottomUpEvaluator { doc, row_cap: 2_000_000, eval_budget: EvalBudget::unlimited() }
     }
 
     /// Attach a deadline/cancellation [`EvalBudget`], polled before every
@@ -217,27 +200,6 @@ impl<'d> BottomUpEvaluator<'d> {
     /// Evaluator with a custom per-table row cap.
     pub fn with_row_cap(doc: &'d Document, row_cap: usize) -> Self {
         BottomUpEvaluator { row_cap, ..BottomUpEvaluator::new(doc) }
-    }
-
-    /// Set the shard budget for the CVT row passes: `0` resolves the
-    /// process default (`GKP_THREADS` / the machine's parallelism), `1`
-    /// keeps every pass serial, higher values cap the scoped pool.
-    /// Sharding is still cost-gated per pass — see [`crate::parallel`].
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = crate::parallel::resolve_threads(threads);
-        self
-    }
-
-    /// Override the cost model gating the spawn decisions (tests, forced
-    /// always/never-shard configurations, calibration).
-    pub fn with_cost_model(mut self, model: xpath_axes::CostModel) -> Self {
-        self.cost = model;
-        self
-    }
-
-    /// Shards for a pass of `rows` rows under the configured budget.
-    fn row_shards(&self, rows: usize) -> usize {
-        crate::parallel::plan_row_shards(rows, self.threads, &self.cost)
     }
 
     /// Evaluate `query` at `ctx` by building the full context-value tables
@@ -299,25 +261,18 @@ impl<'d> BottomUpEvaluator<'d> {
         }
     }
 
-    /// Fill a table over `contexts` by evaluating `row` per context. The
-    /// row evaluations are independent reads of immutable child tables,
-    /// so the pass runs sharded across the thread budget when the spawn
-    /// gate approves; the (cheap) inserts are applied serially in context
-    /// order afterwards, keeping the table bit-identical to a serial fill.
+    /// Fill a table over `contexts` by evaluating `row` per context, in
+    /// context order.
     fn fill_table(
         &self,
         rel: Relev,
         contexts: &[Context],
-        row: impl Fn(Context) -> EvalResult<Value> + Sync,
+        row: impl Fn(Context) -> EvalResult<Value>,
     ) -> EvalResult<CvTable> {
         self.eval_budget.check()?;
-        let shards = self.row_shards(contexts.len());
-        let values = crate::parallel::try_map_rows(contexts.len() as u32, shards, |lo, hi| {
-            contexts[lo as usize..hi as usize].iter().map(|&ctx| row(ctx)).collect()
-        })?;
         let mut out = CvTable::new(rel);
-        for (&ctx, v) in contexts.iter().zip(values) {
-            out.insert(ctx, v);
+        for &ctx in contexts {
+            out.insert(ctx, row(ctx)?);
         }
         Ok(out)
     }
@@ -376,47 +331,41 @@ impl<'d> BottomUpEvaluator<'d> {
         // Fold right-to-left: R_i(x) = ∪_{y ∈ S_i(x)} R_{i+1}(y). `None`
         // stands for the identity frontier R(x) = {x}, so the first folded
         // step materializes its per-node lists directly instead of
-        // unioning singletons one at a time. Each pass's rows read only
-        // the previous (immutable) frontier, so they run sharded across
-        // the thread budget when the spawn gate approves.
+        // unioning singletons one at a time.
         let n = self.doc.len();
         let mut reach: Option<Vec<NodeSet>> = None;
         for st in step_tables.iter().rev() {
             self.eval_budget.check()?;
             let prev = reach.take();
-            let shards = self.row_shards(n);
-            let next = crate::parallel::map_rows(n as u32, shards, |lo, hi| {
-                (lo as usize..hi as usize)
-                    .map(|x| match &prev {
-                        None => {
-                            // Copy through the recycling shelves: the
-                            // frontier sets churn once per fold pass.
-                            let mut v = xpath_xml::pool::take_ids();
-                            v.extend_from_slice(&st[x]);
-                            NodeSet::from_sorted(v)
-                        }
-                        Some(r) => {
-                            // Pre-size the accumulator: when the summed
-                            // input sizes clear the dense threshold, start
-                            // dense so the unions are word-parallel
-                            // instead of repeated vector merges
-                            // (quadratic on wide step results).
-                            let bound: usize = st[x].iter().map(|&y| r[y.index()].len()).sum();
-                            let mut acc = if bound as u64 * NodeSet::DENSE_DEN
-                                >= n as u64 * NodeSet::DENSE_NUM
-                            {
+            let next: Vec<NodeSet> = (0..n)
+                .map(|x| match &prev {
+                    None => {
+                        // Copy through the recycling shelves: the
+                        // frontier sets churn once per fold pass.
+                        let mut v = xpath_xml::pool::take_ids();
+                        v.extend_from_slice(&st[x]);
+                        NodeSet::from_sorted(v)
+                    }
+                    Some(r) => {
+                        // Pre-size the accumulator: when the summed
+                        // input sizes clear the dense threshold, start
+                        // dense so the unions are word-parallel
+                        // instead of repeated vector merges
+                        // (quadratic on wide step results).
+                        let bound: usize = st[x].iter().map(|&y| r[y.index()].len()).sum();
+                        let mut acc =
+                            if bound as u64 * NodeSet::DENSE_DEN >= n as u64 * NodeSet::DENSE_NUM {
                                 NodeSet::empty_dense(n as u32)
                             } else {
                                 NodeSet::new()
                             };
-                            for &y in &st[x] {
-                                acc.union_with(&r[y.index()]);
-                            }
-                            acc.adapt()
+                        for &y in &st[x] {
+                            acc.union_with(&r[y.index()]);
                         }
-                    })
-                    .collect()
-            });
+                        acc.adapt()
+                    }
+                })
+                .collect();
             reach = Some(next);
         }
         // The per-step candidate lists are dead once the fold finishes:
@@ -490,14 +439,7 @@ impl<'d> BottomUpEvaluator<'d> {
         self.eval_budget.check()?;
         let pred_tables: Vec<CvTable> =
             step.predicates.iter().map(|e| self.table(e)).collect::<Result<_, _>>()?;
-        // One row per node of dom, each independent of the others: this is
-        // the CVT fill the parallel layer shards over contiguous id ranges
-        // (the predicate tables are immutable shared reads).
-        let n = self.doc.len() as u32;
-        let shards = self.row_shards(n as usize);
-        crate::parallel::try_map_rows(n, shards, |lo, hi| {
-            (lo..hi).map(|x| self.step_row(step, &pred_tables, NodeId(x))).collect()
-        })
+        self.doc.all_nodes().map(|x| self.step_row(step, &pred_tables, x)).collect()
     }
 
     /// One row of [`BottomUpEvaluator::step_table`]: the candidate set of
@@ -703,51 +645,6 @@ mod tests {
         }
         assert!(!t.rows_dense());
         assert_eq!(t.len(), 200 + 63, "id 0 overwrote the stride row");
-    }
-
-    #[test]
-    fn sharded_fills_match_serial_fills() {
-        // Forced always-shard model: every CVT pass splits across the
-        // scoped pool even on these small documents. Results must be
-        // bit-identical to the serial evaluator on the whole corpus.
-        use xpath_axes::CostModel;
-        let always = CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..CostModel::CALIBRATED };
-        let docs = [doc_flat(6), doc_flat_text(3), doc_figure8()];
-        let queries = [
-            "//a/b",
-            "//b[2]",
-            "descendant::b/following-sibling::*[position() != last()]",
-            "//a/b[count(parent::a/b) > 1]",
-            "count(//b)",
-            "count(//*) * 2 + 1",
-            "//b[position() = last()]",
-        ];
-        for d in &docs {
-            for q in queries {
-                let e = parse_normalized(q).unwrap();
-                let serial = BottomUpEvaluator::new(d).evaluate(&e, Context::of(d.root())).unwrap();
-                for threads in [2u32, 4, 8] {
-                    let par = BottomUpEvaluator::new(d)
-                        .with_threads(threads)
-                        .with_cost_model(always)
-                        .evaluate(&e, Context::of(d.root()))
-                        .unwrap();
-                    assert_eq!(par, serial, "{q} at {threads} threads");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_fills_propagate_errors() {
-        // A capacity failure inside a sharded pass surfaces as the same
-        // error a serial pass reports (all shards join, first error wins).
-        use xpath_axes::CostModel;
-        let always = CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..CostModel::CALIBRATED };
-        let d = doc_flat(200);
-        let e = parse_normalized("//b[position() != last()]").unwrap();
-        let ev = BottomUpEvaluator::with_row_cap(&d, 1000).with_threads(4).with_cost_model(always);
-        assert!(matches!(ev.evaluate(&e, Context::of(d.root())), Err(EvalError::Capacity(_))));
     }
 
     #[test]

@@ -343,6 +343,17 @@ mod tests {
     }
 
     #[test]
+    fn thread_budget_is_not_part_of_the_key() {
+        // Plans do not depend on the thread budget, so compilers that
+        // differ only in it share one compiled query.
+        let cache = QueryCache::new(8);
+        let a = cache.get_or_compile(&Compiler::new().threads(1), "//b").unwrap();
+        let b = cache.get_or_compile(&Compiler::new().threads(8), "//b").unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((cache.stats().misses, cache.stats().hits, cache.len()), (1, 1, 1));
+    }
+
+    #[test]
     fn lru_eviction_in_a_single_shard() {
         let cache = QueryCache::with_shards(2, 1);
         let c = Compiler::new();

@@ -286,13 +286,6 @@ pub enum AxisBackend {
     Alg32,
     /// Pre/post-plane windows (Grust et al. 2004), built on first use.
     Plane,
-    /// Sharded parallel evaluation ([`crate::parallel`]): every `S→`/`S←`
-    /// axis pass may split its input over contiguous node-id ranges run
-    /// on a scoped thread pool, gated per pass by the cost model's spawn
-    /// constants; refused passes run the exact Adaptive path. The payload
-    /// is the shard budget (`0` = auto: `GKP_THREADS` or the machine's
-    /// parallelism; `1` behaves bit-for-bit like [`AxisBackend::Adaptive`]).
-    Parallel(u32),
 }
 
 /// The linear-time evaluator for compiled queries (Theorems 10.5 / 10.8).
@@ -300,10 +293,7 @@ pub struct CoreXPathEvaluator<'d> {
     doc: &'d Document,
     all: NodeSet,
     backend: AxisBackend,
-    /// Resolved shard budget for [`AxisBackend::Parallel`] (1 elsewhere).
-    threads: usize,
-    /// Cost model driving [`AxisBackend::Adaptive`] kernel picks and the
-    /// [`AxisBackend::Parallel`] spawn gate.
+    /// Cost model driving [`AxisBackend::Adaptive`] kernel picks.
     cost: xpath_axes::CostModel,
     /// Tally of adaptive kernel decisions made during evaluations.
     kernels: xpath_axes::KernelCounters,
@@ -329,15 +319,10 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// Create an evaluator with an explicit axis backend (§3
     /// interchangeability; see [`AxisBackend`]).
     pub fn with_backend(doc: &'d Document, backend: AxisBackend) -> Self {
-        let threads = match backend {
-            AxisBackend::Parallel(t) => crate::parallel::resolve_threads(t),
-            _ => 1,
-        };
         CoreXPathEvaluator {
             doc,
             all: NodeSet::full(doc.len() as u32),
             backend,
-            threads,
             cost: *xpath_axes::CostModel::global(),
             kernels: xpath_axes::KernelCounters::new(),
             plane: std::sync::OnceLock::new(),
@@ -448,14 +433,6 @@ impl<'d> CoreXPathEvaluator<'d> {
                     self.kernels.record(kernel);
                     out
                 }
-                AxisBackend::Parallel(_) => crate::parallel::axis_set_sharded(
-                    self.doc,
-                    axis,
-                    set,
-                    self.threads,
-                    &self.cost,
-                    Some(&self.kernels),
-                ),
                 AxisBackend::Bulk => xpath_axes::bulk::axis_set(self.doc, axis, set),
                 AxisBackend::Direct => {
                     NodeSet::from_sorted(xpath_axes::eval_axis(self.doc, axis, &set.to_vec()))
@@ -486,14 +463,6 @@ impl<'d> CoreXPathEvaluator<'d> {
                 self.kernels.record(kernel);
                 out
             }
-            AxisBackend::Parallel(_) => crate::parallel::inverse_axis_set_sharded(
-                self.doc,
-                axis,
-                set,
-                self.threads,
-                &self.cost,
-                Some(&self.kernels),
-            ),
             AxisBackend::Bulk => xpath_axes::bulk::inverse_axis_set(self.doc, axis, set),
             _ => NodeSet::from_sorted(xpath_axes::inverse_axis_set(self.doc, axis, &set.to_vec())),
         }
@@ -998,7 +967,6 @@ mod tests {
             let plane = CoreXPathEvaluator::with_backend(d, AxisBackend::Plane);
             let bulk = CoreXPathEvaluator::with_backend(d, AxisBackend::Bulk);
             let adaptive = CoreXPathEvaluator::new(d);
-            let parallel = CoreXPathEvaluator::with_backend(d, AxisBackend::Parallel(4));
             for q in queries {
                 let e = parse_normalized(q).unwrap();
                 let c = compile(&e).unwrap();
@@ -1007,51 +975,12 @@ mod tests {
                 assert_eq!(plane.evaluate(&c, &[d.root()]), want, "plane {q}");
                 assert_eq!(bulk.evaluate(&c, &[d.root()]), want, "bulk {q}");
                 assert_eq!(adaptive.evaluate(&c, &[d.root()]), want, "adaptive {q}");
-                assert_eq!(parallel.evaluate(&c, &[d.root()]), want, "parallel {q}");
             }
             assert!(
                 adaptive.kernel_counts().total() > 0,
                 "the adaptive backend records its kernel decisions"
             );
         }
-    }
-
-    #[test]
-    fn parallel_backend_shards_and_matches_adaptive() {
-        use xpath_axes::CostModel;
-        // Spawn/merge-free model: the gate approves the full budget, so
-        // every pass actually shards even on this small document.
-        let always_shard =
-            CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..CostModel::CALIBRATED };
-        let d = doc_bookstore();
-        let adaptive = CoreXPathEvaluator::new(&d);
-        let queries =
-            ["//a/b", "//b[child::c]", "//d/ancestor::b", "//c/following::d", "//book[author]"];
-        for shards in [1u32, 2, 8] {
-            let ev = CoreXPathEvaluator::with_backend(&d, AxisBackend::Parallel(shards))
-                .with_cost_model(always_shard);
-            for q in queries {
-                let c = compile(&parse_normalized(q).unwrap()).unwrap();
-                assert_eq!(
-                    ev.evaluate(&c, &[d.root()]),
-                    adaptive.evaluate(&c, &[d.root()]),
-                    "{q} at {shards} shards"
-                );
-            }
-            let counts = ev.kernel_counts();
-            if shards == 1 {
-                assert_eq!(counts.sharded_passes, 0, "1-shard budget never spawns: {counts:?}");
-            } else {
-                assert!(counts.sharded_passes > 0, "forced model must shard: {counts:?}");
-                assert!(counts.total() >= counts.shards_spawned, "{counts:?}");
-            }
-        }
-        // Under the calibrated model the gate refuses on a tiny document:
-        // Parallel degrades to the exact Adaptive path.
-        let gated = CoreXPathEvaluator::with_backend(&d, AxisBackend::Parallel(8));
-        let c = compile(&parse_normalized("//book[author]").unwrap()).unwrap();
-        gated.evaluate(&c, &[d.root()]);
-        assert_eq!(gated.kernel_counts().sharded_passes, 0);
     }
 
     #[test]

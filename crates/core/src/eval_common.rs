@@ -70,31 +70,10 @@ pub fn step_candidates(doc: &Document, axis: Axis, test: &NodeTest, x: NodeId) -
 /// `{y | ∃x ∈ S: x χ y, y ∈ T(t)}` via the adaptive axis engine (the
 /// cost-based kernel planner of `xpath_axes::cost`), in document order.
 /// This is the predicate-free step expansion every set-level evaluator
-/// shares. Runs at the process-default thread budget: the axis pass may
-/// shard across scoped workers when the cost model's spawn gate approves
-/// (see [`crate::parallel`]); on a 1-thread budget it is exactly the
-/// serial adaptive application.
+/// shares.
 pub fn step_candidates_set(doc: &Document, axis: Axis, test: &NodeTest, s: &NodeSet) -> NodeSet {
-    step_candidates_set_sharded(doc, axis, test, s, crate::parallel::resolve_threads(0))
-}
-
-/// [`step_candidates_set`] with an explicit shard budget (`threads = 1`
-/// keeps the pass serial; sharding remains cost-gated per pass).
-pub fn step_candidates_set_sharded(
-    doc: &Document,
-    axis: Axis,
-    test: &NodeTest,
-    s: &NodeSet,
-    threads: usize,
-) -> NodeSet {
-    let mut out = crate::parallel::axis_set_sharded(
-        doc,
-        axis,
-        s,
-        threads,
-        xpath_axes::CostModel::global(),
-        None,
-    );
+    let (mut out, _) =
+        xpath_axes::bulk::axis_set_planned(doc, axis, s, xpath_axes::CostModel::global());
     node_test::filter_set(doc, axis, test, &mut out);
     out
 }

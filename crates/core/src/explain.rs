@@ -114,26 +114,6 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
             let _ =
                 writeln!(report, "  {}", xpath_axes::cost::describe(axis, doc_size as u32, model));
         }
-        // Parallel CVT layer: the per-pass spawn gate at this |D| and the
-        // plan's thread budget.
-        let threads = crate::parallel::resolve_threads(plan.threads());
-        if threads <= 1 {
-            let _ = writeln!(
-                report,
-                "parallel: budget 1 thread ({} / machine) — passes never shard",
-                crate::parallel::THREADS_ENV
-            );
-        } else {
-            let _ = writeln!(
-                report,
-                "parallel: budget {threads} threads ({} / machine); CVT row passes \
-                 shard at ≥ {} rows, axis passes at |S| ≥ {} @ |D| = {doc_size}; \
-                 below, the planner refuses to spawn",
-                crate::parallel::THREADS_ENV,
-                model.row_shard_crossover(),
-                model.axis_shard_crossover(doc_size as u32),
-            );
-        }
     }
     // The analyzer's lazy verdict (the one the cursor dispatches on), and
     // for lazy queries whether the cost model would take the pipeline for
@@ -176,7 +156,7 @@ pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
     let universe = doc_size as u32;
     let sharing = set.sharing();
     let model = set.cost_model();
-    let threads = crate::parallel::resolve_threads(set.threads());
+    let threads = crate::batch::resolve_threads(set.threads());
     let mode = set.plan_mode(universe);
     let mut report = String::new();
     let _ = writeln!(
@@ -308,21 +288,12 @@ mod tests {
         assert!(x.report.contains("ancestor: pointer-chain"), "{}", x.report);
         assert!(x.report.contains("child: link-array"), "{}", x.report);
         assert!(x.report.contains(xpath_axes::cost::COST_ENV), "{}", x.report);
-        // The parallel spawn gate is surfaced alongside the kernel picks:
-        // either the budget is 1 (never shards) or the crossovers print.
-        assert!(x.report.contains("parallel: budget"), "{}", x.report);
-        assert!(
-            x.report.contains("never shard") || x.report.contains("refuses to spawn"),
-            "{}",
-            x.report
-        );
         // Lifted paths get a planner section too.
         let y = explain_q("count(//a/following::b)", 100);
         assert!(y.report.contains("following: "), "{}", y.report);
         // Outside the fragment engines there is no planner section.
         let y = explain_q("count(//a[count(b) > 1])", 100);
         assert!(!y.report.contains("axis planner"), "{}", y.report);
-        assert!(!y.report.contains("parallel: budget"), "{}", y.report);
     }
 
     #[test]

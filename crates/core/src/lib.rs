@@ -23,8 +23,7 @@
 //! | [`plan`] | — | document-independent execution plans (static phase) |
 //! | [`query`] | — | [`Compiler`] / [`CompiledQuery`]: compile once, evaluate many |
 //! | [`cache`] | — | sharded LRU [`QueryCache`] shared across workers |
-//! | [`parallel`] | — | sharded parallel CVT passes on a scoped thread pool |
-//! | [`batch`] | — | [`QuerySet`]: batched multi-query evaluation with shared axis passes |
+//! | [`batch`] | — | [`QuerySet`]: batched multi-query evaluation with shared axis passes; per-query fan-out, the only place evaluation spawns threads |
 //! | [`store`] | — | [`DocumentStore`]: directory of mmap'd snapshots, generational reload |
 //! | [`serve`] | — | [`serve::Server`]: line-JSON query server, admission control, metrics |
 //! | [`engine`] | — | back-compat facade over `query` + `cache` |
@@ -51,7 +50,6 @@ pub mod naive;
 pub mod node_test;
 pub mod nodeset;
 pub mod optmincontext;
-pub mod parallel;
 pub mod plan;
 pub mod pool;
 pub mod query;

@@ -27,7 +27,7 @@ use xpath_xml::{Document, NodeId};
 use crate::bottomup::CvTable;
 use crate::context::{Context, EvalBudget, EvalError, EvalResult};
 use crate::eval_common::{
-    apply_binary, position_of, predicate_holds, step_candidates, step_candidates_set_sharded,
+    apply_binary, position_of, predicate_holds, step_candidates, step_candidates_set,
 };
 use crate::functions;
 use crate::nodeset::NodeSet;
@@ -40,9 +40,6 @@ pub struct MinContextEvaluator<'d> {
     /// `table(N)` for parse-tree nodes with `Relev(N) ⊆ {cn}`, keyed by the
     /// subexpression's address. Reset per `evaluate` call.
     tables: RefCell<HashMap<usize, CvTable>>,
-    /// Resolved shard budget for the set-at-a-time axis passes (1 = every
-    /// pass serial; sharding stays cost-gated — see [`crate::parallel`]).
-    threads: usize,
     /// Deadline/cancellation budget, polled before every outermost step,
     /// table build and inner-path pass.
     eval_budget: EvalBudget,
@@ -53,22 +50,13 @@ fn key_of(e: &Expr) -> usize {
 }
 
 impl<'d> MinContextEvaluator<'d> {
-    /// Create a MinContext evaluator over `doc` with the process-default
-    /// thread budget (`GKP_THREADS` / the machine's parallelism).
+    /// Create a MinContext evaluator over `doc`.
     pub fn new(doc: &'d Document) -> Self {
         MinContextEvaluator {
             doc,
             tables: RefCell::new(HashMap::new()),
-            threads: crate::parallel::resolve_threads(0),
             eval_budget: EvalBudget::unlimited(),
         }
-    }
-
-    /// Pin the shard budget for this evaluator's axis passes: `0`
-    /// re-resolves the process default, `1` keeps every pass serial.
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = crate::parallel::resolve_threads(threads);
-        self
     }
 
     /// Attach a deadline/cancellation [`EvalBudget`], polled before every
@@ -130,7 +118,7 @@ impl<'d> MinContextEvaluator<'d> {
     fn outermost_step(&self, step: &Step, x: &NodeSet, _ctx: Context) -> EvalResult<NodeSet> {
         self.eval_budget.check()?;
         // Y := nodes reachable from X via χ::t.
-        let y = step_candidates_set_sharded(self.doc, step.axis, &step.test, x, self.threads);
+        let y = step_candidates_set(self.doc, step.axis, &step.test, x);
         for pred in &step.predicates {
             self.eval_by_cnode_only(pred, &y)?;
         }
@@ -375,13 +363,7 @@ impl<'d> MinContextEvaluator<'d> {
             // Expand the step once per distinct frontier node.
             let mut expansion: HashMap<NodeId, NodeSet> = HashMap::new();
             for pred in &step.predicates {
-                let y = step_candidates_set_sharded(
-                    self.doc,
-                    step.axis,
-                    &step.test,
-                    &frontier,
-                    self.threads,
-                );
+                let y = step_candidates_set(self.doc, step.axis, &step.test, &frontier);
                 self.eval_by_cnode_only(pred, &y)?;
             }
             for src in &frontier {
@@ -489,29 +471,6 @@ mod tests {
         let d = doc_figure8();
         let v = evaluate_str(&d, "/descendant::*/descendant::*", Context::of(d.root())).unwrap();
         assert_eq!(v.as_node_set().unwrap().len(), 8);
-    }
-
-    #[test]
-    fn thread_budget_changes_the_route_never_the_result() {
-        // The plan-level contract: with_threads(1) pins every axis pass
-        // serial, wider budgets may shard (cost-gated) — results must be
-        // identical either way.
-        let docs = [doc_flat(4), doc_figure8(), doc_bookstore()];
-        let queries = ["//a/b", "//b[2]", "//d/ancestor::b", "//c/following::d"];
-        for d in &docs {
-            for q in queries {
-                let e = parse_normalized(q).unwrap();
-                let serial = MinContextEvaluator::new(d)
-                    .with_threads(1)
-                    .evaluate(&e, Context::of(d.root()))
-                    .unwrap();
-                let wide = MinContextEvaluator::new(d)
-                    .with_threads(8)
-                    .evaluate(&e, Context::of(d.root()))
-                    .unwrap();
-                assert!(wide.semantically_equal(&serial), "{q}");
-            }
-        }
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub struct OptReport {
 
 /// The OptMinContext evaluator.
 pub struct OptMinContextEvaluator<'d> {
-    /// Shard budget handed to the Core XPath fast path and the seeded
-    /// MinContext evaluator (`0` = auto; see [`crate::parallel`]).
-    threads: u32,
     doc: &'d Document,
     /// Deadline/cancellation budget, forwarded to whichever route the
     /// dispatch takes (the Core XPath fast path or seeded MinContext).
@@ -41,17 +38,9 @@ pub struct OptMinContextEvaluator<'d> {
 }
 
 impl<'d> OptMinContextEvaluator<'d> {
-    /// Create an evaluator over `doc` with the auto-resolved thread
-    /// budget.
+    /// Create an evaluator over `doc`.
     pub fn new(doc: &'d Document) -> Self {
-        OptMinContextEvaluator { doc, threads: 0, eval_budget: EvalBudget::unlimited() }
-    }
-
-    /// Pin the shard budget for the underlying engines: `0` (default)
-    /// auto-resolves, `1` keeps every pass serial.
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = threads;
-        self
+        OptMinContextEvaluator { doc, eval_budget: EvalBudget::unlimited() }
     }
 
     /// Attach a deadline/cancellation [`EvalBudget`]: both dispatch routes
@@ -78,19 +67,14 @@ impl<'d> OptMinContextEvaluator<'d> {
         // Corollary 11.5: whole-query Core XPath fast path.
         if let Ok(cq) = corexpath::compile(query) {
             report.used_core_xpath = true;
-            let ev = CoreXPathEvaluator::with_backend(
-                self.doc,
-                corexpath::AxisBackend::Parallel(self.threads),
-            );
+            let ev = CoreXPathEvaluator::new(self.doc);
             let out = ev.try_evaluate(&cq, &[ctx.node], &self.eval_budget)?;
             return Ok((Value::NodeSet(out), report));
         }
 
         // Algorithm 11.1: evaluate all bottom-up location paths inside Q,
         // innermost first, seeding their tables into MinContext.
-        let mc = MinContextEvaluator::new(self.doc)
-            .with_threads(self.threads)
-            .with_eval_budget(self.eval_budget.clone());
+        let mc = MinContextEvaluator::new(self.doc).with_eval_budget(self.eval_budget.clone());
         let candidates = collect_candidates_postorder(query);
         for e in candidates {
             self.eval_budget.check()?;

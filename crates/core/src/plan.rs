@@ -122,9 +122,6 @@ pub struct Plan {
     report: QueryReport,
     /// Step budget for the exponential naive baseline, if bounded.
     naive_budget: Option<u64>,
-    /// Shard budget for the parallel CVT layer (`0` = auto:
-    /// `GKP_THREADS` / the machine's parallelism; `1` = always serial).
-    threads: u32,
 }
 
 impl Plan {
@@ -136,29 +133,12 @@ impl Plan {
     /// that fragment is rejected **here**, so callers see
     /// [`EvalError::UnsupportedFragment`](crate::EvalError::UnsupportedFragment)
     /// once at compile time rather than on every evaluation.
-    ///
-    /// The plan runs with the auto-resolved thread budget; use
-    /// [`Plan::build_with_threads`] to pin it.
     pub fn build(expr: Expr, requested: Strategy, naive_budget: Option<u64>) -> EvalResult<Plan> {
-        Plan::build_with_threads(expr, requested, naive_budget, 0)
-    }
-
-    /// [`Plan::build`] with an explicit shard budget for the parallel CVT
-    /// layer: `0` resolves the process default (`GKP_THREADS` env, then
-    /// the machine's parallelism), `1` keeps every pass serial. Sharding
-    /// is still cost-gated per pass at runtime (see [`crate::parallel`]),
-    /// so the budget is a cap, not a mandate.
-    pub fn build_with_threads(
-        expr: Expr,
-        requested: Strategy,
-        naive_budget: Option<u64>,
-        threads: u32,
-    ) -> EvalResult<Plan> {
         let classification = classify(&expr);
         let (strategy, program) = resolve(&expr, requested)?;
         let report =
             analyze::analyze(&expr, strategy, program.as_ref().and_then(Program::whole_path));
-        Ok(Plan { expr, classification, strategy, program, report, naive_budget, threads })
+        Ok(Plan { expr, classification, strategy, program, report, naive_budget })
     }
 
     /// Run the plan against `doc` from context `ctx`.
@@ -191,7 +171,6 @@ impl Plan {
             self.strategy,
             self.program.as_ref(),
             self.naive_budget,
-            self.threads,
             doc,
             ctx,
             None,
@@ -230,18 +209,11 @@ impl Plan {
             self.strategy,
             self.program.as_ref(),
             self.naive_budget,
-            self.threads,
             doc,
             ctx,
             Some(kernels),
             budget,
         )
-    }
-
-    /// The configured shard budget for the parallel CVT layer (`0` =
-    /// auto-resolve at evaluation time).
-    pub fn threads(&self) -> u32 {
-        self.threads
     }
 
     /// The compiled Core XPath / XPatterns program of the whole query —
@@ -288,7 +260,7 @@ pub fn execute_adhoc(
     ctx: Context,
 ) -> EvalResult<Value> {
     let (strategy, program) = resolve(expr, strategy)?;
-    run(expr, strategy, program.as_ref(), naive_budget, 0, doc, ctx, None, &EvalBudget::unlimited())
+    run(expr, strategy, program.as_ref(), naive_budget, doc, ctx, None, &EvalBudget::unlimited())
 }
 
 /// Resolve a requested strategy: [`resolve_auto`] under Auto; otherwise
@@ -314,16 +286,13 @@ fn fragment_dialect(strategy: Strategy) -> Option<CoreDialect> {
 /// Shared runtime dispatch. `strategy` is resolved (never `Auto`) and the
 /// fragment program it needs is supplied by the caller. When `kernels`
 /// is given, the fragment engines' adaptive planner decisions are merged
-/// into it after the evaluation. `threads` caps the parallel CVT layer
-/// for the engines that have one (Core XPath / XPatterns axis passes, the
-/// bottom-up row fills); `0` auto-resolves.
+/// into it after the evaluation.
 #[allow(clippy::too_many_arguments)]
 fn run(
     expr: &Expr,
     strategy: Strategy,
     program: Option<&Program>,
     naive_budget: Option<u64>,
-    threads: u32,
     doc: &Document,
     ctx: Context,
     kernels: Option<&xpath_axes::KernelCounters>,
@@ -339,27 +308,21 @@ fn run(
         Strategy::DataPool => {
             PoolEvaluator::new(doc).with_eval_budget(budget.clone()).evaluate(expr, ctx)
         }
-        Strategy::BottomUp => BottomUpEvaluator::new(doc)
-            .with_threads(threads)
-            .with_eval_budget(budget.clone())
-            .evaluate(expr, ctx),
+        Strategy::BottomUp => {
+            BottomUpEvaluator::new(doc).with_eval_budget(budget.clone()).evaluate(expr, ctx)
+        }
         Strategy::TopDown => {
             TopDownEvaluator::new(doc).with_eval_budget(budget.clone()).evaluate(expr, ctx)
         }
-        Strategy::MinContext => MinContextEvaluator::new(doc)
-            .with_threads(threads)
-            .with_eval_budget(budget.clone())
-            .evaluate(expr, ctx),
-        Strategy::OptMinContext => OptMinContextEvaluator::new(doc)
-            .with_threads(threads)
-            .with_eval_budget(budget.clone())
-            .evaluate(expr, ctx),
+        Strategy::MinContext => {
+            MinContextEvaluator::new(doc).with_eval_budget(budget.clone()).evaluate(expr, ctx)
+        }
+        Strategy::OptMinContext => {
+            OptMinContextEvaluator::new(doc).with_eval_budget(budget.clone()).evaluate(expr, ctx)
+        }
         Strategy::CoreXPath | Strategy::XPatterns => {
             let program = program.expect("fragment dispatch requires a compiled program");
-            let ev = CoreXPathEvaluator::with_backend(
-                doc,
-                crate::corexpath::AxisBackend::Parallel(threads),
-            );
+            let ev = CoreXPathEvaluator::new(doc);
             let out = program.execute(&ev, doc, ctx, budget);
             if let Some(counters) = kernels {
                 counters.merge(ev.kernel_counts());
@@ -448,23 +411,6 @@ mod tests {
                 "{q}"
             );
         }
-    }
-
-    #[test]
-    fn plans_carry_a_thread_budget() {
-        let p = plan("//book[author]", Strategy::Auto).unwrap();
-        assert_eq!(p.threads(), 0, "default is auto-resolve");
-        let e = parse_normalized("//book[author]").unwrap();
-        let pinned = Plan::build_with_threads(e.clone(), Strategy::Auto, None, 4).unwrap();
-        assert_eq!(pinned.threads(), 4);
-        // Budgets change only the route, never the result.
-        let serial = Plan::build_with_threads(e, Strategy::Auto, None, 1).unwrap();
-        let d = doc_bookstore();
-        let ctx = Context::of(d.root());
-        assert!(pinned
-            .execute(&d, ctx)
-            .unwrap()
-            .semantically_equal(&serial.execute(&d, ctx).unwrap()));
     }
 
     #[test]

@@ -84,12 +84,15 @@ impl Compiler {
         self
     }
 
-    /// Shard budget for the parallel CVT layer compiled queries evaluate
-    /// with: `0` (the default) auto-resolves from `GKP_THREADS` / the
-    /// machine's parallelism, `1` keeps every pass serial, higher values
-    /// cap the per-pass scoped thread pool. Sharding stays cost-gated per
-    /// pass either way — see [`crate::parallel`] — and never changes
-    /// results, only the route taken.
+    /// Default thread budget of a
+    /// [`QuerySetBuilder`](crate::batch::QuerySetBuilder) built from this
+    /// compiler: `0` (the default) auto-resolves from `GKP_THREADS` / the
+    /// machine's parallelism, `1` keeps the batch on the caller's thread.
+    /// It caps the batch's per-query fan-out
+    /// ([`BatchMode::PerQuerySharded`](xpath_axes::BatchMode::PerQuerySharded)),
+    /// the only place evaluation spawns threads; a single compiled query
+    /// always evaluates on the calling thread, so the budget is not part
+    /// of the plan and never changes results.
     pub fn threads(mut self, threads: u32) -> Compiler {
         self.threads = threads;
         self
@@ -119,8 +122,7 @@ impl Compiler {
     /// [`EvalError::UnsupportedFragment`] — both at compile time.
     pub fn compile(&self, query: &str) -> EvalResult<CompiledQuery> {
         let expr = self.parse(query)?;
-        let plan =
-            Plan::build_with_threads(expr, self.default_strategy, self.naive_budget, self.threads)?;
+        let plan = Plan::build(expr, self.default_strategy, self.naive_budget)?;
         Ok(CompiledQuery {
             text: query.to_string(),
             optimized: self.optimize,
@@ -131,16 +133,16 @@ impl Compiler {
 
     /// A stable fingerprint of this compiler's settings, used with the
     /// query text as the [`crate::cache::QueryCache`] key. Two compilers
-    /// with equal fingerprints produce identical compiled queries.
+    /// with equal fingerprints produce identical compiled queries. The
+    /// thread budget is not part of it: plans do not depend on it.
     pub fn options_fingerprint(&self) -> String {
         // Bindings has no Hash/Eq, and its HashMap iteration order varies
         // per instance — render the entries in sorted name order instead.
         format!(
-            "opt={};strat={:?};budget={:?};thr={};bind={:?}",
+            "opt={};strat={:?};budget={:?};bind={:?}",
             self.optimize,
             self.default_strategy,
             self.naive_budget,
-            self.threads,
             self.bindings.sorted()
         )
     }
@@ -150,7 +152,7 @@ impl Compiler {
         self.naive_budget
     }
 
-    /// The configured shard budget (`0` = auto) — the default a
+    /// The configured thread budget (`0` = auto) — the default a
     /// [`QuerySetBuilder`](crate::batch::QuerySetBuilder) built from this
     /// compiler inherits.
     pub(crate) fn configured_threads(&self) -> u32 {
@@ -463,18 +465,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_is_compiled_in_and_result_invariant() {
+    fn thread_budget_is_not_part_of_the_plan_or_the_cache_key() {
         let d = doc_bookstore();
         let serial = Compiler::new().threads(1).compile("//book[author]").unwrap();
         let wide = Compiler::new().threads(8).compile("//book[author]").unwrap();
-        assert_eq!(serial.plan().threads(), 1);
-        assert_eq!(wide.plan().threads(), 8);
-        // The budget is part of the cache key (distinct compiled plans)…
-        assert_ne!(
+        // Plans do not depend on the budget, so one cache entry serves
+        // every budget…
+        assert_eq!(
             Compiler::new().threads(1).options_fingerprint(),
             Compiler::new().threads(8).options_fingerprint()
         );
-        // …but never part of the answer.
+        // …and the answer is the same either way.
         assert_eq!(wide.evaluate_root(&d).unwrap(), serial.evaluate_root(&d).unwrap());
     }
 

@@ -26,8 +26,8 @@
 //!
 //! The `op` field may be omitted when `query`/`queries` is present.
 //! Optional eval fields: `id` (echoed verbatim on the response),
-//! `timeout_ms` (per-request deadline), `threads` (per-request thread
-//! budget, clamped to the server's cap), `limit` (max node-set string
+//! `timeout_ms` (per-request deadline), `threads` (per-request batch
+//! fan-out budget, clamped to the server's cap), `limit` (max node-set string
 //! values returned; the `count` field is always exact).
 //!
 //! Each per-query result is `{"ok":true,"type":…,…}` or
@@ -44,9 +44,10 @@
 //! request acquires a permit before compiling/evaluating and waits at
 //! most the configured admission timeout, failing with `overloaded`
 //! instead of queueing unboundedly. The per-request `threads` budget is
-//! fed to [`Compiler::threads`], so worst-case CPU oversubscription is
-//! bounded by `permits × max_request_threads` regardless of client
-//! count.
+//! fed to [`Compiler::threads`]; it caps the workers a batched request
+//! (`queries`) fans out to, and a single query always evaluates on its
+//! connection thread. So worst-case CPU oversubscription is bounded by
+//! `permits × max_request_threads` regardless of client count.
 //!
 //! # Metrics
 //!
@@ -680,9 +681,10 @@ pub struct ServeConfig {
     /// machine's available parallelism.
     pub permits: usize,
     /// Per-request thread-budget cap fed to [`Compiler::threads`]
-    /// (requests asking for more are clamped). Worst-case CPU use is
+    /// (requests asking for more are clamped); it bounds a batched
+    /// request's fan-out. Worst-case CPU use is
     /// `permits × max_request_threads`. Default 1: under concurrent
-    /// load, parallelism comes from requests, not shards.
+    /// load, parallelism comes from requests, not from fan-out.
     pub max_request_threads: u32,
     /// How long a request may wait for a permit before `overloaded`.
     pub admission_timeout: Duration,
@@ -1214,8 +1216,6 @@ impl Server {
                     ("per_node", Json::num(planner.per_node)),
                     ("bulk_sparse", Json::num(planner.bulk_sparse)),
                     ("bulk_dense", Json::num(planner.bulk_dense)),
-                    ("sharded_passes", Json::num(planner.sharded_passes)),
-                    ("shards_spawned", Json::num(planner.shards_spawned)),
                     ("memo_hits", Json::num(planner.memo_hits)),
                 ]),
             ),

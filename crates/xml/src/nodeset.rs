@@ -630,13 +630,12 @@ impl NodeSet {
         }
     }
 
-    // ----- shard split / merge (parallel CVT evaluation) -----
+    // ----- id-range projection -----
 
-    /// The subset of `self` with ids in `[lo, hi)` — the shard-input
-    /// projection of the parallel evaluation layer. `O(log n)` + a copy on
+    /// The subset of `self` with ids in `[lo, hi)` — how the lazy cursor
+    /// cuts one window out of a step's candidates. `O(log n)` + a copy on
     /// the sparse representation; a masked word copy on the dense one.
-    /// The result keeps `self`'s representation (a dense shard of a dense
-    /// input stays dense so per-shard kernels see the same layout).
+    /// The result keeps `self`'s representation.
     pub fn restrict_range(&self, lo: u32, hi: u32) -> NodeSet {
         if lo >= hi {
             return NodeSet::new();
@@ -677,51 +676,6 @@ impl NodeSet {
             }
         }
     }
-
-    /// Merge per-shard results back into one set: the word-parallel union
-    /// of all parts, re-adapted once at the end. Parts may overlap (chain
-    /// axes from different shards can mark the same ancestors) and may mix
-    /// representations; a dense part, if any, seeds the accumulator so the
-    /// merge is `O(shards · universe/64)` words instead of repeated vector
-    /// merges.
-    pub fn union_shards(parts: impl IntoIterator<Item = NodeSet>) -> NodeSet {
-        let mut parts: Vec<NodeSet> = parts.into_iter().collect();
-        let Some(dense_at) = parts.iter().position(NodeSet::is_dense) else {
-            let Some(mut acc) = parts.pop() else {
-                return NodeSet::new();
-            };
-            for p in &parts {
-                acc.union_with(p);
-            }
-            return acc;
-        };
-        let mut acc = parts.swap_remove(dense_at);
-        for p in &parts {
-            acc.union_with(p);
-        }
-        acc.adapt()
-    }
-}
-
-/// Split the id universe `[0, universe)` into at most `shards` contiguous
-/// ranges for the parallel evaluation layer. Boundaries are aligned to
-/// bitset words (multiples of 64) so dense per-shard results never share
-/// a word across a boundary; empty trailing ranges are dropped, so fewer
-/// than `shards` ranges come back when the universe is small.
-pub fn shard_ranges(universe: u32, shards: usize) -> Vec<(u32, u32)> {
-    if universe == 0 || shards <= 1 {
-        return vec![(0, universe)];
-    }
-    let words = universe.div_ceil(WORD_BITS);
-    let per_shard = words.div_ceil(shards as u32).max(1);
-    let mut out = Vec::with_capacity(shards);
-    let mut lo = 0u32;
-    while lo < universe {
-        let hi = (lo + per_shard * WORD_BITS).min(universe);
-        out.push((lo, hi));
-        lo = hi;
-    }
-    out
 }
 
 /// Is a result bounded by `len` ids over `universe` guaranteed to end up
@@ -1068,23 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_cover_the_universe_word_aligned() {
-        for universe in [0u32, 1, 63, 64, 65, 1000, 21846] {
-            for shards in [1usize, 2, 3, 4, 8, 64] {
-                let ranges = shard_ranges(universe, shards);
-                assert!(ranges.len() <= shards.max(1), "{universe}/{shards}");
-                // Contiguous, ascending, covering exactly [0, universe).
-                assert_eq!(ranges.first().map(|r| r.0), Some(0));
-                assert_eq!(ranges.last().map(|r| r.1), Some(universe));
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "gap in {ranges:?}");
-                    assert_eq!(w[0].1 % 64, 0, "unaligned boundary in {ranges:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn restrict_range_projects_both_reprs() {
         let ids = [0u32, 3, 63, 64, 100, 129, 190];
         for s in [ns(&ids), dense(&ids, 200)] {
@@ -1095,26 +1032,6 @@ mod tests {
             assert_eq!(s.restrict_range(191, 1000), NodeSet::new());
             assert_eq!(s.restrict_range(0, 1000), s);
         }
-    }
-
-    #[test]
-    fn union_shards_reassembles_split_sets() {
-        let universe = 500u32;
-        let ids: Vec<u32> = (0..universe).step_by(3).collect();
-        for s in [ns(&ids), dense(&ids, universe)] {
-            for shards in [1usize, 2, 4, 7] {
-                let parts: Vec<NodeSet> = shard_ranges(universe, shards)
-                    .into_iter()
-                    .map(|(lo, hi)| s.restrict_range(lo, hi))
-                    .collect();
-                assert_eq!(NodeSet::union_shards(parts), s, "{shards} shards");
-            }
-        }
-        // Overlapping and mixed-representation parts merge too.
-        let merged =
-            NodeSet::union_shards(vec![ns(&[1, 2, 3]), dense(&[3, 4, 200], 300), ns(&[250])]);
-        assert_eq!(merged, ns(&[1, 2, 3, 4, 200, 250]));
-        assert_eq!(NodeSet::union_shards(Vec::new()), NodeSet::new());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Thread-local buffer recycling for the allocation-free steady state.
 //!
 //! Every transient buffer the engine churns through — bitset word
-//! vectors, sorted id vectors, staircase range lists, per-shard set
+//! vectors, sorted id vectors, staircase range lists, node-set
 //! collections — is taken from and returned to a small per-thread shelf
 //! instead of the global allocator. [`NodeSet`]'s `Drop`
 //! and `Clone` route through these shelves automatically, so after a

@@ -51,12 +51,13 @@
 //!                           stderr; with --time, reports the amortized
 //!                           per-evaluation cost). Batches re-run
 //!                           evaluate_all N times
-//!   -T, --threads <N>       shard budget for the parallel CVT layer and
-//!                           the batch fan-out: 0 = auto (GKP_THREADS env,
-//!                           then the machine's parallelism — the
-//!                           default), 1 = always serial, N caps the
-//!                           per-pass scoped thread pool. Cost-gated,
-//!                           never changes results
+//!   -T, --threads <N>       thread budget for the batch fan-out (one
+//!                           chunk of -e queries per worker): 0 = auto
+//!                           (GKP_THREADS env, then the machine's
+//!                           parallelism — the default), 1 = serial, N
+//!                           caps the workers. A single query always
+//!                           runs on one thread. Cost-gated, never
+//!                           changes results
 //!   -c, --classify          print the Figure-1 fragment classification and exit
 //!   -n, --normalize         print the normalized (unabbreviated) query and exit
 //!       --explain           print the query plan (fragment, Relev sets,
@@ -165,7 +166,7 @@ fn usage() -> &'static str {
     "usage: xpq [-s STRATEGY] [-O] [-r N] [-T N] [-c] [-n] [--explain] [--lint [--json]] [-v] [--serialize] [--verify] [--stats] [--ns] [--time] [--exists | --first | --limit K] [--timeout-ms N] (<QUERY> | -e EXPR... | --query-file F) [FILE]\n\
      strategies: naive pool bottomup topdown mincontext optmincontext corexpath xpatterns auto\n\
      -e/--expr: add a query to the batch (repeatable); --query-file: one query per line (#-comments skipped)\n\
-     -T/--threads: parallel shard budget (0 = auto via GKP_THREADS/machine, 1 = serial)\n\
+     -T/--threads: batch fan-out budget (0 = auto via GKP_THREADS/machine, 1 = serial)\n\
      --lint: static-analyze the queries (no document); exits 1 on error-severity diagnostics\n\
      --exists/--first/--limit: early-exit evaluation via the lazy cursor (single node-set query)\n\
      --timeout-ms: deadline for the whole evaluation; exits 124 when it trips\n\
@@ -547,7 +548,7 @@ fn print_bench_info(threads: u32) {
         (false, _) => "unavailable",
     };
     println!("avx512 fingerprint: {fp}");
-    let resolved = gkp_xpath::core::parallel::resolve_threads(threads);
+    let resolved = gkp_xpath::core::batch::resolve_threads(threads);
     println!("threads:      {resolved}{}", if threads == 0 { " (auto)" } else { "" });
 }
 
@@ -983,8 +984,12 @@ fn main() -> ExitCode {
             .map(|q| gkp_xpath::AnalysisStats::of(q.report()))
             .fold(gkp_xpath::AnalysisStats::default(), gkp_xpath::AnalysisStats::plus);
         eprintln!("analysis: {analysis}");
-        let resolved = gkp_xpath::core::parallel::resolve_threads(opts.threads);
+        let resolved = gkp_xpath::core::batch::resolve_threads(opts.threads);
         eprintln!("threads:  {resolved}{}", if opts.threads == 0 { " (auto)" } else { "" });
+        // A rejected GKP_THREADS value is reported the same way.
+        for d in gkp_xpath::core::batch::threads_env_diagnostics() {
+            eprintln!("threads:  {d}");
+        }
         // One-time GKP_AXIS_COST parse diagnostics: a typo'd calibration
         // override is reported here instead of being silently dropped.
         for d in gkp_xpath::axes::CostModel::env_diagnostics() {

@@ -1,13 +1,10 @@
 //! Axis-backend differential suite: the Bulk, Direct, Alg32 (per-node
-//! reference), Adaptive and sharded Parallel backends (1, 2 and 8
-//! shards) must return identical node-sets — same content **and** same
-//! document order — on the six BENCH_axes query shapes and on random
-//! documents, from root and non-root contexts alike. §3's
-//! interchangeability claim, enforced at the evaluator level for the
-//! cost-based planner and the parallel CVT layer (which additionally
-//! runs under a forced always-shard cost model so every pass really
-//! crosses the scoped thread pool). The sparse `id` axis is held to the
-//! Theorem 10.7 scan it replaced the same way.
+//! reference) and Adaptive backends must return identical node-sets —
+//! same content **and** same document order — on the six BENCH_axes
+//! query shapes and on random documents, from root and non-root
+//! contexts alike. §3's interchangeability claim, enforced at the
+//! evaluator level for the cost-based planner. The sparse `id` axis is
+//! held to the Theorem 10.7 scan it replaced the same way.
 
 use gkp_xpath::axes::id::{id_set_ref, id_set_ref_scan};
 use gkp_xpath::axes::CostModel;
@@ -36,9 +33,6 @@ const BACKENDS: &[(&str, AxisBackend)] = &[
     ("alg32", AxisBackend::Alg32),
     ("bulk", AxisBackend::Bulk),
     ("adaptive", AxisBackend::Adaptive),
-    ("parallel-1", AxisBackend::Parallel(1)),
-    ("parallel-2", AxisBackend::Parallel(2)),
-    ("parallel-8", AxisBackend::Parallel(8)),
 ];
 
 fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
@@ -53,15 +47,6 @@ fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
         chain_ns: 1e9,
         ..CostModel::CALIBRATED
     });
-    // The parallel backend additionally runs under a forced always-shard
-    // model (spawn and merge free): on these small documents the
-    // calibrated gate would refuse every spawn, so this is what actually
-    // drives each pass across the scoped pool and through the
-    // range-split / word-parallel-merge path.
-    let forced_shard =
-        CoreXPathEvaluator::with_backend(doc, AxisBackend::Parallel(8)).with_cost_model(
-            CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..CostModel::CALIBRATED },
-        );
     let contexts = [doc.root(), doc.document_element().unwrap_or(doc.root())];
     for q in queries {
         let e = parse_normalized(q).unwrap_or_else(|err| panic!("{q}: {err}"));
@@ -82,11 +67,7 @@ fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
                     "{label}: backend {name} diverges on {q} from {ctx:?}"
                 );
             }
-            for (name, ev) in [
-                ("forced-sparse", &forced_sparse),
-                ("forced-dense", &forced_dense),
-                ("forced-shard", &forced_shard),
-            ] {
+            for (name, ev) in [("forced-sparse", &forced_sparse), ("forced-dense", &forced_dense)] {
                 assert_eq!(
                     ev.evaluate(&c, &[ctx]).to_vec(),
                     want_ids,
@@ -94,15 +75,6 @@ fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
                 );
             }
         }
-    }
-    // A one-word universe (≤ 64 ids) legitimately never splits — word
-    // alignment collapses every range — so only larger documents must
-    // show sharded passes under the always-shard model.
-    if doc.len() > 64 {
-        assert!(
-            forced_shard.kernel_counts().sharded_passes > 0,
-            "{label}: the always-shard model never actually sharded a pass"
-        );
     }
 }
 

@@ -283,24 +283,24 @@ fn verbose_reports_fragment_and_strategy() {
 }
 
 #[test]
-fn threads_flag_caps_the_shard_budget_without_changing_results() {
-    let (serial, _, code) = xpq(&["--threads", "1", "//title"], XML);
+fn threads_flag_caps_the_batch_fan_out_without_changing_results() {
+    let batch = ["-e", "//title", "-e", "count(//book)", "-e", "//book[@year > 2000]/title"];
+    let (serial, _, code) = xpq(&[&["--threads", "1"], &batch[..]].concat(), XML);
     assert_eq!(code, 0);
-    let (wide, stderr, code) = xpq(&["-T", "8", "-v", "//title"], XML);
+    assert_eq!(
+        serial,
+        "# //title\nFoundations\nXPath\n# count(//book)\n2\n# //book[@year > 2000]/title\nXPath\n"
+    );
+    let (wide, stderr, code) = xpq(&[&["-T", "8", "-v"], &batch[..]].concat(), XML);
     assert_eq!(code, 0);
     assert_eq!(wide, serial, "thread budget must not change results");
     assert!(stderr.contains("threads:  8"), "{stderr}");
     // Invalid counts are rejected.
-    let (_, stderr, code) = xpq(&["-T", "many", "//title"], XML);
-    assert_eq!(code, 2);
-    assert!(stderr.contains("invalid thread count"), "{stderr}");
-}
-
-#[test]
-fn explain_reports_the_parallel_spawn_gate() {
-    let (stdout, _, code) = xpq(&["--explain", "//book[author]"], "");
-    assert_eq!(code, 0);
-    assert!(stdout.contains("parallel: budget"), "{stdout}");
+    for bad in ["many", "-1"] {
+        let (_, stderr, code) = xpq(&[&["-T", bad], &batch[..]].concat(), XML);
+        assert_eq!(code, 2, "{bad}");
+        assert!(stderr.contains("invalid thread count"), "{stderr}");
+    }
 }
 
 #[test]

@@ -49,11 +49,18 @@ impl Client {
     }
 }
 
+type Started = (TempPath, Arc<Server>, PathBuf, thread::JoinHandle<std::io::Result<()>>);
+
 /// Start a server over a fresh store (one published balanced document)
 /// on a Unix socket in the store's parent dir. Returns that directory
 /// (removed on drop), the server, the socket path, and the accept-loop
 /// thread handle.
-fn start(tag: &str) -> (TempPath, Arc<Server>, PathBuf, thread::JoinHandle<std::io::Result<()>>) {
+fn start(tag: &str) -> Started {
+    start_with(tag, |_| {})
+}
+
+/// [`start`] with a last say over the configuration.
+fn start_with(tag: &str, configure: impl FnOnce(&mut ServeConfig)) -> Started {
     let dir = temp_dir(tag);
     let mut config = ServeConfig::new(dir.join("store"));
     config.read_timeout = Duration::from_millis(25);
@@ -62,6 +69,7 @@ fn start(tag: &str) -> (TempPath, Arc<Server>, PathBuf, thread::JoinHandle<std::
     // correctness under concurrency, not admission control, so give
     // every client a permit.
     config.permits = 16;
+    configure(&mut config);
     let server = Arc::new(Server::new(config).unwrap());
     // Small document: these tests probe the wire protocol, not
     // evaluator throughput (bench_serve covers that), and they run in
@@ -149,6 +157,45 @@ fn deadline_trips_are_structured_and_connection_survives() {
     let resp = client.roundtrip(r#"{"id":2,"doc":"bench","query":"count(//a)"}"#);
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
     assert_eq!(resp.get("id").unwrap().as_u64(), Some(2));
+    finish(&server, accept, &sock);
+}
+
+#[test]
+fn request_threads_are_clamped_and_never_change_results() {
+    let (_dir, server, sock, accept) = start_with("threads", |c| c.max_request_threads = 2);
+    let mut client = Client::connect(&sock);
+    // Four queries outside Core XPath / XPatterns: nothing for lock-step
+    // sharing, so a wide enough budget lets the batch fan out.
+    let batch = r#"["count(//c[1])","count(//d[2])","//b[position() = last()]","string(//c[3])"]"#;
+    let mut batch_results = Vec::new();
+    let mut workers = Vec::new();
+    let mut single_results = Vec::new();
+    for threads in [1, 2, 64] {
+        let resp = client
+            .roundtrip(&format!(r#"{{"doc":"bench","queries":{batch},"threads":{threads}}}"#));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{threads} threads");
+        let results = resp.get("results").unwrap().as_arr().unwrap().to_vec();
+        assert_eq!(results.len(), 4);
+        assert!(results.iter().all(|r| r.get("ok") == Some(&Json::Bool(true))), "{results:?}");
+        batch_results.push(results);
+        let stats = resp.get("batch").expect("batched evals report batch stats");
+        workers.push(stats.get("workers").unwrap().as_u64().unwrap());
+
+        let resp = client.roundtrip(&format!(
+            r#"{{"doc":"bench","query":"//b[position() = last()]","threads":{threads}}}"#
+        ));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{threads} threads");
+        assert!(resp.get("batch").is_none(), "a single query is not a batch");
+        single_results.push(resp.get("results").unwrap().clone());
+    }
+    // The budget changes at most the route, never the answer.
+    assert!(batch_results.iter().all(|r| *r == batch_results[0]), "{batch_results:?}");
+    assert!(single_results.iter().all(|r| *r == single_results[0]), "{single_results:?}");
+    // A 1-thread budget keeps the batch on one worker; 64 is clamped to
+    // the server's cap of 2, so it fans out exactly as 2 does.
+    assert_eq!(workers[0], 1, "{workers:?}");
+    assert!(workers.iter().all(|&w| w <= 2), "{workers:?}");
+    assert_eq!(workers[2], workers[1], "{workers:?}");
     finish(&server, accept, &sock);
 }
 
