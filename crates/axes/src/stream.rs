@@ -84,11 +84,6 @@ impl StepStreamer {
         Some(StepStreamer { axis, expanded: NodeSet::empty_dense(n), next_free: 0, follow_lo: n })
     }
 
-    /// The axis this streamer expands.
-    pub fn axis(&self) -> Axis {
-        self.axis
-    }
-
     /// Does the accumulated image still need the §4 type strip
     /// (subtracting attribute/namespace nodes)? `child` filters specials
     /// inline and `attribute`/`namespace` *produce* special nodes, so

@@ -108,9 +108,9 @@ fn bench_structural_join(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_name_index(c: &mut Criterion) {
+fn bench_t_sets(c: &mut Criterion) {
     use xpath_core::corexpath::{compile, CoreXPathEvaluator};
-    let mut g = c.benchmark_group("name_index");
+    let mut g = c.benchmark_group("t_sets");
     g.sample_size(20)
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(500));
@@ -118,20 +118,16 @@ fn bench_name_index(c: &mut Criterion) {
     for &size in &[1_000usize, 20_000] {
         let cfg = RandomDocConfig { elements: size, ..RandomDocConfig::default() };
         let doc = doc_random(5, &cfg);
-        // Predicate-heavy query: S← touches T(t) at every step.
+        // Predicate-heavy query: S← scans T(t) at every step.
         let e = xpath_syntax::parse_normalized("//a[b[c] and not(d[a])]").unwrap();
         let q = compile(&e).unwrap();
-        let plain = CoreXPathEvaluator::new(&doc);
-        let indexed = CoreXPathEvaluator::new(&doc).with_name_index();
+        let ev = CoreXPathEvaluator::new(&doc);
         g.bench_with_input(BenchmarkId::new("scan", size), &size, |b, _| {
-            b.iter(|| plain.evaluate(&q, &[doc.root()]));
-        });
-        g.bench_with_input(BenchmarkId::new("indexed", size), &size, |b, _| {
-            b.iter(|| indexed.evaluate(&q, &[doc.root()]));
+            b.iter(|| ev.evaluate(&q, &[doc.root()]));
         });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_backends, bench_structural_join, bench_name_index);
+criterion_group!(benches, bench_backends, bench_structural_join, bench_t_sets);
 criterion_main!(benches);

@@ -12,7 +12,8 @@
 //! * **set_ops** — union/intersect/difference on the dense-bitset vs the
 //!   sorted-vec representation across densities;
 //! * **queries** — whole-query Core XPath evaluation with the adaptive and
-//!   bulk backends vs the per-node direct backend;
+//!   bulk backends vs the per-node direct backend, on each query as the
+//!   compiler rewrites it;
 //! * **batch_eval** — the batched multi-query layer (`xpath_core::batch`):
 //!   a 16-query shared-prefix batch and a disjoint batch, each as one
 //!   `QuerySet::evaluate_all` (single-thread, lock-step memo sharing) vs
@@ -23,6 +24,11 @@
 //!   `count()`-wrapped bench shapes, timed under Auto (which lifts the
 //!   path onto the §10 algebra), as the bare path on its fragment engine,
 //!   and under forced OptMinContext (what Auto picked before lifting);
+//! * **node_tests** — what a node test costs on its own: `/descendant::*`
+//!   (kind test), `/descendant::c` (name test), `//c` (merged into one
+//!   descendant step by the rewrite every compile runs) and `//b[c]`,
+//!   plus the bare `T(c)` scan that `//b[c]`'s `S←` runs, each with its
+//!   ratio to `/descendant::*`;
 //! * **early_exit** — the lazy cursor layer (`xpath_core::cursor`):
 //!   `first()`/`exists()` (stop at the first witness) vs a full
 //!   materializing evaluation of the same compiled query on the
@@ -50,7 +56,9 @@
 //!                    the in-memory arena size (the snapshot guard), or
 //!                    if Auto on `count(//c)` is slower than 1.2× the bare
 //!                    `//c` on its fragment engine (the strategy-choice
-//!                    guard).
+//!                    guard), or if `/descendant::c` costs more than 2×
+//!                    `/descendant::*` or `//c` more than 1.3×
+//!                    `/descendant::c` (the node-test guard).
 //!                    The timing baseline is pinned to a 1-thread budget,
 //!                    so CI core counts can't flake the guard
 //!   `… --calibrate`  measure the cost-model constants (incl. the spawn
@@ -441,6 +449,61 @@ fn measure_choice(doc: &Document, path: &str) -> ChoiceCell {
     }
 }
 
+/// The node-test workloads on the 21,846-node document: a kind test
+/// (`/descendant::*`), a name test (`/descendant::c`), the same name test
+/// behind `//` (which the rewrite merges into one descendant step), and
+/// `//b[c]`, whose predicate scans `T(c)` for `S←` on every evaluation.
+const NODE_TEST_QUERIES: &[&str] = &["/descendant::*", "/descendant::c", "//c", "//b[c]"];
+
+/// One node-test cell: a compiled query (or the bare `T(c)` scan) timed
+/// interleaved with the others, and its result size.
+struct NodeTestCell {
+    query: &'static str,
+    matches: usize,
+    ns: u64,
+}
+
+/// The [`NODE_TEST_QUERIES`] cells in order, then the bare `T(c)` scan
+/// (`node_test::matching_set`) that `//b[c]`'s `S←` runs.
+fn measure_node_tests(doc: &Document) -> Vec<NodeTestCell> {
+    let compiled: Vec<_> =
+        NODE_TEST_QUERIES.iter().map(|q| Compiler::new().compile(q).unwrap()).collect();
+    let answers: Vec<NodeSet> = compiled.iter().map(|c| c.select(doc).unwrap()).collect();
+    assert_eq!(answers[1], answers[2], "//c and /descendant::c diverge");
+    let c = xpath_syntax::NodeTest::Name("c".into());
+    let t_c = xpath_core::node_test::matching_set(doc, Axis::Child, &c);
+    assert_eq!(t_c, answers[1].to_vec(), "T(c) and /descendant::c diverge");
+    let mut runs: Vec<Box<dyn FnMut() + '_>> = compiled
+        .iter()
+        .map(|q| {
+            Box::new(move || {
+                std::hint::black_box(q.select(doc).unwrap());
+            }) as Box<dyn FnMut()>
+        })
+        .collect();
+    runs.push(Box::new(|| {
+        std::hint::black_box(xpath_core::node_test::matching_set(doc, Axis::Child, &c));
+    }));
+    let mut refs: Vec<&mut dyn FnMut()> = runs.iter_mut().map(|f| &mut **f as _).collect();
+    let times = time_ns_interleaved(&mut refs);
+    let labels = NODE_TEST_QUERIES.iter().copied().chain(std::iter::once("T(c)"));
+    let sizes = answers.iter().map(NodeSet::len).chain(std::iter::once(t_c.len()));
+    labels
+        .zip(sizes)
+        .zip(times)
+        .map(|((query, matches), ns)| NodeTestCell { query, matches, ns })
+        .collect()
+}
+
+/// The node-test guard's two ratios over [`measure_node_tests`] cells:
+/// `/descendant::c` over `/descendant::*` (a name test costs about what a
+/// kind test does) and `//c` over `/descendant::c` (`//` costs no more
+/// than the merged step).
+fn node_test_ratios(cells: &[NodeTestCell]) -> (f64, f64) {
+    let ns = |i: usize| cells[i].ns.max(1) as f64;
+    (ns(1) / ns(0), ns(2) / ns(1))
+}
+
 /// `--check`: the CI crossover guard. Fails when the adaptive backend is
 /// more than 10% slower than the seed's per-node loop in any
 /// axis-application cell (the bar the planner exists to hold), or 20% slower than the
@@ -631,6 +694,38 @@ fn check(doc: &Document) -> Result<(), String> {
         }
     }
     if let Some(failure) = choice_failure {
+        return Err(failure);
+    }
+    // Node-test guard: a name test must cost at most 2x a kind test over
+    // the same descendant set (one resolved name-id compare per node, no
+    // string lookup), and `//c` at most 1.3x `/descendant::c` (the rewrite
+    // merges `//` on every compile). Re-measured like the other guards.
+    let mut node_test_failure = None;
+    for attempt in 1..=CHECK_ATTEMPTS {
+        let cells = measure_node_tests(doc);
+        for c in &cells {
+            eprintln!("check: node test {:<16} {:>6} matches {:>9}ns", c.query, c.matches, c.ns);
+        }
+        let (name_vs_kind, slash_vs_merged) = node_test_ratios(&cells);
+        eprintln!(
+            "check: node test /descendant::c vs /descendant::* {name_vs_kind:.2}x, \
+             //c vs /descendant::c {slash_vs_merged:.2}x"
+        );
+        if name_vs_kind <= 2.0 && slash_vs_merged <= 1.3 {
+            node_test_failure = None;
+            break;
+        }
+        node_test_failure = Some(format!(
+            "node tests: /descendant::c vs /descendant::* {name_vs_kind:.2}x (bar 2x), \
+             //c vs /descendant::c {slash_vs_merged:.2}x (bar 1.3x)"
+        ));
+        if attempt < CHECK_ATTEMPTS {
+            eprintln!(
+                "check: node-test attempt {attempt}/{CHECK_ATTEMPTS} over a bar; re-measuring"
+            );
+        }
+    }
+    if let Some(failure) = node_test_failure {
         return Err(failure);
     }
     // Serve guard: a single-client socket round trip through the query
@@ -921,7 +1016,7 @@ fn main() {
                 eprintln!(
                     "check: adaptive within 10% of per-node and 20% of the best \
                      backend in every axis-application cell; batch, lazy \
-                     early-exit and strategy-choice bars met"
+                     early-exit, strategy-choice and node-test bars met"
                 );
                 return;
             }
@@ -1057,7 +1152,7 @@ fn main() {
     let adaptive_ev = CoreXPathEvaluator::with_backend(&doc, AxisBackend::Adaptive);
     let mut first = true;
     for &q in BENCH_QUERIES {
-        let e = xpath_syntax::parse_normalized(q).unwrap();
+        let e = Compiler::new().parse(q).unwrap();
         let c = compile(&e).unwrap();
         let root = [doc.root()];
         assert_eq!(direct.evaluate(&c, &root), bulk_ev.evaluate(&c, &root), "{q}");
@@ -1146,6 +1241,29 @@ fn main() {
             c.auto_vs_bare(),
             c.speedup_vs_opt_min_context(),
         );
+    }
+    json.push_str("\n  ],\n");
+
+    // ---- node tests: kind vs name test vs `//` over one descendant set,
+    // plus the `T(c)` scan a predicate's `S←` runs ----
+    json.push_str("  \"node_tests\": [\n");
+    {
+        let cells = measure_node_tests(&doc);
+        let star = cells[0].ns.max(1) as f64;
+        for (i, c) in cells.iter().enumerate() {
+            if i > 0 {
+                json.push_str(",\n");
+            }
+            let _ = write!(
+                json,
+                "    {{ \"query\": \"{}\", \"nodes\": {n}, \"matches\": {}, \"ns\": {}, \
+                 \"vs_descendant_star\": {:.2} }}",
+                c.query,
+                c.matches,
+                c.ns,
+                c.ns as f64 / star,
+            );
+        }
     }
     json.push_str("\n  ],\n");
 

@@ -299,8 +299,6 @@ pub struct CoreXPathEvaluator<'d> {
     kernels: xpath_axes::KernelCounters,
     /// Lazily-built pre/post plane for [`AxisBackend::Plane`].
     plane: std::sync::OnceLock<xpath_axes::PrePostPlane>,
-    /// Optional name index accelerating `T(t)` lookups in `S←`.
-    index: Option<xpath_xml::index::NameIndex>,
     /// Optional shared axis-result memo for batched evaluation
     /// ([`crate::batch`]): when present, step expansions, `T(t)` scans,
     /// inverse passes and predicate sets are served from the memo on
@@ -326,7 +324,6 @@ impl<'d> CoreXPathEvaluator<'d> {
             cost: *xpath_axes::CostModel::global(),
             kernels: xpath_axes::KernelCounters::new(),
             plane: std::sync::OnceLock::new(),
-            index: None,
             memo: None,
         }
     }
@@ -354,26 +351,11 @@ impl<'d> CoreXPathEvaluator<'d> {
         self.kernels.snapshot()
     }
 
-    /// Build a [`NameIndex`](xpath_xml::index::NameIndex) (one `O(|D|)`
-    /// pass) so every `T(t)` lookup of backward evaluation (`S←`) becomes
-    /// `O(1)` instead of an `O(|D|)` scan. Same results, same asymptotic
-    /// bounds, smaller constants when a query has many predicate steps or
-    /// the evaluator is reused across queries.
-    pub fn with_name_index(mut self) -> Self {
-        self.index = Some(xpath_xml::index::NameIndex::new(self.doc));
-        self
-    }
-
-    /// `T(t)` relative to an axis, through the name index when present
-    /// and the batch memo when attached (the scan is document-global, so
-    /// one memo entry serves every query in a batch using the same test).
+    /// `T(t)` relative to an axis, through the batch memo when attached
+    /// (the scan is document-global, so one memo entry serves every query
+    /// in a batch using the same test).
     fn t_set(&self, axis: Axis, test: &NodeTest) -> NodeSet {
-        let compute = || {
-            NodeSet::from_sorted(match &self.index {
-                Some(ix) => node_test::matching_set_indexed(self.doc, ix, axis, test),
-                None => node_test::matching_set(self.doc, axis, test),
-            })
-        };
+        let compute = || NodeSet::from_sorted(node_test::matching_set(self.doc, axis, test));
         match &self.memo {
             Some(m) => m.t_set(axis, test, &self.kernels, compute),
             None => compute(),
@@ -920,32 +902,6 @@ mod tests {
         assert!(compile_xpatterns(&parse_normalized("//a[position() = 2]").unwrap()).is_err());
         // Plain Core XPath accepts the full axis set and boolean closure.
         assert!(core("//a[not(b) and (c or descendant::d)]").is_ok());
-    }
-
-    #[test]
-    fn name_index_is_transparent() {
-        // The indexed T(t) lookup changes nothing observable.
-        let docs = [doc_flat(5), doc_figure8(), doc_bookstore()];
-        let queries = [
-            "//b[child::c]",
-            "//*[not(descendant::d)]",
-            "//b[following::*[child::d]]",
-            "//*[attribute::id]",
-            "//section[book[author[last]]]",
-        ];
-        for d in &docs {
-            let plain = CoreXPathEvaluator::new(d);
-            let indexed = CoreXPathEvaluator::new(d).with_name_index();
-            for q in queries {
-                let e = parse_normalized(q).unwrap();
-                let c = compile(&e).unwrap();
-                assert_eq!(
-                    indexed.evaluate(&c, &[d.root()]),
-                    plain.evaluate(&c, &[d.root()]),
-                    "{q}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ use xpath_xml::{Document, NodeId};
 
 use crate::context::{Context, EvalBudget, EvalResult};
 use crate::corexpath::{CorePath, CorePred, CoreStart, CoreStep, CoreXPathEvaluator};
-use crate::node_test;
+use crate::node_test::ResolvedTest;
 use crate::nodeset::NodeSet;
 use crate::plan::Plan;
 
@@ -212,7 +212,9 @@ struct LazyPipeline<'q, 'd> {
     /// Backs the per-candidate predicate walks ([`CoreXPathEvaluator::pred_holds`]).
     ev: CoreXPathEvaluator<'d>,
     steps: &'q [CoreStep],
-    stages: Vec<StepStreamer>,
+    /// One axis streamer per step, beside the step's node test resolved
+    /// against the document once.
+    stages: Vec<(StepStreamer, ResolvedTest<'q>)>,
     /// Sorted start ids; `start_pos` marks the first not yet fed.
     start_ids: Vec<NodeId>,
     start_pos: usize,
@@ -316,8 +318,9 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
             .steps
             .iter()
             .map(|s| {
-                StepStreamer::new(doc, s.axis)
-                    .expect("caller checked the lazy verdict before building the pipeline")
+                let streamer = StepStreamer::new(doc, s.axis)
+                    .expect("caller checked the lazy verdict before building the pipeline");
+                (streamer, ResolvedTest::new(doc, s.axis, &s.test))
             })
             .collect();
         LazyPipeline {
@@ -401,13 +404,13 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
         for (i, step) in steps.iter().enumerate() {
             // The stage borrow ends before the predicate walks below need
             // `&mut self`: candidates is an owned window of the output.
-            let stage = &mut self.stages[i];
+            let (stage, test) = &mut self.stages[i];
+            let test = *test;
             // Feed the upstream window (ascending — within a window the
             // candidate scan is ascending, and windows only move right).
             for &x in &*accepted {
                 stage.push(doc, x);
             }
-            let axis = stage.axis();
             let strip = stage.needs_type_strip();
             // All upstream inputs < hi are in, so this window of raw axis
             // output is final (block-synchronous invariant).
@@ -420,7 +423,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
                 if strip && ix.is_special(c.0) {
                     continue;
                 }
-                if !node_test::matches(doc, axis, &step.test, c) {
+                if !test.matches(doc, c) {
                     continue;
                 }
                 let mut ok = true;

@@ -72,13 +72,6 @@ impl<'d> Engine<'d> {
         Engine::with_compiler(doc, Compiler::new())
     }
 
-    /// Enable the semantics-preserving rewrite pass
-    /// ([`xpath_syntax::rewrite`]) on every prepared query: `//`-step
-    /// merging, `self::node()` elimination, constant folding.
-    pub fn with_optimizer(doc: &'d Document) -> Self {
-        Engine::with_compiler(doc, Compiler::new().optimize(true))
-    }
-
     /// Create an engine over `doc` with a fully configured [`Compiler`].
     pub fn with_compiler(doc: &'d Document, compiler: Compiler) -> Self {
         let fingerprint = compiler.options_fingerprint();
@@ -96,14 +89,12 @@ impl<'d> Engine<'d> {
         self.doc
     }
 
-    /// Parse and normalize a query (no variable bindings), applying the
-    /// rewrite pass if this engine was built with
-    /// [`Engine::with_optimizer`].
+    /// Parse, normalize and rewrite a query (no variable bindings).
     pub fn prepare(&self, query: &str) -> EvalResult<Expr> {
         self.compiler.parse(query)
     }
 
-    /// Parse and normalize a query with variable bindings.
+    /// Parse, normalize and rewrite a query with variable bindings.
     pub fn prepare_with(&self, query: &str, bindings: &Bindings) -> EvalResult<Expr> {
         self.compiler.clone().bindings(bindings).parse(query)
     }

@@ -283,7 +283,7 @@ mod tests {
         let x = explain_q("//a[b]/following::c/ancestor::d", 21846);
         assert!(x.report.contains("axis planner"), "{}", x.report);
         // One line per distinct axis, naming the kernel choice and why.
-        assert!(x.report.contains("descendant-or-self: staircase"), "{}", x.report);
+        assert!(x.report.contains("descendant: staircase"), "{}", x.report);
         assert!(x.report.contains("following: staircase"), "{}", x.report);
         assert!(x.report.contains("ancestor: pointer-chain"), "{}", x.report);
         assert!(x.report.contains("child: link-array"), "{}", x.report);

@@ -1,134 +1,175 @@
 //! Node tests (paper §4): the function `T` mapping node tests to the subset
 //! of `dom` satisfying them, and per-node matching relative to an axis's
 //! principal node type.
+//!
+//! A test is resolved once per pass against the document and the axis: a
+//! name test becomes the document's interned [`NameId`] (or "never
+//! matches" when the document does not intern the name), so `T(t)` is one
+//! pass comparing `NameId`s and kind bytes, with no string compare per
+//! node. Every evaluator and the lazy cursor share that one check.
 
 use xpath_syntax::{Axis, KindTest, NodeTest, PrincipalKind};
-use xpath_xml::{Document, NodeId, NodeKind};
+use xpath_xml::{Document, NameId, NodeId, NodeKind};
 
-/// Does node `n` satisfy node test `test` on axis `axis` (whose principal
-/// node type resolves name/wildcard tests, §4)?
-pub fn matches(doc: &Document, axis: Axis, test: &NodeTest, n: NodeId) -> bool {
-    match test {
-        NodeTest::Kind(k) => kind_matches(doc, k, n),
-        NodeTest::Wildcard => principal_matches(doc, axis, n),
-        NodeTest::Name(name) => {
-            principal_matches(doc, axis, n)
-                && doc.lookup_name(name).is_some_and(|id| doc.name_id(n) == Some(id))
-        }
-        NodeTest::NsWildcard(prefix) => {
-            principal_matches(doc, axis, n)
-                && doc
-                    .name(n)
-                    .and_then(|full| full.split_once(':'))
-                    .is_some_and(|(p, _)| p == prefix)
-        }
-    }
+/// A node test resolved against one document and one axis's principal
+/// node type. Building one costs at most one name lookup; checking a node
+/// costs a kind and a name-id compare.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ResolvedTest<'t> {
+    /// No node matches: the test names a name the document never interned.
+    Never,
+    /// `node()`: every node.
+    Any,
+    /// Every node of one kind: `*` (the principal kind), `text()`,
+    /// `comment()`, `processing-instruction()`.
+    Kind(NodeKind),
+    /// Nodes of one kind carrying one interned name: a name test (on the
+    /// principal kind) or `processing-instruction('target')`.
+    Name(NodeKind, NameId),
+    /// `prefix:*`: principal-kind nodes whose name has this prefix.
+    Prefix(NodeKind, &'t str),
 }
 
-fn principal_matches(doc: &Document, axis: Axis, n: NodeId) -> bool {
-    match axis.principal_kind() {
-        PrincipalKind::Element => doc.kind(n) == NodeKind::Element,
-        PrincipalKind::Attribute => doc.kind(n) == NodeKind::Attribute,
-        PrincipalKind::Namespace => doc.kind(n) == NodeKind::Namespace,
-    }
+/// Bind `$check` to the per-node check of resolved test `$r` and evaluate
+/// `$body` once per variant, so a loop over nodes in `$body` dispatches on
+/// the variant once, not once per node. The arms are the one definition
+/// of what each resolved test matches.
+macro_rules! with_check {
+    ($r:expr, $doc:expr, |$check:ident| $body:expr) => {{
+        let doc: &Document = $doc;
+        let (kinds, names) = (doc.kind_bytes(), doc.name_ids());
+        match $r {
+            ResolvedTest::Never => {
+                let $check = |_: NodeId| false;
+                $body
+            }
+            ResolvedTest::Any => {
+                let $check = |_: NodeId| true;
+                $body
+            }
+            ResolvedTest::Kind(k) => {
+                let $check = |n: NodeId| kinds[n.index()] == k as u8;
+                $body
+            }
+            ResolvedTest::Name(k, id) => {
+                let $check = |n: NodeId| names[n.index()] == id.0 && kinds[n.index()] == k as u8;
+                $body
+            }
+            ResolvedTest::Prefix(k, prefix) => {
+                let $check = |n: NodeId| {
+                    kinds[n.index()] == k as u8
+                        && doc
+                            .name(n)
+                            .and_then(|full| full.split_once(':'))
+                            .is_some_and(|(p, _)| p == prefix)
+                };
+                $body
+            }
+        }
+    }};
 }
 
-fn kind_matches(doc: &Document, k: &KindTest, n: NodeId) -> bool {
-    match k {
-        KindTest::Node => true,
-        KindTest::Text => doc.kind(n) == NodeKind::Text,
-        KindTest::Comment => doc.kind(n) == NodeKind::Comment,
-        KindTest::Pi(target) => {
-            doc.kind(n) == NodeKind::ProcessingInstruction
-                && target.as_deref().is_none_or(|t| doc.name(n) == Some(t))
+impl<'t> ResolvedTest<'t> {
+    /// Resolve `test` on `axis` against `doc`'s name table.
+    pub(crate) fn new(doc: &Document, axis: Axis, test: &'t NodeTest) -> ResolvedTest<'t> {
+        let principal = match axis.principal_kind() {
+            PrincipalKind::Element => NodeKind::Element,
+            PrincipalKind::Attribute => NodeKind::Attribute,
+            PrincipalKind::Namespace => NodeKind::Namespace,
+        };
+        let named = |kind, name: &str| match doc.lookup_name(name) {
+            Some(id) => ResolvedTest::Name(kind, id),
+            None => ResolvedTest::Never,
+        };
+        match test {
+            NodeTest::Kind(KindTest::Node) => ResolvedTest::Any,
+            NodeTest::Kind(KindTest::Text) => ResolvedTest::Kind(NodeKind::Text),
+            NodeTest::Kind(KindTest::Comment) => ResolvedTest::Kind(NodeKind::Comment),
+            NodeTest::Kind(KindTest::Pi(None)) => {
+                ResolvedTest::Kind(NodeKind::ProcessingInstruction)
+            }
+            NodeTest::Kind(KindTest::Pi(Some(target))) => {
+                named(NodeKind::ProcessingInstruction, target)
+            }
+            NodeTest::Wildcard => ResolvedTest::Kind(principal),
+            NodeTest::Name(name) => named(principal, name),
+            NodeTest::NsWildcard(prefix) => ResolvedTest::Prefix(principal, prefix),
         }
+    }
+
+    /// Does node `n` satisfy the test?
+    #[inline]
+    pub(crate) fn matches(self, doc: &Document, n: NodeId) -> bool {
+        with_check!(self, doc, |check| check(n))
     }
 }
 
 /// The set `T(t)` (§4) relative to an axis: all nodes of the document
-/// satisfying the test. Sorted in document order. `O(|D|)`. The returned
-/// vector is drawn from the thread-local recycling pool
-/// ([`xpath_xml::pool`]), so repeated scans reuse one buffer.
+/// satisfying the test. Sorted in document order. One `O(|D|)` pass that
+/// searches the name-id column for a name test and the kind column for a
+/// kind test, never calling a per-node accessor. The returned vector is
+/// drawn from the thread-local recycling pool ([`xpath_xml::pool`]), so
+/// repeated scans reuse one buffer.
 pub fn matching_set(doc: &Document, axis: Axis, test: &NodeTest) -> Vec<NodeId> {
     let mut out = xpath_xml::pool::take_ids();
-    out.extend(doc.all_nodes().filter(|&n| matches(doc, axis, test, n)));
+    let (kinds, names) = (doc.kind_bytes(), doc.name_ids());
+    match ResolvedTest::new(doc, axis, test) {
+        ResolvedTest::Never => {}
+        ResolvedTest::Any => out.extend(doc.all_nodes()),
+        ResolvedTest::Kind(k) => each_equal(kinds, k as u8, |i| out.push(NodeId(i as u32))),
+        ResolvedTest::Name(k, id) => each_equal(names, id.0, |i| {
+            if kinds[i] == k as u8 {
+                out.push(NodeId(i as u32));
+            }
+        }),
+        r @ ResolvedTest::Prefix(..) => out.extend(doc.all_nodes().filter(|&n| r.matches(doc, n))),
+    }
     out
 }
 
-/// A pooled copy of a precomputed id list (the [`matching_set_indexed`]
-/// fast paths hand out index-owned slices).
-fn pooled_copy(ids: &[NodeId]) -> Vec<NodeId> {
-    let mut out = xpath_xml::pool::take_ids();
-    out.extend_from_slice(ids);
-    out
-}
-
-/// [`matching_set`] backed by a prebuilt
-/// [`NameIndex`](xpath_xml::index::NameIndex): `O(1)` lookup for the common
-/// test shapes, falling back to the scan for the rest (`node()`, PI
-/// targets, `NCName:*`).
-pub fn matching_set_indexed(
-    doc: &Document,
-    index: &xpath_xml::index::NameIndex,
-    axis: Axis,
-    test: &NodeTest,
-) -> Vec<NodeId> {
-    use xpath_syntax::PrincipalKind;
-    match test {
-        NodeTest::Name(name) => {
-            let Some(id) = doc.lookup_name(name) else { return xpath_xml::pool::take_ids() };
-            match axis.principal_kind() {
-                PrincipalKind::Element => pooled_copy(index.elements_named(id)),
-                PrincipalKind::Attribute => pooled_copy(index.attributes_named(id)),
-                PrincipalKind::Namespace => {
-                    // Namespace nodes are few; filter the kind list by name.
-                    let mut out = xpath_xml::pool::take_ids();
-                    out.extend(
-                        index
-                            .namespace_nodes()
-                            .iter()
-                            .copied()
-                            .filter(|&n| doc.name_id(n) == Some(id)),
-                    );
-                    out
-                }
+/// Call `f` with every index of `column` holding `v`, in ascending order.
+/// A branch-free compare over each 64-entry block skips blocks without a
+/// match, so a rare value costs one vectorizable pass over the column.
+fn each_equal<T: Copy + PartialEq>(column: &[T], v: T, mut f: impl FnMut(usize)) {
+    const BLOCK: usize = 64;
+    let mut blocks = column.chunks_exact(BLOCK);
+    let mut emit = |base: usize, block: &[T]| {
+        for (j, &x) in block.iter().enumerate() {
+            if x == v {
+                f(base + j);
             }
         }
-        NodeTest::Wildcard => match axis.principal_kind() {
-            PrincipalKind::Element => pooled_copy(index.elements()),
-            PrincipalKind::Attribute => pooled_copy(index.attributes()),
-            PrincipalKind::Namespace => pooled_copy(index.namespace_nodes()),
-        },
-        NodeTest::Kind(KindTest::Text) => pooled_copy(index.text_nodes()),
-        NodeTest::Kind(KindTest::Comment) => pooled_copy(index.comments()),
-        NodeTest::Kind(KindTest::Pi(None)) => pooled_copy(index.processing_instructions()),
-        NodeTest::Kind(KindTest::Pi(Some(_)))
-        | NodeTest::Kind(KindTest::Node)
-        | NodeTest::NsWildcard(_) => matching_set(doc, axis, test),
+    };
+    for (b, block) in blocks.by_ref().enumerate() {
+        if block.iter().fold(false, |hit, &x| hit | (x == v)) {
+            emit(b * BLOCK, block);
+        }
     }
+    emit(column.len() - blocks.remainder().len(), blocks.remainder());
 }
 
 /// Filter a node list in place by a node test.
 pub fn filter(doc: &Document, axis: Axis, test: &NodeTest, nodes: &mut Vec<NodeId>) {
-    nodes.retain(|&n| matches(doc, axis, test, n));
+    match ResolvedTest::new(doc, axis, test) {
+        ResolvedTest::Any => {}
+        ResolvedTest::Never => nodes.clear(),
+        r => with_check!(r, doc, |check| nodes.retain(|&n| check(n))),
+    }
 }
 
 /// Filter a [`NodeSet`](crate::nodeset::NodeSet) in place by a node test.
-/// The common fast paths avoid per-node dispatch: `node()` keeps
-/// everything, and name tests against a name the document never interned
-/// clear the set outright.
+/// `node()` keeps everything, and a name the document never interned
+/// clears the set outright.
 pub fn filter_set(
     doc: &Document,
     axis: Axis,
     test: &NodeTest,
     nodes: &mut crate::nodeset::NodeSet,
 ) {
-    match test {
-        NodeTest::Kind(KindTest::Node) => {}
-        NodeTest::Name(name) if doc.lookup_name(name).is_none() => {
-            *nodes = crate::nodeset::NodeSet::new();
-        }
-        _ => nodes.retain(|n| matches(doc, axis, test, n)),
+    match ResolvedTest::new(doc, axis, test) {
+        ResolvedTest::Any => {}
+        ResolvedTest::Never => *nodes = crate::nodeset::NodeSet::new(),
+        r => with_check!(r, doc, |check| nodes.retain(check)),
     }
 }
 
@@ -137,6 +178,10 @@ mod tests {
     use super::*;
     use xpath_xml::generate::doc_figure8;
     use xpath_xml::Document;
+
+    fn matches(doc: &Document, axis: Axis, test: &NodeTest, n: NodeId) -> bool {
+        ResolvedTest::new(doc, axis, test).matches(doc, n)
+    }
 
     #[test]
     fn example_4_1_typed_sets() {
@@ -199,5 +244,45 @@ mod tests {
     fn unknown_name_matches_nothing() {
         let d = doc_figure8();
         assert!(matching_set(&d, Axis::Child, &NodeTest::Name("zzz".into())).is_empty());
+    }
+
+    #[test]
+    fn every_pass_agrees_with_the_per_node_check() {
+        // The column scan of `T(t)` and the hoisted filters give exactly
+        // the nodes the per-node check accepts, across the 64-node blocks
+        // of the scan and its remainder.
+        let mut xml = String::from("<r xmlns:p='u' id='0'>");
+        for i in 0..150 {
+            xml.push_str(&format!("<p:x a='{i}'>t<!--c--><?pi d?><?q?><y id='{i}'/></p:x>"));
+        }
+        xml.push_str("</r>");
+        let d = Document::parse_str(&xml).unwrap();
+        let tests = [
+            NodeTest::Kind(KindTest::Node),
+            NodeTest::Kind(KindTest::Text),
+            NodeTest::Kind(KindTest::Comment),
+            NodeTest::Kind(KindTest::Pi(None)),
+            NodeTest::Kind(KindTest::Pi(Some("pi".into()))),
+            NodeTest::Kind(KindTest::Pi(Some("nope".into()))),
+            NodeTest::Wildcard,
+            NodeTest::Name("y".into()),
+            NodeTest::Name("p:x".into()),
+            NodeTest::Name("id".into()),
+            NodeTest::Name("zzz".into()),
+            NodeTest::NsWildcard("p".into()),
+        ];
+        for axis in [Axis::Child, Axis::Attribute] {
+            for test in &tests {
+                let want: Vec<NodeId> =
+                    d.all_nodes().filter(|&n| matches(&d, axis, test, n)).collect();
+                assert_eq!(matching_set(&d, axis, test), want, "{axis:?} {test:?}");
+                let mut v: Vec<NodeId> = d.all_nodes().collect();
+                filter(&d, axis, test, &mut v);
+                assert_eq!(v, want, "{axis:?} {test:?}");
+                let mut set = crate::nodeset::NodeSet::full(d.len() as u32);
+                filter_set(&d, axis, test, &mut set);
+                assert_eq!(set.to_vec(), want, "{axis:?} {test:?}");
+            }
+        }
     }
 }

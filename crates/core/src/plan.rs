@@ -6,7 +6,7 @@
 //! phase (the polynomial/linear evaluators over a concrete tree). A
 //! [`Plan`] captures everything the static phase produces:
 //!
-//! * the normalized (and possibly rewritten) expression,
+//! * the normalized and rewritten expression,
 //! * its [`Classification`] in the Figure-1 lattice,
 //! * the resolved [`Strategy`] (never [`Strategy::Auto`]),
 //! * for the fragment engines, the eagerly compiled §10 algebra
@@ -108,7 +108,7 @@ pub fn auto_strategy(expr: &Expr) -> Strategy {
 /// wrapper is [`crate::query::CompiledQuery`]).
 #[derive(Clone, Debug)]
 pub struct Plan {
-    /// The normalized (and possibly rewritten) expression.
+    /// The normalized and rewritten expression.
     pub expr: Expr,
     /// The Figure-1 classification of `expr`.
     pub classification: Classification,

@@ -45,7 +45,6 @@ use xpath_xml::NodeId;
 /// compiler can compile any number of queries.
 #[derive(Clone, Debug, Default)]
 pub struct Compiler {
-    optimize: bool,
     default_strategy: Strategy,
     naive_budget: Option<u64>,
     threads: u32,
@@ -53,19 +52,12 @@ pub struct Compiler {
 }
 
 impl Compiler {
-    /// A compiler with default settings: no rewrite pass, automatic
-    /// (Figure-1) strategy selection, unbounded naive evaluation, no
-    /// variable bindings.
+    /// A compiler with default settings: automatic (Figure-1) strategy
+    /// selection, unbounded naive evaluation, no variable bindings. Every
+    /// compile runs the sound rewrite pass ([`xpath_syntax::rewrite`]):
+    /// `//`-step merging, `self::node()` elimination, constant folding.
     pub fn new() -> Compiler {
         Compiler::default()
-    }
-
-    /// Enable or disable the semantics-preserving rewrite pass
-    /// ([`xpath_syntax::rewrite`]): `//`-step merging, `self::node()`
-    /// elimination, constant folding.
-    pub fn optimize(mut self, on: bool) -> Compiler {
-        self.optimize = on;
-        self
     }
 
     /// The strategy compiled queries run with. [`Strategy::Auto`] (the
@@ -106,12 +98,12 @@ impl Compiler {
     }
 
     /// Static phase only, up to the AST: parse, normalize (inlining this
-    /// compiler's bindings), and apply the rewrite pass if enabled.
+    /// compiler's bindings), and apply the rewrite pass.
     pub fn parse(&self, query: &str) -> EvalResult<Expr> {
         let e = xpath_syntax::parse(query).map_err(|e| EvalError::Parse(e.to_string()))?;
         let e = normalize::normalize_with(&e, &self.bindings)
             .map_err(|e| EvalError::Parse(e.to_string()))?;
-        Ok(if self.optimize { xpath_syntax::rewrite::optimize(&e) } else { e })
+        Ok(xpath_syntax::rewrite::optimize(&e))
     }
 
     /// Run the full static phase: parse, normalize, rewrite, classify,
@@ -125,7 +117,6 @@ impl Compiler {
         let plan = Plan::build(expr, self.default_strategy, self.naive_budget)?;
         Ok(CompiledQuery {
             text: query.to_string(),
-            optimized: self.optimize,
             plan,
             kernels: std::sync::Arc::new(xpath_axes::KernelCounters::new()),
         })
@@ -139,8 +130,7 @@ impl Compiler {
         // Bindings has no Hash/Eq, and its HashMap iteration order varies
         // per instance — render the entries in sorted name order instead.
         format!(
-            "opt={};strat={:?};budget={:?};bind={:?}",
-            self.optimize,
+            "strat={:?};budget={:?};bind={:?}",
             self.default_strategy,
             self.naive_budget,
             self.bindings.sorted()
@@ -169,7 +159,6 @@ impl Compiler {
 #[derive(Clone, Debug)]
 pub struct CompiledQuery {
     text: String,
-    optimized: bool,
     plan: Plan,
     /// Adaptive axis-planner decisions accumulated across evaluations.
     /// Shared by clones (and thus by every holder of a cached handle), so
@@ -189,12 +178,7 @@ impl CompiledQuery {
         &self.text
     }
 
-    /// Whether the rewrite pass ran during compilation.
-    pub fn optimized(&self) -> bool {
-        self.optimized
-    }
-
-    /// The normalized (and possibly rewritten) expression.
+    /// The normalized and rewritten expression.
     pub fn expr(&self) -> &Expr {
         &self.plan.expr
     }
@@ -377,6 +361,7 @@ pub(crate) fn into_node_set(v: Value) -> EvalResult<NodeSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan;
     use xpath_xml::generate::{doc_bookstore, doc_figure8};
 
     #[test]
@@ -412,16 +397,14 @@ mod tests {
     }
 
     #[test]
-    fn optimize_flag_rewrites() {
-        let plain = CompiledQuery::compile("//b/self::node()/c").unwrap();
-        let opt = Compiler::new().optimize(true).compile("//b/self::node()/c").unwrap();
-        assert!(opt.optimized());
-        assert_ne!(plain.expr(), opt.expr(), "rewrite should eliminate self::node()");
+    fn every_compile_runs_the_rewrite() {
+        let q = CompiledQuery::compile("//b/self::node()/c").unwrap();
+        assert_eq!(q.expr().to_string(), "/descendant::b/child::c");
+        // The rewritten query agrees with TopDown on the normalized form.
         let d = doc_figure8();
-        assert!(opt
-            .evaluate_root(&d)
-            .unwrap()
-            .semantically_equal(&plain.evaluate_root(&d).unwrap()));
+        let plain = xpath_syntax::parse_normalized("//b/self::node()/c").unwrap();
+        let want = plan::execute_adhoc(&plain, Strategy::TopDown, None, &d, Context::of(d.root()));
+        assert!(q.evaluate_root(&d).unwrap().semantically_equal(&want.unwrap()));
     }
 
     #[test]

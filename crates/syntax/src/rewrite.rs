@@ -1,9 +1,12 @@
 //! Sound, semantics-preserving query rewrites.
 //!
 //! The paper's algorithms take the normalized AST as-is; real engines
-//! additionally simplify it first. This pass applies only rewrites that
-//! are provably sound in the paper's semantics (the integration suite
-//! checks preservation differentially on random documents):
+//! additionally simplify it first. Every compile runs this pass after
+//! normalization (`xpath_core::query::Compiler::parse`), so it applies
+//! only rewrites that are provably sound in the paper's semantics and
+//! keep each query's Figure 1 fragment (the integration suite checks both
+//! differentially, against the paper's algorithms on the un-rewritten
+//! query):
 //!
 //! 1. `descendant-or-self::node()/child::t[preds]` → `descendant::t[preds]`
 //!    — the classic `//` optimization — **only** when the `child` step's

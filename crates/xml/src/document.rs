@@ -286,6 +286,22 @@ impl Document {
         NodeKind::from_u8(self.data.kind.as_slice()[n.index()]).unwrap_or(NodeKind::Comment)
     }
 
+    /// Every node's kind byte (`NodeKind as u8`), in document order: the
+    /// column a node-test scan compares instead of calling [`Self::kind`]
+    /// per node.
+    #[inline]
+    pub fn kind_bytes(&self) -> &[u8] {
+        self.data.kind.as_slice()
+    }
+
+    /// Every node's raw interned name id (`NameId.0`, `u32::MAX` for a
+    /// nameless node), in document order: the column a node-test scan
+    /// compares instead of calling [`Self::name_id`] per node.
+    #[inline]
+    pub fn name_ids(&self) -> &[u32] {
+        self.data.name.as_slice()
+    }
+
     /// The node's interned name, if it has one.
     #[inline]
     pub fn name_id(&self, n: NodeId) -> Option<NameId> {

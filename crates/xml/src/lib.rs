@@ -23,8 +23,8 @@
 //!   attribute/namespace mask, built once per document
 //!   ([`Document::axis_index`]) and backing the set-at-a-time bulk axes
 //!   of `xpath-axes`;
-//! * a serializer ([`Document::serialize`]), document statistics
-//!   ([`stats`]), and name indexes ([`index`]);
+//! * a serializer ([`Document::serialize`]) and document statistics
+//!   ([`stats`]);
 //! * generators for every document family used in the paper's experiments
 //!   ([`generate`]);
 //! * the tiered word-sweep kernels under every set operation ([`simd`]):
@@ -53,7 +53,6 @@ mod document;
 pub mod dtd;
 mod error;
 pub mod generate;
-pub mod index;
 mod node;
 pub mod nodeset;
 mod parser;

@@ -1,19 +1,19 @@
 //! Thread-local buffer recycling for the allocation-free steady state.
 //!
 //! Every transient buffer the engine churns through — bitset word
-//! vectors, sorted id vectors, staircase range lists, node-set
-//! collections — is taken from and returned to a small per-thread shelf
-//! instead of the global allocator. [`NodeSet`]'s `Drop`
-//! and `Clone` route through these shelves automatically, so after a
-//! warm-up evaluation has grown the pooled buffers to the workload's
-//! high-water marks, repeated evaluation performs **zero heap
-//! allocations** (pinned by the workspace `alloc_steady_state` test).
+//! vectors, sorted id vectors, staircase range lists — is taken from
+//! and returned to a small per-thread shelf instead of the global
+//! allocator. [`NodeSet`](crate::NodeSet)'s `Drop` and `Clone` route
+//! through these shelves automatically, so after a warm-up evaluation
+//! has grown the pooled buffers to the workload's high-water marks,
+//! repeated evaluation performs **zero heap allocations** (pinned by the
+//! workspace `alloc_steady_state` test).
 //!
 //! # Design
 //!
 //! * **Thread-local, not global.** No locks, no sharing, no contention:
-//!   each thread recycles what it drops. Scoped worker threads
-//!   (`xpath_core::parallel`) start with empty shelves and warm up
+//!   each thread recycles what it drops. Scoped worker threads (a
+//!   batch's per-query fan-out) start with empty shelves and warm up
 //!   independently; the zero-allocation guarantee is therefore a
 //!   per-thread steady-state property.
 //! * **Bounded.** At most [`MAX_POOLED`] buffers per class are kept;
@@ -41,7 +41,6 @@
 use std::cell::RefCell;
 
 use crate::node::NodeId;
-use crate::NodeSet;
 
 /// Maximum buffers kept per class per thread; further returns are
 /// dropped. Generous enough for the deepest evaluator recursion seen in
@@ -67,7 +66,6 @@ struct Shelves {
     words: Vec<Vec<u64>>,
     ids: Vec<Vec<NodeId>>,
     ranges: Vec<Vec<(u32, u32)>>,
-    sets: Vec<Vec<NodeSet>>,
     stats: PoolStats,
 }
 
@@ -77,7 +75,6 @@ impl Shelves {
             words: Vec::new(),
             ids: Vec::new(),
             ranges: Vec::new(),
-            sets: Vec::new(),
             stats: PoolStats { hits: 0, misses: 0, recycled: 0, discarded: 0 },
         }
     }
@@ -98,8 +95,6 @@ macro_rules! pool_class {
                         Some(mut v) => {
                             s.stats.hits += 1;
                             drop(s);
-                            // Clearing outside the borrow: element drops may
-                            // re-enter the pool (NodeSet's Drop recycles).
                             v.clear();
                             v
                         }
@@ -117,8 +112,6 @@ macro_rules! pool_class {
             if v.capacity() == 0 {
                 return;
             }
-            // Drop elements before borrowing the shelves: NodeSet drops
-            // re-enter the pool and RefCell borrows must not nest.
             v.clear();
             let _ = SHELVES.try_with(|s| {
                 let mut s = s.borrow_mut();
@@ -140,7 +133,6 @@ macro_rules! pool_class {
 pool_class!(take_words, give_words, words, Vec<u64>, "bitset word (`Vec<u64>`)");
 pool_class!(take_ids, give_ids, ids, Vec<NodeId>, "sorted id (`Vec<NodeId>`)");
 pool_class!(take_ranges, give_ranges, ranges, Vec<(u32, u32)>, "interval (`Vec<(u32, u32)>`)");
-pool_class!(take_sets, give_sets, sets, Vec<NodeSet>, "node-set collection (`Vec<NodeSet>`)");
 
 /// This thread's recycling counters since the last [`reset_stats`].
 pub fn stats() -> PoolStats {
@@ -155,30 +147,12 @@ pub fn reset_stats() {
 /// Drop every pooled buffer on this thread, releasing the memory back to
 /// the allocator. Mainly for tests that need a cold start.
 pub fn clear() {
-    // Move the shelves out before dropping them: Vec<NodeSet> elements
-    // re-enter the pool from their Drop, which must not observe a held
-    // borrow (and their buffers would just be re-shelved anyway, so the
-    // set shelf is cleared element-first below).
-    let (words, ids, ranges, mut sets) = SHELVES
-        .try_with(|s| {
-            let mut s = s.borrow_mut();
-            (
-                std::mem::take(&mut s.words),
-                std::mem::take(&mut s.ids),
-                std::mem::take(&mut s.ranges),
-                std::mem::take(&mut s.sets),
-            )
-        })
-        .unwrap_or_default();
-    sets.clear(); // NodeSet drops re-shelve words/ids…
-    drop(sets);
     let _ = SHELVES.try_with(|s| {
-        // …so purge once more, without recursing element drops.
         let mut s = s.borrow_mut();
         s.words.clear();
         s.ids.clear();
+        s.ranges.clear();
     });
-    drop((words, ids, ranges));
 }
 
 #[cfg(test)]
@@ -233,18 +207,6 @@ mod tests {
             give_ranges(b);
         }
         assert_eq!(stats().discarded, before + 5, "overflow beyond MAX_POOLED is dropped");
-        clear();
-    }
-
-    #[test]
-    fn set_collections_recycle_element_buffers() {
-        clear();
-        reset_stats();
-        let mut sets = take_sets();
-        sets.push(NodeSet::full(640));
-        give_sets(sets); // clears first: the NodeSet drop re-enters the pool
-        let s = stats();
-        assert!(s.recycled >= 2, "both the collection and its element's words recycled: {s:?}");
         clear();
     }
 }

@@ -64,10 +64,13 @@ fn main() {
         println!("document {i}: {v} recent books");
     }
 
-    // 4. The Compiler builder configures the static phase: the rewrite
-    //    pass, a fixed strategy, variable bindings.
-    let optimized = Compiler::new().optimize(true).compile("//book[position() = last()]").unwrap();
-    println!("last book: {}", doc.string_value(optimized.select(&doc).unwrap().first().unwrap()));
+    // 4. The Compiler builder configures the static phase: a fixed
+    //    strategy, variable bindings.
+    let last = Compiler::new()
+        .default_strategy(Strategy::TopDown)
+        .compile("//book[position() = last()]")
+        .unwrap();
+    println!("last book: {}", doc.string_value(last.select(&doc).unwrap().first().unwrap()));
 
     // 5. Services evaluating repeated query texts share a QueryCache:
     //    compile once, evaluate everywhere.

@@ -42,9 +42,6 @@
 //!                           optmincontext | corexpath | xpatterns |
 //!                           auto (default) — overrides the Figure-1 auto
 //!                           dispatch
-//!   -O, --optimize          run the semantics-preserving rewrite pass
-//!                           (//-step merging, self::node() elimination,
-//!                           constant folding) during compilation
 //!   -r, --repeat <N>        evaluate N times through a QueryCache
 //!                           (compiled on first sight, cache hits
 //!                           thereafter; hit/miss stats are printed to
@@ -59,7 +56,8 @@
 //!                           runs on one thread. Cost-gated, never
 //!                           changes results
 //!   -c, --classify          print the Figure-1 fragment classification and exit
-//!   -n, --normalize         print the normalized (unabbreviated) query and exit
+//!   -n, --normalize         print the normalized (unabbreviated) query, after
+//!                           the rewrite pass every compile runs, and exit
 //!       --explain           print the query plan (fragment, Relev sets,
 //!                           bottom-up candidates, adaptive axis-kernel
 //!                           crossovers, static-analysis verdicts including
@@ -132,7 +130,6 @@ fn exit_for(e: &EvalError) -> u8 {
 
 struct Options {
     strategy: Strategy,
-    optimize: bool,
     repeat: u32,
     threads: u32,
     classify_only: bool,
@@ -163,7 +160,7 @@ const STRATEGIES: &str =
     "naive pool bottomup topdown mincontext optmincontext corexpath xpatterns auto";
 
 fn usage() -> &'static str {
-    "usage: xpq [-s STRATEGY] [-O] [-r N] [-T N] [-c] [-n] [--explain] [--lint [--json]] [-v] [--serialize] [--verify] [--stats] [--ns] [--time] [--exists | --first | --limit K] [--timeout-ms N] (<QUERY> | -e EXPR... | --query-file F) [FILE]\n\
+    "usage: xpq [-s STRATEGY] [-r N] [-T N] [-c] [-n] [--explain] [--lint [--json]] [-v] [--serialize] [--verify] [--stats] [--ns] [--time] [--exists | --first | --limit K] [--timeout-ms N] (<QUERY> | -e EXPR... | --query-file F) [FILE]\n\
      strategies: naive pool bottomup topdown mincontext optmincontext corexpath xpatterns auto\n\
      -e/--expr: add a query to the batch (repeatable); --query-file: one query per line (#-comments skipped)\n\
      -T/--threads: batch fan-out budget (0 = auto via GKP_THREADS/machine, 1 = serial)\n\
@@ -178,7 +175,6 @@ fn usage() -> &'static str {
 fn parse_args() -> Result<Options, String> {
     let mut o = Options {
         strategy: Strategy::Auto,
-        optimize: false,
         repeat: 1,
         threads: 0,
         classify_only: false,
@@ -225,7 +221,9 @@ fn parse_args() -> Result<Options, String> {
                     }
                 };
             }
-            "-O" | "--optimize" => o.optimize = true,
+            "-O" | "--optimize" => {
+                return Err(format!("{a} was removed: every compile runs the rewrite pass"))
+            }
             "-r" | "--repeat" => {
                 let n = args.next().ok_or("missing repeat count")?;
                 o.repeat = n
@@ -885,10 +883,7 @@ fn main() -> ExitCode {
         }
     };
     let batch = queries.len() > 1;
-    let compiler = Compiler::new()
-        .optimize(opts.optimize)
-        .default_strategy(opts.strategy)
-        .threads(opts.threads);
+    let compiler = Compiler::new().default_strategy(opts.strategy).threads(opts.threads);
 
     // Lint mode: static analysis only, no document. Per-query parse
     // failures are reported as error-severity diagnostics (affecting the

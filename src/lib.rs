@@ -12,7 +12,7 @@
 //! ## Compile once, evaluate many
 //!
 //! The paper splits XPath processing into a document-independent **static
-//! phase** (parse, normalize, Figure-1 classification, algorithm
+//! phase** (parse, normalize, rewrite, Figure-1 classification, algorithm
 //! selection, fragment compilation) and a **runtime phase** (the
 //! polynomial/linear evaluators over a concrete tree). The API mirrors
 //! that split: a [`Compiler`] produces an immutable, `Send + Sync`
@@ -22,7 +22,7 @@
 //! ```
 //! use gkp_xpath::{Compiler, Document, Strategy};
 //!
-//! let query = Compiler::new().optimize(true).compile("count(//b)").unwrap();
+//! let query = Compiler::new().compile("count(//b)").unwrap();
 //! // Resolved statically: `//b` is lifted onto the linear-time algebra.
 //! assert_eq!(query.strategy(), Strategy::CoreXPath);
 //!

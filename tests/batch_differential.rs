@@ -115,25 +115,35 @@ fn random_batches_agree_on_random_documents() {
 #[test]
 fn lock_step_really_shares_on_duplicate_heavy_batches() {
     // A batch where every query repeats must serve at least one
-    // application per duplicated fragment query from the memo.
+    // application per duplicated fragment query from the memo: the second
+    // copy of the corpus adds no memo miss, and its hits cover at least
+    // one application per unit of the single corpus.
     let doc = doc_balanced(4, 5, &["a", "b", "c", "d"]);
-    let batch: Vec<&str> = BENCH_QUERIES.iter().chain(BENCH_QUERIES.iter()).copied().collect();
-    let set = QuerySetBuilder::new()
-        .queries(batch)
-        .mode(BatchMode::LockStepShared)
-        .threads(1)
-        .build()
-        .unwrap();
+    let lock_step = |batch: Vec<&str>| {
+        QuerySetBuilder::new()
+            .queries(batch)
+            .mode(BatchMode::LockStepShared)
+            .threads(1)
+            .build()
+            .unwrap()
+    };
+    let single_set = lock_step(BENCH_QUERIES.to_vec());
+    let single = *single_set.evaluate_all(&doc).stats();
+    let set = lock_step(BENCH_QUERIES.iter().chain(BENCH_QUERIES.iter()).copied().collect());
     let sharing = set.sharing();
     assert!(
         sharing.shared_units * 2 >= sharing.total_units,
         "duplicated corpus must share at least half its units: {sharing:?}"
     );
     let out = set.evaluate_all(&doc);
+    let doubled = out.stats();
+    assert_eq!(
+        doubled.memo_misses, single.memo_misses,
+        "the second copy re-runs no application: {single:?} vs {doubled:?}"
+    );
     assert!(
-        out.stats().memo_hits >= out.stats().memo_misses,
-        "a fully duplicated batch re-runs at most half its applications: {:?}",
-        out.stats()
+        doubled.memo_hits - single.memo_hits >= single_set.sharing().total_units as u64,
+        "every unit of the second copy is served from the memo: {single:?} vs {doubled:?}"
     );
     assert_eq!(set.planner_stats().memo_hits, out.stats().memo_hits);
 }

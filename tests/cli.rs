@@ -244,18 +244,17 @@ fn bad_query_and_bad_xml_fail_cleanly() {
 
 #[test]
 fn optimize_flag_rewrites_normalized_output() {
-    // Without -O: `//` normalizes to the two-step descendant-or-self form.
-    let (plain, _, code) = xpq(&["-n", "//b/self::node()"], "");
+    // Every compile runs the rewrite pass: `-n` prints `//` merged into
+    // one descendant step, without the `self::node()` step.
+    let (out, _, code) = xpq(&["-n", "//b/self::node()"], "");
     assert_eq!(code, 0);
-    // With -O the rewrite pass merges `//` steps and drops `self::node()`.
-    let (opt, _, code) = xpq(&["-O", "-n", "//b/self::node()"], "");
-    assert_eq!(code, 0);
-    assert_ne!(plain, opt, "rewrite should change the printed form");
-    assert!(!opt.contains("self::node()"), "{opt}");
-    // Results agree either way.
-    let (a, _, _) = xpq(&["//book/title"], XML);
-    let (b, _, _) = xpq(&["--optimize", "//book/title"], XML);
-    assert_eq!(a, b);
+    assert_eq!(out.trim(), "/descendant::b");
+    // The flag that used to switch the pass on is a usage error.
+    for flag in ["-O", "--optimize"] {
+        let (_, stderr, code) = xpq(&[flag, "//book/title"], XML);
+        assert_eq!(code, 2, "{flag}: {stderr}");
+        assert!(stderr.contains("rewrite pass"), "{stderr}");
+    }
 }
 
 #[test]

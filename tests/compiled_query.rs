@@ -121,8 +121,8 @@ fn query_cache_hit_miss_eviction() {
     assert_eq!(cache.stats().misses, 4, "//b was evicted and recompiled");
 
     // Different compiler options are distinct cache keys.
-    let opt = Compiler::new().optimize(true);
-    cache.get_or_compile(&opt, "//a").unwrap();
+    let topdown = Compiler::new().default_strategy(Strategy::TopDown);
+    cache.get_or_compile(&topdown, "//a").unwrap();
     assert_eq!(cache.stats().misses, 5);
 
     cache.clear();

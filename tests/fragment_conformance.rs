@@ -49,6 +49,16 @@ fn classification_matches_expectations() {
 }
 
 #[test]
+fn the_rewrite_keeps_every_label() {
+    // Every compile runs the rewrite pass; it must not move a query
+    // across Figure 1.
+    for (q, expect) in CLASSIFIED {
+        let compiled = gkp_xpath::Compiler::new().compile(q).unwrap();
+        assert_eq!(compiled.fragment(), *expect, "{q}");
+    }
+}
+
+#[test]
 fn subsumption_order_holds() {
     // Core XPath queries must be accepted by every wider fragment; and a
     // query accepted by a narrower fragment must be accepted by wider ones.
