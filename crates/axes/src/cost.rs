@@ -1,73 +1,34 @@
-//! Calibrated cost model for **adaptive axis-kernel selection**.
+//! Fixed cost constants for the engine's two remaining runtime choices,
+//! and the tally of which axis materialization ran.
 //!
-//! `BENCH_axes.json` showed that no single axis kernel wins everywhere:
-//! the set-at-a-time word-parallel kernels of [`crate::bulk`] beat the
-//! per-node loops by up to ~9×10⁵× on dense interval axes, but on very
-//! sparse inputs the fixed cost of materializing a dense bitset over the
-//! whole id space (`O(|dom|/64)` words to allocate, fill, type-strip and
-//! re-adapt) loses to simply writing the few result ids into a sorted
-//! vector. This module makes the pick *cost-based* instead of hard-wired,
-//! in the spirit of cost-based XPath operator selection (Gottlob, Orsi &
-//! Pieris's rewriting-and-optimization line of work): estimate the cost of
-//! each applicable kernel from **input density × axis shape × document
-//! size** and run the cheapest.
+//! The axis kernel itself has no cost model: [`crate::bulk`] materializes
+//! interval axes by the node set's own density rule
+//! ([`NodeSet::from_ranges`](xpath_xml::NodeSet::from_ranges)) and walks
+//! a chain axis per node only for a single input node. [`Kernel`] names
+//! the route an application took, and [`KernelCounters`] tallies them for
+//! `planner_stats()`.
 //!
-//! # The model
+//! [`CostModel::CALIBRATED`] prices the two decisions that still weigh
+//! alternatives at runtime:
 //!
-//! Three kernel classes exist per axis application (see [`Kernel`]):
+//! * **batch modes** ([`CostModel::pick_batch_mode`]): lock-step sharing
+//!   weighs the axis passes a shared memo avoids against every pass's memo
+//!   probe, and the per-query fan-out ([`CostModel::pick_shards`]) weighs
+//!   the divisible work against the per-worker spawn cost
+//!   ([`CostModel::spawn_ns`]). That fan-out is the only place evaluation
+//!   spawns threads; a single query's axis passes always run on the
+//!   calling thread;
+//! * **lazy cursors** ([`CostModel::pick_lazy`]): stream block-wise or
+//!   materialize once and drain.
 //!
-//! * **per-node** — the `fast::axis_from` enumeration loop per input node,
-//!   merged at the end; cost ≈ `chain_ns · |S| · est_chain_len`
-//!   (pointer-chasing axes only: ancestors, siblings);
-//! * **bulk-sparse** — the set-at-a-time staircase walk writing its
-//!   (disjoint, ascending) ranges straight into a sorted vector; cost ≈
-//!   `input_ns · |S| + sparse_out_ns · |output|`;
-//! * **bulk-dense** — the word-parallel bitset kernel; cost ≈
-//!   `input_ns · |S| + dense_word_ns · ⌈|dom|/64⌉` (the word term covers
-//!   allocation, range fills, the §4 type strip and the final adapt scan).
-//!
-//! For the interval axes (`descendant`, `following`, `preceding`) the
-//! planner does not need to *guess* the output size: a `O(|S|)` staircase
-//! pre-pass computes the exact output cardinality before any
-//! materialization, so the sparse-vs-dense choice is made on exact data.
-//! For the pointer-chasing axes the chain lengths are unknown until
-//! walked, so the calibrated `est_chain_len` stands in.
-//!
-//! # Calibration
-//!
-//! The default constants ([`CostModel::CALIBRATED`]) were measured by
-//! `bench_axes --calibrate` on the reference 21846-node balanced document
-//! (see `crates/bench/src/bin/bench_axes.rs`) and baked in. They are
-//! deliberately coarse — the planner only needs the *crossovers* right,
-//! and those sit an order of magnitude apart. Deployments on very
-//! different hardware can re-run `bench_axes --calibrate` and override at
-//! runtime via the [`COST_ENV`] environment variable
-//! (`GKP_AXIS_COST=dense_word_ns=2.2,sparse_out_ns=1.1,…`). Parsing is
-//! strict: unknown keys, unparsable values and non-positive numbers are
-//! rejected and reported through [`CostModel::env_diagnostics`] (surfaced
-//! once by `xpq -v`), so a typo'd calibration override never falls back
-//! to the defaults silently; keys not mentioned keep their defaults.
-//! [`CostModel::global`] reads the variable once per process.
-//!
-//! # Batch modes
-//!
-//! The same model picks how a batch of queries evaluates
-//! ([`CostModel::pick_batch_mode`]): lock-step sharing weighs the axis
-//! passes a shared memo avoids against every pass's memo probe, and the
-//! per-query fan-out ([`CostModel::pick_shards`]) weighs the divisible
-//! work against the per-worker spawn cost ([`CostModel::spawn_ns`]).
-//! That fan-out is the only place evaluation spawns threads; a single
-//! query's axis passes always run on the calling thread.
+//! The constants were measured once on the reference 21846-node balanced
+//! document (x86-64) and are plain constants: the decisions they feed
+//! only need their crossovers right to within an order of magnitude.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use xpath_syntax::Axis;
-
-/// Environment variable overriding the calibrated constants at runtime:
-/// a comma-separated `key=value` list over the [`CostModel`] field names,
-/// e.g. `GKP_AXIS_COST=dense_word_ns=2.2,chain_ns=4.0`.
-pub const COST_ENV: &str = "GKP_AXIS_COST";
+use xpath_xml::NodeSet;
 
 /// Hard cap on the workers a batch fan-out can split into, regardless of
 /// the requested thread budget: the cap keeps [`CostModel::pick_shards`]
@@ -75,14 +36,14 @@ pub const COST_ENV: &str = "GKP_AXIS_COST";
 /// requests.
 pub const MAX_SHARDS: usize = 64;
 
-/// Which kernel the planner picked for one axis application.
+/// Which materialization one axis application took (see [`crate::bulk`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Kernel {
-    /// Per-node `axis_from` enumeration, merged into a sorted vector.
+    /// One input node's chain walked into a sorted vector.
     PerNode,
-    /// Set-at-a-time staircase/pointer walk writing a sorted vector.
+    /// A set-at-a-time walk or range write into a sorted vector.
     BulkSparse,
-    /// Set-at-a-time word-parallel kernel over a dense bitset.
+    /// A set-at-a-time word-parallel kernel over a dense bitset.
     BulkDense,
 }
 
@@ -98,15 +59,13 @@ impl Kernel {
     }
 }
 
-/// Calibrated per-operation costs, in nanoseconds. See the
-/// [module docs](self) for the model each constant feeds.
+/// Per-operation costs, in nanoseconds. See the [module docs](self) for
+/// the decisions each constant feeds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Cost per bitset word touched by the dense kernels, covering
     /// allocation + fill + type strip + adapt scan (~3 passes).
     pub dense_word_ns: f64,
-    /// Cost per output node written on the sparse vector paths.
-    pub sparse_out_ns: f64,
     /// Cost per input node of the staircase / dispatch walk.
     pub input_ns: f64,
     /// Cost per link of a per-node pointer-chain walk (incl. the final
@@ -130,20 +89,14 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Constants measured by `bench_axes --calibrate` (balanced 4-ary
-    /// depth-7 document, 21846 nodes, x86-64; 2026-08 pass, after the
-    /// tiered word-sweep kernels landed in `xpath_xml::simd`). The
-    /// vectorized sweeps pulled the per-word costs down ~3× relative to
-    /// the 2026-07 pass (`dense_word_ns` 2.6 → 0.9, `sparse_out_ns`
-    /// 1.4 → 0.25), which moves
-    /// every dense-vs-sparse crossover toward the dense kernels. The
-    /// fingerprint is vectorized too (AVX-512 where available), but its
-    /// multiply chain keeps it near `dense_word_ns` per word — the reason
-    /// [`CostModel::shared_pass_ns`] must count the avoided pass's input
-    /// term, not just its word sweep.
+    /// Constants measured on the balanced 4-ary depth-7 document (21846
+    /// nodes, x86-64; 2026-08, after the tiered word-sweep kernels landed
+    /// in `xpath_xml::simd`). The fingerprint is vectorized too (AVX-512
+    /// where available), but its multiply chain keeps it near
+    /// `dense_word_ns` per word — the reason [`CostModel::shared_pass_ns`]
+    /// must count the avoided pass's input term, not just its word sweep.
     pub const CALIBRATED: CostModel = CostModel {
         dense_word_ns: 0.9,
-        sparse_out_ns: 0.25,
         input_ns: 0.75,
         chain_ns: 7.4,
         est_chain_len: 12.0,
@@ -151,143 +104,6 @@ impl CostModel {
         memo_probe_ns: 30.0,
         fingerprint_word_ns: 0.85,
     };
-
-    /// [`CostModel::CALIBRATED`] with any [`COST_ENV`] overrides applied,
-    /// discarding the parse diagnostics (see [`CostModel::from_env_report`]).
-    pub fn from_env() -> CostModel {
-        CostModel::from_env_report().0
-    }
-
-    /// [`CostModel::CALIBRATED`] with any [`COST_ENV`] overrides applied,
-    /// plus one diagnostic line per rejected entry — how a typo'd
-    /// calibration override becomes visible instead of silently falling
-    /// back to the defaults.
-    pub fn from_env_report() -> (CostModel, Vec<String>) {
-        let mut m = CostModel::CALIBRATED;
-        let diagnostics = match std::env::var(COST_ENV) {
-            Ok(spec) => m
-                .apply_overrides(&spec)
-                .into_iter()
-                .map(|why| format!("{COST_ENV}: ignored {why}"))
-                .collect(),
-            Err(_) => Vec::new(),
-        };
-        (m, diagnostics)
-    }
-
-    /// Apply a `key=value,key=value` override spec in place, parsing
-    /// **strictly**: an entry is applied only if its key names a
-    /// [`CostModel`] field and its value is a positive finite number.
-    /// Every rejected entry (unknown key, unparsable or non-positive
-    /// value, missing `=`) keeps the calibrated default and is returned as
-    /// a diagnostic message; empty segments (trailing commas) are allowed.
-    #[must_use = "rejected entries are reported, not silently dropped"]
-    pub fn apply_overrides(&mut self, spec: &str) -> Vec<String> {
-        let mut rejected = Vec::new();
-        for part in spec.split(',') {
-            if part.trim().is_empty() {
-                continue;
-            }
-            let Some((key, value)) = part.split_once('=') else {
-                rejected.push(format!("entry {:?}: expected key=value", part.trim()));
-                continue;
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let slot = match key {
-                "dense_word_ns" => &mut self.dense_word_ns,
-                "sparse_out_ns" => &mut self.sparse_out_ns,
-                "input_ns" => &mut self.input_ns,
-                "chain_ns" => &mut self.chain_ns,
-                "est_chain_len" => &mut self.est_chain_len,
-                "spawn_ns" => &mut self.spawn_ns,
-                "memo_probe_ns" => &mut self.memo_probe_ns,
-                "fingerprint_word_ns" => &mut self.fingerprint_word_ns,
-                _ => {
-                    rejected.push(format!("unknown key {key:?}"));
-                    continue;
-                }
-            };
-            match value.parse::<f64>() {
-                Ok(v) if v.is_finite() && v > 0.0 => *slot = v,
-                _ => rejected
-                    .push(format!("key {key:?}: value {value:?} is not a positive finite number")),
-            }
-        }
-        rejected
-    }
-
-    /// The process-wide model: [`CostModel::from_env_report`] computed
-    /// once.
-    pub fn global() -> &'static CostModel {
-        &global_with_diagnostics().0
-    }
-
-    /// Diagnostics from the one-time [`COST_ENV`] parse behind
-    /// [`CostModel::global`]: one line per rejected entry, empty when the
-    /// variable was unset or fully valid. `xpq -v` prints these.
-    pub fn env_diagnostics() -> &'static [String] {
-        &global_with_diagnostics().1
-    }
-
-    /// Estimated cost of a dense word-parallel materialization over
-    /// `universe` ids with `input_len` staircase inputs.
-    pub fn dense_cost(&self, universe: u32, input_len: usize) -> f64 {
-        self.dense_word_ns * (universe as f64 / 64.0) + self.input_ns * input_len as f64
-    }
-
-    /// Estimated cost of the sparse staircase writing `output_len` ids.
-    pub fn sparse_cost(&self, input_len: usize, output_len: usize) -> f64 {
-        self.input_ns * input_len as f64 + self.sparse_out_ns * output_len as f64
-    }
-
-    /// Estimated cost of the per-node chain walk over `input_len` nodes.
-    pub fn chain_cost(&self, input_len: usize) -> f64 {
-        self.chain_ns * input_len as f64 * self.est_chain_len
-    }
-
-    /// Pick the interval-axis kernel given the **exact** output
-    /// cardinality from the staircase pre-pass. Outputs at or above the
-    /// [`NodeSet`](xpath_xml::NodeSet) dense threshold stay dense
-    /// regardless of cost (downstream set algebra is word-parallel on
-    /// them); below it the cheaper materialization wins.
-    pub fn pick_interval(&self, universe: u32, input_len: usize, output_len: usize) -> Kernel {
-        use xpath_xml::NodeSet;
-        if output_len as u64 * NodeSet::DENSE_DEN >= universe as u64 * NodeSet::DENSE_NUM {
-            return Kernel::BulkDense;
-        }
-        if self.sparse_cost(input_len, output_len) < self.dense_cost(universe, input_len) {
-            Kernel::BulkSparse
-        } else {
-            Kernel::BulkDense
-        }
-    }
-
-    /// Pick the pointer-chasing kernel (ancestors / siblings): tiny
-    /// inputs walk per node; anything else pays the dense marking pass.
-    pub fn pick_chain(&self, universe: u32, input_len: usize) -> Kernel {
-        if self.chain_cost(input_len) < self.dense_cost(universe, 0) {
-            Kernel::PerNode
-        } else {
-            Kernel::BulkDense
-        }
-    }
-
-    /// The input size at which [`CostModel::pick_chain`] switches from
-    /// the per-node walk to dense marking, for a given universe.
-    pub fn chain_crossover(&self, universe: u32) -> usize {
-        let denom = self.chain_ns * self.est_chain_len;
-        (self.dense_cost(universe, 0) / denom).ceil() as usize
-    }
-
-    /// The output cardinality at which [`CostModel::pick_interval`]
-    /// switches from the sparse staircase to the dense kernel (input
-    /// terms cancel; capped at the `NodeSet` dense threshold).
-    pub fn interval_crossover(&self, universe: u32) -> usize {
-        use xpath_xml::NodeSet;
-        let by_cost = self.dense_word_ns * (universe as f64 / 64.0) / self.sparse_out_ns;
-        let by_repr = (universe as u64 * NodeSet::DENSE_NUM).div_ceil(NodeSet::DENSE_DEN) as usize;
-        (by_cost.ceil() as usize).min(by_repr)
-    }
 
     // ----- batched multi-query evaluation -----
 
@@ -334,7 +150,7 @@ impl CostModel {
     /// fingerprinting its key, gating off sharing that measures ~7×
     /// faster end to end (`BENCH_axes.json` `batch_eval`).
     pub fn shared_pass_ns(&self, universe: u32) -> f64 {
-        self.dense_cost(universe, universe as usize)
+        self.dense_word_ns * (f64::from(universe) / 64.0) + self.input_ns * f64::from(universe)
     }
 
     /// Pick how a batch of `queries` compiled spines should evaluate over
@@ -386,7 +202,7 @@ impl CostModel {
     /// The duplicated-unit fraction at which [`CostModel::pick_batch_mode`]
     /// switches to lock-step sharing for a given universe: sharing pays
     /// once more than this fraction of the batch's step units repeat.
-    pub fn batch_share_crossover(&self, universe: u32) -> f64 {
+    pub fn batch_share_threshold(&self, universe: u32) -> f64 {
         (self.memo_unit_ns(universe) / self.shared_pass_ns(universe).max(f64::MIN_POSITIVE))
             .min(1.0)
     }
@@ -419,7 +235,7 @@ impl CostModel {
     /// when the take is not a small fraction of the document: one
     /// [`CostModel::LAZY_BLOCK`] of per-candidate filtering versus the
     /// whole document's per-id materialization share.
-    pub fn lazy_take_crossover(&self) -> u32 {
+    pub fn lazy_take_threshold(&self) -> u32 {
         (f64::from(Self::LAZY_BLOCK) * self.lazy_candidate_ns() / self.materialize_id_ns()).ceil()
             as u32
     }
@@ -431,7 +247,7 @@ impl CostModel {
     ///
     /// A bounded take streams whenever it asks for a small fraction of
     /// the document (early exit skips most of the per-id work) or the
-    /// document is past [`CostModel::lazy_take_crossover`]. An unbounded
+    /// document is past [`CostModel::lazy_take_threshold`]. An unbounded
     /// drain filters every candidate at [`CostModel::lazy_candidate_ns`]
     /// — more per id than the word-parallel sweeps — so it only streams
     /// on documents large enough that the caller abandoning mid-drain
@@ -439,9 +255,9 @@ impl CostModel {
     pub fn pick_lazy(&self, universe: u32, take_hint: Option<usize>) -> bool {
         match take_hint {
             Some(k) => {
-                (k as u64) * 8 <= u64::from(universe) || universe >= self.lazy_take_crossover()
+                (k as u64) * 8 <= u64::from(universe) || universe >= self.lazy_take_threshold()
             }
-            None => universe >= self.lazy_take_crossover(),
+            None => universe >= self.lazy_take_threshold(),
         }
     }
 }
@@ -476,38 +292,24 @@ impl BatchMode {
     }
 }
 
-/// The one-time [`COST_ENV`] read behind [`CostModel::global`] /
-/// [`CostModel::env_diagnostics`].
-fn global_with_diagnostics() -> &'static (CostModel, Vec<String>) {
-    static GLOBAL: OnceLock<(CostModel, Vec<String>)> = OnceLock::new();
-    GLOBAL.get_or_init(CostModel::from_env_report)
-}
-
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel::CALIBRATED
-    }
-}
-
-/// One line describing how the planner treats `axis` on a document of
-/// `universe` nodes — the "which kernel and why" surfaced by
+/// One line describing how the axis kernel materializes `axis` on a
+/// document of `universe` nodes — the "which kernel and why" surfaced by
 /// `xpq --explain`.
-pub fn describe(axis: Axis, universe: u32, model: &CostModel) -> String {
+pub fn describe(axis: Axis, universe: u32) -> String {
     match axis {
         Axis::Descendant | Axis::DescendantOrSelf | Axis::Following | Axis::Preceding => {
             format!(
-                "{}: staircase interval join; exact output from O(|S|) pre-pass, \
-                 sorted-vec below {} result nodes, word-parallel bitset at or above",
+                "{}: staircase interval ranges with exact size; sorted vec below {} \
+                 result nodes (|D|/32), word-parallel bitset at or above",
                 axis.name(),
-                model.interval_crossover(universe)
+                NodeSet::dense_threshold(universe)
             )
         }
         Axis::Ancestor | Axis::AncestorOrSelf | Axis::FollowingSibling | Axis::PrecedingSibling => {
             format!(
-                "{}: pointer-chain walk; per-node loop for inputs below {} nodes, \
-                 dense chain marking at or above",
-                axis.name(),
-                model.chain_crossover(universe)
+                "{}: pointer-chain walk; per node for a single input node, \
+                 dense chain marking for more",
+                axis.name()
             )
         }
         Axis::SelfAxis | Axis::Child | Axis::Parent | Axis::Attribute | Axis::Namespace => {
@@ -517,7 +319,7 @@ pub fn describe(axis: Axis, universe: u32, model: &CostModel) -> String {
     }
 }
 
-/// Thread-safe tally of planner decisions — shared by a
+/// Thread-safe tally of axis materializations — shared by a
 /// [`CompiledQuery`](../../xpath_core/query/struct.CompiledQuery.html)
 /// across evaluations and aggregated by the query cache.
 #[derive(Debug, Default)]
@@ -572,7 +374,7 @@ impl KernelCounters {
 /// A plain snapshot of [`KernelCounters`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCounts {
-    /// Axis applications run on the per-node enumeration loop.
+    /// Axis applications that walked one input node's chain.
     pub per_node: u64,
     /// Axis applications run on the sparse (sorted-vec) bulk kernels.
     pub bulk_sparse: u64,
@@ -618,67 +420,6 @@ impl std::fmt::Display for KernelCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overrides_parse_strictly_and_report_rejects() {
-        let mut m = CostModel::CALIBRATED;
-        let rejected =
-            m.apply_overrides("dense_word_ns=5.5, chain_ns = 9 ,bogus=1,input_ns=oops,junk,");
-        assert_eq!(m.dense_word_ns, 5.5);
-        assert_eq!(m.chain_ns, 9.0);
-        assert_eq!(m.input_ns, CostModel::CALIBRATED.input_ns, "bad value keeps default");
-        // Every malformed entry is reported — nothing is dropped silently
-        // (the trailing comma's empty segment is not an entry).
-        assert_eq!(rejected.len(), 3, "{rejected:?}");
-        assert!(rejected.iter().any(|r| r.contains("\"bogus\"")), "{rejected:?}");
-        assert!(rejected.iter().any(|r| r.contains("\"oops\"")), "{rejected:?}");
-        assert!(rejected.iter().any(|r| r.contains("key=value")), "{rejected:?}");
-        // Non-positive and non-finite values are rejected with a report.
-        let rejected = m.apply_overrides("sparse_out_ns=-1,est_chain_len=inf");
-        assert_eq!(m.sparse_out_ns, CostModel::CALIBRATED.sparse_out_ns);
-        assert_eq!(m.est_chain_len, CostModel::CALIBRATED.est_chain_len);
-        assert_eq!(rejected.len(), 2, "{rejected:?}");
-        // The spawn constant is overridable like the rest; the retired
-        // shard-merge constant is now an unknown key (its name is spelled
-        // in two halves so the removed key appears nowhere in the source).
-        let retired = concat!("merge_", "word_ns");
-        let rejected = m.apply_overrides(&format!("spawn_ns=100,{retired}=0.5"));
-        assert_eq!(m.spawn_ns, 100.0);
-        assert_eq!(rejected, [format!("unknown key {retired:?}")]);
-    }
-
-    #[test]
-    fn interval_pick_follows_output_density() {
-        let m = CostModel::CALIBRATED;
-        let n = 21846;
-        // Tiny output on a big universe: sparse staircase.
-        assert_eq!(m.pick_interval(n, 79, 300), Kernel::BulkSparse);
-        // Output at the NodeSet dense threshold: dense regardless of cost.
-        assert_eq!(m.pick_interval(n, 79, (n / 16) as usize), Kernel::BulkDense);
-        // Near-full output: dense.
-        assert_eq!(m.pick_interval(n, 5000, n as usize - 1), Kernel::BulkDense);
-        // Degenerate universe: a handful of words, sparse never pays.
-        assert_eq!(m.pick_interval(64, 1, 0), Kernel::BulkSparse);
-    }
-
-    #[test]
-    fn chain_pick_follows_input_size() {
-        let m = CostModel::CALIBRATED;
-        let n = 21846;
-        assert_eq!(m.pick_chain(n, 1), Kernel::PerNode);
-        assert_eq!(m.pick_chain(n, 500), Kernel::BulkDense);
-        let cross = m.chain_crossover(n);
-        assert!(cross > 1 && cross < 500, "crossover in a sane band, got {cross}");
-        assert_eq!(m.pick_chain(n, cross - 1), Kernel::PerNode);
-        assert_eq!(m.pick_chain(n, cross), Kernel::BulkDense);
-    }
-
-    #[test]
-    fn crossovers_scale_with_document_size() {
-        let m = CostModel::CALIBRATED;
-        assert!(m.interval_crossover(1 << 20) > m.interval_crossover(1 << 12));
-        assert!(m.chain_crossover(1 << 20) > m.chain_crossover(1 << 12));
-    }
 
     #[test]
     fn counters_tally_and_merge() {
@@ -749,7 +490,7 @@ mod tests {
         );
         // The crossover fraction is consistent with the pick: sharing just
         // above it flips to lock-step, just below it does not.
-        let frac = m.batch_share_crossover(n);
+        let frac = m.batch_share_threshold(n);
         assert!(frac > 0.0 && frac < 1.0, "crossover fraction in (0,1), got {frac}");
         let units = 1000usize;
         let above = (frac * units as f64 * 1.1).ceil() as usize;
@@ -763,18 +504,13 @@ mod tests {
         assert_eq!(free.pick_batch_mode(2, 1, 1000, 0.0, n, 1), BatchMode::LockStepShared);
         let never = CostModel { memo_probe_ns: 1e12, ..m };
         assert_eq!(never.pick_batch_mode(16, 95, 96, 1_000.0, n, 1), BatchMode::Serial);
-        // The new constants parse from GKP_AXIS_COST like the rest.
-        let mut o = CostModel::CALIBRATED;
-        let rejected = o.apply_overrides("memo_probe_ns=7,fingerprint_word_ns=0.2");
-        assert!(rejected.is_empty(), "{rejected:?}");
-        assert_eq!((o.memo_probe_ns, o.fingerprint_word_ns), (7.0, 0.2));
         assert_eq!(BatchMode::LockStepShared.name(), "lock_step_shared");
     }
 
     #[test]
     fn lazy_pick_follows_take_hint_and_crossover() {
         let m = CostModel::CALIBRATED;
-        let cross = m.lazy_take_crossover();
+        let cross = m.lazy_take_threshold();
         assert!(cross > CostModel::LAZY_BLOCK, "one block must cost more than its own ids");
         // first()/exists() stream on anything but trivially small docs:
         // pulling 1 of ≥8 candidates skips most of the per-id work.
@@ -807,12 +543,11 @@ mod tests {
     }
 
     #[test]
-    fn describe_names_the_kernel_and_the_crossover() {
-        let m = CostModel::CALIBRATED;
-        let d = describe(Axis::Descendant, 21846, &m);
-        assert!(d.contains("staircase") && d.contains(&m.interval_crossover(21846).to_string()));
-        let a = describe(Axis::Ancestor, 21846, &m);
-        assert!(a.contains("per-node") && a.contains(&m.chain_crossover(21846).to_string()));
-        assert!(describe(Axis::Child, 100, &m).contains("sorted vec"));
+    fn describe_states_the_materialization_rule() {
+        let d = describe(Axis::Descendant, 21846);
+        assert!(d.contains("staircase") && d.contains("below 683 result nodes"), "{d}");
+        let a = describe(Axis::Ancestor, 21846);
+        assert!(a.contains("per node for a single input node"), "{a}");
+        assert!(describe(Axis::Child, 100).contains("sorted vec"));
     }
 }

@@ -13,26 +13,21 @@
 //!   §10/§11, `idx_χ` document-order indexing);
 //! * [`id`] — the `id` axis and its linear-time `ref`-relation encoding
 //!   (Theorem 10.7);
-//! * [`prepost`] — the pre/post-plane window encoding (Grust et al. 2004)
-//!   and the Stack-Tree structural merge join (Al-Khalifa et al. 2002), the
-//!   two axis-evaluation techniques §3 cites as interchangeable with
-//!   Algorithm 3.2;
-//! * [`bulk`] — set-at-a-time axis functions over the hybrid
-//!   [`NodeSet`](xpath_xml::NodeSet) and the structure-of-arrays
-//!   [`AxisIndex`](xpath_xml::AxisIndex): staircase joins for the interval
-//!   axes, word-parallel range fills and type filtering;
+//! * [`bulk`] — the engine's one set-at-a-time axis kernel over the
+//!   hybrid [`NodeSet`](xpath_xml::NodeSet) and the structure-of-arrays
+//!   [`AxisIndex`](xpath_xml::AxisIndex): staircase range collection for
+//!   the interval axes (materialized by the node set's density rule),
+//!   chain walks for the pointer axes, word-parallel type filtering;
 //! * [`stream`] — resumable block-synchronous expansion of the forward
 //!   axes ([`stream::StepStreamer`]) for the lazy cursor layer: early
 //!   exit, deadlines and cancellation without giving up the bulk
-//!   kernels' staircase and chain-walk routes;
-//! * [`cost`] — the calibrated cost model behind the **adaptive** kernel
-//!   planner ([`bulk::axis_set_planned`]): per axis application, pick the
-//!   cheapest of the per-node loop, the sparse staircase and the dense
-//!   word-parallel kernel from input density × axis shape × document
-//!   size — the engine's default backend.
+//!   kernel's staircase and chain-walk routes;
+//! * [`cost`] — the fixed cost constants behind batch-mode and lazy-route
+//!   arbitration, and the [`Kernel`] tally of which materialization each
+//!   axis application took.
 //!
-//! Property tests assert that all backends agree with the Algorithm 3.2
-//! reference on random documents.
+//! Tests assert that the bulk kernel and the direct per-node axes agree
+//! with the Algorithm 3.2 reference on random documents.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,18 +36,16 @@ pub mod bulk;
 pub mod cost;
 pub mod fast;
 pub mod id;
-pub mod prepost;
 pub mod regex;
 pub mod stream;
 pub mod typed;
 
-pub use bulk::{axis_set, axis_set_adaptive, axis_set_planned};
+pub use bulk::{axis_set, axis_set_traced};
 pub use cost::{BatchMode, CostModel, Kernel, KernelCounters, KernelCounts};
 pub use fast::{
     axis_from, axis_from_into, eval_axis, eval_axis_untyped_fast, idx_in, inverse_axis_set,
     order_for_axis,
 };
-pub use prepost::{join_ancestors, join_descendants, stack_tree_join, PrePostPlane};
 pub use stream::{is_streamable, StepStreamer};
 pub use typed::eval_axis_alg32;
 
@@ -115,30 +108,6 @@ mod proptests {
                 let want = crate::fast::eval_axis(&doc, axis, &ids);
                 prop_assert_eq!(crate::bulk::axis_set(&doc, axis, &sparse).to_vec(), want.clone(), "{:?} sparse", axis);
                 prop_assert_eq!(crate::bulk::axis_set(&doc, axis, &dense).to_vec(), want, "{:?} dense", axis);
-            }
-        }
-
-        /// The pre/post-plane backend equals the direct backend on random
-        /// documents (four-way interchangeability per §3).
-        #[test]
-        fn plane_equals_fast_on_random_docs(seed in 0u64..5000) {
-            let cfg = RandomDocConfig { elements: 30, ..RandomDocConfig::default() };
-            let doc = doc_random(seed, &cfg);
-            let plane = crate::prepost::PrePostPlane::new(&doc);
-            for axis in Axis::STANDARD {
-                for x in doc.all_nodes() {
-                    prop_assert_eq!(
-                        plane.window(&doc, axis, x),
-                        crate::fast::eval_axis(&doc, axis, &[x]),
-                        "{:?} from {:?}", axis, x
-                    );
-                }
-                let odds: Vec<NodeId> = doc.all_nodes().filter(|n| n.0 % 2 == 1).collect();
-                prop_assert_eq!(
-                    plane.eval_axis(&doc, axis, &odds),
-                    crate::fast::eval_axis(&doc, axis, &odds),
-                    "{:?} set", axis
-                );
             }
         }
 

@@ -1,19 +1,17 @@
 //! `bench_axes` — machine-readable micro-benchmark of the axis engine and
 //! node-set representations, written to `BENCH_axes.json`.
 //!
-//! Tracks the perf trajectory of the hybrid-`NodeSet` / bulk-axis /
-//! adaptive-planner work:
+//! Tracks the perf trajectory of the hybrid-`NodeSet` / bulk-axis work:
 //!
-//! * **axis_application** — the adaptive planner (`bulk::axis_set_planned`)
-//!   vs the per-node `axis_from` loop (the seed's hot path), the per-node
-//!   set algorithms (`fast::eval_axis`) and the always-dense bulk kernel,
-//!   across input densities, on a ≥10k-node document. Every row carries
-//!   the planner's chosen `kernel` so each cell is attributable;
+//! * **axis_application** — the one axis kernel (`bulk::axis_set`) vs the
+//!   per-node `axis_from` loop (the seed's hot path) and the per-node set
+//!   algorithms (`fast::eval_axis`), across input densities, on a
+//!   ≥10k-node document. Every row carries the materialization the
+//!   kernel took (`kernel`) so each cell is attributable;
 //! * **set_ops** — union/intersect/difference on the dense-bitset vs the
 //!   sorted-vec representation across densities;
-//! * **queries** — whole-query Core XPath evaluation with the adaptive and
-//!   bulk backends vs the per-node direct backend, on each query as the
-//!   compiler rewrites it;
+//! * **queries** — whole-query Core XPath evaluation on the kernel vs the
+//!   paper's TopDown evaluator, on each query as the compiler rewrites it;
 //! * **batch_eval** — the batched multi-query layer (`xpath_core::batch`):
 //!   a 16-query shared-prefix batch and a disjoint batch, each as one
 //!   `QuerySet::evaluate_all` (single-thread, lock-step memo sharing) vs
@@ -43,9 +41,9 @@
 //!
 //! Usage:
 //!   `cargo run --release -p xpath-bench --bin bench_axes [-- out.json]`
-//!   `… --check`      exit non-zero if the adaptive backend loses ≥10% to
-//!                    the per-node loop, or to the best alternative, in
-//!                    any axis-application cell (the CI crossover guard),
+//!   `… --check`      exit non-zero if the axis kernel loses ≥10% to the
+//!                    per-node loop, or ≥20% to the best alternative, in
+//!                    any axis-application cell (the CI kernel guard),
 //!                    if the batched shared-prefix workload drops below
 //!                    0.95× N independent evaluations (the batch guard),
 //!                    or if lazy `first()` on the ≥10⁵-node document is
@@ -61,18 +59,12 @@
 //!                    `/descendant::c` (the node-test guard).
 //!                    The timing baseline is pinned to a 1-thread budget,
 //!                    so CI core counts can't flake the guard
-//!   `… --calibrate`  measure the cost-model constants (incl. the spawn
-//!                    constant gating the batch fan-out and the
-//!                    memo-probe/fingerprint constants gating batch
-//!                    sharing) on this machine and print a
-//!                    `GKP_AXIS_COST=…` override
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use xpath_axes::bulk;
-use xpath_axes::cost::CostModel;
-use xpath_core::corexpath::{compile, AxisBackend, CoreXPathEvaluator};
+use xpath_core::corexpath::{compile, CoreXPathEvaluator};
 use xpath_core::{Compiler, Strategy};
 use xpath_syntax::Axis;
 use xpath_xml::generate::doc_balanced;
@@ -134,9 +126,8 @@ fn time_ns(mut f: impl FnMut()) -> u64 {
 }
 
 /// The seven whole-query shapes benchmarked below (and mirrored by
-/// `tests/backend_differential.rs`). The last is provably empty: it
-/// measures the analyzer's constant-empty short-circuit against backends
-/// that evaluate it for real.
+/// `tests/backend_differential.rs`). The last is provably empty (the
+/// analyzer's constant-empty short-circuit rides the same corpus).
 const BENCH_QUERIES: &[&str] = &[
     "//a//c",
     "//a//b//c//d",
@@ -161,33 +152,31 @@ fn per_node_loop(doc: &Document, axis: Axis, set: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// One axis_application cell: all four engines timed on the same input,
-/// plus the adaptive planner's provenance.
+/// One axis_application cell: all three engines timed on the same input,
+/// plus the materialization the kernel took.
 struct AxisCell {
     axis: &'static str,
     density: f64,
     input_len: usize,
     per_node_ns: u64,
     direct_ns: u64,
-    bulk_ns: u64,
-    adaptive_ns: u64,
+    kernel_ns: u64,
     kernel: &'static str,
 }
 
 impl AxisCell {
     fn speedup_vs_per_node(&self) -> f64 {
-        self.per_node_ns as f64 / self.adaptive_ns.max(1) as f64
+        self.per_node_ns as f64 / self.kernel_ns.max(1) as f64
     }
 
     fn speedup_vs_best(&self) -> f64 {
-        let best = self.per_node_ns.min(self.direct_ns).min(self.bulk_ns);
-        best as f64 / self.adaptive_ns.max(1) as f64
+        let best = self.per_node_ns.min(self.direct_ns);
+        best as f64 / self.kernel_ns.max(1) as f64
     }
 }
 
 fn measure_axis_cells(doc: &Document) -> Vec<AxisCell> {
     let n = doc.len() as u32;
-    let model = CostModel::global();
     let mut cells = Vec::new();
     for &density in &[0.004f64, 0.03125, 0.25] {
         let mut rng = Rng::seed_from_u64(42);
@@ -197,10 +186,8 @@ fn measure_axis_cells(doc: &Document) -> Vec<AxisCell> {
             [Axis::Descendant, Axis::Following, Axis::Preceding, Axis::Ancestor, Axis::Child]
         {
             // Equality sanity check before timing.
-            let (planned, kernel) = bulk::axis_set_planned(doc, axis, &sparse, model);
-            let reference = per_node_loop(doc, axis, &ids);
-            assert_eq!(planned.to_vec(), reference, "{axis:?} density {density}");
-            assert_eq!(bulk::axis_set(doc, axis, &sparse).to_vec(), reference);
+            let (out, kernel) = bulk::axis_set_traced(doc, axis, &sparse);
+            assert_eq!(out.to_vec(), per_node_loop(doc, axis, &ids), "{axis:?} density {density}");
             let times = time_ns_interleaved(&mut [
                 &mut || {
                     std::hint::black_box(per_node_loop(doc, axis, &ids));
@@ -211,9 +198,6 @@ fn measure_axis_cells(doc: &Document) -> Vec<AxisCell> {
                 &mut || {
                     std::hint::black_box(bulk::axis_set(doc, axis, &sparse));
                 },
-                &mut || {
-                    std::hint::black_box(bulk::axis_set_planned(doc, axis, &sparse, model));
-                },
             ]);
             cells.push(AxisCell {
                 axis: axis.name(),
@@ -221,27 +205,9 @@ fn measure_axis_cells(doc: &Document) -> Vec<AxisCell> {
                 input_len: ids.len(),
                 per_node_ns: times[0],
                 direct_ns: times[1],
-                bulk_ns: times[2],
-                adaptive_ns: times[3],
+                kernel_ns: times[2],
                 kernel: kernel.name(),
             });
-            // Where the adaptive path literally delegates to the same
-            // `axis_set_inner` code as the bulk column — child's single
-            // kernel, and the dense pick on preceding/ancestor (the
-            // chain and last-node dispatches add only an O(1) check) —
-            // the two timings are samples of one distribution, so pool
-            // them (min) rather than let scheduler noise between the two
-            // measurements read as a planner regression. Descendant and
-            // following are NOT pooled: their adaptive materialization
-            // (range collection + fill) is distinct code and must stand
-            // on its own measurement.
-            let cell = cells.last_mut().expect("just pushed");
-            let delegates = axis == Axis::Child
-                || (cell.kernel == "bulk_dense"
-                    && matches!(axis, Axis::Preceding | Axis::Ancestor));
-            if delegates {
-                cell.adaptive_ns = cell.adaptive_ns.min(cell.bulk_ns);
-            }
         }
     }
     cells
@@ -504,12 +470,11 @@ fn node_test_ratios(cells: &[NodeTestCell]) -> (f64, f64) {
     (ns(1) / ns(0), ns(2) / ns(1))
 }
 
-/// `--check`: the CI crossover guard. Fails when the adaptive backend is
-/// more than 10% slower than the seed's per-node loop in any
-/// axis-application cell (the bar the planner exists to hold), or 20% slower than the
-/// best of all measured engines (the looser bound absorbs scheduler noise
-/// on cells where the planner's pick *is* the best engine's code path, so
-/// the two sides measure identical work seconds apart).
+/// `--check`: the CI kernel guard. Fails when the axis kernel is more
+/// than 10% slower than the seed's per-node loop in any axis-application
+/// cell, or 20% slower than the best of the measured alternatives (the
+/// looser bound absorbs scheduler noise on cells where both sides run
+/// near-identical work seconds apart).
 /// On shared CI runners a single noisy-neighbor spike can push a
 /// sub-microsecond cell past the ratio bars, so a failing pass is
 /// re-measured from scratch; only violations that persist across every
@@ -757,20 +722,20 @@ fn check_pass(doc: &Document) -> Vec<String> {
         let vs_per_node = c.speedup_vs_per_node();
         let vs_best = c.speedup_vs_best();
         eprintln!(
-            "check: {:<10} density {:<8} kernel {:<12} adaptive {:>9}ns  \
+            "check: {:<10} density {:<8} kernel {:<12} {:>9}ns  \
              vs per-node {vs_per_node:>8.2}x  vs best {vs_best:>5.2}x",
-            c.axis, c.density, c.kernel, c.adaptive_ns
+            c.axis, c.density, c.kernel, c.kernel_ns
         );
         if vs_per_node < 0.9 {
             failures.push(format!(
-                "{} @ density {}: adaptive {}ns vs per-node {}ns ({vs_per_node:.2}x < 0.9x)",
-                c.axis, c.density, c.adaptive_ns, c.per_node_ns
+                "{} @ density {}: kernel {}ns vs per-node {}ns ({vs_per_node:.2}x < 0.9x)",
+                c.axis, c.density, c.kernel_ns, c.per_node_ns
             ));
         }
         if vs_best < 0.8 {
             failures.push(format!(
-                "{} @ density {}: adaptive {}ns vs best backend ({:.2}x < 0.8x)",
-                c.axis, c.density, c.adaptive_ns, vs_best
+                "{} @ density {}: kernel {}ns vs best alternative ({:.2}x < 0.8x)",
+                c.axis, c.density, c.kernel_ns, vs_best
             ));
         }
     }
@@ -856,8 +821,8 @@ fn measure_snapshot(big: &Document) -> SnapshotCell {
         let parsed = Document::parse_str(&xml).expect("reparse of serialized bench doc");
         let loaded = snap::load(&path).expect("snapshot load");
         let c = compile(&xpath_syntax::parse_normalized(BENCH_QUERIES[0]).unwrap()).unwrap();
-        let ev_parsed = CoreXPathEvaluator::with_backend(&parsed, AxisBackend::Adaptive);
-        let ev_loaded = CoreXPathEvaluator::with_backend(&loaded, AxisBackend::Adaptive);
+        let ev_parsed = CoreXPathEvaluator::new(&parsed);
+        let ev_loaded = CoreXPathEvaluator::new(&loaded);
         assert_eq!(
             ev_parsed.evaluate(&c, &[parsed.root()]),
             ev_loaded.evaluate(&c, &[loaded.root()]),
@@ -881,123 +846,6 @@ fn measure_snapshot(big: &Document) -> SnapshotCell {
     }
 }
 
-/// `--calibrate`: measure the cost-model constants on this machine and
-/// print them as a `GKP_AXIS_COST` override (and as Rust source for
-/// re-baking `CostModel::CALIBRATED`).
-fn calibrate(doc: &Document) {
-    let n = doc.len() as u32;
-    let words = (n as f64) / 64.0;
-    let all: NodeSet = doc.all_nodes().collect();
-
-    // dense_word_ns: descendant-or-self from the root alone is one full
-    // range — allocate + fill + strip + adapt scan over every word, with
-    // a single-element input contributing nothing.
-    let root = NodeSet::singleton(doc.root());
-    let t_dense = time_ns(|| {
-        std::hint::black_box(bulk::axis_set(doc, Axis::DescendantOrSelf, &root));
-    });
-    let dense_word_ns = t_dense as f64 / words;
-
-    // sparse_out_ns: the staircase-sparse kernel from a node whose
-    // subtree sits below the dense-representation cap (four levels down
-    // on the balanced tree: 341 of 21846 nodes) writes |subtree| ids.
-    let mut deep = doc.root();
-    for _ in 0..4 {
-        deep = doc.children(deep).next().expect("balanced tree is at least 4 deep");
-    }
-    let deep_set = NodeSet::singleton(deep);
-    let out_len = (doc.subtree_end(deep) - deep.0) as usize;
-    let (probe, probe_kernel) =
-        bulk::axis_set_planned(doc, Axis::DescendantOrSelf, &deep_set, CostModel::global());
-    assert_eq!(probe_kernel.name(), "bulk_sparse", "calibration probe must take the sparse path");
-    assert_eq!(probe.len(), out_len);
-    let out_len = out_len as f64;
-    let t_sparse = time_ns(|| {
-        std::hint::black_box(bulk::axis_set_planned(
-            doc,
-            Axis::DescendantOrSelf,
-            &deep_set,
-            CostModel::global(),
-        ));
-    });
-    let sparse_out_ns = (t_sparse as f64 / out_len).max(0.05);
-
-    // input_ns: following on the full input produces an empty range
-    // (nothing follows the root's subtree), leaving the O(|S|) min-scan
-    // as the entire cost.
-    let t_input = time_ns(|| {
-        std::hint::black_box(bulk::axis_set(doc, Axis::Following, &all));
-    });
-    let input_ns = (t_input as f64 / n as f64).max(0.1);
-
-    // chain_ns · est_chain_len: per-node ancestor walks over a moderate
-    // input; chains here are root-depth long.
-    let mut rng = Rng::seed_from_u64(9);
-    let ids: Vec<NodeId> = (0..n).filter(|_| rng.random_bool(0.01)).map(NodeId).collect();
-    let sparse = NodeSet::from_sorted(ids.clone());
-    let force_per_node = CostModel { dense_word_ns: 1e9, ..CostModel::CALIBRATED };
-    let t_chain = time_ns(|| {
-        std::hint::black_box(bulk::axis_set_planned(doc, Axis::Ancestor, &sparse, &force_per_node));
-    });
-    let est_chain_len = CostModel::CALIBRATED.est_chain_len;
-    let chain_ns = t_chain as f64 / (ids.len() as f64 * est_chain_len);
-
-    // spawn_ns: one scoped worker spawned + joined around a trivial body —
-    // the per-worker overhead the batch fan-out's gate must amortize.
-    let t_spawn = time_ns(|| {
-        std::thread::scope(|s| {
-            s.spawn(|| std::hint::black_box(1u64));
-        });
-    });
-    let spawn_ns = (t_spawn as f64).max(1.0);
-
-    // fingerprint_word_ns: the content hash of a dense set, per word —
-    // the per-unit key cost of the batch memo. Probed on a large dense
-    // universe so the measured value is the per-word *slope* (the fixed
-    // call overhead belongs to memo_probe_ns, and a small probe would
-    // fold it into the slope and overstate big-document memo costs).
-    let fp_universe = 1u32 << 20;
-    let fp_words = f64::from(fp_universe) / 64.0;
-    let dense_all = NodeSet::full(fp_universe);
-    let t_fp = time_ns(|| {
-        std::hint::black_box(dense_all.fingerprint());
-    });
-    let fingerprint_word_ns = (t_fp as f64 / fp_words).max(0.01);
-
-    // memo_probe_ns: one hash-map probe plus the result clone a memo hit
-    // hands back, on a small sparse entry (the fixed part of a probe; the
-    // input-dependent fingerprint is costed separately above).
-    let mut memo = std::collections::HashMap::new();
-    memo.insert(42u64, NodeSet::from_sorted((0..32).map(NodeId).collect()));
-    let t_probe = time_ns(|| {
-        std::hint::black_box(memo.get(&42).cloned());
-    });
-    let memo_probe_ns = (t_probe as f64).max(1.0);
-
-    println!("calibration on {n}-node document ({words:.0} words):");
-    println!("  dense descendant sweep: {t_dense}ns -> dense_word_ns = {dense_word_ns:.2}");
-    println!("  sparse staircase write: {t_sparse}ns -> sparse_out_ns = {sparse_out_ns:.2}");
-    println!("  following min-scan:     {t_input}ns -> input_ns = {input_ns:.2}");
-    println!(
-        "  per-node ancestor walk: {t_chain}ns over {} nodes -> chain_ns = {chain_ns:.2} \
-         (at est_chain_len = {est_chain_len})",
-        ids.len()
-    );
-    println!("  scoped worker spawn:    {t_spawn}ns -> spawn_ns = {spawn_ns:.0}");
-    println!(
-        "  full-set fingerprint:   {t_fp}ns -> fingerprint_word_ns = {fingerprint_word_ns:.2}"
-    );
-    println!("  memo probe + clone:     {t_probe}ns -> memo_probe_ns = {memo_probe_ns:.0}");
-    println!();
-    println!(
-        "{}=dense_word_ns={dense_word_ns:.2},sparse_out_ns={sparse_out_ns:.2},\
-         input_ns={input_ns:.2},chain_ns={chain_ns:.2},est_chain_len={est_chain_len:.1},\
-         spawn_ns={spawn_ns:.0},\
-         memo_probe_ns={memo_probe_ns:.0},fingerprint_word_ns={fingerprint_word_ns:.2}",
-        xpath_axes::cost::COST_ENV
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // A balanced 4-ary tree of depth 7: 21845 elements (≥10k nodes),
@@ -1006,16 +854,12 @@ fn main() {
     let n = doc.len() as u32;
     doc.axis_index(); // build once, outside the timed regions
 
-    if args.iter().any(|a| a == "--calibrate") {
-        calibrate(&doc);
-        return;
-    }
     if args.iter().any(|a| a == "--check") {
         match check(&doc) {
             Ok(()) => {
                 eprintln!(
-                    "check: adaptive within 10% of per-node and 20% of the best \
-                     backend in every axis-application cell; batch, lazy \
+                    "check: kernel within 10% of per-node and 20% of the best \
+                     alternative in every axis-application cell; batch, lazy \
                      early-exit, strategy-choice and node-test bars met"
                 );
                 return;
@@ -1049,16 +893,15 @@ fn main() {
             json,
             "    {{ \"axis\": \"{}\", \"density\": {}, \"input_len\": {}, \
              \"kernel\": \"{}\", \"per_node_loop_ns\": {}, \"direct_set_ns\": {}, \
-             \"bulk_dense_ns\": {}, \"adaptive_ns\": {}, \
-             \"speedup_adaptive_vs_per_node\": {:.2}, \"speedup_adaptive_vs_best\": {:.2} }}",
+             \"kernel_ns\": {}, \
+             \"speedup_kernel_vs_per_node\": {:.2}, \"speedup_kernel_vs_best\": {:.2} }}",
             c.axis,
             c.density,
             c.input_len,
             c.kernel,
             c.per_node_ns,
             c.direct_ns,
-            c.bulk_ns,
-            c.adaptive_ns,
+            c.kernel_ns,
             c.speedup_vs_per_node(),
             c.speedup_vs_best(),
         );
@@ -1145,26 +988,24 @@ fn main() {
     }
     json.push_str("\n  ],\n");
 
-    // ---- whole-query backends: descendant/following-heavy Core XPath ----
+    // ---- whole queries: descendant/following-heavy Core XPath on the
+    // kernel vs the paper's TopDown evaluator ----
     json.push_str("  \"queries\": [\n");
-    let direct = CoreXPathEvaluator::with_backend(&doc, AxisBackend::Direct);
-    let bulk_ev = CoreXPathEvaluator::with_backend(&doc, AxisBackend::Bulk);
-    let adaptive_ev = CoreXPathEvaluator::with_backend(&doc, AxisBackend::Adaptive);
+    let kernel_ev = CoreXPathEvaluator::new(&doc);
+    let top_down = Compiler::new().default_strategy(Strategy::TopDown).threads(1);
     let mut first = true;
     for &q in BENCH_QUERIES {
         let e = Compiler::new().parse(q).unwrap();
         let c = compile(&e).unwrap();
+        let reference = top_down.compile(q).unwrap();
         let root = [doc.root()];
-        assert_eq!(direct.evaluate(&c, &root), bulk_ev.evaluate(&c, &root), "{q}");
-        assert_eq!(direct.evaluate(&c, &root), adaptive_ev.evaluate(&c, &root), "{q}");
-        let t_direct = time_ns(|| {
-            std::hint::black_box(direct.evaluate(&c, &root));
+        let want = reference.evaluate_root(&doc).unwrap();
+        assert_eq!(xpath_core::Value::NodeSet(kernel_ev.evaluate(&c, &root)), want, "{q}");
+        let t_top_down = time_ns(|| {
+            std::hint::black_box(reference.evaluate_root(&doc).unwrap());
         });
-        let t_bulk = time_ns(|| {
-            std::hint::black_box(bulk_ev.evaluate(&c, &root));
-        });
-        let t_adaptive = time_ns(|| {
-            std::hint::black_box(adaptive_ev.evaluate(&c, &root));
+        let t_kernel = time_ns(|| {
+            std::hint::black_box(kernel_ev.evaluate(&c, &root));
         });
         if !first {
             json.push_str(",\n");
@@ -1172,11 +1013,10 @@ fn main() {
         first = false;
         let _ = write!(
             json,
-            "    {{ \"query\": \"{}\", \"per_node_direct_ns\": {t_direct}, \
-             \"bulk_ns\": {t_bulk}, \"adaptive_ns\": {t_adaptive}, \
-             \"speedup_adaptive\": {:.2} }}",
+            "    {{ \"query\": \"{}\", \"topdown_ns\": {t_top_down}, \
+             \"kernel_ns\": {t_kernel}, \"speedup_kernel_vs_topdown\": {:.2} }}",
             q.replace('"', "'"),
-            t_direct as f64 / t_adaptive.max(1) as f64,
+            t_top_down as f64 / t_kernel.max(1) as f64,
         );
     }
     json.push_str("\n  ],\n");

@@ -9,8 +9,8 @@
 //! [`Arc<CompiledQuery>`] handles from a
 //! [`QueryCache`](crate::cache::QueryCache)) into a `Send + Sync`
 //! [`QuerySet`]; [`QuerySet::evaluate_all`] then runs the batch in one of
-//! three modes, picked per document by the calibrated
-//! [`CostModel`] (see [`CostModel::pick_batch_mode`]):
+//! three modes, picked per document from the fixed
+//! [`CostModel::CALIBRATED`] constants (see [`CostModel::pick_batch_mode`]):
 //!
 //! * **lock-step shared** ([`BatchMode::LockStepShared`]) — every compiled
 //!   Core XPath / XPatterns spine advances one step per round, and all
@@ -54,7 +54,7 @@
 //! (`O(|D|/64)` with a much smaller constant —
 //! [`CostModel::memo_unit_ns`] vs [`CostModel::shared_pass_ns`]).
 //! Lock-step sharing therefore pays once a few percent of the batch's
-//! step units repeat ([`CostModel::batch_share_crossover`]); batches of
+//! step units repeat ([`CostModel::batch_share_threshold`]); batches of
 //! unrelated queries fall back to sharding or serial evaluation. The
 //! decision — and the memo hit counts — surface in
 //! [`BatchStats`], [`QuerySet::planner_stats`] and `xpq --explain`.
@@ -119,7 +119,7 @@ pub const MAX_AUTO_THREADS: usize = 8;
 /// (auto) reads [`THREADS_ENV`] once per process, falling back to
 /// [`std::thread::available_parallelism`] capped at [`MAX_AUTO_THREADS`]
 /// when the variable is unset or rejected (see
-/// [`threads_env_diagnostics`]).
+/// [`threads_env_rejects`]).
 pub fn resolve_threads(requested: u32) -> usize {
     if requested >= 1 {
         return requested as usize;
@@ -131,7 +131,7 @@ pub fn resolve_threads(requested: u32) -> usize {
 /// [`resolve_threads`]: one line when the value was rejected (not a
 /// positive integer), empty when the variable was unset or valid.
 /// `xpq -v` prints these.
-pub fn threads_env_diagnostics() -> &'static [String] {
+pub fn threads_env_rejects() -> &'static [String] {
     &auto_threads().1
 }
 
@@ -356,7 +356,6 @@ pub struct QuerySetBuilder {
     compiler: Compiler,
     threads: Option<u32>,
     mode: Option<BatchMode>,
-    cost: Option<CostModel>,
     pending: Vec<Pending>,
 }
 
@@ -425,13 +424,6 @@ impl QuerySetBuilder {
         self
     }
 
-    /// Override the cost model driving the mode decision (tests,
-    /// calibration; defaults to [`CostModel::global`]).
-    pub fn cost_model(mut self, model: CostModel) -> QuerySetBuilder {
-        self.cost = Some(model);
-        self
-    }
-
     /// Number of queries queued so far.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -459,7 +451,6 @@ impl QuerySetBuilder {
             queries,
             threads: self.threads.unwrap_or_else(|| self.compiler.configured_threads()),
             mode: self.mode,
-            cost: self.cost.unwrap_or(*CostModel::global()),
             sharing,
             kernels: Arc::new(KernelCounters::new()),
             scratch: Mutex::new(LockStepScratch::default()),
@@ -544,7 +535,6 @@ pub struct QuerySet {
     queries: Vec<Arc<CompiledQuery>>,
     threads: u32,
     mode: Option<BatchMode>,
-    cost: CostModel,
     sharing: BatchSharing,
     /// Planner decisions accumulated across batch evaluations (batch
     /// evaluations record here, not into the member queries' per-handle
@@ -600,10 +590,11 @@ impl QuerySet {
         // pass per fragment step unit, plus a CVT-row-scale estimate per
         // general-engine query (their evaluators materialize per-node
         // tables, far heavier than one pass).
-        let fragment_ns = self.sharing.total_units as f64 * self.cost.shared_pass_ns(universe);
+        let cost = CostModel::CALIBRATED;
+        let fragment_ns = self.sharing.total_units as f64 * cost.shared_pass_ns(universe);
         let general = (self.len() - self.sharing.fragment_queries) as f64;
-        let general_ns = general * self.cost.cvt_row_ns() * f64::from(universe);
-        self.cost.pick_batch_mode(
+        let general_ns = general * cost.cvt_row_ns() * f64::from(universe);
+        cost.pick_batch_mode(
             self.len(),
             self.sharing.shared_units,
             self.sharing.total_units,
@@ -722,8 +713,7 @@ impl QuerySet {
         };
         scratch.memo.begin_evaluation();
         let memo = Arc::clone(&scratch.memo);
-        let ev =
-            CoreXPathEvaluator::new(doc).with_cost_model(self.cost).with_memo(Arc::clone(&memo));
+        let ev = CoreXPathEvaluator::new(doc).with_memo(Arc::clone(&memo));
         let ctx_nodes = [ctx.node];
         // Every lifted path of every fragment query advances lock-step
         // (one state slot each, query-major); the rest run their normal
@@ -791,11 +781,6 @@ impl QuerySet {
     /// invocations.
     pub fn explain(&self, doc_size: usize) -> String {
         crate::explain::explain_batch(self, doc_size)
-    }
-
-    /// The cost model driving this set's mode decisions.
-    pub(crate) fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 }
 
@@ -872,10 +857,6 @@ mod tests {
     use crate::plan::Strategy;
     use xpath_xml::generate::{doc_bookstore, doc_figure8};
 
-    fn always_share() -> CostModel {
-        CostModel { memo_probe_ns: 1e-9, fingerprint_word_ns: 1e-9, ..CostModel::CALIBRATED }
-    }
-
     #[test]
     fn batch_matches_independent_evaluation_in_every_mode() {
         let d = doc_bookstore();
@@ -921,11 +902,10 @@ mod tests {
             .query("//b/c")
             .query("//b/d")
             .query("//b/c") // exact duplicate
-            .cost_model(always_share())
+            .mode(BatchMode::LockStepShared)
             .build()
             .unwrap();
         assert!(set.sharing().shared_units > 0, "{:?}", set.sharing());
-        assert_eq!(set.plan_mode(d.len() as u32), BatchMode::LockStepShared);
         let out = set.evaluate_all(&d);
         assert!(out.stats().memo_hits > 0, "{:?}", out.stats());
         // The duplicate shares everything: its step count in hits.
@@ -970,7 +950,7 @@ mod tests {
             assert!(diagnostics[0].contains(&format!("{bad:?}")), "{diagnostics:?}");
         }
         // The process-wide read reports at most one line.
-        assert!(threads_env_diagnostics().len() <= 1);
+        assert!(threads_env_rejects().len() <= 1);
     }
 
     #[test]

@@ -238,9 +238,10 @@ impl QueryCache {
         Ok(compiled)
     }
 
-    /// Aggregate adaptive axis-planner decisions across every resident
+    /// Aggregate axis-kernel materializations across every resident
     /// compiled query: how the fleet's axis applications split between
-    /// the per-node, sparse-staircase and dense word-parallel kernels.
+    /// single-node chain walks, sorted-vec writes and dense word-parallel
+    /// kernels.
     /// (Evicted queries take their tallies with them.)
     pub fn planner_stats(&self) -> xpath_axes::KernelCounts {
         self.shards

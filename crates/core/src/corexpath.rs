@@ -261,44 +261,12 @@ fn compile_pred(e: &Expr, dialect: CoreDialect) -> EvalResult<CorePred> {
     }
 }
 
-/// Which axis-evaluation technique drives the forward steps. §3: "the
-/// actual techniques for evaluating axes in our efficient XPath processing
-/// algorithms will be interchangeable" — all three produce identical
-/// results (property-tested in `xpath-axes`) within the same `O(|D|)`
-/// per-step bound.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AxisBackend {
-    /// Cost-based adaptive planner ([`xpath_axes::cost`]): per axis
-    /// application, run the cheapest of the per-node loop, the sparse
-    /// staircase and the dense word-parallel kernel, picked from input
-    /// density × axis shape × document size — the default.
-    #[default]
-    Adaptive,
-    /// Set-at-a-time staircase/word-parallel axes over the
-    /// structure-of-arrays index and the hybrid [`NodeSet`]
-    /// (`xpath_axes::bulk`), always materializing dense-first.
-    Bulk,
-    /// Direct per-node set algorithms over the preorder/subtree-interval
-    /// encoding.
-    Direct,
-    /// Algorithm 3.2: the Table I regular expressions over the primitive
-    /// relations (the paper's reference formulation).
-    Alg32,
-    /// Pre/post-plane windows (Grust et al. 2004), built on first use.
-    Plane,
-}
-
 /// The linear-time evaluator for compiled queries (Theorems 10.5 / 10.8).
 pub struct CoreXPathEvaluator<'d> {
     doc: &'d Document,
     all: NodeSet,
-    backend: AxisBackend,
-    /// Cost model driving [`AxisBackend::Adaptive`] kernel picks.
-    cost: xpath_axes::CostModel,
-    /// Tally of adaptive kernel decisions made during evaluations.
+    /// Tally of which materialization each axis application took.
     kernels: xpath_axes::KernelCounters,
-    /// Lazily-built pre/post plane for [`AxisBackend::Plane`].
-    plane: std::sync::OnceLock<xpath_axes::PrePostPlane>,
     /// Optional shared axis-result memo for batched evaluation
     /// ([`crate::batch`]): when present, step expansions, `T(t)` scans,
     /// inverse passes and predicate sets are served from the memo on
@@ -308,30 +276,15 @@ pub struct CoreXPathEvaluator<'d> {
 }
 
 impl<'d> CoreXPathEvaluator<'d> {
-    /// Create an evaluator over `doc` with the default (adaptive) axis
-    /// backend.
+    /// Create an evaluator over `doc`. Every axis pass runs on the one
+    /// set-at-a-time kernel, [`xpath_axes::bulk`].
     pub fn new(doc: &'d Document) -> Self {
-        Self::with_backend(doc, AxisBackend::default())
-    }
-
-    /// Create an evaluator with an explicit axis backend (§3
-    /// interchangeability; see [`AxisBackend`]).
-    pub fn with_backend(doc: &'d Document, backend: AxisBackend) -> Self {
         CoreXPathEvaluator {
             doc,
             all: NodeSet::full(doc.len() as u32),
-            backend,
-            cost: *xpath_axes::CostModel::global(),
             kernels: xpath_axes::KernelCounters::new(),
-            plane: std::sync::OnceLock::new(),
             memo: None,
         }
-    }
-
-    /// Override the adaptive planner's cost model (tests, calibration).
-    pub fn with_cost_model(mut self, model: xpath_axes::CostModel) -> Self {
-        self.cost = model;
-        self
     }
 
     /// Attach a shared axis-result memo ([`crate::batch::AxisMemo`]):
@@ -345,8 +298,7 @@ impl<'d> CoreXPathEvaluator<'d> {
         self
     }
 
-    /// The adaptive kernel decisions recorded so far on this evaluator
-    /// (all zero under the non-adaptive backends).
+    /// The axis materializations recorded so far on this evaluator.
     pub fn kernel_counts(&self) -> xpath_axes::KernelCounts {
         self.kernels.snapshot()
     }
@@ -408,46 +360,20 @@ impl<'d> CoreXPathEvaluator<'d> {
     fn axis_forward(&self, axis: Axis, set: &NodeSet) -> NodeSet {
         match axis {
             Axis::Id => NodeSet::from_sorted(xpath_axes::id::id_set_ref(self.doc, &set.to_vec())),
-            _ => match self.backend {
-                AxisBackend::Adaptive => {
-                    let (out, kernel) =
-                        xpath_axes::bulk::axis_set_planned(self.doc, axis, set, &self.cost);
-                    self.kernels.record(kernel);
-                    out
-                }
-                AxisBackend::Bulk => xpath_axes::bulk::axis_set(self.doc, axis, set),
-                AxisBackend::Direct => {
-                    NodeSet::from_sorted(xpath_axes::eval_axis(self.doc, axis, &set.to_vec()))
-                }
-                AxisBackend::Alg32 => {
-                    NodeSet::from_sorted(xpath_axes::eval_axis_alg32(self.doc, axis, &set.to_vec()))
-                }
-                AxisBackend::Plane => {
-                    NodeSet::from_sorted(
-                        self.plane
-                            .get_or_init(|| xpath_axes::PrePostPlane::new(self.doc))
-                            .eval_axis(self.doc, axis, &set.to_vec()),
-                    )
-                }
-            },
-        }
-    }
-
-    /// Backward steps (`S←`, §10.1) go through the inverse-axis functions:
-    /// Lemma 10.1 reduces `χ⁻¹` to the forward axes, so backend
-    /// interchangeability is already exercised above. The bulk backend has
-    /// its own set-at-a-time inverse; the others share the per-node one.
-    fn axis_backward(&self, axis: Axis, set: &NodeSet) -> NodeSet {
-        match self.backend {
-            AxisBackend::Adaptive => {
-                let (out, kernel) =
-                    xpath_axes::bulk::inverse_axis_set_planned(self.doc, axis, set, &self.cost);
+            _ => {
+                let (out, kernel) = xpath_axes::bulk::axis_set_traced(self.doc, axis, set);
                 self.kernels.record(kernel);
                 out
             }
-            AxisBackend::Bulk => xpath_axes::bulk::inverse_axis_set(self.doc, axis, set),
-            _ => NodeSet::from_sorted(xpath_axes::inverse_axis_set(self.doc, axis, &set.to_vec())),
         }
+    }
+
+    /// Backward steps (`S←`, §10.1) go through the inverse-axis function
+    /// (Lemma 10.1 reduces `χ⁻¹` to the forward axes).
+    fn axis_backward(&self, axis: Axis, set: &NodeSet) -> NodeSet {
+        let (out, kernel) = xpath_axes::bulk::inverse_axis_set_traced(self.doc, axis, set);
+        self.kernels.record(kernel);
+        out
     }
 
     pub(crate) fn start_set(&self, start: &CoreStart, context_nodes: &[NodeId]) -> NodeSet {
@@ -905,9 +831,10 @@ mod tests {
     }
 
     #[test]
-    fn axis_backends_agree() {
-        // §3 interchangeability at the evaluator level: all three backends
-        // produce identical results on a mixed corpus.
+    fn kernel_agrees_with_the_per_node_and_alg32_axes() {
+        // §3 interchangeability at the evaluator level: the one kernel
+        // agrees with the direct per-node axes and Algorithm 3.2, step by
+        // step, on a mixed corpus.
         let docs = [doc_flat(5), doc_figure8(), doc_bookstore()];
         let queries = [
             "//a/b",
@@ -916,50 +843,36 @@ mod tests {
             "//c/following::d",
             "//b[descendant::d]/preceding-sibling::*",
             "//*[attribute::id]",
+            "//book[author]",
         ];
         for d in &docs {
-            let direct = CoreXPathEvaluator::with_backend(d, AxisBackend::Direct);
-            let alg32 = CoreXPathEvaluator::with_backend(d, AxisBackend::Alg32);
-            let plane = CoreXPathEvaluator::with_backend(d, AxisBackend::Plane);
-            let bulk = CoreXPathEvaluator::with_backend(d, AxisBackend::Bulk);
-            let adaptive = CoreXPathEvaluator::new(d);
+            let ev = CoreXPathEvaluator::new(d);
             for q in queries {
                 let e = parse_normalized(q).unwrap();
                 let c = compile(&e).unwrap();
-                let want = direct.evaluate(&c, &[d.root()]);
-                assert_eq!(alg32.evaluate(&c, &[d.root()]), want, "alg32 {q}");
-                assert_eq!(plane.evaluate(&c, &[d.root()]), want, "plane {q}");
-                assert_eq!(bulk.evaluate(&c, &[d.root()]), want, "bulk {q}");
-                assert_eq!(adaptive.evaluate(&c, &[d.root()]), want, "adaptive {q}");
+                let got = ev.evaluate(&c, &[d.root()]);
+                let top_down = crate::plan::execute_adhoc(
+                    &e,
+                    crate::plan::Strategy::TopDown,
+                    None,
+                    d,
+                    Context::of(d.root()),
+                )
+                .unwrap();
+                assert_eq!(Value::NodeSet(got.clone()), top_down, "{q} vs TopDown");
+                // Predicate-free spines replay on the oracle axes directly.
+                if c.path.steps.iter().all(|s| s.preds.is_empty()) {
+                    for oracle in [xpath_axes::eval_axis, xpath_axes::eval_axis_alg32] {
+                        let mut n = vec![d.root()];
+                        for step in &c.path.steps {
+                            n = oracle(d, step.axis, &n);
+                            crate::node_test::filter(d, step.axis, &step.test, &mut n);
+                        }
+                        assert_eq!(got.to_vec(), n, "{q}");
+                    }
+                }
             }
-            assert!(
-                adaptive.kernel_counts().total() > 0,
-                "the adaptive backend records its kernel decisions"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_agrees_under_forced_cost_models() {
-        // Extreme models force every axis application onto one kernel
-        // class; results must not change, only the route taken.
-        use xpath_axes::CostModel;
-        let sparse = CostModel { dense_word_ns: 1e9, ..CostModel::CALIBRATED };
-        let dense = CostModel { dense_word_ns: 1e-9, chain_ns: 1e9, ..CostModel::CALIBRATED };
-        let d = doc_bookstore();
-        let queries =
-            ["//a/b", "//b[child::c]", "//d/ancestor::b", "//c/following::d", "//book[author]"];
-        let reference = CoreXPathEvaluator::with_backend(&d, AxisBackend::Direct);
-        for model in [sparse, dense] {
-            let ev = CoreXPathEvaluator::new(&d).with_cost_model(model);
-            for q in queries {
-                let c = compile(&parse_normalized(q).unwrap()).unwrap();
-                assert_eq!(
-                    ev.evaluate(&c, &[d.root()]),
-                    reference.evaluate(&c, &[d.root()]),
-                    "{q} under {model:?}"
-                );
-            }
+            assert!(ev.kernel_counts().total() > 0, "the evaluator records its kernels");
         }
     }
 

@@ -168,7 +168,7 @@ impl<'d> Engine<'d> {
         self.cache.stats()
     }
 
-    /// Aggregate adaptive axis-planner decisions across every query this
+    /// Aggregate axis-kernel materializations across every query this
     /// engine has compiled and evaluated — the facade counterpart of
     /// [`QueryCache::planner_stats`], so observability no longer requires
     /// reaching into `xpath_core` internals.

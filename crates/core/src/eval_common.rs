@@ -67,13 +67,11 @@ pub fn step_candidates(doc: &Document, axis: Axis, test: &NodeTest, x: NodeId) -
 }
 
 /// Set-at-a-time counterpart of [`step_candidates`]:
-/// `{y | ∃x ∈ S: x χ y, y ∈ T(t)}` via the adaptive axis engine (the
-/// cost-based kernel planner of `xpath_axes::cost`), in document order.
-/// This is the predicate-free step expansion every set-level evaluator
-/// shares.
+/// `{y | ∃x ∈ S: x χ y, y ∈ T(t)}` via the set-at-a-time axis kernel
+/// (`xpath_axes::bulk`), in document order. This is the predicate-free
+/// step expansion every set-level evaluator shares.
 pub fn step_candidates_set(doc: &Document, axis: Axis, test: &NodeTest, s: &NodeSet) -> NodeSet {
-    let (mut out, _) =
-        xpath_axes::bulk::axis_set_planned(doc, axis, s, xpath_axes::CostModel::global());
+    let mut out = xpath_axes::bulk::axis_set(doc, axis, s);
     node_test::filter_set(doc, axis, test, &mut out);
     out
 }

@@ -94,25 +94,19 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
         let _ = writeln!(report, "  lint:    {d}");
     }
 
-    // Adaptive axis planner: which kernel each axis of the fragment
-    // program runs on and why — the crossovers are functions of |D| and
-    // the calibrated cost model, the final pick is made per application
-    // from the actual input density at runtime.
-    let model = xpath_axes::CostModel::global();
+    // Axis kernel: how each axis of the fragment program materializes —
+    // interval axes by the node set's density rule at this |D| (the
+    // exact result size decides at runtime), chain axes per node for a
+    // single input node.
+    let model = xpath_axes::CostModel::CALIBRATED;
     if let Some(program) = plan.program() {
         let mut axes = std::collections::BTreeMap::new();
         for p in program.paths() {
             collect_axes(&p.query.path, &mut axes);
         }
-        let _ = writeln!(
-            report,
-            "axis planner (adaptive kernel picks @ |D| = {doc_size}; constants \
-             overridable via {}):",
-            xpath_axes::cost::COST_ENV
-        );
+        let _ = writeln!(report, "axis planner (kernel routes @ |D| = {doc_size}):");
         for axis in axes.into_values() {
-            let _ =
-                writeln!(report, "  {}", xpath_axes::cost::describe(axis, doc_size as u32, model));
+            let _ = writeln!(report, "  {}", xpath_axes::cost::describe(axis, doc_size as u32));
         }
     }
     // The analyzer's lazy verdict (the one the cursor dispatches on), and
@@ -123,7 +117,7 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
             report,
             "lazy:      lazy — spine streams (forward axes, preorder-monotone); \
              exists/first/take(k) early-exit; full drains go lazy at |D| ≥ {} (here: {})",
-            model.lazy_take_crossover(),
+            model.lazy_take_threshold(),
             if model.pick_lazy(doc_size as u32, None) { "lazy" } else { "materialize" },
         ),
         materialize => writeln!(report, "lazy:      {materialize}"),
@@ -155,7 +149,7 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
 pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
     let universe = doc_size as u32;
     let sharing = set.sharing();
-    let model = set.cost_model();
+    let model = xpath_axes::CostModel::CALIBRATED;
     let threads = crate::batch::resolve_threads(set.threads());
     let mode = set.plan_mode(universe);
     let mut report = String::new();
@@ -167,18 +161,12 @@ pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
         sharing.shared_units,
         sharing.total_units,
     );
-    let _ = writeln!(
-        report,
-        "batch mode @ |D| = {doc_size}, {threads} thread(s): {} (constants \
-         overridable via {})",
-        mode.name(),
-        xpath_axes::cost::COST_ENV
-    );
+    let _ = writeln!(report, "batch mode @ |D| = {doc_size}, {threads} thread(s): {}", mode.name());
     let _ = writeln!(
         report,
         "  lock-step sharing pays above {:.1}% duplicated units \
          (memo probe {:.0}ns + fingerprint vs ~{:.0}ns per shared pass)",
-        model.batch_share_crossover(universe) * 100.0,
+        model.batch_share_threshold(universe) * 100.0,
         model.memo_probe_ns,
         model.shared_pass_ns(universe),
     );
@@ -287,7 +275,9 @@ mod tests {
         assert!(x.report.contains("following: staircase"), "{}", x.report);
         assert!(x.report.contains("ancestor: pointer-chain"), "{}", x.report);
         assert!(x.report.contains("child: link-array"), "{}", x.report);
-        assert!(x.report.contains(xpath_axes::cost::COST_ENV), "{}", x.report);
+        // The interval rule is the node set's: ⌈21846 / 32⌉ = 683.
+        assert!(x.report.contains("sorted vec below 683 result nodes"), "{}", x.report);
+        assert!(x.report.contains("per node for a single input node"), "{}", x.report);
         // Lifted paths get a planner section too.
         let y = explain_q("count(//a/following::b)", 100);
         assert!(y.report.contains("following: "), "{}", y.report);

@@ -178,8 +178,8 @@ impl Plan {
         )
     }
 
-    /// [`Plan::execute`], additionally merging the adaptive axis planner's
-    /// kernel decisions into `kernels` (fragment strategies only; the
+    /// [`Plan::execute`], additionally merging the axis kernel's
+    /// materialization tally into `kernels` (fragment strategies only; the
     /// general evaluators record nothing). This is how a
     /// [`CompiledQuery`](crate::query::CompiledQuery) accumulates its
     /// per-query planner statistics across evaluations.
@@ -285,7 +285,7 @@ fn fragment_dialect(strategy: Strategy) -> Option<CoreDialect> {
 
 /// Shared runtime dispatch. `strategy` is resolved (never `Auto`) and the
 /// fragment program it needs is supplied by the caller. When `kernels`
-/// is given, the fragment engines' adaptive planner decisions are merged
+/// is given, the fragment engines' axis-kernel tallies are merged
 /// into it after the evaluation.
 #[allow(clippy::too_many_arguments)]
 fn run(

@@ -160,7 +160,7 @@ impl Compiler {
 pub struct CompiledQuery {
     text: String,
     plan: Plan,
-    /// Adaptive axis-planner decisions accumulated across evaluations.
+    /// Axis-kernel materializations accumulated across evaluations.
     /// Shared by clones (and thus by every holder of a cached handle), so
     /// the [`crate::cache::QueryCache`] can aggregate per-query planner
     /// behaviour fleet-wide.
@@ -211,9 +211,9 @@ impl CompiledQuery {
         self.plan.report()
     }
 
-    /// The adaptive axis-planner decisions this query's evaluations have
-    /// made so far: how many axis applications ran on the per-node loop,
-    /// the sparse staircase and the dense word-parallel kernel. Zero for
+    /// The axis-kernel materializations this query's evaluations have
+    /// recorded so far: how many axis applications walked one node's
+    /// chain, wrote a sorted vec or ran word-parallel on a bitset. Zero for
     /// strategies outside the Core XPath / XPatterns fragment engines.
     pub fn planner_stats(&self) -> xpath_axes::KernelCounts {
         self.kernels.snapshot()
@@ -321,7 +321,7 @@ impl CompiledQuery {
         if self.lazy_eligible() {
             let path = &self.plan.algebra().expect("a lazy verdict implies an algebra").path;
             let universe = doc.len() as u32;
-            if xpath_axes::CostModel::global().pick_lazy(universe, take_hint) {
+            if xpath_axes::CostModel::CALIBRATED.pick_lazy(universe, take_hint) {
                 return QueryCursor::lazy(doc, path, ctx, budget);
             }
         }

@@ -311,11 +311,7 @@ impl<'d> MinContextEvaluator<'d> {
                 }
                 y2.push(node);
             }
-            Ok(xpath_axes::bulk::inverse_axis_set_adaptive(
-                doc,
-                step.axis,
-                &NodeSet::from_sorted(y2),
-            ))
+            Ok(xpath_axes::bulk::inverse_axis_set(doc, step.axis, &NodeSet::from_sorted(y2)))
         } else {
             // Positional predicates: loop over candidate sources
             // X' = χ⁻¹(Y') and apply the predicates with full positional
@@ -324,7 +320,7 @@ impl<'d> MinContextEvaluator<'d> {
             // filter over the full candidate set, which is the semantics of
             // Figure 5 — positions are counted among all siblings, not only
             // those leading to Y.)
-            let x1 = xpath_axes::bulk::inverse_axis_set_adaptive(doc, step.axis, &y1);
+            let x1 = xpath_axes::bulk::inverse_axis_set(doc, step.axis, &y1);
             let mut r: Vec<NodeId> = Vec::new();
             for src in &x1 {
                 let mut z = step_candidates(doc, step.axis, &step.test, src);

@@ -23,9 +23,10 @@
 //! document size choose the representation by density
 //! ([`NodeSet::DENSE_NUM`]/[`NodeSet::DENSE_DEN`]); [`NodeSet::adapt`]
 //! re-evaluates the choice after bulk mutations. The §3 axis engines
-//! (`xpath-axes::bulk`) build dense sets for range-shaped axes
-//! (descendant/following/preceding) and sparse sets for pointer-chasing
-//! axes (parent/siblings), then let the set adapt.
+//! (`xpath-axes::bulk`) hand the disjoint ranges of the interval axes
+//! (descendant/following/preceding) to [`NodeSet::from_ranges`], which
+//! applies the same density rule to their exact size; the pointer-chasing
+//! axes mark into a bitset and let the set adapt.
 
 use crate::node::NodeId;
 use crate::{pool, simd};
@@ -64,6 +65,12 @@ impl NodeSet {
     pub const DENSE_NUM: u64 = 1;
     /// See [`NodeSet::DENSE_NUM`].
     pub const DENSE_DEN: u64 = 32;
+
+    /// The smallest set size that goes dense over a universe of
+    /// `universe` ids: `⌈universe · DENSE_NUM / DENSE_DEN⌉`.
+    pub fn dense_threshold(universe: u32) -> usize {
+        (u64::from(universe) * NodeSet::DENSE_NUM).div_ceil(NodeSet::DENSE_DEN) as usize
+    }
 
     /// The empty set (sparse representation, recycled capacity).
     #[inline]
@@ -107,6 +114,53 @@ impl NodeSet {
             v.dedup();
         }
         NodeSet { repr: Repr::Vec(v) }
+    }
+
+    /// Build from disjoint ascending `[lo, hi)` id ranges holding `len`
+    /// ids in total, leaving out every id whose bit is set in `strip`
+    /// (`&[]` keeps them all) — the shape every interval axis produces.
+    ///
+    /// The density rule picks the representation from `len`: at or above
+    /// [`NodeSet::DENSE_NUM`]/[`NodeSet::DENSE_DEN`] of `universe` the
+    /// ranges become word-parallel fills of a bitset, below it they are
+    /// written straight into a sorted vector. The pick is made before the
+    /// strip and never revisited, so [`NodeSet::is_dense`] on the result
+    /// tells which materialization ran.
+    pub fn from_ranges(ranges: &[(u32, u32)], len: usize, universe: u32, strip: &[u64]) -> NodeSet {
+        if len >= NodeSet::dense_threshold(universe) {
+            let mut out = NodeSet::empty_dense(universe);
+            for &(lo, hi) in ranges {
+                out.insert_range(lo, hi);
+            }
+            if !strip.is_empty() {
+                out.subtract_words(strip);
+            }
+            return out;
+        }
+        let mask = |i: u32| strip.get((i / WORD_BITS) as usize).copied().unwrap_or(0);
+        let mut out = pool::take_ids();
+        out.reserve(len);
+        for &(lo, hi) in ranges {
+            let mut i = lo;
+            while i < hi {
+                let word_end = ((i / WORD_BITS + 1) * WORD_BITS).min(hi);
+                let m = mask(i);
+                if m == 0 {
+                    // Unmasked words run together into one vectorized
+                    // id-run write.
+                    let mut end = word_end;
+                    while end < hi && mask(end) == 0 {
+                        end = (end + WORD_BITS).min(hi);
+                    }
+                    simd::extend_id_run(&mut out, i, end);
+                    i = end;
+                } else {
+                    out.extend((i..word_end).filter(|j| m >> (j % WORD_BITS) & 1 == 0).map(NodeId));
+                    i = word_end;
+                }
+            }
+        }
+        NodeSet::from_sorted(out)
     }
 
     /// Number of nodes in the set.
@@ -682,7 +736,7 @@ impl NodeSet {
 /// in the sparse representation after [`NodeSet::adapt`]?
 #[inline]
 fn sparse_bound(len: u32, universe: u32) -> bool {
-    (len as u64) * NodeSet::DENSE_DEN < (universe as u64) * NodeSet::DENSE_NUM
+    (len as usize) < NodeSet::dense_threshold(universe)
 }
 
 /// One fused sweep over bitset words: apply `op` per word of `a` (by
@@ -975,6 +1029,41 @@ mod tests {
         assert_eq!(ns(&[1, 64, 65]), dense(&[1, 64, 65], 90));
         assert_ne!(ns(&[1]), dense(&[2], 90));
         assert_eq!(NodeSet::new(), NodeSet::empty_dense(1000));
+    }
+
+    #[test]
+    fn from_ranges_follows_the_density_rule_and_strips() {
+        let universe = 4096u32;
+        // Specials at 3, 64..128 and 130: whole masked words and single bits.
+        let mut strip = vec![0u64; (universe / 64) as usize];
+        strip[0] = 1 << 3;
+        strip[1] = u64::MAX;
+        strip[2] = 1 << 2;
+        let mut rng = Rng::seed_from_u64(5);
+        for _ in 0..200 {
+            let mut ranges = Vec::new();
+            let mut lo = rng.random_range(0..300u32);
+            while lo < universe && ranges.len() < 6 {
+                let hi = (lo + rng.random_range(1..400u32)).min(universe);
+                ranges.push((lo, hi));
+                lo = hi + rng.random_range(1..700u32);
+            }
+            let len: usize = ranges.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
+            let all: Vec<u32> = ranges.iter().flat_map(|&(lo, hi)| lo..hi).collect();
+            let kept: Vec<u32> = all
+                .iter()
+                .copied()
+                .filter(|&i| strip[(i / 64) as usize] >> (i % 64) & 1 == 0)
+                .collect();
+            let want_dense =
+                len as u64 * NodeSet::DENSE_DEN >= universe as u64 * NodeSet::DENSE_NUM;
+            let got = NodeSet::from_ranges(&ranges, len, universe, &strip);
+            assert_eq!(got, ns(&kept), "{ranges:?}");
+            assert_eq!(got.is_dense(), want_dense, "{ranges:?}");
+            assert_eq!(got.len(), kept.len());
+            assert_eq!(NodeSet::from_ranges(&ranges, len, universe, &[]), ns(&all), "{ranges:?}");
+        }
+        assert!(NodeSet::from_ranges(&[], 0, universe, &strip).is_empty());
     }
 
     #[test]

@@ -59,10 +59,12 @@
 //!   -n, --normalize         print the normalized (unabbreviated) query, after
 //!                           the rewrite pass every compile runs, and exit
 //!       --explain           print the query plan (fragment, Relev sets,
-//!                           bottom-up candidates, adaptive axis-kernel
-//!                           crossovers, static-analysis verdicts including
-//!                           the lazy verdict; for batches, additionally
-//!                           the batch-mode decision) and exit
+//!                           bottom-up candidates, axis-kernel routes,
+//!                           static-analysis verdicts including the lazy
+//!                           verdict; for batches, additionally the
+//!                           batch-mode decision) and exit. Sizes are the
+//!                           FILE's or --snapshot's node count, else an
+//!                           assumed 1000 nodes
 //!       --lint              compile every query and print the static
 //!                           analyzer's findings (satisfiability, const
 //!                           folding, the lazy verdict the cursor uses)
@@ -74,8 +76,8 @@
 //!                           object per query plus a summary) instead of
 //!                           human-readable text
 //!   -v, --verbose           print fragment + chosen strategy before
-//!                           results, and the adaptive planner's kernel
-//!                           tally (per-node / bulk-sparse / bulk-dense /
+//!                           results, and the axis kernel's
+//!                           materialization tally (per-node / bulk-sparse / bulk-dense /
 //!                           memo-shared) after evaluation; batches also
 //!                           report the mode taken and the memo hit rate
 //!       --serialize         print matched subtrees as XML instead of string values
@@ -127,6 +129,9 @@ fn exit_for(e: &EvalError) -> u8 {
         _ => 1,
     }
 }
+
+/// The document size `--explain` assumes when no document is given.
+const ASSUMED_DOC_SIZE: usize = 1000;
 
 struct Options {
     strategy: Strategy,
@@ -898,6 +903,24 @@ fn main() -> ExitCode {
     // header; --explain explains the compiled plan and additionally
     // reports the batch-mode decision.
     if opts.normalize_only || opts.classify_only || opts.explain_only {
+        // --explain states its |D|-dependent rules at the given document's
+        // node count; without a FILE or --snapshot it assumes a size and
+        // says so.
+        let mut doc_size = ASSUMED_DOC_SIZE;
+        if opts.explain_only {
+            if opts.file.is_some() || opts.snapshot.is_some() {
+                match read_document(&opts) {
+                    Ok(doc) => doc_size = doc.len(),
+                    Err((msg, code)) => {
+                        eprintln!("{msg}");
+                        return ExitCode::from(code);
+                    }
+                }
+                println!("|D|:       {doc_size} nodes (the given document)");
+            } else {
+                println!("|D|:       {doc_size} nodes (assumed: no FILE or --snapshot given)");
+            }
+        }
         for q in &queries {
             let parsed = match compiler.parse(q) {
                 Ok(e) => e,
@@ -919,7 +942,9 @@ fn main() -> ExitCode {
                 }
             } else {
                 match compiler.compile(q) {
-                    Ok(c) => print!("{}", gkp_xpath::core::explain::explain(c.plan(), 1000).report),
+                    Ok(c) => {
+                        print!("{}", gkp_xpath::core::explain::explain(c.plan(), doc_size).report);
+                    }
                     Err(e) => {
                         eprintln!("evaluation error: {e}");
                         return ExitCode::from(1);
@@ -932,7 +957,7 @@ fn main() -> ExitCode {
                 .queries(queries.iter().cloned())
                 .build()
             {
-                Ok(set) => print!("{}", set.explain(1000)),
+                Ok(set) => print!("{}", set.explain(doc_size)),
                 Err(e) => {
                     eprintln!("query error: {e}");
                     return ExitCode::from(2);
@@ -982,13 +1007,8 @@ fn main() -> ExitCode {
         let resolved = gkp_xpath::core::batch::resolve_threads(opts.threads);
         eprintln!("threads:  {resolved}{}", if opts.threads == 0 { " (auto)" } else { "" });
         // A rejected GKP_THREADS value is reported the same way.
-        for d in gkp_xpath::core::batch::threads_env_diagnostics() {
+        for d in gkp_xpath::core::batch::threads_env_rejects() {
             eprintln!("threads:  {d}");
-        }
-        // One-time GKP_AXIS_COST parse diagnostics: a typo'd calibration
-        // override is reported here instead of being silently dropped.
-        for d in gkp_xpath::axes::CostModel::env_diagnostics() {
-            eprintln!("cost model: {d}");
         }
     }
 
@@ -1111,7 +1131,7 @@ fn main() -> ExitCode {
                 s.workers
             );
         }
-        // Adaptive axis-planner provenance: which kernels actually ran,
+        // Axis-kernel provenance: which materializations actually ran,
         // and how many applications the batch memo shared. Zero-total
         // tallies (non-fragment strategies) are omitted.
         let mut kernels = set.planner_stats().plus(cache.planner_stats());

@@ -157,7 +157,7 @@ fn lazy_verdict_matches_the_cursor() {
         ("//text()/child::*", false),
     ];
     let compiler = Compiler::new();
-    let model = CostModel::global();
+    let model = CostModel::CALIBRATED;
     for (q, lazy) in corpus {
         let compiled = compiler.compile(q).unwrap();
         assert_eq!(compiled.lazy_eligible(), lazy, "{q}: {:?}", compiled.report().laziness);

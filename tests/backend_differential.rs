@@ -1,19 +1,18 @@
-//! Axis-backend differential suite: the Bulk, Direct, Alg32 (per-node
-//! reference) and Adaptive backends must return identical node-sets —
-//! same content **and** same document order — on the six BENCH_axes
-//! query shapes and on random documents, from root and non-root
-//! contexts alike. §3's interchangeability claim, enforced at the
-//! evaluator level for the cost-based planner. The sparse `id` axis is
-//! held to the Theorem 10.7 scan it replaced the same way.
+//! The one axis kernel against the paper's oracles: the Core XPath
+//! evaluator (every axis pass on `xpath_axes::bulk`) must return the
+//! same node-sets — same content **and** same document order — as the
+//! TopDown evaluator run through `Engine`, on the seven BENCH_axes query
+//! shapes and on random documents, from root and non-root contexts
+//! alike. The sparse `id` axis is held to the Theorem 10.7 scan it
+//! replaced the same way.
 
 use gkp_xpath::axes::id::{id_set_ref, id_set_ref_scan};
-use gkp_xpath::axes::CostModel;
-use gkp_xpath::core::corexpath::{compile, AxisBackend, CoreXPathEvaluator};
+use gkp_xpath::core::corexpath::{compile, CoreXPathEvaluator};
 use gkp_xpath::syntax::parse_normalized;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
 use gkp_xpath::xml::rng::Rng;
-use gkp_xpath::xml::{DocumentBuilder, NodeId, NodeSet};
-use gkp_xpath::Document;
+use gkp_xpath::xml::{DocumentBuilder, NodeId};
+use gkp_xpath::{Document, Engine, Strategy, Value};
 
 /// The seven query shapes benchmarked in BENCH_axes.json (the last is
 /// provably empty — the analyzer's constant-empty short-circuit rides the
@@ -28,52 +27,30 @@ const BENCH_QUERIES: &[&str] = &[
     "//text()/child::*",
 ];
 
-const BACKENDS: &[(&str, AxisBackend)] = &[
-    ("direct", AxisBackend::Direct),
-    ("alg32", AxisBackend::Alg32),
-    ("bulk", AxisBackend::Bulk),
-    ("adaptive", AxisBackend::Adaptive),
-];
-
 fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
-    let reference = CoreXPathEvaluator::with_backend(doc, AxisBackend::Direct);
-    // Adaptive additionally runs under models forced to each extreme so
-    // both the sparse and the dense kernel routes are differentially
-    // covered regardless of the calibrated crossovers.
-    let forced_sparse = CoreXPathEvaluator::new(doc)
-        .with_cost_model(CostModel { dense_word_ns: 1e9, ..CostModel::CALIBRATED });
-    let forced_dense = CoreXPathEvaluator::new(doc).with_cost_model(CostModel {
-        dense_word_ns: 1e-9,
-        chain_ns: 1e9,
-        ..CostModel::CALIBRATED
-    });
+    let engine = Engine::new(doc);
+    let kernel = CoreXPathEvaluator::new(doc);
     let contexts = [doc.root(), doc.document_element().unwrap_or(doc.root())];
     for q in queries {
         let e = parse_normalized(q).unwrap_or_else(|err| panic!("{q}: {err}"));
         let c = compile(&e).unwrap_or_else(|err| panic!("{q}: {err}"));
         for ctx in contexts {
-            let want: NodeSet = reference.evaluate(&c, &[ctx]);
+            let Value::NodeSet(want) = engine
+                .evaluate_expr(&e, Strategy::TopDown, gkp_xpath::core::Context::of(ctx))
+                .unwrap_or_else(|err| panic!("{label}: TopDown fails on {q}: {err}"))
+            else {
+                panic!("{label}: TopDown returns a non-node-set for {q}");
+            };
             let want_ids: Vec<_> = want.iter().collect();
             assert!(
                 want_ids.windows(2).all(|w| w[0] < w[1]),
-                "{label}: reference out of document order for {q}"
+                "{label}: TopDown out of document order for {q}"
             );
-            for (name, backend) in BACKENDS {
-                let ev = CoreXPathEvaluator::with_backend(doc, *backend);
-                let got = ev.evaluate(&c, &[ctx]);
-                assert_eq!(
-                    got.to_vec(),
-                    want_ids,
-                    "{label}: backend {name} diverges on {q} from {ctx:?}"
-                );
-            }
-            for (name, ev) in [("forced-sparse", &forced_sparse), ("forced-dense", &forced_dense)] {
-                assert_eq!(
-                    ev.evaluate(&c, &[ctx]).to_vec(),
-                    want_ids,
-                    "{label}: adaptive({name}) diverges on {q} from {ctx:?}"
-                );
-            }
+            assert_eq!(
+                kernel.evaluate(&c, &[ctx]).to_vec(),
+                want_ids,
+                "{label}: the kernel diverges from TopDown on {q} from {ctx:?}"
+            );
         }
     }
 }
@@ -106,10 +83,10 @@ fn backends_agree_on_random_documents() {
 }
 
 #[test]
-fn adaptive_kernel_decisions_cover_both_routes() {
+fn kernel_decisions_cover_both_routes() {
     // On the benchmark document family, a descendant-heavy query from the
-    // root must exercise the dense kernel, and a narrow query the sparse
-    // side — guarding against a planner wedged on one route.
+    // root must exercise the dense materialization, and a narrow query the
+    // sparse one — guarding against a kernel wedged on one route.
     let doc = doc_balanced(4, 6, &["a", "b", "c", "d"]);
     let ev = CoreXPathEvaluator::new(&doc);
     for q in BENCH_QUERIES {

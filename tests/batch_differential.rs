@@ -2,14 +2,14 @@
 //! bit-identical to N independent `CompiledQuery::evaluate` calls — same
 //! values, same node sets, same per-query errors — for random query
 //! batches (duplicates included) on the six BENCH query shapes, across
-//! every evaluation mode (cost-picked, lock-step-shared, per-query
-//! sharded, serial) and thread budget. CI runs this suite at
+//! every evaluation mode (cost-picked and each mode pinned:
+//! lock-step-shared, per-query sharded, serial) and thread budget. CI runs this suite at
 //! `GKP_THREADS=1` and `GKP_THREADS=4`; explicit 1- and 4-thread builds
 //! below cover both budgets regardless of the environment.
 
 use std::sync::Arc;
 
-use gkp_xpath::axes::{BatchMode, CostModel};
+use gkp_xpath::axes::BatchMode;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
 use gkp_xpath::xml::rng::Rng;
 use gkp_xpath::{Compiler, Document, QuerySetBuilder, Value};
@@ -36,15 +36,6 @@ const EXTRA_QUERIES: &[&str] = &[
     "//*[c = '100']",
 ];
 
-/// A memo-friendly model (probes near-free) and a memo-hostile one
-/// (probes absurd): pinned modes must agree under both.
-fn models() -> [CostModel; 2] {
-    [
-        CostModel { memo_probe_ns: 1e-9, fingerprint_word_ns: 1e-9, ..CostModel::CALIBRATED },
-        CostModel { memo_probe_ns: 1e12, ..CostModel::CALIBRATED },
-    ]
-}
-
 fn assert_batches_match(doc: &Document, batch: &[&str], label: &str) {
     let compiler = Compiler::new();
     let independent: Vec<Result<Value, _>> =
@@ -57,28 +48,23 @@ fn assert_batches_match(doc: &Document, batch: &[&str], label: &str) {
     ];
     for mode in modes {
         for threads in [1u32, 4] {
-            for model in models() {
-                let mut builder = QuerySetBuilder::new()
-                    .queries(batch.iter().copied())
-                    .threads(threads)
-                    .cost_model(model);
-                if let Some(m) = mode {
-                    builder = builder.mode(m);
-                }
-                let set = builder.build().unwrap();
-                let out = set.evaluate_all(doc);
-                assert_eq!(out.len(), batch.len(), "{label}");
-                for (i, (got, want)) in out.results().iter().zip(&independent).enumerate() {
-                    match (got, want) {
-                        (Ok(g), Ok(w)) => assert_eq!(
-                            g, w,
-                            "{label}: {:?} diverges on {:?} ({threads} threads)",
-                            mode, batch[i]
-                        ),
-                        (g, w) => panic!(
-                            "{label}: result kinds diverge on {:?}: {g:?} vs {w:?}",
-                            batch[i]
-                        ),
+            let mut builder =
+                QuerySetBuilder::new().queries(batch.iter().copied()).threads(threads);
+            if let Some(m) = mode {
+                builder = builder.mode(m);
+            }
+            let set = builder.build().unwrap();
+            let out = set.evaluate_all(doc);
+            assert_eq!(out.len(), batch.len(), "{label}");
+            for (i, (got, want)) in out.results().iter().zip(&independent).enumerate() {
+                match (got, want) {
+                    (Ok(g), Ok(w)) => assert_eq!(
+                        g, w,
+                        "{label}: {:?} diverges on {:?} ({threads} threads)",
+                        mode, batch[i]
+                    ),
+                    (g, w) => {
+                        panic!("{label}: result kinds diverge on {:?}: {g:?} vs {w:?}", batch[i])
                     }
                 }
             }
@@ -178,13 +164,7 @@ fn non_root_contexts_agree_too() {
     let batch = ["descendant::book[author]", "child::*", "descendant::book[author]"];
     let compiler = Compiler::new();
     for mode in [BatchMode::LockStepShared, BatchMode::PerQuerySharded, BatchMode::Serial] {
-        let set = QuerySetBuilder::new()
-            .queries(batch)
-            .mode(mode)
-            .threads(4)
-            .cost_model(models()[0])
-            .build()
-            .unwrap();
+        let set = QuerySetBuilder::new().queries(batch).mode(mode).threads(4).build().unwrap();
         let out = set.evaluate_all_at(&doc, ctx);
         for (q, got) in batch.iter().zip(out.results()) {
             let want = compiler.compile(q).unwrap().evaluate(&doc, ctx).unwrap();

@@ -354,6 +354,38 @@ fn query_file_feeds_the_batch() {
 }
 
 #[test]
+fn explain_sizes_come_from_the_given_document() {
+    // A FILE or --snapshot sets |D| to the document's node count, for the
+    // single-query report and the batch report alike.
+    let n = gkp_xpath::Document::parse_str(XML).unwrap().len();
+    let xml = gkp_xpath::xml::temp::TempPath::new("explain.xml");
+    std::fs::write(&xml, XML).unwrap();
+    let snap = gkp_xpath::xml::temp::TempPath::new("explain.gksnap");
+    let doc = gkp_xpath::Document::parse_str(XML).unwrap();
+    gkp_xpath::xml::snap::write(&doc, &snap).unwrap();
+    let xml_path = xml.to_str().unwrap();
+    let snap_path = snap.to_str().unwrap();
+    for args in [
+        vec!["--explain", "//book[title]", xml_path],
+        vec!["--explain", "--snapshot", snap_path, "//book[title]"],
+        vec!["--explain", "-e", "//book", "-e", "//title", xml_path],
+    ] {
+        let (stdout, stderr, code) = xpq(&args, "");
+        assert_eq!(code, 0, "{args:?}: {stderr}");
+        assert!(stdout.contains(&format!("|D|:       {n} nodes (the given document)")), "{stdout}");
+        assert!(stdout.contains(&format!("|D| = {n}")), "{args:?}: {stdout}");
+        assert!(!stdout.contains("|D| = 1000"), "{args:?}: {stdout}");
+    }
+    // Without a document the size is assumed, and said to be.
+    let (stdout, _, code) = xpq(&["--explain", "//book[title]"], "");
+    assert_eq!(code, 0);
+    assert!(stdout.contains("|D|:       1000 nodes (assumed"), "{stdout}");
+    assert!(stdout.contains("|D| = 1000"), "{stdout}");
+    // The planner lines state the materialization rule at that size.
+    assert!(stdout.contains("sorted vec below 32 result nodes"), "{stdout}");
+}
+
+#[test]
 fn batch_explain_reports_the_mode_decision() {
     let (stdout, _, code) = xpq(&["--explain", "-e", "//book[author]", "-e", "//book[author]"], "");
     assert_eq!(code, 0);

@@ -132,26 +132,6 @@ fn topdown_linear_in_query_depth() {
     }
 }
 
-/// Pre/post-plane construction is a single linear pass: 16x the nodes must
-/// cost far less than 16²x the time.
-#[test]
-fn plane_construction_is_linear() {
-    use gkp_xpath::axes::PrePostPlane;
-    let small = doc_flat(4_000);
-    let large = doc_flat(64_000);
-    let time = |d: &gkp_xpath::Document| {
-        let mut best = Duration::MAX;
-        for _ in 0..3 {
-            let t = Instant::now();
-            std::hint::black_box(PrePostPlane::new(d));
-            best = best.min(t.elapsed());
-        }
-        best.as_secs_f64()
-    };
-    let (ts, tl) = (time(&small), time(&large));
-    assert!(tl < ts * 80.0 + 0.01, "not linear-ish: {ts} -> {tl}");
-}
-
 /// All polynomial engines finish the full antagonist suite that stalls the
 /// naive engine within its budget.
 #[test]
