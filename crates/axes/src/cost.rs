@@ -11,13 +11,13 @@
 //! [`CostModel::CALIBRATED`] prices the two decisions that still weigh
 //! alternatives at runtime:
 //!
-//! * **batch modes** ([`CostModel::pick_batch_mode`]): lock-step sharing
-//!   weighs the axis passes a shared memo avoids against every pass's memo
-//!   probe, and the per-query fan-out ([`CostModel::pick_shards`]) weighs
-//!   the divisible work against the per-worker spawn cost
-//!   ([`CostModel::spawn_ns`]). That fan-out is the only place evaluation
-//!   spawns threads; a single query's axis passes always run on the
-//!   calling thread;
+//! * **batch fan-out** ([`CostModel::pick_shards`]): how many scoped
+//!   workers a batch of queries splits across, weighing the divisible
+//!   work against the per-worker spawn cost ([`CostModel::spawn_ns`]).
+//!   That fan-out is the only place evaluation spawns threads; a single
+//!   query's axis passes always run on the calling thread. Whether a
+//!   batch shares axis passes needs no price: its memo is attached
+//!   exactly when a unit repeats, and each repeat is a guaranteed hit;
 //! * **lazy cursors** ([`CostModel::pick_lazy`]): stream block-wise or
 //!   materialize once and drain.
 //!
@@ -78,31 +78,18 @@ pub struct CostModel {
     /// (`std::thread::scope`). Gates the batch fan-out: a batch splits
     /// only when the divisible work saved exceeds this per extra worker.
     pub spawn_ns: f64,
-    /// Fixed cost of one batched-evaluation memo-table probe (key build,
-    /// hash-map lookup, and the result clone a hit hands back). Gates the
-    /// lock-step-shared batch mode: memoizing only pays when duplicated
-    /// axis passes across the batch save more than every pass's probe.
-    pub memo_probe_ns: f64,
-    /// Cost per bitset word of fingerprinting a memo key's input set
-    /// (`NodeSet::fingerprint`: one splitmix64 chain over nonzero words).
-    pub fingerprint_word_ns: f64,
 }
 
 impl CostModel {
     /// Constants measured on the balanced 4-ary depth-7 document (21846
     /// nodes, x86-64; 2026-08, after the tiered word-sweep kernels landed
-    /// in `xpath_xml::simd`). The fingerprint is vectorized too (AVX-512
-    /// where available), but its multiply chain keeps it near
-    /// `dense_word_ns` per word — the reason [`CostModel::shared_pass_ns`]
-    /// must count the avoided pass's input term, not just its word sweep.
+    /// in `xpath_xml::simd`).
     pub const CALIBRATED: CostModel = CostModel {
         dense_word_ns: 0.9,
         input_ns: 0.75,
         chain_ns: 7.4,
         est_chain_len: 12.0,
         spawn_ns: 18_000.0,
-        memo_probe_ns: 30.0,
-        fingerprint_word_ns: 0.85,
     };
 
     // ----- batched multi-query evaluation -----
@@ -133,78 +120,12 @@ impl CostModel {
         self.chain_ns * self.est_chain_len
     }
 
-    /// Estimated overhead one memoized step unit adds in lock-step-shared
-    /// batch evaluation: a memo probe plus fingerprinting the input set
-    /// (bounded by the universe's word count).
-    pub fn memo_unit_ns(&self, universe: u32) -> f64 {
-        self.memo_probe_ns + self.fingerprint_word_ns * (universe as f64 / 64.0)
-    }
-
-    /// Estimated cost of one full axis pass over a `universe`-id document —
-    /// what a memo hit in a lock-step-shared batch avoids re-running:
+    /// Estimated cost of one full axis pass over a `universe`-id document:
     /// the dense kernel's word sweep **plus** its per-input dispatch scan
-    /// (a shared pass walks its whole input set, up to the universe).
-    /// Before the vectorized kernels the word term dominated and the
-    /// input term was noise; now the sweep is ~3× cheaper and dropping
-    /// the input term would price an avoided pass at barely more than
-    /// fingerprinting its key, gating off sharing that measures ~7×
-    /// faster end to end (`BENCH_axes.json` `batch_eval`).
+    /// (a pass walks its whole input set, up to the universe). Prices a
+    /// fragment step unit in the batch fan-out's divisible work.
     pub fn shared_pass_ns(&self, universe: u32) -> f64 {
         self.dense_word_ns * (f64::from(universe) / 64.0) + self.input_ns * f64::from(universe)
-    }
-
-    /// Pick how a batch of `queries` compiled spines should evaluate over
-    /// a `universe`-id document with a `threads` budget.
-    ///
-    /// `shared_units` is the number of step/predicate units the batch
-    /// duplicates (identical spine prefixes or predicate paths across
-    /// queries — each one a whole axis pass a shared memo table skips);
-    /// `memo_units` is the total number of units that would pay a memo
-    /// probe; `divisible_ns` is the estimated total evaluation work, the
-    /// portion per-query sharding splits across workers.
-    ///
-    /// Each viable mode is costed end to end and the cheapest estimate
-    /// wins: lock-step runs the batch's work minus the duplicated passes
-    /// plus every unit's probe (viable only when that is a net saving);
-    /// the fan-out runs `divisible_ns / k` plus `k − 1` spawns at the
-    /// [`CostModel::pick_shards`]-chosen worker count (viable only when
-    /// the gate approves a split). With a wide thread budget and thin
-    /// sharing, fan-out can beat a net-positive memo; neither viable
-    /// means serial — exactly N independent evaluations.
-    pub fn pick_batch_mode(
-        &self,
-        queries: usize,
-        shared_units: usize,
-        memo_units: usize,
-        divisible_ns: f64,
-        universe: u32,
-        threads: usize,
-    ) -> BatchMode {
-        if queries <= 1 {
-            return BatchMode::Serial;
-        }
-        let saved = shared_units as f64 * self.shared_pass_ns(universe);
-        let overhead = memo_units as f64 * self.memo_unit_ns(universe);
-        let lock_step =
-            (shared_units > 0 && saved > overhead).then_some(divisible_ns - saved + overhead);
-        let sharded = (threads > 1)
-            .then(|| self.pick_shards(divisible_ns, threads.min(queries)))
-            .filter(|&k| k > 1)
-            .map(|k| divisible_ns / k as f64 + self.spawn_ns * (k - 1) as f64);
-        match (lock_step, sharded) {
-            (Some(l), Some(s)) if s < l => BatchMode::PerQuerySharded,
-            (Some(_), _) => BatchMode::LockStepShared,
-            (None, Some(_)) => BatchMode::PerQuerySharded,
-            (None, None) => BatchMode::Serial,
-        }
-    }
-
-    /// The duplicated-unit fraction at which [`CostModel::pick_batch_mode`]
-    /// switches to lock-step sharing for a given universe: sharing pays
-    /// once more than this fraction of the batch's step units repeat.
-    pub fn batch_share_threshold(&self, universe: u32) -> f64 {
-        (self.memo_unit_ns(universe) / self.shared_pass_ns(universe).max(f64::MIN_POSITIVE))
-            .min(1.0)
     }
 
     // ----- lazy cursor evaluation -----
@@ -262,21 +183,23 @@ impl CostModel {
     }
 }
 
-/// How a batched evaluation ([`pick_batch_mode`](CostModel::pick_batch_mode))
-/// runs its queries.
+/// How a batched evaluation ran (`xpath_core::batch::QuerySet`): a label
+/// of what happened, not a choice a caller makes. The batch memo is
+/// attached exactly when the batch repeats a unit; the fan-out splits
+/// when [`CostModel::pick_shards`] says the divisible work repays it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BatchMode {
-    /// All compiled spines advance lock-step per step, deduplicating
-    /// identical `(axis, node-test, input-fingerprint)` applications
-    /// through a per-evaluation memo table — each distinct axis pass over
-    /// the document runs once for the whole batch.
+    /// The batch's axis memo was attached: identical
+    /// `(axis, node-test, input-fingerprint)` applications across the
+    /// batch ran once (whether or not the queries also fanned out). The
+    /// [`name`](BatchMode::name) is a stable key (`bench_e2e` reports
+    /// `batch.mode_share.lock_step_shared`), not a description.
     LockStepShared,
-    /// The batch fans out one chunk of queries per scoped worker
-    /// (`xpath_core::batch::QuerySet`); each worker evaluates its chunk
-    /// exactly as an independent evaluation would.
+    /// No memo, and the queries fanned out one chunk per scoped worker,
+    /// each evaluated exactly as an independent evaluation would be.
     PerQuerySharded,
-    /// N independent evaluations on the caller's thread — the fallback
-    /// when neither sharing nor spawning repays its overhead.
+    /// No memo and no fan-out: N independent evaluations on the caller's
+    /// thread.
     Serial,
 }
 
@@ -458,53 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_mode_pick_follows_sharing_and_threads() {
-        let m = CostModel::CALIBRATED;
-        let n = 1 << 20;
-        let pass = m.shared_pass_ns(n);
-        // A single query is always serial, whatever else is true.
-        assert_eq!(m.pick_batch_mode(1, 100, 100, 1e12, n, 8), BatchMode::Serial);
-        // Heavy sharing: half the units repeat → lock-step wins.
-        assert_eq!(m.pick_batch_mode(16, 48, 96, 96.0 * pass, n, 1), BatchMode::LockStepShared);
-        // No sharing + one thread → serial.
-        assert_eq!(m.pick_batch_mode(16, 0, 96, 96.0 * pass, n, 1), BatchMode::Serial);
-        // No sharing + wide budget + work worth many spawns → sharded.
-        assert_eq!(
-            m.pick_batch_mode(16, 0, 96, 100.0 * m.spawn_ns, n, 4),
-            BatchMode::PerQuerySharded
-        );
-        // No sharing + wide budget but tiny work → serial (spawn gate).
-        assert_eq!(m.pick_batch_mode(16, 0, 16, 1_000.0, n, 4), BatchMode::Serial);
-        // Thin sharing (net-positive, but small) on a wide budget: the
-        // fan-out's estimated time beats lock-step and wins; the same
-        // batch on one thread keeps lock-step.
-        assert_eq!(m.pick_batch_mode(16, 20, 96, 96.0 * pass, n, 8), BatchMode::PerQuerySharded);
-        assert_eq!(m.pick_batch_mode(16, 20, 96, 96.0 * pass, n, 1), BatchMode::LockStepShared);
-        // Heavy sharing can still beat the fan-out when nearly everything
-        // repeats and the remaining work is below the spawn repayment.
-        let small = 1u32 << 14;
-        let small_pass = m.shared_pass_ns(small);
-        assert_eq!(
-            m.pick_batch_mode(16, 95, 96, 96.0 * small_pass, small, 8),
-            BatchMode::LockStepShared
-        );
-        // The crossover fraction is consistent with the pick: sharing just
-        // above it flips to lock-step, just below it does not.
-        let frac = m.batch_share_threshold(n);
-        assert!(frac > 0.0 && frac < 1.0, "crossover fraction in (0,1), got {frac}");
-        let units = 1000usize;
-        let above = (frac * units as f64 * 1.1).ceil() as usize;
-        let below = (frac * units as f64 * 0.9).floor() as usize;
-        assert_eq!(m.pick_batch_mode(8, above, units, 0.0, n, 1), BatchMode::LockStepShared);
-        assert_eq!(m.pick_batch_mode(8, below, units, 0.0, n, 1), BatchMode::Serial);
-        // Forcing probes free makes any sharing win; forcing them absurd
-        // never shares (the overrides the differential suite pins modes
-        // with).
-        let free = CostModel { memo_probe_ns: 1e-9, fingerprint_word_ns: 1e-9, ..m };
-        assert_eq!(free.pick_batch_mode(2, 1, 1000, 0.0, n, 1), BatchMode::LockStepShared);
-        let never = CostModel { memo_probe_ns: 1e12, ..m };
-        assert_eq!(never.pick_batch_mode(16, 95, 96, 1_000.0, n, 1), BatchMode::Serial);
-        assert_eq!(BatchMode::LockStepShared.name(), "lock_step_shared");
+    fn batch_mode_names_are_stable() {
+        // `bench_e2e` keys `batch.mode_share.*` on these strings.
+        let names = [BatchMode::LockStepShared, BatchMode::PerQuerySharded, BatchMode::Serial]
+            .map(BatchMode::name);
+        assert_eq!(names, ["lock_step_shared", "per_query_sharded", "serial"]);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! `independent` evaluates every compiled query on its own — N full
 //! spines, each re-running the axis passes the others already ran.
 //! `batched` evaluates the same texts as one `QuerySet::evaluate_all`:
-//! under the lock-step-shared mode, identical `(axis, node-test,
-//! input-fingerprint)` applications dedupe through the per-evaluation
-//! memo, so the shared-prefix workload should win clearly; the disjoint
-//! workload should stay within noise of independent evaluation (the cost
-//! model refuses to share and falls back). `bench_axes` emits the same
+//! identical `(axis, node-test, input-fingerprint)` applications dedupe
+//! through the per-evaluation memo, so the shared-prefix workload should
+//! win clearly; the disjoint workload repeats little and should stay
+//! within noise of independent evaluation. `bench_axes` emits the same
 //! comparison to `BENCH_axes.json` with a CI guard.
 
 use std::time::Duration;

@@ -14,7 +14,7 @@
 //!   paper's TopDown evaluator, on each query as the compiler rewrites it;
 //! * **batch_eval** — the batched multi-query layer (`xpath_core::batch`):
 //!   a 16-query shared-prefix batch and a disjoint batch, each as one
-//!   `QuerySet::evaluate_all` (single-thread, lock-step memo sharing) vs
+//!   `QuerySet::evaluate_all` (single-thread, batch memo sharing) vs
 //!   N independent `CompiledQuery` evaluations, with the mode taken and
 //!   the memo hit counts recorded;
 //! * **strategy_choice** — what `Strategy::Auto` picks for served
@@ -333,11 +333,6 @@ fn measure_batch(doc: &Document, workload: &'static str, texts: &[String]) -> Ba
         );
     }
     let stats = *out.stats();
-    let mode = match stats.mode {
-        xpath_axes::BatchMode::LockStepShared => "lock_step_shared",
-        xpath_axes::BatchMode::PerQuerySharded => "per_query_sharded",
-        xpath_axes::BatchMode::Serial => "serial",
-    };
     let times = time_ns_interleaved(&mut [
         &mut || {
             for c in &compiled {
@@ -353,7 +348,7 @@ fn measure_batch(doc: &Document, workload: &'static str, texts: &[String]) -> Ba
         queries: texts.len(),
         independent_ns: times[0],
         batched_ns: times[1],
-        mode,
+        mode: stats.mode.name(),
         memo_hits: stats.memo_hits,
         memo_misses: stats.memo_misses,
     }

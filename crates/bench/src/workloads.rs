@@ -88,7 +88,7 @@ pub fn wadler_query(k: usize) -> String {
 /// The 16-query shared-prefix batch workload: every query extends the
 /// same `//a//b` spine, so the root descendant pass, the `a`/`b` child
 /// expansions and the duplicated predicates dedupe under the batched
-/// evaluator's lock-step memo. One definition serves the `bench_axes`
+/// evaluator's memo. One definition serves the `bench_axes`
 /// CI batch guard, the `batch_eval` Criterion bench and the differential
 /// suite, so the guard always protects the workload the bench reports.
 pub fn batch_shared_prefix() -> Vec<String> {

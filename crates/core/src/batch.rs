@@ -1,6 +1,5 @@
 //! Batched multi-query evaluation: compile N queries into one immutable
-//! [`QuerySet`] and amortize a single document traversal over the whole
-//! batch.
+//! [`QuerySet`] and amortize document traversals over the whole batch.
 //!
 //! The paper's set-at-a-time Core XPath algorithm (§10) amortizes one
 //! traversal over a whole *context set*; a production engine serving many
@@ -8,28 +7,33 @@
 //! once*. A [`QuerySetBuilder`] compiles raw strings (or adopts cached
 //! [`Arc<CompiledQuery>`] handles from a
 //! [`QueryCache`](crate::cache::QueryCache)) into a `Send + Sync`
-//! [`QuerySet`]; [`QuerySet::evaluate_all`] then runs the batch in one of
-//! three modes, picked per document from the fixed
-//! [`CostModel::CALIBRATED`] constants (see [`CostModel::pick_batch_mode`]):
+//! [`QuerySet`]; [`QuerySet::evaluate_all`] then runs each query's own
+//! plan, in input order, under two rules that need no cost constant of
+//! their own:
 //!
-//! * **lock-step shared** ([`BatchMode::LockStepShared`]) — every compiled
-//!   Core XPath / XPatterns spine advances one step per round, and all
-//!   axis applications go through a per-evaluation [`AxisMemo`] keyed by
-//!   `(axis, node-test, input-set memo key)` ([`NodeSet::memo_key`]):
-//!   identical applications across the batch run **once**. Equal inputs
-//!   (in the same representation) key equally, so sharing cascades down
-//!   shared spine prefixes step by step, and the document-global `T(t)`
-//!   and predicate (`E1`) sets (value tests included) dedupe across every
-//!   position in the batch.
-//! * **per-query sharded** ([`BatchMode::PerQuerySharded`]) — nothing to
-//!   share, but a multi-thread budget: the batch fans out one chunk of
-//!   queries per scoped worker, each evaluated exactly as an independent
-//!   evaluation would be. This fan-out is the only place query
+//! * **the memo** — when the batch's static profile ([`BatchSharing`])
+//!   finds a repeated unit (a spine prefix or a predicate that occurs
+//!   twice), every query runs with one per-evaluation [`AxisMemo`]
+//!   attached to its Core XPath evaluator. In §10 each `S→` step and each
+//!   `E1`/`χ⁻¹` pass depends only on its input set, and the memo keys on
+//!   exactly that: `(operation, axis, node test, input memo key)`
+//!   ([`NodeSet::memo_key`]). So a repeated application is a hit whatever
+//!   order the queries run in: sharing cascades down shared spine
+//!   prefixes, and the document-global `T(t)` and predicate (`E1`) sets
+//!   (value tests included) dedupe across every position in the batch.
+//!   Each repeated unit is a guaranteed hit, so the memo is attached
+//!   exactly when it has something to serve.
+//! * **the fan-out** — the queries split into `k` contiguous chunks, with
+//!   `k` from [`CostModel::pick_shards`] over the batch's divisible work
+//!   (one axis pass per unit the memo will not serve, plus a CVT-row
+//!   estimate per general-engine query), capped by the thread budget. The
+//!   caller's thread runs the first chunk and `k − 1` scoped workers run
+//!   the rest, sharing the one memo. This fan-out is the only place query
 //!   evaluation spawns threads: every single evaluation, a worker's
 //!   included, runs on its calling thread.
-//! * **serial** ([`BatchMode::Serial`]) — N independent evaluations on
-//!   the caller's thread, the fallback when neither sharing nor spawning
-//!   repays its overhead.
+//!
+//! [`BatchStats::mode`] labels what ran ([`BatchMode`]): the memo
+//! attached, else a fan-out, else serial.
 //!
 //! # Memo-key semantics
 //!
@@ -45,19 +49,8 @@
 //! documents, batch shapes and thread budgets. Non-fragment queries
 //! (strategies outside Core XPath / XPatterns) always run their normal
 //! engines — batching never changes any result, only how often a pass
-//! runs.
-//!
-//! # When sharing wins
-//!
-//! A memo hit saves a whole axis pass (`O(|D|/64)` words or worse); a
-//! memo probe costs a hash-map lookup plus fingerprinting the input
-//! (`O(|D|/64)` with a much smaller constant —
-//! [`CostModel::memo_unit_ns`] vs [`CostModel::shared_pass_ns`]).
-//! Lock-step sharing therefore pays once a few percent of the batch's
-//! step units repeat ([`CostModel::batch_share_threshold`]); batches of
-//! unrelated queries fall back to sharding or serial evaluation. The
-//! decision — and the memo hit counts — surface in
-//! [`BatchStats`], [`QuerySet::planner_stats`] and `xpq --explain`.
+//! runs. The memo's hit and miss counts are exact on one thread; workers
+//! that race on one key may both run its pass.
 //!
 //! # Thread budget
 //!
@@ -65,9 +58,9 @@
 //! request ([`QuerySetBuilder::threads`], [`Compiler::threads`], `xpq
 //! --threads N`) > the [`THREADS_ENV`] environment variable >
 //! [`std::thread::available_parallelism`] capped at [`MAX_AUTO_THREADS`]
-//! (see [`resolve_threads`]). Whether the fan-out runs at all is
-//! cost-gated per document by [`CostModel::pick_batch_mode`]: the work it
-//! divides must repay [`CostModel::spawn_ns`] per extra worker.
+//! (see [`resolve_threads`]). How many workers actually run is decided
+//! per document by [`CostModel::pick_shards`]: the work they divide must
+//! repay [`CostModel::spawn_ns`] per extra worker.
 //!
 //! ```
 //! use xpath_core::batch::QuerySetBuilder;
@@ -97,7 +90,7 @@ use xpath_xml::rng::splitmix64;
 use xpath_xml::Document;
 
 use crate::context::{Context, EvalBudget, EvalResult};
-use crate::corexpath::{CorePred, CoreQuery, CoreXPathEvaluator};
+use crate::corexpath::{CorePred, CoreQuery};
 use crate::lift::Program;
 use crate::nodeset::NodeSet;
 use crate::query::{CompiledQuery, Compiler};
@@ -165,21 +158,23 @@ fn parse_threads_env(value: Option<&str>, fallback: usize) -> (usize, Vec<String
     }
 }
 
-/// Split `[0, items)` into at most `shards` near-equal contiguous ranges:
-/// the chunks of the query list a [`QuerySet`] fans out, one per worker.
+/// Split `[0, items)` into `shards` near-equal contiguous ranges (at most
+/// one per item): the chunks of the query list a [`QuerySet`] fans out,
+/// one per worker.
 fn chunk_ranges(items: u32, shards: usize) -> Vec<(u32, u32)> {
-    if items == 0 || shards <= 1 {
-        return vec![(0, items)];
+    let k = (shards as u64).clamp(1, u64::from(items).max(1));
+    let bound = |i: u64| (i * u64::from(items) / k) as u32;
+    (0..k).map(|i| (bound(i), bound(i + 1))).collect()
+}
+
+/// The [`BatchMode`] label of a run: the memo attached, else a fan-out
+/// across more than one chunk, else serial.
+pub(crate) fn mode_of(memo: bool, workers: usize) -> BatchMode {
+    match (memo, workers) {
+        (true, _) => BatchMode::LockStepShared,
+        (false, 2..) => BatchMode::PerQuerySharded,
+        (false, _) => BatchMode::Serial,
     }
-    let per_shard = items.div_ceil(shards as u32).max(1);
-    let mut out = Vec::with_capacity(shards);
-    let mut lo = 0u32;
-    while lo < items {
-        let hi = (lo + per_shard).min(items);
-        out.push((lo, hi));
-        lo = hi;
-    }
-    out
 }
 
 /// One splitmix64 chaining step for memo keys.
@@ -204,20 +199,19 @@ const OP_TSET: u64 = 0x5453_4554; // document-global T(t)
 const OP_INV: u64 = 0x2049_4e56; // inverse axis pass χ⁻¹
 const OP_PRED: u64 = 0x5052_4544; // document-global E1[[pred]]
 
-/// The per-evaluation axis-result memo behind
-/// [`BatchMode::LockStepShared`]: maps
+/// The per-evaluation axis-result memo of a batch: maps
 /// `(operation, axis, node-test, input-memo-key)` keys to finished
 /// [`NodeSet`]s so each distinct application runs once per batch
-/// evaluation. Thread-safe (`Mutex`-guarded map, atomic counters);
-/// results are computed outside the lock.
+/// evaluation. Thread-safe (`Mutex`-guarded map, atomic counters), so the
+/// fan-out's workers share one; results are computed outside the lock.
 #[derive(Debug, Default)]
 pub struct AxisMemo {
     map: Mutex<HashMap<u64, NodeSet>>,
     /// Structural hashes of node tests / predicates, cached by address:
     /// the compiled structures are pinned by the batch's
     /// `Arc<CompiledQuery>` handles, which outlive every memo the set
-    /// uses (the shared scratch memo lives as long as the `QuerySet`
-    /// itself), so an address uniquely identifies one structure and
+    /// uses (the set's own memo lives as long as the `QuerySet` itself),
+    /// so an address uniquely identifies one structure and
     /// repeat probes skip the `Debug`-render hash entirely.
     ptr_hashes: Mutex<HashMap<usize, u64>>,
     hits: AtomicU64,
@@ -226,13 +220,13 @@ pub struct AxisMemo {
 
 impl AxisMemo {
     /// An empty memo. [`QuerySet::evaluate_all`] reuses one per set
-    /// (resetting it with [`AxisMemo::begin_evaluation`] each round) —
-    /// entries are only valid for a single document.
+    /// (resetting it with [`AxisMemo::begin_evaluation`] around each
+    /// evaluation) — entries are only valid for a single document.
     pub fn new() -> AxisMemo {
         AxisMemo::default()
     }
 
-    /// Reset for a new evaluation round: drop the previous round's
+    /// Reset for a new evaluation: drop the previous evaluation's
     /// entries (their node-set buffers recycle into the thread-local
     /// shelves; the map keeps its capacity for reuse) and zero the
     /// hit/miss counters. The structural ptr-hash cache survives — the
@@ -355,7 +349,6 @@ impl AxisMemo {
 pub struct QuerySetBuilder {
     compiler: Compiler,
     threads: Option<u32>,
-    mode: Option<BatchMode>,
     pending: Vec<Pending>,
 }
 
@@ -408,19 +401,10 @@ impl QuerySetBuilder {
     /// Thread budget for batch evaluation: `0` auto-resolves
     /// (`GKP_THREADS` / the machine, see [`resolve_threads`]), `1` keeps
     /// everything on the caller's thread. Defaults to the builder
-    /// compiler's budget. The budget caps the workers of
-    /// [`BatchMode::PerQuerySharded`]; it never changes results.
+    /// compiler's budget. The budget caps the fan-out's workers; it never
+    /// changes results.
     pub fn threads(mut self, threads: u32) -> QuerySetBuilder {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Pin the evaluation mode instead of letting
-    /// [`CostModel::pick_batch_mode`] decide per document. Any mode is
-    /// bit-identical to the others; pinning exists for tests, benchmarks
-    /// and callers that know their workload.
-    pub fn mode(mut self, mode: BatchMode) -> QuerySetBuilder {
-        self.mode = Some(mode);
         self
     }
 
@@ -450,35 +434,22 @@ impl QuerySetBuilder {
         Ok(QuerySet {
             queries,
             threads: self.threads.unwrap_or_else(|| self.compiler.configured_threads()),
-            mode: self.mode,
             sharing,
             kernels: Arc::new(KernelCounters::new()),
-            scratch: Mutex::new(LockStepScratch::default()),
+            memo: Mutex::new(AxisMemo::new()),
         })
     }
-}
-
-/// Reusable lock-step evaluation scratch, kept on the [`QuerySet`] so
-/// repeated [`QuerySet::evaluate_all`] calls reach an allocation-free
-/// steady state: the memo map keeps its capacity (and its structural
-/// ptr-hash cache) across rounds, and the arena's slot vector replaces
-/// the per-call `states` allocation. Guarded by a `try_lock` — a
-/// concurrent evaluation on another thread simply takes a fresh scratch.
-#[derive(Debug, Default)]
-struct LockStepScratch {
-    memo: Arc<AxisMemo>,
-    arena: crate::pool::NodeSetArena,
 }
 
 /// Static sharing profile of a batch, computed once at build time: how
 /// many spine-step and predicate units the batch contains, and how many
 /// of them repeat across queries (identical spine prefixes, identical
-/// predicate paths) — each repeat is an axis pass the lock-step memo
-/// will serve without re-running.
+/// predicate paths) — each repeat is an axis pass the batch memo will
+/// serve without re-running.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchSharing {
     /// Step + predicate units across all fragment-engine queries' lifted
-    /// paths (each pays one memo probe under lock-step evaluation).
+    /// paths (each pays one memo probe when the memo is attached).
     pub total_units: usize,
     /// Units duplicated across the batch (guaranteed memo hits).
     pub shared_units: usize,
@@ -488,11 +459,16 @@ pub struct BatchSharing {
     pub fragment_queries: usize,
 }
 
-/// Every lifted path of the batch's fragment-engine queries (only those
-/// share axis passes), query-major: the order of the lock-step state
-/// slots.
+/// Every lifted path the batch's fragment-engine queries run (only those
+/// share axis passes). A query the analyzer folded to a constant runs no
+/// path at all, so its units could never be hits.
 fn lifted_paths(queries: &[Arc<CompiledQuery>]) -> impl Iterator<Item = &CoreQuery> {
-    queries.iter().filter_map(|q| q.plan().program()).flat_map(Program::paths).map(|lp| &lp.query)
+    queries
+        .iter()
+        .filter(|q| q.plan().report().const_result.is_none())
+        .filter_map(|q| q.plan().program())
+        .flat_map(Program::paths)
+        .map(|lp| &lp.query)
 }
 
 fn analyze_sharing(queries: &[Arc<CompiledQuery>]) -> BatchSharing {
@@ -505,8 +481,8 @@ fn analyze_sharing(queries: &[Arc<CompiledQuery>]) -> BatchSharing {
     for program in lifted_paths(queries) {
         // Chain step hashes down the spine: a step unit repeats exactly
         // when its whole prefix (start + steps so far, predicates
-        // included) repeats — which is when the lock-step memo is
-        // guaranteed to hit it.
+        // included) repeats — which is when the memo is guaranteed to
+        // hit it.
         let mut h = hash_debug(&program.path.start);
         for step in &program.path.steps {
             h = mix(h, hash_debug(step));
@@ -534,14 +510,18 @@ fn analyze_sharing(queries: &[Arc<CompiledQuery>]) -> BatchSharing {
 pub struct QuerySet {
     queries: Vec<Arc<CompiledQuery>>,
     threads: u32,
-    mode: Option<BatchMode>,
     sharing: BatchSharing,
     /// Planner decisions accumulated across batch evaluations (batch
     /// evaluations record here, not into the member queries' per-handle
     /// tallies — shared passes cannot be attributed to one query).
     kernels: Arc<KernelCounters>,
-    /// Reusable lock-step scratch (memo + arena), `try_lock`-guarded.
-    scratch: Mutex<LockStepScratch>,
+    /// The set's reusable memo: its map keeps its capacity (and its
+    /// structural ptr-hash cache) across evaluations, so repeated
+    /// [`QuerySet::evaluate_all`] calls reach an allocation-free steady
+    /// state. Guarded by a `try_lock`: a concurrent evaluation (say, on
+    /// another document) takes a fresh memo, so two evaluations never
+    /// share entries.
+    memo: Mutex<AxisMemo>,
 }
 
 impl QuerySet {
@@ -578,36 +558,26 @@ impl QuerySet {
         self.kernels.snapshot()
     }
 
-    /// The [`BatchMode`] [`QuerySet::evaluate_all`] will use on a
-    /// document of `universe` nodes under the current thread budget — the
-    /// cost model's decision, unless a mode was pinned at build time.
-    pub fn plan_mode(&self, universe: u32) -> BatchMode {
-        if let Some(pinned) = self.mode {
-            return pinned;
-        }
-        let threads = resolve_threads(self.threads);
-        // Divisible work estimate for the per-query fan-out: one axis
-        // pass per fragment step unit, plus a CVT-row-scale estimate per
-        // general-engine query (their evaluators materialize per-node
-        // tables, far heavier than one pass).
+    /// How many chunks [`QuerySet::evaluate_all`] splits the queries into
+    /// on a document of `universe` nodes: [`CostModel::pick_shards`] over
+    /// the batch's divisible work, at most the thread budget and the
+    /// query count. The work is one axis pass per fragment unit the memo
+    /// will not serve, plus a CVT-row-scale estimate per general-engine
+    /// query (their evaluators materialize per-node tables, far heavier
+    /// than one pass).
+    pub(crate) fn shards(&self, universe: u32) -> usize {
         let cost = CostModel::CALIBRATED;
-        let fragment_ns = self.sharing.total_units as f64 * cost.shared_pass_ns(universe);
+        let unshared = self.sharing.total_units - self.sharing.shared_units;
+        let fragment_ns = unshared as f64 * cost.shared_pass_ns(universe);
         let general = (self.len() - self.sharing.fragment_queries) as f64;
         let general_ns = general * cost.cvt_row_ns() * f64::from(universe);
-        cost.pick_batch_mode(
-            self.len(),
-            self.sharing.shared_units,
-            self.sharing.total_units,
-            fragment_ns + general_ns,
-            universe,
-            threads,
-        )
+        cost.pick_shards(fragment_ns + general_ns, resolve_threads(self.threads).min(self.len()))
     }
 
     /// Evaluate every query against `doc` from the document root, in one
     /// batch pass. Per-query results come back in input order, each
     /// exactly what [`CompiledQuery::evaluate_root`] would have returned
-    /// (bit-identical across all modes and thread budgets).
+    /// (bit-identical with and without the memo, at any thread budget).
     pub fn evaluate_all(&self, doc: &Document) -> BatchResult {
         self.evaluate_all_at(doc, Context::of(doc.root()))
     }
@@ -618,160 +588,79 @@ impl QuerySet {
     }
 
     /// [`QuerySet::evaluate_all_at`] under an [`EvalBudget`]: the budget
-    /// is polled between lock-step rounds and between per-query
-    /// evaluations (and inside each member query's own evaluation). When
-    /// it trips, every not-yet-finished query's slot carries the trip
-    /// error ([`crate::EvalError::Cancelled`] /
-    /// [`crate::EvalError::DeadlineExceeded`]); already-finished results
-    /// are kept. The batch never hangs past one round.
+    /// is polled before each query and before every axis pass inside it
+    /// (see [`Plan::execute_with`](crate::plan::Plan::execute_with)).
+    /// When it trips, the query it interrupts and every later one in its
+    /// chunk carry the trip error ([`crate::EvalError::Cancelled`] /
+    /// [`crate::EvalError::DeadlineExceeded`]); finished results are
+    /// kept. A trip leaves no memo entry half-built.
     pub fn evaluate_all_with(
         &self,
         doc: &Document,
         ctx: Context,
         budget: &EvalBudget,
     ) -> BatchResult {
-        let mode = self.plan_mode(doc.len() as u32);
-        match mode {
-            BatchMode::LockStepShared => self.run_lock_step(doc, ctx, budget),
-            BatchMode::PerQuerySharded => self.run_sharded(doc, ctx, budget),
-            BatchMode::Serial => self.run_serial(doc, ctx, budget),
-        }
-    }
-
-    /// One independent evaluation, recording planner decisions into the
-    /// batch tally.
-    fn eval_one(
-        &self,
-        doc: &Document,
-        ctx: Context,
-        i: usize,
-        budget: &EvalBudget,
-    ) -> EvalResult<Value> {
-        budget.check()?;
-        self.queries[i].plan().execute_recording_with(doc, ctx, &self.kernels, budget)
-    }
-
-    fn run_serial(&self, doc: &Document, ctx: Context, budget: &EvalBudget) -> BatchResult {
-        let mut results = crate::pool::take_results();
-        results.extend((0..self.len()).map(|i| self.eval_one(doc, ctx, i, budget)));
-        BatchResult {
-            results,
-            stats: BatchStats {
-                mode: BatchMode::Serial,
-                queries: self.len(),
-                fragment_queries: self.sharing.fragment_queries,
-                memo_hits: 0,
-                memo_misses: 0,
-                workers: 1,
-            },
-        }
-    }
-
-    /// The per-query fan-out: one chunk of queries per scoped worker, the
-    /// caller's thread running the first chunk, so `k` chunks spawn
-    /// `k − 1` workers. Results are collected in chunk order, i.e. input
-    /// order; a panicking worker propagates after the scope joins.
-    fn run_sharded(&self, doc: &Document, ctx: Context, budget: &EvalBudget) -> BatchResult {
-        let threads = resolve_threads(self.threads).min(self.len()).max(1);
-        let ranges = chunk_ranges(self.len() as u32, threads);
-        let workers = ranges.len();
-        let eval_chunk = |(lo, hi): (u32, u32)| -> Vec<EvalResult<Value>> {
-            (lo..hi).map(|i| self.eval_one(doc, ctx, i as usize, budget)).collect()
-        };
-        let eval_chunk = &eval_chunk;
-        let mut results = crate::pool::take_results();
-        std::thread::scope(|scope| {
-            let spawned: Vec<_> =
-                ranges[1..].iter().map(|&r| scope.spawn(move || eval_chunk(r))).collect();
-            results.extend(eval_chunk(ranges[0]));
-            for worker in spawned {
-                results.extend(worker.join().expect("batch worker panicked"));
+        let shards = self.shards(doc.len() as u32);
+        // One memo per evaluation: the set's own when it is free, a fresh
+        // one when a concurrent evaluation holds it.
+        let memoize = self.sharing.shared_units > 0;
+        let guard = if memoize { self.memo.try_lock().ok() } else { None };
+        let fresh;
+        let memo = match (memoize, &guard) {
+            (false, _) => None,
+            (true, Some(own)) => Some(&**own),
+            (true, None) => {
+                fresh = AxisMemo::new();
+                Some(&fresh)
             }
-        });
-        BatchResult {
-            results,
-            stats: BatchStats {
-                mode: BatchMode::PerQuerySharded,
-                queries: self.len(),
-                fragment_queries: self.sharing.fragment_queries,
-                memo_hits: 0,
-                memo_misses: 0,
-                workers,
-            },
-        }
-    }
-
-    fn run_lock_step(&self, doc: &Document, ctx: Context, budget: &EvalBudget) -> BatchResult {
-        // Reuse the set's scratch (memo map + slot arena) when it is
-        // free; a concurrent evaluation on another thread falls back to
-        // a fresh one rather than waiting.
-        let mut fallback = None;
-        let mut guard = self.scratch.try_lock().ok();
-        let scratch = match guard.as_deref_mut() {
-            Some(s) => s,
-            None => fallback.get_or_insert_with(LockStepScratch::default),
         };
-        scratch.memo.begin_evaluation();
-        let memo = Arc::clone(&scratch.memo);
-        let ev = CoreXPathEvaluator::new(doc).with_memo(Arc::clone(&memo));
-        let ctx_nodes = [ctx.node];
-        // Every lifted path of every fragment query advances lock-step
-        // (one state slot each, query-major); the rest run their normal
-        // engines below.
-        let states = scratch.arena.begin();
-        states.extend(
-            lifted_paths(&self.queries).map(|cq| Some(ev.start_set(&cq.path.start, &ctx_nodes))),
-        );
-        let rounds = lifted_paths(&self.queries).map(|cq| cq.path.steps.len()).max().unwrap_or(0);
-        // Budget granularity: one lock-step round (a whole batch-wide
-        // layer of axis passes). A trip poisons no state — every
-        // unfinished slot just reports the trip error.
-        let mut tripped = None;
-        for k in 0..rounds {
-            if let Err(e) = budget.check() {
-                tripped = Some(e);
-                break;
-            }
-            for (cq, state) in lifted_paths(&self.queries).zip(states.iter_mut()) {
-                if let (Some(step), Some(n)) = (cq.path.steps.get(k), state.as_mut()) {
-                    *n = ev.advance_step(step, n);
+        if let Some(m) = memo {
+            m.begin_evaluation();
+        }
+        let eval = |i: u32| -> EvalResult<Value> {
+            budget.check()?;
+            let plan = self.queries[i as usize].plan();
+            plan.execute_recording_with(doc, ctx, &self.kernels, budget, memo)
+        };
+        let n = self.len() as u32;
+        let mut results = crate::pool::take_results();
+        // The caller's thread runs the first chunk, one scoped worker each
+        // of the rest; results are collected in chunk order, i.e. input
+        // order. A panicking worker propagates after the scope joins. One
+        // chunk runs inline: a scope allocates, and the unsplit batch must
+        // stay allocation-free.
+        let workers = if shards <= 1 {
+            results.extend((0..n).map(eval));
+            1
+        } else {
+            let ranges = chunk_ranges(n, shards);
+            std::thread::scope(|scope| {
+                let spawned: Vec<_> = ranges[1..]
+                    .iter()
+                    .map(|&(lo, hi)| scope.spawn(move || (lo..hi).map(eval).collect::<Vec<_>>()))
+                    .collect();
+                results.extend((ranges[0].0..ranges[0].1).map(eval));
+                for worker in spawned {
+                    results.extend(worker.join().expect("batch worker panicked"));
                 }
-            }
-        }
-        // Each fragment query folds over its own run of slots.
-        let mut first_slot = 0;
-        let mut results = crate::pool::take_results();
-        results.extend(self.queries.iter().enumerate().map(|(i, q)| {
-            let Some(program) = q.plan().program() else {
-                return match &tripped {
-                    Some(e) => Err(e.clone()),
-                    None => self.eval_one(doc, ctx, i, budget),
-                };
-            };
-            let slots = &mut states[first_slot..first_slot + program.paths().len()];
-            first_slot += slots.len();
-            if let Some(e) = &tripped {
-                return Err(e.clone());
-            }
-            program.fold().eval(doc, &ctx, &mut |j| {
-                Ok(slots[j].take().expect("a fold reads each lifted path once"))
-            })
-        }));
-        self.kernels.merge(ev.kernel_counts());
+            });
+            ranges.len()
+        };
         let stats = BatchStats {
-            mode: BatchMode::LockStepShared,
+            mode: mode_of(memo.is_some(), workers),
             queries: self.len(),
             fragment_queries: self.sharing.fragment_queries,
-            memo_hits: memo.hits(),
-            memo_misses: memo.misses(),
-            workers: 1,
+            memo_hits: memo.map_or(0, AxisMemo::hits),
+            memo_misses: memo.map_or(0, AxisMemo::misses),
+            workers,
         };
-        // Hand the round's buffers back now, not at the next round's
-        // start: evaluations between rounds then see every buffer on the
+        // Hand the memo's buffers back now, not at the next evaluation's
+        // start: evaluations in between then see every buffer on the
         // shelves, which keeps the steady state a function of the shelved
         // capacities alone (see `xpath_xml::pool`).
-        memo.begin_evaluation();
-        states.clear();
+        if let Some(m) = memo {
+            m.begin_evaluation();
+        }
         BatchResult { results, stats }
     }
 
@@ -817,7 +706,7 @@ impl BatchResult {
         self.results.is_empty()
     }
 
-    /// Batch-level statistics: the mode taken and the sharing achieved.
+    /// Batch-level statistics: what ran and the sharing achieved.
     pub fn stats(&self) -> &BatchStats {
         &self.stats
     }
@@ -835,19 +724,18 @@ impl Drop for BatchResult {
 /// How one batch evaluation ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchStats {
-    /// The evaluation mode the cost model picked (or the pinned one).
+    /// What ran: the memo attached, else a fan-out, else serial.
     pub mode: BatchMode,
     /// Queries in the batch.
     pub queries: usize,
     /// Queries that ran on the fragment engines (sharing-capable).
     pub fragment_queries: usize,
-    /// Axis applications served from the shared memo (lock-step mode;
-    /// zero elsewhere).
+    /// Axis applications served from the batch memo (zero without it).
     pub memo_hits: u64,
-    /// Axis applications that ran and seeded the memo (lock-step mode).
+    /// Axis applications that ran and seeded the memo (zero without it).
     pub memo_misses: u64,
-    /// Scoped workers the batch fanned out across (sharded mode; 1
-    /// elsewhere).
+    /// Chunks the queries ran in: the caller's thread plus the scoped
+    /// workers (1 when the batch did not fan out).
     pub workers: usize,
 }
 
@@ -855,58 +743,68 @@ pub struct BatchStats {
 mod tests {
     use super::*;
     use crate::plan::Strategy;
-    use xpath_xml::generate::{doc_bookstore, doc_figure8};
+    use xpath_xml::generate::{doc_balanced, doc_bookstore, doc_figure8};
 
     #[test]
-    fn batch_matches_independent_evaluation_in_every_mode() {
-        let d = doc_bookstore();
+    fn batch_matches_independent_evaluation_on_every_path() {
+        let small = doc_bookstore();
+        // Large enough that `pick_shards` splits the batch at 4 threads.
+        let large = doc_balanced(4, 7, &["section", "book", "author", "title"]);
         let queries = [
             "//book[author]",
             "//book[author]/title",
             "//book[author]",   // duplicate: full sharing
-            "count(//book)",    // lifted: its path joins the lock-step rounds
+            "count(//book)",    // lifted: its path shares the memo
             "count(//book[1])", // non-fragment: normal engine inside the batch
             "//section/book[title = 'XPath Processing']",
         ];
-        let independent: Vec<Value> = queries
-            .iter()
-            .map(|q| Compiler::new().compile(q).unwrap().evaluate_root(&d).unwrap())
-            .collect();
-        for mode in [BatchMode::LockStepShared, BatchMode::PerQuerySharded, BatchMode::Serial] {
-            for threads in [1u32, 4] {
-                let set = QuerySetBuilder::new()
-                    .queries(queries)
-                    .mode(mode)
-                    .threads(threads)
-                    .build()
-                    .unwrap();
-                let out = set.evaluate_all(&d);
-                assert_eq!(out.stats().mode, mode);
-                assert_eq!(out.len(), queries.len());
-                for (i, r) in out.results().iter().enumerate() {
-                    assert_eq!(
-                        r.as_ref().unwrap(),
-                        &independent[i],
-                        "{mode:?}/{threads}t diverges on {}",
-                        queries[i]
-                    );
+        // The same batch without its duplicate: nothing repeats.
+        let disjoint = [queries[1], queries[3], queries[4], queries[5]];
+        let mut seen = HashSet::new();
+        for d in [&small, &large] {
+            for batch in [&queries[..], &disjoint[..]] {
+                let independent: Vec<Value> = batch
+                    .iter()
+                    .map(|q| Compiler::new().compile(q).unwrap().evaluate_root(d).unwrap())
+                    .collect();
+                for threads in [1u32, 4] {
+                    let set = QuerySetBuilder::new()
+                        .queries(batch.iter().copied())
+                        .threads(threads)
+                        .build()
+                        .unwrap();
+                    let out = set.evaluate_all(d);
+                    let mode = out.stats().mode;
+                    seen.insert(mode);
+                    assert_eq!(mode == BatchMode::LockStepShared, batch.len() == queries.len());
+                    assert_eq!(out.stats().workers, set.shards(d.len() as u32));
+                    assert_eq!(out.len(), batch.len());
+                    for (i, r) in out.results().iter().enumerate() {
+                        assert_eq!(
+                            r.as_ref().unwrap(),
+                            &independent[i],
+                            "{mode:?}/{threads}t diverges on {}",
+                            batch[i]
+                        );
+                    }
                 }
             }
         }
+        assert_eq!(seen.len(), 3, "every label is reached: {seen:?}");
     }
 
     #[test]
-    fn lock_step_shares_duplicate_prefixes() {
+    fn memo_shares_duplicate_prefixes() {
         let d = doc_figure8();
         let set = QuerySetBuilder::new()
             .query("//b/c")
             .query("//b/d")
             .query("//b/c") // exact duplicate
-            .mode(BatchMode::LockStepShared)
             .build()
             .unwrap();
         assert!(set.sharing().shared_units > 0, "{:?}", set.sharing());
         let out = set.evaluate_all(&d);
+        assert_eq!(out.stats().mode, BatchMode::LockStepShared);
         assert!(out.stats().memo_hits > 0, "{:?}", out.stats());
         // The duplicate shares everything: its step count in hits.
         assert_eq!(out.results()[0].as_ref().unwrap(), out.results()[2].as_ref().unwrap());
@@ -915,15 +813,26 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_falls_back_when_nothing_repeats() {
-        // Disjoint single-step queries on a tiny document: sharing cannot
-        // pay, and one thread rules out the fan-out.
-        let set =
-            QuerySetBuilder::new().query("//b").query("count(//c)").threads(1).build().unwrap();
-        assert_eq!(set.plan_mode(100), BatchMode::Serial);
-        // A single query is serial even when pinned sharing would win.
-        let one = QuerySetBuilder::new().query("//b").build().unwrap();
-        assert_eq!(one.plan_mode(1 << 20), BatchMode::Serial);
+    fn nothing_repeats_means_no_memo_and_small_work_no_fan_out() {
+        // Disjoint single-step queries on a tiny document: no memo, and
+        // the work cannot repay a spawn even with a wide budget.
+        let d = doc_bookstore();
+        let set = QuerySetBuilder::new()
+            .query("//book")
+            .query("count(//title)")
+            .threads(8)
+            .build()
+            .unwrap();
+        assert_eq!(set.sharing().shared_units, 0);
+        assert_eq!(set.shards(d.len() as u32), 1);
+        let out = set.evaluate_all(&d);
+        assert_eq!((out.stats().mode, out.stats().memo_hits), (BatchMode::Serial, 0));
+        // A single query never fans out, however large the document.
+        let one = QuerySetBuilder::new().query("//b").threads(8).build().unwrap();
+        assert_eq!(one.shards(1 << 20), 1);
+        // A provably empty query runs no path, so its repeat is no unit.
+        let empty = QuerySetBuilder::new().query("//b/@x/c").query("//b/@x/c").build().unwrap();
+        assert_eq!(empty.sharing().total_units, 0, "{:?}", empty.sharing());
     }
 
     #[test]

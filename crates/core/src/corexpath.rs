@@ -272,7 +272,7 @@ pub struct CoreXPathEvaluator<'d> {
     /// inverse passes and predicate sets are served from the memo on
     /// repeat applications. Never changes results — only whether a
     /// pass re-runs.
-    memo: Option<std::sync::Arc<crate::batch::AxisMemo>>,
+    memo: Option<&'d crate::batch::AxisMemo>,
 }
 
 impl<'d> CoreXPathEvaluator<'d> {
@@ -287,14 +287,15 @@ impl<'d> CoreXPathEvaluator<'d> {
         }
     }
 
-    /// Attach a shared axis-result memo ([`crate::batch::AxisMemo`]):
-    /// repeat `(axis, node-test, input-fingerprint)` applications — and
-    /// the document-global `T(t)` and predicate sets — are then
+    /// Attach a shared axis-result memo ([`crate::batch::AxisMemo`]), or
+    /// none: repeat `(axis, node-test, input-fingerprint)` applications —
+    /// and the document-global `T(t)` and predicate sets — are then
     /// served from the memo instead of re-running their passes. This is
     /// how [`crate::batch::QuerySet`] amortizes one document traversal
     /// over a whole batch of queries; results are unchanged.
-    pub fn with_memo(mut self, memo: std::sync::Arc<crate::batch::AxisMemo>) -> Self {
-        self.memo = Some(memo);
+    #[must_use]
+    pub fn with_memo(mut self, memo: Option<&'d crate::batch::AxisMemo>) -> Self {
+        self.memo = memo;
         self
     }
 
@@ -308,7 +309,7 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// in a batch using the same test).
     fn t_set(&self, axis: Axis, test: &NodeTest) -> NodeSet {
         let compute = || NodeSet::from_sorted(node_test::matching_set(self.doc, axis, test));
-        match &self.memo {
+        match self.memo {
             Some(m) => m.t_set(axis, test, &self.kernels, compute),
             None => compute(),
         }
@@ -400,10 +401,8 @@ impl<'d> CoreXPathEvaluator<'d> {
         n
     }
 
-    /// Advance one spine step: `χ(N) ∩ T(t) ∩ E1[[e1]] ∩ …` — the
-    /// lock-step unit the batched evaluator ([`crate::batch`]) drives one
-    /// step at a time across a whole batch of spines.
-    pub(crate) fn advance_step(&self, step: &CoreStep, n: &NodeSet) -> NodeSet {
+    /// Advance one spine step: `χ(N) ∩ T(t) ∩ E1[[e1]] ∩ …`.
+    fn advance_step(&self, step: &CoreStep, n: &NodeSet) -> NodeSet {
         let mut next = self.expand_axis_test(step.axis, &step.test, n);
         // π[e] ↦ S→[[π]] ∩ E1[[e]].
         for pred in &step.preds {
@@ -434,7 +433,7 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// predicate pass.
     pub(crate) fn try_pred_set(&self, pred: &CorePred, budget: &EvalBudget) -> EvalResult<NodeSet> {
         budget.check()?;
-        match &self.memo {
+        match self.memo {
             Some(m) => Ok(m.pred(pred, &self.kernels, || self.e1(pred))),
             None => match pred {
                 CorePred::And(l, r) => {
@@ -550,7 +549,7 @@ impl<'d> CoreXPathEvaluator<'d> {
             node_test::filter_set(self.doc, axis, test, &mut next);
             next
         };
-        match &self.memo {
+        match self.memo {
             Some(m) => m.step(axis, test, n, &self.kernels, compute),
             None => compute(),
         }
@@ -560,7 +559,7 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// are document-global (independent of the context set), so one entry
     /// serves every occurrence of a predicate across the whole batch.
     fn pred_set(&self, pred: &CorePred) -> NodeSet {
-        match &self.memo {
+        match self.memo {
             Some(m) => m.pred(pred, &self.kernels, || self.e1(pred)),
             None => self.e1(pred),
         }
@@ -631,7 +630,7 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// `χ⁻¹(X)` through the batch memo when attached, keyed on
     /// `(axis, fingerprint(X))` like the forward expansions.
     fn inverse_expand(&self, axis: Axis, set: &NodeSet) -> NodeSet {
-        match &self.memo {
+        match self.memo {
             Some(m) => m.inverse(axis, set, &self.kernels, || self.axis_backward(axis, set)),
             None => self.axis_backward(axis, set),
         }

@@ -176,7 +176,7 @@ impl NodeCursor for QueryCursor<'_, '_> {
         match &mut self.state {
             State::Lazy(p) => p.next_block(self.doc, &self.budget, out, max),
             State::Pending { plan, kernels, ctx } => {
-                let v = plan.execute_recording_with(self.doc, *ctx, kernels, &self.budget)?;
+                let v = plan.execute_recording_with(self.doc, *ctx, kernels, &self.budget, None)?;
                 let ids = Arc::new(crate::query::into_node_set(v)?.into_vec());
                 self.state = State::Drained { ids, pos: 0 };
                 self.next_block(out, max)

@@ -177,8 +177,8 @@ impl<'d> Engine<'d> {
     }
 
     /// Evaluate a batch of query strings at the document root in one
-    /// pass, sharing axis passes across the batch where the cost model
-    /// says it pays (see [`crate::batch`]). Compilations go through this
+    /// pass, sharing axis passes through the batch memo when a unit
+    /// repeats (see [`crate::batch`]). Compilations go through this
     /// engine's cache, so repeated batches skip the static phase
     /// entirely; compile errors fail the call, per-query evaluation
     /// errors come back inside the [`BatchResult`].

@@ -142,16 +142,16 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
 }
 
 /// Explain how a [`QuerySet`](crate::batch::QuerySet) will evaluate on a
-/// document of `doc_size` nodes: the static sharing profile, the batch
-/// mode the cost model picks, and the crossover it picked it at — the
-/// batch counterpart of [`explain`], surfaced by `xpq --explain` when
-/// several `-e` expressions (or a `--query-file`) form a batch.
+/// document of `doc_size` nodes: the static sharing profile, whether the
+/// batch memo is attached, and how many chunks the queries fan out
+/// across — the batch counterpart of [`explain`], surfaced by
+/// `xpq --explain` when several `-e` expressions (or a `--query-file`)
+/// form a batch.
 pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
-    let universe = doc_size as u32;
     let sharing = set.sharing();
-    let model = xpath_axes::CostModel::CALIBRATED;
     let threads = crate::batch::resolve_threads(set.threads());
-    let mode = set.plan_mode(universe);
+    let memo = sharing.shared_units > 0;
+    let shards = set.shards(doc_size as u32);
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -161,14 +161,21 @@ pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
         sharing.shared_units,
         sharing.total_units,
     );
+    let mode = crate::batch::mode_of(memo, shards);
     let _ = writeln!(report, "batch mode @ |D| = {doc_size}, {threads} thread(s): {}", mode.name());
+    let _ = if memo {
+        writeln!(
+            report,
+            "  memo: attached, {} repeated units, each a guaranteed hit",
+            sharing.shared_units
+        )
+    } else {
+        writeln!(report, "  memo: off, no unit repeats")
+    };
     let _ = writeln!(
         report,
-        "  lock-step sharing pays above {:.1}% duplicated units \
-         (memo probe {:.0}ns + fingerprint vs ~{:.0}ns per shared pass)",
-        model.batch_share_threshold(universe) * 100.0,
-        model.memo_probe_ns,
-        model.shared_pass_ns(universe),
+        "  workers: {shards} (the work the memo leaves must repay {:.0}us per extra worker)",
+        xpath_axes::CostModel::CALIBRATED.spawn_ns / 1000.0,
     );
     report
 }

@@ -38,6 +38,7 @@ use xpath_syntax::Expr;
 use xpath_xml::Document;
 
 use crate::analyze::{self, QueryReport};
+use crate::batch::AxisMemo;
 use crate::bottomup::BottomUpEvaluator;
 use crate::context::{Context, EvalBudget, EvalResult};
 use crate::corexpath::{CoreDialect, CoreQuery, CoreXPathEvaluator};
@@ -174,6 +175,7 @@ impl Plan {
             doc,
             ctx,
             None,
+            None,
             budget,
         )
     }
@@ -189,17 +191,21 @@ impl Plan {
         ctx: Context,
         kernels: &xpath_axes::KernelCounters,
     ) -> EvalResult<Value> {
-        self.execute_recording_with(doc, ctx, kernels, &EvalBudget::unlimited())
+        self.execute_recording_with(doc, ctx, kernels, &EvalBudget::unlimited(), None)
     }
 
     /// [`Plan::execute_recording`] under an [`EvalBudget`] (see
-    /// [`Plan::execute_with`]).
+    /// [`Plan::execute_with`]). A batch passes its [`AxisMemo`] as
+    /// `memo`, so the fragment engines serve repeated axis passes from it;
+    /// the general evaluators ignore it. The result never depends on the
+    /// memo.
     pub fn execute_recording_with(
         &self,
         doc: &Document,
         ctx: Context,
         kernels: &xpath_axes::KernelCounters,
         budget: &EvalBudget,
+        memo: Option<&AxisMemo>,
     ) -> EvalResult<Value> {
         if let Some(v) = &self.report.const_result {
             return Ok(v.clone());
@@ -212,6 +218,7 @@ impl Plan {
             doc,
             ctx,
             Some(kernels),
+            memo,
             budget,
         )
     }
@@ -260,7 +267,17 @@ pub fn execute_adhoc(
     ctx: Context,
 ) -> EvalResult<Value> {
     let (strategy, program) = resolve(expr, strategy)?;
-    run(expr, strategy, program.as_ref(), naive_budget, doc, ctx, None, &EvalBudget::unlimited())
+    run(
+        expr,
+        strategy,
+        program.as_ref(),
+        naive_budget,
+        doc,
+        ctx,
+        None,
+        None,
+        &EvalBudget::unlimited(),
+    )
 }
 
 /// Resolve a requested strategy: [`resolve_auto`] under Auto; otherwise
@@ -286,7 +303,8 @@ fn fragment_dialect(strategy: Strategy) -> Option<CoreDialect> {
 /// Shared runtime dispatch. `strategy` is resolved (never `Auto`) and the
 /// fragment program it needs is supplied by the caller. When `kernels`
 /// is given, the fragment engines' axis-kernel tallies are merged
-/// into it after the evaluation.
+/// into it after the evaluation; `memo` is attached to the Core XPath
+/// evaluator.
 #[allow(clippy::too_many_arguments)]
 fn run(
     expr: &Expr,
@@ -296,6 +314,7 @@ fn run(
     doc: &Document,
     ctx: Context,
     kernels: Option<&xpath_axes::KernelCounters>,
+    memo: Option<&AxisMemo>,
     budget: &EvalBudget,
 ) -> EvalResult<Value> {
     match strategy {
@@ -322,7 +341,7 @@ fn run(
         }
         Strategy::CoreXPath | Strategy::XPatterns => {
             let program = program.expect("fragment dispatch requires a compiled program");
-            let ev = CoreXPathEvaluator::new(doc);
+            let ev = CoreXPathEvaluator::new(doc).with_memo(memo);
             let out = program.execute(&ev, doc, ctx, budget);
             if let Some(counters) = kernels {
                 counters.merge(ev.kernel_counts());

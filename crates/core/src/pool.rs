@@ -13,11 +13,9 @@
 //! This evaluator is the "Xalan + data pool" system of Table V / Figure 12;
 //! [`crate::naive`] is "Xalan classic".
 //!
-//! The module also hosts [`NodeSetArena`], the *runtime* pooling facade:
-//! a per-evaluation arena over the thread-local buffer shelves of
-//! [`xpath_xml::pool`] that gives the fragment engines and the batch
-//! layer an allocation-free steady state (reset-and-reuse slot storage
-//! plus shelf-miss accounting).
+//! The module also keeps the batch layer's shelf of recycled result
+//! vectors, beside the thread-local node-set buffer shelves of
+//! [`xpath_xml::pool`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -252,71 +250,6 @@ pub fn evaluate_str(doc: &Document, query: &str, ctx: Context) -> EvalResult<Val
     let e =
         xpath_syntax::parse_normalized(query).map_err(|err| EvalError::Parse(err.to_string()))?;
     PoolEvaluator::new(doc).evaluate(&e, ctx)
-}
-
-// ---------------------------------------------------------------------------
-// NodeSetArena: the per-evaluation transient-set arena
-// ---------------------------------------------------------------------------
-
-/// A per-evaluation arena for transient [`NodeSet`]s and evaluation
-/// scratch, built on the thread-local recycling shelves of
-/// [`xpath_xml::pool`].
-///
-/// The engines churn through short-lived node sets — one per axis
-/// application, per predicate pass, per lock-step batch round. Every
-/// [`NodeSet`] already returns its buffer to the thread-local shelves on
-/// drop; the arena adds the *evaluation-scoped* pieces on top:
-///
-/// * a reusable slot vector for the lock-step batch rounds —
-///   [`NodeSetArena::begin`] recycles whatever the previous round left
-///   behind and hands back the cleared vector, capacity retained;
-/// * reset-and-reuse observability — [`NodeSetArena::shelf_misses`]
-///   reports how many buffer requests since the last
-///   [`begin`](NodeSetArena::begin) had to touch the system allocator.
-///   Zero once the shelves are warm: that is the allocation-free steady
-///   state the `alloc_steady_state` regression test pins.
-///
-/// The arena is owned by one evaluation at a time; the batch layer guards
-/// its shared instance with a `Mutex` and falls back to a fresh arena
-/// under contention (see `QuerySet::evaluate_all`).
-#[derive(Debug, Default)]
-pub struct NodeSetArena {
-    slots: Vec<Option<NodeSet>>,
-    baseline: xpath_xml::pool::PoolStats,
-}
-
-impl NodeSetArena {
-    /// An empty arena.
-    pub fn new() -> NodeSetArena {
-        NodeSetArena::default()
-    }
-
-    /// Start an evaluation round: recycle any node sets still parked in
-    /// the slot vector (their buffers return to the shelves), re-baseline
-    /// the allocation stats, and hand the cleared vector — capacity
-    /// retained across rounds — to the caller to fill.
-    pub fn begin(&mut self) -> &mut Vec<Option<NodeSet>> {
-        self.slots.clear();
-        self.baseline = xpath_xml::pool::stats();
-        &mut self.slots
-    }
-
-    /// A pooled transient set in the vector representation.
-    pub fn transient(&self) -> NodeSet {
-        NodeSet::new()
-    }
-
-    /// A pooled empty dense set over `[0, universe)`.
-    pub fn dense(&self, universe: u32) -> NodeSet {
-        NodeSet::empty_dense(universe)
-    }
-
-    /// Buffer requests since the last [`begin`](NodeSetArena::begin) that
-    /// missed this thread's shelves and hit the system allocator. Zero in
-    /// steady state.
-    pub fn shelf_misses(&self) -> u64 {
-        xpath_xml::pool::stats().misses.saturating_sub(self.baseline.misses)
-    }
 }
 
 // Shelf of recycled per-query result vectors (the backing store of a

@@ -80,9 +80,10 @@ impl Compiler {
     /// [`QuerySetBuilder`](crate::batch::QuerySetBuilder) built from this
     /// compiler: `0` (the default) auto-resolves from `GKP_THREADS` / the
     /// machine's parallelism, `1` keeps the batch on the caller's thread.
-    /// It caps the batch's per-query fan-out
-    /// ([`BatchMode::PerQuerySharded`](xpath_axes::BatchMode::PerQuerySharded)),
-    /// the only place evaluation spawns threads; a single compiled query
+    /// It caps the batch's per-query fan-out (how many workers actually
+    /// run is [`CostModel::pick_shards`](xpath_axes::CostModel::pick_shards)'s
+    /// call per document), the only place evaluation spawns threads; a
+    /// single compiled query
     /// always evaluates on the calling thread, so the budget is not part
     /// of the plan and never changes results.
     pub fn threads(mut self, threads: u32) -> Compiler {
@@ -260,7 +261,7 @@ impl CompiledQuery {
         ctx: Context,
         budget: &EvalBudget,
     ) -> EvalResult<Value> {
-        self.plan.execute_recording_with(doc, ctx, &self.kernels, budget)
+        self.plan.execute_recording_with(doc, ctx, &self.kernels, budget, None)
     }
 
     /// Does the query match at least one node from the root context?

@@ -1096,7 +1096,7 @@ impl Server {
                     self.metrics.batch_memo_hits.fetch_add(stats.memo_hits, Ordering::Relaxed);
                     self.metrics.batch_memo_misses.fetch_add(stats.memo_misses, Ordering::Relaxed);
                     batch_stats = Some(Json::obj(vec![
-                        ("mode", Json::Str(format!("{:?}", stats.mode))),
+                        ("mode", Json::Str(stats.mode.name().to_string())),
                         ("queries", Json::num(stats.queries as u64)),
                         ("fragment_queries", Json::num(stats.fragment_queries as u64)),
                         ("memo_hits", Json::num(stats.memo_hits)),

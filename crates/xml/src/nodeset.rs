@@ -668,8 +668,8 @@ impl NodeSet {
     /// contents key differently — the chain is order-sensitive and the
     /// domains are disjoint by construction, sparse keys being
     /// re-mixed through a repr tag). Memo consumers (`AxisMemo`) accept
-    /// that: cross-repr sharing was already rare, and the sparse keying
-    /// cost is what gates lock-step sharing on small frontier sets.
+    /// that: cross-repr sharing was already rare, and cheap sparse keys
+    /// keep every memo probe on a small frontier set cheap.
     pub fn memo_key(&self) -> u64 {
         use crate::rng::splitmix64;
         match &self.repr {

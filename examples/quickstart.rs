@@ -86,20 +86,16 @@ fn main() {
     // 6. The third tier: batch many queries into one immutable QuerySet
     //    and evaluate them all in a single pass. Queries sharing spine
     //    prefixes (here: every query starts //shelf/book) share their
-    //    axis passes through the lock-step memo — each distinct pass runs
+    //    axis passes through the batch memo — each distinct pass runs
     //    once for the whole batch, and the planner records how much was
-    //    shared. Results come back in input order, bit-identical to
-    //    independent evaluation.
-    //    (On this toy document the cost model would rightly refuse to
-    //    share — a memo probe costs more than a 25-node pass — so the
-    //    mode is pinned here to show the machinery; on real documents
-    //    the decision is automatic and surfaces in `xpq --explain`.)
+    //    shared. The memo is attached because a unit repeats; a batch
+    //    where nothing repeats runs without it. Results come back in
+    //    input order, bit-identical to independent evaluation.
     let batch = QuerySetBuilder::new()
         .query("//shelf/book/title")
         .query("//shelf/book[title]") // shares the //shelf/book prefix
         .query("//shelf/book/title") // duplicate: fully shared
-        .query("count(//shelf)") // lifted onto the algebra: its path shares too
-        .mode(gkp_xpath::BatchMode::LockStepShared)
+        .query("count(//shelf)") // lifted onto the algebra
         .build()
         .expect("all queries valid");
     let out = batch.evaluate_all(&doc);
@@ -107,9 +103,11 @@ fn main() {
         println!("batch[{i}] -> {}", result.as_ref().unwrap());
     }
     let stats = out.stats();
+    assert!(stats.memo_hits > 0, "the duplicate is served from the memo");
     println!(
-        "batch mode: {:?}, {} axis applications served from the shared memo",
-        stats.mode, stats.memo_hits
+        "batch mode: {}, {} axis applications served from the shared memo",
+        stats.mode.name(),
+        stats.memo_hits
     );
 
     // 7. The fourth tier: ask smaller questions and stop early. exists()

@@ -31,10 +31,11 @@
 //! Options:
 //!   -e, --expr <EXPR>       add one query to the batch (repeatable). Two
 //!                           or more batch queries evaluate together in
-//!                           ONE pass through a QuerySet: identical axis
-//!                           applications across the batch are shared via
-//!                           the lock-step memo when the cost model says
-//!                           sharing pays (see --explain)
+//!                           ONE pass through a QuerySet: when a step or
+//!                           predicate repeats across the batch, every
+//!                           query runs with one shared axis memo, so
+//!                           identical axis applications run once (see
+//!                           --explain)
 //!       --query-file <F>    read batch queries from F, one per line
 //!                           (blank lines and #-comments skipped);
 //!                           combines with -e
@@ -53,7 +54,8 @@
 //!                           (GKP_THREADS env, then the machine's
 //!                           parallelism — the default), 1 = serial, N
 //!                           caps the workers. A single query always
-//!                           runs on one thread. Cost-gated, never
+//!                           runs on one thread. The batch splits only
+//!                           when its work repays the spawns; never
 //!                           changes results
 //!   -c, --classify          print the Figure-1 fragment classification and exit
 //!   -n, --normalize         print the normalized (unabbreviated) query, after
@@ -61,8 +63,9 @@
 //!       --explain           print the query plan (fragment, Relev sets,
 //!                           bottom-up candidates, axis-kernel routes,
 //!                           static-analysis verdicts including the lazy
-//!                           verdict; for batches, additionally the
-//!                           batch-mode decision) and exit. Sizes are the
+//!                           verdict; for batches, additionally whether
+//!                           the memo is attached and how many workers
+//!                           run) and exit. Sizes are the
 //!                           FILE's or --snapshot's node count, else an
 //!                           assumed 1000 nodes
 //!       --lint              compile every query and print the static
@@ -79,7 +82,8 @@
 //!                           results, and the axis kernel's
 //!                           materialization tally (per-node / bulk-sparse / bulk-dense /
 //!                           memo-shared) after evaluation; batches also
-//!                           report the mode taken and the memo hit rate
+//!                           report what ran (memo, fan-out or serial),
+//!                           the memo hits and misses, and the workers
 //!       --serialize         print matched subtrees as XML instead of string values
 //!       --verify            run all algorithms and require agreement (the
 //!                           differential oracle) before printing results
@@ -901,7 +905,7 @@ fn main() -> ExitCode {
     // Static-only modes (no document needed: the static phase is
     // document-independent). Each batch member prints under its own
     // header; --explain explains the compiled plan and additionally
-    // reports the batch-mode decision.
+    // reports the batch memo rule and the worker count.
     if opts.normalize_only || opts.classify_only || opts.explain_only {
         // --explain states its |D|-dependent rules at the given document's
         // node count; without a FILE or --snapshot it assumes a size and

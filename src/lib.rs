@@ -49,10 +49,10 @@
 //! ```
 //!
 //! Many queries against one document evaluate together through the
-//! batch-native third tier: a [`QuerySet`] runs all compiled Core XPath
-//! spines lock-step, deduplicating identical axis applications through a
-//! shared memo table so each distinct pass over the document happens once
-//! for the whole batch (see [`xpath_core::batch`]):
+//! batch-native third tier: a [`QuerySet`] runs every compiled query with
+//! one shared axis memo whenever a unit repeats, so each distinct pass
+//! over the document happens once for the whole batch (see
+//! [`xpath_core::batch`]):
 //!
 //! ```
 //! use gkp_xpath::{Document, QuerySetBuilder};

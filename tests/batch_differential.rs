@@ -1,18 +1,21 @@
 //! Batch differential suite: `QuerySet::evaluate_all` must be
 //! bit-identical to N independent `CompiledQuery::evaluate` calls — same
 //! values, same node sets, same per-query errors — for random query
-//! batches (duplicates included) on the six BENCH query shapes, across
-//! every evaluation mode (cost-picked and each mode pinned:
-//! lock-step-shared, per-query sharded, serial) and thread budget. CI runs this suite at
-//! `GKP_THREADS=1` and `GKP_THREADS=4`; explicit 1- and 4-thread builds
-//! below cover both budgets regardless of the environment.
+//! batches (duplicates included) on the six BENCH query shapes, on every
+//! path a batch can take (memo attached or not, fanned out or not) and
+//! thread budget. The inputs pick the path: a repeated unit attaches the
+//! memo, and a large enough document makes the fan-out split. CI runs
+//! this suite at `GKP_THREADS=1` and `GKP_THREADS=4`; explicit 1- and
+//! 4-thread builds below cover both budgets regardless of the
+//! environment.
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use gkp_xpath::axes::BatchMode;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
 use gkp_xpath::xml::rng::Rng;
-use gkp_xpath::{Compiler, Document, QuerySetBuilder, Value};
+use gkp_xpath::{BatchResult, Compiler, Document, EvalBudget, EvalError, QuerySetBuilder, Value};
 
 /// The six query shapes benchmarked in BENCH_axes.json.
 const BENCH_QUERIES: &[&str] = &[
@@ -36,40 +39,33 @@ const EXTRA_QUERIES: &[&str] = &[
     "//*[c = '100']",
 ];
 
-fn assert_batches_match(doc: &Document, batch: &[&str], label: &str) {
+/// Evaluate `batch` as one set at 1 and 4 threads and compare with
+/// independent evaluation; returns the 4-thread run's result.
+fn assert_batches_match(doc: &Document, batch: &[&str], label: &str) -> BatchResult {
     let compiler = Compiler::new();
     let independent: Vec<Result<Value, _>> =
         batch.iter().map(|q| compiler.compile(q).unwrap().evaluate_root(doc)).collect();
-    let modes = [
-        None,
-        Some(BatchMode::LockStepShared),
-        Some(BatchMode::PerQuerySharded),
-        Some(BatchMode::Serial),
-    ];
-    for mode in modes {
-        for threads in [1u32, 4] {
-            let mut builder =
-                QuerySetBuilder::new().queries(batch.iter().copied()).threads(threads);
-            if let Some(m) = mode {
-                builder = builder.mode(m);
-            }
-            let set = builder.build().unwrap();
-            let out = set.evaluate_all(doc);
-            assert_eq!(out.len(), batch.len(), "{label}");
-            for (i, (got, want)) in out.results().iter().zip(&independent).enumerate() {
-                match (got, want) {
-                    (Ok(g), Ok(w)) => assert_eq!(
-                        g, w,
-                        "{label}: {:?} diverges on {:?} ({threads} threads)",
-                        mode, batch[i]
-                    ),
-                    (g, w) => {
-                        panic!("{label}: result kinds diverge on {:?}: {g:?} vs {w:?}", batch[i])
-                    }
+    let mut last = None;
+    for threads in [1u32, 4] {
+        let set = QuerySetBuilder::new().queries(batch.iter().copied()).threads(threads).build();
+        let out = set.unwrap().evaluate_all(doc);
+        assert_eq!(out.len(), batch.len(), "{label}");
+        let mode = out.stats().mode;
+        for (i, (got, want)) in out.results().iter().zip(&independent).enumerate() {
+            match (got, want) {
+                (Ok(g), Ok(w)) => assert_eq!(
+                    g, w,
+                    "{label}: {mode:?} diverges on {:?} ({threads} threads)",
+                    batch[i]
+                ),
+                (g, w) => {
+                    panic!("{label}: result kinds diverge on {:?}: {g:?} vs {w:?}", batch[i])
                 }
             }
         }
+        last = Some(out);
     }
+    last.unwrap()
 }
 
 #[test]
@@ -81,6 +77,58 @@ fn batches_agree_on_bench_query_shapes() {
         let doubled: Vec<&str> =
             BENCH_QUERIES.iter().chain(BENCH_QUERIES.iter()).copied().collect();
         assert_batches_match(doc, &doubled, "bench corpus doubled");
+    }
+}
+
+#[test]
+fn fan_out_agrees_with_and_without_the_memo() {
+    // On the 21,846-node document the divisible work repays a spawn, so
+    // a 4-thread budget splits both batches; only the first repeats a
+    // unit and attaches the memo.
+    let doc = doc_balanced(4, 7, &["a", "b", "c", "d"]);
+    let memo_free = ["//a/b", "//b//c", "//c[preceding::a]", "count(//d)"];
+    for (batch, memo) in [(BENCH_QUERIES, true), (&memo_free[..], false)] {
+        let out = assert_batches_match(&doc, batch, "fan-out");
+        let stats = out.stats();
+        assert!(stats.workers > 1, "{batch:?} must fan out at 4 threads: {stats:?}");
+        assert_eq!(stats.mode == BatchMode::LockStepShared, memo, "{stats:?}");
+        assert_eq!(stats.memo_misses > 0, memo, "{stats:?}");
+    }
+}
+
+#[test]
+fn cancelled_batches_fail_every_slot_and_leave_the_set_reusable() {
+    let cancel = Arc::new(AtomicBool::new(true));
+    let cancelled = EvalBudget::unlimited().with_cancel(cancel);
+    let small = doc_balanced(4, 5, &["a", "b", "c", "d"]);
+    let large = doc_balanced(4, 7, &["a", "b", "c", "d"]);
+    let memo_free = ["//a/b", "//b//c", "//c[preceding::a]", "count(//d)"];
+    let cases: [(&[&str], &Document, BatchMode); 3] = [
+        (BENCH_QUERIES, &small, BatchMode::LockStepShared),
+        (&memo_free, &small, BatchMode::Serial),
+        (&memo_free, &large, BatchMode::PerQuerySharded),
+    ];
+    for (batch, doc, mode) in cases {
+        let build = || QuerySetBuilder::new().queries(batch.iter().copied()).threads(4).build();
+        let set = build().unwrap();
+        let root = gkp_xpath::core::Context::of(doc.root());
+        let out = set.evaluate_all_with(doc, root, &cancelled);
+        assert_eq!(out.stats().mode, mode, "{batch:?}");
+        assert_eq!(out.len(), batch.len());
+        for (q, r) in batch.iter().zip(out.results()) {
+            assert_eq!(r, &Err(EvalError::Cancelled), "{q} under {mode:?}");
+        }
+        drop(out);
+        // The trip leaves nothing behind: an unlimited run on the same set
+        // matches independent evaluation and a fresh set's memo counts.
+        let again = set.evaluate_all(doc);
+        let fresh = build().unwrap().evaluate_all(doc);
+        let compiler = Compiler::new();
+        for (q, r) in batch.iter().zip(again.results()) {
+            assert_eq!(r, &compiler.compile(q).unwrap().evaluate_root(doc), "{q} after a trip");
+        }
+        let counts = |o: &BatchResult| (o.stats().memo_hits, o.stats().memo_misses);
+        assert_eq!(counts(&again), counts(&fresh), "{mode:?}");
     }
 }
 
@@ -106,12 +154,9 @@ fn lock_step_really_shares_on_duplicate_heavy_batches() {
     // one application per unit of the single corpus.
     let doc = doc_balanced(4, 5, &["a", "b", "c", "d"]);
     let lock_step = |batch: Vec<&str>| {
-        QuerySetBuilder::new()
-            .queries(batch)
-            .mode(BatchMode::LockStepShared)
-            .threads(1)
-            .build()
-            .unwrap()
+        let set = QuerySetBuilder::new().queries(batch).threads(1).build().unwrap();
+        assert!(set.sharing().shared_units > 0, "the corpus repeats a prefix on its own");
+        set
     };
     let single_set = lock_step(BENCH_QUERIES.to_vec());
     let single = *single_set.evaluate_all(&doc).stats();
@@ -163,12 +208,18 @@ fn non_root_contexts_agree_too() {
     let ctx = gkp_xpath::core::Context::of(ctx_node);
     let batch = ["descendant::book[author]", "child::*", "descendant::book[author]"];
     let compiler = Compiler::new();
-    for mode in [BatchMode::LockStepShared, BatchMode::PerQuerySharded, BatchMode::Serial] {
-        let set = QuerySetBuilder::new().queries(batch).mode(mode).threads(4).build().unwrap();
-        let out = set.evaluate_all_at(&doc, ctx);
-        for (q, got) in batch.iter().zip(out.results()) {
-            let want = compiler.compile(q).unwrap().evaluate(&doc, ctx).unwrap();
-            assert_eq!(got.as_ref().unwrap(), &want, "{q} under {mode:?}");
+    // With its duplicate the batch attaches the memo; without, it runs
+    // memo-free.
+    for batch in [&batch[..], &batch[..2]] {
+        for threads in [1, 4] {
+            let set = QuerySetBuilder::new().queries(batch.iter().copied()).threads(threads);
+            let out = set.build().unwrap().evaluate_all_at(&doc, ctx);
+            let mode = out.stats().mode;
+            assert_eq!(mode == BatchMode::LockStepShared, batch.len() == 3, "{mode:?}");
+            for (q, got) in batch.iter().zip(out.results()) {
+                let want = compiler.compile(q).unwrap().evaluate(&doc, ctx).unwrap();
+                assert_eq!(got.as_ref().unwrap(), &want, "{q} under {mode:?}");
+            }
         }
     }
 }
@@ -176,7 +227,7 @@ fn non_root_contexts_agree_too() {
 #[test]
 fn count_wrapped_shared_prefix_batches_share_lock_step() {
     // Aggregates over shared-prefix paths: every path lifts onto the
-    // algebra, so the whole batch runs lock-step and shares passes.
+    // algebra, so the whole batch runs with the memo and shares passes.
     let doc = doc_balanced(4, 5, &["a", "b", "c", "d"]);
     let batch = [
         "count(//a//b)",
@@ -187,12 +238,7 @@ fn count_wrapped_shared_prefix_batches_share_lock_step() {
         "count(//a//b//c | //d)",
     ];
     assert_batches_match(&doc, &batch, "count-wrapped shared prefix");
-    let set = QuerySetBuilder::new()
-        .queries(batch)
-        .mode(BatchMode::LockStepShared)
-        .threads(1)
-        .build()
-        .unwrap();
+    let set = QuerySetBuilder::new().queries(batch).threads(1).build().unwrap();
     let sharing = set.sharing();
     assert_eq!(sharing.fragment_queries, batch.len(), "{sharing:?}");
     assert!(sharing.shared_units > 0, "{sharing:?}");
@@ -218,12 +264,7 @@ fn value_test_batches_share_lock_step() {
         let doc = doc_random(seed, &RandomDocConfig { elements: 80, ..RandomDocConfig::default() });
         assert_batches_match(&doc, &batch, &format!("value tests, random seed {seed}"));
     }
-    let set = QuerySetBuilder::new()
-        .queries(batch)
-        .mode(BatchMode::LockStepShared)
-        .threads(1)
-        .build()
-        .unwrap();
+    let set = QuerySetBuilder::new().queries(batch).threads(1).build().unwrap();
     assert_eq!(set.sharing().fragment_queries, batch.len(), "{:?}", set.sharing());
     let doc = doc_random(0, &RandomDocConfig { elements: 80, ..RandomDocConfig::default() });
     let out = set.evaluate_all(&doc);

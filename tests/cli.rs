@@ -330,14 +330,20 @@ fn batch_results_match_independent_invocations() {
 
 #[test]
 fn batch_verbose_reports_mode_and_memo_hits() {
-    // Shared prefixes + a 1-thread budget: the cost model picks lock-step
-    // sharing on the duplicated steps.
+    // A duplicated query repeats every unit, so the batch memo is
+    // attached and serves the second copy's steps.
     let (_, stderr, code) = xpq(
         &["-v", "-T", "1", "-e", "//book/title", "-e", "//book/title", "-e", "//book/@year"],
         XML,
     );
     assert_eq!(code, 0, "{stderr}");
-    assert!(stderr.contains("batch: mode="), "{stderr}");
+    assert!(stderr.contains("batch: mode=lock_step_shared"), "{stderr}");
+    let hits: u64 = stderr
+        .split_once(" memo hits")
+        .and_then(|(head, _)| head.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no memo-hit count: {stderr}"));
+    assert!(hits > 0, "{stderr}");
 }
 
 #[test]
@@ -392,6 +398,11 @@ fn batch_explain_reports_the_mode_decision() {
     assert!(stdout.contains("batch:"), "{stdout}");
     assert!(stdout.contains("batch mode @"), "{stdout}");
     assert!(stdout.contains("step units shared"), "{stdout}");
+    // The duplicate repeats every unit: the memo rule and the worker
+    // count are stated, the retired cost crossover is not.
+    assert!(stdout.contains("memo: attached"), "{stdout}");
+    assert!(stdout.contains("workers: 1"), "{stdout}");
+    assert!(!stdout.contains("pays above"), "{stdout}");
 }
 
 #[test]

@@ -164,8 +164,8 @@ fn deadline_trips_are_structured_and_connection_survives() {
 fn request_threads_are_clamped_and_never_change_results() {
     let (_dir, server, sock, accept) = start_with("threads", |c| c.max_request_threads = 2);
     let mut client = Client::connect(&sock);
-    // Four queries outside Core XPath / XPatterns: nothing for lock-step
-    // sharing, so a wide enough budget lets the batch fan out.
+    // Four queries outside Core XPath / XPatterns: nothing for the batch
+    // memo to share, so a wide enough budget lets the batch fan out.
     let batch = r#"["count(//c[1])","count(//d[2])","//b[position() = last()]","string(//c[3])"]"#;
     let mut batch_results = Vec::new();
     let mut workers = Vec::new();
@@ -179,6 +179,11 @@ fn request_threads_are_clamped_and_never_change_results() {
         assert!(results.iter().all(|r| r.get("ok") == Some(&Json::Bool(true))), "{results:?}");
         batch_results.push(results);
         let stats = resp.get("batch").expect("batched evals report batch stats");
+        let mode = stats.get("mode").and_then(Json::as_str);
+        assert!(
+            matches!(mode, Some("lock_step_shared" | "per_query_sharded" | "serial")),
+            "batch.mode is a BatchMode::name(): {mode:?}"
+        );
         workers.push(stats.get("workers").unwrap().as_u64().unwrap());
 
         let resp = client.roundtrip(&format!(
