@@ -1,7 +1,7 @@
-//! Set-at-a-time axis evaluation over the structure-of-arrays
-//! [`AxisIndex`] and the hybrid [`NodeSet`] — the
-//! engine's one axis kernel. §3 calls the axis-evaluation techniques
-//! interchangeable; Algorithm 3.2 ([`crate::typed`]) and the per-node
+//! Set-at-a-time axis evaluation over the document's flat link arrays
+//! ([`Document::parent_ids`] and its siblings) and the hybrid
+//! [`NodeSet`] — the engine's one axis kernel. §3 calls the
+//! axis-evaluation techniques interchangeable; Algorithm 3.2 ([`crate::typed`]) and the per-node
 //! set algorithms of [`crate::fast`] stay as the oracles this module is
 //! tested against.
 //!
@@ -30,8 +30,7 @@
 //! exactly with Algorithm 3.2 (tested below and in the workspace suites).
 
 use xpath_syntax::Axis;
-use xpath_xml::axis_index::NONE;
-use xpath_xml::{pool, AxisIndex, Document, NodeId, NodeKind, NodeSet};
+use xpath_xml::{pool, Document, NodeId, NodeKind, NodeSet, NONE};
 
 use crate::cost::Kernel;
 
@@ -76,16 +75,28 @@ pub fn inverse_axis_set_traced(doc: &Document, axis: Axis, set: &NodeSet) -> (No
         _ => {
             // χ⁻¹(X) = χ0⁻¹(X ∩ non-special), no result filtering.
             let mut proper = set.clone();
-            proper.subtract_words(doc.axis_index().special_words());
+            proper.subtract_words(doc.special_words());
             apply(doc, axis.inverse(), &proper, false)
         }
     }
 }
 
+/// Is `id` marked in the attribute/namespace bitset `special`
+/// ([`Document::special_words`])?
+#[inline]
+pub fn is_special(special: &[u64], id: u32) -> bool {
+    special[(id / 64) as usize] >> (id % 64) & 1 == 1
+}
+
 fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Kernel) {
-    let ix = doc.axis_index();
     let n = doc.len() as u32;
-    let specials: &[u64] = if typed { ix.special_words() } else { &[] };
+    let parent = doc.parent_ids();
+    let first_child = doc.first_child_ids();
+    let next_sibling = doc.next_sibling_ids();
+    let subtree_end = doc.subtree_ends();
+    // The §4 strip mask of a typed axis (`&[]` strips nothing).
+    let strip: &[u64] = if typed { doc.special_words() } else { &[] };
+    let up = |x: u32| parent[x as usize];
     match axis {
         Axis::Descendant | Axis::DescendantOrSelf => {
             // Staircase join over the (sorted) preorder intervals: an
@@ -94,21 +105,21 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
             let (mut len, mut next_free) = (0usize, 0u32);
             for x in set {
                 let lo = if axis == Axis::Descendant { x.0 + 1 } else { x.0 }.max(next_free);
-                let hi = ix.subtree_end(x.0);
+                let hi = subtree_end[x.index()];
                 if lo < hi {
                     ranges.push((lo, hi));
                     len += (hi - lo) as usize;
                 }
                 next_free = next_free.max(hi);
             }
-            let out = from_ranges(&ranges, len, n, specials);
+            let out = from_ranges(&ranges, len, n, strip);
             pool::give_ranges(ranges);
             out
         }
         Axis::Following => {
             // following(S) = [min_{x∈S} subtree_end(x), |dom|).
-            let lo = set.iter().map(|x| ix.subtree_end(x.0)).min().unwrap_or(n);
-            from_ranges(&[(lo, n)], (n - lo) as usize, n, specials)
+            let lo = set.iter().map(|x| subtree_end[x.index()]).min().unwrap_or(n);
+            from_ranges(&[(lo, n)], (n - lo) as usize, n, strip)
         }
         Axis::Preceding => {
             // preceding(S) = preceding(max S) = [0, max) − ancestors(max):
@@ -117,7 +128,7 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
             let mut ranges = pool::take_ranges();
             let mut len = 0usize;
             if let Some(max) = set.last() {
-                let (mut hi, mut a) = (max.0, ix.parent(max.0));
+                let (mut hi, mut a) = (max.0, parent[max.index()]);
                 loop {
                     let lo = if a == NONE { 0 } else { a + 1 };
                     if lo < hi {
@@ -127,26 +138,29 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
                     if a == NONE {
                         break;
                     }
-                    (hi, a) = (a, ix.parent(a));
+                    (hi, a) = (a, parent[a as usize]);
                 }
                 ranges.reverse();
             }
-            let out = from_ranges(&ranges, len, n, specials);
+            let out = from_ranges(&ranges, len, n, strip);
             pool::give_ranges(ranges);
             out
         }
-        Axis::Ancestor => chains(ix, set, n, typed, true, |x| ix.parent(x), |c| ix.parent(c)),
-        Axis::AncestorOrSelf => chains(ix, set, n, typed, true, |x| x, |c| ix.parent(c)),
+        Axis::Ancestor => chains(set, n, strip, true, |x| parent[x as usize], up),
+        Axis::AncestorOrSelf => chains(set, n, strip, true, |x| x, up),
         Axis::FollowingSibling => {
-            chains(ix, set, n, typed, false, |x| ix.next_sibling(x), |c| ix.next_sibling(c))
+            let right = |x: u32| next_sibling[x as usize];
+            chains(set, n, strip, false, right, right)
         }
         Axis::PrecedingSibling => {
-            chains(ix, set, n, typed, true, |x| ix.prev_sibling(x), |c| ix.prev_sibling(c))
+            let prev_sibling = doc.prev_sibling_ids();
+            let left = |x: u32| prev_sibling[x as usize];
+            chains(set, n, strip, true, left, left)
         }
         Axis::SelfAxis => {
             let mut out = set.clone();
             if typed {
-                out.subtract_words(specials);
+                out.subtract_words(strip);
             }
             (out.adapt(), Kernel::BulkSparse)
         }
@@ -159,14 +173,14 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
             let mut prev = NONE;
             let mut sorted = true;
             for x in set {
-                let mut c = ix.first_child(x.0);
+                let mut c = first_child[x.index()];
                 while c != NONE {
-                    if !typed || !ix.is_special(c) {
+                    if !typed || !is_special(strip, c) {
                         sorted &= prev == NONE || c > prev;
                         prev = c;
                         out.push(NodeId(c));
                     }
-                    c = ix.next_sibling(c);
+                    c = next_sibling[c as usize];
                 }
             }
             if !sorted {
@@ -179,19 +193,19 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
                 if axis == Axis::Attribute { NodeKind::Attribute } else { NodeKind::Namespace };
             let mut out = pool::take_ids();
             for x in set {
-                let mut c = ix.first_child(x.0);
+                let mut c = first_child[x.index()];
                 while c != NONE {
                     if doc.kind(NodeId(c)) == want {
                         out.push(NodeId(c));
                     }
-                    c = ix.next_sibling(c);
+                    c = next_sibling[c as usize];
                 }
             }
             (NodeSet::from_unsorted(out), Kernel::BulkSparse)
         }
         Axis::Parent => {
             let mut out = pool::take_ids();
-            out.extend(set.iter().map(|x| ix.parent(x.0)).filter(|&p| p != NONE).map(NodeId));
+            out.extend(set.iter().map(|x| parent[x.index()]).filter(|&p| p != NONE).map(NodeId));
             out.sort_unstable();
             out.dedup();
             (NodeSet::from_sorted(out), Kernel::BulkSparse)
@@ -218,15 +232,15 @@ fn from_ranges(ranges: &[(u32, u32)], len: usize, n: u32, specials: &[u64]) -> (
 
 /// A pointer-chasing axis: `start(x)` is the first node of `x`'s chain
 /// (or `NONE`) and `next` follows it; `descending` says the chain runs
-/// toward smaller ids. A single input node walks its chain into a sorted
-/// vector; any other input marks every chain into a dense bitset, and a
-/// chain stops at the first node an earlier one marked (everything past
-/// it is marked too), so the pass is `O(|S| + |output|)`.
+/// toward smaller ids, and `strip` is the §4 mask a typed axis subtracts
+/// (`&[]` for an untyped one). A single input node walks its chain into a sorted vector; any
+/// other input marks every chain into a dense bitset, and a chain stops
+/// at the first node an earlier one marked (everything past it is marked
+/// too), so the pass is `O(|S| + |output|)`.
 fn chains(
-    ix: &AxisIndex,
     set: &NodeSet,
     n: u32,
-    typed: bool,
+    strip: &[u64],
     descending: bool,
     start: impl Fn(u32) -> u32,
     next: impl Fn(u32) -> u32,
@@ -236,7 +250,7 @@ fn chains(
         let mut out = pool::take_ids();
         let mut c = start(x.0);
         while c != NONE {
-            if !typed || !ix.is_special(c) {
+            if strip.is_empty() || !is_special(strip, c) {
                 out.push(NodeId(c));
             }
             c = next(c);
@@ -254,8 +268,8 @@ fn chains(
             c = next(c);
         }
     }
-    if typed {
-        out.subtract_words(ix.special_words());
+    if !strip.is_empty() {
+        out.subtract_words(strip);
     }
     (out.adapt(), Kernel::BulkDense)
 }

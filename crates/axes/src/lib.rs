@@ -14,8 +14,9 @@
 //! * [`id`] — the `id` axis and its linear-time `ref`-relation encoding
 //!   (Theorem 10.7);
 //! * [`bulk`] — the engine's one set-at-a-time axis kernel over the
-//!   hybrid [`NodeSet`](xpath_xml::NodeSet) and the structure-of-arrays
-//!   [`AxisIndex`](xpath_xml::AxisIndex): staircase range collection for
+//!   hybrid [`NodeSet`](xpath_xml::NodeSet) and the document's flat link
+//!   arrays ([`Document::parent_ids`](xpath_xml::Document::parent_ids)
+//!   and its siblings): staircase range collection for
 //!   the interval axes (materialized by the node set's density rule),
 //!   chain walks for the pointer axes, word-parallel type filtering;
 //! * [`stream`] — resumable block-synchronous expansion of the forward

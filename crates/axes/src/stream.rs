@@ -27,8 +27,9 @@
 //! the analyzer's verdict surfaces in `xpq --explain`).
 
 use xpath_syntax::Axis;
-use xpath_xml::axis_index::NONE;
-use xpath_xml::{Document, NodeId, NodeKind, NodeSet};
+use xpath_xml::{Document, NodeId, NodeKind, NodeSet, NONE};
+
+use crate::bulk::is_special;
 
 /// Can a forward spine step over `axis` be evaluated block-synchronously
 /// (every output id ≥ the input id)? Reverse axes, `parent` (output
@@ -97,18 +98,20 @@ impl StepStreamer {
     /// across all `push` calls (the caller's block pipeline guarantees
     /// this; the staircase and chain early exits rely on it).
     pub fn push(&mut self, doc: &Document, x: NodeId) {
-        let ix = doc.axis_index();
+        let first_child = doc.first_child_ids();
+        let next_sibling = doc.next_sibling_ids();
         match self.axis {
             Axis::SelfAxis => {
                 self.expanded.insert(x);
             }
             Axis::Child => {
-                let mut c = ix.first_child(x.0);
+                let special = doc.special_words();
+                let mut c = first_child[x.index()];
                 while c != NONE {
-                    if !ix.is_special(c) {
+                    if !is_special(special, c) {
                         self.expanded.insert(NodeId(c));
                     }
-                    c = ix.next_sibling(c);
+                    c = next_sibling[c as usize];
                 }
             }
             Axis::Attribute | Axis::Namespace => {
@@ -117,37 +120,37 @@ impl StepStreamer {
                 } else {
                     NodeKind::Namespace
                 };
-                let mut c = ix.first_child(x.0);
+                let mut c = first_child[x.index()];
                 while c != NONE {
                     if doc.kind(NodeId(c)) == want {
                         self.expanded.insert(NodeId(c));
                     }
-                    c = ix.next_sibling(c);
+                    c = next_sibling[c as usize];
                 }
             }
             Axis::Descendant | Axis::DescendantOrSelf => {
                 let lo = if self.axis == Axis::Descendant { x.0 + 1 } else { x.0 };
-                let hi = ix.subtree_end(x.0);
+                let hi = doc.subtree_ends()[x.index()];
                 self.expanded.insert_range(lo.max(self.next_free), hi.max(self.next_free));
                 self.next_free = self.next_free.max(hi);
             }
             Axis::Following => {
                 // following(S) = [min subtree_end, n): a new input can
                 // only lower the bound, adding one prefix range.
-                let t = ix.subtree_end(x.0);
+                let t = doc.subtree_ends()[x.index()];
                 if t < self.follow_lo {
                     self.expanded.insert_range(t, self.follow_lo);
                     self.follow_lo = t;
                 }
             }
             Axis::FollowingSibling => {
-                let mut s = ix.next_sibling(x.0);
+                let mut s = next_sibling[x.index()];
                 while s != NONE {
                     if self.expanded.contains(NodeId(s)) {
                         break; // the rest of the chain is marked
                     }
                     self.expanded.insert(NodeId(s));
-                    s = ix.next_sibling(s);
+                    s = next_sibling[s as usize];
                 }
             }
             // `new` refuses every other axis.
@@ -186,7 +189,7 @@ mod tests {
     fn finished(doc: &Document, s: &StepStreamer) -> NodeSet {
         let mut out = s.expanded().clone();
         if s.needs_type_strip() {
-            out.subtract_words(doc.axis_index().special_words());
+            out.subtract_words(doc.special_words());
         }
         out.adapt()
     }

@@ -20,7 +20,6 @@ fn bench_backends(c: &mut Criterion) {
     for &size in &[500usize, 5_000] {
         let cfg = RandomDocConfig { elements: size, ..RandomDocConfig::default() };
         let doc = doc_random(7, &cfg);
-        doc.axis_index(); // built outside the timed region
         let evens: Vec<NodeId> = doc
             .all_nodes()
             .filter(|&n| n.0 % 16 == 0 && doc.kind(n) == NodeKind::Element)

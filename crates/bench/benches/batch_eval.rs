@@ -18,7 +18,6 @@ use xpath_xml::generate::doc_balanced;
 
 fn bench(c: &mut Criterion) {
     let doc = doc_balanced(4, 7, &["a", "b", "c", "d"]);
-    doc.axis_index();
     let mut g = c.benchmark_group("batch_eval");
     g.sample_size(15)
         .warm_up_time(Duration::from_millis(200))

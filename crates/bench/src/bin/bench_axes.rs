@@ -551,7 +551,6 @@ fn check(doc: &Document) -> Result<(), String> {
     // evaluation already short-circuits per candidate). Re-measured like
     // the other timing guards: only persistent violations fail.
     let big = doc_balanced(4, 9, &["a", "b", "c", "d"]);
-    big.axis_index();
     {
         let mut cursor_failure = None;
         for attempt in 1..=CHECK_ATTEMPTS {
@@ -847,7 +846,6 @@ fn main() {
     // labels cycling a→b→c→d by level.
     let doc = doc_balanced(4, 7, &["a", "b", "c", "d"]);
     let n = doc.len() as u32;
-    doc.axis_index(); // build once, outside the timed regions
 
     if args.iter().any(|a| a == "--check") {
         match check(&doc) {
@@ -1018,7 +1016,6 @@ fn main() {
 
     // The ≥1e5-node document of the early-exit and snapshot sections.
     let big = doc_balanced(4, 9, &["a", "b", "c", "d"]);
-    big.axis_index();
 
     // ---- batched multi-query evaluation: one QuerySet pass vs N
     // independent evaluations (single-thread budget, so the speedup is

@@ -113,7 +113,6 @@ fn main() {
     };
 
     let doc = doc_balanced(4, 7, &["a", "b", "c", "d"]);
-    doc.axis_index(); // build once, outside every timed region
 
     if args.iter().any(|a| a == "--check") {
         match check_serve(&doc) {

@@ -392,7 +392,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
         accepted: &mut Vec<NodeId>,
     ) -> EvalResult<()> {
         let steps = self.steps;
-        let ix = doc.axis_index();
+        let special = doc.special_words();
 
         // Stage-0 inputs: start ids inside the window (earlier ones were
         // fed in earlier windows; start ids are sorted).
@@ -420,7 +420,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
             for c in &candidates {
                 // §4 type strip, per candidate (`child` filtered specials
                 // inline; `attribute`/`namespace` *produce* them).
-                if strip && ix.is_special(c.0) {
+                if strip && xpath_axes::bulk::is_special(special, c.0) {
                     continue;
                 }
                 if !test.matches(doc, c) {

@@ -403,7 +403,7 @@ mod tests {
         let doc = store.open_doc("d").unwrap();
         // On Linux with mmap available the load is zero-copy; the
         // owned-buffer fallback still yields a correct document.
-        if std::env::var_os(xpath_xml::NO_MMAP_ENV).is_none() && cfg!(target_os = "linux") {
+        if cfg!(target_os = "linux") {
             assert!(doc.is_mapped());
         }
     }

@@ -14,9 +14,8 @@
 
 use std::collections::HashMap;
 
-use crate::axis_index::NONE;
 use crate::bytes::Arr;
-use crate::document::{DocData, Document, IdPolicy, NameId};
+use crate::document::{special_mask, DocData, Document, IdPolicy, NameId, NONE};
 use crate::node::{NodeId, NodeKind};
 
 /// Incremental builder for [`Document`]s.
@@ -289,6 +288,7 @@ impl DocumentBuilder {
             self.names[a as usize].as_bytes().cmp(self.names[b as usize].as_bytes())
         });
 
+        let special = special_mask(&self.kind);
         let data = DocData {
             kind: Arr::from_vec(self.kind),
             name: Arr::from_vec(self.name),
@@ -299,6 +299,7 @@ impl DocumentBuilder {
             next_sibling: Arr::from_vec(self.next_sibling),
             prev_sibling: Arr::from_vec(self.prev_sibling),
             subtree_end: Arr::from_vec(self.subtree_end),
+            special: Arr::from_vec(special),
             text: Arr::from_vec(self.text),
             name_bytes: Arr::from_vec(name_bytes),
             name_off: Arr::from_vec(name_off),

@@ -8,15 +8,14 @@
 //! element types: either a heap `Arc<[T]>` produced by the builder and
 //! parser, or a validated slice view into a shared `ByteRegion`. Every
 //! flat arena in the document model (node link arrays, kind bytes, the
-//! string arena, name/id/ref tables, the axis-index arrays) is stored as
-//! an `Arr`, so the accessor code path is the same for parsed and
+//! string arena, name/id/ref tables, the attribute/namespace bitset) is
+//! stored as an `Arr`, so the accessor code path is the same for parsed and
 //! mmap'd documents.
 //!
 //! The workspace has no external dependencies, so the mapping itself is a
 //! raw Linux `mmap` syscall (x86-64 and aarch64); everywhere else — and
-//! under Miri, and when [`NO_MMAP_ENV`] requests it — files are read into
-//! an owned aligned buffer instead, which exercises the identical `Arr`
-//! code path.
+//! under Miri — files are read into an owned aligned buffer instead, which
+//! exercises the identical `Arr` code path.
 //!
 //! # Safety
 //!
@@ -49,11 +48,6 @@ use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 use std::sync::Arc;
-
-/// Environment variable: set to `1` to disable `mmap(2)` and make
-/// snapshot loads read files into owned aligned buffers instead (the
-/// fallback path used on unsupported platforms and under Miri).
-pub const NO_MMAP_ENV: &str = "GKP_SNAP_NO_MMAP";
 
 /// Plain-old-data marker for element types storable in a [`ByteRegion`].
 ///
@@ -127,15 +121,15 @@ impl ByteRegion {
     }
 
     /// Open `path` as a read-only region. Uses `mmap(2)` where available
-    /// (Linux x86-64/aarch64, not under Miri, not when [`NO_MMAP_ENV`]
-    /// is set); otherwise reads the file into an owned aligned buffer.
+    /// (Linux x86-64/aarch64, not under Miri); otherwise reads the file
+    /// into an owned aligned buffer.
     /// Returns the region and whether it is memory-mapped.
     pub fn map_file(path: &Path) -> io::Result<(ByteRegion, bool)> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large to map"))?;
-        if mmap_enabled() && len > 0 {
+        if len > 0 {
             if let Some(region) = Self::try_mmap(&file, len) {
                 return Ok((region, true));
             }
@@ -207,10 +201,6 @@ impl ByteRegion {
     pub fn is_mapped(&self) -> bool {
         matches!(self.backing, Backing::Mapped)
     }
-}
-
-fn mmap_enabled() -> bool {
-    !matches!(std::env::var(NO_MMAP_ENV).ok().as_deref(), Some("1" | "true"))
 }
 
 /// A typed immutable array: heap-owned or a validated view into a shared

@@ -3,25 +3,47 @@
 //!
 //! # Storage layout
 //!
-//! Since the snapshot PR the arena is fully **flat and relocatable**: one
-//! [`Arr`] per field (structure of arrays), no pointers, no hash maps —
-//! names live in one contiguous byte arena addressed by an offset table,
-//! node values are `(offset, length)` spans into a shared text arena, and
-//! the ID/IDREF tables are sorted arrays resolved by binary search. Both
-//! backings — `Owned` (parser/builder output) and `Mapped` (an mmap'd
-//! snapshot, see [`crate::snap`]) — share this single accessor code path;
-//! the only difference is where the bytes live.
+//! The arena is fully **flat and relocatable**: one [`Arr`] per field
+//! (structure of arrays), no pointers, no hash maps. Names live in one
+//! contiguous byte arena addressed by an offset table, node values are
+//! `(offset, length)` spans into a shared text arena, and the ID/IDREF
+//! tables are sorted arrays resolved by binary search. Both backings —
+//! `Owned` (parser/builder output) and `Mapped` (an mmap'd snapshot, see
+//! [`crate::snap`]) — share this single accessor code path; the only
+//! difference is where the bytes live.
+//!
+//! The tree itself is the primitive relations of Table I, one `u32` per
+//! node and relation, indexed by preorder id (`NodeId.0`):
+//!
+//! | array | meaning | [`NONE`] at |
+//! |---|---|---|
+//! | `parent` | parent id | the root |
+//! | `first_child` | `firstchild` | leaves |
+//! | `next_sibling` | `nextsibling` | last siblings |
+//! | `prev_sibling` | `nextsibling⁻¹` | first siblings |
+//! | `subtree_end` | exclusive end of the preorder interval | — |
+//!
+//! plus the `special` bitset (one bit per id) marking the attribute and
+//! namespace nodes that §4 filters out of every non-dedicated axis, so
+//! the typed strip of a range-shaped axis result is a word-parallel
+//! and-not. The set-at-a-time axis kernels of `xpath-axes` read these
+//! arrays directly ([`Document::parent_ids`] … [`Document::special_words`]);
+//! everything is built once by the [`DocumentBuilder`](crate::DocumentBuilder)
+//! or mapped from a snapshot.
 //!
 //! The `ids`/`refs` tables and the per-node string-value cache are built
-//! lazily on first use (like [`Document::axis_index`]), so documents that
-//! never see an `id()`/`idref` query never pay for them; snapshot loads
-//! arrive with the tables prebuilt.
+//! lazily on first use, so documents that never see an `id()`/`idref`
+//! query never pay for them; snapshot loads arrive with the tables
+//! prebuilt.
 
 use std::sync::{Arc, OnceLock};
 
-use crate::axis_index::NONE;
 use crate::bytes::Arr;
 use crate::node::{NodeId, NodeKind};
+
+/// "No node" sentinel in the link arrays ([`Document::parent_ids`] and
+/// friends) and in the name and value-offset columns.
+pub const NONE: u32 = u32::MAX;
 
 /// Interned node-name identifier. Comparing two `NameId`s is equivalent to
 /// comparing the underlying names, in O(1).
@@ -37,6 +59,7 @@ pub struct NameId(pub u32);
 ///
 /// * all node arrays have the same length `n`; ids are preorder ranks;
 /// * link entries are `< n` or [`NONE`]; `subtree_end` entries are `≤ n`;
+/// * `special` is [`special_mask`] of `kind`;
 /// * `value_off == NONE` means "no value"; otherwise
 ///   `value_off + value_len` is in bounds of `text` on char boundaries;
 /// * `name_off` has `k + 1` monotone entries bounding `name_bytes`;
@@ -52,6 +75,8 @@ pub(crate) struct DocData {
     pub(crate) next_sibling: Arr<u32>,
     pub(crate) prev_sibling: Arr<u32>,
     pub(crate) subtree_end: Arr<u32>,
+    /// Attribute/namespace bitset, one bit per id ([`special_mask`]).
+    pub(crate) special: Arr<u64>,
     /// UTF-8 character arena holding every node value.
     pub(crate) text: Arr<u8>,
     /// Concatenated name strings (UTF-8).
@@ -61,6 +86,18 @@ pub(crate) struct DocData {
     pub(crate) name_off: Arr<u32>,
     /// The `NameId`s `0..k` sorted by name bytes (binary-search lookup).
     pub(crate) name_sorted: Arr<u32>,
+}
+
+/// The attribute/namespace bitset of a kind column: bit `i` is set iff
+/// node `i` is an attribute or namespace node.
+pub(crate) fn special_mask(kinds: &[u8]) -> Vec<u64> {
+    let mut words = vec![0u64; kinds.len().div_ceil(64)];
+    for (i, &k) in kinds.iter().enumerate() {
+        if NodeKind::from_u8(k).is_some_and(NodeKind::is_special_child) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+    }
+    words
 }
 
 /// Sorted ID table: `key_node[i]` is the attribute node whose value is
@@ -140,10 +177,6 @@ pub struct Document {
     ids: OnceLock<IdTable>,
     /// Lazily built `ref` relation. Prefilled on snapshot load.
     refs: OnceLock<RefTable>,
-    /// Lazily built structure-of-arrays axis index (see
-    /// [`AxisIndex`](crate::axis_index::AxisIndex)). Prefilled on
-    /// snapshot load.
-    axis_index: OnceLock<crate::axis_index::AxisIndex>,
 }
 
 impl std::fmt::Debug for Document {
@@ -163,19 +196,17 @@ impl Document {
             strvals: OnceLock::new(),
             ids: OnceLock::new(),
             refs: OnceLock::new(),
-            axis_index: OnceLock::new(),
         }
     }
 
     /// Assemble a document from snapshot sections: arenas plus the
-    /// prebuilt id/ref tables and axis index (serialized eagerly at
-    /// snapshot-write time so nothing is recomputed on load).
+    /// prebuilt id/ref tables (serialized eagerly at snapshot-write time
+    /// so nothing is recomputed on load).
     pub(crate) fn from_storage(
         data: DocData,
         id_policy: IdPolicy,
         ids: IdTable,
         refs: RefTable,
-        axis: crate::axis_index::AxisIndex,
         mapped: bool,
     ) -> Document {
         let doc = Document {
@@ -186,11 +217,9 @@ impl Document {
             strvals: OnceLock::new(),
             ids: OnceLock::new(),
             refs: OnceLock::new(),
-            axis_index: OnceLock::new(),
         };
         let _ = doc.ids.set(ids);
         let _ = doc.refs.set(refs);
-        let _ = doc.axis_index.set(axis);
         doc
     }
 
@@ -214,7 +243,7 @@ impl Document {
     }
 
     /// Total bytes of the in-memory arenas, including whichever lazy
-    /// structures (axis index, id/ref tables) have been built. The
+    /// id/ref tables have been built. The
     /// yardstick for the "snapshot ≤ 2× in-memory size" bench guard.
     pub fn resident_bytes(&self) -> usize {
         let d = &self.data;
@@ -227,13 +256,11 @@ impl Document {
             + d.next_sibling.byte_len()
             + d.prev_sibling.byte_len()
             + d.subtree_end.byte_len()
+            + d.special.byte_len()
             + d.text.byte_len()
             + d.name_bytes.byte_len()
             + d.name_off.byte_len()
             + d.name_sorted.byte_len();
-        if let Some(ix) = self.axis_index.get() {
-            total += ix.extra_bytes();
-        }
         if let Some(t) = self.ids.get() {
             total += t.key_node.byte_len() + t.owner.byte_len();
         }
@@ -300,6 +327,47 @@ impl Document {
     #[inline]
     pub fn name_ids(&self) -> &[u32] {
         self.data.name.as_slice()
+    }
+
+    /// Every node's parent id ([`NONE`] for the root), in document
+    /// order: the `parent` link array the axis kernels walk.
+    #[inline]
+    pub fn parent_ids(&self) -> &[u32] {
+        self.data.parent.as_slice()
+    }
+
+    /// Every node's first child id ([`NONE`] for a leaf), in document
+    /// order (the `firstchild` primitive as an array).
+    #[inline]
+    pub fn first_child_ids(&self) -> &[u32] {
+        self.data.first_child.as_slice()
+    }
+
+    /// Every node's next sibling id ([`NONE`] for a last sibling), in
+    /// document order (the `nextsibling` primitive as an array).
+    #[inline]
+    pub fn next_sibling_ids(&self) -> &[u32] {
+        self.data.next_sibling.as_slice()
+    }
+
+    /// Every node's previous sibling id ([`NONE`] for a first sibling),
+    /// in document order (`nextsibling⁻¹` as an array).
+    #[inline]
+    pub fn prev_sibling_ids(&self) -> &[u32] {
+        self.data.prev_sibling.as_slice()
+    }
+
+    /// Every node's [`Self::subtree_end`], in document order.
+    #[inline]
+    pub fn subtree_ends(&self) -> &[u32] {
+        self.data.subtree_end.as_slice()
+    }
+
+    /// The attribute/namespace bitset, one bit per id (`len().div_ceil(64)`
+    /// words): the mask the axis kernels subtract for §4 type filtering.
+    #[inline]
+    pub fn special_words(&self) -> &[u64] {
+        self.data.special.as_slice()
     }
 
     /// The node's interned name, if it has one.
@@ -575,13 +643,6 @@ impl Document {
         &self.id_policy
     }
 
-    /// The structure-of-arrays axis index of this document, built once on
-    /// first use (one `O(|D|)` pass) and cached; snapshot loads arrive
-    /// with it prebuilt. Backs the set-at-a-time bulk axis functions.
-    pub fn axis_index(&self) -> &crate::axis_index::AxisIndex {
-        self.axis_index.get_or_init(|| crate::axis_index::AxisIndex::new(self))
-    }
-
     /// The value of the `xml:lang` attribute in scope at `n`, if any
     /// (nearest ancestor-or-self element carrying it).
     pub fn lang(&self, n: NodeId) -> Option<&str> {
@@ -745,7 +806,9 @@ fn assert_document_send_sync() {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Document, NodeKind};
+    use super::NONE;
+    use crate::generate::{doc_bookstore, doc_figure8, doc_random, RandomDocConfig};
+    use crate::{Document, NodeId, NodeKind};
 
     fn doc() -> Document {
         Document::parse_str(
@@ -897,5 +960,46 @@ mod tests {
         assert!(d.lookup_name("").is_none());
         let a = d.document_element().unwrap();
         assert_eq!(d.name_id(a), d.lookup_name("a"));
+    }
+
+    #[test]
+    fn arrays_mirror_pointer_links() {
+        let mut docs = vec![doc_figure8(), doc_bookstore()];
+        for seed in 0..4 {
+            let cfg = RandomDocConfig { elements: 60, ..RandomDocConfig::default() };
+            docs.push(doc_random(seed, &cfg));
+        }
+        for d in &docs {
+            let opt = |x: Option<NodeId>| x.map_or(NONE, |n| n.0);
+            let links = [
+                d.parent_ids(),
+                d.first_child_ids(),
+                d.next_sibling_ids(),
+                d.prev_sibling_ids(),
+                d.subtree_ends(),
+            ];
+            assert!(links.iter().all(|arr| arr.len() == d.len()));
+            for id in d.all_nodes() {
+                let i = id.index();
+                assert_eq!(d.parent_ids()[i], opt(d.parent(id)));
+                assert_eq!(d.first_child_ids()[i], opt(d.first_child(id)));
+                assert_eq!(d.next_sibling_ids()[i], opt(d.next_sibling(id)));
+                assert_eq!(d.prev_sibling_ids()[i], opt(d.prev_sibling(id)));
+                assert_eq!(d.subtree_ends()[i], d.subtree_end(id));
+            }
+        }
+    }
+
+    #[test]
+    fn special_marks_attributes_and_namespaces() {
+        let d = doc_figure8();
+        let words = d.special_words();
+        assert_eq!(words.len(), d.len().div_ceil(64));
+        for id in d.all_nodes() {
+            assert_eq!(
+                words[id.index() / 64] >> (id.0 % 64) & 1 == 1,
+                matches!(d.kind(id), NodeKind::Attribute | NodeKind::Namespace)
+            );
+        }
     }
 }

@@ -18,11 +18,10 @@
 //!   hybrid of a dense bitset over preorder ids and a sorted vector,
 //!   always iterated in document order — see that module's docs for the
 //!   invariants;
-//! * a structure-of-arrays axis index ([`axis_index`]): parent /
-//!   first-child / next-sibling / subtree-end / post-order arrays plus an
-//!   attribute/namespace mask, built once per document
-//!   ([`Document::axis_index`]) and backing the set-at-a-time bulk axes
-//!   of `xpath-axes`;
+//! * the tree as flat `u32` link arrays over preorder ids (parent,
+//!   first child, next and previous sibling, subtree end) plus an
+//!   attribute/namespace bitset, read directly by the set-at-a-time axis
+//!   kernels of `xpath-axes` ([`Document::parent_ids`] and its siblings);
 //! * a serializer ([`Document::serialize`]) and document statistics
 //!   ([`stats`]);
 //! * generators for every document family used in the paper's experiments
@@ -36,7 +35,7 @@
 //! * zero-copy document storage: every arena is an array handle over
 //!   either heap memory or an mmap'd byte region (`bytes`, internal),
 //!   and the on-disk snapshot format ([`snap`]) reloads a parsed
-//!   document — axis index, id/ref tables and all — with one `mmap(2)`
+//!   document — link arrays, id/ref tables and all — with one `mmap(2)`
 //!   and zero parse work;
 //! * unique, self-removing scratch paths for tests and tools ([`temp`]).
 
@@ -46,7 +45,6 @@
 // Each module's docs open with the safety argument for its exemption.
 #![warn(missing_docs)]
 
-pub mod axis_index;
 mod builder;
 mod bytes;
 mod document;
@@ -64,10 +62,8 @@ pub mod snap;
 pub mod stats;
 pub mod temp;
 
-pub use axis_index::AxisIndex;
 pub use builder::DocumentBuilder;
-pub use bytes::NO_MMAP_ENV;
-pub use document::{Children, Document, IdPolicy, NameId, Refs};
+pub use document::{Children, Document, IdPolicy, NameId, Refs, NONE};
 pub use error::ParseError;
 pub use node::{NodeId, NodeKind};
 pub use nodeset::NodeSet;

@@ -553,7 +553,7 @@ impl NodeSet {
     }
 
     /// Subtract a raw bitset mask (one bit per id, e.g.
-    /// [`AxisIndex::special_words`](crate::axis_index::AxisIndex::special_words)):
+    /// [`Document::special_words`](crate::Document::special_words)):
     /// word-parallel on the dense representation, a per-id bit test on the
     /// sparse one.
     pub fn subtract_words(&mut self, mask: &[u64]) {

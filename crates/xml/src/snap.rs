@@ -1,19 +1,19 @@
 //! On-disk document snapshots: parse once, `mmap` forever.
 //!
 //! A snapshot is the document's flat arenas ([`crate::Document`]'s
-//! storage layout) written verbatim, plus the eagerly-built axis index
-//! and ID/IDREF tables, so a load performs **zero parse work**: the file
+//! storage layout) written verbatim, plus the eagerly-built ID/IDREF
+//! tables, so a load performs **zero parse work**: the file
 //! is mapped read-only (the internal `bytes` module) and every array
 //! becomes a validated slice view into the mapping. This is the cold-start story
 //! for a server fleet — re-opening a multi-million-node document costs
 //! one `mmap(2)` plus header validation, not a re-parse.
 //!
-//! # File layout (version 1, little-endian only)
+//! # File layout (version 2, little-endian only)
 //!
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0  | 8 | magic `"GKPXSNAP"` |
-//! | 8  | 4 | format version (`u32`, currently 1) |
+//! | 8  | 4 | format version (`u32`, currently 2) |
 //! | 12 | 4 | section count |
 //! | 16 | 8 | total file length in bytes (`u64`) |
 //! | 24 | 4 | node count `n` |
@@ -27,14 +27,15 @@
 //! length: u64, checksum: u64}`; offsets are 8-aligned and in file
 //! order. The sections are the node arrays (`KIND` is one byte per node;
 //! `NAME`/`VALUE_OFF`/`VALUE_LEN`/`PARENT`/`FIRST_CHILD`/`NEXT_SIBLING`/
-//! `PREV_SIBLING`/`SUBTREE_END`/`POST` are `u32` per node), the
-//! `SPECIAL` attribute/namespace bitmask (`u64` words), the `TEXT` and
+//! `PREV_SIBLING`/`SUBTREE_END` are `u32` per node), the `SPECIAL`
+//! attribute/namespace bitmask (`u64` words), the `TEXT` and
 //! `NAME_BYTES`/`NAME_OFF`/`NAME_SORTED` arenas, the sorted
 //! `ID_KEY`/`ID_OWNER` and `REF_FROM`/`REF_TO` tables, and the
 //! serialized [`IdPolicy`]. The parsed DTD internal subset is
 //! intentionally **not** serialized: its only evaluation-visible effects
 //! (which attributes are IDs) are already folded into the stored policy
-//! and prebuilt tables.
+//! and prebuilt tables. Version 2 stores only what queries read: tag 10
+//! (version 1's post-order rank, `POST`) is retired and never reused.
 //!
 //! # Integrity model
 //!
@@ -52,15 +53,16 @@
 //! Flipped bits in bulk *section data* are only caught by the per-section
 //! checksums, which an O(file) **deep verification** pass checks —
 //! [`verify`], `xpq snapshot verify`, or [`OpenOptions::verify`] — along
-//! with full semantic validation (link targets in range, preorder
-//! intervals, post-order permutation, UTF-8 value spans, sorted tables).
+//! with full semantic validation (kind bytes, link targets in range,
+//! preorder intervals, name ids, UTF-8 value spans, the special mask
+//! against the kinds, sorted ID/ref tables).
 //! Default opens trust data sections the way any mmap'd store does
 //! (LMDB, flat buffers): the file was sealed with checksums at write
 //! time and published by atomic rename; accessors are bounds-checked so
 //! corrupt payloads degrade to wrong query answers, never to UB.
 //!
 //! Version bumps are strict: a reader only accepts its own
-//! `FORMAT_VERSION`; anything newer fails with
+//! `FORMAT_VERSION`; anything older or newer fails with
 //! [`SnapError::UnsupportedVersion`].
 
 use std::fmt;
@@ -69,9 +71,8 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::axis_index::{AxisIndex, NONE};
 use crate::bytes::{as_bytes, Arr, ByteRegion};
-use crate::document::{DocData, Document, IdPolicy, IdTable, RefTable};
+use crate::document::{special_mask, DocData, Document, IdPolicy, IdTable, RefTable, NONE};
 use crate::node::NodeKind;
 use crate::rng::splitmix64;
 
@@ -81,13 +82,14 @@ compile_error!("snapshots are defined little-endian; big-endian targets are unsu
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"GKPXSNAP";
 /// The snapshot format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 48;
 const DIR_ENTRY_LEN: usize = 32;
 const MAX_SECTIONS: u32 = 64;
 
-// Section tags (part of the format; never renumber).
+// Section tags (part of the format; never renumber). Tag 10 was
+// version 1's post-order rank and stays retired.
 const TAG_KIND: u32 = 1;
 const TAG_NAME: u32 = 2;
 const TAG_VALUE_OFF: u32 = 3;
@@ -97,7 +99,6 @@ const TAG_FIRST_CHILD: u32 = 6;
 const TAG_NEXT_SIBLING: u32 = 7;
 const TAG_PREV_SIBLING: u32 = 8;
 const TAG_SUBTREE_END: u32 = 9;
-const TAG_POST: u32 = 10;
 const TAG_SPECIAL: u32 = 11;
 const TAG_TEXT: u32 = 12;
 const TAG_NAME_BYTES: u32 = 13;
@@ -120,7 +121,6 @@ fn tag_name(tag: u32) -> &'static str {
         TAG_NEXT_SIBLING => "NEXT_SIBLING",
         TAG_PREV_SIBLING => "PREV_SIBLING",
         TAG_SUBTREE_END => "SUBTREE_END",
-        TAG_POST => "POST",
         TAG_SPECIAL => "SPECIAL",
         TAG_TEXT => "TEXT",
         TAG_NAME_BYTES => "NAME_BYTES",
@@ -225,9 +225,8 @@ pub struct SnapshotInfo {
 /// off) is the production fast path.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenOptions {
-    /// Map the file instead of reading it into an owned buffer. The
-    /// `GKP_SNAP_NO_MMAP=1` environment variable and unsupported
-    /// platforms force the owned path regardless.
+    /// Map the file instead of reading it into an owned buffer.
+    /// Unsupported platforms (and Miri) use the owned path regardless.
     pub mmap: bool,
     /// Also run the O(file) deep verification (per-section checksums +
     /// semantic tree invariants) before returning the document.
@@ -357,9 +356,8 @@ fn decode_id_policy(bytes: &[u8]) -> Result<IdPolicy, SnapError> {
 /// followed by its 8-alignment padding. Peak writer-side memory is
 /// O(header + directory), not O(file): the arenas themselves are written
 /// straight from the document's storage in section-sized `write` calls.
-/// Forces the axis index and id/ref tables so loads get them for free.
+/// Forces the id/ref tables so loads get them for free.
 pub fn write_to(doc: &Document, w: &mut dyn io::Write) -> Result<SnapshotInfo, SnapError> {
-    let ix = doc.axis_index();
     let ids = doc.id_table();
     let refs = doc.ref_table();
     let d = &doc.data;
@@ -375,8 +373,7 @@ pub fn write_to(doc: &Document, w: &mut dyn io::Write) -> Result<SnapshotInfo, S
         (TAG_NEXT_SIBLING, as_bytes(d.next_sibling.as_slice())),
         (TAG_PREV_SIBLING, as_bytes(d.prev_sibling.as_slice())),
         (TAG_SUBTREE_END, as_bytes(d.subtree_end.as_slice())),
-        (TAG_POST, as_bytes(ix.post.as_slice())),
-        (TAG_SPECIAL, as_bytes(ix.special.as_slice())),
+        (TAG_SPECIAL, as_bytes(d.special.as_slice())),
         (TAG_TEXT, as_bytes(d.text.as_slice())),
         (TAG_NAME_BYTES, as_bytes(d.name_bytes.as_slice())),
         (TAG_NAME_OFF, as_bytes(d.name_off.as_slice())),
@@ -650,13 +647,12 @@ fn assemble(region: &Arc<ByteRegion>, p: &Parsed) -> Result<Document, SnapError>
         next_sibling: arr(region, p.sized(TAG_NEXT_SIBLING, 4 * n)?)?,
         prev_sibling: arr(region, p.sized(TAG_PREV_SIBLING, 4 * n)?)?,
         subtree_end: arr(region, p.sized(TAG_SUBTREE_END, 4 * n)?)?,
+        special: arr(region, p.sized(TAG_SPECIAL, 8 * n.div_ceil(64))?)?,
         text: arr(region, p.sec(TAG_TEXT)?)?,
         name_bytes: arr(region, p.sec(TAG_NAME_BYTES)?)?,
         name_off: arr(region, p.sized(TAG_NAME_OFF, 4 * (k + 1))?)?,
         name_sorted: arr(region, p.sized(TAG_NAME_SORTED, 4 * k)?)?,
     };
-    let post: Arr<u32> = arr(region, p.sized(TAG_POST, 4 * n)?)?;
-    let special: Arr<u64> = arr(region, p.sized(TAG_SPECIAL, 8 * n.div_ceil(64))?)?;
     let ids = IdTable {
         key_node: arr(region, p.sized(TAG_ID_KEY, 4 * idc)?)?,
         owner: arr(region, p.sized(TAG_ID_OWNER, 4 * idc)?)?,
@@ -690,16 +686,7 @@ fn assemble(region: &Arc<ByteRegion>, p: &Parsed) -> Result<Document, SnapError>
         }
     }
 
-    let axis = AxisIndex::from_arrays(
-        data.parent.clone(),
-        data.first_child.clone(),
-        data.next_sibling.clone(),
-        data.prev_sibling.clone(),
-        data.subtree_end.clone(),
-        post,
-        special,
-    );
-    Ok(Document::from_storage(data, policy, ids, refs, axis, region.is_mapped()))
+    Ok(Document::from_storage(data, policy, ids, refs, region.is_mapped()))
 }
 
 fn deep_verify_sections(file: &[u8], p: &Parsed) -> Result<(), SnapError> {
@@ -777,22 +764,9 @@ fn deep_verify_semantics(doc: &Document, h: &Header) -> Result<(), SnapError> {
         }
     }
 
-    // Post-order ranks form a permutation.
-    let ix = doc.axis_index();
-    let mut seen = vec![false; n as usize];
-    for i in 0..n {
-        let p = ix.post(i) as usize;
-        if p >= n as usize || seen[p] {
-            return Err(SnapError::Malformed("post-order permutation"));
-        }
-        seen[p] = true;
-    }
-
-    // Special mask mirrors the kind bytes.
-    for i in 0..n {
-        if ix.is_special(i) != doc.kind(crate::NodeId(i)).is_special_child() {
-            return Err(SnapError::Malformed("special mask"));
-        }
+    // Special mask mirrors the kind bytes (padding bits clear).
+    if d.special.as_slice() != special_mask(kinds) {
+        return Err(SnapError::Malformed("special mask"));
     }
 
     // ID table: attribute keys in range, strictly sorted (unique) by key
@@ -884,7 +858,12 @@ mod tests {
                 loaded.refs().iter().collect::<Vec<_>>(),
                 doc.refs().iter().collect::<Vec<_>>()
             );
-            crate::axis_index::verify_against(&loaded, loaded.axis_index());
+            assert_eq!(loaded.parent_ids(), doc.parent_ids());
+            assert_eq!(loaded.first_child_ids(), doc.first_child_ids());
+            assert_eq!(loaded.next_sibling_ids(), doc.next_sibling_ids());
+            assert_eq!(loaded.prev_sibling_ids(), doc.prev_sibling_ids());
+            assert_eq!(loaded.subtree_ends(), doc.subtree_ends());
+            assert_eq!(loaded.special_words(), doc.special_words());
         }
     }
 
@@ -921,5 +900,9 @@ mod tests {
         assert_eq!(i.nodes as usize, doc.len());
         assert_eq!(i.version, FORMAT_VERSION);
         assert!(i.file_bytes > 0);
+        // Nineteen sections; tag 10 (version 1's post-order rank) is gone.
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(read_u32(&bytes, 12), 19);
+        assert!(parse_header(&bytes).unwrap().sections[10].is_none());
     }
 }

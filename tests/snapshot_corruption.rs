@@ -11,13 +11,16 @@ use gkp_xpath::xml::generate::doc_bookstore;
 use gkp_xpath::xml::snap::{self, SnapError, FORMAT_VERSION};
 use gkp_xpath::xml::temp::TempPath;
 
-/// Byte offsets from the version-1 header layout (`snap` module docs).
+/// Byte offsets from the header layout (`snap` module docs).
 const OFF_VERSION: usize = 8;
 const OFF_HEADER_CHECKSUM: usize = 40;
 const HEADER_LEN: usize = 48;
 const DIR_ENTRY_LEN: usize = 32;
 const ENTRY_OFFSET: usize = 8;
+const ENTRY_LEN: usize = 16;
 const ENTRY_CHECKSUM: usize = 24;
+/// The attribute/namespace bitmask section's tag.
+const TAG_SPECIAL: u32 = 11;
 
 /// A pristine snapshot of the bookstore document as raw bytes.
 fn pristine() -> Vec<u8> {
@@ -110,12 +113,16 @@ fn wrong_magic_fails() {
 
 #[test]
 fn future_version_fails() {
-    let mut bad = pristine();
-    bad[OFF_VERSION..OFF_VERSION + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    reseal(&mut bad);
-    match open_bytes("version", &bad) {
-        Err(SnapError::UnsupportedVersion(v)) => assert_eq!(v, FORMAT_VERSION + 1),
-        other => panic!("wrong outcome: {other:?}"),
+    // Version 1 stored the post-order rank this build no longer reads:
+    // the bump is strict in both directions.
+    for version in [1, FORMAT_VERSION + 1] {
+        let mut bad = pristine();
+        bad[OFF_VERSION..OFF_VERSION + 4].copy_from_slice(&version.to_le_bytes());
+        reseal(&mut bad);
+        match open_bytes("version", &bad) {
+            Err(SnapError::UnsupportedVersion(v)) => assert_eq!(v, version),
+            other => panic!("version {version}: wrong outcome: {other:?}"),
+        }
     }
 }
 
@@ -169,6 +176,32 @@ fn payload_damage_is_caught_by_deep_verify() {
     match snap::verify(&path) {
         Err(SnapError::ChecksumMismatch(_) | SnapError::Malformed(_)) => {}
         other => panic!("deep verify must reject payload damage, got {other:?}"),
+    }
+}
+
+#[test]
+fn special_mask_damage_is_caught_by_deep_verify() {
+    // Set the root's bit in the attribute/namespace mask and re-seal both
+    // the section checksum and the header: only the semantic check that
+    // the mask mirrors the kind bytes can catch it.
+    let mut bad = pristine();
+    let count = u32::from_le_bytes(bad[12..16].try_into().unwrap()) as usize;
+    let entry = (0..count)
+        .map(|i| HEADER_LEN + i * DIR_ENTRY_LEN)
+        .find(|&e| u32::from_le_bytes(bad[e..e + 4].try_into().unwrap()) == TAG_SPECIAL)
+        .expect("SPECIAL section present");
+    let field = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let off = field(&bad, entry + ENTRY_OFFSET) as usize;
+    let len = field(&bad, entry + ENTRY_LEN) as usize;
+    bad[off] ^= 0x01;
+    let sum = snap::checksum(&bad[off..off + len]);
+    bad[entry + ENTRY_CHECKSUM..entry + ENTRY_CHECKSUM + 8].copy_from_slice(&sum.to_le_bytes());
+    reseal(&mut bad);
+    let path = temp("special");
+    std::fs::write(&path, &bad).unwrap();
+    match snap::verify(&path) {
+        Err(SnapError::Malformed(what)) => assert_eq!(what, "special mask"),
+        other => panic!("deep verify must reject a damaged special mask, got {other:?}"),
     }
 }
 

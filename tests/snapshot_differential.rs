@@ -226,7 +226,6 @@ fn big_bench_shape_roundtrips() {
     // The BENCH document family at a smaller depth: still thousands of
     // nodes, same shape as the perf target.
     let doc = doc_balanced(4, 6, &["a", "b", "c", "d"]);
-    doc.axis_index();
     let mapped = roundtrip(&doc, "balanced46", &OpenOptions::default());
     assert_same_structure("balanced46", &doc, &mapped);
     // Fast strategies only: the full strategy matrix already runs on the
