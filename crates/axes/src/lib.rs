@@ -50,86 +50,102 @@ pub use fast::{
 pub use stream::{is_streamable, StepStreamer};
 pub use typed::eval_axis_alg32;
 
-// Property tests need the external `proptest` crate, which is not
-// vendored in this offline workspace; build with `--features proptest`
-// in an environment that can supply it.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use proptest::prelude::*;
+/// Properties over random documents: 24 documents per property from a
+/// seeded splitmix64 stream.
+#[cfg(test)]
+mod random_doc_properties {
     use xpath_syntax::Axis;
     use xpath_xml::generate::{doc_random, RandomDocConfig};
-    use xpath_xml::NodeId;
+    use xpath_xml::rng::Rng;
+    use xpath_xml::{Document, NodeId};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    /// 24 random documents of `elements` elements, each with one more
+    /// draw for any further per-case input.
+    fn random_docs(seed: u64, elements: usize) -> impl Iterator<Item = (Document, u64)> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let cfg = RandomDocConfig { elements, ..RandomDocConfig::default() };
+        (0..24).map(move |_| (doc_random(rng.next_u64() % 5000, &cfg), rng.next_u64()))
+    }
 
-        /// On random documents the fast typed axes equal the Algorithm 3.2
-        /// reference for every axis and every singleton input.
-        #[test]
-        fn fast_equals_alg32_on_random_docs(seed in 0u64..5000) {
-            let cfg = RandomDocConfig { elements: 40, ..RandomDocConfig::default() };
-            let doc = doc_random(seed, &cfg);
+    /// On random documents the fast typed axes equal the Algorithm 3.2
+    /// reference for every axis and every singleton input.
+    #[test]
+    fn fast_equals_alg32_on_random_docs() {
+        for (doc, _) in random_docs(1, 40) {
             for axis in Axis::STANDARD {
                 for x in doc.all_nodes() {
-                    prop_assert_eq!(
+                    assert_eq!(
                         crate::fast::eval_axis(&doc, axis, &[x]),
-                        crate::typed::eval_axis_alg32(&doc, axis, &[x])
+                        crate::typed::eval_axis_alg32(&doc, axis, &[x]),
+                        "{axis:?} x={x:?}"
                     );
                 }
             }
         }
+    }
 
-        /// Lemma 10.1 on random documents: x ∈ χ(y) iff y ∈ χ⁻¹(x).
-        #[test]
-        fn inverse_axes_on_random_docs(seed in 0u64..5000) {
-            let cfg = RandomDocConfig { elements: 25, ..RandomDocConfig::default() };
-            let doc = doc_random(seed, &cfg);
-            for axis in [Axis::Child, Axis::Descendant, Axis::Following, Axis::FollowingSibling, Axis::Parent, Axis::AncestorOrSelf] {
+    /// Lemma 10.1 on random documents: x ∈ χ(y) iff y ∈ χ⁻¹(x).
+    #[test]
+    fn inverse_axes_on_random_docs() {
+        let axes = [
+            Axis::Child,
+            Axis::Descendant,
+            Axis::Following,
+            Axis::FollowingSibling,
+            Axis::Parent,
+            Axis::AncestorOrSelf,
+        ];
+        for (doc, _) in random_docs(2, 25) {
+            for axis in axes {
                 for y in doc.all_nodes() {
-                    let forward = crate::fast::eval_axis(&doc, axis, &[y]);
-                    for x in forward {
+                    for x in crate::fast::eval_axis(&doc, axis, &[y]) {
                         let back = crate::fast::inverse_axis_set(&doc, axis, &[x]);
-                        prop_assert!(back.contains(&y), "{:?} x={:?} y={:?}", axis, x, y);
+                        assert!(back.contains(&y), "{axis:?} x={x:?} y={y:?}");
                     }
                 }
             }
         }
+    }
 
-        /// The bulk set-at-a-time backend equals the direct backend on
-        /// random documents, for both NodeSet representations.
-        #[test]
-        fn bulk_equals_fast_on_random_docs(seed in 0u64..5000) {
-            let cfg = RandomDocConfig { elements: 35, ..RandomDocConfig::default() };
-            let doc = doc_random(seed, &cfg);
+    /// The bulk set-at-a-time kernel equals the direct per-node axes on
+    /// random documents, for both NodeSet representations.
+    #[test]
+    fn bulk_equals_fast_on_random_docs() {
+        for (doc, _) in random_docs(3, 35) {
             let n = doc.len() as u32;
             let ids: Vec<NodeId> = doc.all_nodes().filter(|x| x.0 % 3 != 1).collect();
             let sparse = xpath_xml::NodeSet::from_sorted(ids.clone());
             let dense = sparse.clone().densify(n);
             for axis in Axis::STANDARD {
                 let want = crate::fast::eval_axis(&doc, axis, &ids);
-                prop_assert_eq!(crate::bulk::axis_set(&doc, axis, &sparse).to_vec(), want.clone(), "{:?} sparse", axis);
-                prop_assert_eq!(crate::bulk::axis_set(&doc, axis, &dense).to_vec(), want, "{:?} dense", axis);
+                assert_eq!(
+                    crate::bulk::axis_set(&doc, axis, &sparse).to_vec(),
+                    want,
+                    "{axis:?} sparse"
+                );
+                assert_eq!(
+                    crate::bulk::axis_set(&doc, axis, &dense).to_vec(),
+                    want,
+                    "{axis:?} dense"
+                );
             }
         }
+    }
 
-        /// Set evaluation equals the union of per-node evaluations.
-        #[test]
-        fn set_eval_is_union_of_singletons(seed in 0u64..5000, mask in 0u32..255) {
-            let cfg = RandomDocConfig { elements: 20, ..RandomDocConfig::default() };
-            let doc = doc_random(seed, &cfg);
-            let set: Vec<NodeId> = doc
-                .all_nodes()
-                .filter(|n| mask & (1 << (n.0 % 8)) != 0)
-                .collect();
+    /// Set evaluation equals the union of per-node evaluations.
+    #[test]
+    fn set_eval_is_union_of_singletons() {
+        for (doc, draw) in random_docs(4, 20) {
+            let mask = (draw % 255) as u32;
+            let set: Vec<NodeId> =
+                doc.all_nodes().filter(|n| mask & (1 << (n.0 % 8)) != 0).collect();
             for axis in Axis::STANDARD {
                 let whole = crate::fast::eval_axis(&doc, axis, &set);
-                let mut union: Vec<NodeId> = set
-                    .iter()
-                    .flat_map(|&x| crate::fast::eval_axis(&doc, axis, &[x]))
-                    .collect();
+                let mut union: Vec<NodeId> =
+                    set.iter().flat_map(|&x| crate::fast::eval_axis(&doc, axis, &[x])).collect();
                 union.sort_unstable();
                 union.dedup();
-                prop_assert_eq!(whole, union, "{:?}", axis);
+                assert_eq!(whole, union, "{axis:?} mask={mask:#x}");
             }
         }
     }

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::doc_flat_text;
 
 fn bench(c: &mut Criterion) {
@@ -16,7 +16,6 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(400));
 
     let doc = doc_flat_text(100);
-    let engine = xpath_core::Engine::new(&doc);
     let ctx = Context::of(doc.root());
 
     let suite: &[(&str, &str)] = &[
@@ -37,7 +36,7 @@ fn bench(c: &mut Criterion) {
     ];
 
     for (qname, q) in suite {
-        let e = engine.prepare(q).unwrap();
+        let e = Compiler::new().parse(q).unwrap();
         for (sname, s) in ladder {
             // Skip strategies that cannot handle the query economically or
             // at all (naive on the count family explodes at larger sizes —
@@ -47,7 +46,7 @@ fn bench(c: &mut Criterion) {
                 continue;
             }
             g.bench_with_input(BenchmarkId::new(*sname, qname), qname, |b, _| {
-                b.iter(|| engine.evaluate_expr(&e, *s, ctx).unwrap());
+                b.iter(|| plan::execute_adhoc(&e, *s, None, &doc, ctx).unwrap());
             });
         }
     }

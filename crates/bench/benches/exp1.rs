@@ -6,12 +6,11 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::exp1_query;
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::doc_flat;
 
 fn bench(c: &mut Criterion) {
     let doc = doc_flat(2);
-    let engine = xpath_core::Engine::new(&doc);
     let ctx = Context::of(doc.root());
 
     let mut g = c.benchmark_group("exp1_query_complexity");
@@ -21,21 +20,21 @@ fn bench(c: &mut Criterion) {
 
     // Naive only up to depth 14 (exponential).
     for k in [4usize, 8, 12, 14] {
-        let e = engine.prepare(&exp1_query(k)).unwrap();
+        let e = Compiler::new().parse(&exp1_query(k)).unwrap();
         g.bench_with_input(BenchmarkId::new("naive", k), &k, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::Naive, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::Naive, None, &doc, ctx).unwrap());
         });
     }
     // The paper's engines across the full range.
     for k in [4usize, 8, 16, 24] {
-        let e = engine.prepare(&exp1_query(k)).unwrap();
+        let e = Compiler::new().parse(&exp1_query(k)).unwrap();
         for (name, s) in [
             ("top-down", Strategy::TopDown),
             ("data-pool", Strategy::DataPool),
             ("opt-min-context", Strategy::OptMinContext),
         ] {
             g.bench_with_input(BenchmarkId::new(name, k), &k, |b, _| {
-                b.iter(|| engine.evaluate_expr(&e, s, ctx).unwrap());
+                b.iter(|| plan::execute_adhoc(&e, s, None, &doc, ctx).unwrap());
             });
         }
     }

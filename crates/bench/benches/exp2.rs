@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::exp2_query;
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::doc_flat_text;
 
 fn bench(c: &mut Criterion) {
@@ -17,22 +17,25 @@ fn bench(c: &mut Criterion) {
 
     for (size, depth_cap) in [(3usize, 9usize), (10, 5), (200, 2)] {
         let doc = doc_flat_text(size);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
         for depth in [1usize, depth_cap] {
-            let e = engine.prepare(&exp2_query(depth)).unwrap();
+            let e = Compiler::new().parse(&exp2_query(depth)).unwrap();
             g.bench_with_input(
                 BenchmarkId::new(format!("naive/doc{size}"), depth),
                 &depth,
-                |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::Naive, ctx).unwrap()),
+                |b, _| {
+                    b.iter(|| plan::execute_adhoc(&e, Strategy::Naive, None, &doc, ctx).unwrap());
+                },
             );
         }
         for depth in [1usize, 8, 16] {
-            let e = engine.prepare(&exp2_query(depth)).unwrap();
+            let e = Compiler::new().parse(&exp2_query(depth)).unwrap();
             g.bench_with_input(
                 BenchmarkId::new(format!("top-down/doc{size}"), depth),
                 &depth,
-                |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::TopDown, ctx).unwrap()),
+                |b, _| {
+                    b.iter(|| plan::execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap());
+                },
             );
         }
     }

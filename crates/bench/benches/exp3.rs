@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::exp3_query;
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::doc_flat;
 
 fn bench(c: &mut Criterion) {
@@ -16,25 +16,26 @@ fn bench(c: &mut Criterion) {
 
     for (size, naive_cap) in [(3usize, 8usize), (10, 4), (200, 2)] {
         let doc = doc_flat(size);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
         for depth in [1usize, naive_cap] {
-            let e = engine.prepare(&exp3_query(depth)).unwrap();
+            let e = Compiler::new().parse(&exp3_query(depth)).unwrap();
             g.bench_with_input(
                 BenchmarkId::new(format!("naive/doc{size}"), depth),
                 &depth,
-                |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::Naive, ctx).unwrap()),
+                |b, _| {
+                    b.iter(|| plan::execute_adhoc(&e, Strategy::Naive, None, &doc, ctx).unwrap());
+                },
             );
         }
         for depth in [1usize, 8] {
-            let e = engine.prepare(&exp3_query(depth)).unwrap();
+            let e = Compiler::new().parse(&exp3_query(depth)).unwrap();
             for (name, s) in
                 [("top-down", Strategy::TopDown), ("opt-min-context", Strategy::OptMinContext)]
             {
                 g.bench_with_input(
                     BenchmarkId::new(format!("{name}/doc{size}"), depth),
                     &depth,
-                    |b, _| b.iter(|| engine.evaluate_expr(&e, s, ctx).unwrap()),
+                    |b, _| b.iter(|| plan::execute_adhoc(&e, s, None, &doc, ctx).unwrap()),
                 );
             }
         }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::exp4_query;
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::doc_ab_groups;
 
 fn bench(c: &mut Criterion) {
@@ -19,24 +19,22 @@ fn bench(c: &mut Criterion) {
     let q = exp4_query(8);
     for leaves in [200usize, 400, 800] {
         let doc = doc_ab_groups(20, leaves / 20);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
-        let e = engine.prepare(&q).unwrap();
+        let e = Compiler::new().parse(&q).unwrap();
         g.bench_with_input(BenchmarkId::new("top-down(quadratic)", leaves), &leaves, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::TopDown, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap());
         });
         g.bench_with_input(BenchmarkId::new("core-xpath(linear)", leaves), &leaves, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::CoreXPath, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::CoreXPath, None, &doc, ctx).unwrap());
         });
     }
     // Larger sizes for the linear route only.
     for leaves in [8000usize, 32000] {
         let doc = doc_ab_groups(20, leaves / 20);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
-        let e = engine.prepare(&q).unwrap();
+        let e = Compiler::new().parse(&q).unwrap();
         g.bench_with_input(BenchmarkId::new("core-xpath(linear)", leaves), &leaves, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::CoreXPath, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::CoreXPath, None, &doc, ctx).unwrap());
         });
     }
     g.finish();

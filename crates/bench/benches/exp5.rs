@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::{exp5a_query, exp5b_query};
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::{doc_deep_path, doc_flat};
 
 fn bench(c: &mut Criterion) {
@@ -18,42 +18,44 @@ fn bench(c: &mut Criterion) {
     // (4a) following-chains.
     for size in [20usize, 30] {
         let doc = doc_flat(size);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
         for k in [3usize, 6] {
-            let e = engine.prepare(&exp5a_query(k)).unwrap();
+            let e = Compiler::new().parse(&exp5a_query(k)).unwrap();
             g.bench_with_input(
                 BenchmarkId::new(format!("following/naive/doc{size}"), k),
                 &k,
-                |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::Naive, ctx).unwrap()),
+                |b, _| {
+                    b.iter(|| plan::execute_adhoc(&e, Strategy::Naive, None, &doc, ctx).unwrap());
+                },
             );
         }
-        let e = engine.prepare(&exp5a_query(12)).unwrap();
+        let e = Compiler::new().parse(&exp5a_query(12)).unwrap();
         g.bench_with_input(
             BenchmarkId::new(format!("following/top-down/doc{size}"), 12),
             &12,
-            |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::TopDown, ctx).unwrap()),
+            |b, _| b.iter(|| plan::execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap()),
         );
     }
 
     // (4b) descendant-chains on non-branching paths.
     for depth in [20usize, 30] {
         let doc = doc_deep_path(depth);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
         for k in [3usize, 5] {
-            let e = engine.prepare(&exp5b_query(k)).unwrap();
+            let e = Compiler::new().parse(&exp5b_query(k)).unwrap();
             g.bench_with_input(
                 BenchmarkId::new(format!("descendant/naive/depth{depth}"), k),
                 &k,
-                |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::Naive, ctx).unwrap()),
+                |b, _| {
+                    b.iter(|| plan::execute_adhoc(&e, Strategy::Naive, None, &doc, ctx).unwrap());
+                },
             );
         }
-        let e = engine.prepare(&exp5b_query(12)).unwrap();
+        let e = Compiler::new().parse(&exp5b_query(12)).unwrap();
         g.bench_with_input(
             BenchmarkId::new(format!("descendant/top-down/depth{depth}"), 12),
             &12,
-            |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::TopDown, ctx).unwrap()),
+            |b, _| b.iter(|| plan::execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap()),
         );
     }
     g.finish();

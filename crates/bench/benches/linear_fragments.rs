@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::core_query;
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::{doc_flat, doc_idref_chain};
 
 fn bench(c: &mut Criterion) {
@@ -18,22 +18,20 @@ fn bench(c: &mut Criterion) {
     let q = core_query(6);
     for size in [1000usize, 4000, 16000, 64000] {
         let doc = doc_flat(size);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
-        let e = engine.prepare(&q).unwrap();
+        let e = Compiler::new().parse(&q).unwrap();
         g.bench_with_input(BenchmarkId::new("core/data-sweep", size), &size, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::CoreXPath, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::CoreXPath, None, &doc, ctx).unwrap());
         });
     }
 
     // Core XPath: query-size sweep at fixed document.
     let doc = doc_flat(4000);
-    let engine = xpath_core::Engine::new(&doc);
     let ctx = Context::of(doc.root());
     for k in [2usize, 8, 32] {
-        let e = engine.prepare(&core_query(k)).unwrap();
+        let e = Compiler::new().parse(&core_query(k)).unwrap();
         g.bench_with_input(BenchmarkId::new("core/query-sweep", k), &k, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::CoreXPath, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::CoreXPath, None, &doc, ctx).unwrap());
         });
     }
 
@@ -41,15 +39,14 @@ fn bench(c: &mut Criterion) {
     // relation).
     for size in [1000usize, 4000, 16000] {
         let doc = doc_idref_chain(size);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
-        let e = engine.prepare("id(//item[not(preceding-sibling::*)])/self::*").unwrap();
+        let e = Compiler::new().parse("id(//item[not(preceding-sibling::*)])/self::*").unwrap();
         g.bench_with_input(BenchmarkId::new("xpatterns/id-axis", size), &size, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::XPatterns, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::XPatterns, None, &doc, ctx).unwrap());
         });
-        let e = engine.prepare("//item[self::* = 'i1 i2 ']").unwrap();
+        let e = Compiler::new().parse("//item[self::* = 'i1 i2 ']").unwrap();
         g.bench_with_input(BenchmarkId::new("xpatterns/eq-s", size), &size, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::XPatterns, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::XPatterns, None, &doc, ctx).unwrap());
         });
     }
     g.finish();

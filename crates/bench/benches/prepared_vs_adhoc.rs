@@ -2,7 +2,7 @@
 //!
 //! `adhoc` re-runs the full static phase per evaluation — parse,
 //! normalize, classify, select the algorithm, compile fragment artifacts —
-//! exactly what `Engine::evaluate` did before compilations were cached.
+//! as compiling per call without a cache does.
 //! `prepared` pays the static phase once (`Compiler::compile`) and then
 //! only runs the runtime phase; `cached` goes through a shared
 //! `QueryCache`, adding one sharded-LRU lookup per evaluation. On

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::exp3_query;
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::doc_flat;
 
 fn bench(c: &mut Criterion) {
@@ -16,25 +16,30 @@ fn bench(c: &mut Criterion) {
 
     for size in [10usize, 200] {
         let doc = doc_flat(size);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
         // "Xalan classic": naive, shallow depths only (it explodes).
         let naive_cap = if size == 10 { 4 } else { 2 };
         for depth in [1usize, naive_cap] {
-            let e = engine.prepare(&exp3_query(depth)).unwrap();
+            let e = Compiler::new().parse(&exp3_query(depth)).unwrap();
             g.bench_with_input(
                 BenchmarkId::new(format!("xalan-classic/doc{size}"), depth),
                 &depth,
-                |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::Naive, ctx).unwrap()),
+                |b, _| {
+                    b.iter(|| plan::execute_adhoc(&e, Strategy::Naive, None, &doc, ctx).unwrap());
+                },
             );
         }
         // "Xalan + data pool": all eight depths of the paper's table.
         for depth in [1usize, 4, 8] {
-            let e = engine.prepare(&exp3_query(depth)).unwrap();
+            let e = Compiler::new().parse(&exp3_query(depth)).unwrap();
             g.bench_with_input(
                 BenchmarkId::new(format!("xalan-data-pool/doc{size}"), depth),
                 &depth,
-                |b, _| b.iter(|| engine.evaluate_expr(&e, Strategy::DataPool, ctx).unwrap()),
+                |b, _| {
+                    b.iter(|| {
+                        plan::execute_adhoc(&e, Strategy::DataPool, None, &doc, ctx).unwrap()
+                    });
+                },
             );
         }
     }

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::exp2_query;
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::doc_flat_text;
 
 fn bench(c: &mut Criterion) {
@@ -17,12 +17,11 @@ fn bench(c: &mut Criterion) {
 
     for size in [10usize, 200, 1000] {
         let doc = doc_flat_text(size);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
         for depth in [1usize, 10, 30, 50] {
-            let e = engine.prepare(&exp2_query(depth)).unwrap();
+            let e = Compiler::new().parse(&exp2_query(depth)).unwrap();
             g.bench_with_input(BenchmarkId::new(format!("doc{size}"), depth), &depth, |b, _| {
-                b.iter(|| engine.evaluate_expr(&e, Strategy::TopDown, ctx).unwrap());
+                b.iter(|| plan::execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap());
             });
         }
     }

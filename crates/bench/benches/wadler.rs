@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xpath_bench::workloads::wadler_query;
-use xpath_core::{Context, Strategy};
+use xpath_core::{plan, Compiler, Context, Strategy};
 use xpath_xml::generate::doc_flat;
 
 fn bench(c: &mut Criterion) {
@@ -19,26 +19,24 @@ fn bench(c: &mut Criterion) {
     let q = wadler_query(3);
     for size in [200usize, 800, 3200] {
         let doc = doc_flat(size);
-        let engine = xpath_core::Engine::new(&doc);
         let ctx = Context::of(doc.root());
-        let e = engine.prepare(&q).unwrap();
+        let e = Compiler::new().parse(&q).unwrap();
         for (name, s) in
             [("opt-min-context", Strategy::OptMinContext), ("min-context", Strategy::MinContext)]
         {
             g.bench_with_input(BenchmarkId::new(format!("{name}/data"), size), &size, |b, _| {
-                b.iter(|| engine.evaluate_expr(&e, s, ctx).unwrap());
+                b.iter(|| plan::execute_adhoc(&e, s, None, &doc, ctx).unwrap());
             });
         }
     }
 
     // Nesting sweep at fixed document.
     let doc = doc_flat(400);
-    let engine = xpath_core::Engine::new(&doc);
     let ctx = Context::of(doc.root());
     for k in [1usize, 3, 6] {
-        let e = engine.prepare(&wadler_query(k)).unwrap();
+        let e = Compiler::new().parse(&wadler_query(k)).unwrap();
         g.bench_with_input(BenchmarkId::new("opt-min-context/nesting", k), &k, |b, _| {
-            b.iter(|| engine.evaluate_expr(&e, Strategy::OptMinContext, ctx).unwrap());
+            b.iter(|| plan::execute_adhoc(&e, Strategy::OptMinContext, None, &doc, ctx).unwrap());
         });
     }
     g.finish();

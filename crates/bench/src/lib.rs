@@ -37,10 +37,9 @@ pub fn time_once(
     query: &Expr,
     strategy: Strategy,
 ) -> EvalResult<(Duration, Value)> {
-    let engine = xpath_core::Engine::new(doc);
     let ctx = Context::of(doc.root());
     let t = Instant::now();
-    let v = engine.evaluate_expr(query, strategy, ctx)?;
+    let v = xpath_core::plan::execute_adhoc(query, strategy, None, doc, ctx)?;
     Ok((t.elapsed(), v))
 }
 

@@ -171,7 +171,7 @@ impl QueryCache {
 
     /// [`QueryCache::get_or_compile`] with the compiler's
     /// [`Compiler::options_fingerprint`] precomputed by the caller —
-    /// hot paths that reuse one compiler (e.g. the `Engine` facade)
+    /// hot paths that reuse one compiler (the query server)
     /// compute the fingerprint once instead of re-rendering the options
     /// on every lookup. `fingerprint` must be the fingerprint of
     /// `compiler`, or cache entries will alias across option sets.
@@ -205,7 +205,7 @@ impl QueryCache {
     /// `(query, fingerprint)` and run `compile` only on a miss, so hit
     /// paths pay no compiler clone or option re-rendering. `fingerprint`
     /// must uniquely determine what `compile` produces.
-    pub fn get_or_insert_with(
+    fn get_or_insert_with(
         &self,
         fingerprint: &str,
         query: &str,

@@ -44,8 +44,8 @@ impl fmt::Display for Context {
 pub enum EvalError {
     /// The query text failed to lex, parse, or normalize (including
     /// unbound variables discovered during binding substitution). Raised
-    /// by the static phase — [`crate::query::Compiler`] and the `Engine`
-    /// prepare methods — never by the evaluators themselves.
+    /// by the static phase — [`crate::query::Compiler`] — never by the
+    /// evaluators themselves.
     Parse(String),
     /// An unknown function was called.
     UnknownFunction(String),

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! [`classify`] returns the most specific fragment containing a query,
-//! which [`crate::engine`] uses to pick the best evaluation algorithm.
+//! which [`crate::plan`] uses to pick the best evaluation algorithm.
 
 use xpath_syntax::Expr;
 

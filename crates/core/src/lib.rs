@@ -20,13 +20,12 @@
 //! | [`fragment`] | Fig. 1 | fragment lattice classification |
 //! | [`lift`] | §10 | Auto's lifting of Core XPath / XPatterns paths out of aggregates and comparisons |
 //! | [`analyze`] | — | static analysis: satisfiability, const folding, the one lazy verdict |
-//! | [`plan`] | — | document-independent execution plans (static phase) |
+//! | [`plan`] | — | document-independent execution plans (static phase), one-shot [`plan::execute_adhoc`], the differential oracle [`plan::evaluate_all_agree`] |
 //! | [`query`] | — | [`Compiler`] / [`CompiledQuery`]: compile once, evaluate many |
 //! | [`cache`] | — | sharded LRU [`QueryCache`] shared across workers |
 //! | [`batch`] | — | [`QuerySet`]: batched multi-query evaluation with shared axis passes; per-query fan-out, the only place evaluation spawns threads |
 //! | [`store`] | — | [`DocumentStore`]: directory of mmap'd snapshots, generational reload |
 //! | [`serve`] | — | [`serve::Server`]: line-JSON query server, admission control, metrics |
-//! | [`engine`] | — | back-compat facade over `query` + `cache` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +38,6 @@ pub mod compare;
 pub mod context;
 pub mod corexpath;
 pub mod cursor;
-pub mod engine;
 pub mod eval_common;
 pub mod explain;
 pub mod fragment;
@@ -66,9 +64,8 @@ pub use batch::{BatchResult, BatchStats, QuerySet, QuerySetBuilder};
 pub use cache::{CacheStats, QueryCache};
 pub use context::{Context, EvalBudget, EvalError, EvalResult};
 pub use cursor::{NodeCursor, QueryCursor};
-pub use engine::{Engine, Strategy};
 pub use fragment::{classify, Classification, Fragment};
-pub use plan::Plan;
+pub use plan::{Plan, Strategy};
 pub use query::{CompiledQuery, Compiler};
 pub use serve::{ServeConfig, Server};
 pub use store::{DocumentStore, StoreError, StoreStats};

@@ -18,6 +18,7 @@
 //! and `eval_inner_locpath`. Theorem 8.6: time `O(|D|⁴·|Q|²)`, space
 //! `O(|D|²·|Q|²)`.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -186,11 +187,14 @@ impl<'d> MinContextEvaluator<'d> {
             }
             return Ok(());
         }
-        // Relev(N) ⊆ {cn}: build table(N).
+        // Relev(N) ⊆ {cn}: build table(N) over its domain — `X`, or the
+        // one dummy row when N ignores the context node (an absolute path
+        // must be covered even when `X` is empty).
+        let dom = self.domain(rel, x);
         let mut table = CvTable::new(rel);
         match e {
             Expr::Path(p) => {
-                let rel_map = self.eval_inner_locpath(p, x)?;
+                let rel_map = self.eval_inner_locpath(p, dom.as_ref())?;
                 for (node, set) in rel_map {
                     table.insert(Context::of(node), Value::NodeSet(set));
                 }
@@ -199,7 +203,7 @@ impl<'d> MinContextEvaluator<'d> {
                 self.eval_by_cnode_only(primary, x)?;
                 // Predicates see the nodes of the primary's results.
                 let mut all_targets = NodeSet::new();
-                for n in x {
+                for n in dom.as_ref() {
                     let v = self.eval_single_context(primary, Context::of(n))?;
                     if let Some(s) = v.as_node_set() {
                         all_targets.union_with(s);
@@ -208,7 +212,7 @@ impl<'d> MinContextEvaluator<'d> {
                 for pred in predicates {
                     self.eval_by_cnode_only(pred, &all_targets)?;
                 }
-                for n in x {
+                for n in dom.as_ref() {
                     let v = self.eval_single_context(primary, Context::of(n))?;
                     let Some(set) = v.into_node_set() else {
                         return Err(EvalError::TypeMismatch(
@@ -239,7 +243,7 @@ impl<'d> MinContextEvaluator<'d> {
             Expr::Var(name) => return Err(EvalError::UnboundVariable(name.clone())),
             Expr::Neg(inner) => {
                 self.eval_by_cnode_only(inner, x)?;
-                for n in self.domain(rel, x) {
+                for n in dom.as_ref() {
                     let v = self.eval_single_context(inner, Context::of(n))?;
                     table.insert(Context::of(n), Value::Number(-v.to_number(self.doc)));
                 }
@@ -247,7 +251,7 @@ impl<'d> MinContextEvaluator<'d> {
             Expr::Binary { op, left, right } => {
                 self.eval_by_cnode_only(left, x)?;
                 self.eval_by_cnode_only(right, x)?;
-                for n in self.domain(rel, x) {
+                for n in dom.as_ref() {
                     let l = self.eval_single_context(left, Context::of(n))?;
                     let r = self.eval_single_context(right, Context::of(n))?;
                     let v = match op {
@@ -262,7 +266,7 @@ impl<'d> MinContextEvaluator<'d> {
                 for a in args {
                     self.eval_by_cnode_only(a, x)?;
                 }
-                for n in self.domain(rel, x) {
+                for n in dom.as_ref() {
                     let ctx = Context::of(n);
                     let mut argv = Vec::with_capacity(args.len());
                     for a in args {
@@ -277,12 +281,12 @@ impl<'d> MinContextEvaluator<'d> {
     }
 
     /// The context nodes a `{cn}`-relevant table must cover: `X` itself, or
-    /// a single dummy row for constant expressions.
-    fn domain(&self, rel: Relev, x: &NodeSet) -> NodeSet {
+    /// a single dummy row for expressions that ignore the context node.
+    fn domain<'x>(&self, rel: Relev, x: &'x NodeSet) -> Cow<'x, NodeSet> {
         if rel.has_cn() {
-            x.clone()
+            Cow::Borrowed(x)
         } else {
-            NodeSet::singleton(NodeId(0))
+            Cow::Owned(NodeSet::singleton(NodeId(0)))
         }
     }
 

@@ -31,7 +31,7 @@
 //!
 //! Because eager compilation happens here, a query outside an explicitly
 //! requested fragment fails at *plan-build* time with
-//! [`EvalError::UnsupportedFragment`](crate::EvalError::UnsupportedFragment),
+//! [`EvalError::UnsupportedFragment`],
 //! not at first evaluation.
 
 use xpath_syntax::Expr;
@@ -40,8 +40,8 @@ use xpath_xml::Document;
 use crate::analyze::{self, QueryReport};
 use crate::batch::AxisMemo;
 use crate::bottomup::BottomUpEvaluator;
-use crate::context::{Context, EvalBudget, EvalResult};
-use crate::corexpath::{CoreDialect, CoreQuery, CoreXPathEvaluator};
+use crate::context::{Context, EvalBudget, EvalError, EvalResult};
+use crate::corexpath::{compile_dialect, CoreDialect, CoreQuery, CoreXPathEvaluator};
 use crate::fragment::{classify, Classification};
 use crate::lift::Program;
 use crate::mincontext::MinContextEvaluator;
@@ -132,7 +132,7 @@ impl Plan {
     /// With an explicit fragment strategy ([`Strategy::CoreXPath`],
     /// [`Strategy::XPatterns`]) a query outside
     /// that fragment is rejected **here**, so callers see
-    /// [`EvalError::UnsupportedFragment`](crate::EvalError::UnsupportedFragment)
+    /// [`EvalError::UnsupportedFragment`]
     /// once at compile time rather than on every evaluation.
     pub fn build(expr: Expr, requested: Strategy, naive_budget: Option<u64>) -> EvalResult<Plan> {
         let classification = classify(&expr);
@@ -153,8 +153,8 @@ impl Plan {
     /// [`Plan::execute`] under an [`EvalBudget`]: every strategy polls the
     /// budget at its natural pass boundary (location steps, table passes,
     /// axis passes) and fails with
-    /// [`EvalError::Cancelled`](crate::EvalError::Cancelled) /
-    /// [`EvalError::DeadlineExceeded`](crate::EvalError::DeadlineExceeded)
+    /// [`EvalError::Cancelled`] /
+    /// [`EvalError::DeadlineExceeded`]
     /// once it trips — never a poisoned evaluator or a partial result.
     pub fn execute_with(
         &self,
@@ -252,13 +252,13 @@ impl Plan {
 /// One-shot evaluation of an already-prepared expression without building
 /// a persistent [`Plan`]: resolves `strategy` exactly as [`Plan::build`]
 /// does (lifting only under [`Strategy::Auto`]) and borrows the
-/// expression. An explicitly requested general evaluator costs the same
-/// as pre-plan `Engine::evaluate_expr` did — no AST clone, no
-/// classification. Under Auto every call first tries to lift, compiling
-/// each path outside a predicate (and cloning the lifted ones); a query
-/// that does not lift pays for that attempt before it runs on
-/// OptMinContext. Keep a [`Plan`] (via [`crate::query::Compiler::compile`])
-/// to pay for the resolution and the fragment programs once.
+/// expression. An explicitly requested general evaluator pays no AST
+/// clone and no classification. Under Auto every call first tries to
+/// lift, compiling each path outside a predicate (and cloning the lifted
+/// ones); a query that does not lift pays for that attempt before it runs
+/// on OptMinContext. Keep a [`Plan`] (via
+/// [`crate::query::Compiler::compile`]) to pay for the resolution and the
+/// fragment programs once.
 pub fn execute_adhoc(
     expr: &Expr,
     strategy: Strategy,
@@ -278,6 +278,51 @@ pub fn execute_adhoc(
         None,
         &EvalBudget::unlimited(),
     )
+}
+
+/// The differential oracle: run `expr` at `ctx` through every evaluator of
+/// the paper, and through [`Strategy::Auto`] (the production path), and
+/// require each to agree with [`TopDownEvaluator`]. Returns the common
+/// value. The §10 algebra joins in when `expr` compiles to XPatterns.
+///
+/// Only the two documented limits are forgiven: the exponential naive
+/// baseline may exhaust `naive_budget` steps
+/// ([`EvalError::BudgetExhausted`]), and bottom-up, the one evaluator with
+/// a row cap, may exceed it ([`EvalError::Capacity`]). Any other error
+/// from any evaluator fails the check.
+pub fn evaluate_all_agree(
+    expr: &Expr,
+    doc: &Document,
+    ctx: Context,
+    naive_budget: u64,
+) -> EvalResult<Value> {
+    let reference = TopDownEvaluator::new(doc).evaluate(expr, ctx)?;
+    let check = |name: &str, out: EvalResult<Value>| -> EvalResult<()> {
+        match out {
+            Ok(v) if v.semantically_equal(&reference) => Ok(()),
+            Ok(v) => Err(EvalError::TypeMismatch(format!(
+                "{name} disagrees: {v:?} vs top-down {reference:?}"
+            ))),
+            Err(e) => Err(e),
+        }
+    };
+    match NaiveEvaluator::with_budget(doc, naive_budget).evaluate(expr, ctx) {
+        Err(EvalError::BudgetExhausted) => {}
+        out => check("naive", out)?,
+    }
+    check("data-pool", PoolEvaluator::new(doc).evaluate(expr, ctx))?;
+    match BottomUpEvaluator::new(doc).evaluate(expr, ctx) {
+        Err(EvalError::Capacity(_)) => {}
+        out => check("bottom-up", out)?,
+    }
+    check("min-context", MinContextEvaluator::new(doc).evaluate(expr, ctx))?;
+    check("opt-min-context", OptMinContextEvaluator::new(doc).evaluate(expr, ctx))?;
+    check("auto", execute_adhoc(expr, Strategy::Auto, None, doc, ctx))?;
+    if let Ok(q) = compile_dialect(expr, CoreDialect::XPatterns) {
+        let v = CoreXPathEvaluator::new(doc).evaluate(&q, &[ctx.node]);
+        check("core-xpath", Ok(Value::NodeSet(v)))?;
+    }
+    Ok(reference)
 }
 
 /// Resolve a requested strategy: [`resolve_auto`] under Auto; otherwise
@@ -355,9 +400,8 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::EvalError;
     use xpath_syntax::parse_normalized;
-    use xpath_xml::generate::doc_bookstore;
+    use xpath_xml::generate::{doc_bookstore, doc_figure8};
 
     fn plan(q: &str, s: Strategy) -> EvalResult<Plan> {
         Plan::build(parse_normalized(q).unwrap(), s, None)
@@ -433,6 +477,38 @@ mod tests {
     }
 
     #[test]
+    fn auto_strategy_matches_the_resolution() {
+        let s = |q: &str| auto_strategy(&crate::query::Compiler::new().parse(q).unwrap());
+        assert_eq!(s("//book[author]"), Strategy::CoreXPath);
+        assert_eq!(s("//book[title = 'DB Monthly']"), Strategy::XPatterns);
+        assert_eq!(s("//book[position() = last()]"), Strategy::OptMinContext);
+        // Aggregates over fragment paths lift onto the algebra.
+        assert_eq!(s("count(//book)"), Strategy::CoreXPath);
+        assert_eq!(s("count(//book[title = 'DB Monthly'])"), Strategy::XPatterns);
+        assert_eq!(s("count(//book[position() = last()])"), Strategy::OptMinContext);
+    }
+
+    #[test]
+    fn every_evaluator_agrees_with_topdown() {
+        let d = doc_figure8();
+        for q in [
+            "//b/c",
+            "//*[d = 100]",
+            "//b[count(c) > 1]",
+            "//*[position() = last()]",
+            "count(//c) + sum(//d)",
+            // Context-free tables over an empty candidate set.
+            "//nope[position() = count(/a)]",
+            "/nope[count((/a)[1]) = 1]",
+            "count(/nope[(/a)[1]])",
+        ] {
+            let e = parse_normalized(q).unwrap();
+            evaluate_all_agree(&e, &d, Context::of(d.root()), 1_000_000)
+                .unwrap_or_else(|err| panic!("{q}: {err}"));
+        }
+    }
+
+    #[test]
     fn naive_budget_is_enforced() {
         let d = doc_bookstore();
         let p = Plan::build(
@@ -442,5 +518,11 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(p.execute(&d, Context::of(d.root())), Err(EvalError::BudgetExhausted)));
+        // The one-shot path honours the same budget.
+        let e = parse_normalized("//book/ancestor::*/descendant::*/ancestor::*").unwrap();
+        assert!(matches!(
+            execute_adhoc(&e, Strategy::Naive, Some(10), &d, Context::of(d.root())),
+            Err(EvalError::BudgetExhausted)
+        ));
     }
 }

@@ -138,11 +138,6 @@ impl Compiler {
         )
     }
 
-    /// The configured naive-evaluator budget, if any.
-    pub(crate) fn configured_naive_budget(&self) -> Option<u64> {
-        self.naive_budget
-    }
-
     /// The configured thread budget (`0` = auto) — the default a
     /// [`QuerySetBuilder`](crate::batch::QuerySetBuilder) built from this
     /// compiler inherits.
@@ -379,12 +374,26 @@ mod tests {
     fn parse_errors_surface_as_parse_at_compile_time() {
         assert!(matches!(CompiledQuery::compile("//["), Err(EvalError::Parse(_))));
         assert!(matches!(Compiler::new().compile("//book[$undefined]"), Err(EvalError::Parse(_))));
+        assert!(matches!(CompiledQuery::compile("///"), Err(EvalError::Parse(_))));
+        // The AST-only static phase reports the same way.
+        assert!(matches!(Compiler::new().parse("//["), Err(EvalError::Parse(_))));
+        let unbound = Compiler::new().bindings(&Bindings::new()).parse("//book[$nope]");
+        assert!(matches!(unbound, Err(EvalError::Parse(_))));
     }
 
     #[test]
     fn fragment_rejection_is_a_compile_error() {
         let c = Compiler::new().default_strategy(Strategy::CoreXPath);
         assert!(matches!(c.compile("count(//book)"), Err(EvalError::UnsupportedFragment(_))));
+        assert!(matches!(
+            c.compile("//book[position() = 2]"),
+            Err(EvalError::UnsupportedFragment(_))
+        ));
+        assert!(c.compile("//book[title = 'x']").is_err());
+        let x = Compiler::new().default_strategy(Strategy::XPatterns);
+        assert!(x.compile("//book[title = 'x']").is_ok());
+        // Inside the fragment the pinned strategy runs.
+        assert_eq!(c.compile("//book[author]").unwrap().select(&doc_bookstore()).unwrap().len(), 4);
         // The same query compiles fine under Auto.
         assert!(Compiler::new().compile("count(//book)").is_ok());
     }
@@ -395,6 +404,27 @@ mod tests {
         let q = Compiler::new().bindings(&b).compile("count(//book[@year > $y])").unwrap();
         let d = doc_bookstore();
         assert_eq!(q.evaluate_root(&d).unwrap(), Value::Number(2.0));
+    }
+
+    #[test]
+    fn bindings_reach_the_one_shot_path() {
+        let d = doc_bookstore();
+        let b = Bindings::new().number("y", 2000.0).string("t", "XPath Processing");
+        let e = Compiler::new().bindings(&b).parse("//book[@year > $y and title = $t]").unwrap();
+        let v = plan::execute_adhoc(&e, Strategy::Auto, None, &d, Context::of(d.root())).unwrap();
+        assert_eq!(v.as_node_set().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn evaluate_at_a_context_node() {
+        let d = doc_bookstore();
+        let b1 = Context::of(d.element_by_id("b1").unwrap());
+        let v = CompiledQuery::compile("count(author)").unwrap().evaluate(&d, b1).unwrap();
+        assert_eq!(v, Value::Number(3.0));
+        let titles = CompiledQuery::compile("following-sibling::book/title").unwrap();
+        assert_eq!(titles.select_at(&d, b1).unwrap().len(), 1);
+        let years = CompiledQuery::compile("count(//book[@year > 2000])").unwrap();
+        assert_eq!(years.evaluate_root(&d).unwrap(), Value::Number(2.0));
     }
 
     #[test]

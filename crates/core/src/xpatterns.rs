@@ -324,10 +324,9 @@ mod tests {
         // coincides with //*[not(preceding-sibling::node())] (on documents
         // with attributes the Table VI predicate counts attribute siblings
         // of the abstract tree, which the XPath axis filters out).
-        use crate::engine::Engine;
         let d = Document::parse_str("<a><b/><c><d/>text<d/></c><b/></a>").unwrap();
-        let engine = Engine::new(&d);
-        let via_query = engine.select("//*[not(preceding-sibling::node())] | /.").unwrap();
+        let q = crate::query::CompiledQuery::compile("//*[not(preceding-sibling::node())] | /.");
+        let via_query = q.unwrap().select(&d).unwrap();
         let mut expected = first_of_any(&d);
         // The query returns only elements+root; restrict the predicate set.
         expected.retain(|n| matches!(d.kind(n), NodeKind::Element | NodeKind::Root));

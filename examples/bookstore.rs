@@ -5,12 +5,12 @@
 //! cargo run --example bookstore
 //! ```
 
+use gkp_xpath::core::Context;
 use gkp_xpath::xml::generate::doc_bookstore;
-use gkp_xpath::{CompiledQuery, Engine};
+use gkp_xpath::CompiledQuery;
 
 fn main() {
     let doc = doc_bookstore();
-    let engine = Engine::new(&doc);
 
     println!("== catalogue queries ==");
     let queries = [
@@ -54,16 +54,15 @@ fn main() {
     println!("\n== following the ID references (deref_ids / ref relation) ==");
     let b2 = doc.element_by_id("b2").unwrap();
     println!("book b2 relates to:");
-    for n in engine.select_at("id(related)/title", b2).unwrap() {
+    let related = CompiledQuery::compile("id(related)/title").unwrap();
+    for n in related.select_at(&doc, Context::of(b2)).unwrap() {
         println!("    -> {}", doc.string_value(n));
     }
 
     println!("\n== aggregate report ==");
-    println!("books:        {}", engine.evaluate("count(//book)").unwrap());
-    println!("total price:  {}", engine.evaluate("sum(//book/@price)").unwrap());
-    println!("avg price:    {}", engine.evaluate("sum(//book/@price) div count(//book)").unwrap());
-    println!(
-        "oldest:       {}",
-        engine.evaluate("string(//book[not(//book/@year < @year)]/title)").unwrap()
-    );
+    let eval = |q| CompiledQuery::compile(q).unwrap().evaluate_root(&doc).unwrap();
+    println!("books:        {}", eval("count(//book)"));
+    println!("total price:  {}", eval("sum(//book/@price)"));
+    println!("avg price:    {}", eval("sum(//book/@price) div count(//book)"));
+    println!("oldest:       {}", eval("string(//book[not(//book/@year < @year)]/title)"));
 }

@@ -11,8 +11,9 @@
 //! cargo run --example dtd_catalog
 //! ```
 
+use gkp_xpath::core::Context;
 use gkp_xpath::xml::IdPolicy;
-use gkp_xpath::{Document, Engine, Strategy};
+use gkp_xpath::{CompiledQuery, Compiler, Document, NodeId, NodeSet, Strategy};
 
 const CATALOG: &str = r#"<!DOCTYPE catalog [
   <!ELEMENT catalog (part+)>
@@ -39,21 +40,25 @@ fn main() {
     println!("ID attributes declared: {:?}", dtd.id_attributes().collect::<Vec<_>>());
 
     // The entity declared in the internal subset resolved in content:
-    let engine = Engine::new(&doc);
+    let select_at = |q, node: NodeId| -> NodeSet {
+        CompiledQuery::compile(q).unwrap().select_at(&doc, Context::of(node)).unwrap()
+    };
     let axle = doc.element_by_id("axle").expect("code is an ID attribute");
-    let axle_name = engine.select_at("name", axle).unwrap();
+    let axle_name = select_at("name", axle);
     println!("axle name: {}", doc.string_value(axle_name.first().unwrap()));
     assert!(doc.string_value(axle_name.first().unwrap()).contains("ACME"), "entity resolved");
 
     // The attribute default materialized on every part without status=…:
-    let active = engine.select("//part[@status = 'active']").unwrap();
+    let active =
+        CompiledQuery::compile("//part[@status = 'active']").unwrap().select(&doc).unwrap();
     println!("active parts: {}", active.len());
     assert_eq!(active.len(), 3, "default status=\"active\" applies to 3 of 4 parts");
 
     // id() queries: follow the <needs> references. XPatterns evaluates
     // id(π) in linear time via the ref relation (Theorem 10.7).
     let q = "id(//part[@status = 'active']/needs)/name";
-    let deps = engine.evaluate_with(q, Strategy::XPatterns).unwrap();
+    let xpatterns = Compiler::new().default_strategy(Strategy::XPatterns).compile(q).unwrap();
+    let deps = xpatterns.evaluate_root(&doc).unwrap();
     let deps = deps.as_node_set().unwrap().to_vec();
     println!("\nparts needed by active parts ({q}):");
     for n in &deps {
@@ -61,9 +66,9 @@ fn main() {
     }
     assert_eq!(deps.len(), 3, "axle, wheel and frame are referenced");
 
-    // Fragment auto-dispatch: the engine classifies id() queries as
-    // XPatterns and picks the linear-time algorithm by itself.
-    let auto = engine.select(q).unwrap();
+    // Fragment auto-dispatch: Auto classifies id() queries as XPatterns
+    // and picks the linear-time algorithm by itself.
+    let auto = CompiledQuery::compile(q).unwrap().select(&doc).unwrap();
     assert_eq!(auto.len(), deps.len());
 
     // A transitive dependency walk using the library API.
@@ -71,9 +76,9 @@ fn main() {
     let mut frontier = vec![doc.element_by_id("cart").unwrap()];
     let mut seen = frontier.clone();
     while let Some(part) = frontier.pop() {
-        for dep in engine.select_at("id(needs)", part).unwrap() {
+        for dep in &select_at("id(needs)", part) {
             if !seen.contains(&dep) {
-                let name = engine.select_at("name", dep).unwrap();
+                let name = select_at("name", dep);
                 println!("  - {}", doc.string_value(name.first().unwrap()));
                 seen.push(dep);
                 frontier.push(dep);

@@ -11,9 +11,9 @@ use std::time::Instant;
 
 use gkp_xpath::core::fragment::classify;
 use gkp_xpath::core::naive::NaiveEvaluator;
-use gkp_xpath::core::{Context, EvalError};
+use gkp_xpath::core::{plan, Context, EvalError};
 use gkp_xpath::xml::generate::doc_flat;
-use gkp_xpath::{Engine, Strategy};
+use gkp_xpath::{Compiler, Strategy};
 
 fn main() {
     println!("== Figure 1: classification ==");
@@ -38,12 +38,11 @@ fn main() {
 
     println!("\n== why it matters: the Experiment-1 antagonist query ==");
     let doc = doc_flat(2);
-    let engine = Engine::new(&doc);
     let mut q = String::from("//a/b");
     for _ in 0..22 {
         q.push_str("/parent::a/b");
     }
-    let e = engine.prepare(&q).unwrap();
+    let e = Compiler::new().parse(&q).unwrap();
 
     // Exponential baseline, bounded by a step budget.
     let naive = NaiveEvaluator::with_budget(&doc, 3_000_000);
@@ -65,7 +64,7 @@ fn main() {
         ("auto:", Strategy::Auto),
     ] {
         let t = Instant::now();
-        let v = engine.evaluate_expr(&e, s, Context::of(doc.root())).unwrap();
+        let v = plan::execute_adhoc(&e, s, None, &doc, Context::of(doc.root())).unwrap();
         println!(
             "{name:<16} {} nodes in {:?}",
             v.as_node_set().map_or(0, gkp_xpath::xml::NodeSet::len),

@@ -1,7 +1,6 @@
 //! Quickstart: the four-tier query API.
 //!
-//! 1. **Ad-hoc** — `Engine::evaluate` for one-off queries against one
-//!    document (compiles behind a per-engine cache);
+//! 1. **One query** — `CompiledQuery::compile(q)?.select(&doc)`;
 //! 2. **Compiled** — `Compiler`/`CompiledQuery` for compile-once,
 //!    evaluate-many (share via `QueryCache` across threads);
 //! 3. **Batched** — `QuerySetBuilder`/`QuerySet` for evaluating many
@@ -16,7 +15,7 @@
 //! ```
 
 use gkp_xpath::{
-    CompiledQuery, Compiler, Document, Engine, EvalBudget, NodeCursor, QueryCache, QuerySetBuilder,
+    CompiledQuery, Compiler, Document, EvalBudget, NodeCursor, QueryCache, QuerySetBuilder,
     Strategy,
 };
 
@@ -132,15 +131,23 @@ fn main() {
         .expect("a 25-node document beats a 50ms deadline");
     println!("under budget: {v}");
 
-    // 8. Every algorithm from the paper is available explicitly, and the
-    //    document-bound Engine facade remains for one-off queries — it
-    //    now also exposes batched evaluation and fleet-wide planner
-    //    stats without reaching into internals.
-    let engine = Engine::new(&doc);
-    let facade = engine.evaluate_batch(&["count(//book)", "//book/title"]).unwrap();
-    println!("facade batch: {}", facade.results()[0].as_ref().unwrap());
-    engine.select("//shelf[book]").unwrap(); // a fragment query records kernel picks
-    println!("planner: {} axis applications so far", engine.planner_stats().total());
+    // 8. A service assembles batches from its QueryCache's handles, so a
+    //    repeated text compiles once; the cache also reports fleet-wide
+    //    planner stats over the queries it holds.
+    let hits_before = cache.stats().hits;
+    let handles = cache
+        .get_or_compile_many(&compiler, &["count(//book)", "//book/title", "count(//book)"])
+        .unwrap();
+    let cached = handles.into_iter().fold(QuerySetBuilder::new(), QuerySetBuilder::compiled);
+    let out = cached.build().unwrap().evaluate_all(&doc);
+    println!("cached batch: {}", out.results()[0].as_ref().unwrap());
+    assert_eq!(cache.stats().hits, hits_before + 1, "the duplicate text is a cache hit");
+    cache.get_or_compile(&compiler, "//shelf[book]").unwrap().select(&doc).unwrap();
+    let planner = cache.planner_stats();
+    assert!(planner.total() > 0, "fragment queries record kernel picks");
+    println!("planner: {} axis applications so far", planner.total());
+
+    // 9. Every algorithm from the paper is available explicitly.
     for strategy in [
         Strategy::Naive,         // §2  exponential baseline
         Strategy::DataPool,      // §9  memoized
@@ -149,7 +156,8 @@ fn main() {
         Strategy::MinContext,    // §8
         Strategy::OptMinContext, // §11.2
     ] {
-        let v = engine.evaluate_with("count(//book)", strategy).unwrap();
+        let q = Compiler::new().default_strategy(strategy).compile("count(//book)").unwrap();
+        let v = q.evaluate_root(&doc).unwrap();
         println!("{strategy:?} says count(//book) = {v}");
     }
 }

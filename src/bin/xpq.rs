@@ -96,7 +96,9 @@
 //!       --exists            print "true"/"false" and exit 0/1 on whether the
 //!                           query matches at all — early-exits on the first
 //!                           witness via the lazy cursor, never materializing
-//!                           the full answer (single node-set query only)
+//!                           the full answer (single node-set query only);
+//!                           an evaluation error exits 2 under --exists,
+//!                           --first and --limit, since 1 means "no match"
 //!       --first             print only the first match in document order
 //!                           (early-exiting like --exists); exit 1 if none
 //!       --limit <K>         print at most the first K matches in document
@@ -122,7 +124,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use gkp_xpath::core::{EvalBudget, EvalError, NodeCursor, Value};
-use gkp_xpath::{Compiler, Document, Engine, QuerySetBuilder, Strategy};
+use gkp_xpath::{Compiler, Document, QuerySetBuilder, Strategy};
 
 /// `timeout(1)`-compatible exit code for a tripped deadline/cancellation.
 const EXIT_TIMED_OUT: u8 = 124;
@@ -174,10 +176,10 @@ fn usage() -> &'static str {
      -e/--expr: add a query to the batch (repeatable); --query-file: one query per line (#-comments skipped)\n\
      -T/--threads: batch fan-out budget (0 = auto via GKP_THREADS/machine, 1 = serial)\n\
      --lint: static-analyze the queries (no document); exits 1 on error-severity diagnostics\n\
-     --exists/--first/--limit: early-exit evaluation via the lazy cursor (single node-set query)\n\
+     --exists/--first/--limit: early-exit evaluation via the lazy cursor (single node-set query); exit 1 = no match, 2 = evaluation error\n\
      --timeout-ms: deadline for the whole evaluation; exits 124 when it trips\n\
      --snapshot: evaluate against an mmap'd snapshot file instead of XML (see `xpq snapshot`)\n\
-     --bench-info: print detected CPU features, the active kernel tier and the GKP_NO_SIMD state, then exit\n\
+     --bench-info: print detected CPU features, the active kernel tier, the GKP_NO_SIMD state and the thread budget, then exit\n\
      snapshot subcommand: xpq snapshot (build [--ns] <XML> <SNAP> | info <SNAP> | verify <SNAP>)"
 }
 
@@ -531,8 +533,8 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
 }
 
 /// `--bench-info`: the runtime CPU-feature probe, the kernel tier the
-/// word-sweep dispatch resolved to, and the `GKP_NO_SIMD` override state —
-/// the context needed to interpret a BENCH_axes.json `simd` section
+/// word-sweep dispatch resolved to, the `GKP_NO_SIMD` override state and
+/// the resolved thread budget — the context needed to interpret a BENCH_axes.json `simd` section
 /// captured on this machine.
 fn print_bench_info(threads: u32) {
     use gkp_xpath::xml::simd;
@@ -1031,10 +1033,9 @@ fn main() -> ExitCode {
     }
 
     if opts.verify {
-        let engine = Engine::new(&doc);
         let ctx = gkp_xpath::core::Context::of(doc.root());
         for q in set.queries() {
-            match engine.evaluate_all_agree(q.expr(), ctx, 10_000_000) {
+            match gkp_xpath::core::plan::evaluate_all_agree(q.expr(), &doc, ctx, 10_000_000) {
                 Ok(_) => eprintln!("verify: all algorithms agree on {}", q.text()),
                 Err(e) => {
                     eprintln!("verify FAILED on {}: {e}", q.text());
@@ -1067,7 +1068,9 @@ fn main() -> ExitCode {
             Ok(_) => {}
             Err(e) => {
                 eprintln!("evaluation error: {e}");
-                return ExitCode::from(exit_for(&e));
+                // Exit 1 means "no match" here, so an error exits 2.
+                let code = exit_for(&e);
+                return ExitCode::from(if code == EXIT_TIMED_OUT { code } else { 2 });
             }
         }
         if opts.exists {

@@ -93,10 +93,12 @@
 //! assert!(ok.is_ok());
 //! ```
 //!
-//! The document-bound [`Engine`] remains as a convenience facade over
-//! `Compiler` + `QueryCache` for one-off evaluation against a single
-//! document; it also exposes the batch tier ([`Engine::evaluate_batch`])
-//! and fleet-wide planner statistics ([`Engine::planner_stats`]).
+//! Below the compiled tier, [`xpath_core::plan`] runs a prepared
+//! expression once under any [`Strategy`]
+//! ([`execute_adhoc`](xpath_core::plan::execute_adhoc)) and holds the
+//! differential oracle that checks every algorithm of the paper against
+//! the top-down reference
+//! ([`evaluate_all_agree`](xpath_core::plan::evaluate_all_agree)).
 
 #![forbid(unsafe_code)]
 
@@ -113,7 +115,7 @@ pub use xpath_core::batch::{BatchResult, BatchStats, QuerySet, QuerySetBuilder};
 pub use xpath_core::cache::{CacheStats, QueryCache};
 pub use xpath_core::context::{EvalBudget, EvalError};
 pub use xpath_core::cursor::{NodeCursor, QueryCursor};
-pub use xpath_core::engine::{Engine, Strategy};
+pub use xpath_core::plan::Strategy;
 pub use xpath_core::query::{CompiledQuery, Compiler};
 pub use xpath_core::serve::{ServeConfig, Server};
 pub use xpath_core::store::{DocumentStore, StoreError, StoreStats};

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gkp_xpath::core::engine::Strategy;
+use gkp_xpath::core::Strategy;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore};
 use gkp_xpath::{BatchMode, CompiledQuery, Compiler, Document, QuerySet, QuerySetBuilder};
 

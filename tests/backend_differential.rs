@@ -1,18 +1,19 @@
 //! The one axis kernel against the paper's oracles: the Core XPath
 //! evaluator (every axis pass on `xpath_axes::bulk`) must return the
 //! same node-sets — same content **and** same document order — as the
-//! TopDown evaluator run through `Engine`, on the seven BENCH_axes query
+//! TopDown evaluator run through `plan::execute_adhoc`, on the seven BENCH_axes query
 //! shapes and on random documents, from root and non-root contexts
 //! alike. The sparse `id` axis is held to the Theorem 10.7 scan it
 //! replaced the same way.
 
 use gkp_xpath::axes::id::{id_set_ref, id_set_ref_scan};
 use gkp_xpath::core::corexpath::{compile, CoreXPathEvaluator};
+use gkp_xpath::core::plan;
 use gkp_xpath::syntax::parse_normalized;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
 use gkp_xpath::xml::rng::Rng;
 use gkp_xpath::xml::{DocumentBuilder, NodeId};
-use gkp_xpath::{Document, Engine, Strategy, Value};
+use gkp_xpath::{Document, Strategy, Value};
 
 /// The seven query shapes benchmarked in BENCH_axes.json (the last is
 /// provably empty — the analyzer's constant-empty short-circuit rides the
@@ -28,17 +29,20 @@ const BENCH_QUERIES: &[&str] = &[
 ];
 
 fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
-    let engine = Engine::new(doc);
     let kernel = CoreXPathEvaluator::new(doc);
     let contexts = [doc.root(), doc.document_element().unwrap_or(doc.root())];
     for q in queries {
         let e = parse_normalized(q).unwrap_or_else(|err| panic!("{q}: {err}"));
         let c = compile(&e).unwrap_or_else(|err| panic!("{q}: {err}"));
         for ctx in contexts {
-            let Value::NodeSet(want) = engine
-                .evaluate_expr(&e, Strategy::TopDown, gkp_xpath::core::Context::of(ctx))
-                .unwrap_or_else(|err| panic!("{label}: TopDown fails on {q}: {err}"))
-            else {
+            let Value::NodeSet(want) = plan::execute_adhoc(
+                &e,
+                Strategy::TopDown,
+                None,
+                doc,
+                gkp_xpath::core::Context::of(ctx),
+            )
+            .unwrap_or_else(|err| panic!("{label}: TopDown fails on {q}: {err}")) else {
                 panic!("{label}: TopDown returns a non-node-set for {q}");
             };
             let want_ids: Vec<_> = want.iter().collect();

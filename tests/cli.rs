@@ -534,3 +534,47 @@ fn lint_explain_and_cursor_agree_on_the_lazy_verdict() {
     assert!(!verdicts["count(//a)"], "scalar queries materialize");
     assert!(!verdicts["//text()/child::*"], "const-folded plans materialize");
 }
+
+#[test]
+fn early_exit_flags_separate_no_match_from_errors() {
+    // --exists: exit 0 on a match, 1 on none.
+    let (stdout, stderr, code) = xpq(&["--exists", "//book"], XML);
+    assert_eq!((stdout.trim(), code), ("true", 0), "{stderr}");
+    let (stdout, stderr, code) = xpq(&["--exists", "//nope"], XML);
+    assert_eq!((stdout.trim(), code), ("false", 1), "{stderr}");
+    // --first: the first match, exit 1 on none.
+    let (stdout, stderr, code) = xpq(&["--first", "//title"], XML);
+    assert_eq!((stdout.trim(), code), ("Foundations", 0), "{stderr}");
+    let (_, stderr, code) = xpq(&["--first", "//nope"], XML);
+    assert_eq!(code, 1, "{stderr}");
+    // --limit 2: exactly two lines out of three matches.
+    let (stdout, stderr, code) = xpq(&["--limit", "2", "//b"], "<a><b>1</b><b>2</b><b>3</b></a>");
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), ["1", "2"]);
+    // An evaluation error exits 2, never the "no match" 1.
+    for flags in [&["--exists"][..], &["--first"], &["--limit", "2"]] {
+        let (_, stderr, code) = xpq(&[flags, &["count(//book)"]].concat(), XML);
+        assert_eq!(code, 2, "{flags:?}: {stderr}");
+        assert!(stderr.contains("evaluation error"), "{flags:?}: {stderr}");
+    }
+}
+
+#[test]
+fn context_free_predicates_after_an_empty_step_evaluate() {
+    // The step before each predicate selects nothing; the absolute paths
+    // inside must still be covered for the general evaluators.
+    let catalog = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/catalog.xml");
+    for q in [
+        "//nope[position() = count(/catalog)]",
+        "/nope[count((/catalog)[1]) = 1]",
+        "count(/nope[(/catalog)[1]])",
+    ] {
+        let (want, stderr, code) = xpq(&["-s", "topdown", q, catalog], "");
+        assert_eq!(code, 0, "{q}: {stderr}");
+        for s in ["auto", "mincontext", "optmincontext"] {
+            let (got, stderr, code) = xpq(&["-s", s, q, catalog], "");
+            assert_eq!(code, 0, "{q} under {s}: {stderr}");
+            assert_eq!(got, want, "{q} under {s}");
+        }
+    }
+}

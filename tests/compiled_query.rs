@@ -5,9 +5,9 @@
 use std::sync::Arc;
 use std::thread;
 
-use gkp_xpath::core::Context;
+use gkp_xpath::core::{plan, Context};
 use gkp_xpath::xml::generate::{doc_bookstore, doc_figure8};
-use gkp_xpath::{CompiledQuery, Compiler, Document, Engine, QueryCache, Strategy};
+use gkp_xpath::{CompiledQuery, Compiler, Document, QueryCache, Strategy};
 
 /// `CompiledQuery` and `QueryCache` must be shareable across threads —
 /// checked at compile time.
@@ -33,10 +33,9 @@ fn one_compilation_many_threads_many_documents() {
         let docs = Arc::new(vec![doc_figure8(), doc_bookstore()]);
 
         // Per-document reference values via the explicit TopDown strategy.
-        let references: Vec<String> = docs
-            .iter()
-            .map(|d| Engine::new(d).evaluate_with(q, Strategy::TopDown).unwrap().to_string())
-            .collect();
+        let topdown = Compiler::new().default_strategy(Strategy::TopDown).compile(q).unwrap();
+        let references: Vec<String> =
+            docs.iter().map(|d| topdown.evaluate_root(d).unwrap().to_string()).collect();
 
         let mut handles = Vec::new();
         for t in 0..4 {
@@ -162,20 +161,26 @@ fn query_cache_shared_across_threads() {
     assert_eq!(stats.entries, queries.len());
 }
 
-/// The compiled-query path and the legacy Engine facade agree.
+/// A compiled query, its cached handle and the one-shot path over the
+/// parsed expression agree.
 #[test]
-fn facade_and_compiled_query_agree() {
+fn cached_one_shot_and_compiled_paths_agree() {
     let doc = doc_bookstore();
-    let engine = Engine::new(&doc);
+    let cache = QueryCache::new(16);
+    let compiler = Compiler::new();
+    let ctx = Context::of(doc.root());
     for q in [
         "//book[author]",
         "//book[title = 'XPath Processing']",
         "count(//book[@year > 1990])",
         "string(//magazine/title)",
     ] {
-        let via_engine = engine.evaluate(q).unwrap();
         let via_compiled = CompiledQuery::compile(q).unwrap().evaluate_root(&doc).unwrap();
-        assert!(via_engine.semantically_equal(&via_compiled), "{q}");
+        let via_cache = cache.get_or_compile(&compiler, q).unwrap().evaluate_root(&doc).unwrap();
+        let e = compiler.parse(q).unwrap();
+        let one_shot = plan::execute_adhoc(&e, Strategy::Auto, None, &doc, ctx).unwrap();
+        assert!(via_cache.semantically_equal(&via_compiled), "{q}");
+        assert!(one_shot.semantically_equal(&via_compiled), "{q}");
     }
 }
 

@@ -6,9 +6,9 @@ use std::time::{Duration, Instant};
 
 use gkp_xpath::core::naive::NaiveEvaluator;
 use gkp_xpath::core::pool::PoolEvaluator;
-use gkp_xpath::core::{Context, Strategy};
+use gkp_xpath::core::{plan, Context, Strategy};
 use gkp_xpath::xml::generate::{doc_flat, doc_flat_text};
-use gkp_xpath::Engine;
+use gkp_xpath::Compiler;
 
 fn exp1_query(k: usize) -> String {
     let mut q = String::from("//a/b");
@@ -85,13 +85,12 @@ fn core_xpath_linear_in_data() {
     let mut times = Vec::new();
     for n in [8_000usize, 16_000, 32_000] {
         let d = doc_flat(n);
-        let engine = Engine::new(&d);
-        let e = engine.prepare(q).unwrap();
+        let e = Compiler::new().parse(q).unwrap();
         // Warm-up + best-of-3 to damp noise.
         let mut best = Duration::MAX;
         for _ in 0..3 {
             let t = Instant::now();
-            engine.evaluate_expr(&e, Strategy::CoreXPath, Context::of(d.root())).unwrap();
+            plan::execute_adhoc(&e, Strategy::CoreXPath, None, &d, Context::of(d.root())).unwrap();
             best = best.min(t.elapsed());
         }
         times.push(best.as_secs_f64());
@@ -113,14 +112,13 @@ fn topdown_linear_in_query_depth() {
         format!("//*[{inner}]")
     }
     let d = doc_flat_text(100);
-    let engine = Engine::new(&d);
     let mut times = Vec::new();
     for depth in [10usize, 20, 40] {
-        let e = engine.prepare(&exp2_query(depth)).unwrap();
+        let e = Compiler::new().parse(&exp2_query(depth)).unwrap();
         let mut best = Duration::MAX;
         for _ in 0..3 {
             let t = Instant::now();
-            engine.evaluate_expr(&e, Strategy::TopDown, Context::of(d.root())).unwrap();
+            plan::execute_adhoc(&e, Strategy::TopDown, None, &d, Context::of(d.root())).unwrap();
             best = best.min(t.elapsed());
         }
         times.push(best.as_secs_f64());
@@ -137,9 +135,8 @@ fn topdown_linear_in_query_depth() {
 #[test]
 fn polynomial_engines_survive_the_antagonist_suite() {
     let d = doc_flat(4);
-    let engine = Engine::new(&d);
     let q = exp1_query(30);
-    let e = engine.prepare(&q).unwrap();
+    let e = Compiler::new().parse(&q).unwrap();
     // Naive: blown budget.
     let naive = NaiveEvaluator::with_budget(&d, 500_000);
     assert!(naive.evaluate(&e, Context::of(d.root())).is_err());
@@ -153,7 +150,7 @@ fn polynomial_engines_survive_the_antagonist_suite() {
         Strategy::CoreXPath,
     ] {
         let t = Instant::now();
-        let v = engine.evaluate_expr(&e, s, Context::of(d.root())).unwrap();
+        let v = plan::execute_adhoc(&e, s, None, &d, Context::of(d.root())).unwrap();
         assert_eq!(v.as_node_set().unwrap().len(), 4, "{s:?}");
         assert!(t.elapsed() < Duration::from_secs(5), "{s:?} too slow");
     }

@@ -1,12 +1,12 @@
 //! Differential testing: all eight algorithms must agree on a broad query
 //! corpus across documents of different shapes.
 
-use gkp_xpath::core::Context;
+use gkp_xpath::core::{plan, Context};
 use gkp_xpath::xml::generate::{
     doc_ab_groups, doc_balanced, doc_bookstore, doc_deep_path, doc_figure8, doc_flat,
     doc_flat_text, doc_idref_chain, doc_random, RandomDocConfig,
 };
-use gkp_xpath::{Document, Engine};
+use gkp_xpath::{Compiler, Document};
 
 /// The shared query corpus. Everything here is valid full XPath; fragments
 /// vary so all dispatch routes get exercised.
@@ -97,14 +97,12 @@ const CORPUS: &[&str] = &[
 ];
 
 fn check_doc(doc: &Document) {
-    let engine = Engine::new(doc);
     for q in CORPUS {
-        let e = match engine.prepare(q) {
+        let e = match Compiler::new().parse(q) {
             Ok(e) => e,
             Err(err) => panic!("{q}: {err}"),
         };
-        engine
-            .evaluate_all_agree(&e, Context::of(doc.root()), 3_000_000)
+        plan::evaluate_all_agree(&e, doc, Context::of(doc.root()), 3_000_000)
             .unwrap_or_else(|err| panic!("{q} on {doc:?}: {err}"));
     }
 }
@@ -187,7 +185,6 @@ fn corpus_from_non_root_contexts() {
     // Differential agreement must also hold for relative queries from
     // arbitrary context nodes.
     let doc = doc_figure8();
-    let engine = Engine::new(&doc);
     let queries = [
         "child::*",
         "parent::*",
@@ -202,9 +199,8 @@ fn corpus_from_non_root_contexts() {
     ];
     for node in doc.all_nodes() {
         for q in queries {
-            let e = engine.prepare(q).unwrap();
-            engine
-                .evaluate_all_agree(&e, Context::of(node), 1_000_000)
+            let e = Compiler::new().parse(q).unwrap();
+            plan::evaluate_all_agree(&e, &doc, Context::of(node), 1_000_000)
                 .unwrap_or_else(|err| panic!("{q} at {node:?}: {err}"));
         }
     }

@@ -3,9 +3,9 @@
 //! as the general engines, and (c) respect the Figure 1 subsumption order.
 
 use gkp_xpath::core::fragment::{classify, Fragment};
-use gkp_xpath::core::{corexpath, wadler, Context, Strategy};
+use gkp_xpath::core::{corexpath, plan, wadler, Context, Strategy};
 use gkp_xpath::xml::generate::{doc_bookstore, doc_figure8, doc_idref_chain};
-use gkp_xpath::{Document, Engine};
+use gkp_xpath::{Compiler, Document};
 
 /// Queries with their expected classification.
 const CLASSIFIED: &[(&str, Fragment)] = &[
@@ -87,33 +87,19 @@ fn subsumption_order_holds() {
 }
 
 fn check_specialized_agreement(doc: &Document) {
-    let engine = Engine::new(doc);
     for (q, frag) in CLASSIFIED {
-        let e = engine.prepare(q).unwrap();
-        let reference =
-            engine.evaluate_expr(&e, Strategy::TopDown, Context::of(doc.root())).unwrap();
+        let e = Compiler::new().parse(q).unwrap();
+        let run = |s| plan::execute_adhoc(&e, s, None, doc, Context::of(doc.root())).unwrap();
+        let reference = run(Strategy::TopDown);
         // Auto must give the same answer through whatever specialized route.
-        let auto = engine.evaluate_expr(&e, Strategy::Auto, Context::of(doc.root())).unwrap();
-        assert!(reference.semantically_equal(&auto), "{q}: auto disagrees");
+        assert!(reference.semantically_equal(&run(Strategy::Auto)), "{q}: auto disagrees");
         // The explicitly specialized engine must accept and agree.
-        match frag {
-            Fragment::CoreXPath => {
-                let v =
-                    engine.evaluate_expr(&e, Strategy::CoreXPath, Context::of(doc.root())).unwrap();
-                assert!(reference.semantically_equal(&v), "{q}: core disagrees");
-            }
-            Fragment::XPatterns => {
-                let v =
-                    engine.evaluate_expr(&e, Strategy::XPatterns, Context::of(doc.root())).unwrap();
-                assert!(reference.semantically_equal(&v), "{q}: xpatterns disagrees");
-            }
-            Fragment::ExtendedWadler | Fragment::FullXPath => {
-                let v = engine
-                    .evaluate_expr(&e, Strategy::OptMinContext, Context::of(doc.root()))
-                    .unwrap();
-                assert!(reference.semantically_equal(&v), "{q}: optmincontext disagrees");
-            }
-        }
+        let specialized = match frag {
+            Fragment::CoreXPath => Strategy::CoreXPath,
+            Fragment::XPatterns => Strategy::XPatterns,
+            Fragment::ExtendedWadler | Fragment::FullXPath => Strategy::OptMinContext,
+        };
+        assert!(reference.semantically_equal(&run(specialized)), "{q}: {specialized:?} disagrees");
     }
 }
 
@@ -134,8 +120,6 @@ fn specialized_evaluators_agree_on_idref_chain() {
 
 #[test]
 fn auto_dispatch_picks_the_advertised_strategy() {
-    let doc = doc_figure8();
-    let engine = Engine::new(&doc);
     // Full XPath only by its aggregate: the path inside lifts onto the
     // linear-time algebra. Extended Wadler only by a value test other
     // than `=`: the XPatterns algebra takes it.
@@ -146,8 +130,8 @@ fn auto_dispatch_picks_the_advertised_strategy() {
         ("//b[c != 'x']", Strategy::XPatterns),
     ];
     for (q, frag) in CLASSIFIED {
-        let e = engine.prepare(q).unwrap();
-        let strategy = engine.auto_strategy(&e);
+        let e = Compiler::new().parse(q).unwrap();
+        let strategy = plan::auto_strategy(&e);
         let expected = match (lifted.iter().find(|(l, _)| l == q), frag) {
             (Some(&(_, s)), _) => s,
             (None, Fragment::CoreXPath) => Strategy::CoreXPath,

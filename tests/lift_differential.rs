@@ -12,8 +12,8 @@
 
 use std::time::Duration;
 
-use gkp_xpath::core::engine::Strategy;
 use gkp_xpath::core::Context;
+use gkp_xpath::core::Strategy;
 use gkp_xpath::xml::generate::{
     doc_balanced, doc_bookstore, doc_idref_chain, doc_random, RandomDocConfig,
 };

@@ -3,7 +3,7 @@
 //! indistinguishable from the normalized query it came from.
 //!
 //! * **Results**: the compiled Auto answer equals TopDown (§7) and
-//!   OptMinContext (§11.2) run through `Engine::evaluate_expr` on the
+//!   OptMinContext (§11.2) run through `plan::execute_adhoc` on the
 //!   normalized expression *before* the rewrite, on random and bookstore
 //!   documents and a small catalog shaped like the served benchmark's.
 //! * **Figure 1 labels**: `classify` gives the same fragment before and
@@ -18,11 +18,11 @@
 
 use gkp_xpath::core::analyze::{Laziness, QueryReport};
 use gkp_xpath::core::fragment::classify;
-use gkp_xpath::core::plan::Plan;
+use gkp_xpath::core::plan::{self, Plan};
 use gkp_xpath::core::{Context, Strategy};
 use gkp_xpath::syntax::{parse_normalized, Expr};
 use gkp_xpath::xml::generate::{doc_bookstore, doc_random, RandomDocConfig};
-use gkp_xpath::{Compiler, Document, Engine};
+use gkp_xpath::{Compiler, Document};
 
 /// The served benchmark's catalog shapes (aggregates, value tests and
 /// bare paths, every one starting with `//`).
@@ -101,13 +101,12 @@ fn unrewritten(q: &str) -> Expr {
 fn rewritten_queries_agree_with_the_oracles_on_the_unrewritten_form() {
     let compiler = Compiler::new();
     for (name, doc) in documents() {
-        let engine = Engine::new(&doc);
         let ctx = Context::of(doc.root());
         for q in all_queries() {
             let plain = unrewritten(q);
             let got = compiler.compile(q).unwrap().evaluate(&doc, ctx);
             for s in [Strategy::TopDown, Strategy::OptMinContext] {
-                match (&got, engine.evaluate_expr(&plain, s, ctx)) {
+                match (&got, plan::execute_adhoc(&plain, s, None, &doc, ctx)) {
                     (Ok(g), Ok(w)) => assert!(
                         g.semantically_equal(&w),
                         "{name}: {q}: rewritten Auto gave {g:?}, {s:?} on {plain} gave {w:?}"

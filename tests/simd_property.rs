@@ -5,10 +5,10 @@
 //! boundaries, all-ones, alternating masks, and zero-holed words (the
 //! fingerprint skips zero words, so holes probe the lane masking).
 //!
-//! Deterministic splitmix64-driven cases always run; a `proptest` section
-//! rides behind the same optional feature as `tests/robustness.rs`.
+//! Every case is deterministic: fixed shapes, plus 512 arbitrary buffers
+//! per property from a seeded splitmix64 stream.
 
-use gkp_xpath::xml::rng::splitmix64;
+use gkp_xpath::xml::rng::{splitmix64, Rng};
 use gkp_xpath::xml::simd;
 use gkp_xpath::xml::NodeId;
 
@@ -113,48 +113,44 @@ fn id_run_writer_is_bit_identical_across_tiers() {
     }
 }
 
-// The property tests need the external `proptest` crate, which is not
-// vendored in this offline workspace; see Cargo.toml. The deterministic
-// tests above always run.
-#[cfg(feature = "proptest")]
-mod props {
-    use proptest::prelude::*;
+/// Arbitrary word buffers (any length below `max`, any bits), 512 draws.
+fn random_buffers(seed: u64, max: usize) -> impl Iterator<Item = Vec<u64>> {
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..512).map(move |_| {
+        let len = rng.random_range(0..max);
+        (0..len).map(|_| rng.next_u64()).collect()
+    })
+}
 
-    use gkp_xpath::xml::simd;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// Popcount and fingerprint agree across tiers on arbitrary words.
-        #[test]
-        fn unary_ops_agree(w in prop::collection::vec(any::<u64>(), 0..200)) {
-            let pop = simd::popcount_with(simd::Tier::Scalar, &w);
-            let fp = simd::fingerprint_words_with(simd::Tier::Scalar, &w);
-            for tier in super::tiers() {
-                prop_assert_eq!(simd::popcount_with(tier, &w), pop);
-                prop_assert_eq!(simd::fingerprint_words_with(tier, &w), fp);
-            }
+/// Popcount and fingerprint agree across tiers on arbitrary words.
+#[test]
+fn unary_ops_agree_on_random_buffers() {
+    for w in random_buffers(1, 200) {
+        let pop = simd::popcount_with(simd::Tier::Scalar, &w);
+        let fp = simd::fingerprint_words_with(simd::Tier::Scalar, &w);
+        for tier in tiers() {
+            assert_eq!(simd::popcount_with(tier, &w), pop, "{tier:?} len {}", w.len());
+            assert_eq!(simd::fingerprint_words_with(tier, &w), fp, "{tier:?} len {}", w.len());
         }
+    }
+}
 
-        /// The fused assign-and-count ops agree across tiers on arbitrary
-        /// word buffers of independent lengths.
-        #[test]
-        fn binary_ops_agree(
-            a in prop::collection::vec(any::<u64>(), 0..120),
-            b in prop::collection::vec(any::<u64>(), 0..120),
-        ) {
-            let mut or_ref = a.clone();
-            let or_count = simd::or_assign_count_with(simd::Tier::Scalar, &mut or_ref, &b);
-            let mut an_ref = a.clone();
-            let an_count = simd::andnot_assign_count_with(simd::Tier::Scalar, &mut an_ref, &b);
-            for tier in super::tiers() {
-                let mut dst = a.clone();
-                prop_assert_eq!(simd::or_assign_count_with(tier, &mut dst, &b), or_count);
-                prop_assert_eq!(&dst, &or_ref);
-                let mut dst = a.clone();
-                prop_assert_eq!(simd::andnot_assign_count_with(tier, &mut dst, &b), an_count);
-                prop_assert_eq!(&dst, &an_ref);
-            }
+/// The fused assign-and-count ops agree across tiers on arbitrary word
+/// buffers of independent lengths.
+#[test]
+fn binary_ops_agree_on_random_buffers() {
+    for (a, b) in random_buffers(2, 120).zip(random_buffers(3, 120)) {
+        let mut or_ref = a.clone();
+        let or_count = simd::or_assign_count_with(simd::Tier::Scalar, &mut or_ref, &b);
+        let mut an_ref = a.clone();
+        let an_count = simd::andnot_assign_count_with(simd::Tier::Scalar, &mut an_ref, &b);
+        for tier in tiers() {
+            let mut dst = a.clone();
+            assert_eq!(simd::or_assign_count_with(tier, &mut dst, &b), or_count);
+            assert_eq!(dst, or_ref, "or {tier:?} len {}/{}", a.len(), b.len());
+            let mut dst = a.clone();
+            assert_eq!(simd::andnot_assign_count_with(tier, &mut dst, &b), an_count);
+            assert_eq!(dst, an_ref, "andnot {tier:?} len {}/{}", a.len(), b.len());
         }
     }
 }

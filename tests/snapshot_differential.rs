@@ -7,7 +7,7 @@
 //! (`OpenOptions { mmap: false }`), so the two backings can never
 //! diverge from each other either.
 
-use gkp_xpath::core::{Context, Engine, NodeCursor, Strategy};
+use gkp_xpath::core::{plan, Context, NodeCursor, Strategy};
 use gkp_xpath::xml::generate::{
     doc_balanced, doc_bookstore, doc_figure8, doc_idref_chain, doc_random, RandomDocConfig,
 };
@@ -114,11 +114,10 @@ fn assert_same_structure(tag: &str, a: &Document, b: &Document) {
 /// (or identical rejection) on the parsed and the snapshot-loaded
 /// document.
 fn assert_same_queries(tag: &str, parsed: &Document, loaded: &Document, strategies: &[Strategy]) {
-    let pe = Engine::new(parsed);
-    let le = Engine::new(loaded);
     for &q in QUERIES {
         for &s in strategies {
-            match (pe.evaluate_with(q, s), le.evaluate_with(q, s)) {
+            let run = |doc| Compiler::new().default_strategy(s).compile(q)?.evaluate_root(doc);
+            match (run(parsed), run(loaded)) {
                 (Ok(want), Ok(got)) => {
                     assert_eq!(want, got, "{tag}: {q} under {s:?}");
                 }
@@ -134,15 +133,13 @@ fn assert_same_queries(tag: &str, parsed: &Document, loaded: &Document, strategi
 /// Non-root contexts: evaluate relative queries from a sample of element
 /// nodes on both documents.
 fn assert_same_nonroot(tag: &str, parsed: &Document, loaded: &Document) {
-    let pe = Engine::new(parsed);
-    let le = Engine::new(loaded);
     let compiler = Compiler::new();
     let contexts: Vec<_> = parsed.all_nodes().filter(|&n| n.0 % 7 == 1).take(8).collect();
     for &ctx in &contexts {
         for q in ["descendant::*", "following::*[1]", "ancestor-or-self::*", "string(.)"] {
             let e = compiler.parse(q).unwrap();
-            let want = pe.evaluate_expr(&e, Strategy::TopDown, Context::of(ctx));
-            let got = le.evaluate_expr(&e, Strategy::TopDown, Context::of(ctx));
+            let want = plan::execute_adhoc(&e, Strategy::TopDown, None, parsed, Context::of(ctx));
+            let got = plan::execute_adhoc(&e, Strategy::TopDown, None, loaded, Context::of(ctx));
             match (want, got) {
                 (Ok(w), Ok(g)) => assert_eq!(w, g, "{tag}: {q} at {ctx:?}"),
                 (w, g) => panic!("{tag}: {q} at {ctx:?}: {w:?} vs {g:?}"),

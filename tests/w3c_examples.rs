@@ -4,8 +4,18 @@
 //! evaluated against a purpose-built document and the result checked both
 //! for expected cardinality and for cross-engine agreement.
 
-use gkp_xpath::core::Context;
-use gkp_xpath::{Document, Engine};
+use gkp_xpath::core::{plan, Context, EvalResult};
+use gkp_xpath::{CompiledQuery, Compiler, Document, NodeSet, Value};
+
+/// `q` at the document root.
+fn evaluate(d: &Document, q: &str) -> EvalResult<Value> {
+    CompiledQuery::compile(q)?.evaluate_root(d)
+}
+
+/// The nodes `q` selects at the document root.
+fn select(d: &Document, q: &str) -> EvalResult<NodeSet> {
+    CompiledQuery::compile(q)?.select(d)
+}
 
 fn doc() -> Document {
     Document::parse_str(
@@ -25,10 +35,8 @@ fn doc() -> Document {
 
 fn check(q: &str, expect_count: usize) {
     let d = doc();
-    let engine = Engine::new(&d);
-    let e = engine.prepare(q).unwrap();
-    let v = engine
-        .evaluate_all_agree(&e, Context::of(d.root()), 2_000_000)
+    let e = Compiler::new().parse(q).unwrap();
+    let v = plan::evaluate_all_agree(&e, &d, Context::of(d.root()), 2_000_000)
         .unwrap_or_else(|err| panic!("{q}: {err}"));
     let n = v.as_node_set().map_or(usize::MAX, gkp_xpath::xml::NodeSet::len);
     assert_eq!(n, expect_count, "{q}");
@@ -96,8 +104,7 @@ fn positional_and_boolean_combinations() {
 #[test]
 fn spec_function_edge_cases() {
     let d = doc();
-    let engine = Engine::new(&d);
-    let eval = |q: &str| engine.evaluate(q).unwrap().to_string();
+    let eval = |q: &str| evaluate(&d, q).unwrap().to_string();
 
     // §4.2: substring rounds its arguments and intersects positions.
     assert_eq!(eval("substring('12345', 1.5, 2.6)"), "234");
@@ -150,12 +157,11 @@ fn spec_lang_function() {
         r#"<doc xml:lang="en"><p/><q xml:lang="EN-US"><r/></q><s xml:lang="de"/></doc>"#,
     )
     .unwrap();
-    let engine = Engine::new(&d);
-    assert_eq!(engine.select("//p[lang('en')]").unwrap().len(), 1);
-    assert_eq!(engine.select("//q[lang('en')]").unwrap().len(), 1, "en-us matches en");
-    assert_eq!(engine.select("//r[lang('en-us')]").unwrap().len(), 1, "inherited");
-    assert_eq!(engine.select("//s[lang('en')]").unwrap().len(), 0);
-    assert_eq!(engine.select("//*[lang('de')]").unwrap().len(), 1);
+    assert_eq!(select(&d, "//p[lang('en')]").unwrap().len(), 1);
+    assert_eq!(select(&d, "//q[lang('en')]").unwrap().len(), 1, "en-us matches en");
+    assert_eq!(select(&d, "//r[lang('en-us')]").unwrap().len(), 1, "inherited");
+    assert_eq!(select(&d, "//s[lang('en')]").unwrap().len(), 0);
+    assert_eq!(select(&d, "//*[lang('de')]").unwrap().len(), 1);
 }
 
 /// Union expressions and the `|` examples of §2 / §3.3.
@@ -166,8 +172,7 @@ fn union_examples() {
     check("//employee/@secretary | //employee/@assistant", 3);
     // Unions keep document order and deduplicate.
     let d = doc();
-    let engine = Engine::new(&d);
-    let u = engine.select("//para | //para | /doc/chapter[1]//*").unwrap();
+    let u = select(&d, "//para | //para | /doc/chapter[1]//*").unwrap();
     let ids = u.to_vec();
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "document order, no duplicates");
 }
@@ -175,15 +180,11 @@ fn union_examples() {
 #[test]
 fn string_values_of_examples() {
     let d = doc();
-    let engine = Engine::new(&d);
-    assert_eq!(engine.evaluate("string(/doc/chapter[1]/title)").unwrap().to_string(), "One");
+    assert_eq!(evaluate(&d, "string(/doc/chapter[1]/title)").unwrap().to_string(), "One");
     assert_eq!(
-        engine.evaluate("normalize-space(string(//appendix))").unwrap().to_string(),
+        evaluate(&d, "normalize-space(string(//appendix))").unwrap().to_string(),
         "Appap" // no whitespace between </title> and <para>
     );
-    assert_eq!(engine.evaluate("count(//employee/@*)").unwrap().to_string(), "5");
-    assert_eq!(
-        engine.evaluate("string(//employee[@assistant]/@name)").unwrap().to_string(),
-        "Jane"
-    );
+    assert_eq!(evaluate(&d, "count(//employee/@*)").unwrap().to_string(), "5");
+    assert_eq!(evaluate(&d, "string(//employee[@assistant]/@name)").unwrap().to_string(), "Jane");
 }
