@@ -32,7 +32,7 @@
 use xpath_syntax::Axis;
 use xpath_xml::{pool, Document, NodeId, NodeKind, NodeSet, NONE};
 
-use crate::cost::Kernel;
+use crate::stats::Kernel;
 
 /// Typed set-to-set axis function `χ(S)` (Definition 3.1 with §4 type
 /// filtering), set-at-a-time. Output is in document order.

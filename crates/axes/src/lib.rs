@@ -23,9 +23,8 @@
 //!   axes ([`stream::StepStreamer`]) for the lazy cursor layer: early
 //!   exit, deadlines and cancellation without giving up the bulk
 //!   kernel's staircase and chain-walk routes;
-//! * [`cost`] — the fixed cost constants behind batch-mode and lazy-route
-//!   arbitration, and the [`Kernel`] tally of which materialization each
-//!   axis application took.
+//! * [`stats`] — the [`Kernel`] tally of which materialization each axis
+//!   application took, and the [`BatchMode`] label of a batched run.
 //!
 //! Tests assert that the bulk kernel and the direct per-node axes agree
 //! with the Algorithm 3.2 reference on random documents.
@@ -34,19 +33,19 @@
 #![warn(missing_docs)]
 
 pub mod bulk;
-pub mod cost;
 pub mod fast;
 pub mod id;
 pub mod regex;
+pub mod stats;
 pub mod stream;
 pub mod typed;
 
 pub use bulk::{axis_set, axis_set_traced};
-pub use cost::{BatchMode, CostModel, Kernel, KernelCounters, KernelCounts};
 pub use fast::{
     axis_from, axis_from_into, eval_axis, eval_axis_untyped_fast, idx_in, inverse_axis_set,
     order_for_axis,
 };
+pub use stats::{BatchMode, Kernel, KernelCounters, KernelCounts};
 pub use stream::{is_streamable, StepStreamer};
 pub use typed::eval_axis_alg32;
 

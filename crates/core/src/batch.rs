@@ -8,8 +8,7 @@
 //! [`Arc<CompiledQuery>`] handles from a
 //! [`QueryCache`](crate::cache::QueryCache)) into a `Send + Sync`
 //! [`QuerySet`]; [`QuerySet::evaluate_all`] then runs each query's own
-//! plan, in input order, under two rules that need no cost constant of
-//! their own:
+//! plan, in input order, under two rules:
 //!
 //! * **the memo** — when the batch's static profile ([`BatchSharing`])
 //!   finds a repeated unit (a spine prefix or a predicate that occurs
@@ -23,14 +22,14 @@
 //!   (value tests included) dedupe across every position in the batch.
 //!   Each repeated unit is a guaranteed hit, so the memo is attached
 //!   exactly when it has something to serve.
-//! * **the fan-out** — the queries split into `k` contiguous chunks, with
-//!   `k` from [`CostModel::pick_shards`] over the batch's divisible work
-//!   (one axis pass per unit the memo will not serve, plus a CVT-row
-//!   estimate per general-engine query), capped by the thread budget. The
-//!   caller's thread runs the first chunk and `k − 1` scoped workers run
-//!   the rest, sharing the one memo. This fan-out is the only place query
-//!   evaluation spawns threads: every single evaluation, a worker's
-//!   included, runs on its calling thread.
+//! * **the fan-out** — on a large enough document the queries split into
+//!   `k = min(budget, queries, MAX_SHARDS)` contiguous chunks, by a size
+//!   rule with two thresholds ([`FANOUT_MIN_NODES`],
+//!   [`FANOUT_MIN_NODES_GENERAL`]) that `bench_axes`'s `batch_eval` rows
+//!   place. The caller's thread runs the first chunk and `k − 1` scoped
+//!   workers run the rest, sharing the one memo. This fan-out is the only
+//!   place query evaluation spawns threads: every single evaluation, a
+//!   worker's included, runs on its calling thread.
 //!
 //! [`BatchStats::mode`] labels what ran ([`BatchMode`]): the memo
 //! attached, else a fan-out, else serial.
@@ -58,9 +57,9 @@
 //! request ([`QuerySetBuilder::threads`], [`Compiler::threads`], `xpq
 //! --threads N`) > the [`THREADS_ENV`] environment variable >
 //! [`std::thread::available_parallelism`] capped at [`MAX_AUTO_THREADS`]
-//! (see [`resolve_threads`]). How many workers actually run is decided
-//! per document by [`CostModel::pick_shards`]: the work they divide must
-//! repay [`CostModel::spawn_ns`] per extra worker.
+//! (see [`resolve_threads`]). Whether the batch fans out at all is
+//! decided per document by the size rule ([`FANOUT_MIN_NODES`],
+//! [`FANOUT_MIN_NODES_GENERAL`]), with or without the memo.
 //!
 //! ```
 //! use xpath_core::batch::QuerySetBuilder;
@@ -84,7 +83,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use xpath_axes::{BatchMode, CostModel, KernelCounters, KernelCounts};
+use xpath_axes::{BatchMode, KernelCounters, KernelCounts};
 use xpath_syntax::{Axis, NodeTest};
 use xpath_xml::rng::splitmix64;
 use xpath_xml::Document;
@@ -157,6 +156,25 @@ fn parse_threads_env(value: Option<&str>, fallback: usize) -> (usize, Vec<String
         ),
     }
 }
+
+/// Hard cap on the workers a batch fan-out splits into, whatever the
+/// requested thread budget: it bounds the spawn count even for absurd
+/// `--threads` requests.
+pub(crate) const MAX_SHARDS: usize = 64;
+
+/// A batch fans out on a document of at least this many nodes.
+/// `bench_axes`'s `batch_eval` rows at a 2-thread budget place it: the
+/// `light` batch (four memo-free Core XPath queries) and the
+/// memo-attached `shared_prefix` and `disjoint` batches lose or break
+/// even when split at 5,462 nodes and win at 21,846.
+pub const FANOUT_MIN_NODES: u32 = 16_384;
+
+/// A batch with a general-engine query (one outside Core XPath and
+/// XPatterns, whose evaluator builds per-node tables) fans out from this
+/// many nodes on. `bench_axes`'s `batch_eval` rows of the `heavy`
+/// batch (four general-engine queries at a 2-thread budget) place it:
+/// the two-thread split loses to serial at 342 nodes and wins at 1,366.
+pub const FANOUT_MIN_NODES_GENERAL: u32 = 1_024;
 
 /// Split `[0, items)` into `shards` near-equal contiguous ranges (at most
 /// one per item): the chunks of the query list a [`QuerySet`] fans out,
@@ -559,19 +577,18 @@ impl QuerySet {
     }
 
     /// How many chunks [`QuerySet::evaluate_all`] splits the queries into
-    /// on a document of `universe` nodes: [`CostModel::pick_shards`] over
-    /// the batch's divisible work, at most the thread budget and the
-    /// query count. The work is one axis pass per fragment unit the memo
-    /// will not serve, plus a CVT-row-scale estimate per general-engine
-    /// query (their evaluators materialize per-node tables, far heavier
-    /// than one pass).
+    /// on a document of `universe` nodes: `min(budget, queries,
+    /// MAX_SHARDS)` when the document has at least [`FANOUT_MIN_NODES`]
+    /// nodes, or at least [`FANOUT_MIN_NODES_GENERAL`] when a query runs
+    /// on a general engine; otherwise one.
     pub(crate) fn shards(&self, universe: u32) -> usize {
-        let cost = CostModel::CALIBRATED;
-        let unshared = self.sharing.total_units - self.sharing.shared_units;
-        let fragment_ns = unshared as f64 * cost.shared_pass_ns(universe);
-        let general = (self.len() - self.sharing.fragment_queries) as f64;
-        let general_ns = general * cost.cvt_row_ns() * f64::from(universe);
-        cost.pick_shards(fragment_ns + general_ns, resolve_threads(self.threads).min(self.len()))
+        let general = self.len() > self.sharing.fragment_queries;
+        let large =
+            universe >= FANOUT_MIN_NODES || (general && universe >= FANOUT_MIN_NODES_GENERAL);
+        if !large {
+            return 1;
+        }
+        resolve_threads(self.threads).min(self.len()).clamp(1, MAX_SHARDS)
     }
 
     /// Evaluate every query against `doc` from the document root, in one
@@ -748,7 +765,7 @@ mod tests {
     #[test]
     fn batch_matches_independent_evaluation_on_every_path() {
         let small = doc_bookstore();
-        // Large enough that `pick_shards` splits the batch at 4 threads.
+        // Past FANOUT_MIN_NODES: both batches fan out at 4 threads.
         let large = doc_balanced(4, 7, &["section", "book", "author", "title"]);
         let queries = [
             "//book[author]",
@@ -833,6 +850,22 @@ mod tests {
         // A provably empty query runs no path, so its repeat is no unit.
         let empty = QuerySetBuilder::new().query("//b/@x/c").query("//b/@x/c").build().unwrap();
         assert_eq!(empty.sharing().total_units, 0, "{:?}", empty.sharing());
+    }
+
+    #[test]
+    fn heavy_batch_on_a_small_document_stays_serial() {
+        // Four general-engine queries on 342 nodes: below
+        // FANOUT_MIN_NODES_GENERAL, so a 4-thread budget still runs
+        // serial; from 1,366 nodes the same batch fans out.
+        let heavy = ["count(//b[1])", "//c[d][2]", "count(//c[1])", "//b[position() = last()]"];
+        let set = QuerySetBuilder::new().queries(heavy).threads(4).build().unwrap();
+        assert_eq!(set.sharing().fragment_queries, 0, "{:?}", set.sharing());
+        let small = doc_balanced(4, 4, &["a", "b", "c", "d"]);
+        assert_eq!(small.len(), 342);
+        let out = set.evaluate_all(&small);
+        assert_eq!((out.stats().workers, out.stats().mode), (1, BatchMode::Serial));
+        let larger = doc_balanced(4, 5, &["a", "b", "c", "d"]);
+        assert_eq!(set.evaluate_all(&larger).stats().workers, 4);
     }
 
     #[test]

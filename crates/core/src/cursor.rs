@@ -12,7 +12,7 @@
 //! Every forward axis is *preorder-monotone* (outputs never precede
 //! inputs in document order), so a spine of forward steps evaluates
 //! **block-synchronously** over the id space: the pipeline advances a
-//! window `[lo, hi)` of [`CostModel::LAZY_BLOCK`] ids at a time, feeds
+//! window `[lo, hi)` of `LAZY_BLOCK` (4096) ids at a time, feeds
 //! each step's [`StepStreamer`] the upstream nodes accepted inside the
 //! window, and filters that step's own window of raw axis output down to
 //! accepted nodes — node test per candidate, then each predicate by the
@@ -34,9 +34,12 @@
 //! const-folded plans) fall back to a *materializing* cursor: the first
 //! pull runs the plan's ordinary evaluation under the cursor's
 //! [`EvalBudget`] and subsequent pulls serve slices of the finished set.
-//! [`CostModel::pick_lazy`] arbitrates between the two routes even for
-//! streamable spines — an unbounded drain of a small document is cheaper
-//! word-parallel.
+//! Even a streamable spine takes the pipeline only for a bounded take:
+//! [`CompiledQuery::select_lazy_with`](crate::query::CompiledQuery::select_lazy_with)
+//! streams when the caller's take hint `k` satisfies `8·k ≤ |D|`, and
+//! every unbounded drain materializes. The word-parallel passes beat the
+//! per-candidate pipeline on a full drain at every size `bench_axes`
+//! measures (its `lazy_dispatch` section, guarded by `--check`).
 //!
 //! # Cursor invariants
 //!
@@ -58,7 +61,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use xpath_axes::{CostModel, StepStreamer};
+use xpath_axes::StepStreamer;
 use xpath_xml::{Document, NodeId};
 
 use crate::context::{Context, EvalBudget, EvalResult};
@@ -66,6 +69,11 @@ use crate::corexpath::{CorePath, CorePred, CoreStart, CoreStep, CoreXPathEvaluat
 use crate::node_test::ResolvedTest;
 use crate::nodeset::NodeSet;
 use crate::plan::Plan;
+
+/// Ids per window the lazy pipeline processes between budget checks. One
+/// window of per-candidate filtering is the minimum overhead a lazy
+/// evaluation pays before its first early exit can fire.
+const LAZY_BLOCK: u32 = 4096;
 
 /// A pull-based node iterator in document order.
 ///
@@ -373,7 +381,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
     /// costs at most one window of work.
     fn pull_window(&mut self, doc: &Document, budget: &EvalBudget) -> EvalResult<()> {
         budget.check()?;
-        let hi = self.lo.saturating_add(CostModel::LAZY_BLOCK).min(self.n);
+        let hi = self.lo.saturating_add(LAZY_BLOCK).min(self.n);
         // The stage scratch is a shelf buffer; hand it back on every exit
         // path (including a budget trip inside a predicate walk).
         let mut accepted = xpath_xml::pool::take_ids();

@@ -98,7 +98,6 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
     // interval axes by the node set's density rule at this |D| (the
     // exact result size decides at runtime), chain axes per node for a
     // single input node.
-    let model = xpath_axes::CostModel::CALIBRATED;
     if let Some(program) = plan.program() {
         let mut axes = std::collections::BTreeMap::new();
         for p in program.paths() {
@@ -106,19 +105,16 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
         }
         let _ = writeln!(report, "axis planner (kernel routes @ |D| = {doc_size}):");
         for axis in axes.into_values() {
-            let _ = writeln!(report, "  {}", xpath_axes::cost::describe(axis, doc_size as u32));
+            let _ = writeln!(report, "  {}", xpath_axes::stats::describe(axis, doc_size as u32));
         }
     }
     // The analyzer's lazy verdict (the one the cursor dispatches on), and
-    // for lazy queries whether the cost model would take the pipeline for
-    // a full drain at this |D|.
+    // for lazy queries the rule that picks the route per take.
     let _ = match &analysis.laziness {
         Laziness::Lazy => writeln!(
             report,
             "lazy:      lazy — spine streams (forward axes, preorder-monotone); \
-             exists/first/take(k) early-exit; full drains go lazy at |D| ≥ {} (here: {})",
-            model.lazy_take_threshold(),
-            if model.pick_lazy(doc_size as u32, None) { "lazy" } else { "materialize" },
+             bounded takes with 8·k ≤ |D| stream; full drains materialize"
         ),
         materialize => writeln!(report, "lazy:      {materialize}"),
     };
@@ -174,8 +170,10 @@ pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
     };
     let _ = writeln!(
         report,
-        "  workers: {shards} (the work the memo leaves must repay {:.0}us per extra worker)",
-        xpath_axes::CostModel::CALIBRATED.spawn_ns / 1000.0,
+        "  workers: {shards} (a batch fans out at |D| ≥ {}, or at |D| ≥ {} with a \
+         general-engine query)",
+        crate::batch::FANOUT_MIN_NODES,
+        crate::batch::FANOUT_MIN_NODES_GENERAL,
     );
     report
 }
@@ -309,14 +307,14 @@ mod tests {
 
     #[test]
     fn explain_reports_lazy_cursor_verdict() {
-        // Streamable spine, small document: early-exit available, but a
-        // full drain stays materialized below the crossover.
-        let x = explain_q("//a[b]", 100);
-        assert!(x.report.contains("lazy:      lazy — spine streams"), "{}", x.report);
-        assert!(x.report.contains("here: materialize"), "{}", x.report);
-        // Past the crossover the drain verdict flips.
-        let x = explain_q("//a[b]", 200_000);
-        assert!(x.report.contains("here: lazy"), "{}", x.report);
+        // Streamable spine: bounded takes stream and full drains
+        // materialize, the same rule at every document size.
+        for size in [100, 200_000] {
+            let x = explain_q("//a[b]", size);
+            assert!(x.report.contains("lazy:      lazy — spine streams"), "{}", x.report);
+            let rule = "bounded takes with 8·k ≤ |D| stream; full drains materialize";
+            assert!(x.report.contains(rule), "{}", x.report);
+        }
         // A reverse step in the spine rules the pipeline out.
         let x = explain_q("//a/parent::b", 100);
         assert!(x.report.contains("lazy:      materialize — parent::"), "{}", x.report);

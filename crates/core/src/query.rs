@@ -80,12 +80,11 @@ impl Compiler {
     /// [`QuerySetBuilder`](crate::batch::QuerySetBuilder) built from this
     /// compiler: `0` (the default) auto-resolves from `GKP_THREADS` / the
     /// machine's parallelism, `1` keeps the batch on the caller's thread.
-    /// It caps the batch's per-query fan-out (how many workers actually
-    /// run is [`CostModel::pick_shards`](xpath_axes::CostModel::pick_shards)'s
-    /// call per document), the only place evaluation spawns threads; a
-    /// single compiled query
-    /// always evaluates on the calling thread, so the budget is not part
-    /// of the plan and never changes results.
+    /// It caps the batch's per-query fan-out (whether a batch fans out at
+    /// all is the size rule of [`QuerySet`](crate::batch::QuerySet),
+    /// decided per document), the only place evaluation spawns threads; a
+    /// single compiled query always evaluates on the calling thread, so
+    /// the budget is not part of the plan and never changes results.
     pub fn threads(mut self, threads: u32) -> Compiler {
         self.threads = threads;
         self
@@ -282,10 +281,11 @@ impl CompiledQuery {
         self.select_lazy_with(doc, ctx, EvalBudget::unlimited(), Some(1)).next()
     }
 
-    /// A lazy [`NodeCursor`] over the matches from the root context:
-    /// nodes are produced in document order, block by block, and a caller
-    /// that stops pulling never pays for the rest of the document (when
-    /// the spine streams — see [`crate::cursor`] for the dispatch rules).
+    /// A [`NodeCursor`] over the matches from the root context, in
+    /// document order. Without a take hint the cursor is a full drain, so
+    /// it materializes on the first pull; a caller that means to stop
+    /// early passes its take through [`CompiledQuery::select_lazy_with`]
+    /// (see [`crate::cursor`] for the dispatch rule).
     pub fn select_lazy<'q, 'd>(&'q self, doc: &'d Document) -> QueryCursor<'q, 'd> {
         self.select_lazy_at(doc, Context::of(doc.root()))
     }
@@ -301,12 +301,14 @@ impl CompiledQuery {
 
     /// The general lazy entry point: an explicit [`EvalBudget`] plus an
     /// optional *take hint* — how many nodes the caller expects to pull
-    /// (`Some(1)` for `exists`/`first`, `None` for a full drain). The
-    /// hint feeds [`CostModel::pick_lazy`](xpath_axes::CostModel::pick_lazy),
-    /// which arbitrates between the lazy pipeline and the materializing
-    /// fallback; the choice never changes the nodes produced, only when
-    /// the work happens. Construction is infallible — evaluation errors
-    /// surface on the first pull.
+    /// (`Some(1)` for `exists`/`first`, `None` for a full drain). A
+    /// [lazy-eligible](CompiledQuery::lazy_eligible) query streams iff
+    /// the hint is `Some(k)` with `8·k ≤ |D|`; every unbounded drain
+    /// materializes, because the word-parallel passes beat the
+    /// per-candidate pipeline on a full drain at every size `bench_axes`
+    /// measures (its `lazy_dispatch` rows). The choice never changes the
+    /// nodes produced, only when the work happens. Construction is
+    /// infallible — evaluation errors surface on the first pull.
     pub fn select_lazy_with<'q, 'd>(
         &'q self,
         doc: &'d Document,
@@ -316,8 +318,7 @@ impl CompiledQuery {
     ) -> QueryCursor<'q, 'd> {
         if self.lazy_eligible() {
             let path = &self.plan.algebra().expect("a lazy verdict implies an algebra").path;
-            let universe = doc.len() as u32;
-            if xpath_axes::CostModel::CALIBRATED.pick_lazy(universe, take_hint) {
+            if take_hint.is_some_and(|k| (k as u64).saturating_mul(8) <= doc.len() as u64) {
                 return QueryCursor::lazy(doc, path, ctx, budget);
             }
         }
@@ -325,9 +326,9 @@ impl CompiledQuery {
     }
 
     /// Can this query run on the lazy cursor pipeline at all? Reads the
-    /// analyzer's verdict ([`crate::analyze::laziness`]). The cost model
-    /// may still choose to materialize small documents — see
-    /// [`CompiledQuery::select_lazy_with`].
+    /// analyzer's verdict ([`crate::analyze::laziness`]). An eligible
+    /// query still materializes a full drain or a take of more than
+    /// |D|/8 nodes — see [`CompiledQuery::select_lazy_with`].
     pub fn lazy_eligible(&self) -> bool {
         self.plan.report().laziness.is_lazy()
     }

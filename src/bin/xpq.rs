@@ -54,9 +54,10 @@
 //!                           (GKP_THREADS env, then the machine's
 //!                           parallelism — the default), 1 = serial, N
 //!                           caps the workers. A single query always
-//!                           runs on one thread. The batch splits only
-//!                           when its work repays the spawns; never
-//!                           changes results
+//!                           runs on one thread. A batch splits only on
+//!                           a document of ≥ 16384 nodes (≥ 1024 with a
+//!                           general-engine query); never changes
+//!                           results
 //!   -c, --classify          print the Figure-1 fragment classification and exit
 //!   -n, --normalize         print the normalized (unabbreviated) query, after
 //!                           the rewrite pass every compile runs, and exit
@@ -174,7 +175,7 @@ fn usage() -> &'static str {
     "usage: xpq [-s STRATEGY] [-r N] [-T N] [-c] [-n] [--explain] [--lint [--json]] [-v] [--serialize] [--verify] [--stats] [--ns] [--time] [--exists | --first | --limit K] [--timeout-ms N] (<QUERY> | -e EXPR... | --query-file F) [FILE]\n\
      strategies: naive pool bottomup topdown mincontext optmincontext corexpath xpatterns auto\n\
      -e/--expr: add a query to the batch (repeatable); --query-file: one query per line (#-comments skipped)\n\
-     -T/--threads: batch fan-out budget (0 = auto via GKP_THREADS/machine, 1 = serial)\n\
+     -T/--threads: batch fan-out budget (0 = auto via GKP_THREADS/machine, 1 = serial); a batch fans out at |D| >= 16384 (>= 1024 with a general-engine query)\n\
      --lint: static-analyze the queries (no document); exits 1 on error-severity diagnostics\n\
      --exists/--first/--limit: early-exit evaluation via the lazy cursor (single node-set query); exit 1 = no match, 2 = evaluation error\n\
      --timeout-ms: deadline for the whole evaluation; exits 124 when it trips\n\

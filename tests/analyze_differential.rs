@@ -12,7 +12,6 @@
 //!   `QueryReport`, and the checked-in corpus files stay in sync with the
 //!   tests they mirror.
 
-use gkp_xpath::axes::CostModel;
 use gkp_xpath::core::analyze::{QueryReport, Severity};
 use gkp_xpath::core::plan::{execute_adhoc, Plan};
 use gkp_xpath::core::{Context, EvalBudget, Strategy, Value};
@@ -157,7 +156,6 @@ fn lazy_verdict_matches_the_cursor() {
         ("//text()/child::*", false),
     ];
     let compiler = Compiler::new();
-    let model = CostModel::CALIBRATED;
     for (q, lazy) in corpus {
         let compiled = compiler.compile(q).unwrap();
         assert_eq!(compiled.lazy_eligible(), lazy, "{q}: {:?}", compiled.report().laziness);
@@ -165,8 +163,8 @@ fn lazy_verdict_matches_the_cursor() {
         let mut lazy_runs = 0;
         for seed in 0..8u64 {
             let doc = doc_random(seed, &RandomDocConfig { elements: 35, ..Default::default() });
-            // A take of one streams on all but the tiniest documents.
-            let pipeline = lazy && model.pick_lazy(doc.len() as u32, Some(1));
+            // A take of one streams once it is at most an eighth of |D|.
+            let pipeline = lazy && 8 <= doc.len();
             for ctx in contexts(&doc) {
                 let want = node_set(execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap());
                 let mut cursor =

@@ -82,9 +82,9 @@ fn batches_agree_on_bench_query_shapes() {
 
 #[test]
 fn fan_out_agrees_with_and_without_the_memo() {
-    // On the 21,846-node document the divisible work repays a spawn, so
-    // a 4-thread budget splits both batches; only the first repeats a
-    // unit and attaches the memo.
+    // The 21,846-node document is past `FANOUT_MIN_NODES`, so a 4-thread
+    // budget splits both batches; only the first repeats a unit and
+    // attaches the memo.
     let doc = doc_balanced(4, 7, &["a", "b", "c", "d"]);
     let memo_free = ["//a/b", "//b//c", "//c[preceding::a]", "count(//d)"];
     for (batch, memo) in [(BENCH_QUERIES, true), (&memo_free[..], false)] {

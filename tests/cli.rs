@@ -75,6 +75,11 @@ fn explain_mode_reports_streamability() {
     let (stdout, _, code) = xpq(&["--explain", "//book[title]"], "");
     assert_eq!(code, 0);
     assert!(stdout.contains("lazy:      lazy — spine streams"), "{stdout}");
+    // It states the route rule, not a size threshold.
+    assert!(
+        stdout.contains("bounded takes with 8·k ≤ |D| stream; full drains materialize"),
+        "{stdout}"
+    );
     // A reverse step in the spine, or a query outside the algebra,
     // materializes and says why.
     let (stdout, _, _) = xpq(&["--explain", "//book/parent::*"], "");
@@ -402,7 +407,14 @@ fn batch_explain_reports_the_mode_decision() {
     // count are stated, the retired cost crossover is not.
     assert!(stdout.contains("memo: attached"), "{stdout}");
     assert!(stdout.contains("workers: 1"), "{stdout}");
-    assert!(!stdout.contains("pays above"), "{stdout}");
+    assert!(!stdout.contains("pays above") && !stdout.contains("repay"), "{stdout}");
+    // The workers: line names the size rule and its two thresholds.
+    let rule = format!(
+        "a batch fans out at |D| ≥ {}, or at |D| ≥ {} with a general-engine query",
+        gkp_xpath::core::batch::FANOUT_MIN_NODES,
+        gkp_xpath::core::batch::FANOUT_MIN_NODES_GENERAL
+    );
+    assert!(stdout.contains(&rule), "{stdout}");
 }
 
 #[test]

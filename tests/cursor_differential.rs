@@ -208,17 +208,20 @@ fn value_tests_on_shared_ancestors_stay_linear() {
 
 #[test]
 fn lazy_full_drain_matches_on_large_document() {
-    // 87381 nodes: past the lazy-take crossover, so even hint-less full
-    // drains route through the block-synchronous pipeline — the drain
-    // must still be bit-identical to the materialized evaluation.
+    // 87,382 nodes: a cursor routed through the block-synchronous
+    // pipeline by a take hint of one, then drained to the end, must be
+    // bit-identical to the materialized evaluation. A hint-less cursor is
+    // a full drain, which materializes at every size.
     let doc = doc_balanced(4, 8, &["a", "b", "c", "d"]);
     let compiler = Compiler::new();
     for q in ["//a//c", "//b[following::c]"] {
         let c = compiler.compile(q).unwrap();
         let want = c.select(&doc).unwrap();
-        let mut cur = c.select_lazy(&doc);
+        let root = Context::of(doc.root());
+        let mut cur = c.select_lazy_with(&doc, root, EvalBudget::unlimited(), Some(1));
         assert!(cur.is_lazy(), "{q}: expected the lazy pipeline at |D| = {}", doc.len());
         assert_eq!(cur.collect_set().unwrap(), want, "{q}: lazy drain diverges");
+        assert!(!c.select_lazy(&doc).is_lazy(), "{q}: a hint-less drain must materialize");
     }
 }
 
