@@ -1,9 +1,10 @@
 //! Integration tests of the query server over a real Unix socket:
 //! concurrent clients, per-request deadlines as structured errors
 //! (never dropped connections or torn response lines), live `stats`,
-//! and graceful drain on shutdown.
+//! and graceful drain on shutdown; plus a golden request/response
+//! session replayed through `Server::handle_line`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -11,7 +12,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use gkp_xpath::core::serve::{Json, ServeConfig, Server};
-use gkp_xpath::xml::generate::doc_balanced;
+use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore};
 use gkp_xpath::xml::temp::TempPath;
 
 fn temp_dir(tag: &str) -> TempPath {
@@ -253,4 +254,90 @@ fn oversized_line_is_rejected_structurally() {
     assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(resp.get("error").unwrap().get("kind").unwrap().as_str(), Some("line_too_long"));
     finish(&server, accept, &sock);
+}
+
+#[test]
+fn oversized_partial_line_is_rejected_and_the_connection_closed() {
+    let (_dir, server, sock, accept) = start_with("overflow", |c| c.max_line_bytes = 256);
+    let mut client = Client::connect(&sock);
+    // No newline ever arrives: the buffered bytes alone pass the limit.
+    client.writer.write_all(&[b'x'; 1024]).unwrap();
+    client.writer.flush().unwrap();
+    let mut line = String::new();
+    client.reader.read_line(&mut line).expect("read the rejection");
+    let resp = Json::parse(line.trim()).expect("rejection is complete JSON");
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(resp.get("error").unwrap().get("kind").unwrap().as_str(), Some("line_too_long"));
+    let mut rest = Vec::new();
+    client.reader.read_to_end(&mut rest).expect("the server closes the connection");
+    assert!(rest.is_empty(), "nothing follows the rejection: {rest:?}");
+    finish(&server, accept, &sock);
+}
+
+/// Mask the digits that time a request: the values of `elapsed_us`,
+/// `uptime_us` and every latency-histogram field except `count` (a
+/// histogram's `buckets` array as a whole).
+fn mask_timing(response: &str) -> String {
+    let mut out = response.to_owned();
+    for key in
+        ["elapsed_us", "uptime_us", "mean_us", "p50_us", "p95_us", "p99_us", "max_us", "buckets"]
+    {
+        let pattern = format!("\"{key}\":");
+        let mut from = 0;
+        while let Some(at) = out[from..].find(&pattern) {
+            let start = from + at + pattern.len();
+            let rest = out[start..].as_bytes();
+            let len = if rest.first() == Some(&b'[') {
+                let mut depth = 0usize;
+                let mut end = 0;
+                for (i, &b) in rest.iter().enumerate() {
+                    match b {
+                        b'[' => depth += 1,
+                        b']' => depth -= 1,
+                        _ => {}
+                    }
+                    if depth == 0 {
+                        end = i + 1;
+                        break;
+                    }
+                }
+                end
+            } else {
+                rest.iter().take_while(|b| b.is_ascii_digit()).count()
+            };
+            out.replace_range(start..start + len, "#");
+            from = start + 1;
+        }
+    }
+    out
+}
+
+/// Replay `tests/data/serve_golden.txt` on a fresh server: every `> `
+/// line is sent through `Server::handle_line`, and the transcript with
+/// each masked response as the `< ` line after its request must equal the
+/// file byte for byte. On a mismatch the message holds the whole replay.
+#[test]
+fn golden_session_replays_byte_for_byte() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/serve_golden.txt");
+    let fixture = std::fs::read_to_string(golden).expect("golden fixture");
+    let dir = temp_dir("golden");
+    let mut config = ServeConfig::new(dir.join("store"));
+    // `stats` reports the pool size, which defaults to the core count.
+    config.permits = 2;
+    let server = Server::new(config).unwrap();
+    server.store().publish("books", &doc_bookstore()).unwrap();
+    let mut replay = String::new();
+    for line in fixture.lines() {
+        if line.starts_with("< ") {
+            continue;
+        }
+        replay.push_str(line);
+        replay.push('\n');
+        if let Some(request) = line.strip_prefix("> ") {
+            replay.push_str("< ");
+            replay.push_str(&mask_timing(&server.handle_line(request)));
+            replay.push('\n');
+        }
+    }
+    assert!(replay == fixture, "golden session differs; the replay reads:\n{replay}");
 }
