@@ -74,13 +74,13 @@
 //!                    Every other timing baseline is pinned to a 1-thread
 //!                    budget, so CI core counts can't flake those guards
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xpath_axes::bulk;
 use xpath_core::batch::AxisMemo;
 use xpath_core::corexpath::{compile, CoreXPathEvaluator};
+use xpath_core::serve::Json;
 use xpath_core::{
     CompiledQuery, Compiler, Context, EvalBudget, NodeCursor, QuerySetBuilder, Strategy, Value,
 };
@@ -1134,6 +1134,17 @@ fn measure_snapshot(big: &Document) -> SnapshotCell {
     }
 }
 
+/// A ratio rounded to `places` decimals.
+fn ratio(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((x * scale).round() / scale)
+}
+
+/// A size or count.
+fn count(n: usize) -> Json {
+    Json::num(n as u64)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // A balanced 4-ary tree of depth 7: 21845 elements (≥10k nodes),
@@ -1163,78 +1174,60 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_axes.json".to_string());
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"axes\",");
-    let _ =
-        writeln!(json, "  \"doc\": {{ \"shape\": \"balanced 4-ary, depth 7\", \"nodes\": {n} }},");
+    let mut report = vec![
+        ("bench", Json::Str("axes".to_owned())),
+        (
+            "doc",
+            Json::obj(vec![
+                ("shape", Json::Str("balanced 4-ary, depth 7".to_owned())),
+                ("nodes", Json::num(n.into())),
+            ]),
+        ),
+    ];
 
     // ---- axis application across densities ----
-    json.push_str("  \"axis_application\": [\n");
-    let cells = measure_axis_cells(&doc);
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{ \"axis\": \"{}\", \"density\": {}, \"input_len\": {}, \
-             \"kernel\": \"{}\", \"per_node_loop_ns\": {}, \"direct_set_ns\": {}, \
-             \"kernel_ns\": {}, \
-             \"speedup_kernel_vs_per_node\": {:.2}, \"speedup_kernel_vs_best\": {:.2} }}",
-            c.axis,
-            c.density,
-            c.input_len,
-            c.kernel,
-            c.per_node_ns,
-            c.direct_ns,
-            c.kernel_ns,
-            c.speedup_vs_per_node(),
-            c.speedup_vs_best(),
-        );
-    }
-    json.push_str("\n  ],\n");
+    let rows = measure_axis_cells(&doc).into_iter().map(|c| {
+        Json::obj(vec![
+            ("axis", Json::Str(c.axis.to_owned())),
+            ("density", Json::Num(c.density)),
+            ("input_len", count(c.input_len)),
+            ("kernel", Json::Str(c.kernel.to_owned())),
+            ("per_node_loop_ns", Json::num(c.per_node_ns)),
+            ("direct_set_ns", Json::num(c.direct_ns)),
+            ("kernel_ns", Json::num(c.kernel_ns)),
+            ("speedup_kernel_vs_per_node", ratio(c.speedup_vs_per_node(), 2)),
+            ("speedup_kernel_vs_best", ratio(c.speedup_vs_best(), 2)),
+        ])
+    });
+    report.push(("axis_application", Json::Arr(rows.collect())));
 
     // ---- word-sweep kernel tiers: scalar vs unrolled vs vector ----
-    {
-        let _ = writeln!(
-            json,
-            "  \"simd\": {{ \"active_tier\": \"{}\", \"vector_available\": {}, \
-             \"avx512_fingerprint\": {}, \"kernels\": [",
-            simd::active_tier().name(),
-            simd::vector_available(),
-            simd::avx512_fingerprint_available(),
-        );
-        let cells = measure_simd_cells();
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                json.push_str(",\n");
-            }
-            let _ = write!(
-                json,
-                "    {{ \"op\": \"{}\", \"words\": {}, \"scalar_ns\": {}, \
-                 \"unrolled_ns\": {}, \"speedup_unrolled_vs_scalar\": {:.2}",
-                c.op,
-                c.words,
-                c.scalar_ns,
-                c.unrolled_ns,
-                c.ratio_vs_scalar(c.unrolled_ns),
-            );
-            if let Some(v) = c.vector_ns {
-                let _ = write!(
-                    json,
-                    ", \"vector_ns\": {v}, \"speedup_vector_vs_scalar\": {:.2}",
-                    c.ratio_vs_scalar(v)
-                );
-            }
-            json.push_str(" }");
+    let kernels = measure_simd_cells().into_iter().map(|c| {
+        let mut row = vec![
+            ("op", Json::Str(c.op.to_owned())),
+            ("words", count(c.words)),
+            ("scalar_ns", Json::num(c.scalar_ns)),
+            ("unrolled_ns", Json::num(c.unrolled_ns)),
+            ("speedup_unrolled_vs_scalar", ratio(c.ratio_vs_scalar(c.unrolled_ns), 2)),
+        ];
+        if let Some(v) = c.vector_ns {
+            row.push(("vector_ns", Json::num(v)));
+            row.push(("speedup_vector_vs_scalar", ratio(c.ratio_vs_scalar(v), 2)));
         }
-        json.push_str("\n  ] },\n");
-    }
+        Json::obj(row)
+    });
+    report.push((
+        "simd",
+        Json::obj(vec![
+            ("active_tier", Json::Str(simd::active_tier().name().to_owned())),
+            ("vector_available", Json::Bool(simd::vector_available())),
+            ("avx512_fingerprint", Json::Bool(simd::avx512_fingerprint_available())),
+            ("kernels", Json::Arr(kernels.collect())),
+        ]),
+    ));
 
     // ---- representation micro-bench: set ops across densities ----
-    json.push_str("  \"set_ops\": [\n");
-    let mut first = true;
+    let mut rows = Vec::new();
     for &density in &[0.01f64, 0.1, 0.5] {
         let mut rng = Rng::seed_from_u64(7);
         let a_ids: Vec<NodeId> = (0..n).filter(|_| rng.random_bool(density)).map(NodeId).collect();
@@ -1259,28 +1252,23 @@ fn main() {
                 },
             ]);
             let (t_vec, t_bits) = (times[0], times[1]);
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{ \"op\": \"{op}\", \"density\": {density}, \"len\": {}, \
-                 \"sorted_vec_ns\": {t_vec}, \"bitset_ns\": {t_bits}, \
-                 \"speedup_bitset\": {:.2} }}",
-                av.len(),
-                t_vec as f64 / t_bits.max(1) as f64,
-            );
+            rows.push(Json::obj(vec![
+                ("op", Json::Str(op.to_owned())),
+                ("density", Json::Num(density)),
+                ("len", count(av.len())),
+                ("sorted_vec_ns", Json::num(t_vec)),
+                ("bitset_ns", Json::num(t_bits)),
+                ("speedup_bitset", ratio(t_vec as f64 / t_bits.max(1) as f64, 2)),
+            ]));
         }
     }
-    json.push_str("\n  ],\n");
+    report.push(("set_ops", Json::Arr(rows)));
 
     // ---- whole queries: descendant/following-heavy Core XPath on the
     // kernel vs the paper's TopDown evaluator ----
-    json.push_str("  \"queries\": [\n");
     let kernel_ev = CoreXPathEvaluator::new(&doc);
     let top_down = Compiler::new().default_strategy(Strategy::TopDown).threads(1);
-    let mut first = true;
+    let mut rows = Vec::new();
     for &q in BENCH_QUERIES {
         let e = Compiler::new().parse(q).unwrap();
         let c = compile(&e).unwrap();
@@ -1294,19 +1282,14 @@ fn main() {
         let t_kernel = time_ns(|| {
             std::hint::black_box(kernel_ev.evaluate(&c, &root));
         });
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "    {{ \"query\": \"{}\", \"topdown_ns\": {t_top_down}, \
-             \"kernel_ns\": {t_kernel}, \"speedup_kernel_vs_topdown\": {:.2} }}",
-            q.replace('"', "'"),
-            t_top_down as f64 / t_kernel.max(1) as f64,
-        );
+        rows.push(Json::obj(vec![
+            ("query", Json::Str(q.to_owned())),
+            ("topdown_ns", Json::num(t_top_down)),
+            ("kernel_ns", Json::num(t_kernel)),
+            ("speedup_kernel_vs_topdown", ratio(t_top_down as f64 / t_kernel.max(1) as f64, 2)),
+        ]));
     }
-    json.push_str("\n  ],\n");
+    report.push(("queries", Json::Arr(rows)));
 
     // The ≥1e5-node document of the early-exit and snapshot sections.
     let big = doc_balanced(4, 9, &["a", "b", "c", "d"]);
@@ -1314,182 +1297,131 @@ fn main() {
     // ---- batched multi-query evaluation: one QuerySet pass vs N
     // independent evaluations (single-thread budget, so the speedup is
     // pure memo sharing, not parallelism) ----
-    json.push_str("  \"batch_eval\": [\n");
     let threads_available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    {
-        let cells = [
-            measure_batch(&doc, "shared_prefix", &batch_shared_prefix()),
-            measure_batch(&doc, "disjoint", &batch_disjoint()),
-        ];
-        for c in &cells {
-            let _ = write!(
-                json,
-                "    {{ \"workload\": \"{}\", \"queries\": {}, \"nodes\": {n}, \
-                 \"threads_available\": {threads_available}, \"mode\": \"{}\", \
-                 \"memo_hits\": {}, \"memo_misses\": {}, \"independent_ns\": {}, \
-                 \"batched_ns\": {}, \"speedup_batched\": {:.2} }}",
-                c.workload,
-                c.queries,
-                c.mode,
-                c.memo_hits,
-                c.memo_misses,
-                c.independent_ns,
-                c.batched_ns,
-                c.speedup(),
-            );
-            json.push_str(",\n");
-        }
-    }
+    let mut rows: Vec<Json> = [
+        measure_batch(&doc, "shared_prefix", &batch_shared_prefix()),
+        measure_batch(&doc, "disjoint", &batch_disjoint()),
+    ]
+    .iter()
+    .map(|c| {
+        Json::obj(vec![
+            ("workload", Json::Str(c.workload.to_owned())),
+            ("queries", count(c.queries)),
+            ("nodes", Json::num(n.into())),
+            ("threads_available", count(threads_available)),
+            ("mode", Json::Str(c.mode.to_owned())),
+            ("memo_hits", Json::num(c.memo_hits)),
+            ("memo_misses", Json::num(c.memo_misses)),
+            ("independent_ns", Json::num(c.independent_ns)),
+            ("batched_ns", Json::num(c.batched_ns)),
+            ("speedup_batched", ratio(c.speedup(), 2)),
+        ])
+    })
+    .collect();
     // The fan-out rows: each batch at a 2-thread budget under the size
     // rule and forced over two threads, against a 1-thread budget.
-    for (i, c) in measure_fan_out_rows().iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{ \"workload\": \"{}\", \"queries\": {}, \"nodes\": {}, \
-             \"threads_available\": {threads_available}, \"threads_budget\": 2, \
-             \"memo\": {}, \"workers\": {}, \"serial_ns\": {}, \"budget_ns\": {}, \
-             \"split_ns\": {}, \"speedup_budget_vs_serial\": {:.2}, \
-             \"speedup_split_vs_serial\": {:.2} }}",
-            c.workload,
-            c.queries,
-            c.nodes,
-            c.memo,
-            c.workers,
-            c.serial_ns,
-            c.budget_ns,
-            c.split_ns,
-            c.rule_vs_serial(),
-            c.split_vs_serial(),
-        );
-    }
-    json.push_str("\n  ],\n");
+    rows.extend(measure_fan_out_rows().iter().map(|c| {
+        Json::obj(vec![
+            ("workload", Json::Str(c.workload.to_owned())),
+            ("queries", count(c.queries)),
+            ("nodes", count(c.nodes)),
+            ("threads_available", count(threads_available)),
+            ("threads_budget", Json::num(2)),
+            ("memo", Json::Bool(c.memo)),
+            ("workers", count(c.workers)),
+            ("serial_ns", Json::num(c.serial_ns)),
+            ("budget_ns", Json::num(c.budget_ns)),
+            ("split_ns", Json::num(c.split_ns)),
+            ("speedup_budget_vs_serial", ratio(c.rule_vs_serial(), 2)),
+            ("speedup_split_vs_serial", ratio(c.split_vs_serial(), 2)),
+        ])
+    }));
+    report.push(("batch_eval", Json::Arr(rows)));
 
     // ---- strategy choice: Auto vs the bare path on its fragment engine vs
     // forced OptMinContext, on count()-wrapped paths (1-thread budget) ----
-    json.push_str("  \"strategy_choice\": [\n");
-    for (i, path) in choice_paths().enumerate() {
+    let rows = choice_paths().map(|path| {
         let c = measure_choice(&doc, path);
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{ \"query\": \"{}\", \"bare_path\": \"{path}\", \"nodes\": {n}, \
-             \"auto_strategy\": \"{:?}\", \"auto_ns\": {}, \"bare_path_ns\": {}, \
-             \"opt_min_context_ns\": {}, \"auto_vs_bare_path\": {:.2}, \
-             \"speedup_auto_vs_opt_min_context\": {:.2} }}",
-            c.query,
-            c.auto_strategy,
-            c.auto_ns,
-            c.bare_ns,
-            c.opt_min_context_ns,
-            c.auto_vs_bare(),
-            c.speedup_vs_opt_min_context(),
-        );
-    }
-    json.push_str("\n  ],\n");
+        Json::obj(vec![
+            ("query", Json::Str(c.query.clone())),
+            ("bare_path", Json::Str(path.to_owned())),
+            ("nodes", Json::num(n.into())),
+            ("auto_strategy", Json::Str(format!("{:?}", c.auto_strategy))),
+            ("auto_ns", Json::num(c.auto_ns)),
+            ("bare_path_ns", Json::num(c.bare_ns)),
+            ("opt_min_context_ns", Json::num(c.opt_min_context_ns)),
+            ("auto_vs_bare_path", ratio(c.auto_vs_bare(), 2)),
+            ("speedup_auto_vs_opt_min_context", ratio(c.speedup_vs_opt_min_context(), 2)),
+        ])
+    });
+    report.push(("strategy_choice", Json::Arr(rows.collect())));
 
     // ---- node tests: kind vs name test vs `//` over one descendant set,
     // plus the `T(c)` scan a predicate's `S←` runs ----
-    json.push_str("  \"node_tests\": [\n");
-    {
-        let cells = measure_node_tests(&doc);
-        let star = cells[0].ns.max(1) as f64;
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                json.push_str(",\n");
-            }
-            let _ = write!(
-                json,
-                "    {{ \"query\": \"{}\", \"nodes\": {n}, \"matches\": {}, \"ns\": {}, \
-                 \"vs_descendant_star\": {:.2} }}",
-                c.query,
-                c.matches,
-                c.ns,
-                c.ns as f64 / star,
-            );
-        }
-    }
-    json.push_str("\n  ],\n");
+    let cells = measure_node_tests(&doc);
+    let star = cells[0].ns.max(1) as f64;
+    let rows = cells.iter().map(|c| {
+        Json::obj(vec![
+            ("query", Json::Str(c.query.to_owned())),
+            ("nodes", Json::num(n.into())),
+            ("matches", count(c.matches)),
+            ("ns", Json::num(c.ns)),
+            ("vs_descendant_star", ratio(c.ns as f64 / star, 2)),
+        ])
+    });
+    report.push(("node_tests", Json::Arr(rows.collect())));
 
     // ---- early-exit: lazy cursor first()/exists() vs full evaluation on
     // the ≥1e5-node document ----
-    json.push_str("  \"early_exit\": [\n");
-    {
-        let bn = big.len();
-        for (i, c) in measure_early_exit(&big).iter().enumerate() {
-            if i > 0 {
-                json.push_str(",\n");
-            }
-            let _ = write!(
-                json,
-                "    {{ \"query\": \"{}\", \"nodes\": {bn}, \"matches\": {}, \
-                 \"first_ns\": {}, \"exists_ns\": {}, \"full_eval_ns\": {}, \
-                 \"speedup_first_vs_full\": {:.2} }}",
-                c.query,
-                c.matches,
-                c.first_ns,
-                c.exists_ns,
-                c.full_ns,
-                c.speedup_first(),
-            );
-        }
-    }
-    json.push_str("\n  ],\n");
+    let rows = measure_early_exit(&big).into_iter().map(|c| {
+        Json::obj(vec![
+            ("query", Json::Str(c.query.to_owned())),
+            ("nodes", count(big.len())),
+            ("matches", count(c.matches)),
+            ("first_ns", Json::num(c.first_ns)),
+            ("exists_ns", Json::num(c.exists_ns)),
+            ("full_eval_ns", Json::num(c.full_ns)),
+            ("speedup_first_vs_full", ratio(c.speedup_first(), 2)),
+        ])
+    });
+    report.push(("early_exit", Json::Arr(rows.collect())));
 
     // ---- lazy dispatch: first(), take(|D|/8) and the full drain on the
     // lazy pipeline vs materialized, across document sizes ----
-    json.push_str("  \"lazy_dispatch\": [\n");
-    for (i, c) in measure_lazy_dispatch().iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{ \"query\": \"{}\", \"nodes\": {}, \"take\": {}, \
-             \"first_lazy_ns\": {}, \"first_materialized_ns\": {}, \
-             \"take_lazy_ns\": {}, \"take_materialized_ns\": {}, \
-             \"drain_lazy_ns\": {}, \"drain_materialized_ns\": {}, \
-             \"lazy_speedup_first\": {:.2}, \"lazy_speedup_take\": {:.2}, \
-             \"lazy_speedup_drain\": {:.2} }}",
-            c.query,
-            c.nodes,
-            c.take,
-            c.first_ns[0],
-            c.first_ns[1],
-            c.take_ns[0],
-            c.take_ns[1],
-            c.drain_ns[0],
-            c.drain_ns[1],
-            LazyDispatchCell::lazy_speedup(c.first_ns),
-            LazyDispatchCell::lazy_speedup(c.take_ns),
-            LazyDispatchCell::lazy_speedup(c.drain_ns),
-        );
-    }
-    json.push_str("\n  ],\n");
+    let rows = measure_lazy_dispatch().into_iter().map(|c| {
+        Json::obj(vec![
+            ("query", Json::Str(c.query.to_owned())),
+            ("nodes", count(c.nodes)),
+            ("take", count(c.take)),
+            ("first_lazy_ns", Json::num(c.first_ns[0])),
+            ("first_materialized_ns", Json::num(c.first_ns[1])),
+            ("take_lazy_ns", Json::num(c.take_ns[0])),
+            ("take_materialized_ns", Json::num(c.take_ns[1])),
+            ("drain_lazy_ns", Json::num(c.drain_ns[0])),
+            ("drain_materialized_ns", Json::num(c.drain_ns[1])),
+            ("lazy_speedup_first", ratio(LazyDispatchCell::lazy_speedup(c.first_ns), 2)),
+            ("lazy_speedup_take", ratio(LazyDispatchCell::lazy_speedup(c.take_ns), 2)),
+            ("lazy_speedup_drain", ratio(LazyDispatchCell::lazy_speedup(c.drain_ns), 2)),
+        ])
+    });
+    report.push(("lazy_dispatch", Json::Arr(rows.collect())));
 
     // ---- snapshot: cold XML parse vs mmap'd snapshot load of the
     // ≥1e5-node document (`xpath_xml::snap`) ----
-    {
-        let c = measure_snapshot(&big);
-        let _ = writeln!(
-            json,
-            "  \"snapshot\": {{ \"nodes\": {}, \"xml_bytes\": {}, \"snapshot_bytes\": {}, \
-             \"resident_bytes\": {}, \"bytes_per_node\": {:.1}, \"parse_ns\": {}, \
-             \"mmap_load_ns\": {}, \"speedup_load_vs_parse\": {:.1} }},",
-            c.nodes,
-            c.xml_bytes,
-            c.snapshot_bytes,
-            c.resident_bytes,
-            c.bytes_per_node(),
-            c.parse_ns,
-            c.load_ns,
-            c.speedup_load(),
-        );
-    }
+    let c = measure_snapshot(&big);
+    report.push((
+        "snapshot",
+        Json::obj(vec![
+            ("nodes", count(c.nodes)),
+            ("xml_bytes", count(c.xml_bytes)),
+            ("snapshot_bytes", Json::num(c.snapshot_bytes)),
+            ("resident_bytes", count(c.resident_bytes)),
+            ("bytes_per_node", ratio(c.bytes_per_node(), 1)),
+            ("parse_ns", Json::num(c.parse_ns)),
+            ("mmap_load_ns", Json::num(c.load_ns)),
+            ("speedup_load_vs_parse", ratio(c.speedup_load(), 1)),
+        ]),
+    ));
 
     // ---- prepared_vs_adhoc guard (original bench conditions: small doc,
     // static phase comparable to the runtime phase) ----
@@ -1504,15 +1436,18 @@ fn main() {
     let t_prepared = time_ns(|| {
         std::hint::black_box(prepared.evaluate_root(&small).unwrap());
     });
-    let _ = writeln!(
-        json,
-        "  \"prepared_vs_adhoc\": {{ \"query\": \"{q}\", \"adhoc_ns\": {t_adhoc}, \
-         \"prepared_ns\": {t_prepared}, \"prepared_speedup\": {:.2} }}",
-        t_adhoc as f64 / t_prepared.max(1) as f64,
-    );
-    json.push_str("}\n");
+    report.push((
+        "prepared_vs_adhoc",
+        Json::obj(vec![
+            ("query", Json::Str(q.to_owned())),
+            ("adhoc_ns", Json::num(t_adhoc)),
+            ("prepared_ns", Json::num(t_prepared)),
+            ("prepared_speedup", ratio(t_adhoc as f64 / t_prepared.max(1) as f64, 2)),
+        ]),
+    ));
 
+    let json = Json::obj(report).render_pretty() + "\n";
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
+    print!("{json}");
     eprintln!("wrote {out_path}");
 }

@@ -20,8 +20,6 @@
 //! needs real cores: on a 1-core runner the multi-client columns measure
 //! fair interleaving over one core, not parallel speedup.
 
-use std::fmt::Write as _;
-
 use xpath_bench::serve_bench::{
     check_serve, closed_loop, measure_overhead, BenchServer, LoadSummary, ServeOverhead,
 };
@@ -53,36 +51,6 @@ fn summary_json(name: &str, load: &LoadSummary) -> Json {
         ("p99_us", Json::num(load.p99_us)),
         ("max_us", Json::num(load.max_us)),
     ])
-}
-
-/// Pretty-print a [`Json`] tree with 2-space indentation (the compact
-/// [`Json::render`] is for the wire; `BENCH_axes.json` stays readable).
-fn pretty(value: &Json, indent: usize, out: &mut String) {
-    match value {
-        Json::Obj(fields) if !fields.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                let _ = write!(out, "{:indent$}  {}: ", "", Json::Str(k.clone()).render());
-                pretty(v, indent + 2, out);
-            }
-            let _ = write!(out, "\n{:indent$}}}", "");
-        }
-        Json::Arr(items) if items.iter().any(|v| matches!(v, Json::Obj(_) | Json::Arr(_))) => {
-            out.push_str("[\n");
-            for (i, v) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                let _ = write!(out, "{:indent$}  ", "");
-                pretty(v, indent + 2, out);
-            }
-            let _ = write!(out, "\n{:indent$}]", "");
-        }
-        other => out.push_str(&other.render()),
-    }
 }
 
 /// Replace (or append) the `serve` key of the existing document, keeping
@@ -186,9 +154,7 @@ fn main() {
 
     let existing = std::fs::read_to_string(&out_path).ok().and_then(|text| Json::parse(&text).ok());
     let merged = splice_serve(existing, serve);
-    let mut rendered = String::new();
-    pretty(&merged, 0, &mut rendered);
-    rendered.push('\n');
+    let rendered = merged.render_pretty() + "\n";
     std::fs::write(&out_path, &rendered).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("wrote serve section to {out_path}");
 }

@@ -89,8 +89,8 @@ pub fn wadler_query(k: usize) -> String {
 /// same `//a//b` spine, so the root descendant pass, the `a`/`b` child
 /// expansions and the duplicated predicates dedupe under the batched
 /// evaluator's memo. One definition serves the `bench_axes`
-/// CI batch guard, the `batch_eval` Criterion bench and the differential
-/// suite, so the guard always protects the workload the bench reports.
+/// CI batch guard (its `batch_eval` rows) and the differential suite, so
+/// the guard always protects the workload the bench reports.
 pub fn batch_shared_prefix() -> Vec<String> {
     [
         "//c",

@@ -25,7 +25,7 @@
 //! | [`cache`] | — | sharded LRU [`QueryCache`] shared across workers |
 //! | [`batch`] | — | [`QuerySet`]: batched multi-query evaluation with shared axis passes; per-query fan-out, the only place evaluation spawns threads |
 //! | [`store`] | — | [`DocumentStore`]: directory of mmap'd snapshots, generational reload |
-//! | [`serve`] | — | [`serve::Server`]: line-JSON query server, admission control, metrics |
+//! | [`serve`] | — | [`serve::Server`]: line-JSON query server — the one [`serve::Json`] codec, admission control, a pure request decoder, metrics |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

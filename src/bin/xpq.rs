@@ -124,6 +124,7 @@
 use std::io::Read;
 use std::process::ExitCode;
 
+use gkp_xpath::core::serve::Json;
 use gkp_xpath::core::{EvalBudget, EvalError, NodeCursor, Value};
 use gkp_xpath::{Compiler, Document, QuerySetBuilder, Strategy};
 
@@ -233,6 +234,11 @@ fn parse_args() -> Result<Options, String> {
                     }
                 };
             }
+            // Kept as input validation, not as a knob: an unknown
+            // dash-prefixed argument is a valid XPath text (`xpq -P
+            // //book/title` evaluates the query `-P` and fails with
+            // "cannot read //book/title"), so without this arm a script
+            // still passing the removed flag would run a different query.
             "-O" | "--optimize" => {
                 return Err(format!("{a} was removed: every compile runs the rewrite pass"))
             }
@@ -396,26 +402,6 @@ fn print_value(doc: &Document, opts: &Options, value: &Value) {
     }
 }
 
-/// Minimal JSON string escaping (the report carries no exotic content,
-/// but query text is user input).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `--lint`: compile every query (document-free) and report the static
 /// analyzer's findings from the compiled plan, so the lazy verdict is the
 /// one the cursor dispatches on. Exit code 1 when any diagnostic reaches
@@ -447,6 +433,8 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
         .collect();
 
     if json {
+        // One string literal of the report, escaped by the serve codec.
+        let string = |text: &str| Json::Str(text.to_owned()).render();
         println!("{{");
         println!("  \"queries\": [");
         for (i, (q, outcome)) in reports.iter().enumerate() {
@@ -457,7 +445,7 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
                     let laziness = match &r.laziness {
                         Laziness::Lazy => "\"lazy\"".to_string(),
                         Laziness::Materialize(why) => {
-                            format!("\"materialize\", \"reason\": \"{}\"", json_escape(why))
+                            format!("\"materialize\", \"reason\": {}", string(why))
                         }
                     };
                     let diags: Vec<String> = r
@@ -465,31 +453,30 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
                         .iter()
                         .map(|d| {
                             format!(
-                                "{{\"severity\": \"{}\", \"code\": \"{}\", \"message\": \"{}\"}}",
+                                "{{\"severity\": \"{}\", \"code\": \"{}\", \"message\": {}}}",
                                 d.severity.name(),
                                 d.code,
-                                json_escape(&d.message)
+                                string(&d.message)
                             )
                         })
                         .collect();
                     println!(
-                        "    {{\"query\": \"{}\", \"satisfiable\": {}, \"laziness\": {laziness}, \
+                        "    {{\"query\": {}, \"satisfiable\": {}, \"laziness\": {laziness}, \
                          \"const\": {}, \"diagnostics\": [{}]}}{comma}",
-                        json_escape(q),
+                        string(q),
                         !r.is_empty_query(),
-                        r.const_result.as_ref().map_or_else(
-                            || "null".to_string(),
-                            |v| format!("\"{}\"", json_escape(&v.to_string()))
-                        ),
+                        r.const_result
+                            .as_ref()
+                            .map_or_else(|| "null".to_string(), |v| string(&v.to_string())),
                         diags.join(", ")
                     );
                 }
                 Err((code, msg)) => {
                     println!(
-                        "    {{\"query\": \"{}\", \"diagnostics\": [{{\"severity\": \"error\", \
-                         \"code\": \"{code}\", \"message\": \"{}\"}}]}}{comma}",
-                        json_escape(q),
-                        json_escape(msg)
+                        "    {{\"query\": {}, \"diagnostics\": [{{\"severity\": \"error\", \
+                         \"code\": \"{code}\", \"message\": {}}}]}}{comma}",
+                        string(q),
+                        string(msg)
                     );
                 }
             }

@@ -286,22 +286,19 @@ fn mask_timing(response: &str) -> String {
         let mut from = 0;
         while let Some(at) = out[from..].find(&pattern) {
             let start = from + at + pattern.len();
-            let rest = out[start..].as_bytes();
+            let rest = &out.as_bytes()[start..];
             let len = if rest.first() == Some(&b'[') {
-                let mut depth = 0usize;
-                let mut end = 0;
-                for (i, &b) in rest.iter().enumerate() {
-                    match b {
-                        b'[' => depth += 1,
-                        b']' => depth -= 1,
-                        _ => {}
-                    }
-                    if depth == 0 {
-                        end = i + 1;
-                        break;
-                    }
-                }
-                end
+                // `buckets`: the whole array, through its closing bracket.
+                let mut depth = 0i32;
+                let close = rest.iter().position(|&b| {
+                    depth += match b {
+                        b'[' => 1,
+                        b']' => -1,
+                        _ => 0,
+                    };
+                    depth == 0
+                });
+                close.map_or(rest.len(), |i| i + 1)
             } else {
                 rest.iter().take_while(|b| b.is_ascii_digit()).count()
             };
