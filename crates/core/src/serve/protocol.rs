@@ -211,26 +211,25 @@ fn error_json(kind: &str, message: &str) -> Json {
     ])
 }
 
-/// A successful top-level response: the `id` (if any), then `fields`.
-pub(crate) fn ok(id: Option<&Json>, fields: Vec<(&str, Json)>) -> Json {
+/// A top-level response: the `id` (if any), `ok`, then `fields`.
+fn response(id: Option<&Json>, ok: bool, fields: Vec<(&str, Json)>) -> Json {
     let mut out = Vec::with_capacity(fields.len() + 2);
     if let Some(id) = id {
         out.push(("id".to_owned(), id.clone()));
     }
-    out.push(("ok".to_owned(), Json::Bool(true)));
+    out.push(("ok".to_owned(), Json::Bool(ok)));
     out.extend(fields.into_iter().map(|(k, v)| (k.to_owned(), v)));
     Json::Obj(out)
 }
 
+/// A successful top-level response.
+pub(crate) fn ok(id: Option<&Json>, fields: Vec<(&str, Json)>) -> Json {
+    response(id, true, fields)
+}
+
 /// A request-level failure: `{"id":…,"ok":false,"error":{"kind","message"}}`.
 pub(crate) fn fail(id: Option<&Json>, kind: &str, message: &str) -> Json {
-    let mut fields = Vec::with_capacity(3);
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), id.clone()));
-    }
-    fields.push(("ok".to_owned(), Json::Bool(false)));
-    fields.push(("error".to_owned(), error_json(kind, message)));
-    Json::Obj(fields)
+    response(id, false, vec![("error", error_json(kind, message))])
 }
 
 /// One query's failure slot inside an `eval` response's `results`.
