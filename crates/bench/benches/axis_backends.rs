@@ -49,6 +49,7 @@ fn bench_backends(c: &mut Criterion) {
 
 fn bench_t_sets(c: &mut Criterion) {
     use xpath_core::corexpath::{compile, CoreXPathEvaluator};
+    use xpath_core::EvalBudget;
     let mut g = c.benchmark_group("t_sets");
     g.sample_size(20)
         .warm_up_time(Duration::from_millis(100))
@@ -61,8 +62,9 @@ fn bench_t_sets(c: &mut Criterion) {
         let e = xpath_syntax::parse_normalized("//a[b[c] and not(d[a])]").unwrap();
         let q = compile(&e).unwrap();
         let ev = CoreXPathEvaluator::new(&doc);
+        let unlimited = EvalBudget::unlimited();
         g.bench_with_input(BenchmarkId::new("scan", size), &size, |b, _| {
-            b.iter(|| ev.evaluate(&q, &[doc.root()]));
+            b.iter(|| ev.evaluate(&q, &[doc.root()], &unlimited).unwrap());
         });
     }
     g.finish();

@@ -407,9 +407,8 @@ fn split_two(
     let kernels = xpath_axes::KernelCounters::new();
     let budget = EvalBudget::unlimited();
     let ctx = Context::of(doc.root());
-    let eval = |q: &Arc<CompiledQuery>| {
-        q.plan().execute_recording_with(doc, ctx, &kernels, &budget, memo).unwrap()
-    };
+    let eval =
+        |q: &Arc<CompiledQuery>| q.plan().execute(doc, ctx, &kernels, &budget, memo).unwrap();
     if let Some(m) = memo {
         m.begin_evaluation();
     }
@@ -1111,9 +1110,10 @@ fn measure_snapshot(big: &Document) -> SnapshotCell {
         let c = compile(&xpath_syntax::parse_normalized(BENCH_QUERIES[0]).unwrap()).unwrap();
         let ev_parsed = CoreXPathEvaluator::new(&parsed);
         let ev_loaded = CoreXPathEvaluator::new(&loaded);
+        let unlimited = EvalBudget::unlimited();
         assert_eq!(
-            ev_parsed.evaluate(&c, &[parsed.root()]),
-            ev_loaded.evaluate(&c, &[loaded.root()]),
+            ev_parsed.evaluate(&c, &[parsed.root()], &unlimited).unwrap(),
+            ev_loaded.evaluate(&c, &[loaded.root()], &unlimited).unwrap(),
             "snapshot load diverges from parse on {}",
             BENCH_QUERIES[0]
         );
@@ -1267,6 +1267,7 @@ fn main() {
     // ---- whole queries: descendant/following-heavy Core XPath on the
     // kernel vs the paper's TopDown evaluator ----
     let kernel_ev = CoreXPathEvaluator::new(&doc);
+    let unlimited = EvalBudget::unlimited();
     let top_down = Compiler::new().default_strategy(Strategy::TopDown).threads(1);
     let mut rows = Vec::new();
     for &q in BENCH_QUERIES {
@@ -1275,12 +1276,13 @@ fn main() {
         let reference = top_down.compile(q).unwrap();
         let root = [doc.root()];
         let want = reference.evaluate_root(&doc).unwrap();
-        assert_eq!(xpath_core::Value::NodeSet(kernel_ev.evaluate(&c, &root)), want, "{q}");
+        let got = kernel_ev.evaluate(&c, &root, &unlimited).unwrap();
+        assert_eq!(xpath_core::Value::NodeSet(got), want, "{q}");
         let t_top_down = time_ns(|| {
             std::hint::black_box(reference.evaluate_root(&doc).unwrap());
         });
         let t_kernel = time_ns(|| {
-            std::hint::black_box(kernel_ev.evaluate(&c, &root));
+            std::hint::black_box(kernel_ev.evaluate(&c, &root, &unlimited).unwrap());
         });
         rows.push(Json::obj(vec![
             ("query", Json::Str(q.to_owned())),

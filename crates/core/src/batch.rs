@@ -201,12 +201,12 @@ fn mix(h: u64, v: u64) -> u64 {
     splitmix64(h ^ v)
 }
 
-/// Hash a value through its `Debug` rendering — derived `Debug` output is
-/// a faithful structural rendering of the compiled-query types, so equal
-/// structures hash equally (process-local keys only).
-fn hash_debug<T: std::fmt::Debug>(v: &T) -> u64 {
+/// Hash a compiled structure (node test, step, predicate) through its
+/// derived `Hash`: equal structures hash equally (process-local keys
+/// only).
+fn hash_of<T: Hash>(v: &T) -> u64 {
     let mut h = DefaultHasher::new();
-    format!("{v:?}").hash(&mut h);
+    v.hash(&mut h);
     h.finish()
 }
 
@@ -217,6 +217,33 @@ const OP_TSET: u64 = 0x5453_4554; // document-global T(t)
 const OP_INV: u64 = 0x2049_4e56; // inverse axis pass χ⁻¹
 const OP_PRED: u64 = 0x5052_4544; // document-global E1[[pred]]
 
+/// One memoizable pass of the §10 algebra, named by what its result
+/// depends on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum MemoOp<'a> {
+    /// A forward step `χ(N) ∩ T(t)` over the input set `N`.
+    Step(Axis, &'a NodeTest, &'a NodeSet),
+    /// The document-global `T(t)` relative to an axis.
+    TSet(Axis, &'a NodeTest),
+    /// An inverse axis pass `χ⁻¹(X)`.
+    Inverse(Axis, &'a NodeSet),
+    /// The document-global `E1[[pred]]`.
+    Pred(&'a CorePred),
+}
+
+impl MemoOp<'_> {
+    fn key(self) -> u64 {
+        match self {
+            MemoOp::Step(axis, test, input) => {
+                mix(mix(mix(OP_STEP, axis as u64), hash_of(test)), input.memo_key())
+            }
+            MemoOp::TSet(axis, test) => mix(mix(OP_TSET, axis as u64), hash_of(test)),
+            MemoOp::Inverse(axis, input) => mix(mix(OP_INV, axis as u64), input.memo_key()),
+            MemoOp::Pred(pred) => mix(OP_PRED, hash_of(pred)),
+        }
+    }
+}
+
 /// The per-evaluation axis-result memo of a batch: maps
 /// `(operation, axis, node-test, input-memo-key)` keys to finished
 /// [`NodeSet`]s so each distinct application runs once per batch
@@ -225,13 +252,6 @@ const OP_PRED: u64 = 0x5052_4544; // document-global E1[[pred]]
 #[derive(Debug, Default)]
 pub struct AxisMemo {
     map: Mutex<HashMap<u64, NodeSet>>,
-    /// Structural hashes of node tests / predicates, cached by address:
-    /// the compiled structures are pinned by the batch's
-    /// `Arc<CompiledQuery>` handles, which outlive every memo the set
-    /// uses (the set's own memo lives as long as the `QuerySet` itself),
-    /// so an address uniquely identifies one structure and
-    /// repeat probes skip the `Debug`-render hash entirely.
-    ptr_hashes: Mutex<HashMap<usize, u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -247,9 +267,7 @@ impl AxisMemo {
     /// Reset for a new evaluation: drop the previous evaluation's
     /// entries (their node-set buffers recycle into the thread-local
     /// shelves; the map keeps its capacity for reuse) and zero the
-    /// hit/miss counters. The structural ptr-hash cache survives — the
-    /// structures it keys are pinned by the owning set's
-    /// `Arc<CompiledQuery>` handles for the memo's whole life.
+    /// hit/miss counters.
     pub fn begin_evaluation(&self) {
         self.map.lock().expect("axis memo poisoned").clear();
         self.hits.store(0, Ordering::Relaxed);
@@ -266,80 +284,27 @@ impl AxisMemo {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// [`hash_debug`] with the result cached by the value's address (see
-    /// `ptr_hashes`): the render runs once per distinct structure per
-    /// evaluation, not once per probe.
-    fn structural_hash<T: std::fmt::Debug>(&self, v: &T) -> u64 {
-        let addr = std::ptr::from_ref(v) as usize;
-        if let Some(&h) = self.ptr_hashes.lock().expect("axis memo poisoned").get(&addr) {
-            return h;
-        }
-        let h = hash_debug(v);
-        self.ptr_hashes.lock().expect("axis memo poisoned").insert(addr, h);
-        h
-    }
-
-    fn get_or(
+    /// Serve `op` from the memo, or run `compute` and store its result.
+    /// A pass that fails (a tripped budget) stores nothing and counts no
+    /// miss, so the memo never holds a half-built set.
+    pub(crate) fn get_or(
         &self,
-        key: u64,
+        op: MemoOp<'_>,
         counters: &KernelCounters,
-        compute: impl FnOnce() -> NodeSet,
-    ) -> NodeSet {
+        compute: impl FnOnce() -> EvalResult<NodeSet>,
+    ) -> EvalResult<NodeSet> {
+        let key = op.key();
         if let Some(hit) = self.map.lock().expect("axis memo poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             counters.record_memo_hit();
-            return hit.clone();
+            return Ok(hit.clone());
         }
         // Compute outside the lock: passes can be long, and predicate
         // computation recurses back into the memo.
-        let out = compute();
+        let out = compute()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.map.lock().expect("axis memo poisoned").insert(key, out.clone());
-        out
-    }
-
-    pub(crate) fn step(
-        &self,
-        axis: Axis,
-        test: &NodeTest,
-        input: &NodeSet,
-        counters: &KernelCounters,
-        compute: impl FnOnce() -> NodeSet,
-    ) -> NodeSet {
-        let key = mix(mix(mix(OP_STEP, axis as u64), self.structural_hash(test)), input.memo_key());
-        self.get_or(key, counters, compute)
-    }
-
-    pub(crate) fn t_set(
-        &self,
-        axis: Axis,
-        test: &NodeTest,
-        counters: &KernelCounters,
-        compute: impl FnOnce() -> NodeSet,
-    ) -> NodeSet {
-        let key = mix(mix(OP_TSET, axis as u64), self.structural_hash(test));
-        self.get_or(key, counters, compute)
-    }
-
-    pub(crate) fn inverse(
-        &self,
-        axis: Axis,
-        input: &NodeSet,
-        counters: &KernelCounters,
-        compute: impl FnOnce() -> NodeSet,
-    ) -> NodeSet {
-        let key = mix(mix(OP_INV, axis as u64), input.memo_key());
-        self.get_or(key, counters, compute)
-    }
-
-    pub(crate) fn pred(
-        &self,
-        pred: &CorePred,
-        counters: &KernelCounters,
-        compute: impl FnOnce() -> NodeSet,
-    ) -> NodeSet {
-        let key = mix(OP_PRED, self.structural_hash(pred));
-        self.get_or(key, counters, compute)
+        Ok(out)
     }
 }
 
@@ -501,9 +466,9 @@ fn analyze_sharing(queries: &[Arc<CompiledQuery>]) -> BatchSharing {
         // when its whole prefix (start + steps so far, predicates
         // included) repeats — which is when the memo is guaranteed to
         // hit it.
-        let mut h = hash_debug(&program.path.start);
+        let mut h = hash_of(&program.path.start);
         for step in &program.path.steps {
-            h = mix(h, hash_debug(step));
+            h = mix(h, hash_of(step));
             out.total_units += 1;
             if !seen_prefixes.insert(h) {
                 out.shared_units += 1;
@@ -512,7 +477,7 @@ fn analyze_sharing(queries: &[Arc<CompiledQuery>]) -> BatchSharing {
             // set), so they dedupe across any position in any query.
             for pred in &step.preds {
                 out.total_units += 1;
-                if !seen_preds.insert(hash_debug(pred)) {
+                if !seen_preds.insert(hash_of(pred)) {
                     out.shared_units += 1;
                 }
             }
@@ -533,12 +498,11 @@ pub struct QuerySet {
     /// evaluations record here, not into the member queries' per-handle
     /// tallies — shared passes cannot be attributed to one query).
     kernels: Arc<KernelCounters>,
-    /// The set's reusable memo: its map keeps its capacity (and its
-    /// structural ptr-hash cache) across evaluations, so repeated
-    /// [`QuerySet::evaluate_all`] calls reach an allocation-free steady
-    /// state. Guarded by a `try_lock`: a concurrent evaluation (say, on
-    /// another document) takes a fresh memo, so two evaluations never
-    /// share entries.
+    /// The set's reusable memo: its map keeps its capacity across
+    /// evaluations, so repeated [`QuerySet::evaluate_all`] calls reach an
+    /// allocation-free steady state. Guarded by a `try_lock`: a concurrent
+    /// evaluation (say, on another document) takes a fresh memo, so two
+    /// evaluations never share entries.
     memo: Mutex<AxisMemo>,
 }
 
@@ -606,7 +570,7 @@ impl QuerySet {
 
     /// [`QuerySet::evaluate_all_at`] under an [`EvalBudget`]: the budget
     /// is polled before each query and before every axis pass inside it
-    /// (see [`Plan::execute_with`](crate::plan::Plan::execute_with)).
+    /// (see [`Plan::execute`](crate::plan::Plan::execute)).
     /// When it trips, the query it interrupts and every later one in its
     /// chunk carry the trip error ([`crate::EvalError::Cancelled`] /
     /// [`crate::EvalError::DeadlineExceeded`]); finished results are
@@ -637,7 +601,7 @@ impl QuerySet {
         let eval = |i: u32| -> EvalResult<Value> {
             budget.check()?;
             let plan = self.queries[i as usize].plan();
-            plan.execute_recording_with(doc, ctx, &self.kernels, budget, memo)
+            plan.execute(doc, ctx, &self.kernels, budget, memo)
         };
         let n = self.len() as u32;
         let mut results = crate::pool::take_results();
@@ -827,6 +791,31 @@ mod tests {
         assert_eq!(out.results()[0].as_ref().unwrap(), out.results()[2].as_ref().unwrap());
         // The batch tally surfaces the shared applications.
         assert_eq!(set.planner_stats().memo_hits, out.stats().memo_hits);
+    }
+
+    #[test]
+    fn memo_stores_only_successful_passes() {
+        let memo = AxisMemo::new();
+        let counters = KernelCounters::new();
+        let test = NodeTest::Wildcard;
+        let op = MemoOp::TSet(Axis::Child, &test);
+        // A pass interrupted by its budget leaves no entry and no miss.
+        let failed = memo.get_or(op, &counters, || Err(crate::context::EvalError::Cancelled));
+        assert_eq!(failed, Err(crate::context::EvalError::Cancelled));
+        assert_eq!((memo.hits(), memo.misses()), (0, 0));
+        // The same key then runs its pass and is cached.
+        let set = NodeSet::from_sorted(vec![xpath_xml::NodeId(1), xpath_xml::NodeId(3)]);
+        let mut ran = false;
+        let out = memo.get_or(op, &counters, || {
+            ran = true;
+            Ok(set.clone())
+        });
+        assert!(ran);
+        assert_eq!(out.as_ref(), Ok(&set));
+        assert_eq!((memo.hits(), memo.misses()), (0, 1));
+        let hit = memo.get_or(op, &counters, || panic!("a cached pass does not rerun"));
+        assert_eq!(hit, Ok(set));
+        assert_eq!((memo.hits(), memo.misses(), counters.snapshot().memo_hits), (1, 1, 1));
     }
 
     #[test]

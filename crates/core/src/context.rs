@@ -113,10 +113,10 @@ pub type EvalResult<T> = Result<T, EvalError>;
 /// an optional shared cancel flag.
 ///
 /// Every evaluation entry point accepts a budget (`evaluate_with`,
-/// `Plan::execute_with`, `QuerySet::evaluate_all_with`, the cursor
-/// layer) and polls it at **block boundaries** — between axis passes,
-/// CVT row fills, cursor blocks — never inside
-/// a kernel's inner loop. A tripped budget surfaces as
+/// [`Plan::execute`](crate::plan::Plan::execute),
+/// `QuerySet::evaluate_all_with`, the cursor layer) and polls it at
+/// **block boundaries** — between axis passes, CVT row fills, cursor
+/// blocks — never inside a kernel's inner loop. A tripped budget surfaces as
 /// [`EvalError::Cancelled`] or [`EvalError::DeadlineExceeded`]; the
 /// evaluator unwinds through ordinary `Result` propagation, so pooled
 /// buffers are released by `Drop` as usual and the worker thread is
@@ -155,12 +155,6 @@ impl EvalBudget {
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> EvalBudget {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// `true` when no deadline and no cancel flag are attached — the
-    /// evaluators skip per-block polling entirely then.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
     }
 
     /// Poll the budget: `Err(Cancelled)` if the cancel flag is set,
@@ -216,15 +210,12 @@ mod tests {
 
     #[test]
     fn budget_unlimited_never_trips() {
-        let b = EvalBudget::unlimited();
-        assert!(b.is_unlimited());
-        assert_eq!(b.check(), Ok(()));
+        assert_eq!(EvalBudget::unlimited().check(), Ok(()));
     }
 
     #[test]
     fn budget_deadline_trips() {
         let b = EvalBudget::deadline(Instant::now() - Duration::from_millis(1));
-        assert!(!b.is_unlimited());
         assert_eq!(b.check(), Err(EvalError::DeadlineExceeded));
         let later = EvalBudget::timeout(Duration::from_secs(3600));
         assert_eq!(later.check(), Ok(()));

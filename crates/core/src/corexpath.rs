@@ -38,9 +38,12 @@
 //! value tests. [`is_xpatterns`] keeps Figure 1's label: only the `=`
 //! tests of Table VI count towards it.
 
+use std::hash::{Hash, Hasher};
+
 use xpath_syntax::{Axis, BinaryOp, Expr, LocationPath, NodeTest, PathStart};
 use xpath_xml::{Document, NodeId};
 
+use crate::batch::MemoOp;
 use crate::compare::{mirror, num_cmp, str_cmp};
 use crate::context::{EvalBudget, EvalError, EvalResult};
 use crate::node_test;
@@ -48,14 +51,14 @@ use crate::nodeset::NodeSet;
 use crate::value::str_to_number;
 
 /// A compiled Core XPath / XPatterns query.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct CoreQuery {
     /// The query spine.
     pub path: CorePath,
 }
 
 /// Where a compiled path starts.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum CoreStart {
     /// Relative: the input context nodes.
     Context,
@@ -67,7 +70,7 @@ pub enum CoreStart {
 }
 
 /// A compiled location path.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct CorePath {
     /// Start point.
     pub start: CoreStart,
@@ -76,7 +79,7 @@ pub struct CorePath {
 }
 
 /// One compiled step.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct CoreStep {
     /// The axis, possibly [`Axis::Id`] after the Lemma 10.6 rewriting.
     pub axis: Axis,
@@ -87,7 +90,7 @@ pub struct CoreStep {
 }
 
 /// A compiled predicate (Definition 10.2 `pred`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum CorePred {
     /// `pred and pred`
     And(Box<CorePred>, Box<CorePred>),
@@ -105,7 +108,7 @@ pub enum CorePred {
 /// operator. The predicate holds at a node of `π` iff its string value
 /// compares true against the constant under XPath 1.0 rules (existential
 /// over the nodes of `π`, like every node-set comparison).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct ValueTest {
     /// One of `= != < <= > >=`, oriented as `strval(x) op constant`.
     pub op: BinaryOp,
@@ -121,6 +124,19 @@ pub enum Constant {
     Str(String),
     /// A number: every operator compares `number(strval)` with it.
     Num(f64),
+}
+
+/// Hashes a number by its bits, with `-0` read as `0` (they compare
+/// equal), so equal constants hash equally; the batch memo keys
+/// predicates on this hash.
+impl Hash for Constant {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Constant::Str(s) => s.hash(state),
+            Constant::Num(v) => (if *v == 0.0 { 0.0 } else { *v }).to_bits().hash(state),
+        }
+    }
 }
 
 impl ValueTest {
@@ -304,42 +320,43 @@ impl<'d> CoreXPathEvaluator<'d> {
         self.kernels.snapshot()
     }
 
-    /// `T(t)` relative to an axis, through the batch memo when attached
-    /// (the scan is document-global, so one memo entry serves every query
-    /// in a batch using the same test).
-    fn t_set(&self, axis: Axis, test: &NodeTest) -> NodeSet {
-        let compute = || NodeSet::from_sorted(node_test::matching_set(self.doc, axis, test));
+    /// Run `compute` through the batch memo under `op` when one is
+    /// attached, else directly. A failed pass leaves no memo entry.
+    fn memoized(
+        &self,
+        op: MemoOp<'_>,
+        compute: impl FnOnce() -> EvalResult<NodeSet>,
+    ) -> EvalResult<NodeSet> {
         match self.memo {
-            Some(m) => m.t_set(axis, test, &self.kernels, compute),
+            Some(m) => m.get_or(op, &self.kernels, compute),
             None => compute(),
         }
     }
 
-    /// Evaluate a compiled query with semantics `S→[[π]](N0)`.
-    pub fn evaluate(&self, q: &CoreQuery, context_nodes: &[NodeId]) -> NodeSet {
-        self.s_forward(&q.path, context_nodes)
+    /// `T(t)` relative to an axis, through the batch memo when attached
+    /// (the scan is document-global, so one memo entry serves every query
+    /// in a batch using the same test).
+    fn t_set(&self, axis: Axis, test: &NodeTest) -> EvalResult<NodeSet> {
+        self.memoized(MemoOp::TSet(axis, test), || {
+            Ok(NodeSet::from_sorted(node_test::matching_set(self.doc, axis, test)))
+        })
     }
 
-    /// [`CoreXPathEvaluator::evaluate`] under an [`EvalBudget`]: the
-    /// budget is polled before every axis pass (forward expansions,
-    /// inverse passes, predicate sets) — the paper's per-pass `O(|D|)`
-    /// unit is the cancellation granularity, so a trip costs at most one
-    /// more pass, never whole-query time. An unlimited budget takes the
-    /// exact infallible path.
-    pub fn try_evaluate(
+    /// Evaluate a compiled query with semantics `S→[[π]](N0)` under an
+    /// [`EvalBudget`]: the budget is polled before every axis pass
+    /// (forward expansions, inverse passes, predicate sets) — the paper's
+    /// per-pass `O(|D|)` unit is the cancellation granularity, so a trip
+    /// costs at most one more pass, never whole-query time.
+    pub fn evaluate(
         &self,
         q: &CoreQuery,
         context_nodes: &[NodeId],
         budget: &EvalBudget,
     ) -> EvalResult<NodeSet> {
-        if budget.is_unlimited() {
-            return Ok(self.evaluate(q, context_nodes));
-        }
-        let p = &q.path;
-        let mut n = self.start_set(&p.start, context_nodes);
-        for step in &p.steps {
+        let mut n = self.start_set(&q.path.start, context_nodes);
+        for step in &q.path.steps {
             budget.check()?;
-            n = self.try_advance_step(step, &n, budget)?;
+            n = self.advance_step(step, &n, budget)?;
         }
         budget.check()?;
         Ok(n)
@@ -355,7 +372,7 @@ impl<'d> CoreXPathEvaluator<'d> {
         let e = xpath_syntax::parse_normalized(query)
             .map_err(|err| EvalError::Parse(err.to_string()))?;
         let q = compile_dialect(&e, dialect)?;
-        Ok(self.evaluate(&q, context_nodes))
+        self.evaluate(&q, context_nodes, &EvalBudget::unlimited())
     }
 
     fn axis_forward(&self, axis: Axis, set: &NodeSet) -> NodeSet {
@@ -392,86 +409,20 @@ impl<'d> CoreXPathEvaluator<'d> {
         }
     }
 
-    /// `S→` (Definition 10.2): forward evaluation of the query spine.
-    fn s_forward(&self, p: &CorePath, context_nodes: &[NodeId]) -> NodeSet {
-        let mut n = self.start_set(&p.start, context_nodes);
-        for step in &p.steps {
-            n = self.advance_step(step, &n);
-        }
-        n
-    }
-
-    /// Advance one spine step: `χ(N) ∩ T(t) ∩ E1[[e1]] ∩ …`.
-    fn advance_step(&self, step: &CoreStep, n: &NodeSet) -> NodeSet {
-        let mut next = self.expand_axis_test(step.axis, &step.test, n);
-        // π[e] ↦ S→[[π]] ∩ E1[[e]].
-        for pred in &step.preds {
-            next = next.intersect(&self.pred_set(pred));
-        }
-        next
-    }
-
-    /// [`CoreXPathEvaluator::advance_step`] with the budget polled before
-    /// every predicate pass.
-    pub(crate) fn try_advance_step(
+    /// Advance one spine step of `S→` (Definition 10.2):
+    /// `χ(N) ∩ T(t) ∩ E1[[e1]] ∩ …`.
+    fn advance_step(
         &self,
         step: &CoreStep,
         n: &NodeSet,
         budget: &EvalBudget,
     ) -> EvalResult<NodeSet> {
-        let mut next = self.expand_axis_test(step.axis, &step.test, n);
+        let mut next = self.expand_axis_test(step.axis, &step.test, n)?;
+        // π[e] ↦ S→[[π]] ∩ E1[[e]].
         for pred in &step.preds {
-            budget.check()?;
-            next = next.intersect(&self.try_pred_set(pred, budget)?);
+            next = next.intersect(&self.pred_set(pred, budget)?);
         }
         Ok(next)
-    }
-
-    /// Budgeted [`CoreXPathEvaluator::pred_set`]. With a batch memo
-    /// attached, the memoized (infallible) computation runs whole — the
-    /// outer per-predicate check still bounds cancellation latency by one
-    /// predicate pass.
-    pub(crate) fn try_pred_set(&self, pred: &CorePred, budget: &EvalBudget) -> EvalResult<NodeSet> {
-        budget.check()?;
-        match self.memo {
-            Some(m) => Ok(m.pred(pred, &self.kernels, || self.e1(pred))),
-            None => match pred {
-                CorePred::And(l, r) => {
-                    Ok(self.try_pred_set(l, budget)?.intersect(&self.try_pred_set(r, budget)?))
-                }
-                CorePred::Or(l, r) => {
-                    Ok(self.try_pred_set(l, budget)?.union(&self.try_pred_set(r, budget)?))
-                }
-                CorePred::Not(inner) => {
-                    Ok(self.try_pred_set(inner, budget)?.complement(self.doc.len() as u32))
-                }
-                CorePred::Path(p, test) => self.try_s_backward(p, test.as_ref(), budget),
-            },
-        }
-    }
-
-    /// Budgeted [`CoreXPathEvaluator::s_backward`]: polls before each
-    /// step's `T(t)`/inverse pass.
-    fn try_s_backward(
-        &self,
-        p: &CorePath,
-        test: Option<&ValueTest>,
-        budget: &EvalBudget,
-    ) -> EvalResult<NodeSet> {
-        let mut acc: Option<NodeSet> = None;
-        for step in p.steps.iter().rev() {
-            budget.check()?;
-            let mut base = self.t_set(step.axis, &step.test);
-            for pred in &step.preds {
-                base = base.intersect(&self.try_pred_set(pred, budget)?);
-            }
-            base = match acc {
-                Some(a) => base.intersect(&a),
-                None => self.value_filter(test, base),
-            };
-            acc = Some(self.inverse_expand(step.axis, &base));
-        }
-        Ok(self.backward_start(p, test, acc))
     }
 
     /// Witness-only predicate check for one candidate node: does `pred`
@@ -520,7 +471,7 @@ impl<'d> CoreXPathEvaluator<'d> {
                 return Ok(false);
             }
             budget.check()?;
-            n = self.try_advance_step(step, &n, budget)?;
+            n = self.advance_step(step, &n, budget)?;
         }
         Ok(!self.value_filter(test, n).is_empty())
     }
@@ -543,58 +494,59 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// attached: identical spine prefixes across a batch collapse to one
     /// pass (equal inputs fingerprint equally, so sharing cascades down
     /// shared prefixes step by step).
-    fn expand_axis_test(&self, axis: Axis, test: &NodeTest, n: &NodeSet) -> NodeSet {
-        let compute = || {
+    fn expand_axis_test(&self, axis: Axis, test: &NodeTest, n: &NodeSet) -> EvalResult<NodeSet> {
+        self.memoized(MemoOp::Step(axis, test, n), || {
             let mut next = self.axis_forward(axis, n);
             node_test::filter_set(self.doc, axis, test, &mut next);
-            next
-        };
-        match self.memo {
-            Some(m) => m.step(axis, test, n, &self.kernels, compute),
-            None => compute(),
-        }
+            Ok(next)
+        })
     }
 
     /// `E1[[pred]]` through the batch memo when attached: predicate sets
     /// are document-global (independent of the context set), so one entry
-    /// serves every occurrence of a predicate across the whole batch.
-    fn pred_set(&self, pred: &CorePred) -> NodeSet {
-        match self.memo {
-            Some(m) => m.pred(pred, &self.kernels, || self.e1(pred)),
-            None => self.e1(pred),
-        }
+    /// serves every occurrence of a predicate across the whole batch. The
+    /// budget is polled before every predicate, memoized or not.
+    pub(crate) fn pred_set(&self, pred: &CorePred, budget: &EvalBudget) -> EvalResult<NodeSet> {
+        budget.check()?;
+        self.memoized(MemoOp::Pred(pred), || self.e1(pred, budget))
     }
 
     /// `E1` (Definition 10.2): the set of nodes satisfying a predicate.
-    fn e1(&self, pred: &CorePred) -> NodeSet {
-        match pred {
-            CorePred::And(l, r) => self.pred_set(l).intersect(&self.pred_set(r)),
-            CorePred::Or(l, r) => self.pred_set(l).union(&self.pred_set(r)),
-            CorePred::Not(inner) => self.pred_set(inner).complement(self.doc.len() as u32),
-            CorePred::Path(p, test) => self.s_backward(p, test.as_ref()),
-        }
+    fn e1(&self, pred: &CorePred, budget: &EvalBudget) -> EvalResult<NodeSet> {
+        Ok(match pred {
+            CorePred::And(l, r) => self.pred_set(l, budget)?.intersect(&self.pred_set(r, budget)?),
+            CorePred::Or(l, r) => self.pred_set(l, budget)?.union(&self.pred_set(r, budget)?),
+            CorePred::Not(inner) => self.pred_set(inner, budget)?.complement(self.doc.len() as u32),
+            CorePred::Path(p, test) => self.s_backward(p, test.as_ref(), budget)?,
+        })
     }
 
     /// `S←` (Definition 10.2): the set of context nodes from which the path
-    /// matches at least one node.
-    fn s_backward(&self, p: &CorePath, test: Option<&ValueTest>) -> NodeSet {
+    /// matches at least one node. Polls the budget before each step's
+    /// `T(t)`/inverse pass.
+    fn s_backward(
+        &self,
+        p: &CorePath,
+        test: Option<&ValueTest>,
+        budget: &EvalBudget,
+    ) -> EvalResult<NodeSet> {
         let mut acc: Option<NodeSet> = None;
         for step in p.steps.iter().rev() {
+            budget.check()?;
             // base = T(t) ∩ E1[[e1]] ∩ … ∩ S←[[rest]]; the last step's
             // base is filtered by the value test instead.
-            let mut base = self.t_set(step.axis, &step.test);
+            let mut base = self.t_set(step.axis, &step.test)?;
             for pred in &step.preds {
-                base = base.intersect(&self.pred_set(pred));
+                base = base.intersect(&self.pred_set(pred, budget)?);
             }
             base = match acc {
                 Some(a) => base.intersect(&a),
                 None => self.value_filter(test, base),
             };
-            acc = Some(self.inverse_expand(step.axis, &base));
+            acc = Some(self.inverse_expand(step.axis, &base)?);
         }
-        self.backward_start(p, test, acc)
+        Ok(self.backward_start(p, test, acc))
     }
-
     /// Close `S←[[p]]` at the path's start, given `acc` = `S←` of its
     /// steps (`None` for a step-less path, whose value test then filters
     /// the start nodes themselves).
@@ -622,18 +574,16 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// The set of context nodes from which the compiled query matches at
     /// least one node — `S←[[π]]` (Definition 10.2), exposed for the XSLT
     /// pattern-matching use case: "which nodes does this template pattern
-    /// apply to?" in one `O(|D|·|Q|)` pass.
-    pub fn matching_contexts(&self, q: &CoreQuery) -> NodeSet {
-        self.s_backward(&q.path, None)
+    /// apply to?" in one `O(|D|·|Q|)` pass, under `budget` like
+    /// [`CoreXPathEvaluator::evaluate`].
+    pub fn matching_contexts(&self, q: &CoreQuery, budget: &EvalBudget) -> EvalResult<NodeSet> {
+        self.s_backward(&q.path, None, budget)
     }
 
     /// `χ⁻¹(X)` through the batch memo when attached, keyed on
     /// `(axis, fingerprint(X))` like the forward expansions.
-    fn inverse_expand(&self, axis: Axis, set: &NodeSet) -> NodeSet {
-        match self.memo {
-            Some(m) => m.inverse(axis, set, &self.kernels, || self.axis_backward(axis, set)),
-            None => self.axis_backward(axis, set),
-        }
+    fn inverse_expand(&self, axis: Axis, set: &NodeSet) -> EvalResult<NodeSet> {
+        self.memoized(MemoOp::Inverse(axis, set), || Ok(self.axis_backward(axis, set)))
     }
 }
 
@@ -849,7 +799,7 @@ mod tests {
             for q in queries {
                 let e = parse_normalized(q).unwrap();
                 let c = compile(&e).unwrap();
-                let got = ev.evaluate(&c, &[d.root()]);
+                let got = ev.evaluate(&c, &[d.root()], &EvalBudget::unlimited()).unwrap();
                 let top_down = crate::plan::execute_adhoc(
                     &e,
                     crate::plan::Strategy::TopDown,
@@ -900,16 +850,17 @@ mod tests {
         let c1 = compile(&e).unwrap();
         let ev1 = CoreXPathEvaluator::new(&d1);
         let ev2 = CoreXPathEvaluator::new(&d2);
+        let unlimited = EvalBudget::unlimited();
         // Warm up.
-        ev1.evaluate(&c1, &[d1.root()]);
+        ev1.evaluate(&c1, &[d1.root()], &unlimited).unwrap();
         let t1 = Instant::now();
         for _ in 0..10 {
-            ev1.evaluate(&c1, &[d1.root()]);
+            ev1.evaluate(&c1, &[d1.root()], &unlimited).unwrap();
         }
         let t1 = t1.elapsed();
         let t2 = Instant::now();
         for _ in 0..10 {
-            ev2.evaluate(&c1, &[d2.root()]);
+            ev2.evaluate(&c1, &[d2.root()], &unlimited).unwrap();
         }
         let t2 = t2.elapsed();
         assert!(t2 < t1 * 40, "expected near-linear scaling, got {t1:?} → {t2:?}");

@@ -184,7 +184,7 @@ impl NodeCursor for QueryCursor<'_, '_> {
         match &mut self.state {
             State::Lazy(p) => p.next_block(self.doc, &self.budget, out, max),
             State::Pending { plan, kernels, ctx } => {
-                let v = plan.execute_recording_with(self.doc, *ctx, kernels, &self.budget, None)?;
+                let v = plan.execute(self.doc, *ctx, kernels, &self.budget, None)?;
                 let ids = Arc::new(crate::query::into_node_set(v)?.into_vec());
                 self.state = State::Drained { ids, pos: 0 };
                 self.next_block(out, max)
@@ -491,7 +491,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
                 if let Some(s) = self.pred_sets.get(&key) {
                     return Ok(s.contains(x));
                 }
-                let s = self.ev.try_pred_set(pred, budget)?;
+                let s = self.ev.pred_set(pred, budget)?;
                 let v = s.contains(x);
                 self.pred_sets.insert(key, s);
                 Ok(v)

@@ -231,8 +231,7 @@ impl Program {
         budget: &EvalBudget,
     ) -> EvalResult<Value> {
         let ctx_nodes = [ctx.node];
-        self.fold
-            .eval(doc, &ctx, &mut |i| ev.try_evaluate(&self.paths[i].query, &ctx_nodes, budget))
+        self.fold.eval(doc, &ctx, &mut |i| ev.evaluate(&self.paths[i].query, &ctx_nodes, budget))
     }
 }
 

@@ -68,7 +68,7 @@ impl<'d> OptMinContextEvaluator<'d> {
         if let Ok(cq) = corexpath::compile(query) {
             report.used_core_xpath = true;
             let ev = CoreXPathEvaluator::new(self.doc);
-            let out = ev.try_evaluate(&cq, &[ctx.node], &self.eval_budget)?;
+            let out = ev.evaluate(&cq, &[ctx.node], &self.eval_budget)?;
             return Ok((Value::NodeSet(out), report));
         }
 

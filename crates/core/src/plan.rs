@@ -142,64 +142,22 @@ impl Plan {
         Ok(Plan { expr, classification, strategy, program, report, naive_budget })
     }
 
-    /// Run the plan against `doc` from context `ctx`.
+    /// Run the plan against `doc` from context `ctx` under `budget`.
     ///
     /// Pure runtime phase: no parsing, classification, or fragment
-    /// compilation happens here.
-    pub fn execute(&self, doc: &Document, ctx: Context) -> EvalResult<Value> {
-        self.execute_with(doc, ctx, &EvalBudget::unlimited())
-    }
-
-    /// [`Plan::execute`] under an [`EvalBudget`]: every strategy polls the
-    /// budget at its natural pass boundary (location steps, table passes,
-    /// axis passes) and fails with
-    /// [`EvalError::Cancelled`] /
-    /// [`EvalError::DeadlineExceeded`]
-    /// once it trips — never a poisoned evaluator or a partial result.
-    pub fn execute_with(
-        &self,
-        doc: &Document,
-        ctx: Context,
-        budget: &EvalBudget,
-    ) -> EvalResult<Value> {
-        // Constant-empty plan node: the analyzer proved the result is
-        // document-independent, so no evaluator runs at all.
-        if let Some(v) = &self.report.const_result {
-            return Ok(v.clone());
-        }
-        run(
-            &self.expr,
-            self.strategy,
-            self.program.as_ref(),
-            self.naive_budget,
-            doc,
-            ctx,
-            None,
-            None,
-            budget,
-        )
-    }
-
-    /// [`Plan::execute`], additionally merging the axis kernel's
-    /// materialization tally into `kernels` (fragment strategies only; the
-    /// general evaluators record nothing). This is how a
+    /// compilation happens here. Every strategy polls the budget at its
+    /// natural pass boundary (location steps, table passes, axis passes)
+    /// and fails with [`EvalError::Cancelled`] /
+    /// [`EvalError::DeadlineExceeded`] once it trips — never a poisoned
+    /// evaluator or a partial result. The fragment engines merge their
+    /// axis-kernel tally into `kernels` (the general evaluators record
+    /// nothing); this is how a
     /// [`CompiledQuery`](crate::query::CompiledQuery) accumulates its
-    /// per-query planner statistics across evaluations.
-    pub fn execute_recording(
-        &self,
-        doc: &Document,
-        ctx: Context,
-        kernels: &xpath_axes::KernelCounters,
-    ) -> EvalResult<Value> {
-        self.execute_recording_with(doc, ctx, kernels, &EvalBudget::unlimited(), None)
-    }
-
-    /// [`Plan::execute_recording`] under an [`EvalBudget`] (see
-    /// [`Plan::execute_with`]). A batch passes its [`AxisMemo`] as
-    /// `memo`, so the fragment engines serve repeated axis passes from it;
-    /// the general evaluators ignore it. The result never depends on the
-    /// memo.
-    pub fn execute_recording_with(
+    /// per-query planner statistics. A batch passes its [`AxisMemo`] as
+    /// `memo`, so the fragment engines serve repeated axis passes from
+    /// it; the general evaluators ignore it. The result never depends on
+    /// the memo.
+    pub fn execute(
         &self,
         doc: &Document,
         ctx: Context,
@@ -207,6 +165,8 @@ impl Plan {
         budget: &EvalBudget,
         memo: Option<&AxisMemo>,
     ) -> EvalResult<Value> {
+        // Constant-empty plan node: the analyzer proved the result is
+        // document-independent, so no evaluator runs at all.
         if let Some(v) = &self.report.const_result {
             return Ok(v.clone());
         }
@@ -319,8 +279,8 @@ pub fn evaluate_all_agree(
     check("opt-min-context", OptMinContextEvaluator::new(doc).evaluate(expr, ctx))?;
     check("auto", execute_adhoc(expr, Strategy::Auto, None, doc, ctx))?;
     if let Ok(q) = compile_dialect(expr, CoreDialect::XPatterns) {
-        let v = CoreXPathEvaluator::new(doc).evaluate(&q, &[ctx.node]);
-        check("core-xpath", Ok(Value::NodeSet(v)))?;
+        let v = CoreXPathEvaluator::new(doc).evaluate(&q, &[ctx.node], &EvalBudget::unlimited());
+        check("core-xpath", v.map(Value::NodeSet))?;
     }
     Ok(reference)
 }
@@ -407,6 +367,11 @@ mod tests {
         Plan::build(parse_normalized(q).unwrap(), s, None)
     }
 
+    fn execute_at_root(p: &Plan, d: &Document) -> EvalResult<Value> {
+        let kernels = xpath_axes::KernelCounters::new();
+        p.execute(d, Context::of(d.root()), &kernels, &EvalBudget::unlimited(), None)
+    }
+
     #[test]
     fn auto_resolves_per_figure_1() {
         assert_eq!(plan("//book[author]", Strategy::Auto).unwrap().strategy, Strategy::CoreXPath);
@@ -447,11 +412,11 @@ mod tests {
         let p = plan("//text()/child::*", Strategy::Auto).unwrap();
         assert!(p.report().is_empty_query());
         let d = doc_bookstore();
-        let out = p.execute(&d, Context::of(d.root())).unwrap();
+        let out = execute_at_root(&p, &d).unwrap();
         assert!(matches!(out, Value::NodeSet(ref s) if s.is_empty()));
         // Scalar wrappers fold too.
         let p = plan("count(//text()/child::*)", Strategy::Auto).unwrap();
-        let out = p.execute(&d, Context::of(d.root())).unwrap();
+        let out = execute_at_root(&p, &d).unwrap();
         assert_eq!(out.to_string(), "0");
     }
 
@@ -466,11 +431,10 @@ mod tests {
         ] {
             let auto = plan(q, Strategy::Auto).unwrap();
             let reference = plan(q, Strategy::TopDown).unwrap();
-            let ctx = Context::of(d.root());
             assert!(
-                auto.execute(&d, ctx)
+                execute_at_root(&auto, &d)
                     .unwrap()
-                    .semantically_equal(&reference.execute(&d, ctx).unwrap()),
+                    .semantically_equal(&execute_at_root(&reference, &d).unwrap()),
                 "{q}"
             );
         }
@@ -517,7 +481,7 @@ mod tests {
             Some(10),
         )
         .unwrap();
-        assert!(matches!(p.execute(&d, Context::of(d.root())), Err(EvalError::BudgetExhausted)));
+        assert!(matches!(execute_at_root(&p, &d), Err(EvalError::BudgetExhausted)));
         // The one-shot path honours the same budget.
         let e = parse_normalized("//book/ancestor::*/descendant::*/ancestor::*").unwrap();
         assert!(matches!(

@@ -217,7 +217,7 @@ impl CompiledQuery {
     /// Evaluate against `doc` from an explicit context (runtime phase
     /// only).
     pub fn evaluate(&self, doc: &Document, ctx: Context) -> EvalResult<Value> {
-        self.plan.execute_recording(doc, ctx, &self.kernels)
+        self.evaluate_with(doc, ctx, &EvalBudget::unlimited())
     }
 
     /// Evaluate against `doc` from the document root.
@@ -255,7 +255,7 @@ impl CompiledQuery {
         ctx: Context,
         budget: &EvalBudget,
     ) -> EvalResult<Value> {
-        self.plan.execute_recording_with(doc, ctx, &self.kernels, budget, None)
+        self.plan.execute(doc, ctx, &self.kernels, budget, None)
     }
 
     /// Does the query match at least one node from the root context?

@@ -179,9 +179,8 @@ fn write_number(n: f64, out: &mut String) {
     use fmt::Write as _;
     if !n.is_finite() {
         // JSON has no NaN/Infinity; the protocol renders them as
-        // strings so a structured consumer still sees *something*
-        // unambiguous rather than a parse failure.
-        write_string(&format!("{n}"), out);
+        // strings, spelled as XPath's string() spells them.
+        write_string(&crate::value::number_to_string(n), out);
     } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
         let _ = write!(out, "{}", n as i64);
     } else {

@@ -173,7 +173,8 @@ pub struct Metrics {
     pub cancelled: AtomicU64,
     /// Requests rejected by admission control.
     pub overloaded: AtomicU64,
-    /// Malformed request lines / objects.
+    /// `invalid_request` replies: malformed request lines or objects, and
+    /// `doc` names the store rejects.
     pub invalid: AtomicU64,
     /// Connections accepted since start.
     pub connections: AtomicU64,
@@ -314,13 +315,15 @@ impl Server {
                 };
                 (response, endpoint)
             }
-            Err(reject) => {
-                self.metrics.invalid.fetch_add(1, Ordering::Relaxed);
-                (reject.render(), reject.endpoint)
-            }
+            Err(reject) => (reject.render(), reject.endpoint),
         };
         if matches!(response.get("ok"), Some(Json::Bool(false))) {
             self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            // Decoder rejects and store-rejected `doc` names alike.
+            let kind = response.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+            if kind == Some("invalid_request") {
+                self.metrics.invalid.fetch_add(1, Ordering::Relaxed);
+            }
         }
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         let hist = match endpoint {
@@ -742,11 +745,11 @@ mod tests {
         let (server, _dir) = test_server("batch");
         let resp = respond(
             &server,
-            r#"{"doc":"books","queries":["//book[author]","//book[author]/title","count(//book)","//nosuch["]}"#,
+            r#"{"doc":"books","queries":["//book[author]","//book[author]/title","count(//book)","//nosuch[","-1 div 0"]}"#,
         );
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         let results = resp.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), 4);
+        assert_eq!(results.len(), 5);
         assert_eq!(results[0].get("type").unwrap().as_str(), Some("node-set"));
         assert!(results[0].get("count").unwrap().as_u64().unwrap() > 0);
         assert_eq!(results[2].get("type").unwrap().as_str(), Some("number"));
@@ -757,6 +760,8 @@ mod tests {
             results[3].get("error").unwrap().get("kind").unwrap().as_str(),
             Some("parse_error")
         );
+        // Non-finite numbers are strings in XPath's spelling.
+        assert_eq!(results[4].get("value").unwrap().as_str(), Some("-Infinity"));
         assert!(resp.get("batch").is_some(), "batched evals report batch stats");
     }
 
@@ -779,7 +784,7 @@ mod tests {
     #[test]
     fn malformed_and_invalid_requests_fail_structurally() {
         let (server, _dir) = test_server("invalid");
-        for (line, kind) in [
+        let cases = [
             ("this is not json", "invalid_request"),
             ("[1,2,3]", "invalid_request"),
             (r#"{"op":"eval","doc":"books"}"#, "invalid_request"),
@@ -789,7 +794,8 @@ mod tests {
             (r#"{"doc":"../evil","query":"//a"}"#, "invalid_request"),
             (r#"{"doc":"books","query":"//a","timeout_ms":-5}"#, "invalid_request"),
             (r#"{"doc":"books","queries":[]}"#, "invalid_request"),
-        ] {
+        ];
+        for (line, kind) in cases {
             let resp = respond(&server, line);
             assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{line}");
             assert_eq!(
@@ -798,6 +804,10 @@ mod tests {
                 "{line}"
             );
         }
+        // Every `invalid_request` reply is counted, the store's rejected
+        // `../evil` included.
+        let invalid = cases.iter().filter(|(_, kind)| *kind == "invalid_request").count();
+        assert_eq!(server.metrics().invalid.load(Ordering::Relaxed), invalid as u64);
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! it applies the test only to the candidates that reach it, reading
 //! element string values through the document's per-node cache. This
 //! module exposes the predicate sets directly, as Theorem 10.8's proof
-//! uses them, plus a registry that populates all predicates needed by a
-//! query in one `O(|D|·|Q|)` pass.
+//! uses them.
 
 use std::collections::HashMap;
 
@@ -144,63 +143,6 @@ pub fn id_predicate(doc: &Document, s: &str) -> NodeSet {
     NodeSet::from_sorted(doc.deref_ids(s))
 }
 
-/// A registry of populated predicates for one document, so repeated
-/// matching (the XSLT use case) pays each `O(|D|)` computation once.
-pub struct PredicateRegistry<'d> {
-    doc: &'d Document,
-    first_of_any: Option<NodeSet>,
-    last_of_any: Option<NodeSet>,
-    first_of_type: Option<NodeSet>,
-    last_of_type: Option<NodeSet>,
-    eq_strings: HashMap<String, NodeSet>,
-    has_attr: HashMap<String, NodeSet>,
-}
-
-impl<'d> PredicateRegistry<'d> {
-    /// An empty registry over `doc`.
-    pub fn new(doc: &'d Document) -> Self {
-        PredicateRegistry {
-            doc,
-            first_of_any: None,
-            last_of_any: None,
-            first_of_type: None,
-            last_of_type: None,
-            eq_strings: HashMap::new(),
-            has_attr: HashMap::new(),
-        }
-    }
-
-    /// `first-of-any`, populated on first use.
-    pub fn first_of_any(&mut self) -> &NodeSet {
-        self.first_of_any.get_or_insert_with(|| first_of_any(self.doc))
-    }
-
-    /// `last-of-any`, populated on first use.
-    pub fn last_of_any(&mut self) -> &NodeSet {
-        self.last_of_any.get_or_insert_with(|| last_of_any(self.doc))
-    }
-
-    /// `first-of-type`, populated on first use.
-    pub fn first_of_type(&mut self) -> &NodeSet {
-        self.first_of_type.get_or_insert_with(|| first_of_type(self.doc))
-    }
-
-    /// `last-of-type`, populated on first use.
-    pub fn last_of_type(&mut self) -> &NodeSet {
-        self.last_of_type.get_or_insert_with(|| last_of_type(self.doc))
-    }
-
-    /// `=s`, populated per distinct string.
-    pub fn string_value_equals(&mut self, s: &str) -> &NodeSet {
-        self.eq_strings.entry(s.to_string()).or_insert_with(|| string_value_equals(self.doc, s))
-    }
-
-    /// `@n`, populated per distinct attribute name.
-    pub fn has_attribute(&mut self, name: &str) -> &NodeSet {
-        self.has_attr.entry(name.to_string()).or_insert_with(|| has_attribute(self.doc, name))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,20 +244,6 @@ mod tests {
         assert_eq!(hundreds.len(), 4);
         let ids = id_predicate(&d, "12 21");
         assert_eq!(ids.len(), 2);
-    }
-
-    #[test]
-    fn registry_caches() {
-        let d = doc_bookstore();
-        let mut reg = PredicateRegistry::new(&d);
-        let a = reg.first_of_type().clone();
-        let b = reg.first_of_type().clone();
-        assert_eq!(a, b);
-        assert_eq!(reg.string_value_equals("x").len(), 0);
-        assert!(!reg.has_attribute("id").is_empty());
-        assert!(!reg.last_of_any().is_empty());
-        assert!(!reg.last_of_type().is_empty());
-        assert!(!reg.first_of_any().is_empty());
     }
 
     #[test]

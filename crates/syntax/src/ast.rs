@@ -9,7 +9,7 @@ use crate::axis::Axis;
 
 /// A node test (paper §4): `τ(n)`, `τ()`, or a name/wildcard shorthand for
 /// the principal node type of the axis.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum NodeTest {
     /// A name test `n` — shorthand for `τ(n)` where `τ` is the principal
     /// node type of the axis.
@@ -26,7 +26,7 @@ pub enum NodeTest {
 }
 
 /// The node-kind tests of XPath 1.0.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum KindTest {
     /// `node()` — matches any node.
     Node,

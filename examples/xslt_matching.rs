@@ -12,6 +12,7 @@ use std::time::Instant;
 use gkp_xpath::core::corexpath::{compile_xpatterns, CoreXPathEvaluator};
 use gkp_xpath::core::nodeset;
 use gkp_xpath::xml::generate::{doc_random, RandomDocConfig};
+use gkp_xpath::EvalBudget;
 
 fn main() {
     // A template rule set, as an XSLT stylesheet would declare.
@@ -33,6 +34,7 @@ fn main() {
     println!("document with {} nodes", doc.len());
 
     let ev = CoreXPathEvaluator::new(&doc);
+    let unlimited = EvalBudget::unlimited();
     let t = Instant::now();
 
     // The XPatterns way: ONE linear-time pass per pattern computes the full
@@ -41,7 +43,9 @@ fn main() {
     for (name, pattern) in patterns {
         let q = gkp_xpath::syntax::parse_normalized(pattern).unwrap();
         let compiled = compile_xpatterns(&q).unwrap_or_else(|e| panic!("{pattern}: {e}"));
-        let matches = ev.evaluate(&compiled, &[doc.root()]);
+        let matches = ev
+            .evaluate(&compiled, &[doc.root()], &unlimited)
+            .expect("an unlimited budget never trips");
         assert!(nodeset::is_normalized(&matches.to_vec()));
         println!("{name:<14} {pattern:<28} matches {:>5} nodes", matches.len());
         total += matches.len();
@@ -57,6 +61,7 @@ fn main() {
     let probe = "child::b[child::c]";
     let q = gkp_xpath::syntax::parse_normalized(probe).unwrap();
     let compiled = compile_xpatterns(&q).unwrap();
-    let sources = ev.matching_contexts(&compiled);
+    let sources =
+        ev.matching_contexts(&compiled, &unlimited).expect("an unlimited budget never trips");
     println!("S←[[{probe}]]: {} context nodes have a b-child containing a c", sources.len());
 }

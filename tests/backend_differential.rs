@@ -13,7 +13,7 @@ use gkp_xpath::syntax::parse_normalized;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
 use gkp_xpath::xml::rng::Rng;
 use gkp_xpath::xml::{DocumentBuilder, NodeId};
-use gkp_xpath::{Document, Strategy, Value};
+use gkp_xpath::{Document, EvalBudget, Strategy, Value};
 
 /// The seven query shapes benchmarked in BENCH_axes.json (the last is
 /// provably empty — the analyzer's constant-empty short-circuit rides the
@@ -51,7 +51,7 @@ fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
                 "{label}: TopDown out of document order for {q}"
             );
             assert_eq!(
-                kernel.evaluate(&c, &[ctx]).to_vec(),
+                kernel.evaluate(&c, &[ctx], &EvalBudget::unlimited()).unwrap().to_vec(),
                 want_ids,
                 "{label}: the kernel diverges from TopDown on {q} from {ctx:?}"
             );
@@ -95,7 +95,7 @@ fn kernel_decisions_cover_both_routes() {
     let ev = CoreXPathEvaluator::new(&doc);
     for q in BENCH_QUERIES {
         let c = compile(&parse_normalized(q).unwrap()).unwrap();
-        ev.evaluate(&c, &[doc.root()]);
+        ev.evaluate(&c, &[doc.root()], &EvalBudget::unlimited()).unwrap();
     }
     let counts = ev.kernel_counts();
     assert!(counts.bulk_dense > 0, "no dense kernel picks across the bench corpus: {counts:?}");

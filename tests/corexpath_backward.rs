@@ -7,7 +7,7 @@ use gkp_xpath::core::corexpath::{compile_xpatterns, CoreXPathEvaluator};
 use gkp_xpath::core::topdown::TopDownEvaluator;
 use gkp_xpath::core::{Context, Value};
 use gkp_xpath::xml::generate::{doc_bookstore, doc_figure8, doc_random, RandomDocConfig};
-use gkp_xpath::{Document, NodeId};
+use gkp_xpath::{Document, EvalBudget, NodeId};
 
 /// Brute-force S← via the top-down engine: evaluate π at every node and
 /// keep those with non-empty results.
@@ -26,7 +26,7 @@ fn check(doc: &Document, q: &str) {
     let e = gkp_xpath::syntax::parse_normalized(q).unwrap();
     let compiled = compile_xpatterns(&e).unwrap_or_else(|err| panic!("{q}: {err}"));
     let ev = CoreXPathEvaluator::new(doc);
-    let fast = ev.matching_contexts(&compiled);
+    let fast = ev.matching_contexts(&compiled, &EvalBudget::unlimited()).unwrap();
     let brute = brute_force_matches(doc, q);
     assert_eq!(fast.to_vec(), brute, "S← mismatch for {q}");
 }
@@ -155,7 +155,7 @@ fn forward_set_semantics() {
     let ev = CoreXPathEvaluator::new(&d);
     let td = TopDownEvaluator::new(&d);
     let contexts: Vec<NodeId> = d.all_nodes().filter(|n| n.0 % 3 == 0).collect();
-    let fast = ev.evaluate(&compiled, &contexts);
+    let fast = ev.evaluate(&compiled, &contexts, &EvalBudget::unlimited()).unwrap();
     let mut brute: Vec<NodeId> = Vec::new();
     for &x in &contexts {
         if let Value::NodeSet(s) = td.evaluate(&e, Context::of(x)).unwrap() {
