@@ -46,8 +46,16 @@
 //!   cold parse of the ≥10⁵-node document's XML text vs an mmap'd
 //!   snapshot load of the same document (O(header) open, arenas mapped
 //!   in place), with on-disk size and bytes/node recorded;
-//! * **prepared_vs_adhoc** — the existing compile-once guard: a prepared
-//!   `CompiledQuery` must stay faster than compile+evaluate per call.
+//! * **prepared_vs_adhoc** — the compile-once guard: a prepared
+//!   `CompiledQuery` and a `QueryCache` lookup must each stay faster than
+//!   compile+evaluate per call, on the small bookstore document where the
+//!   static phase weighs most;
+//! * **serve** — the line-JSON query server (`xpath_core::serve`) on a
+//!   Unix socket, driven by 4 closed-loop clients × 200 requests per
+//!   workload, plus the single-client round trip against a direct
+//!   in-process evaluation (the harness is `xpath_bench::serve_bench`).
+//!   `threads_available` is recorded because qps under concurrent clients
+//!   needs real cores.
 //!
 //! Usage:
 //!   `cargo run --release -p xpath-bench --bin bench_axes [-- out.json]`
@@ -70,7 +78,11 @@
 //!                    batch the size rule fans out at a 2-thread budget
 //!                    runs slower than serial (the fan-out guard), or if
 //!                    a lazy full drain beats a materialized one at any
-//!                    `lazy_dispatch` size (the lazy-dispatch guard).
+//!                    `lazy_dispatch` size (the lazy-dispatch guard), or
+//!                    if a prepared or cached query is not faster than
+//!                    compile+evaluate per call (the prepared guard), or
+//!                    if a socket round trip costs more than 5× a direct
+//!                    evaluation + 1ms (the serve guard).
 //!                    Every other timing baseline is pinned to a 1-thread
 //!                    budget, so CI core counts can't flake those guards
 
@@ -78,11 +90,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xpath_axes::bulk;
+use xpath_bench::serve_bench::{
+    check_serve, closed_loop, measure_overhead, BenchServer, ServeOverhead,
+};
 use xpath_core::batch::AxisMemo;
 use xpath_core::corexpath::{compile, CoreXPathEvaluator};
 use xpath_core::serve::Json;
 use xpath_core::{
-    CompiledQuery, Compiler, Context, EvalBudget, NodeCursor, QuerySetBuilder, Strategy, Value,
+    CompiledQuery, Compiler, Context, EvalBudget, NodeCursor, QueryCache, QuerySetBuilder,
+    Strategy, Value,
 };
 use xpath_syntax::Axis;
 use xpath_xml::generate::doc_balanced;
@@ -256,9 +272,9 @@ impl SimdCell {
 /// ignore `b`/`out`.
 type KernelFn = fn(simd::Tier, &[u64], &[u64], &mut [u64]) -> u64;
 
-/// Time the five hot kernels — union / intersect / difference sweeps,
-/// popcount and the memo fingerprint — per tier on a dense buffer sized
-/// like the bench document's bitset universe.
+/// Time the four hot kernels — union / intersect / difference sweeps and
+/// popcount — per tier on a dense buffer sized like the bench document's
+/// bitset universe.
 fn measure_simd_cells() -> Vec<SimdCell> {
     const WORDS: usize = 4096;
     let mut rng = Rng::seed_from_u64(0xC0FFEE);
@@ -277,7 +293,6 @@ fn measure_simd_cells() -> Vec<SimdCell> {
         ("intersect", |t, a, b, out| simd::and_into_count_with(t, a, b, out)),
         ("difference", |t, a, b, out| simd::andnot_into_count_with(t, a, b, out)),
         ("popcount", |t, a, _, _| simd::popcount_with(t, a)),
-        ("fingerprint", |t, a, _, _| simd::fingerprint_words_with(t, a)),
     ];
     let mut cells = Vec::new();
     for &(op, f) in ops {
@@ -888,12 +903,37 @@ fn check(doc: &Document) -> Result<(), String> {
         }
         failures
     })?;
+    // Prepared guard: on the small document, where the static phase
+    // weighs most, a prepared query and a cached one must each be faster
+    // than compiling per call — the point of the two-phase API.
+    retry_guard("prepared", || {
+        let c = measure_prepared();
+        eprintln!(
+            "check: prepared {} adhoc {:>6}ns  prepared {:>6}ns ({:.2}x)  cached {:>6}ns ({:.2}x)",
+            c.query,
+            c.adhoc_ns,
+            c.prepared_ns,
+            c.speedup(c.prepared_ns),
+            c.cached_ns,
+            c.speedup(c.cached_ns)
+        );
+        [("prepared", c.prepared_ns), ("cached", c.cached_ns)]
+            .into_iter()
+            .filter(|&(_, ns)| ns >= c.adhoc_ns)
+            .map(|(name, ns)| {
+                format!(
+                    "prepared_vs_adhoc: {name} {ns}ns is not faster than adhoc {}ns",
+                    c.adhoc_ns
+                )
+            })
+            .collect()
+    })?;
     // Serve guard: a single-client socket round trip through the query
     // server must stay within 5x of a direct in-process evaluation (+1ms
     // fixed allowance) — the protocol layer may tax, not dominate. The
     // measurement (and its retry policy) lives in
-    // `xpath_bench::serve_bench`, shared with `bench_serve --check`.
-    xpath_bench::serve_bench::check_serve(doc)?;
+    // `xpath_bench::serve_bench`.
+    check_serve(doc)?;
     let mut last_failures = String::new();
     for attempt in 1..=CHECK_ATTEMPTS {
         let failures = check_pass(doc);
@@ -1134,6 +1174,108 @@ fn measure_snapshot(big: &Document) -> SnapshotCell {
     }
 }
 
+/// compile+evaluate per call vs a prepared `CompiledQuery` vs a
+/// `QueryCache` lookup, timed interleaved on the small bookstore
+/// document, where the static phase is comparable to the runtime phase.
+struct PreparedCell {
+    query: &'static str,
+    adhoc_ns: u64,
+    prepared_ns: u64,
+    cached_ns: u64,
+}
+
+impl PreparedCell {
+    fn speedup(&self, ns: u64) -> f64 {
+        self.adhoc_ns as f64 / ns.max(1) as f64
+    }
+}
+
+fn measure_prepared() -> PreparedCell {
+    let small = xpath_xml::generate::doc_bookstore();
+    let compiler = Compiler::new();
+    let query = "//book[author]/title";
+    let prepared = compiler.compile(query).unwrap();
+    let cache = QueryCache::new(64);
+    let times = time_ns_interleaved(&mut [
+        &mut || {
+            let c = compiler.compile(query).unwrap();
+            std::hint::black_box(c.evaluate_root(&small).unwrap());
+        },
+        &mut || {
+            std::hint::black_box(prepared.evaluate_root(&small).unwrap());
+        },
+        &mut || {
+            let c = cache.get_or_compile(&compiler, query).unwrap();
+            std::hint::black_box(c.evaluate_root(&small).unwrap());
+        },
+    ]);
+    PreparedCell { query, adhoc_ns: times[0], prepared_ns: times[1], cached_ns: times[2] }
+}
+
+/// The request lines the `serve` section drives closed-loop. The batch
+/// workload sends four queries per request so the per-request cost is
+/// dominated by evaluation, exposing per-line framing overhead by
+/// contrast with `single`.
+const SERVE_WORKLOADS: &[(&str, &str)] = &[
+    ("single", r#"{"doc":"bench","query":"count(//c)"}"#),
+    (
+        "batch4",
+        r#"{"doc":"bench","queries":["count(//a)","count(//b)","count(//c)","count(//d)"]}"#,
+    ),
+];
+
+/// Closed-loop clients of the `serve` section.
+const SERVE_CLIENTS: usize = 4;
+/// Measured requests per client, and the single-client overhead samples.
+const SERVE_REQUESTS: usize = 200;
+
+/// The `serve` section: each workload under [`SERVE_CLIENTS`] closed-loop
+/// clients, then the single-client round trip vs a direct in-process
+/// evaluation, both sides sampled interleaved.
+fn measure_serve(doc: &Document) -> Json {
+    let threads_available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let bench = BenchServer::start(doc, SERVE_CLIENTS);
+    let mut workload_rows = Vec::new();
+    for (name, request) in SERVE_WORKLOADS {
+        let load = closed_loop(&bench.sock, SERVE_CLIENTS, SERVE_REQUESTS, request);
+        eprintln!(
+            "serve {name:<7} {} clients  {} req  {:>8.1} qps  p50 {}us  p95 {}us  p99 {}us",
+            load.clients, load.requests, load.qps, load.p50_us, load.p95_us, load.p99_us
+        );
+        workload_rows.push(Json::obj(vec![
+            ("workload", Json::Str((*name).to_owned())),
+            ("clients", count(load.clients)),
+            ("requests", Json::num(load.requests)),
+            ("elapsed_ns", Json::num(load.elapsed_ns)),
+            ("qps", ratio(load.qps, 1)),
+            ("mean_us", Json::num(load.mean_us)),
+            ("p50_us", Json::num(load.p50_us)),
+            ("p95_us", Json::num(load.p95_us)),
+            ("p99_us", Json::num(load.p99_us)),
+            ("max_us", Json::num(load.max_us)),
+        ]));
+    }
+    let ServeOverhead { direct_ns, roundtrip_ns, samples } =
+        measure_overhead(&bench.sock, doc, SERVE_REQUESTS);
+    let overhead = roundtrip_ns as f64 / direct_ns.max(1) as f64;
+    eprintln!(
+        "serve overhead: roundtrip p50 {roundtrip_ns}ns vs direct p50 {direct_ns}ns \
+         ({overhead:.2}x, {samples} interleaved samples each)"
+    );
+    bench.shutdown();
+    Json::obj(vec![
+        ("doc", Json::Str("balanced 4-ary, depth 7".to_owned())),
+        ("nodes", count(doc.len())),
+        ("threads_available", count(threads_available)),
+        ("transport", Json::Str("unix socket, line-delimited JSON".to_owned())),
+        ("workloads", Json::Arr(workload_rows)),
+        ("direct_eval_ns", Json::num(direct_ns)),
+        ("roundtrip_p50_ns", Json::num(roundtrip_ns)),
+        ("overhead_samples", count(samples)),
+        ("overhead_ratio", ratio(overhead, 2)),
+    ])
+}
+
 /// A ratio rounded to `places` decimals.
 fn ratio(x: f64, places: i32) -> Json {
     let scale = 10f64.powi(places);
@@ -1158,7 +1300,8 @@ fn main() {
                 eprintln!(
                     "check: kernel within 10% of per-node and 20% of the best \
                      alternative in every axis-application cell; batch, fan-out, lazy \
-                     early-exit, lazy-dispatch, strategy-choice and node-test bars met"
+                     early-exit, lazy-dispatch, strategy-choice, node-test, prepared and \
+                     serve bars met"
                 );
                 return;
             }
@@ -1221,7 +1364,6 @@ fn main() {
         Json::obj(vec![
             ("active_tier", Json::Str(simd::active_tier().name().to_owned())),
             ("vector_available", Json::Bool(simd::vector_available())),
-            ("avx512_fingerprint", Json::Bool(simd::avx512_fingerprint_available())),
             ("kernels", Json::Arr(kernels.collect())),
         ]),
     ));
@@ -1425,28 +1567,23 @@ fn main() {
         ]),
     ));
 
-    // ---- prepared_vs_adhoc guard (original bench conditions: small doc,
-    // static phase comparable to the runtime phase) ----
-    let small = xpath_xml::generate::doc_bookstore();
-    let compiler = Compiler::new();
-    let q = "//book[author]/title";
-    let prepared = compiler.compile(q).unwrap();
-    let t_adhoc = time_ns(|| {
-        let c = compiler.compile(q).unwrap();
-        std::hint::black_box(c.evaluate_root(&small).unwrap());
-    });
-    let t_prepared = time_ns(|| {
-        std::hint::black_box(prepared.evaluate_root(&small).unwrap());
-    });
+    // ---- prepared_vs_adhoc: compile per call vs prepared vs cached on
+    // the small bookstore document ----
+    let c = measure_prepared();
     report.push((
         "prepared_vs_adhoc",
         Json::obj(vec![
-            ("query", Json::Str(q.to_owned())),
-            ("adhoc_ns", Json::num(t_adhoc)),
-            ("prepared_ns", Json::num(t_prepared)),
-            ("prepared_speedup", ratio(t_adhoc as f64 / t_prepared.max(1) as f64, 2)),
+            ("query", Json::Str(c.query.to_owned())),
+            ("adhoc_ns", Json::num(c.adhoc_ns)),
+            ("prepared_ns", Json::num(c.prepared_ns)),
+            ("cached_ns", Json::num(c.cached_ns)),
+            ("prepared_speedup", ratio(c.speedup(c.prepared_ns), 2)),
+            ("cached_speedup", ratio(c.speedup(c.cached_ns), 2)),
         ]),
     ));
+
+    // ---- serve: closed-loop load and the protocol's round-trip tax ----
+    report.push(("serve", measure_serve(&doc)));
 
     let json = Json::obj(report).render_pretty() + "\n";
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -1,13 +1,14 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! experiments [exp1|exp2|exp3|exp4|exp5|table5|table7|fragments|all] [--quick]
+//! experiments [exp1|exp2|exp3|exp4|exp5|table5|table7|linear|wadler|fragments|all] [--quick]
 //! ```
 //!
 //! Absolute times are this machine's, not the paper's 2002 hardware; each
 //! experiment ends with a SHAPE line verifying the property the paper's
-//! figure demonstrates (exponential vs. polynomial growth, quadratic data
-//! complexity, linear fragments).
+//! figure or theorem demonstrates (exponential vs. polynomial growth,
+//! quadratic data complexity, linear fragments). The process exits 1 when
+//! any SHAPE line reads FAIL and 2 on a usage error.
 
 use std::time::Duration;
 
@@ -17,7 +18,7 @@ use xpath_bench::shape::{
 use xpath_bench::workloads::*;
 use xpath_bench::{fmt_secs, run_series, Sample};
 use xpath_core::Strategy;
-use xpath_xml::generate::{doc_deep_path, doc_flat, doc_flat_text};
+use xpath_xml::generate::{doc_deep_path, doc_flat, doc_flat_text, doc_idref_chain};
 use xpath_xml::Document;
 
 struct Config {
@@ -25,41 +26,50 @@ struct Config {
     cutoff: Duration,
 }
 
+/// One experiment: prints its table and returns its SHAPE verdict.
+type Experiment = fn(&Config) -> bool;
+
+/// Every experiment in `all` order.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("exp1", exp1),
+    ("exp2", exp2),
+    ("exp3", exp3),
+    ("exp4", exp4),
+    ("exp5", exp5),
+    ("table5", table5),
+    ("table7", table7),
+    ("linear", linear),
+    ("wadler", wadler),
+    ("fragments", fragments),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let which: Vec<&str> =
         args.iter().map(std::string::String::as_str).filter(|a| !a.starts_with("--")).collect();
     let which = if which.is_empty() { vec!["all"] } else { which };
+    let mut runs: Vec<Experiment> = Vec::new();
+    for w in which {
+        if w == "all" {
+            runs.extend(EXPERIMENTS.iter().map(|&(_, f)| f));
+        } else if let Some(&(_, f)) = EXPERIMENTS.iter().find(|(name, _)| *name == w) {
+            runs.push(f);
+        } else {
+            eprintln!("unknown experiment {w:?}");
+            std::process::exit(2);
+        }
+    }
     let cfg = Config {
         quick,
         cutoff: if quick { Duration::from_millis(300) } else { Duration::from_secs(2) },
     };
-    for w in which {
-        match w {
-            "exp1" => exp1(&cfg),
-            "exp2" => exp2(&cfg),
-            "exp3" => exp3(&cfg),
-            "exp4" => exp4(&cfg),
-            "exp5" => exp5(&cfg),
-            "table5" => table5(&cfg),
-            "table7" => table7(&cfg),
-            "fragments" => fragments(),
-            "all" => {
-                exp1(&cfg);
-                exp2(&cfg);
-                exp3(&cfg);
-                exp4(&cfg);
-                exp5(&cfg);
-                table5(&cfg);
-                table7(&cfg);
-                fragments();
-            }
-            other => {
-                eprintln!("unknown experiment {other:?}");
-                std::process::exit(2);
-            }
-        }
+    // Run every requested experiment, even after a failure, so one run
+    // reports every verdict.
+    let failures = runs.into_iter().filter(|run| !run(&cfg)).count();
+    if failures > 0 {
+        eprintln!("{failures} SHAPE check(s) failed");
+        std::process::exit(1);
     }
 }
 
@@ -75,13 +85,24 @@ fn print_series(label: &str, samples: &[Sample]) {
     println!();
 }
 
-fn shape_line(ok: bool, what: &str) {
+/// A sweep's times in milliseconds: the §10/§11 points are too fast for
+/// the paper's seconds column.
+fn print_sweep_ms(label: &str, samples: &[Sample]) {
+    print!("{label:<28}");
+    for s in samples {
+        print!(" {:>9.3}", s.time.as_secs_f64() * 1000.0);
+    }
+    println!(" ms");
+}
+
+fn shape_line(ok: bool, what: &str) -> bool {
     println!("SHAPE {}: {what}", if ok { "PASS" } else { "FAIL" });
+    ok
 }
 
 /// Experiment 1 (Figure 2 left): exponential query complexity of the naive
 /// strategy on DOC(2); our engines are polynomial.
-fn exp1(cfg: &Config) {
+fn exp1(cfg: &Config) -> bool {
     banner("Experiment 1: //a/b(/parent::a/b)^k on DOC(2)  [Figure 2, left]");
     let d = doc_flat(2);
     let ks: Vec<usize> = (0..if cfg.quick { 22 } else { 26 }).collect();
@@ -100,12 +121,12 @@ fn exp1(cfg: &Config) {
             ratio.unwrap_or(f64::NAN),
             ks.len()
         ),
-    );
+    )
 }
 
 /// Experiment 2 (Figure 2 right): Saxon-model exponential query complexity
 /// with nested paths + RelOps on DOC'(i).
-fn exp2(cfg: &Config) {
+fn exp2(cfg: &Config) -> bool {
     banner("Experiment 2: nested [parent::a/child::* = 'c'] on DOC'(i)  [Figure 2, right]");
     let depths: Vec<usize> = (1..=if cfg.quick { 16 } else { 22 }).collect();
     println!("query depths = {depths:?}");
@@ -124,12 +145,12 @@ fn exp2(cfg: &Config) {
     shape_line(
         naive_exponential && td.len() == depths.len(),
         "naive grows exponentially in query depth; top-down finishes every depth",
-    );
+    )
 }
 
 /// Experiment 3 (Figure 3 left): IE6-model exponential complexity with
 /// nested count() predicates.
-fn exp3(cfg: &Config) {
+fn exp3(cfg: &Config) -> bool {
     banner("Experiment 3: nested count(parent::a/b) > 1 on DOC(i)  [Figure 3, left]");
     let depths: Vec<usize> = (1..=if cfg.quick { 12 } else { 16 }).collect();
     println!("query depths = {depths:?}");
@@ -148,12 +169,12 @@ fn exp3(cfg: &Config) {
     shape_line(
         exponential && td.len() == depths.len(),
         "naive count-nesting is exponential; top-down finishes every depth",
-    );
+    )
 }
 
 /// Experiment 4 (Figure 3 right): quadratic data complexity of the
 /// IE6-model on '//a' + q(20) + '//b'; our Core XPath route is linear.
-fn exp4(cfg: &Config) {
+fn exp4(cfg: &Config) -> bool {
     let depth = if cfg.quick { 8 } else { 12 };
     banner(&format!("Experiment 4: '//a'+q({depth})+'//b' data scaling  [Figure 3, right]"));
     // q(20) is the paper's query; q(12) keeps the full run under a minute
@@ -195,11 +216,11 @@ fn exp4(cfg: &Config) {
         &format!(
             "top-down data degree ≈ {deg_td:.2} (quadratic); core-xpath ≈ {deg_core:.2} (linear)"
         ),
-    );
+    )
 }
 
 /// Experiment 5 (Figure 4): exponential behavior with forward axes only.
-fn exp5(cfg: &Config) {
+fn exp5(cfg: &Config) -> bool {
     banner("Experiment 5a: count(//b(/following::b)^(k-1)) on DOC(i)  [Figure 4a]");
     let ks: Vec<usize> = (1..=if cfg.quick { 14 } else { 20 }).collect();
     println!("query sizes k = {ks:?}");
@@ -237,11 +258,11 @@ fn exp5(cfg: &Config) {
     shape_line(
         (exponential || plateau_seen) && exp_b && td.len() == ks.len(),
         "forward-axis chains blow up the naive engine (with plateaus on small docs); ours is flat",
-    );
+    )
 }
 
 /// Table V / Figure 12: "Xalan classic" (naive) vs "Xalan + data pool".
-fn table5(cfg: &Config) {
+fn table5(cfg: &Config) -> bool {
     banner("Table V / Figure 12: naive vs data-pool on Experiment-3 queries");
     let depths: Vec<usize> = (1..=8).collect();
     println!(
@@ -275,12 +296,12 @@ fn table5(cfg: &Config) {
     shape_line(
         pool_completes && naive_dies && pool_linearish,
         "data pool turns the exponential curve into (near-)linear growth in |Q| (Table V)",
-    );
+    )
 }
 
 /// Table VII: our top-down engine across document and query sizes on the
 /// Experiment-2 query family.
-fn table7(cfg: &Config) {
+fn table7(cfg: &Config) -> bool {
     banner("Table VII: top-down engine on Experiment-2 queries");
     let doc_sizes: Vec<usize> =
         if cfg.quick { vec![10, 20, 200] } else { vec![10, 20, 200, 500, 1000, 2000] };
@@ -319,11 +340,136 @@ fn table7(cfg: &Config) {
         &format!(
             "time grows mildly with |Q| at fixed doc (mean step ratio {lin:.2}); cf. Table VII"
         ),
-    );
+    )
 }
 
-/// Figure 1: fragment classification of the experiment workloads.
-fn fragments() {
+/// Time each `(x, doc, query)` point under `strategy`, best of up to
+/// twenty rounds. A round times every point once, so load drift on a
+/// shared host hits all points of the sweep alike instead of bending its
+/// fitted degree; rounds stop once they add up to two seconds, so the
+/// largest points are not repeated for minutes.
+fn sweep(points: &[(usize, &Document, String)], strategy: Strategy) -> Vec<Sample> {
+    let parsed: Vec<_> =
+        points.iter().map(|(_, _, q)| xpath_syntax::parse_normalized(q).unwrap()).collect();
+    let mut best = vec![Duration::MAX; points.len()];
+    let mut spent = Duration::ZERO;
+    for _ in 0..20 {
+        for ((_, doc, _), (e, best)) in points.iter().zip(parsed.iter().zip(&mut best)) {
+            let (t, _) = xpath_bench::time_once(doc, e, strategy).unwrap();
+            *best = (*best).min(t);
+            spent += t;
+        }
+        if spent > Duration::from_secs(2) {
+            break;
+        }
+    }
+    points.iter().zip(best).map(|(&(x, _, _), time)| Sample { x, time, value: None }).collect()
+}
+
+/// One fixed query over documents of growing size.
+fn data_sweep(
+    sizes: &[usize],
+    make_doc: fn(usize) -> Document,
+    query: &str,
+    strategy: Strategy,
+) -> Vec<Sample> {
+    let docs: Vec<Document> = sizes.iter().map(|&n| make_doc(n)).collect();
+    let points: Vec<_> = sizes.iter().zip(&docs).map(|(&n, d)| (n, d, query.to_owned())).collect();
+    sweep(&points, strategy)
+}
+
+/// A growing query family over one fixed document.
+fn query_sweep(
+    doc: &Document,
+    ks: &[usize],
+    make_query: fn(usize) -> String,
+    strategy: Strategy,
+) -> Vec<Sample> {
+    let points: Vec<_> = ks.iter().map(|&k| (k, doc, make_query(k))).collect();
+    sweep(&points, strategy)
+}
+
+/// The growth degree fitted between a sweep's first and last point.
+fn degree(samples: &[Sample]) -> f64 {
+    let (first, last) = (&samples[0], &samples[samples.len() - 1]);
+    polynomial_degree(first.x, first.time, last.x, last.time)
+}
+
+/// Theorems 10.5 and 10.8: Core XPath and XPatterns (with the `id` axis
+/// and `π = s` comparisons) evaluate in time O(|D|·|Q|) on the §10
+/// algebra, so every sweep below grows with degree about 1 in the
+/// variable it sweeps. The bar is degree < 1.3: linear plus timing noise,
+/// well clear of the quadratic growth of a per-context engine.
+fn linear(cfg: &Config) -> bool {
+    banner("Theorems 10.5 / 10.8: linear-time Core XPath and XPatterns  [§10]");
+    const LINEAR_BAR: f64 = 1.3;
+    let sizes: &[usize] =
+        if cfg.quick { &[1000, 4000, 16000] } else { &[1000, 4000, 16000, 64000] };
+    println!("document sizes = {sizes:?}");
+    let core_data = data_sweep(sizes, doc_flat, &core_query(6), Strategy::CoreXPath);
+    print_sweep_ms("core, core_query(6)", &core_data);
+    let ks = [2usize, 8, 32];
+    println!("query sizes k = {ks:?} on DOC(4000)");
+    let core_k = query_sweep(&doc_flat(4000), &ks, core_query, Strategy::CoreXPath);
+    print_sweep_ms("core, core_query(k)", &core_k);
+    let id_sizes = [1000usize, 4000, 16000];
+    println!("id-chain sizes = {id_sizes:?}");
+    let id = data_sweep(
+        &id_sizes,
+        doc_idref_chain,
+        "id(//item[not(preceding-sibling::*)])/self::*",
+        Strategy::XPatterns,
+    );
+    print_sweep_ms("xpatterns, id(...)", &id);
+    let eq =
+        data_sweep(&id_sizes, doc_idref_chain, "//item[self::* = 'i1 i2 ']", Strategy::XPatterns);
+    print_sweep_ms("xpatterns, =s", &eq);
+    let degrees = [degree(&core_data), degree(&core_k), degree(&id), degree(&eq)];
+    shape_line(
+        degrees.iter().all(|&d| d < LINEAR_BAR),
+        &format!(
+            "degrees core |D| {:.2}, core |Q| {:.2}, id {:.2}, =s {:.2} (all < {LINEAR_BAR}: linear)",
+            degrees[0], degrees[1], degrees[2], degrees[3]
+        ),
+    )
+}
+
+/// Theorem 11.3: OptMinContext evaluates Extended Wadler queries in time
+/// O(|D|²·|Q|²). The data sweep therefore grows with degree at most 2
+/// (bar 2.5: quadratic plus timing noise, clear of cubic). The bound's
+/// |Q|² is loose for this family: each nesting level of `wadler_query(k)`
+/// adds one O(|D|²) bottom-up pass, so time grows linearly in k (bar
+/// 1.3, as in [`linear`]). Plain MinContext runs the same data sweep for
+/// comparison.
+fn wadler(cfg: &Config) -> bool {
+    banner("Theorem 11.3: Extended Wadler under OptMinContext  [§11]");
+    const DATA_BAR: f64 = 2.5;
+    const NESTING_BAR: f64 = 1.3;
+    let sizes: &[usize] = if cfg.quick { &[200, 400, 800] } else { &[200, 800, 3200] };
+    println!("document sizes = {sizes:?}");
+    let q = wadler_query(3);
+    let opt = data_sweep(sizes, doc_flat, &q, Strategy::OptMinContext);
+    print_sweep_ms("opt-min-context", &opt);
+    let min = data_sweep(sizes, doc_flat, &q, Strategy::MinContext);
+    print_sweep_ms("min-context", &min);
+    let ks = [1usize, 3, 6];
+    println!("nesting k = {ks:?} on DOC(400)");
+    let nesting = query_sweep(&doc_flat(400), &ks, wadler_query, Strategy::OptMinContext);
+    print_sweep_ms("opt-min-context, nesting", &nesting);
+    let (d_data, d_nesting) = (degree(&opt), degree(&nesting));
+    shape_line(
+        d_data <= DATA_BAR && d_nesting < NESTING_BAR,
+        &format!(
+            "OptMinContext data degree {d_data:.2} (≤ {DATA_BAR}; MinContext {:.2}), \
+             nesting degree {d_nesting:.2} (< {NESTING_BAR})",
+            degree(&min)
+        ),
+    )
+}
+
+/// Figure 1: fragment classification of the experiment workloads. A
+/// listing, so it has no SHAPE verdict.
+fn fragments(_: &Config) -> bool {
     banner("Figure 1: fragment lattice classification");
     let queries = [
         ("Experiment 1", exp1_query(3)),
@@ -344,4 +490,5 @@ fn fragments() {
         let c = xpath_core::classify(&e);
         println!("{name:<16} {:<26} ({})", c.fragment.name(), c.fragment.complexity());
     }
+    true
 }

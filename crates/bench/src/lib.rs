@@ -1,9 +1,11 @@
 //! # xpath-bench — workloads and harness for the paper's evaluation
 //!
-//! Query generators for every experiment of §2/§9.3/§12, wall-clock timing
-//! helpers, and growth-shape diagnostics (exponential doubling, polynomial
-//! fits) used by both the Criterion benches and the `experiments` binary
-//! that regenerates the paper's tables and figures.
+//! Query generators for every experiment of §2/§9.3/§10–§12, wall-clock
+//! timing helpers, growth-shape diagnostics (exponential doubling,
+//! polynomial fits) and the closed-loop serve harness. Two binaries use
+//! them: `experiments` regenerates the paper's tables and figures, each
+//! ending in a SHAPE verdict, and `bench_axes` writes `BENCH_axes.json`
+//! and re-measures its claims under `--check`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +32,7 @@ pub struct Sample {
 }
 
 /// Evaluate `query` on `doc` with `strategy`, timing a single run (the
-/// workloads are macro-benchmarks; the Criterion benches do repeated
-/// sampling instead).
+/// workloads are macro-benchmarks).
 pub fn time_once(
     doc: &Document,
     query: &Expr,
@@ -40,18 +41,6 @@ pub fn time_once(
     let ctx = Context::of(doc.root());
     let t = Instant::now();
     let v = xpath_core::plan::execute_adhoc(query, strategy, None, doc, ctx)?;
-    Ok((t.elapsed(), v))
-}
-
-/// Counterpart of [`time_once`] for the two-phase API: time one evaluation
-/// of an already-compiled query (runtime phase only — the static phase was
-/// paid by [`xpath_core::query::Compiler::compile`]).
-pub fn time_once_prepared(
-    doc: &Document,
-    query: &xpath_core::CompiledQuery,
-) -> EvalResult<(Duration, Value)> {
-    let t = Instant::now();
-    let v = query.evaluate_root(doc)?;
     Ok((t.elapsed(), v))
 }
 
@@ -136,15 +125,6 @@ mod tests {
         let d = doc_flat(4);
         let q = xpath_syntax::parse_normalized("count(//b)").unwrap();
         let (t, v) = time_once(&d, &q, Strategy::TopDown).unwrap();
-        assert_eq!(v, Value::Number(4.0));
-        assert!(t < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn time_once_prepared_works() {
-        let d = doc_flat(4);
-        let q = xpath_core::Compiler::new().compile("count(//b)").unwrap();
-        let (t, v) = time_once_prepared(&d, &q).unwrap();
         assert_eq!(v, Value::Number(4.0));
         assert!(t < Duration::from_secs(1));
     }

@@ -1,8 +1,8 @@
 //! Closed-loop load harness for the line-JSON query server
-//! ([`xpath_core::serve`]), shared by the `bench_serve` binary (which
-//! writes the `serve` section of `BENCH_axes.json`) and the
-//! `bench_axes --check` serve guard (which pins the protocol's
-//! round-trip overhead against a direct in-process evaluation).
+//! ([`xpath_core::serve`]) behind `bench_axes`: its `serve` section of
+//! `BENCH_axes.json` and its `--check` serve guard (which pins the
+//! protocol's round-trip overhead against a direct in-process
+//! evaluation).
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -41,7 +41,7 @@ impl BenchServer {
     /// On any I/O failure while setting up the store or socket (this is
     /// a bench harness; there is nothing to recover).
     pub fn start(doc: &Document, permits: usize) -> BenchServer {
-        let dir = TempPath::new(&format!("bench_serve_{permits}"));
+        let dir = TempPath::new(&format!("serve_bench_{permits}"));
         let mut config = ServeConfig::new(dir.join("store"));
         config.permits = permits;
         config.read_timeout = Duration::from_millis(25);
@@ -269,7 +269,7 @@ pub fn measure_overhead(sock: &Path, doc: &Document, samples: usize) -> ServeOve
     }
 }
 
-/// `bench_serve --check` / `bench_axes --check` serve guard: a
+/// The `bench_axes --check` serve guard: a
 /// single-client socket round trip of [`SERVE_CHECK_QUERY`] must stay
 /// within `5×` the direct in-process evaluation (both medians of 100
 /// interleaved samples, [`measure_overhead`]) plus a 1 ms fixed

@@ -10,7 +10,7 @@ use xpath_xml::{Document, NodeId};
 
 use crate::context::{Context, EvalError, EvalResult};
 use crate::nodeset::NodeSet;
-use crate::value::{number_to_string, str_to_number, Value};
+use crate::value::{str_to_number, Value};
 
 /// Is `name` a known core-library function?
 pub fn is_known(name: &str) -> bool {
@@ -313,11 +313,6 @@ pub fn apply(doc: &Document, name: &str, args: &[Value], ctx: &Context) -> EvalR
         }
         _ => Err(EvalError::UnknownFunction(name.to_string())),
     }
-}
-
-/// Helper for `Value::Number(...)` formatting consistency in tests.
-pub fn format_number(v: f64) -> String {
-    number_to_string(v)
 }
 
 #[cfg(test)]

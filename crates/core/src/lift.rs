@@ -176,24 +176,8 @@ impl Program {
     /// functions) — those queries resolve by Figure 1.
     pub fn lift(expr: &Expr) -> Option<Program> {
         let mut paths = Vec::new();
-        let fold = lift_into(expr, &mut |source, dialect, query| {
-            paths.push(LiftedPath { source: source.clone(), dialect, query });
-            paths.len() - 1
-        })?;
+        let fold = lift_into(expr, &mut paths)?;
         (!paths.is_empty()).then_some(Program { paths, fold })
-    }
-
-    /// [`Program::lift`]'s verdict alone: the strategy the lifted program
-    /// would report, or `None` when `expr` does not lift. Each path is
-    /// still compiled (that is the fit check), but no path's AST is
-    /// cloned and no compiled path is kept.
-    pub fn lift_strategy(expr: &Expr) -> Option<Strategy> {
-        let mut dialects = Vec::new();
-        lift_into(expr, &mut |_, dialect, _| {
-            dialects.push(dialect);
-            dialects.len() - 1
-        })?;
-        (!dialects.is_empty()).then(|| strategy_of(dialects))
     }
 
     /// The lifted paths, indexed by their [`Fold::Path`] slots.
@@ -219,7 +203,11 @@ impl Program {
     /// The strategy the program reports: [`Strategy::XPatterns`] if any
     /// lifted path needs it, else [`Strategy::CoreXPath`].
     pub fn strategy(&self) -> Strategy {
-        strategy_of(self.paths.iter().map(|p| p.dialect))
+        if self.paths.iter().any(|p| p.dialect == CoreDialect::XPatterns) {
+            Strategy::XPatterns
+        } else {
+            Strategy::CoreXPath
+        }
     }
 
     /// Run every lifted path on `ev` at `ctx` under `budget`, then fold.
@@ -235,16 +223,6 @@ impl Program {
     }
 }
 
-/// [`Strategy::XPatterns`] if any lifted path needs it, else
-/// [`Strategy::CoreXPath`].
-fn strategy_of(dialects: impl IntoIterator<Item = CoreDialect>) -> Strategy {
-    if dialects.into_iter().any(|d| d == CoreDialect::XPatterns) {
-        Strategy::XPatterns
-    } else {
-        Strategy::CoreXPath
-    }
-}
-
 /// Compile `e` to the narrowest dialect that accepts it.
 fn compile_fragment(e: &Expr) -> Option<(CoreDialect, CoreQuery)> {
     [CoreDialect::CoreXPath, CoreDialect::XPatterns]
@@ -252,33 +230,31 @@ fn compile_fragment(e: &Expr) -> Option<(CoreDialect, CoreQuery)> {
         .find_map(|d| corexpath::compile_dialect(e, d).ok().map(|q| (d, q)))
 }
 
-/// The fold of `e`, handing each lifted path to `keep` (which returns its
-/// slot), or `None` when `e` does not lift.
-fn lift_into(
-    e: &Expr,
-    keep: &mut dyn FnMut(&Expr, CoreDialect, CoreQuery) -> usize,
-) -> Option<Fold> {
+/// The fold of `e`, pushing each lifted path onto `paths` (its index is
+/// its [`Fold::Path`] slot), or `None` when `e` does not lift.
+fn lift_into(e: &Expr, paths: &mut Vec<LiftedPath>) -> Option<Fold> {
     // Location paths and `id(…)` heads are the only shapes the algebra
     // compiler accepts; anything else is part of the fold.
     let path_like =
         matches!(e, Expr::Path(_)) || matches!(e, Expr::Call { name, .. } if name == "id");
     if path_like {
         if let Some((dialect, query)) = compile_fragment(e) {
-            return Some(Fold::Path(keep(e, dialect, query)));
+            paths.push(LiftedPath { source: e.clone(), dialect, query });
+            return Some(Fold::Path(paths.len() - 1));
         }
     }
     Some(match e {
         Expr::Literal(s) => Fold::Literal(s.clone()),
         Expr::Number(v) => Fold::Number(*v),
-        Expr::Neg(inner) => Fold::Neg(Box::new(lift_into(inner, keep)?)),
+        Expr::Neg(inner) => Fold::Neg(Box::new(lift_into(inner, paths)?)),
         Expr::Binary { op, left, right } => Fold::Binary {
             op: *op,
-            left: Box::new(lift_into(left, keep)?),
-            right: Box::new(lift_into(right, keep)?),
+            left: Box::new(lift_into(left, paths)?),
+            right: Box::new(lift_into(right, paths)?),
         },
         Expr::Call { name, args } if functions::is_known(name) => Fold::Call {
             name: name.clone(),
-            args: args.iter().map(|a| lift_into(a, keep)).collect::<Option<_>>()?,
+            args: args.iter().map(|a| lift_into(a, paths)).collect::<Option<_>>()?,
         },
         // A path outside both dialects, a filter expression, a variable
         // or an unknown function.
@@ -318,16 +294,10 @@ mod tests {
         let p = lift("count(id(//related))").unwrap();
         assert_eq!(p.paths().len(), 1);
         assert_eq!(p.strategy(), Strategy::XPatterns);
-    }
-
-    #[test]
-    fn lift_strategy_is_the_lifted_programs_label() {
-        for q in ["//book[author]", "count(//book[title = 'x']) + 1", "count(//a) > count(//b)"] {
-            let e = parse_normalized(q).unwrap();
-            assert_eq!(Program::lift_strategy(&e), Program::lift(&e).map(|p| p.strategy()), "{q}");
-        }
+        // A positional path, a path-free query and a filter expression
+        // resolve by Figure 1 instead.
         for q in ["count(//book[1])", "1 + 2", "(//book)[1]"] {
-            assert_eq!(Program::lift_strategy(&parse_normalized(q).unwrap()), None, "{q}");
+            assert!(lift(q).is_none(), "{q}");
         }
     }
 }

@@ -86,19 +86,12 @@ const FIGURE_1_CHOICE: Strategy = Strategy::OptMinContext;
 /// The one resolution of [`Strategy::Auto`], shared by [`Plan::build`] and
 /// [`execute_adhoc`]: the lifted [`Program`] and the fragment strategy it
 /// reports when every path outside a predicate fits the algebra, else
-/// Figure 1's choice. [`auto_strategy`] is the same verdict without the
-/// program.
+/// Figure 1's choice.
 pub fn resolve_auto(expr: &Expr) -> (Strategy, Option<Program>) {
     match Program::lift(expr) {
         Some(program) => (program.strategy(), Some(program)),
         None => (FIGURE_1_CHOICE, None),
     }
-}
-
-/// The strategy [`resolve_auto`] picks, decided by
-/// [`Program::lift_strategy`] without building the program.
-pub fn auto_strategy(expr: &Expr) -> Strategy {
-    Program::lift_strategy(expr).unwrap_or(FIGURE_1_CHOICE)
 }
 
 /// A fully resolved, immutable, document-independent execution plan.
@@ -442,7 +435,7 @@ mod tests {
 
     #[test]
     fn auto_strategy_matches_the_resolution() {
-        let s = |q: &str| auto_strategy(&crate::query::Compiler::new().parse(q).unwrap());
+        let s = |q: &str| resolve_auto(&crate::query::Compiler::new().parse(q).unwrap()).0;
         assert_eq!(s("//book[author]"), Strategy::CoreXPath);
         assert_eq!(s("//book[title = 'DB Monthly']"), Strategy::XPatterns);
         assert_eq!(s("//book[position() = last()]"), Strategy::OptMinContext);

@@ -296,12 +296,6 @@ impl DocumentStore {
         Ok(names)
     }
 
-    /// Drop all cached mappings (documents already handed out stay
-    /// valid). Subsequent opens re-load from disk.
-    pub fn evict_all(&self) {
-        self.inner.lock().unwrap().cache.clear();
-    }
-
     /// Cache behaviour counters since the store was opened.
     pub fn stats(&self) -> StoreStats {
         self.inner.lock().unwrap().stats

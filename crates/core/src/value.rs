@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use xpath_xml::{Document, NodeId};
+use xpath_xml::Document;
 
 use crate::nodeset::NodeSet;
 
@@ -129,11 +129,6 @@ pub fn nodeset_to_string(doc: &Document, s: &NodeSet) -> String {
     s.first().map(|n| doc.string_value(n).to_string()).unwrap_or_default()
 }
 
-/// String value of a node as an XPath string value (paper `strval`).
-pub fn node_string_value(doc: &Document, n: NodeId) -> String {
-    doc.string_value(n).to_string()
-}
-
 /// `to_number(str)`: XPath 1.0 number syntax — optional whitespace, optional
 /// `-`, digits and at most one `.`; anything else is NaN. (No exponent
 /// notation, no `+`, unlike Rust's `f64::parse`.)
@@ -198,6 +193,7 @@ pub fn number_to_string(v: f64) -> String {
 mod tests {
     use super::*;
     use xpath_xml::generate::doc_flat_text;
+    use xpath_xml::NodeId;
 
     #[test]
     fn str_to_number_xpath_syntax() {

@@ -153,20 +153,6 @@ impl Axis {
             _ => PrincipalKind::Element,
         }
     }
-
-    /// Whether a step along this axis can only move "down or right" in the
-    /// tree (used by fragment heuristics).
-    pub fn is_downward(self) -> bool {
-        matches!(
-            self,
-            Axis::SelfAxis
-                | Axis::Child
-                | Axis::Descendant
-                | Axis::DescendantOrSelf
-                | Axis::Attribute
-                | Axis::Namespace
-        )
-    }
 }
 
 impl fmt::Display for Axis {

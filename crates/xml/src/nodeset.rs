@@ -289,15 +289,6 @@ impl NodeSet {
         }
     }
 
-    /// Borrow the sorted id slice if the set is sparse (dense sets have no
-    /// materialized slice).
-    pub fn as_sorted_slice(&self) -> Option<&[NodeId]> {
-        match &self.repr {
-            Repr::Vec(v) => Some(v),
-            Repr::Bits { .. } => None,
-        }
-    }
-
     /// Insert one node, keeping the invariants. Amortized `O(1)` when
     /// inserting in ascending document order.
     pub fn insert(&mut self, n: NodeId) {
@@ -605,75 +596,33 @@ impl NodeSet {
         }
     }
 
-    /// A cheap 64-bit content hash: the XOR of a per-word `splitmix64`
-    /// mix ([`simd::fp_mix`]) over the set's nonzero bitset words
-    /// (synthesized on the fly for the sparse representation), combined
-    /// with a cardinality-seeded header. XOR combination makes the hash
-    /// independent of word order, which is what lets the vector tier
-    /// compute eight lanes at once and the sparse side emit words as ids
-    /// stream by.
-    ///
-    /// Two sets with equal contents fingerprint equally **regardless of
-    /// representation** — a dense bitset and a sorted vector holding the
-    /// same ids produce the same value — so the fingerprint can key
-    /// memo tables across repr boundaries (the batched query evaluator's
-    /// `(axis, node-test, input-fingerprint)` axis-result cache). Cost is
-    /// `O(words)` dense and `O(len)` sparse; distinct sets collide
-    /// with probability ~2⁻⁶⁴ per pair, which the memo consumers accept.
-    pub fn fingerprint(&self) -> u64 {
-        use crate::rng::splitmix64;
-        let seed = splitmix64(0x9E37_79B9_7F4A_7C15 ^ self.len() as u64);
-        match &self.repr {
-            Repr::Bits { words, .. } => seed ^ simd::fingerprint_words(words),
-            Repr::Vec(v) => {
-                // Synthesize the (word index, word) pairs the dense side
-                // would hash: group ascending ids by word index; each
-                // completed word contributes one XOR term.
-                let mut acc = 0u64;
-                let mut wi = u64::MAX;
-                let mut w = 0u64;
-                for n in v {
-                    let i = u64::from(n.0 / WORD_BITS);
-                    if i != wi {
-                        if wi != u64::MAX {
-                            acc ^= simd::fp_mix(wi, w);
-                        }
-                        wi = i;
-                        w = 0;
-                    }
-                    w |= 1u64 << (n.0 % WORD_BITS);
-                }
-                if wi != u64::MAX {
-                    acc ^= simd::fp_mix(wi, w);
-                }
-                seed ^ acc
-            }
-        }
-    }
-
-    /// A cheap 64-bit **memo key**: like [`NodeSet::fingerprint`] but
-    /// optimized for keying axis-result caches, where a key mismatch is
-    /// only ever a cache miss, never a wrong answer.
+    /// A cheap 64-bit **memo key** for keying axis-result caches, where a
+    /// key mismatch is only ever a cache miss, never a wrong answer.
     ///
     /// * **Sparse** (`Vec`) inputs hash the raw id slice with one
     ///   sequential `splitmix64` chain — `O(len)` with one mix per id,
     ///   touching **no bitset word buffers** (no pooled takes, no word
-    ///   synthesis; pinned by a `PoolStats` unit test). This is strictly
-    ///   cheaper than `fingerprint`'s word-grouping emulation.
-    /// * **Dense** (`Bits`) inputs reuse the vectorized word
-    ///   fingerprint.
+    ///   synthesis; pinned by a `PoolStats` unit test).
+    /// * **Dense** (`Bits`) inputs chain `(index, word)` of every nonzero
+    ///   word — `O(words)`. Zero words never contribute, so equal
+    ///   contents over different universes key equally.
     ///
-    /// The trade: unlike `fingerprint`, the key is **not**
-    /// representation-independent (a sparse and a dense set with equal
-    /// contents key differently — the chain is order-sensitive and the
-    /// domains are disjoint by construction, sparse keys being
-    /// re-mixed through a repr tag). Memo consumers (`AxisMemo`) accept
-    /// that: cross-repr sharing was already rare, and cheap sparse keys
-    /// keep every memo probe on a small frontier set cheap.
+    /// The key is **not** representation-independent: a sparse and a
+    /// dense set with equal contents key differently (the two chains
+    /// start from different seeds). Memo consumers (`AxisMemo`) accept
+    /// that: cross-repr sharing is rare, and cheap sparse keys keep every
+    /// memo probe on a small frontier set cheap. Distinct sets collide
+    /// with probability ~2⁻⁶⁴ per pair.
     pub fn memo_key(&self) -> u64 {
         use crate::rng::splitmix64;
         match &self.repr {
-            Repr::Bits { .. } => splitmix64(0xB175_E7A1 ^ self.fingerprint()),
+            Repr::Bits { words, .. } => {
+                let mut h = splitmix64(0xB175_E7A1);
+                for (i, &w) in words.iter().enumerate().filter(|&(_, &w)| w != 0) {
+                    h = splitmix64(splitmix64(h ^ i as u64) ^ w);
+                }
+                h
+            }
             Repr::Vec(v) => {
                 let mut h = splitmix64(0x5BA5_E000 ^ v.len() as u64);
                 for n in v {
@@ -1124,43 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_repr_independent_and_content_sensitive() {
-        // Equal contents, any representation (including differing
-        // universes — dense padding words are zero and never hashed).
-        let ids = [0u32, 1, 63, 64, 65, 500, 12_345];
-        let fp = ns(&ids).fingerprint();
-        assert_eq!(dense(&ids, 12_346).fingerprint(), fp);
-        assert_eq!(dense(&ids, 60_000).fingerprint(), fp, "universe padding must not matter");
-        assert_eq!(
-            NodeSet::from_sorted(ids.iter().map(|&i| NodeId(i)).collect()).fingerprint(),
-            fp
-        );
-        // Content changes change the fingerprint (w.h.p.; these pins catch
-        // the classic mistakes: dropped word boundaries, ignored len).
-        assert_ne!(ns(&[0, 1, 63, 64, 65, 500]).fingerprint(), fp);
-        assert_ne!(ns(&[0, 1, 62, 64, 65, 500, 12_345]).fingerprint(), fp);
-        assert_ne!(NodeSet::new().fingerprint(), fp);
-        // Empty sets agree across representations too.
-        assert_eq!(NodeSet::new().fingerprint(), NodeSet::empty_dense(4096).fingerprint());
-        // Randomized cross-check over densities.
-        for seed in 0..20u64 {
-            let mut rng = Rng::seed_from_u64(seed);
-            let p = [0.01, 0.1, 0.5, 0.9][(seed % 4) as usize];
-            let ids: Vec<u32> = (0..700u32).filter(|_| rng.random_bool(p)).collect();
-            let v = ns(&ids);
-            let d = dense(&ids, 700);
-            assert_eq!(v.fingerprint(), d.fingerprint(), "seed {seed}");
-            // Mutating one id moves the fingerprint.
-            if let Some(&first) = ids.first() {
-                let mut other: Vec<u32> = ids.clone();
-                other[0] = first + 701;
-                other.sort_unstable();
-                assert_ne!(ns(&other).fingerprint(), v.fingerprint(), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
     fn memo_key_is_content_sensitive_and_sparse_key_touches_no_words() {
         let ids = [0u32, 1, 63, 64, 65, 500, 12_345];
         let sparse = ns(&ids);
@@ -1168,9 +1080,15 @@ mod tests {
         assert_eq!(sparse.memo_key(), ns(&ids).memo_key());
         assert_ne!(ns(&[0, 1, 63, 64, 65, 500]).memo_key(), sparse.memo_key());
         assert_ne!(NodeSet::new().memo_key(), sparse.memo_key());
-        // Dense keys are deterministic too (and derive from the word
-        // fingerprint, so equal dense contents key equally).
+        // Dense keys skip zero words, so universe padding does not
+        // matter, and stay content-sensitive across word boundaries.
         assert_eq!(dense(&ids, 12_346).memo_key(), dense(&ids, 60_000).memo_key());
+        assert_ne!(
+            dense(&[0, 1, 63, 64, 65, 500], 12_346).memo_key(),
+            dense(&ids, 12_346).memo_key()
+        );
+        assert_ne!(dense(&[64], 200).memo_key(), dense(&[0], 200).memo_key());
+        assert_ne!(NodeSet::empty_dense(4096).memo_key(), dense(&ids, 12_346).memo_key());
         // The satellite pin: keying a sparse set must never materialize
         // bitset words — zero pooled word-buffer traffic during the call.
         pool::clear();

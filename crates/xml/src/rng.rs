@@ -9,9 +9,8 @@
 
 /// The splitmix64 finalizer: a cheap, high-quality 64-bit mixing function.
 /// Besides driving [`Rng`], it is the hash behind
-/// [`NodeSet::fingerprint`](crate::nodeset::NodeSet::fingerprint) — the
-/// content hash the batched query evaluator keys its axis-result memo
-/// table on. Deterministic across platforms and processes.
+/// [`NodeSet::memo_key`](crate::nodeset::NodeSet::memo_key) — the key
+/// the batched query evaluator's axis-result memo table uses. Deterministic across platforms and processes.
 #[inline]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x;

@@ -1,6 +1,6 @@
 //! Vectorized bitset kernels behind runtime feature detection — the word
 //! sweeps under every [`NodeSet`](crate::NodeSet) set operation,
-//! cardinality count, range fill and fingerprint.
+//! cardinality count and range fill.
 //!
 //! # Dispatch tiers
 //!
@@ -18,8 +18,7 @@
 //!   `vpshufb` nibble-LUT popcount for the set operations (the default
 //!   x86-64 target has no POPCNT, so scalar `count_ones` compiles to a
 //!   ~12-op SWAR sequence — the LUT popcount is where most of the ≥2×
-//!   win comes from), and an AVX-512DQ 8-lane splitmix64 for the
-//!   fingerprint when the CPU has it.
+//!   win comes from).
 //!
 //! The active tier is chosen once per process ([`active_tier`]):
 //! `vector` when the CPU reports the needed features, `unrolled`
@@ -53,7 +52,6 @@
 use std::sync::OnceLock;
 
 use crate::node::NodeId;
-use crate::rng::splitmix64;
 
 /// Environment variable selecting the kernel tier: `1`/`true` forces
 /// [`Tier::Unrolled`], `scalar` forces [`Tier::Scalar`], unset (or
@@ -67,7 +65,7 @@ pub enum Tier {
     Scalar,
     /// Portable 4-wide unrolled `u64` blocks.
     Unrolled,
-    /// `std::arch` SIMD (AVX2, plus AVX-512DQ for the fingerprint).
+    /// `std::arch` SIMD (AVX2).
     Vector,
 }
 
@@ -101,27 +99,6 @@ pub fn vector_available() -> bool {
     })
 }
 
-/// Can the fingerprint run its AVX-512 path (the 8-lane `splitmix64`
-/// needs the AVX-512DQ 64-bit multiply)? When false, the vector tier's
-/// fingerprint silently uses the unrolled kernel — still bit-identical.
-pub fn avx512_fingerprint_available() -> bool {
-    static AVAIL: OnceLock<bool> = OnceLock::new();
-    *AVAIL.get_or_init(|| {
-        if cfg!(miri) {
-            return false;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    })
-}
-
 /// The CPU features relevant to kernel selection, with their runtime
 /// detection results — `xpq --bench-info` provenance.
 pub fn detected_features() -> Vec<(&'static str, bool)> {
@@ -133,7 +110,7 @@ pub fn detected_features() -> Vec<(&'static str, bool)> {
         macro_rules! probe {
             ($($f:tt),*) => { vec![$(($f, std::arch::is_x86_feature_detected!($f))),*] };
         }
-        probe!("sse2", "ssse3", "sse4.2", "popcnt", "avx", "avx2", "avx512f", "avx512dq")
+        probe!("sse2", "ssse3", "sse4.2", "popcnt", "avx", "avx2")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -319,53 +296,9 @@ pub fn extend_id_run_with(tier: Tier, out: &mut Vec<NodeId>, lo: u32, hi: u32) {
     }
 }
 
-// ----- fingerprint -----
-
-/// One word's fingerprint contribution: a two-round `splitmix64` over
-/// the word index and its bits. Contributions of distinct words are
-/// combined by XOR ([`fingerprint_words`]), so the hash is independent
-/// of emission order and of zero words — exactly what lets the sparse
-/// representation synthesize the identical value without materializing
-/// a bitset, and what lets the unrolled/vector tiers use independent
-/// lane accumulators.
-#[inline]
-pub fn fp_mix(index: u64, word: u64) -> u64 {
-    splitmix64(splitmix64(index ^ 0x9E37_79B9_7F4A_7C15) ^ word)
-}
-
-/// XOR of [`fp_mix`]`(i, words[i])` over every **nonzero** word.
-/// Trailing zero words never contribute, so sets over different
-/// universes with equal contents hash equally.
-#[inline]
-pub fn fingerprint_words(words: &[u64]) -> u64 {
-    fingerprint_words_with(active_tier(), words)
-}
-
-/// [`fingerprint_words`] on an explicit tier. The vector tier needs
-/// AVX-512DQ; without it the unrolled kernel runs (bit-identical).
-pub fn fingerprint_words_with(tier: Tier, words: &[u64]) -> u64 {
-    match effective(tier) {
-        Tier::Scalar => scalar::fingerprint_words(words),
-        Tier::Unrolled => unrolled::fingerprint_words(words),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Vector => {
-            if avx512_fingerprint_available() {
-                // SAFETY: AVX-512F + AVX-512DQ verified on the line above.
-                unsafe { avx512::fingerprint_words(words) }
-            } else {
-                unrolled::fingerprint_words(words)
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Vector => unrolled::fingerprint_words(words),
-    }
-}
-
 // ----- scalar reference kernels -----
 
 mod scalar {
-    use super::fp_mix;
-
     pub fn popcount(words: &[u64]) -> u64 {
         words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
@@ -416,23 +349,11 @@ mod scalar {
         }
         count
     }
-
-    pub fn fingerprint_words(words: &[u64]) -> u64 {
-        let mut acc = 0u64;
-        for (i, &w) in words.iter().enumerate() {
-            if w != 0 {
-                acc ^= fp_mix(i as u64, w);
-            }
-        }
-        acc
-    }
 }
 
 // ----- portable 4-wide unrolled kernels -----
 
 mod unrolled {
-    use super::fp_mix;
-
     pub fn popcount(words: &[u64]) -> u64 {
         let mut acc = [0u64; 4];
         let mut chunks = words.chunks_exact(4);
@@ -534,29 +455,6 @@ mod unrolled {
             total += u64::from(a[j].count_ones());
         }
         total
-    }
-
-    pub fn fingerprint_words(words: &[u64]) -> u64 {
-        // Branch-free per lane: multiply the mixed value by 0/1 instead
-        // of skipping zero words, keeping the four accumulators
-        // independent of the input's zero pattern.
-        let mut acc = [0u64; 4];
-        let mut chunks = words.chunks_exact(4);
-        let mut base = 0u64;
-        for c in &mut chunks {
-            for l in 0..4 {
-                let w = c[l];
-                acc[l] ^= fp_mix(base + l as u64, w).wrapping_mul(u64::from(w != 0));
-            }
-            base += 4;
-        }
-        let mut h = acc[0] ^ acc[1] ^ acc[2] ^ acc[3];
-        for (l, &w) in chunks.remainder().iter().enumerate() {
-            if w != 0 {
-                h ^= fp_mix(base + l as u64, w);
-            }
-        }
-        h
     }
 }
 
@@ -748,66 +646,6 @@ mod avx2 {
     }
 }
 
-// ----- AVX-512 fingerprint kernel -----
-
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use std::arch::x86_64::{
-        __m512i, _mm512_add_epi64, _mm512_cmpneq_epi64_mask, _mm512_loadu_si512,
-        _mm512_maskz_mov_epi64, _mm512_mullo_epi64, _mm512_set1_epi64, _mm512_setr_epi64,
-        _mm512_srli_epi64, _mm512_storeu_si512, _mm512_xor_si512,
-    };
-
-    /// One `splitmix64` round on 8 lanes (needs the AVX-512DQ 64-bit
-    /// `vpmullq`).
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn sm_round(x: __m512i, m1: __m512i, m2: __m512i) -> __m512i {
-        let mut z = x;
-        z = _mm512_xor_si512(z, _mm512_srli_epi64::<30>(z));
-        z = _mm512_mullo_epi64(z, m1);
-        z = _mm512_xor_si512(z, _mm512_srli_epi64::<27>(z));
-        z = _mm512_mullo_epi64(z, m2);
-        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
-    }
-
-    /// 8-lane `splitmix64` fingerprint: each lane computes
-    /// [`super::fp_mix`] for its (index, word) pair; lanes whose word is
-    /// zero are masked out; lane accumulators XOR-reduce at the end.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub fn fingerprint_words(words: &[u64]) -> u64 {
-        let golden = _mm512_set1_epi64(0x9E37_79B9_7F4A_7C15_u64 as i64);
-        let m1 = _mm512_set1_epi64(0xBF58_476D_1CE4_E5B9_u64 as i64);
-        let m2 = _mm512_set1_epi64(0x94D0_49BB_1331_11EB_u64 as i64);
-        let zero = _mm512_set1_epi64(0);
-        let mut acc = zero;
-        let mut idx = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-        let step = _mm512_set1_epi64(8);
-        let mut chunks = words.chunks_exact(8);
-        for c in &mut chunks {
-            // SAFETY: the chunk holds exactly 8 words = 64 bytes;
-            // unaligned load.
-            let w = unsafe { _mm512_loadu_si512(c.as_ptr().cast()) };
-            let h1 = sm_round(_mm512_xor_si512(idx, golden), m1, m2);
-            let h2 = sm_round(_mm512_xor_si512(h1, w), m1, m2);
-            let nonzero = _mm512_cmpneq_epi64_mask(w, zero);
-            acc = _mm512_xor_si512(acc, _mm512_maskz_mov_epi64(nonzero, h2));
-            idx = _mm512_add_epi64(idx, step);
-        }
-        let mut lanes = [0u64; 8];
-        // SAFETY: `lanes` is 64 bytes; unaligned store.
-        unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), acc) };
-        let mut h = lanes.iter().fold(0u64, |a, &l| a ^ l);
-        let base = (words.len() - chunks.remainder().len()) as u64;
-        for (l, &w) in chunks.remainder().iter().enumerate() {
-            if w != 0 {
-                h ^= super::fp_mix(base + l as u64, w);
-            }
-        }
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,7 +671,7 @@ mod tests {
         for len in [2usize, 3, 4, 5, 7, 8, 11, 15, 31, 33, 64, 100] {
             let mut rng = Rng::seed_from_u64(len as u64);
             out.push((0..len).map(|_| rng.next_u64()).collect());
-            // Same length with zero holes punched in (fingerprint skips).
+            // Same length with zero holes punched in.
             out.push(
                 (0..len).map(|i| if i % 3 == 0 { 0 } else { rng.next_u64() }).collect::<Vec<_>>(),
             );
@@ -842,21 +680,14 @@ mod tests {
     }
 
     #[test]
-    fn all_tiers_agree_on_popcount_and_fingerprint() {
+    fn all_tiers_agree_on_popcount() {
         for words in shapes() {
             let want_pop = popcount_with(Tier::Scalar, &words);
-            let want_fp = fingerprint_words_with(Tier::Scalar, &words);
             for t in TIERS {
                 assert_eq!(
                     popcount_with(t, &words),
                     want_pop,
                     "{t:?} popcount len {}",
-                    words.len()
-                );
-                assert_eq!(
-                    fingerprint_words_with(t, &words),
-                    want_fp,
-                    "{t:?} fingerprint len {}",
                     words.len()
                 );
             }
@@ -943,9 +774,6 @@ mod tests {
         // must not downgrade.
         let t = active_tier();
         assert_eq!(effective(t), t, "active tier must be supported");
-        if avx512_fingerprint_available() {
-            assert!(vector_available(), "AVX-512 implies AVX2 here");
-        }
         // Feature detection returns a stable probe list on x86-64.
         if cfg!(all(target_arch = "x86_64", not(miri))) {
             assert!(detected_features().iter().any(|&(n, _)| n == "avx2"));

@@ -537,14 +537,6 @@ fn print_bench_info(threads: u32) {
         Some(v) => println!("{}:  set ({v:?})", simd::NO_SIMD_ENV),
         None => println!("{}:  unset (auto dispatch)", simd::NO_SIMD_ENV),
     }
-    // The 8-lane fingerprint only engages from the vector tier, so a
-    // GKP_NO_SIMD downgrade idles it even on AVX-512 hardware.
-    let fp = match (simd::avx512_fingerprint_available(), tier) {
-        (true, simd::Tier::Vector) => "active",
-        (true, _) => "available (idle at current tier)",
-        (false, _) => "unavailable",
-    };
-    println!("avx512 fingerprint: {fp}");
     let resolved = gkp_xpath::core::batch::resolve_threads(threads);
     println!("threads:      {resolved}{}", if threads == 0 { " (auto)" } else { "" });
 }

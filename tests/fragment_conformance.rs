@@ -131,7 +131,7 @@ fn auto_dispatch_picks_the_advertised_strategy() {
     ];
     for (q, frag) in CLASSIFIED {
         let e = Compiler::new().parse(q).unwrap();
-        let strategy = plan::auto_strategy(&e);
+        let strategy = plan::resolve_auto(&e).0;
         let expected = match (lifted.iter().find(|(l, _)| l == q), frag) {
             (Some(&(_, s)), _) => s,
             (None, Fragment::CoreXPath) => Strategy::CoreXPath,

@@ -73,8 +73,8 @@ fn start_with(tag: &str, configure: impl FnOnce(&mut ServeConfig)) -> Started {
     configure(&mut config);
     let server = Arc::new(Server::new(config).unwrap());
     // Small document: these tests probe the wire protocol, not
-    // evaluator throughput (bench_serve covers that), and they run in
-    // debug builds on possibly single-core CI.
+    // evaluator throughput (`bench_axes`'s `serve` section covers that),
+    // and they run in debug builds on possibly single-core CI.
     server.store().publish("bench", &doc_balanced(3, 4, &["a", "b", "c", "d"])).unwrap();
     let sock = dir.join("xpq.sock");
     let accept = {

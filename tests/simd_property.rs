@@ -2,8 +2,7 @@
 //! return the same bits on the `Scalar`, `Unrolled` and (when the CPU
 //! supports it) `Vector` tiers, on adversarial buffer shapes — empty,
 //! single-word, unaligned tails straddling the 4-wide and 32-byte lane
-//! boundaries, all-ones, alternating masks, and zero-holed words (the
-//! fingerprint skips zero words, so holes probe the lane masking).
+//! boundaries, all-ones, alternating masks, and zero-holed words.
 //!
 //! Every case is deterministic: fixed shapes, plus 512 arbitrary buffers
 //! per property from a seeded splitmix64 stream.
@@ -39,8 +38,8 @@ fn words(seed: u64, len: usize, kind: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Lengths that straddle every dispatch boundary: the 4-word unroll, the
-/// 4-lane AVX2 step, and the 8-lane AVX-512 fingerprint step.
+/// Lengths that straddle every dispatch boundary: the 4-word unroll and
+/// the 4-lane AVX2 step.
 const LENGTHS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 100];
 
 #[test]
@@ -49,14 +48,8 @@ fn unary_ops_are_bit_identical_across_tiers() {
         for kind in 0..5 {
             let w = words(splitmix64(len as u64 ^ kind), len, kind);
             let pop = simd::popcount_with(simd::Tier::Scalar, &w);
-            let fp = simd::fingerprint_words_with(simd::Tier::Scalar, &w);
             for tier in tiers() {
                 assert_eq!(simd::popcount_with(tier, &w), pop, "popcount {tier:?} len {len}");
-                assert_eq!(
-                    simd::fingerprint_words_with(tier, &w),
-                    fp,
-                    "fingerprint {tier:?} len {len} kind {kind}"
-                );
             }
         }
     }
@@ -122,15 +115,13 @@ fn random_buffers(seed: u64, max: usize) -> impl Iterator<Item = Vec<u64>> {
     })
 }
 
-/// Popcount and fingerprint agree across tiers on arbitrary words.
+/// Popcount agrees across tiers on arbitrary words.
 #[test]
 fn unary_ops_agree_on_random_buffers() {
     for w in random_buffers(1, 200) {
         let pop = simd::popcount_with(simd::Tier::Scalar, &w);
-        let fp = simd::fingerprint_words_with(simd::Tier::Scalar, &w);
         for tier in tiers() {
             assert_eq!(simd::popcount_with(tier, &w), pop, "{tier:?} len {}", w.len());
-            assert_eq!(simd::fingerprint_words_with(tier, &w), fp, "{tier:?} len {}", w.len());
         }
     }
 }
