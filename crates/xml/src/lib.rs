@@ -26,9 +26,9 @@
 //!   ([`stats`]);
 //! * generators for every document family used in the paper's experiments
 //!   ([`generate`]);
-//! * the tiered word-sweep kernels under every set operation ([`simd`]):
-//!   scalar reference loops, a portable 4-wide unrolled fallback, and
-//!   runtime-detected AVX2/AVX-512 vector paths;
+//! * the word-sweep kernels under every set operation ([`simd`]): scalar
+//!   reference loops, and AVX2 vector sweeps picked at runtime when the
+//!   CPU has them;
 //! * thread-local buffer recycling ([`pool`]) behind [`NodeSet`]'s
 //!   `Clone`/`Drop`, giving repeated evaluation an allocation-free steady
 //!   state;

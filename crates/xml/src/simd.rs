@@ -4,29 +4,27 @@
 //!
 //! # Dispatch tiers
 //!
-//! Every kernel exists in three bit-identical implementations
-//! ([`Tier`]):
+//! Every kernel exists in two bit-identical implementations ([`Tier`]):
 //!
-//! * **scalar** — the plain one-word-at-a-time loops the engine shipped
-//!   with; the reference the other tiers are differential-tested
-//!   against (here and in the workspace `simd_kernels` suite).
-//! * **unrolled** — portable 4-wide unrolled `u64` blocks with
-//!   independent accumulators. No `unsafe`, no platform assumptions;
-//!   this is the floor on every architecture and the fallback whenever
-//!   vector support is absent.
+//! * **scalar** ([`scalar`]) — plain one-word-at-a-time loops: the
+//!   reference the vector kernels are differential-tested against, and
+//!   what every CPU without AVX2 (and every non-x86-64 target) runs.
 //! * **vector** — `std::arch` SIMD: AVX2 256-bit sweeps with a
 //!   `vpshufb` nibble-LUT popcount for the set operations (the default
 //!   x86-64 target has no POPCNT, so scalar `count_ones` compiles to a
 //!   ~12-op SWAR sequence — the LUT popcount is where most of the ≥2×
 //!   win comes from).
 //!
-//! The active tier is chosen once per process ([`active_tier`]):
-//! `vector` when the CPU reports the needed features, `unrolled`
-//! otherwise, overridable through the [`NO_SIMD_ENV`] environment
-//! variable (`GKP_NO_SIMD=1` forces the portable unrolled tier,
-//! `GKP_NO_SIMD=scalar` forces the reference loops; `0`/`false`/`auto`
-//! keep auto-detection). Under Miri the vector tier is disabled
-//! entirely — the interpreter does not model vendor intrinsics.
+//! The tier is chosen once per process ([`active_tier`]): `vector` when
+//! the CPU reports AVX2, `scalar` otherwise. The [`NO_SIMD_ENV`]
+//! environment variable pins `scalar` on any value but unset, `""`, `0`,
+//! `false` or `auto` (which auto-detect), so the code a CPU without AVX2
+//! runs can be exercised on one that has it. Under Miri the vector tier
+//! is disabled entirely — the interpreter does not model vendor
+//! intrinsics. The six dispatched kernels ([`popcount`],
+//! [`or_assign_count`], [`andnot_assign_count`], [`and_into_count`],
+//! [`andnot_into_count`], [`extend_id_run`]) are the one place that
+//! branches on the tier.
 //!
 //! # Safety
 //!
@@ -35,14 +33,16 @@
 //! below is the documented exemption). The argument:
 //!
 //! * the vector kernels are *safe* `#[target_feature]` functions; the
-//!   only `unsafe` at the call boundary is the dispatcher invoking them
-//!   after checking `is_x86_feature_detected!` for exactly the features
-//!   they enable, so no illegal instruction can execute;
+//!   only `unsafe` at the call boundary is a dispatcher invoking them
+//!   after [`active_tier`] returned [`Tier::Vector`], which it does only
+//!   after `is_x86_feature_detected!("avx2")` confirmed exactly the
+//!   feature they enable, so no illegal instruction can execute;
 //! * all pointer arithmetic is derived from slices via
 //!   `chunks_exact`/`as_ptr` with in-bounds offsets only, and unaligned
 //!   load/store intrinsics (`loadu`/`storeu`) are used throughout, so
 //!   no alignment or bounds assumption exists beyond what the borrow
-//!   checker already proved;
+//!   checker already proved (the `*_into_count` dispatchers assert that
+//!   `out` covers `a` before any kernel writes it);
 //! * [`extend_id_run`] writes into a `Vec`'s spare capacity after an
 //!   explicit `reserve` and only then `set_len`s to the number of
 //!   elements actually written ([`NodeId`] is `#[repr(transparent)]`
@@ -53,18 +53,16 @@ use std::sync::OnceLock;
 
 use crate::node::NodeId;
 
-/// Environment variable selecting the kernel tier: `1`/`true` forces
-/// [`Tier::Unrolled`], `scalar` forces [`Tier::Scalar`], unset (or
-/// `0`/`false`/`auto`) auto-detects.
+/// Environment variable pinning the kernel tier: unset, `""`, `0`,
+/// `false` or `auto` auto-detect; any other value (`1`, `scalar`, …)
+/// pins [`Tier::Scalar`].
 pub const NO_SIMD_ENV: &str = "GKP_NO_SIMD";
 
-/// Which kernel implementation family runs (see the [module docs](self)).
+/// Which kernel implementation runs (see the [module docs](self)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Tier {
-    /// Reference one-word-at-a-time loops.
+    /// Reference one-word-at-a-time loops ([`scalar`]).
     Scalar,
-    /// Portable 4-wide unrolled `u64` blocks.
-    Unrolled,
     /// `std::arch` SIMD (AVX2).
     Vector,
 }
@@ -75,7 +73,6 @@ impl Tier {
     pub fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
-            Tier::Unrolled => "unrolled",
             Tier::Vector => "vector",
         }
     }
@@ -118,21 +115,26 @@ pub fn detected_features() -> Vec<(&'static str, bool)> {
     }
 }
 
-/// The process-wide kernel tier: [`NO_SIMD_ENV`] consulted once, vector
-/// support detected once.
+/// The process-wide kernel tier: [`NO_SIMD_ENV`] read once, vector
+/// support detected once. [`Tier::Vector`] implies
+/// [`vector_available`].
 pub fn active_tier() -> Tier {
     static TIER: OnceLock<Tier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        let auto = || if vector_available() { Tier::Vector } else { Tier::Unrolled };
-        match std::env::var(NO_SIMD_ENV) {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "" | "0" | "false" | "auto" => auto(),
-                "scalar" => Tier::Scalar,
-                _ => Tier::Unrolled,
-            },
-            Err(_) => auto(),
-        }
-    })
+    *TIER.get_or_init(|| parse_no_simd_env(no_simd_env_value().as_deref(), vector_available()))
+}
+
+/// Resolve a [`NO_SIMD_ENV`] value: unset, blank, `0`, `false` or `auto`
+/// (any case) picks [`Tier::Vector`] when `vector` is true; every other
+/// value, or no vector support, picks [`Tier::Scalar`].
+fn parse_no_simd_env(value: Option<&str>, vector: bool) -> Tier {
+    let auto = value.is_none_or(|v| {
+        matches!(v.trim().to_ascii_lowercase().as_str(), "" | "0" | "false" | "auto")
+    });
+    if auto && vector {
+        Tier::Vector
+    } else {
+        Tier::Scalar
+    }
 }
 
 /// The raw [`NO_SIMD_ENV`] value, if set (for `xpq --bench-info`).
@@ -140,41 +142,22 @@ pub fn no_simd_env_value() -> Option<String> {
     std::env::var(NO_SIMD_ENV).ok()
 }
 
-/// Downgrade an explicitly requested tier to what the platform can run.
-#[inline]
-fn effective(tier: Tier) -> Tier {
-    match tier {
-        Tier::Vector if !vector_available() => Tier::Unrolled,
-        t => t,
-    }
-}
-
 // ----- dispatched kernel entry points -----
 //
-// Each `op` uses the process-wide tier; each `op_with` runs a specific
-// tier (downgraded if unsupported) for differential tests and the
-// scalar-vs-unrolled-vs-vector benchmarks. SAFETY for every vector arm:
-// `effective` only returns `Tier::Vector` after `vector_available()`
-// confirmed AVX2 at runtime, which is exactly what the safe
-// `#[target_feature(enable = "avx2")]` kernels require.
+// Each runs the AVX2 kernel when the process tier is `Vector` and the
+// scalar reference otherwise.
 
 /// Total set bits in `words`.
 #[inline]
 pub fn popcount(words: &[u64]) -> u64 {
-    popcount_with(active_tier(), words)
-}
-
-/// [`popcount`] on an explicit tier.
-pub fn popcount_with(tier: Tier, words: &[u64]) -> u64 {
-    match effective(tier) {
-        Tier::Scalar => scalar::popcount(words),
-        Tier::Unrolled => unrolled::popcount(words),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by `effective` (see above).
-        Tier::Vector => unsafe { avx2::popcount(words) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Vector => unrolled::popcount(words),
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == Tier::Vector {
+        // SAFETY: `Tier::Vector` is only active once AVX2 was detected
+        // at runtime, all the `#[target_feature(enable = "avx2")]`
+        // kernel needs.
+        return unsafe { avx2::popcount(words) };
     }
+    scalar::popcount(words)
 }
 
 /// `dst[i] |= src[i]` over the common prefix; returns the popcount of
@@ -182,82 +165,52 @@ pub fn popcount_with(tier: Tier, words: &[u64]) -> u64 {
 /// least as long as `src`).
 #[inline]
 pub fn or_assign_count(dst: &mut [u64], src: &[u64]) -> u64 {
-    or_assign_count_with(active_tier(), dst, src)
-}
-
-/// [`or_assign_count`] on an explicit tier.
-pub fn or_assign_count_with(tier: Tier, dst: &mut [u64], src: &[u64]) -> u64 {
-    match effective(tier) {
-        Tier::Scalar => scalar::or_assign_count(dst, src),
-        Tier::Unrolled => unrolled::or_assign_count(dst, src),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by `effective` (see above).
-        Tier::Vector => unsafe { avx2::or_assign_count(dst, src) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Vector => unrolled::or_assign_count(dst, src),
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == Tier::Vector {
+        // SAFETY: AVX2 detected at runtime (see `popcount`).
+        return unsafe { avx2::or_assign_count(dst, src) };
     }
+    scalar::or_assign_count(dst, src)
 }
 
 /// `dst[i] &= !src[i]` over the common prefix; returns the popcount of
 /// all of `dst` afterwards (in-place difference / mask subtraction).
 #[inline]
 pub fn andnot_assign_count(dst: &mut [u64], src: &[u64]) -> u64 {
-    andnot_assign_count_with(active_tier(), dst, src)
-}
-
-/// [`andnot_assign_count`] on an explicit tier.
-pub fn andnot_assign_count_with(tier: Tier, dst: &mut [u64], src: &[u64]) -> u64 {
-    match effective(tier) {
-        Tier::Scalar => scalar::andnot_assign_count(dst, src),
-        Tier::Unrolled => unrolled::andnot_assign_count(dst, src),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by `effective` (see above).
-        Tier::Vector => unsafe { avx2::andnot_assign_count(dst, src) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Vector => unrolled::andnot_assign_count(dst, src),
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == Tier::Vector {
+        // SAFETY: AVX2 detected at runtime (see `popcount`).
+        return unsafe { avx2::andnot_assign_count(dst, src) };
     }
+    scalar::andnot_assign_count(dst, src)
 }
 
 /// `out[i] = a[i] & b[i]` over the common prefix, zero beyond it
 /// (`out.len() == a.len()` required); returns the popcount of `out`.
 #[inline]
 pub fn and_into_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
-    and_into_count_with(active_tier(), a, b, out)
-}
-
-/// [`and_into_count`] on an explicit tier.
-pub fn and_into_count_with(tier: Tier, a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
     assert_eq!(a.len(), out.len(), "intersection output must cover the receiver");
-    match effective(tier) {
-        Tier::Scalar => scalar::and_into_count(a, b, out),
-        Tier::Unrolled => unrolled::and_into_count(a, b, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by `effective` (see above).
-        Tier::Vector => unsafe { avx2::and_into_count(a, b, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Vector => unrolled::and_into_count(a, b, out),
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == Tier::Vector {
+        // SAFETY: AVX2 detected at runtime (see `popcount`); `out`
+        // covers every word the kernel stores (asserted above).
+        return unsafe { avx2::and_into_count(a, b, out) };
     }
+    scalar::and_into_count(a, b, out)
 }
 
 /// `out[i] = a[i] & !b[i]` over the common prefix, `a[i]` beyond it
 /// (`out.len() == a.len()` required); returns the popcount of `out`.
 #[inline]
 pub fn andnot_into_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
-    andnot_into_count_with(active_tier(), a, b, out)
-}
-
-/// [`andnot_into_count`] on an explicit tier.
-pub fn andnot_into_count_with(tier: Tier, a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
     assert_eq!(a.len(), out.len(), "difference output must cover the receiver");
-    match effective(tier) {
-        Tier::Scalar => scalar::andnot_into_count(a, b, out),
-        Tier::Unrolled => unrolled::andnot_into_count(a, b, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by `effective` (see above).
-        Tier::Vector => unsafe { avx2::andnot_into_count(a, b, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Vector => unrolled::andnot_into_count(a, b, out),
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == Tier::Vector {
+        // SAFETY: AVX2 detected at runtime (see `popcount`); `out`
+        // covers every word the kernel stores (asserted above).
+        return unsafe { avx2::andnot_into_count(a, b, out) };
     }
+    scalar::andnot_into_count(a, b, out)
 }
 
 /// Set every word of `dst` to all-ones; returns how many bits were
@@ -278,31 +231,28 @@ pub fn copy_into_count(src: &[u64], dst: &mut [u64]) -> u64 {
 /// descendant/following sparse materialization kernel.
 #[inline]
 pub fn extend_id_run(out: &mut Vec<NodeId>, lo: u32, hi: u32) {
-    extend_id_run_with(active_tier(), out, lo, hi);
-}
-
-/// [`extend_id_run`] on an explicit tier.
-pub fn extend_id_run_with(tier: Tier, out: &mut Vec<NodeId>, lo: u32, hi: u32) {
     if lo >= hi {
         return;
     }
-    match effective(tier) {
-        Tier::Scalar | Tier::Unrolled => out.extend((lo..hi).map(NodeId)),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 verified by `effective` (see above).
-        Tier::Vector => unsafe { avx2::extend_id_run(out, lo, hi) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Vector => out.extend((lo..hi).map(NodeId)),
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == Tier::Vector {
+        // SAFETY: AVX2 detected at runtime (see `popcount`).
+        return unsafe { avx2::extend_id_run(out, lo, hi) };
     }
+    scalar::extend_id_run(out, lo, hi);
 }
 
-// ----- scalar reference kernels -----
+/// The scalar reference kernels: the semantics of each dispatched
+/// kernel of the same name, one word (or id) at a time.
+pub mod scalar {
+    use crate::node::NodeId;
 
-mod scalar {
+    /// Total set bits in `words`.
     pub fn popcount(words: &[u64]) -> u64 {
         words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
+    /// See [`super::or_assign_count`].
     pub fn or_assign_count(dst: &mut [u64], src: &[u64]) -> u64 {
         let n = dst.len().min(src.len());
         let mut count = 0u64;
@@ -313,6 +263,7 @@ mod scalar {
         count + popcount(&dst[n..])
     }
 
+    /// See [`super::andnot_assign_count`].
     pub fn andnot_assign_count(dst: &mut [u64], src: &[u64]) -> u64 {
         let n = dst.len().min(src.len());
         let mut count = 0u64;
@@ -323,6 +274,7 @@ mod scalar {
         count + popcount(&dst[n..])
     }
 
+    /// See [`super::and_into_count`].
     pub fn and_into_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
         let n = a.len().min(b.len());
         let mut count = 0u64;
@@ -335,6 +287,7 @@ mod scalar {
         count
     }
 
+    /// See [`super::andnot_into_count`].
     pub fn andnot_into_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
         let n = a.len().min(b.len());
         let mut count = 0u64;
@@ -349,112 +302,10 @@ mod scalar {
         }
         count
     }
-}
 
-// ----- portable 4-wide unrolled kernels -----
-
-mod unrolled {
-    pub fn popcount(words: &[u64]) -> u64 {
-        let mut acc = [0u64; 4];
-        let mut chunks = words.chunks_exact(4);
-        for c in &mut chunks {
-            acc[0] += u64::from(c[0].count_ones());
-            acc[1] += u64::from(c[1].count_ones());
-            acc[2] += u64::from(c[2].count_ones());
-            acc[3] += u64::from(c[3].count_ones());
-        }
-        let mut total = acc[0] + acc[1] + acc[2] + acc[3];
-        for &w in chunks.remainder() {
-            total += u64::from(w.count_ones());
-        }
-        total
-    }
-
-    pub fn or_assign_count(dst: &mut [u64], src: &[u64]) -> u64 {
-        let n = dst.len().min(src.len());
-        let (head, tail) = dst.split_at_mut(n);
-        let mut acc = [0u64; 4];
-        let mut d = head.chunks_exact_mut(4);
-        let mut s = src[..n].chunks_exact(4);
-        for (dc, sc) in (&mut d).zip(&mut s) {
-            for l in 0..4 {
-                dc[l] |= sc[l];
-                acc[l] += u64::from(dc[l].count_ones());
-            }
-        }
-        let mut total = acc[0] + acc[1] + acc[2] + acc[3];
-        for (w, &o) in d.into_remainder().iter_mut().zip(s.remainder()) {
-            *w |= o;
-            total += u64::from(w.count_ones());
-        }
-        total + popcount(tail)
-    }
-
-    pub fn andnot_assign_count(dst: &mut [u64], src: &[u64]) -> u64 {
-        let n = dst.len().min(src.len());
-        let (head, tail) = dst.split_at_mut(n);
-        let mut acc = [0u64; 4];
-        let mut d = head.chunks_exact_mut(4);
-        let mut s = src[..n].chunks_exact(4);
-        for (dc, sc) in (&mut d).zip(&mut s) {
-            for l in 0..4 {
-                dc[l] &= !sc[l];
-                acc[l] += u64::from(dc[l].count_ones());
-            }
-        }
-        let mut total = acc[0] + acc[1] + acc[2] + acc[3];
-        for (w, &o) in d.into_remainder().iter_mut().zip(s.remainder()) {
-            *w &= !o;
-            total += u64::from(w.count_ones());
-        }
-        total + popcount(tail)
-    }
-
-    pub fn and_into_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
-        let n = a.len().min(b.len());
-        let mut acc = [0u64; 4];
-        let mut i = 0;
-        while i + 4 <= n {
-            for l in 0..4 {
-                let w = a[i + l] & b[i + l];
-                out[i + l] = w;
-                acc[l] += u64::from(w.count_ones());
-            }
-            i += 4;
-        }
-        let mut total = acc[0] + acc[1] + acc[2] + acc[3];
-        for j in i..n {
-            let w = a[j] & b[j];
-            out[j] = w;
-            total += u64::from(w.count_ones());
-        }
-        out[n..].fill(0);
-        total
-    }
-
-    pub fn andnot_into_count(a: &[u64], b: &[u64], out: &mut [u64]) -> u64 {
-        let n = a.len().min(b.len());
-        let mut acc = [0u64; 4];
-        let mut i = 0;
-        while i + 4 <= n {
-            for l in 0..4 {
-                let w = a[i + l] & !b[i + l];
-                out[i + l] = w;
-                acc[l] += u64::from(w.count_ones());
-            }
-            i += 4;
-        }
-        let mut total = acc[0] + acc[1] + acc[2] + acc[3];
-        for j in i..n {
-            let w = a[j] & !b[j];
-            out[j] = w;
-            total += u64::from(w.count_ones());
-        }
-        for j in n..a.len() {
-            out[j] = a[j];
-            total += u64::from(a[j].count_ones());
-        }
-        total
+    /// See [`super::extend_id_run`].
+    pub fn extend_id_run(out: &mut Vec<NodeId>, lo: u32, hi: u32) {
+        out.extend((lo..hi).map(NodeId));
     }
 }
 
@@ -646,16 +497,113 @@ mod avx2 {
     }
 }
 
+// The kernel differential suite: every implementation must return the
+// scalar reference's bits on fixed adversarial shapes and on 512 seeded
+// random draws per kernel family.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng;
+    use crate::rng::{splitmix64, Rng};
 
-    const TIERS: [Tier; 3] = [Tier::Scalar, Tier::Unrolled, Tier::Vector];
+    /// One implementation of the six dispatched kernels, as plain function
+    /// pointers so one loop can run each against the scalar reference.
+    struct Kernels {
+        name: &'static str,
+        popcount: fn(&[u64]) -> u64,
+        or_assign_count: fn(&mut [u64], &[u64]) -> u64,
+        andnot_assign_count: fn(&mut [u64], &[u64]) -> u64,
+        and_into_count: fn(&[u64], &[u64], &mut [u64]) -> u64,
+        andnot_into_count: fn(&[u64], &[u64], &mut [u64]) -> u64,
+        extend_id_run: fn(&mut Vec<NodeId>, u32, u32),
+    }
+
+    /// The implementations under test: the dispatched entry points, plus
+    /// the AVX2 kernels called directly whenever the CPU has AVX2,
+    /// whatever `GKP_NO_SIMD` pins.
+    fn implementations() -> Vec<Kernels> {
+        let mut out = vec![Kernels {
+            name: "dispatched",
+            popcount,
+            or_assign_count,
+            andnot_assign_count,
+            and_into_count,
+            andnot_into_count,
+            extend_id_run,
+        }];
+        #[cfg(target_arch = "x86_64")]
+        if vector_available() {
+            // SAFETY (every closure below): `vector_available()` just
+            // confirmed AVX2 at runtime, all the `#[target_feature]`
+            // kernels need; the into-kernels are only handed an `out` as
+            // long as `a` (`check_binary`), and id runs have `lo <= hi`.
+            out.push(Kernels {
+                name: "avx2",
+                popcount: |w| unsafe { avx2::popcount(w) },
+                or_assign_count: |d, s| unsafe { avx2::or_assign_count(d, s) },
+                andnot_assign_count: |d, s| unsafe { avx2::andnot_assign_count(d, s) },
+                and_into_count: |a, b, o| unsafe { avx2::and_into_count(a, b, o) },
+                andnot_into_count: |a, b, o| unsafe { avx2::andnot_into_count(a, b, o) },
+                extend_id_run: |v, lo, hi| unsafe { avx2::extend_id_run(v, lo, hi) },
+            });
+        }
+        out
+    }
+
+    /// Every implementation's popcount of `words` equals the scalar one.
+    fn check_unary(words: &[u64]) {
+        let want = scalar::popcount(words);
+        for k in implementations() {
+            assert_eq!((k.popcount)(words), want, "{} popcount len {}", k.name, words.len());
+        }
+    }
+
+    /// Every implementation of the four binary kernels leaves the scalar
+    /// reference's words and count on `a`, `b`. Outputs start all-ones, so
+    /// a word the kernel should write but skips shows.
+    fn check_binary(a: &[u64], b: &[u64]) {
+        let lens = format!("|a|={} |b|={}", a.len(), b.len());
+        let mut or_ref = a.to_vec();
+        let or_count = scalar::or_assign_count(&mut or_ref, b);
+        let mut andnot_ref = a.to_vec();
+        let andnot_count = scalar::andnot_assign_count(&mut andnot_ref, b);
+        let mut and_ref = vec![u64::MAX; a.len()];
+        let and_count = scalar::and_into_count(a, b, &mut and_ref);
+        let mut diff_ref = vec![u64::MAX; a.len()];
+        let diff_count = scalar::andnot_into_count(a, b, &mut diff_ref);
+        for k in implementations() {
+            let name = k.name;
+            let mut dst = a.to_vec();
+            assert_eq!((k.or_assign_count)(&mut dst, b), or_count, "{name} or count {lens}");
+            assert_eq!(dst, or_ref, "{name} or words {lens}");
+            let mut dst = a.to_vec();
+            let count = (k.andnot_assign_count)(&mut dst, b);
+            assert_eq!(count, andnot_count, "{name} andnot count {lens}");
+            assert_eq!(dst, andnot_ref, "{name} andnot words {lens}");
+            let mut out = vec![u64::MAX; a.len()];
+            assert_eq!((k.and_into_count)(a, b, &mut out), and_count, "{name} and count {lens}");
+            assert_eq!(out, and_ref, "{name} and words {lens}");
+            let mut out = vec![u64::MAX; a.len()];
+            let count = (k.andnot_into_count)(a, b, &mut out);
+            assert_eq!(count, diff_count, "{name} andnot_into count {lens}");
+            assert_eq!(out, diff_ref, "{name} andnot_into words {lens}");
+        }
+    }
+
+    /// Every implementation appends exactly `lo..hi` after an existing
+    /// element.
+    fn check_id_run(lo: u32, hi: u32) {
+        let mut want = vec![NodeId(42)];
+        scalar::extend_id_run(&mut want, lo, hi);
+        for k in implementations() {
+            let mut out = vec![NodeId(42)];
+            (k.extend_id_run)(&mut out, lo, hi);
+            assert_eq!(out, want, "{} run {lo}..{hi}", k.name);
+        }
+    }
 
     /// Adversarial word-buffer shapes: empty, single word, unaligned
     /// tails around the 4- and 8-word chunk boundaries, all-ones,
-    /// alternating masks, sparse single bits.
+    /// alternating masks, sparse single bits, zero holes.
     fn shapes() -> Vec<Vec<u64>> {
         let mut out: Vec<Vec<u64>> = vec![
             vec![],
@@ -679,77 +627,90 @@ mod tests {
         out
     }
 
+    /// Lengths that straddle every lane boundary of the AVX2 step.
+    const LENGTHS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 100];
+
+    /// A deterministic word buffer of length `len` with shape `kind`
+    /// (random, all-ones, alternating, zero-holed, sparse).
+    fn words(seed: u64, len: usize, kind: u64) -> Vec<u64> {
+        (0..len as u64)
+            .map(|i| {
+                let w = splitmix64(seed ^ splitmix64(i));
+                match kind % 5 {
+                    0 => w,
+                    1 => u64::MAX,
+                    2 => 0xAAAA_AAAA_AAAA_AAAA,
+                    // Zero-holed: ~1/3 of words vanish entirely.
+                    3 => w * u64::from(!w.is_multiple_of(3)),
+                    _ => w & splitmix64(w),
+                }
+            })
+            .collect()
+    }
+
+    /// Arbitrary word buffers (any length below `max`, any bits), 512 draws.
+    fn random_buffers(seed: u64, max: usize) -> impl Iterator<Item = Vec<u64>> {
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..512).map(move |_| {
+            let len = rng.random_range(0..max);
+            (0..len).map(|_| rng.next_u64()).collect()
+        })
+    }
+
     #[test]
-    fn all_tiers_agree_on_popcount() {
-        for words in shapes() {
-            let want_pop = popcount_with(Tier::Scalar, &words);
-            for t in TIERS {
-                assert_eq!(
-                    popcount_with(t, &words),
-                    want_pop,
-                    "{t:?} popcount len {}",
-                    words.len()
-                );
+    fn popcount_matches_scalar_on_fixed_shapes() {
+        for w in shapes() {
+            check_unary(&w);
+        }
+        for &len in LENGTHS {
+            for kind in 0..5 {
+                check_unary(&words(splitmix64(len as u64 ^ kind), len, kind));
             }
         }
     }
 
     #[test]
-    fn all_tiers_agree_on_binary_ops() {
-        let shapes = shapes();
-        for (si, a) in shapes.iter().enumerate() {
-            // Pair each shape with a same-length, a shorter and a longer
-            // partner to exercise every prefix/tail combination.
+    fn binary_kernels_match_scalar_on_fixed_shapes() {
+        // Each buffer meets a same-length, a shorter and a longer partner,
+        // covering every prefix/tail combination.
+        for (si, a) in shapes().iter().enumerate() {
             let mut rng = Rng::seed_from_u64(si as u64 ^ 0xDEAD);
             for blen in [a.len(), a.len() / 2, a.len() + 3] {
                 let b: Vec<u64> = (0..blen).map(|_| rng.next_u64()).collect();
-                // Reference results from the scalar kernels.
-                let mut or_ref = a.clone();
-                let or_count = or_assign_count_with(Tier::Scalar, &mut or_ref, &b);
-                let mut andnot_ref = a.clone();
-                let andnot_count = andnot_assign_count_with(Tier::Scalar, &mut andnot_ref, &b);
-                let mut and_out_ref = vec![0u64; a.len()];
-                let and_count = and_into_count_with(Tier::Scalar, a, &b, &mut and_out_ref);
-                let mut diff_out_ref = vec![0u64; a.len()];
-                let diff_count = andnot_into_count_with(Tier::Scalar, a, &b, &mut diff_out_ref);
-                for t in TIERS {
-                    let mut d = a.clone();
-                    assert_eq!(or_assign_count_with(t, &mut d, &b), or_count, "{t:?} or count");
-                    assert_eq!(d, or_ref, "{t:?} or words, |a|={} |b|={}", a.len(), b.len());
-                    let mut d = a.clone();
-                    assert_eq!(
-                        andnot_assign_count_with(t, &mut d, &b),
-                        andnot_count,
-                        "{t:?} andnot count"
-                    );
-                    assert_eq!(d, andnot_ref, "{t:?} andnot words");
-                    let mut out = vec![u64::MAX; a.len()];
-                    assert_eq!(and_into_count_with(t, a, &b, &mut out), and_count, "{t:?} and");
-                    assert_eq!(out, and_out_ref, "{t:?} and words");
-                    let mut out = vec![u64::MAX; a.len()];
-                    assert_eq!(
-                        andnot_into_count_with(t, a, &b, &mut out),
-                        diff_count,
-                        "{t:?} diff"
-                    );
-                    assert_eq!(out, diff_out_ref, "{t:?} diff words");
-                }
+                check_binary(a, &b);
+            }
+        }
+        for &len in LENGTHS {
+            for other in [len, len / 2, len + 3] {
+                let a = words(0xA5A5 ^ len as u64, len, 0);
+                check_binary(&a, &words(0x5A5A ^ other as u64, other, 4));
             }
         }
     }
 
     #[test]
-    fn id_runs_match_the_scalar_writer() {
-        for (lo, hi) in
-            [(0u32, 0u32), (5, 5), (0, 1), (3, 10), (0, 8), (1, 9), (100, 163), (7, 200)]
-        {
-            let want: Vec<NodeId> = (lo..hi).map(NodeId).collect();
-            for t in TIERS {
-                let mut out = vec![NodeId(42)];
-                extend_id_run_with(t, &mut out, lo, hi);
-                assert_eq!(out[0], NodeId(42), "{t:?} preserves the prefix");
-                assert_eq!(&out[1..], &want[..], "{t:?} run {lo}..{hi}");
-            }
+    fn id_runs_match_scalar() {
+        // Runs crossing the 8-lane step, 1-element runs and empty runs.
+        let cases: &[(u32, u32)] = &[(0, 0), (5, 5), (7, 7), (0, 1), (3, 10), (5, 13), (0, 8)];
+        let more: &[(u32, u32)] = &[(1, 9), (1, 64), (60, 68), (100, 163), (7, 200), (100, 356)];
+        for &(lo, hi) in cases.iter().chain(more) {
+            check_id_run(lo, hi);
+        }
+    }
+
+    #[test]
+    fn kernels_match_scalar_on_random_buffers() {
+        for w in random_buffers(1, 200) {
+            check_unary(&w);
+        }
+        // Independent lengths, so the common prefix and both tails vary.
+        for (a, b) in random_buffers(2, 120).zip(random_buffers(3, 120)) {
+            check_binary(&a, &b);
+        }
+        let mut rng = Rng::seed_from_u64(4);
+        for _ in 0..512 {
+            let lo = rng.random_range(0..1_000u32);
+            check_id_run(lo, lo + rng.random_range(0..300u32));
         }
     }
 
@@ -766,14 +727,32 @@ mod tests {
     }
 
     #[test]
+    fn no_simd_env_pins_scalar_on_anything_but_auto() {
+        for (value, want) in [
+            (None, Tier::Vector),
+            (Some(""), Tier::Vector),
+            (Some(" "), Tier::Vector),
+            (Some("0"), Tier::Vector),
+            (Some("false"), Tier::Vector),
+            (Some("FALSE"), Tier::Vector),
+            (Some("auto"), Tier::Vector),
+            (Some(" Auto "), Tier::Vector),
+            (Some("1"), Tier::Scalar),
+            (Some("scalar"), Tier::Scalar),
+            (Some("yes"), Tier::Scalar),
+        ] {
+            assert_eq!(parse_no_simd_env(value, true), want, "{value:?} with AVX2");
+            // Without vector support every value resolves to scalar.
+            assert_eq!(parse_no_simd_env(value, false), Tier::Scalar, "{value:?} without AVX2");
+        }
+    }
+
+    #[test]
     fn tier_names_and_detection_are_consistent() {
         assert_eq!(Tier::Scalar.name(), "scalar");
-        assert_eq!(Tier::Unrolled.name(), "unrolled");
         assert_eq!(Tier::Vector.name(), "vector");
-        // The active tier is always runnable: requesting it explicitly
-        // must not downgrade.
-        let t = active_tier();
-        assert_eq!(effective(t), t, "active tier must be supported");
+        // The vector tier is only ever active where it can run.
+        assert!(active_tier() == Tier::Scalar || vector_available());
         // Feature detection returns a stable probe list on x86-64.
         if cfg!(all(target_arch = "x86_64", not(miri))) {
             assert!(detected_features().iter().any(|&(n, _)| n == "avx2"));

@@ -110,9 +110,11 @@
 //!                           every mode, including batches and --repeat
 //!       --bench-info        print the detected CPU features, the kernel
 //!                           dispatch tier the word-sweep kernels will run
-//!                           on (scalar / unrolled / vector), the
-//!                           GKP_NO_SIMD override state and the resolved
-//!                           thread budget, then exit (no query needed)
+//!                           on (scalar / vector), the GKP_NO_SIMD
+//!                           override state (any value but unset, empty,
+//!                           0, false or auto pins scalar) and the
+//!                           resolved thread budget, then exit (no query
+//!                           needed)
 //! ```
 //!
 //! The tool follows the two-phase API: queries are **compiled once**
@@ -181,7 +183,7 @@ fn usage() -> &'static str {
      --exists/--first/--limit: early-exit evaluation via the lazy cursor (single node-set query); exit 1 = no match, 2 = evaluation error\n\
      --timeout-ms: deadline for the whole evaluation; exits 124 when it trips\n\
      --snapshot: evaluate against an mmap'd snapshot file instead of XML (see `xpq snapshot`)\n\
-     --bench-info: print detected CPU features, the active kernel tier, the GKP_NO_SIMD state and the thread budget, then exit\n\
+     --bench-info: print detected CPU features, the active kernel tier (scalar / vector), the GKP_NO_SIMD state and the thread budget, then exit\n\
      snapshot subcommand: xpq snapshot (build [--ns] <XML> <SNAP> | info <SNAP> | verify <SNAP>)"
 }
 
