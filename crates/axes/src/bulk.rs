@@ -19,10 +19,19 @@
 //!   chain into a sorted vector when the input is a single node — `O(chain)`,
 //!   which keeps the lazy cursor's per-candidate witness walks cheap —
 //!   and otherwise mark every chain into a dense bitset, stopping at the
-//!   first node an earlier chain already marked;
+//!   first node an earlier chain already marked; a sibling axis on an
+//!   input below the node set's density rule instead walks one run per
+//!   parent straight into a vector in document order;
 //! * **link-array axes** (`self`, `child`, `parent`, `attribute`,
 //!   `namespace`, `id`) walk the flat `u32` link arrays into sorted
 //!   vectors.
+//!
+//! `child`, `attribute`, `namespace` and `following-sibling` have no link
+//! column of their own: they walk the interval hop over the subtree ends
+//! ([`Document::children`], [`Document::following_siblings`]), bounded by
+//! the parent's end. Every range and hop is clamped to the document, so a
+//! damaged quick-opened snapshot yields wrong answers, never a panic or a
+//! hang.
 //!
 //! [`axis_set_traced`] and [`inverse_axis_set_traced`] also report which
 //! [`Kernel`] materialized the result, for the evaluator's planner tally.
@@ -91,12 +100,10 @@ pub fn is_special(special: &[u64], id: u32) -> bool {
 fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Kernel) {
     let n = doc.len() as u32;
     let parent = doc.parent_ids();
-    let first_child = doc.first_child_ids();
-    let next_sibling = doc.next_sibling_ids();
     let subtree_end = doc.subtree_ends();
+    let up = |x: u32| parent[x as usize];
     // The §4 strip mask of a typed axis (`&[]` strips nothing).
     let strip: &[u64] = if typed { doc.special_words() } else { &[] };
-    let up = |x: u32| parent[x as usize];
     match axis {
         Axis::Descendant | Axis::DescendantOrSelf => {
             // Staircase join over the (sorted) preorder intervals: an
@@ -112,13 +119,21 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
                 }
                 next_free = next_free.max(hi);
             }
+            if next_free > n {
+                // Only damaged intervals end past the document: clip them.
+                ranges.retain_mut(|r| {
+                    r.1 = r.1.min(n);
+                    r.0 < r.1
+                });
+                len = ranges.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
+            }
             let out = from_ranges(&ranges, len, n, strip);
             pool::give_ranges(ranges);
             out
         }
         Axis::Following => {
             // following(S) = [min_{x∈S} subtree_end(x), |dom|).
-            let lo = set.iter().map(|x| subtree_end[x.index()]).min().unwrap_or(n);
+            let lo = set.iter().map(|x| subtree_end[x.index()]).min().unwrap_or(n).min(n);
             from_ranges(&[(lo, n)], (n - lo) as usize, n, strip)
         }
         Axis::Preceding => {
@@ -146,16 +161,31 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
             pool::give_ranges(ranges);
             out
         }
-        Axis::Ancestor => chains(set, n, strip, true, |x| parent[x as usize], up),
-        Axis::AncestorOrSelf => chains(set, n, strip, true, |x| x, up),
+        Axis::Ancestor => chains(set, n, strip, true, up, |_| NONE, up),
+        Axis::AncestorOrSelf => chains(set, n, strip, true, |x| x, |_| NONE, up),
+        // Below the node set's density rule a sibling pass walks runs into
+        // a vector; at or above it, `chains` marks a bitset.
+        Axis::FollowingSibling | Axis::PrecedingSibling
+            if (2..NodeSet::dense_threshold(n)).contains(&set.len()) =>
+        {
+            let prev_sibling = doc.prev_sibling_ids();
+            if axis == Axis::PrecedingSibling {
+                sibling_runs::<true>(set, parent, subtree_end, prev_sibling, strip)
+            } else {
+                sibling_runs::<false>(set, parent, subtree_end, prev_sibling, strip)
+            }
+        }
         Axis::FollowingSibling => {
-            let right = |x: u32| next_sibling[x as usize];
-            chains(set, n, strip, false, right, right)
+            // The run after `x` is the hop from `subtree_end(x)` inside
+            // its parent's interval.
+            let end = |x: u32| run_end(subtree_end, up(x));
+            let right = |x: u32| subtree_end[x as usize];
+            chains(set, n, strip, false, right, end, right)
         }
         Axis::PrecedingSibling => {
             let prev_sibling = doc.prev_sibling_ids();
             let left = |x: u32| prev_sibling[x as usize];
-            chains(set, n, strip, true, left, left)
+            chains(set, n, strip, true, left, |_| NONE, left)
         }
         Axis::SelfAxis => {
             let mut out = set.clone();
@@ -173,18 +203,31 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
             let mut prev = NONE;
             let mut sorted = true;
             for x in set {
-                let mut c = first_child[x.index()];
-                while c != NONE {
+                // The hop from `x + 1` inside `x`'s interval (as in
+                // `Document::children`, with the column read once).
+                let (mut c, end) = (x.0 + 1, subtree_end[x.index()]);
+                if c >= end {
+                    continue; // a leaf
+                }
+                let end = end.min(n);
+                while c < end {
                     if !typed || !is_special(strip, c) {
                         sorted &= prev == NONE || c > prev;
                         prev = c;
                         out.push(NodeId(c));
                     }
-                    c = next_sibling[c as usize];
+                    let next = subtree_end[c as usize];
+                    if !hop_stays(c, next, end) {
+                        break;
+                    }
+                    c = next;
                 }
             }
             if !sorted {
+                // The dedup is for damaged intervals, which can repeat a
+                // child.
                 out.sort_unstable();
+                out.dedup();
             }
             (NodeSet::from_sorted(out), Kernel::BulkSparse)
         }
@@ -193,13 +236,7 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
                 if axis == Axis::Attribute { NodeKind::Attribute } else { NodeKind::Namespace };
             let mut out = pool::take_ids();
             for x in set {
-                let mut c = first_child[x.index()];
-                while c != NONE {
-                    if doc.kind(NodeId(c)) == want {
-                        out.push(NodeId(c));
-                    }
-                    c = next_sibling[c as usize];
-                }
+                out.extend(doc.children(x).filter(|&c| doc.kind(c) == want));
             }
             (NodeSet::from_unsorted(out), Kernel::BulkSparse)
         }
@@ -222,6 +259,93 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
     }
 }
 
+/// Does the interval hop from `c` to `next` stay inside a run that ends
+/// at `end` (`c < end ≤` the column length)? That is `c < next < end`
+/// in one unsigned compare: a hop that does not advance, which only
+/// damaged intervals hold, wraps around and fails it, so every walk ends
+/// in bounds without a second test on the loop-carried hop.
+#[inline]
+fn hop_stays(c: u32, next: u32, end: u32) -> bool {
+    next.wrapping_sub(c + 1) < end.wrapping_sub(c + 1)
+}
+
+/// `following-sibling` (or, `DESCENDING`, `preceding-sibling`) of a
+/// sparse input (two or more nodes, below [`NodeSet::dense_threshold`]),
+/// emitted in document order with no bitset over the document and no
+/// sort.
+///
+/// Inputs with one parent share the run after the first of them (before
+/// the last), so only that input starts a run. Runs of distinct parents
+/// are disjoint and nest: a run started later lies inside the subtree of
+/// one node of each run still open. So the open runs form a stack,
+/// innermost last, whose next nodes grow outward, and taking the inputs
+/// in chain order, each input first emits every open node on its near
+/// side, innermost run first. The pass is `O(|S| + |output|)`.
+fn sibling_runs<const DESCENDING: bool>(
+    set: &NodeSet,
+    parent: &[u32],
+    subtree_end: &[u32],
+    prev_sibling: &[u32],
+    strip: &[u64],
+) -> (NodeSet, Kernel) {
+    // Each open run's next node and the end of its parent's interval.
+    let mut open = pool::take_ranges();
+    let mut out = pool::take_ids();
+    // Emit the open nodes before `y` in chain order (all of them when
+    // `y` is `None`), dropping the runs that end.
+    let flush = |open: &mut Vec<(u32, u32)>, out: &mut Vec<NodeId>, y: Option<u32>| {
+        while let Some((c, end)) = open.last_mut() {
+            while *c < *end && y.is_none_or(|y| if DESCENDING { *c > y } else { *c < y }) {
+                if strip.is_empty() || !is_special(strip, *c) {
+                    out.push(NodeId(*c));
+                }
+                let next =
+                    if DESCENDING { prev_sibling[*c as usize] } else { subtree_end[*c as usize] };
+                *c = if DESCENDING || hop_stays(*c, next, *end) { next } else { *end };
+            }
+            if *c < *end {
+                return;
+            }
+            open.pop();
+        }
+    };
+    let ids = set.to_vec();
+    for i in 0..ids.len() {
+        let y = ids[if DESCENDING { ids.len() - 1 - i } else { i }].0;
+        flush(&mut open, &mut out, Some(y));
+        let p = parent[y as usize];
+        // A live next node of the innermost run is a sibling of `y` iff
+        // `y`'s parent started it.
+        if open.last().is_some_and(|&(c, _)| parent[c as usize] == p) {
+            continue;
+        }
+        let run = if DESCENDING {
+            (prev_sibling[y as usize], NONE)
+        } else {
+            (subtree_end[y as usize], run_end(subtree_end, p))
+        };
+        if run.0 < run.1 {
+            open.push(run);
+        }
+    }
+    flush(&mut open, &mut out, None);
+    pool::give_ranges(open);
+    pool::give_ids(ids);
+    if DESCENDING {
+        out.reverse();
+    }
+    // Ascending unless damaged links broke the nesting.
+    (NodeSet::from_unsorted(out), Kernel::BulkSparse)
+}
+
+/// The exclusive end of a sibling run whose parent is `p`: `p`'s subtree
+/// end clamped to the column, or 0 (no run) for the root's `NONE` and
+/// for a parent link outside the document, which only damaged data holds.
+#[inline]
+fn run_end(subtree_end: &[u32], p: u32) -> u32 {
+    subtree_end.get(p as usize).map_or(0, |&e| e.min(subtree_end.len() as u32))
+}
+
 /// Materialize an interval axis's ranges; the representation
 /// [`NodeSet::from_ranges`] picked is the kernel that ran.
 fn from_ranges(ranges: &[(u32, u32)], len: usize, n: u32, specials: &[u64]) -> (NodeSet, Kernel) {
@@ -230,9 +354,12 @@ fn from_ranges(ranges: &[(u32, u32)], len: usize, n: u32, specials: &[u64]) -> (
     (out, kernel)
 }
 
-/// A pointer-chasing axis: `start(x)` is the first node of `x`'s chain
-/// (or `NONE`) and `next` follows it; `descending` says the chain runs
-/// toward smaller ids, and `strip` is the §4 mask a typed axis subtracts
+/// A chain axis: `start(x)` is the first node of `x`'s chain, `end(x)`
+/// the bound the chain stays below ([`NONE`] for a [`NONE`]-terminated
+/// link array), and `next` follows it; `descending` says the chain runs
+/// toward smaller ids — an ascending chain (the sibling hop) also ends at
+/// a step that does not advance ([`hop_stays`]).
+/// `strip` is the §4 mask a typed axis subtracts
 /// (`&[]` for an untyped one). A single input node walks its chain into a sorted vector; any
 /// other input marks every chain into a dense bitset, and a chain stops
 /// at the first node an earlier one marked (everything past it is marked
@@ -243,17 +370,24 @@ fn chains(
     strip: &[u64],
     descending: bool,
     start: impl Fn(u32) -> u32,
+    end: impl Fn(u32) -> u32,
     next: impl Fn(u32) -> u32,
 ) -> (NodeSet, Kernel) {
+    let goes_on =
+        |c: u32, to: u32, end: u32| if descending { to < end } else { hop_stays(c, to, end) };
     if set.len() == 1 {
         let x = set.first().expect("one element");
         let mut out = pool::take_ids();
-        let mut c = start(x.0);
-        while c != NONE {
+        let (mut c, end) = (start(x.0), end(x.0));
+        while c < end {
             if strip.is_empty() || !is_special(strip, c) {
                 out.push(NodeId(c));
             }
-            c = next(c);
+            let to = next(c);
+            if !goes_on(c, to, end) {
+                break;
+            }
+            c = to;
         }
         if descending {
             out.reverse();
@@ -263,9 +397,20 @@ fn chains(
     let mut out = NodeSet::empty_dense(n);
     for x in set {
         let mut c = start(x.0);
-        while c != NONE && !out.contains(NodeId(c)) {
+        // A marked first node means the rest of the chain is marked (or,
+        // past the end of a sibling run, that the run is empty): skip the
+        // bound, which costs the sibling hop a parent lookup.
+        if !descending && c < n && out.contains(NodeId(c)) {
+            continue;
+        }
+        let end = end(x.0);
+        while c < end && !out.contains(NodeId(c)) {
             out.insert(NodeId(c));
-            c = next(c);
+            let to = next(c);
+            if !goes_on(c, to, end) {
+                break;
+            }
+            c = to;
         }
     }
     if !strip.is_empty() {
@@ -412,8 +557,9 @@ mod tests {
 
     /// The witness-walk bound the lazy cursor relies on: on a document
     /// whose bitset is thousands of words, a single input node on a chain
-    /// axis walks its chain (never a pass over the document's words),
-    /// and two input nodes mark densely — both equal to Algorithm 3.2.
+    /// axis walks its chain (never a pass over the document's words);
+    /// two input nodes mark densely on the ancestor axes and walk their
+    /// runs into a vector on the sibling axes — all equal to Algorithm 3.2.
     #[test]
     fn single_node_chain_walks_stay_per_node_on_large_documents() {
         let doc = doc_balanced(10, 5, &["a", "b", "c", "d"]);
@@ -429,8 +575,41 @@ mod tests {
             }
             let pair = [inner, middle];
             let (got, kernel) = axis_set_traced(&doc, axis, &NodeSet::from_sorted(pair.to_vec()));
-            assert_eq!(kernel, Kernel::BulkDense, "{axis:?} from {pair:?}");
+            let sibling = matches!(axis, Axis::FollowingSibling | Axis::PrecedingSibling);
+            let want = if sibling { Kernel::BulkSparse } else { Kernel::BulkDense };
+            assert_eq!(kernel, want, "{axis:?} from {pair:?}");
             assert_eq!(got.to_vec(), crate::typed::eval_axis_alg32(&doc, axis, &pair));
+        }
+    }
+
+    /// `sibling_runs` takes every sibling-axis input from two nodes up to
+    /// the density threshold: on documents large enough for that range to
+    /// matter, sparse inputs of every size in it agree with Algorithm 3.2,
+    /// typed and untyped.
+    #[test]
+    fn sparse_sibling_runs_match_reference() {
+        let mut rng = Rng::seed_from_u64(26);
+        let cfg = RandomDocConfig { elements: 600, ..RandomDocConfig::default() };
+        for doc in [doc_balanced(4, 5, &["a", "b"]), doc_random(26, &cfg)] {
+            let n = doc.len() as u32;
+            let threshold = NodeSet::dense_threshold(n);
+            for size in [2, 3, 5, threshold / 2, threshold - 1] {
+                let mut ids: Vec<NodeId> =
+                    (0..size).map(|_| NodeId(rng.random_range(0..n))).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                let set = NodeSet::from_sorted(ids.clone());
+                for axis in [Axis::FollowingSibling, Axis::PrecedingSibling] {
+                    let (got, kernel) = axis_set_traced(&doc, axis, &set);
+                    assert_eq!(got.to_vec(), typed_reference(&doc, axis, &ids), "{axis:?} {size}");
+                    assert_eq!(kernel, Kernel::BulkSparse, "{axis:?} {size}");
+                    assert_eq!(
+                        axis_set_untyped(&doc, axis, &set).to_vec(),
+                        eval_axis_untyped(&doc, axis, &ids),
+                        "untyped {axis:?} {size}"
+                    );
+                }
+            }
         }
     }
 

@@ -87,13 +87,7 @@ pub fn axis_from_into(doc: &Document, axis: Axis, x: NodeId, out: &mut Vec<NodeI
             );
         }
         Axis::FollowingSibling => {
-            let mut cur = doc.next_sibling(x);
-            while let Some(s) = cur {
-                if !is_special(doc, s) {
-                    out.push(s);
-                }
-                cur = doc.next_sibling(s);
-            }
+            out.extend(doc.following_siblings(x).filter(|&s| !is_special(doc, s)));
         }
         Axis::PrecedingSibling => {
             let mut cur = doc.prev_sibling(x);
@@ -219,13 +213,11 @@ fn eval_axis_inner(doc: &Document, axis: Axis, set: &[NodeId], typed: bool) -> V
         Axis::FollowingSibling => {
             let mut mark = vec![false; doc.len()];
             for &x in set {
-                let mut cur = doc.next_sibling(x);
-                while let Some(s) = cur {
+                for s in doc.following_siblings(x) {
                     if mark[s.index()] {
                         break; // the rest of the sibling chain is marked
                     }
                     mark[s.index()] = true;
-                    cur = doc.next_sibling(s);
                 }
             }
             out.extend(

@@ -27,7 +27,7 @@
 //! the analyzer's verdict surfaces in `xpq --explain`).
 
 use xpath_syntax::Axis;
-use xpath_xml::{Document, NodeId, NodeKind, NodeSet, NONE};
+use xpath_xml::{Document, NodeId, NodeKind, NodeSet};
 
 use crate::bulk::is_special;
 
@@ -57,9 +57,10 @@ pub fn is_streamable(axis: Axis) -> bool {
 /// cursor pipeline is built on.
 ///
 /// The accumulated image is a dense bitset (pooled words, recycled on
-/// drop); interval axes write word-parallel range fills, pointer axes
-/// walk the flat link arrays with the same early exits as
-/// [`crate::bulk::axis_set`].
+/// drop); interval axes write word-parallel range fills, the child and
+/// sibling axes walk the same interval hops as [`crate::bulk::axis_set`]
+/// ([`Document::children`], [`Document::following_siblings`]), with the
+/// same early exits.
 #[derive(Clone, Debug)]
 pub struct StepStreamer {
     axis: Axis,
@@ -98,20 +99,16 @@ impl StepStreamer {
     /// across all `push` calls (the caller's block pipeline guarantees
     /// this; the staircase and chain early exits rely on it).
     pub fn push(&mut self, doc: &Document, x: NodeId) {
-        let first_child = doc.first_child_ids();
-        let next_sibling = doc.next_sibling_ids();
         match self.axis {
             Axis::SelfAxis => {
                 self.expanded.insert(x);
             }
             Axis::Child => {
                 let special = doc.special_words();
-                let mut c = first_child[x.index()];
-                while c != NONE {
-                    if !is_special(special, c) {
-                        self.expanded.insert(NodeId(c));
+                for c in doc.children(x) {
+                    if !is_special(special, c.0) {
+                        self.expanded.insert(c);
                     }
-                    c = next_sibling[c as usize];
                 }
             }
             Axis::Attribute | Axis::Namespace => {
@@ -120,17 +117,13 @@ impl StepStreamer {
                 } else {
                     NodeKind::Namespace
                 };
-                let mut c = first_child[x.index()];
-                while c != NONE {
-                    if doc.kind(NodeId(c)) == want {
-                        self.expanded.insert(NodeId(c));
-                    }
-                    c = next_sibling[c as usize];
+                for c in doc.children(x).filter(|&c| doc.kind(c) == want) {
+                    self.expanded.insert(c);
                 }
             }
             Axis::Descendant | Axis::DescendantOrSelf => {
                 let lo = if self.axis == Axis::Descendant { x.0 + 1 } else { x.0 };
-                let hi = doc.subtree_ends()[x.index()];
+                let hi = doc.subtree_ends()[x.index()].min(doc.len() as u32);
                 self.expanded.insert_range(lo.max(self.next_free), hi.max(self.next_free));
                 self.next_free = self.next_free.max(hi);
             }
@@ -144,13 +137,11 @@ impl StepStreamer {
                 }
             }
             Axis::FollowingSibling => {
-                let mut s = next_sibling[x.index()];
-                while s != NONE {
-                    if self.expanded.contains(NodeId(s)) {
-                        break; // the rest of the chain is marked
+                for s in doc.following_siblings(x) {
+                    if self.expanded.contains(s) {
+                        break; // the rest of the run is marked
                     }
-                    self.expanded.insert(NodeId(s));
-                    s = next_sibling[s as usize];
+                    self.expanded.insert(s);
                 }
             }
             // `new` refuses every other axis.

@@ -6,7 +6,8 @@
 //! * **axis_application** — the one axis kernel (`bulk::axis_set`) vs the
 //!   per-node `axis_from` loop (the seed's hot path) and the per-node set
 //!   algorithms (`fast::eval_axis`), across input densities, on a
-//!   ≥10k-node document. Every row carries the materialization the
+//!   ≥10k-node document, for the interval axes, `ancestor`, `child` and
+//!   both sibling axes. Every row carries the materialization the
 //!   kernel took (`kernel`) so each cell is attributable;
 //! * **simd** — the word sweeps under dense set operations (union,
 //!   intersect, difference, popcount over 4,096 words): the
@@ -185,9 +186,15 @@ fn measure_axis_cells(doc: &Document) -> Vec<AxisCell> {
         let mut rng = Rng::seed_from_u64(42);
         let ids: Vec<NodeId> = (0..n).filter(|_| rng.random_bool(density)).map(NodeId).collect();
         let sparse = NodeSet::from_sorted(ids.clone());
-        for axis in
-            [Axis::Descendant, Axis::Following, Axis::Preceding, Axis::Ancestor, Axis::Child]
-        {
+        for axis in [
+            Axis::Descendant,
+            Axis::Following,
+            Axis::Preceding,
+            Axis::Ancestor,
+            Axis::Child,
+            Axis::FollowingSibling,
+            Axis::PrecedingSibling,
+        ] {
             // Equality sanity check before timing.
             let (out, kernel) = bulk::axis_set_traced(doc, axis, &sparse);
             assert_eq!(out.to_vec(), per_node_loop(doc, axis, &ids), "{axis:?} density {density}");
@@ -744,8 +751,11 @@ fn early_exit_pass(big: &Document) -> Vec<String> {
 }
 
 /// Snapshot guard: an mmap load of the ≥1e5-node document must beat a
-/// cold parse by ≥100× (the point of the O(header) open), and the on-disk
-/// size must stay within 2× of the in-memory arenas.
+/// cold parse by ≥100× (the point of the O(header) open), the on-disk
+/// size must stay within 2× of the in-memory arenas, and a node must cost
+/// at most 25.2 bytes on disk (six `u32` columns and a kind byte, plus
+/// the mask bit and the text; `firstchild` and `nextsibling` are derived,
+/// not stored).
 fn snapshot_pass(big: &Document) -> Vec<String> {
     let c = measure_snapshot(big);
     let speedup = c.speedup_load();
@@ -769,6 +779,9 @@ fn snapshot_pass(big: &Document) -> Vec<String> {
             "snapshot: mmap load {}ns vs parse {}ns ({speedup:.0}x < 100x)",
             c.load_ns, c.parse_ns
         ));
+    }
+    if c.bytes_per_node() > 25.2 {
+        failures.push(format!("snapshot: {:.1} bytes/node on disk (> 25.2)", c.bytes_per_node()));
     }
     failures
 }

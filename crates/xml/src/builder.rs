@@ -5,7 +5,9 @@
 //!
 //! 1. nodes are emitted in document order, so `NodeId` order is `<doc`;
 //! 2. attribute and namespace children precede content children;
-//! 3. `subtree_end` ranges are correct preorder intervals;
+//! 3. `subtree_end` ranges are correct preorder intervals, each nested in
+//!    its parent's, so `firstchild` and `nextsibling` need no column of
+//!    their own (the document derives them from the intervals);
 //! 4. adjacent text children are merged (the data model has no adjacent
 //!    text siblings);
 //! 5. node values are appended to one contiguous text arena, so the
@@ -36,8 +38,6 @@ pub struct DocumentBuilder {
     value_off: Vec<u32>,
     value_len: Vec<u32>,
     parent: Vec<u32>,
-    first_child: Vec<u32>,
-    next_sibling: Vec<u32>,
     prev_sibling: Vec<u32>,
     subtree_end: Vec<u32>,
     /// The shared text arena values are appended to.
@@ -48,7 +48,7 @@ pub struct DocumentBuilder {
     name_ids: HashMap<Box<str>, NameId>,
     /// Stack of open elements (root is index 0, never popped).
     stack: Vec<NodeId>,
-    /// Last emitted child of each open node, for sibling linking.
+    /// Last emitted child of each open node, for `prev_sibling` linking.
     last_child: Vec<Option<NodeId>>,
     /// Whether the current open element already has content children (at
     /// which point attributes may no longer be added, mirroring XML syntax).
@@ -76,8 +76,6 @@ impl DocumentBuilder {
             value_off: vec![NONE],
             value_len: vec![0],
             parent: vec![NONE],
-            first_child: vec![NONE],
-            next_sibling: vec![NONE],
             prev_sibling: vec![NONE],
             subtree_end: vec![1],
             text: Vec::new(),
@@ -103,8 +101,6 @@ impl DocumentBuilder {
         self.value_off.reserve(additional);
         self.value_len.reserve(additional);
         self.parent.reserve(additional);
-        self.first_child.reserve(additional);
-        self.next_sibling.reserve(additional);
         self.prev_sibling.reserve(additional);
         self.subtree_end.reserve(additional);
     }
@@ -140,19 +136,9 @@ impl DocumentBuilder {
             }
         }
         self.parent.push(parent.0);
-        self.first_child.push(NONE);
-        self.next_sibling.push(NONE);
-        self.prev_sibling.push(NONE);
+        self.prev_sibling.push(self.last_child[self.stack.len() - 1].map_or(NONE, |p| p.0));
         self.subtree_end.push(id.0 + 1);
-        let slot = self.stack.len() - 1;
-        match self.last_child[slot] {
-            None => self.first_child[parent.index()] = id.0,
-            Some(prev) => {
-                self.next_sibling[prev.index()] = id.0;
-                self.prev_sibling[id.index()] = prev.0;
-            }
-        }
-        self.last_child[slot] = Some(id);
+        *self.last_child.last_mut().expect("non-empty") = Some(id);
         id
     }
 
@@ -295,8 +281,6 @@ impl DocumentBuilder {
             value_off: Arr::from_vec(self.value_off),
             value_len: Arr::from_vec(self.value_len),
             parent: Arr::from_vec(self.parent),
-            first_child: Arr::from_vec(self.first_child),
-            next_sibling: Arr::from_vec(self.next_sibling),
             prev_sibling: Arr::from_vec(self.prev_sibling),
             subtree_end: Arr::from_vec(self.subtree_end),
             special: Arr::from_vec(special),

@@ -12,21 +12,29 @@
 //! [`crate::snap`]) — share this single accessor code path; the only
 //! difference is where the bytes live.
 //!
-//! The tree itself is the primitive relations of Table I, one `u32` per
-//! node and relation, indexed by preorder id (`NodeId.0`):
+//! The tree itself is the primitive relations of Table I over preorder
+//! ids (`NodeId.0`). Three are stored, one `u32` per node; the two the
+//! paper builds its axes from are derived from them, because ids are
+//! preorder ranks and attribute and namespace nodes sit in the same
+//! sibling run as content children:
 //!
-//! | array | meaning | [`NONE`] at |
-//! |---|---|---|
-//! | `parent` | parent id | the root |
-//! | `first_child` | `firstchild` | leaves |
-//! | `next_sibling` | `nextsibling` | last siblings |
-//! | `prev_sibling` | `nextsibling⁻¹` | first siblings |
-//! | `subtree_end` | exclusive end of the preorder interval | — |
+//! | relation | meaning | [`NONE`] at | storage |
+//! |---|---|---|---|
+//! | `parent` | parent id | the root | stored |
+//! | `prev_sibling` | `nextsibling⁻¹` | first siblings | stored |
+//! | `subtree_end` | exclusive end of the preorder interval | — | stored |
+//! | `first_child` | `firstchild` | leaves | derived: `n+1` if `n+1 < subtree_end(n)` |
+//! | `next_sibling` | `nextsibling` | last siblings | derived: `subtree_end(n)` if `n` is not the root and `subtree_end(n) < subtree_end(parent(n))` |
 //!
-//! plus the `special` bitset (one bit per id) marking the attribute and
-//! namespace nodes that §4 filters out of every non-dedicated axis, so
-//! the typed strip of a range-shaped axis result is a word-parallel
-//! and-not. The set-at-a-time axis kernels of `xpath-axes` read these
+//! So the children of `n` are the interval hop `n+1`, `subtree_end(n+1)`,
+//! … while below `subtree_end(n)` ([`Children`]), which reads one column
+//! where a stored first-child/next-sibling walk read two.
+//! `prev_sibling` stays stored: deriving it walks up to O(depth) steps.
+//!
+//! Beside the links sits the `special` bitset (one bit per id) marking
+//! the attribute and namespace nodes that §4 filters out of every
+//! non-dedicated axis, so the typed strip of a range-shaped axis result
+//! is a word-parallel and-not. The set-at-a-time axis kernels of `xpath-axes` read these
 //! arrays directly ([`Document::parent_ids`] … [`Document::special_words`]);
 //! everything is built once by the [`DocumentBuilder`](crate::DocumentBuilder)
 //! or mapped from a snapshot.
@@ -59,6 +67,12 @@ pub struct NameId(pub u32);
 ///
 /// * all node arrays have the same length `n`; ids are preorder ranks;
 /// * link entries are `< n` or [`NONE`]; `subtree_end` entries are `≤ n`;
+/// * the intervals nest: every non-root `i` has `p = parent[i]` with
+///   `p < i < subtree_end[p]` and `subtree_end[i] ≤ subtree_end[p]`, and
+///   `p` is the innermost interval holding `i` — what the derived
+///   `first_child`/`next_sibling` rely on;
+/// * `prev_sibling[i]` is the previous node of `i`'s sibling run (the
+///   interval hop from `parent[i] + 1`), or [`NONE`] for the first;
 /// * `special` is [`special_mask`] of `kind`;
 /// * `value_off == NONE` means "no value"; otherwise
 ///   `value_off + value_len` is in bounds of `text` on char boundaries;
@@ -71,8 +85,6 @@ pub(crate) struct DocData {
     pub(crate) value_off: Arr<u32>,
     pub(crate) value_len: Arr<u32>,
     pub(crate) parent: Arr<u32>,
-    pub(crate) first_child: Arr<u32>,
-    pub(crate) next_sibling: Arr<u32>,
     pub(crate) prev_sibling: Arr<u32>,
     pub(crate) subtree_end: Arr<u32>,
     /// Attribute/namespace bitset, one bit per id ([`special_mask`]).
@@ -252,8 +264,6 @@ impl Document {
             + d.value_off.byte_len()
             + d.value_len.byte_len()
             + d.parent.byte_len()
-            + d.first_child.byte_len()
-            + d.next_sibling.byte_len()
             + d.prev_sibling.byte_len()
             + d.subtree_end.byte_len()
             + d.special.byte_len()
@@ -336,20 +346,6 @@ impl Document {
         self.data.parent.as_slice()
     }
 
-    /// Every node's first child id ([`NONE`] for a leaf), in document
-    /// order (the `firstchild` primitive as an array).
-    #[inline]
-    pub fn first_child_ids(&self) -> &[u32] {
-        self.data.first_child.as_slice()
-    }
-
-    /// Every node's next sibling id ([`NONE`] for a last sibling), in
-    /// document order (the `nextsibling` primitive as an array).
-    #[inline]
-    pub fn next_sibling_ids(&self) -> &[u32] {
-        self.data.next_sibling.as_slice()
-    }
-
     /// Every node's previous sibling id ([`NONE`] for a first sibling),
     /// in document order (`nextsibling⁻¹` as an array).
     #[inline]
@@ -357,7 +353,8 @@ impl Document {
         self.data.prev_sibling.as_slice()
     }
 
-    /// Every node's [`Self::subtree_end`], in document order.
+    /// Every node's [`Self::subtree_end`], in document order: the column
+    /// `firstchild` and `nextsibling` are derived from ([`Children`]).
     #[inline]
     pub fn subtree_ends(&self) -> &[u32] {
         self.data.subtree_end.as_slice()
@@ -426,15 +423,30 @@ impl Document {
 
     /// `firstchild` primitive: the first child in document order, or `None`.
     /// Includes attribute/namespace children of the abstract tree (§4).
+    /// Derived: `n+1` if it lies inside `n`'s interval.
     #[inline]
     pub fn first_child(&self, n: NodeId) -> Option<NodeId> {
-        Self::link(&self.data.first_child, n)
+        self.children(n).next()
     }
 
-    /// `nextsibling` primitive: the right neighbour, or `None`.
+    /// `nextsibling` primitive: the right neighbour, or `None`. Derived:
+    /// `subtree_end(n)` if it lies inside the parent's interval. Always
+    /// greater than `n`, so a chain of calls ends even on damaged data.
     #[inline]
     pub fn next_sibling(&self, n: NodeId) -> Option<NodeId> {
-        Self::link(&self.data.next_sibling, n)
+        let se = self.subtree_ends();
+        let e = se[n.index()];
+        (e > n.0 && e < self.parent_end(n)).then_some(NodeId(e))
+    }
+
+    /// The exclusive end of `n`'s sibling run: its parent's subtree end,
+    /// clamped to `len()`; 0 for the root (and for a parent link that
+    /// points outside the document, which only damaged data holds).
+    #[inline]
+    fn parent_end(&self, n: NodeId) -> u32 {
+        let se = self.subtree_ends();
+        let p = self.parent_ids()[n.index()];
+        se.get(p as usize).map_or(0, |&e| e.min(se.len() as u32))
     }
 
     /// `nextsibling⁻¹`: the left neighbour, or `None`.
@@ -474,8 +486,18 @@ impl Document {
 
     /// Iterate the children of `n` (abstract tree: includes attributes and
     /// namespace nodes, which precede content children).
+    #[inline]
     pub fn children(&self, n: NodeId) -> Children<'_> {
-        Children { doc: self, next: self.first_child(n) }
+        let se = self.subtree_ends();
+        Children::hop(se, n.0 + 1, se[n.index()])
+    }
+
+    /// Iterate the siblings after `n` in document order (abstract tree:
+    /// an attribute's run continues through the content children).
+    #[inline]
+    pub fn following_siblings(&self, n: NodeId) -> Children<'_> {
+        let se = self.subtree_ends();
+        Children::hop(se, se[n.index()], self.parent_end(n))
     }
 
     /// Iterate only the attribute children of `n`.
@@ -780,19 +802,51 @@ impl Refs<'_> {
     }
 }
 
-/// Iterator over the children of a node.
+/// Iterator over a run of siblings — the children of a node
+/// ([`Document::children`]) or the siblings after one
+/// ([`Document::following_siblings`]) — as the interval hop over the
+/// subtree-end column: `c`, `subtree_end(c)`, … while below the parent's
+/// end, which the iterator keeps, so a step reads one column.
+///
+/// Every walk ends in bounds whatever the column holds (a quick-opened
+/// snapshot is not checked for tree invariants): the end is clamped to
+/// the column's length once, and a hop that does not advance ends the
+/// walk.
+#[derive(Clone, Debug)]
 pub struct Children<'d> {
-    doc: &'d Document,
-    next: Option<NodeId>,
+    subtree_ends: &'d [u32],
+    next: u32,
+    end: u32,
+}
+
+impl<'d> Children<'d> {
+    /// The hop over `subtree_ends` ([`Document::subtree_ends`]) from
+    /// `first` while below `end`, the exclusive end of the parent's
+    /// interval.
+    #[inline]
+    pub(crate) fn hop(subtree_ends: &'d [u32], first: u32, end: u32) -> Children<'d> {
+        Children { subtree_ends, next: first, end: end.min(subtree_ends.len() as u32) }
+    }
 }
 
 impl Iterator for Children<'_> {
     type Item = NodeId;
 
+    #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        let cur = self.next?;
-        self.next = self.doc.next_sibling(cur);
-        Some(cur)
+        let c = self.next;
+        if c >= self.end {
+            return None;
+        }
+        let hop = self.subtree_ends[c as usize];
+        // A non-advancing hop (damaged data only) ends the walk. The test
+        // updates `end`, not `next`, so the hop chain itself carries no
+        // extra operation.
+        if hop <= c {
+            self.end = 0;
+        }
+        self.next = hop;
+        Some(NodeId(c))
     }
 }
 
@@ -971,21 +1025,32 @@ mod tests {
         }
         for d in &docs {
             let opt = |x: Option<NodeId>| x.map_or(NONE, |n| n.0);
-            let links = [
-                d.parent_ids(),
-                d.first_child_ids(),
-                d.next_sibling_ids(),
-                d.prev_sibling_ids(),
-                d.subtree_ends(),
-            ];
+            let links = [d.parent_ids(), d.prev_sibling_ids(), d.subtree_ends()];
             assert!(links.iter().all(|arr| arr.len() == d.len()));
             for id in d.all_nodes() {
                 let i = id.index();
                 assert_eq!(d.parent_ids()[i], opt(d.parent(id)));
-                assert_eq!(d.first_child_ids()[i], opt(d.first_child(id)));
-                assert_eq!(d.next_sibling_ids()[i], opt(d.next_sibling(id)));
                 assert_eq!(d.prev_sibling_ids()[i], opt(d.prev_sibling(id)));
                 assert_eq!(d.subtree_ends()[i], d.subtree_end(id));
+                // The derived links invert the stored ones: `firstchild`
+                // is the child without a left neighbour, `nextsibling`
+                // is `nextsibling⁻¹` read backwards.
+                match d.first_child(id) {
+                    Some(c) => {
+                        assert_eq!((d.parent(c), d.prev_sibling(c)), (Some(id), None));
+                    }
+                    None => assert!(d.all_nodes().all(|c| d.parent(c) != Some(id))),
+                }
+                if let Some(s) = d.next_sibling(id) {
+                    assert_eq!(d.prev_sibling(s), Some(id));
+                }
+                if let Some(p) = d.prev_sibling(id) {
+                    assert_eq!(d.next_sibling(p), Some(id));
+                }
+                let after: Vec<NodeId> = d.following_siblings(id).collect();
+                let chain: Vec<NodeId> =
+                    std::iter::successors(d.next_sibling(id), |&s| d.next_sibling(s)).collect();
+                assert_eq!(after, chain);
             }
         }
     }

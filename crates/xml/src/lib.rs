@@ -18,10 +18,11 @@
 //!   hybrid of a dense bitset over preorder ids and a sorted vector,
 //!   always iterated in document order — see that module's docs for the
 //!   invariants;
-//! * the tree as flat `u32` link arrays over preorder ids (parent,
-//!   first child, next and previous sibling, subtree end) plus an
-//!   attribute/namespace bitset, read directly by the set-at-a-time axis
-//!   kernels of `xpath-axes` ([`Document::parent_ids`] and its siblings);
+//! * the tree as flat `u32` arrays over preorder ids (parent, previous
+//!   sibling, subtree end; first child and next sibling are derived from
+//!   the nested preorder intervals) plus an attribute/namespace bitset,
+//!   read directly by the set-at-a-time axis kernels of `xpath-axes`
+//!   ([`Document::parent_ids`] and its siblings);
 //! * a serializer ([`Document::serialize`]) and document statistics
 //!   ([`stats`]);
 //! * generators for every document family used in the paper's experiments

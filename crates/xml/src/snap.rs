@@ -8,12 +8,12 @@
 //! for a server fleet — re-opening a multi-million-node document costs
 //! one `mmap(2)` plus header validation, not a re-parse.
 //!
-//! # File layout (version 2, little-endian only)
+//! # File layout (version 3, little-endian only)
 //!
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0  | 8 | magic `"GKPXSNAP"` |
-//! | 8  | 4 | format version (`u32`, currently 2) |
+//! | 8  | 4 | format version (`u32`, currently 3) |
 //! | 12 | 4 | section count |
 //! | 16 | 8 | total file length in bytes (`u64`) |
 //! | 24 | 4 | node count `n` |
@@ -26,16 +26,19 @@
 //! Each directory entry is `{tag: u32, reserved: u32, offset: u64,
 //! length: u64, checksum: u64}`; offsets are 8-aligned and in file
 //! order. The sections are the node arrays (`KIND` is one byte per node;
-//! `NAME`/`VALUE_OFF`/`VALUE_LEN`/`PARENT`/`FIRST_CHILD`/`NEXT_SIBLING`/
-//! `PREV_SIBLING`/`SUBTREE_END` are `u32` per node), the `SPECIAL`
+//! `NAME`/`VALUE_OFF`/`VALUE_LEN`/`PARENT`/`PREV_SIBLING`/`SUBTREE_END`
+//! are `u32` per node), the `SPECIAL`
 //! attribute/namespace bitmask (`u64` words), the `TEXT` and
 //! `NAME_BYTES`/`NAME_OFF`/`NAME_SORTED` arenas, the sorted
 //! `ID_KEY`/`ID_OWNER` and `REF_FROM`/`REF_TO` tables, and the
 //! serialized [`IdPolicy`]. The parsed DTD internal subset is
 //! intentionally **not** serialized: its only evaluation-visible effects
 //! (which attributes are IDs) are already folded into the stored policy
-//! and prebuilt tables. Version 2 stores only what queries read: tag 10
-//! (version 1's post-order rank, `POST`) is retired and never reused.
+//! and prebuilt tables. Retired tags are never reused: version 2 dropped
+//! tag 10 (version 1's post-order rank, `POST`), and version 3 drops tags
+//! 6 (`FIRST_CHILD`) and 7 (`NEXT_SIBLING`), which the document derives
+//! from `PARENT` and `SUBTREE_END` (see [`crate::Document`]'s storage
+//! table). A node costs 25 bytes of arrays plus one mask bit.
 //!
 //! # Integrity model
 //!
@@ -54,12 +57,15 @@
 //! checksums, which an O(file) **deep verification** pass checks —
 //! [`verify`], `xpq snapshot verify`, or [`OpenOptions::verify`] — along
 //! with full semantic validation (kind bytes, link targets in range,
-//! preorder intervals, name ids, UTF-8 value spans, the special mask
-//! against the kinds, sorted ID/ref tables).
+//! preorder intervals nested under their parents, `PREV_SIBLING` against
+//! the derived sibling runs, name ids, UTF-8 value spans, the special
+//! mask against the kinds, sorted ID/ref tables).
 //! Default opens trust data sections the way any mmap'd store does
 //! (LMDB, flat buffers): the file was sealed with checksums at write
-//! time and published by atomic rename; accessors are bounds-checked so
-//! corrupt payloads degrade to wrong query answers, never to UB.
+//! time and published by atomic rename; accessors are bounds-checked and
+//! the derived child and sibling walks end in bounds whatever
+//! `SUBTREE_END` holds, so corrupt payloads degrade to wrong query
+//! answers, never to UB or a hang.
 //!
 //! Version bumps are strict: a reader only accepts its own
 //! `FORMAT_VERSION`; anything older or newer fails with
@@ -82,21 +88,20 @@ compile_error!("snapshots are defined little-endian; big-endian targets are unsu
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"GKPXSNAP";
 /// The snapshot format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 48;
 const DIR_ENTRY_LEN: usize = 32;
 const MAX_SECTIONS: u32 = 64;
 
-// Section tags (part of the format; never renumber). Tag 10 was
-// version 1's post-order rank and stays retired.
+// Section tags (part of the format; never renumber). Retired, never
+// reused: 6 and 7 (version 2's first-child and next-sibling links) and 10
+// (version 1's post-order rank).
 const TAG_KIND: u32 = 1;
 const TAG_NAME: u32 = 2;
 const TAG_VALUE_OFF: u32 = 3;
 const TAG_VALUE_LEN: u32 = 4;
 const TAG_PARENT: u32 = 5;
-const TAG_FIRST_CHILD: u32 = 6;
-const TAG_NEXT_SIBLING: u32 = 7;
 const TAG_PREV_SIBLING: u32 = 8;
 const TAG_SUBTREE_END: u32 = 9;
 const TAG_SPECIAL: u32 = 11;
@@ -117,8 +122,6 @@ fn tag_name(tag: u32) -> &'static str {
         TAG_VALUE_OFF => "VALUE_OFF",
         TAG_VALUE_LEN => "VALUE_LEN",
         TAG_PARENT => "PARENT",
-        TAG_FIRST_CHILD => "FIRST_CHILD",
-        TAG_NEXT_SIBLING => "NEXT_SIBLING",
         TAG_PREV_SIBLING => "PREV_SIBLING",
         TAG_SUBTREE_END => "SUBTREE_END",
         TAG_SPECIAL => "SPECIAL",
@@ -369,8 +372,6 @@ pub fn write_to(doc: &Document, w: &mut dyn io::Write) -> Result<SnapshotInfo, S
         (TAG_VALUE_OFF, as_bytes(d.value_off.as_slice())),
         (TAG_VALUE_LEN, as_bytes(d.value_len.as_slice())),
         (TAG_PARENT, as_bytes(d.parent.as_slice())),
-        (TAG_FIRST_CHILD, as_bytes(d.first_child.as_slice())),
-        (TAG_NEXT_SIBLING, as_bytes(d.next_sibling.as_slice())),
         (TAG_PREV_SIBLING, as_bytes(d.prev_sibling.as_slice())),
         (TAG_SUBTREE_END, as_bytes(d.subtree_end.as_slice())),
         (TAG_SPECIAL, as_bytes(d.special.as_slice())),
@@ -643,8 +644,6 @@ fn assemble(region: &Arc<ByteRegion>, p: &Parsed) -> Result<Document, SnapError>
         value_off: arr(region, p.sized(TAG_VALUE_OFF, 4 * n)?)?,
         value_len: arr(region, p.sized(TAG_VALUE_LEN, 4 * n)?)?,
         parent: arr(region, p.sized(TAG_PARENT, 4 * n)?)?,
-        first_child: arr(region, p.sized(TAG_FIRST_CHILD, 4 * n)?)?,
-        next_sibling: arr(region, p.sized(TAG_NEXT_SIBLING, 4 * n)?)?,
         prev_sibling: arr(region, p.sized(TAG_PREV_SIBLING, 4 * n)?)?,
         subtree_end: arr(region, p.sized(TAG_SUBTREE_END, 4 * n)?)?,
         special: arr(region, p.sized(TAG_SPECIAL, 8 * n.div_ceil(64))?)?,
@@ -700,6 +699,37 @@ fn deep_verify_sections(file: &[u8], p: &Parsed) -> Result<(), SnapError> {
     Ok(())
 }
 
+/// What the derived `firstchild`/`nextsibling` rely on, in one preorder
+/// scan over the open intervals (`se` is already checked to hold valid
+/// interval ends): every non-root `i` has `p = parent[i]` with `p < i`
+/// and `se[i] ≤ se[p]`, and `p` is the innermost open interval holding
+/// `i`, so the interval hop from `p + 1` visits exactly `p`'s children;
+/// and `prev_sibling[i]` is the node that hop visits before `i`.
+fn verify_nesting(parent: &[u32], prev_sibling: &[u32], se: &[u32]) -> Result<(), SnapError> {
+    if parent[0] != NONE || prev_sibling[0] != NONE {
+        return Err(SnapError::Malformed("root links"));
+    }
+    // The open intervals, outermost first, each with its last child so far.
+    let mut open: Vec<(u32, u32)> = vec![(0, NONE)];
+    for i in 1..se.len() as u32 {
+        while open.last().is_some_and(|&(a, _)| se[a as usize] <= i) {
+            open.pop();
+        }
+        // The root's interval is [0, n), so it is never closed here.
+        let (p, last) = open.last_mut().expect("the root interval stays open");
+        let ix = i as usize;
+        if parent[ix] != *p || se[ix] > se[*p as usize] {
+            return Err(SnapError::Malformed("parent interval nesting"));
+        }
+        if prev_sibling[ix] != *last {
+            return Err(SnapError::Malformed("prev_sibling chain"));
+        }
+        *last = i;
+        open.push((i, NONE));
+    }
+    Ok(())
+}
+
 #[allow(clippy::too_many_lines)]
 fn deep_verify_semantics(doc: &Document, h: &Header) -> Result<(), SnapError> {
     let d = &doc.data;
@@ -723,11 +753,7 @@ fn deep_verify_semantics(doc: &Document, h: &Header) -> Result<(), SnapError> {
 
     // Links: every entry NONE or < n; subtree_end a valid interval end.
     let in_range = |arr: &Arr<u32>| arr.as_slice().iter().all(|&v| v == NONE || v < n);
-    if !in_range(&d.parent)
-        || !in_range(&d.first_child)
-        || !in_range(&d.next_sibling)
-        || !in_range(&d.prev_sibling)
-    {
+    if !in_range(&d.parent) || !in_range(&d.prev_sibling) {
         return Err(SnapError::Malformed("link out of range"));
     }
     let se = d.subtree_end.as_slice();
@@ -739,6 +765,7 @@ fn deep_verify_semantics(doc: &Document, h: &Header) -> Result<(), SnapError> {
     if se[0] != n {
         return Err(SnapError::Malformed("root subtree interval"));
     }
+    verify_nesting(d.parent.as_slice(), d.prev_sibling.as_slice(), se)?;
 
     // Name ids must index the name table.
     let k = h.names;
@@ -859,8 +886,6 @@ mod tests {
                 doc.refs().iter().collect::<Vec<_>>()
             );
             assert_eq!(loaded.parent_ids(), doc.parent_ids());
-            assert_eq!(loaded.first_child_ids(), doc.first_child_ids());
-            assert_eq!(loaded.next_sibling_ids(), doc.next_sibling_ids());
             assert_eq!(loaded.prev_sibling_ids(), doc.prev_sibling_ids());
             assert_eq!(loaded.subtree_ends(), doc.subtree_ends());
             assert_eq!(loaded.special_words(), doc.special_words());
@@ -900,9 +925,11 @@ mod tests {
         assert_eq!(i.nodes as usize, doc.len());
         assert_eq!(i.version, FORMAT_VERSION);
         assert!(i.file_bytes > 0);
-        // Nineteen sections; tag 10 (version 1's post-order rank) is gone.
+        // Seventeen sections; the retired tags 6, 7 (version 2's derived
+        // links) and 10 (version 1's post-order rank) are gone.
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(read_u32(&bytes, 12), 19);
-        assert!(parse_header(&bytes).unwrap().sections[10].is_none());
+        assert_eq!(read_u32(&bytes, 12), 17);
+        let sections = parse_header(&bytes).unwrap().sections;
+        assert!([6, 7, 10].iter().all(|&tag| sections[tag].is_none()));
     }
 }

@@ -2,14 +2,22 @@
 //! clean, typed [`SnapError`] — never a panic, never UB, never a
 //! wrong-but-successful open. Covers the required cases (truncation,
 //! flipped stored checksum, wrong magic, future version, out-of-bounds
-//! section offsets), payload damage under deep verification, and the
-//! `xpq --snapshot` CLI surface (nonzero exit, diagnostic on stderr).
+//! section offsets), payload damage under deep verification, damaged
+//! subtree intervals under a quick open (wrong answers allowed, a panic
+//! or a hang not), and the `xpq --snapshot` CLI surface (nonzero exit,
+//! diagnostic on stderr).
 
 use std::process::Command;
+use std::sync::mpsc;
+use std::time::Duration;
 
+use gkp_xpath::axes::bulk;
+use gkp_xpath::core::Context;
+use gkp_xpath::syntax::Axis;
 use gkp_xpath::xml::generate::doc_bookstore;
 use gkp_xpath::xml::snap::{self, SnapError, FORMAT_VERSION};
 use gkp_xpath::xml::temp::TempPath;
+use gkp_xpath::{CompiledQuery, Document, NodeId, NodeSet};
 
 /// Byte offsets from the header layout (`snap` module docs).
 const OFF_VERSION: usize = 8;
@@ -19,7 +27,10 @@ const DIR_ENTRY_LEN: usize = 32;
 const ENTRY_OFFSET: usize = 8;
 const ENTRY_LEN: usize = 16;
 const ENTRY_CHECKSUM: usize = 24;
-/// The attribute/namespace bitmask section's tag.
+/// Section tags (`snap` module docs).
+const TAG_PARENT: u32 = 5;
+const TAG_PREV_SIBLING: u32 = 8;
+const TAG_SUBTREE_END: u32 = 9;
 const TAG_SPECIAL: u32 = 11;
 
 /// A pristine snapshot of the bookstore document as raw bytes.
@@ -51,6 +62,32 @@ fn reseal(bytes: &mut [u8]) {
     covered.extend_from_slice(&bytes[HEADER_LEN..dir_end]);
     let sum = snap::checksum(&covered);
     bytes[OFF_HEADER_CHECKSUM..OFF_HEADER_CHECKSUM + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The directory entry, payload offset and payload length of section `tag`.
+fn section(bytes: &[u8], tag: u32) -> (usize, usize, usize) {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let entry = (0..count)
+        .map(|i| HEADER_LEN + i * DIR_ENTRY_LEN)
+        .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == tag)
+        .unwrap_or_else(|| panic!("section {tag} present"));
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    (entry, field(entry + ENTRY_OFFSET), field(entry + ENTRY_LEN))
+}
+
+/// Overwrite `u32` element `i` of section `tag`'s payload.
+fn poke_u32(bytes: &mut [u8], tag: u32, i: usize, value: u32) {
+    let (_, off, _) = section(bytes, tag);
+    bytes[off + 4 * i..off + 4 * i + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Re-seal section `tag`'s stored checksum and then the header, so only
+/// deep verification's semantic checks can see a payload edit.
+fn reseal_section(bytes: &mut [u8], tag: u32) {
+    let (entry, off, len) = section(bytes, tag);
+    let sum = snap::checksum(&bytes[off..off + len]);
+    bytes[entry + ENTRY_CHECKSUM..entry + ENTRY_CHECKSUM + 8].copy_from_slice(&sum.to_le_bytes());
+    reseal(bytes);
 }
 
 #[test]
@@ -113,9 +150,10 @@ fn wrong_magic_fails() {
 
 #[test]
 fn future_version_fails() {
-    // Version 1 stored the post-order rank this build no longer reads:
-    // the bump is strict in both directions.
-    for version in [1, FORMAT_VERSION + 1] {
+    // Version 1 stored the post-order rank and version 2 the first-child
+    // and next-sibling links, which this build no longer reads: the bump
+    // is strict in both directions.
+    for version in [1, 2, FORMAT_VERSION + 1] {
         let mut bad = pristine();
         bad[OFF_VERSION..OFF_VERSION + 4].copy_from_slice(&version.to_le_bytes());
         reseal(&mut bad);
@@ -185,23 +223,116 @@ fn special_mask_damage_is_caught_by_deep_verify() {
     // the section checksum and the header: only the semantic check that
     // the mask mirrors the kind bytes can catch it.
     let mut bad = pristine();
-    let count = u32::from_le_bytes(bad[12..16].try_into().unwrap()) as usize;
-    let entry = (0..count)
-        .map(|i| HEADER_LEN + i * DIR_ENTRY_LEN)
-        .find(|&e| u32::from_le_bytes(bad[e..e + 4].try_into().unwrap()) == TAG_SPECIAL)
-        .expect("SPECIAL section present");
-    let field = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    let off = field(&bad, entry + ENTRY_OFFSET) as usize;
-    let len = field(&bad, entry + ENTRY_LEN) as usize;
+    let (_, off, _) = section(&bad, TAG_SPECIAL);
     bad[off] ^= 0x01;
-    let sum = snap::checksum(&bad[off..off + len]);
-    bad[entry + ENTRY_CHECKSUM..entry + ENTRY_CHECKSUM + 8].copy_from_slice(&sum.to_le_bytes());
-    reseal(&mut bad);
+    reseal_section(&mut bad, TAG_SPECIAL);
     let path = temp("special");
     std::fs::write(&path, &bad).unwrap();
     match snap::verify(&path) {
         Err(SnapError::Malformed(what)) => assert_eq!(what, "special mask"),
         other => panic!("deep verify must reject a damaged special mask, got {other:?}"),
+    }
+}
+
+/// Deep verify checks what the derived child and sibling links rely on:
+/// each parent link names the innermost interval holding the node, and
+/// `PREV_SIBLING` follows the derived sibling runs. Every edit keeps the
+/// links in range and re-seals the checksums, so only those semantic
+/// checks can catch it.
+#[test]
+fn broken_nesting_is_caught_by_deep_verify() {
+    let doc = doc_bookstore();
+    let n = doc.len();
+    // A node nested two levels deep, and the first node with a left
+    // neighbour.
+    let deep = doc.all_nodes().find(|&x| doc.depth(x) >= 2).expect("a nested node");
+    let second = doc.all_nodes().find(|&x| doc.prev_sibling(x).is_some()).expect("siblings");
+    let cases: [(&str, u32, usize, u32, &str); 4] = [
+        ("parent_after", TAG_PARENT, deep.index(), n as u32 - 1, "parent interval nesting"),
+        ("parent_outer", TAG_PARENT, deep.index(), 0, "parent interval nesting"),
+        ("prev_none", TAG_PREV_SIBLING, second.index(), u32::MAX, "prev_sibling chain"),
+        ("prev_self", TAG_PREV_SIBLING, second.index(), second.0, "prev_sibling chain"),
+    ];
+    for (tag, section_tag, i, value, want) in cases {
+        let mut bad = pristine();
+        poke_u32(&mut bad, section_tag, i, value);
+        reseal_section(&mut bad, section_tag);
+        let path = temp(tag);
+        std::fs::write(&path, &bad).unwrap();
+        match snap::verify(&path) {
+            Err(SnapError::Malformed(what)) => assert_eq!(what, want, "{tag}"),
+            other => panic!("{tag}: deep verify must reject broken nesting, got {other:?}"),
+        }
+    }
+}
+
+/// Every child and sibling walk over a quick-opened document, through
+/// each route that reads the subtree ends: the per-node accessors, the
+/// bulk kernel on the whole node set, and compiled queries from the root
+/// and from every node, materialized and lazy.
+fn walk_everything(doc: &Document) {
+    for x in doc.all_nodes() {
+        std::hint::black_box(doc.children(x).count());
+        std::hint::black_box(doc.following_siblings(x).count());
+        let mut s = doc.first_child(x);
+        while let Some(c) = s {
+            s = doc.next_sibling(c);
+        }
+    }
+    let all: NodeSet = doc.all_nodes().collect();
+    for axis in
+        [Axis::Child, Axis::Attribute, Axis::FollowingSibling, Axis::Descendant, Axis::Following]
+    {
+        std::hint::black_box(bulk::axis_set(doc, axis, &all));
+        std::hint::black_box(bulk::axis_set(doc, axis, &NodeSet::singleton(NodeId(1))));
+    }
+    for q in ["child::*", "following-sibling::*", "//*", "//*/child::node()", "//node()/@*"] {
+        let q = CompiledQuery::compile(q).unwrap();
+        let _ = std::hint::black_box((q.select(doc), q.first(doc), q.exists(doc)));
+        for x in doc.all_nodes() {
+            let at = || Context::new(x, 1, 1);
+            let _ = std::hint::black_box((q.select_at(doc, at()), q.first_at(doc, at())));
+        }
+    }
+}
+
+/// A payload-damaged `SUBTREE_END` column on a quick open: the derived
+/// walks may answer wrongly, but each must end, in bounds.
+#[test]
+fn damaged_subtree_ends_neither_panic_nor_hang() {
+    let good = pristine();
+    let nodes = section(&good, TAG_SUBTREE_END).2 / 4;
+    // What node `i`'s subtree end is overwritten with. An even node's
+    // interval reaches past the document, so the walks from it meet its
+    // odd successor's self-loop or backward hop.
+    type Garbage = fn(u32) -> u32;
+    let patterns: [(&str, Garbage); 4] = [
+        ("zeros", |_| 0),
+        ("max", |_| u32::MAX),
+        ("self_loop", |i| if i % 2 == 1 { i } else { u32::MAX }),
+        ("backwards", |i| if i % 2 == 1 { i / 2 } else { u32::MAX }),
+    ];
+    for (tag, end_of) in patterns {
+        let mut bad = good.clone();
+        for i in 0..nodes {
+            poke_u32(&mut bad, TAG_SUBTREE_END, i, end_of(i as u32));
+        }
+        let path = temp(tag);
+        std::fs::write(&path, &bad).unwrap();
+        let doc = snap::load(&path).unwrap_or_else(|e| panic!("{tag}: quick open failed: {e}"));
+        let (done, wait) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            walk_everything(&doc);
+            let _ = done.send(());
+        });
+        match wait.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                let err = worker.join().expect_err("the worker only hangs up by panicking");
+                panic!("{tag}: a walk panicked: {err:?}");
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{tag}: a walk did not end in 60 s"),
+        }
     }
 }
 
@@ -249,7 +380,15 @@ fn xpq_snapshot_output_matches_parse_path() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    for q in ["//book/title", "count(//*)", "//@*", "string(//book[1])"] {
+    for q in [
+        "//book/title",
+        "count(//*)",
+        "//@*",
+        "string(//book[1])",
+        "/*/*",
+        "//book/following-sibling::*",
+        "//title/preceding-sibling::*",
+    ] {
         let from_xml = Command::new(xpq).args([q, xml_path.to_str().unwrap()]).output().unwrap();
         let from_snap = Command::new(xpq)
             .args([q, "--snapshot", snap_path.to_str().unwrap()])
