@@ -28,10 +28,12 @@
 //!
 //! `child`, `attribute`, `namespace` and `following-sibling` have no link
 //! column of their own: they walk the interval hop over the subtree ends
-//! ([`Document::children`], [`Document::following_siblings`]), bounded by
-//! the parent's end. Every range and hop is clamped to the document, so a
-//! damaged quick-opened snapshot yields wrong answers, never a panic or a
-//! hang.
+//! ([`Document::children`], [`Document::following_siblings`]). A child
+//! walk is bounded by the parent's end; a `following-sibling` chain hops
+//! on while the next node's stored left neighbour is the node it came
+//! from. Every range and hop is clamped to the document, and a backward
+//! link that does not point back ends its chain, so a damaged
+//! quick-opened snapshot yields wrong answers, never a panic or a hang.
 //!
 //! [`axis_set_traced`] and [`inverse_axis_set_traced`] also report which
 //! [`Kernel`] materialized the result, for the evaluator's planner tally.
@@ -101,7 +103,7 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
     let n = doc.len() as u32;
     let parent = doc.parent_ids();
     let subtree_end = doc.subtree_ends();
-    let up = |x: u32| parent[x as usize];
+    let up = |x: u32| back(parent, x);
     // The §4 strip mask of a typed axis (`&[]` strips nothing).
     let strip: &[u64] = if typed { doc.special_words() } else { &[] };
     match axis {
@@ -143,17 +145,15 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
             let mut ranges = pool::take_ranges();
             let mut len = 0usize;
             if let Some(max) = set.last() {
-                let (mut hi, mut a) = (max.0, parent[max.index()]);
+                let (mut hi, mut a) = (max.0, up(max.0));
                 loop {
-                    let lo = if a == NONE { 0 } else { a + 1 };
+                    let lo = a.map_or(0, |a| a + 1);
                     if lo < hi {
                         ranges.push((lo, hi));
                         len += (hi - lo) as usize;
                     }
-                    if a == NONE {
-                        break;
-                    }
-                    (hi, a) = (a, parent[a as usize]);
+                    let Some(p) = a else { break };
+                    (hi, a) = (p, up(p));
                 }
                 ranges.reverse();
             }
@@ -161,8 +161,8 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
             pool::give_ranges(ranges);
             out
         }
-        Axis::Ancestor => chains(set, n, strip, true, up, |_| NONE, up),
-        Axis::AncestorOrSelf => chains(set, n, strip, true, |x| x, |_| NONE, up),
+        Axis::Ancestor => chains(set, n, strip, true, up, up),
+        Axis::AncestorOrSelf => chains(set, n, strip, true, Some, up),
         // Below the node set's density rule a sibling pass walks runs into
         // a vector; at or above it, `chains` marks a bitset.
         Axis::FollowingSibling | Axis::PrecedingSibling
@@ -176,16 +176,21 @@ fn apply(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> (NodeSet, Ke
             }
         }
         Axis::FollowingSibling => {
-            // The run after `x` is the hop from `subtree_end(x)` inside
-            // its parent's interval.
-            let end = |x: u32| run_end(subtree_end, up(x));
-            let right = |x: u32| subtree_end[x as usize];
-            chains(set, n, strip, false, right, end, right)
+            // The node after `x`'s subtree is `x`'s right neighbour iff
+            // its stored left neighbour is `x`: one load beside the hop,
+            // where bounding the run by the parent's end costs two
+            // dependent loads per chain.
+            let prev_sibling = doc.prev_sibling_ids();
+            let right = |x: u32| {
+                let s = subtree_end[x as usize];
+                (hop_stays(x, s, n) && prev_sibling[s as usize] == x).then_some(s)
+            };
+            chains(set, n, strip, false, right, right)
         }
         Axis::PrecedingSibling => {
             let prev_sibling = doc.prev_sibling_ids();
-            let left = |x: u32| prev_sibling[x as usize];
-            chains(set, n, strip, true, left, |_| NONE, left)
+            let left = |x: u32| back(prev_sibling, x);
+            chains(set, n, strip, true, left, left)
         }
         Axis::SelfAxis => {
             let mut out = set.clone();
@@ -299,9 +304,16 @@ fn sibling_runs<const DESCENDING: bool>(
                 if strip.is_empty() || !is_special(strip, *c) {
                     out.push(NodeId(*c));
                 }
-                let next =
-                    if DESCENDING { prev_sibling[*c as usize] } else { subtree_end[*c as usize] };
-                *c = if DESCENDING || hop_stays(*c, next, *end) { next } else { *end };
+                *c = if DESCENDING {
+                    back(prev_sibling, *c).unwrap_or(NONE)
+                } else {
+                    let next = subtree_end[*c as usize];
+                    if hop_stays(*c, next, *end) {
+                        next
+                    } else {
+                        *end
+                    }
+                };
             }
             if *c < *end {
                 return;
@@ -320,7 +332,7 @@ fn sibling_runs<const DESCENDING: bool>(
             continue;
         }
         let run = if DESCENDING {
-            (prev_sibling[y as usize], NONE)
+            (back(prev_sibling, y).unwrap_or(NONE), NONE)
         } else {
             (subtree_end[y as usize], run_end(subtree_end, p))
         };
@@ -354,11 +366,18 @@ fn from_ranges(ranges: &[(u32, u32)], len: usize, n: u32, specials: &[u64]) -> (
     (out, kernel)
 }
 
-/// A chain axis: `start(x)` is the first node of `x`'s chain, `end(x)`
-/// the bound the chain stays below ([`NONE`] for a [`NONE`]-terminated
-/// link array), and `next` follows it; `descending` says the chain runs
-/// toward smaller ids — an ascending chain (the sibling hop) also ends at
-/// a step that does not advance ([`hop_stays`]).
+/// The link `links[x]` if it points strictly back (every `parent` and
+/// `prev_sibling` link does): [`NONE`] and a damaged quick-opened link
+/// both end the walk, so every backward chain ends in bounds.
+#[inline]
+fn back(links: &[u32], x: u32) -> Option<u32> {
+    let v = links[x as usize];
+    (v < x).then_some(v)
+}
+
+/// A chain axis: `start(x)` is the first node of `x`'s chain and `next`
+/// follows it, both `None` at the end and strictly monotone (toward
+/// smaller ids if `descending`), so every chain ends in bounds.
 /// `strip` is the §4 mask a typed axis subtracts
 /// (`&[]` for an untyped one). A single input node walks its chain into a sorted vector; any
 /// other input marks every chain into a dense bitset, and a chain stops
@@ -369,25 +388,18 @@ fn chains(
     n: u32,
     strip: &[u64],
     descending: bool,
-    start: impl Fn(u32) -> u32,
-    end: impl Fn(u32) -> u32,
-    next: impl Fn(u32) -> u32,
+    start: impl Fn(u32) -> Option<u32>,
+    next: impl Fn(u32) -> Option<u32>,
 ) -> (NodeSet, Kernel) {
-    let goes_on =
-        |c: u32, to: u32, end: u32| if descending { to < end } else { hop_stays(c, to, end) };
     if set.len() == 1 {
         let x = set.first().expect("one element");
         let mut out = pool::take_ids();
-        let (mut c, end) = (start(x.0), end(x.0));
-        while c < end {
+        let mut at = start(x.0);
+        while let Some(c) = at {
             if strip.is_empty() || !is_special(strip, c) {
                 out.push(NodeId(c));
             }
-            let to = next(c);
-            if !goes_on(c, to, end) {
-                break;
-            }
-            c = to;
+            at = next(c);
         }
         if descending {
             out.reverse();
@@ -396,21 +408,10 @@ fn chains(
     }
     let mut out = NodeSet::empty_dense(n);
     for x in set {
-        let mut c = start(x.0);
-        // A marked first node means the rest of the chain is marked (or,
-        // past the end of a sibling run, that the run is empty): skip the
-        // bound, which costs the sibling hop a parent lookup.
-        if !descending && c < n && out.contains(NodeId(c)) {
-            continue;
-        }
-        let end = end(x.0);
-        while c < end && !out.contains(NodeId(c)) {
+        let mut at = start(x.0);
+        while let Some(c) = at.filter(|&c| !out.contains(NodeId(c))) {
             out.insert(NodeId(c));
-            let to = next(c);
-            if !goes_on(c, to, end) {
-                break;
-            }
-            c = to;
+            at = next(c);
         }
     }
     if !strip.is_empty() {

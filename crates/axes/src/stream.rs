@@ -123,14 +123,14 @@ impl StepStreamer {
             }
             Axis::Descendant | Axis::DescendantOrSelf => {
                 let lo = if self.axis == Axis::Descendant { x.0 + 1 } else { x.0 };
-                let hi = doc.subtree_ends()[x.index()].min(doc.len() as u32);
+                let hi = doc.subtree_end(x);
                 self.expanded.insert_range(lo.max(self.next_free), hi.max(self.next_free));
                 self.next_free = self.next_free.max(hi);
             }
             Axis::Following => {
                 // following(S) = [min subtree_end, n): a new input can
                 // only lower the bound, adding one prefix range.
-                let t = doc.subtree_ends()[x.index()];
+                let t = doc.subtree_end(x);
                 if t < self.follow_lo {
                     self.expanded.insert_range(t, self.follow_lo);
                     self.follow_lo = t;

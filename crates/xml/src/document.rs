@@ -72,7 +72,9 @@ pub struct NameId(pub u32);
 ///   `p` is the innermost interval holding `i` — what the derived
 ///   `first_child`/`next_sibling` rely on;
 /// * `prev_sibling[i]` is the previous node of `i`'s sibling run (the
-///   interval hop from `parent[i] + 1`), or [`NONE`] for the first;
+///   interval hop from `parent[i] + 1`), or [`NONE`] for the first; so
+///   `subtree_end[i]` is `i`'s right neighbour iff its `prev_sibling` is
+///   `i`, the test the bulk `following-sibling` chains use;
 /// * `special` is [`special_mask`] of `kind`;
 /// * `value_off == NONE` means "no value"; otherwise
 ///   `value_off + value_len` is in bounds of `text` on char boundaries;
@@ -308,10 +310,14 @@ impl Document {
         self.children(NodeId::ROOT).find(|&c| self.kind(c) == NodeKind::Element)
     }
 
+    /// A stored backward link (`parent`, `prev_sibling`): every valid one
+    /// points to an earlier id, so [`NONE`] and a damaged link in a
+    /// quick-opened snapshot both read as `None`, and every chain of
+    /// calls ends.
     #[inline]
     fn link(arr: &Arr<u32>, n: NodeId) -> Option<NodeId> {
         let v = arr.as_slice()[n.index()];
-        (v != NONE).then_some(NodeId(v))
+        (v < n.0).then_some(NodeId(v))
     }
 
     /// The node's kind.
@@ -449,13 +455,16 @@ impl Document {
         se.get(p as usize).map_or(0, |&e| e.min(se.len() as u32))
     }
 
-    /// `nextsibling⁻¹`: the left neighbour, or `None`.
+    /// `nextsibling⁻¹`: the left neighbour, or `None` (also for a link
+    /// that does not point back, which only damaged data holds).
     #[inline]
     pub fn prev_sibling(&self, n: NodeId) -> Option<NodeId> {
         Self::link(&self.data.prev_sibling, n)
     }
 
-    /// The parent node (`(nextsibling⁻¹)*.firstchild⁻¹`), or `None` for root.
+    /// The parent node (`(nextsibling⁻¹)*.firstchild⁻¹`), or `None` for root
+    /// (and for a link that does not point back, which only damaged data
+    /// holds).
     #[inline]
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
         Self::link(&self.data.parent, n)
@@ -472,10 +481,12 @@ impl Document {
     }
 
     /// Exclusive end of the subtree of `n` in id space: every descendant `d`
-    /// of `n` satisfies `n < d` and `d.0 < subtree_end(n)`.
+    /// of `n` satisfies `n < d` and `d.0 < subtree_end(n)`. Clamped to
+    /// [`Self::len`], so a range up to it stays in bounds even on a
+    /// damaged quick-opened snapshot.
     #[inline]
     pub fn subtree_end(&self, n: NodeId) -> u32 {
-        self.data.subtree_end.as_slice()[n.index()]
+        self.data.subtree_end.as_slice()[n.index()].min(self.len() as u32)
     }
 
     /// O(1) ancestor test via preorder ranges: is `a` a strict ancestor of `d`?

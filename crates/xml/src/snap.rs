@@ -62,10 +62,11 @@
 //! mask against the kinds, sorted ID/ref tables).
 //! Default opens trust data sections the way any mmap'd store does
 //! (LMDB, flat buffers): the file was sealed with checksums at write
-//! time and published by atomic rename; accessors are bounds-checked and
+//! time and published by atomic rename; accessors are bounds-checked,
 //! the derived child and sibling walks end in bounds whatever
-//! `SUBTREE_END` holds, so corrupt payloads degrade to wrong query
-//! answers, never to UB or a hang.
+//! `SUBTREE_END` holds, and a `PARENT` or `PREV_SIBLING` link that does
+//! not point to an earlier node ends its chain, so corrupt payloads
+//! degrade to wrong query answers, never to UB or a hang.
 //!
 //! Version bumps are strict: a reader only accepts its own
 //! `FORMAT_VERSION`; anything older or newer fails with

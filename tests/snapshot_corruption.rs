@@ -266,27 +266,60 @@ fn broken_nesting_is_caught_by_deep_verify() {
     }
 }
 
-/// Every child and sibling walk over a quick-opened document, through
-/// each route that reads the subtree ends: the per-node accessors, the
-/// bulk kernel on the whole node set, and compiled queries from the root
-/// and from every node, materialized and lazy.
+/// Every tree walk over a quick-opened document, through each route
+/// that reads the link columns: the per-node accessors, the bulk kernel
+/// on the whole node set, on every single node and on pairs of nodes,
+/// and compiled queries from the root and from every node, materialized
+/// and lazy.
 fn walk_everything(doc: &Document) {
+    let n = doc.len() as u32;
     for x in doc.all_nodes() {
         std::hint::black_box(doc.children(x).count());
         std::hint::black_box(doc.following_siblings(x).count());
+        std::hint::black_box(doc.depth(x));
         let mut s = doc.first_child(x);
         while let Some(c) = s {
             s = doc.next_sibling(c);
         }
+        let mut s = doc.prev_sibling(x);
+        while let Some(c) = s {
+            s = doc.prev_sibling(c);
+        }
     }
-    let all: NodeSet = doc.all_nodes().collect();
-    for axis in
-        [Axis::Child, Axis::Attribute, Axis::FollowingSibling, Axis::Descendant, Axis::Following]
-    {
-        std::hint::black_box(bulk::axis_set(doc, axis, &all));
-        std::hint::black_box(bulk::axis_set(doc, axis, &NodeSet::singleton(NodeId(1))));
+    let mut inputs: Vec<NodeSet> = vec![doc.all_nodes().collect()];
+    for x in 0..n {
+        inputs.push(NodeSet::singleton(NodeId(x)));
+        let y = (x + n / 2) % n;
+        inputs.push(NodeSet::from_unsorted(vec![NodeId(x), NodeId(y)]));
     }
-    for q in ["child::*", "following-sibling::*", "//*", "//*/child::node()", "//node()/@*"] {
+    for axis in [
+        Axis::Child,
+        Axis::Attribute,
+        Axis::Parent,
+        Axis::FollowingSibling,
+        Axis::PrecedingSibling,
+        Axis::Ancestor,
+        Axis::AncestorOrSelf,
+        Axis::Descendant,
+        Axis::Following,
+        Axis::Preceding,
+    ] {
+        for set in &inputs {
+            std::hint::black_box(bulk::axis_set(doc, axis, set));
+        }
+    }
+    for q in [
+        "child::*",
+        "following-sibling::*",
+        "preceding-sibling::*",
+        "ancestor::*",
+        "preceding::*",
+        "..",
+        "//*",
+        "//*/child::node()",
+        "//node()/@*",
+        "string(/*)",
+    ] {
         let q = CompiledQuery::compile(q).unwrap();
         let _ = std::hint::black_box((q.select(doc), q.first(doc), q.exists(doc)));
         for x in doc.all_nodes() {
@@ -296,43 +329,62 @@ fn walk_everything(doc: &Document) {
     }
 }
 
+/// Overwrite every element of section `tag` of a pristine snapshot with
+/// `garbage(i)`, quick-open it, and run [`walk_everything`] on it: the
+/// walks may answer wrongly, but each must end, in bounds, within 60 s.
+fn walks_end_on_damaged(tag: u32, name: &str, garbage: fn(u32) -> u32) {
+    let mut bad = pristine();
+    let nodes = section(&bad, tag).2 / 4;
+    for i in 0..nodes {
+        poke_u32(&mut bad, tag, i, garbage(i as u32));
+    }
+    let path = temp(name);
+    std::fs::write(&path, &bad).unwrap();
+    let doc = snap::load(&path).unwrap_or_else(|e| panic!("{name}: quick open failed: {e}"));
+    let (done, wait) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        walk_everything(&doc);
+        let _ = done.send(());
+    });
+    match wait.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => worker.join().unwrap(),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            let err = worker.join().expect_err("the worker only hangs up by panicking");
+            panic!("{name}: a walk panicked: {err:?}");
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{name}: a walk did not end in 60 s"),
+    }
+}
+
 /// A payload-damaged `SUBTREE_END` column on a quick open: the derived
 /// walks may answer wrongly, but each must end, in bounds.
 #[test]
 fn damaged_subtree_ends_neither_panic_nor_hang() {
-    let good = pristine();
-    let nodes = section(&good, TAG_SUBTREE_END).2 / 4;
     // What node `i`'s subtree end is overwritten with. An even node's
     // interval reaches past the document, so the walks from it meet its
     // odd successor's self-loop or backward hop.
-    type Garbage = fn(u32) -> u32;
-    let patterns: [(&str, Garbage); 4] = [
-        ("zeros", |_| 0),
-        ("max", |_| u32::MAX),
-        ("self_loop", |i| if i % 2 == 1 { i } else { u32::MAX }),
-        ("backwards", |i| if i % 2 == 1 { i / 2 } else { u32::MAX }),
-    ];
-    for (tag, end_of) in patterns {
-        let mut bad = good.clone();
-        for i in 0..nodes {
-            poke_u32(&mut bad, TAG_SUBTREE_END, i, end_of(i as u32));
-        }
-        let path = temp(tag);
-        std::fs::write(&path, &bad).unwrap();
-        let doc = snap::load(&path).unwrap_or_else(|e| panic!("{tag}: quick open failed: {e}"));
-        let (done, wait) = mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            walk_everything(&doc);
-            let _ = done.send(());
-        });
-        match wait.recv_timeout(Duration::from_secs(60)) {
-            Ok(()) => worker.join().unwrap(),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let err = worker.join().expect_err("the worker only hangs up by panicking");
-                panic!("{tag}: a walk panicked: {err:?}");
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{tag}: a walk did not end in 60 s"),
-        }
+    walks_end_on_damaged(TAG_SUBTREE_END, "zeros", |_| 0);
+    walks_end_on_damaged(TAG_SUBTREE_END, "max", |_| u32::MAX);
+    walks_end_on_damaged(TAG_SUBTREE_END, "self_loop", |i| if i % 2 == 1 { i } else { u32::MAX });
+    walks_end_on_damaged(
+        TAG_SUBTREE_END,
+        "backwards",
+        |i| if i % 2 == 1 { i / 2 } else { u32::MAX },
+    );
+}
+
+/// Payload-damaged backward links on a quick open: a `PARENT` or
+/// `PREV_SIBLING` link that does not point to an earlier node ends its
+/// chain, so self links, two-node cycles and forward links all end.
+#[test]
+fn damaged_backward_links_neither_panic_nor_hang() {
+    for (tag, name) in [(TAG_PARENT, "parent"), (TAG_PREV_SIBLING, "prev_sibling")] {
+        walks_end_on_damaged(tag, &format!("{name}_self"), |i| i);
+        // Nodes 2k and 2k+1 name each other: the odd node's link is a
+        // valid backward step into the even node's forward one.
+        walks_end_on_damaged(tag, &format!("{name}_cycle"), |i| i ^ 1);
+        walks_end_on_damaged(tag, &format!("{name}_forward"), |i| i + 1);
+        walks_end_on_damaged(tag, &format!("{name}_zeros"), |_| 0);
     }
 }
 
