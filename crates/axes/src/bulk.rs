@@ -17,7 +17,7 @@
 //!   set's own density rule and applies the §4 attribute/namespace strip;
 //! * **chain axes** (`ancestor(-or-self)`, the sibling axes) walk one
 //!   chain into a sorted vector when the input is a single node — `O(chain)`,
-//!   which keeps the lazy cursor's per-candidate witness walks cheap —
+//!   never a pass over the document's words —
 //!   and otherwise mark every chain into a dense bitset, stopping at the
 //!   first node an earlier chain already marked; a sibling axis on an
 //!   input below the node set's density rule instead walks one run per
@@ -556,7 +556,7 @@ mod tests {
         }
     }
 
-    /// The witness-walk bound the lazy cursor relies on: on a document
+    /// The single-node bound: on a document
     /// whose bitset is thousands of words, a single input node on a chain
     /// axis walks its chain (never a pass over the document's words);
     /// two input nodes mark densely on the ancestor axes and walk their

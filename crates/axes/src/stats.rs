@@ -43,7 +43,7 @@ impl Kernel {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BatchMode {
     /// The batch's axis memo was attached: identical
-    /// `(axis, node-test, input-fingerprint)` applications across the
+    /// `(axis, node-test, input)` applications across the
     /// batch ran once (whether or not the queries also fanned out). The
     /// [`name`](BatchMode::name) is a stable key (`bench_e2e` reports
     /// `batch.mode_share.lock_step_shared`), not a description.
@@ -158,7 +158,7 @@ pub struct KernelCounts {
     pub bulk_dense: u64,
     /// Axis applications a batched evaluation served from its shared memo
     /// table — whole passes that never ran because an identical
-    /// `(axis, node-test, input-fingerprint)` application already had.
+    /// `(axis, node-test, input)` application already had.
     pub memo_hits: u64,
 }
 

@@ -10,16 +10,15 @@
 //! outputs with id `< hi` are final — no later input can add one.
 //!
 //! A [`StepStreamer`] is the resumable per-step kernel behind that
-//! invariant: it accepts input nodes one at a time **in ascending id
-//! order** and accumulates the raw axis image into a dense word-block
-//! set, using exactly the same staircase / chain-walk routes as the
-//! materializing kernels in [`crate::bulk`] (covered-interval skipping
-//! via the `next_free` watermark, marked-chain early exit, inline
-//! special-child filtering on `child`). The cursor layer then reads one
-//! `[lo, hi)` word-block window at a time, applies the §4 type strip and
-//! the node test per block, and stops pulling as soon as its caller is
-//! satisfied — the early-exit path never pays for document regions past
-//! the last block it needed.
+//! invariant: it accepts input nodes one window of words at a time **in
+//! ascending id order** and accumulates the raw axis image into a dense
+//! word-block set, using exactly the same staircase / chain-walk routes
+//! as the materializing kernels in [`crate::bulk`] (covered-interval
+//! skipping via the `next_free` watermark, marked-chain early exit,
+//! inline special-child filtering on `child`). The cursor layer reads the
+//! typed image back one `[lo, hi)` window of words at a time and stops
+//! pulling as soon as its caller is satisfied — the early-exit path never
+//! pays for document regions past the last window it needed.
 //!
 //! Reverse axes are not preorder-monotone (an `ancestor` output precedes
 //! its input), so they are not streamable here; the cursor layer
@@ -27,7 +26,8 @@
 //! the analyzer's verdict surfaces in `xpq --explain`).
 
 use xpath_syntax::Axis;
-use xpath_xml::{Document, NodeId, NodeKind, NodeSet};
+use xpath_xml::nodeset::each_window_id;
+use xpath_xml::{Document, NodeKind, NodeSet};
 
 use crate::bulk::is_special;
 
@@ -50,11 +50,10 @@ pub fn is_streamable(axis: Axis) -> bool {
 }
 
 /// Resumable set-at-a-time expansion of one forward axis: feed input
-/// nodes in ascending id order with [`StepStreamer::push`]; after every
-/// input `< hi` has been pushed, `expanded() ∩ [0, hi)` is the final
-/// (untyped, except `child`/`attribute`/`namespace`'s inline filtering)
-/// axis image below `hi` — the block-synchronous invariant the lazy
-/// cursor pipeline is built on.
+/// nodes in ascending id order with [`StepStreamer::push_window`]; after
+/// every input `< hi` has been fed, [`StepStreamer::read_window`] below
+/// `hi` is the final typed axis image there — the block-synchronous
+/// invariant the lazy cursor pipeline is built on.
 ///
 /// The accumulated image is a dense bitset (pooled words, recycled on
 /// drop); interval axes write word-parallel range fills, the child and
@@ -86,30 +85,22 @@ impl StepStreamer {
         Some(StepStreamer { axis, expanded: NodeSet::empty_dense(n), next_free: 0, follow_lo: n })
     }
 
-    /// Does the accumulated image still need the §4 type strip
-    /// (subtracting attribute/namespace nodes)? `child` filters specials
-    /// inline and `attribute`/`namespace` *produce* special nodes, so
-    /// only the interval axes and `self`/`following-sibling` answer
-    /// `true`.
-    pub fn needs_type_strip(&self) -> bool {
-        !matches!(self.axis, Axis::Child | Axis::Attribute | Axis::Namespace)
-    }
-
-    /// Feed one input node. Inputs must arrive in ascending id order
-    /// across all `push` calls (the caller's block pipeline guarantees
-    /// this; the staircase and chain early exits rely on it).
-    pub fn push(&mut self, doc: &Document, x: NodeId) {
+    /// Feed the input nodes set in `window`, one bit per id from `lo` (a
+    /// multiple of 64). Inputs must arrive in ascending id order across
+    /// all calls (the caller's block pipeline feeds its windows in
+    /// order; the staircase and chain early exits rely on it). Feeding
+    /// an input again adds nothing.
+    pub fn push_window(&mut self, doc: &Document, lo: u32, window: &[u64]) {
+        let expanded = &mut self.expanded;
         match self.axis {
-            Axis::SelfAxis => {
-                self.expanded.insert(x);
-            }
+            Axis::SelfAxis => each_window_id(lo, window, |x| expanded.insert(x)),
             Axis::Child => {
                 let special = doc.special_words();
-                for c in doc.children(x) {
-                    if !is_special(special, c.0) {
-                        self.expanded.insert(c);
+                each_window_id(lo, window, |x| {
+                    for c in doc.children(x).filter(|c| !is_special(special, c.0)) {
+                        expanded.insert(c);
                     }
-                }
+                });
             }
             Axis::Attribute | Axis::Namespace => {
                 let want = if self.axis == Axis::Attribute {
@@ -117,44 +108,57 @@ impl StepStreamer {
                 } else {
                     NodeKind::Namespace
                 };
-                for c in doc.children(x).filter(|&c| doc.kind(c) == want) {
-                    self.expanded.insert(c);
-                }
+                each_window_id(lo, window, |x| {
+                    for c in doc.children(x).filter(|&c| doc.kind(c) == want) {
+                        expanded.insert(c);
+                    }
+                });
             }
             Axis::Descendant | Axis::DescendantOrSelf => {
-                let lo = if self.axis == Axis::Descendant { x.0 + 1 } else { x.0 };
-                let hi = doc.subtree_end(x);
-                self.expanded.insert_range(lo.max(self.next_free), hi.max(self.next_free));
-                self.next_free = self.next_free.max(hi);
+                let skip = u32::from(self.axis == Axis::Descendant);
+                let (ends, n) = (doc.subtree_ends(), doc.len() as u32);
+                let next_free = &mut self.next_free;
+                each_window_id(lo, window, |x| {
+                    // An interval inside an earlier one adds nothing.
+                    let hi = ends[x.index()].min(n);
+                    if hi > *next_free {
+                        expanded.insert_range((x.0 + skip).max(*next_free), hi);
+                        *next_free = hi;
+                    }
+                });
             }
             Axis::Following => {
-                // following(S) = [min subtree_end, n): a new input can
+                // following(S) = [min subtree_end, n): new inputs can
                 // only lower the bound, adding one prefix range.
-                let t = doc.subtree_end(x);
-                if t < self.follow_lo {
-                    self.expanded.insert_range(t, self.follow_lo);
-                    self.follow_lo = t;
-                }
+                let mut t = self.follow_lo;
+                each_window_id(lo, window, |x| t = t.min(doc.subtree_end(x)));
+                expanded.insert_range(t, self.follow_lo);
+                self.follow_lo = t;
             }
-            Axis::FollowingSibling => {
+            Axis::FollowingSibling => each_window_id(lo, window, |x| {
                 for s in doc.following_siblings(x) {
-                    if self.expanded.contains(s) {
+                    if expanded.contains(s) {
                         break; // the rest of the run is marked
                     }
-                    self.expanded.insert(s);
+                    expanded.insert(s);
                 }
-            }
+            }),
             // `new` refuses every other axis.
             _ => unreachable!("non-streamable axis in StepStreamer"),
         }
     }
 
-    /// The raw axis image of every input pushed so far (before the §4
-    /// type strip — see [`StepStreamer::needs_type_strip`] — and before
-    /// any node test). `expanded() ∩ [0, hi)` is final once all inputs
-    /// `< hi` are in.
-    pub fn expanded(&self) -> &NodeSet {
-        &self.expanded
+    /// Overwrite `out` with the typed axis image over the window from
+    /// `lo` (a multiple of 64): the image of every input fed so far, less
+    /// the attribute and namespace nodes (§4) unless the axis selects
+    /// them (`child` skips them as it walks). Final below `hi` once every
+    /// input below `hi` is in.
+    pub fn read_window(&self, doc: &Document, lo: u32, out: &mut [u64]) {
+        self.expanded.read_window(lo, out);
+        if !matches!(self.axis, Axis::Child | Axis::Attribute | Axis::Namespace) {
+            let special = &doc.special_words()[(lo / 64) as usize..];
+            out.iter_mut().zip(special).for_each(|(w, s)| *w &= !s);
+        }
     }
 }
 
@@ -175,14 +179,21 @@ mod tests {
         Axis::FollowingSibling,
     ];
 
-    /// Strip + adapt the streamer image the way the bulk kernel would,
-    /// so the two are content-comparable.
+    /// The streamer's typed image over the whole document.
     fn finished(doc: &Document, s: &StepStreamer) -> NodeSet {
-        let mut out = s.expanded().clone();
-        if s.needs_type_strip() {
-            out.subtract_words(doc.special_words());
+        let mut words = vec![0; doc.len().div_ceil(64)];
+        s.read_window(doc, 0, &mut words);
+        NodeSet::from_window(0, &words)
+    }
+
+    /// Feed `inputs` one 64-id window at a time, ascending, as the
+    /// cursor feeds its windows.
+    fn feed(doc: &Document, s: &mut StepStreamer, inputs: &NodeSet) {
+        let mut word = [0u64];
+        for lo in (0..doc.len() as u32).step_by(64) {
+            inputs.read_window(lo, &mut word);
+            s.push_window(doc, lo, &word);
         }
-        out.adapt()
     }
 
     #[test]
@@ -202,40 +213,35 @@ mod tests {
             doc_random(7, &RandomDocConfig { elements: 60, ..RandomDocConfig::default() }),
         ];
         for doc in &docs {
-            let inputs: Vec<NodeId> = doc.all_nodes().filter(|x| x.0 % 3 != 1).collect();
-            let input_set = NodeSet::from_sorted(inputs.clone());
+            let inputs: NodeSet = doc.all_nodes().filter(|x| x.0 % 3 != 1).collect();
             for &axis in STREAMABLE {
-                let want = bulk::axis_set(doc, axis, &input_set);
+                let want = bulk::axis_set(doc, axis, &inputs);
                 let mut s = StepStreamer::new(doc, axis).unwrap();
-                for &x in &inputs {
-                    s.push(doc, x);
-                }
+                feed(doc, &mut s, &inputs);
                 assert_eq!(finished(doc, &s), want, "{axis:?}");
+                // A window fed again (a pull retried after a budget trip)
+                // adds nothing.
+                feed(doc, &mut s, &inputs);
+                assert_eq!(finished(doc, &s), want, "{axis:?} fed twice");
             }
         }
     }
 
     #[test]
     fn block_synchronous_prefix_is_final() {
-        // After pushing only the inputs < hi, the image below hi must
+        // After feeding only the inputs < hi, the image below hi must
         // already equal the full evaluation's image below hi — the
         // invariant that lets the cursor emit a block and never revisit.
         let doc = doc_random(3, &RandomDocConfig { elements: 80, ..RandomDocConfig::default() });
         let n = doc.len() as u32;
-        let inputs: Vec<NodeId> = doc.all_nodes().filter(|x| x.0 % 2 == 0).collect();
-        let full = NodeSet::from_sorted(inputs.clone());
+        let full: NodeSet = doc.all_nodes().filter(|x| x.0 % 2 == 0).collect();
         for &axis in STREAMABLE {
             let want_full = bulk::axis_set(&doc, axis, &full);
             for hi in [1u32, n / 4, n / 2, n] {
                 let mut s = StepStreamer::new(&doc, axis).unwrap();
-                for &x in inputs.iter().filter(|x| x.0 < hi) {
-                    s.push(&doc, x);
-                }
-                assert_eq!(
-                    finished(&doc, &s).restrict_range(0, hi),
-                    want_full.restrict_range(0, hi),
-                    "{axis:?} below {hi}"
-                );
+                feed(&doc, &mut s, &full.iter().filter(|x| x.0 < hi).collect());
+                let below = |set: &NodeSet| set.iter().filter(|x| x.0 < hi).collect::<Vec<_>>();
+                assert_eq!(below(&finished(&doc, &s)), below(&want_full), "{axis:?} below {hi}");
             }
         }
     }

@@ -39,14 +39,16 @@
 //!   plus the bare `T(c)` scan that `//b[c]`'s `S←` runs, each with its
 //!   ratio to `/descendant::*`;
 //! * **early_exit** — the lazy cursor layer (`xpath_core::cursor`):
-//!   `first()`/`exists()` (stop at the first witness) vs a full
-//!   materializing evaluation of the same compiled query on the
+//!   `first()`/`exists()` (stop at the first window with a match) vs a
+//!   full materializing evaluation of the same compiled query on the
 //!   ≥10⁵-node document, including the `//b[following::c]` shape whose
-//!   per-candidate predicate check short-circuits on the first witness;
-//! * **lazy_dispatch** — the cursor's route rule: `first()`, a take of
-//!   |D|/8 nodes and the full drain of four lazy-eligible queries, each
-//!   on the lazy pipeline (take hint 1) and materialized (no hint), on
-//!   1,366 to 349,526 nodes;
+//!   predicate reads a document-global `E1` set built once per cursor;
+//! * **lazy_dispatch** — the window pipeline against materializing:
+//!   `first()`, a take of |D|/8 nodes and the full drain of four
+//!   lazy-eligible queries (a predicate-free spine, a predicate read from
+//!   its `E1` set and two window-local predicates), each on the
+//!   lazy pipeline (take hint 1) and materialized (no hint), on 1,366 to
+//!   349,526 nodes;
 //! * **snapshot** — the zero-copy document store (`xpath_xml::snap`): a
 //!   cold parse of the ≥10⁵-node document's XML text vs an mmap'd
 //!   snapshot load of the same document (O(header) open, arenas mapped
@@ -727,9 +729,9 @@ fn batch_pass(doc: &Document) -> Vec<String> {
 
 /// Cursor guard: lazy `first()` on the ≥10⁵-node document must be ≥10×
 /// faster than a full materializing evaluation for the predicate-free
-/// streamable spines (the point of the cursor layer); the
-/// witness-short-circuit shape only has to win at all (≥2×, its full
-/// evaluation already short-circuits per candidate).
+/// streamable spines (the point of the cursor layer); the predicate
+/// shape only has to win at all (≥2×: its `E1` set is one `T(c)` pass,
+/// as in the full evaluation, before the first window can match).
 fn early_exit_pass(big: &Document) -> Vec<String> {
     let mut failures = Vec::new();
     for c in measure_early_exit(big) {
@@ -850,23 +852,31 @@ fn fan_out_pass() -> Vec<String> {
     cells.iter().filter_map(FanOutCell::violation).collect()
 }
 
-/// Lazy-dispatch guard: a materialized full drain beats the lazy
-/// pipeline's at every size and query, which is why a hint-less cursor
-/// materializes.
+/// Lazy-dispatch guard: a take hint routes a query onto the window
+/// pipeline, so lazy `first()` and a lazy take of |D|/8 nodes must each
+/// run at ≥ 0.8× the speed of materializing, at every size and query.
+/// The pipeline runs the same set-at-a-time passes per window, so its
+/// worst case is a materialized pass plus a per-window overhead. Drain
+/// ratios are recorded in `BENCH_axes.json`, not guarded: a hint-less
+/// drain materializes.
 fn lazy_dispatch_pass() -> Vec<String> {
     let mut failures = Vec::new();
     for c in measure_lazy_dispatch() {
-        let drain = LazyDispatchCell::lazy_speedup(c.drain_ns);
+        let first = LazyDispatchCell::lazy_speedup(c.first_ns);
+        let take = LazyDispatchCell::lazy_speedup(c.take_ns);
         eprintln!(
-            "check: lazy dispatch {:<18} {:>6} nodes  drain lazy {:>9}ns  \
-             materialized {:>9}ns  lazy {drain:>5.2}x",
-            c.query, c.nodes, c.drain_ns[0], c.drain_ns[1]
+            "check: lazy dispatch {:<18} {:>6} nodes  first lazy {:>9}ns  materialized \
+             {:>9}ns  {first:>5.2}x  take({}) {take:>5.2}x",
+            c.query, c.nodes, c.first_ns[0], c.first_ns[1], c.take
         );
-        if drain >= 1.0 {
-            failures.push(format!(
-                "lazy dispatch {} @ {} nodes: the lazy drain beats materializing ({drain:.2}x)",
-                c.query, c.nodes
-            ));
+        for (pull, ratio) in [("first()", first), ("take(|D|/8)", take)] {
+            if ratio < 0.8 {
+                failures.push(format!(
+                    "lazy dispatch {} @ {} nodes: lazy {pull} at {ratio:.2}x of materialized \
+                     (< 0.8x)",
+                    c.query, c.nodes
+                ));
+            }
         }
     }
     failures
@@ -928,8 +938,8 @@ fn axis_kernel_pass(doc: &Document) -> Vec<String> {
 
 /// Early-exit workloads on the ≥10⁵-node document: two predicate-free
 /// streamable spines that ride the lazy cursor end to end, plus
-/// `//b[following::c]`, whose per-candidate predicate check stops at the
-/// first witness (the S→ membership equivalence from the paper).
+/// `//b[following::c]`, whose predicate is one intersection per window
+/// with its document-global `E1` set.
 const EARLY_EXIT_QUERIES: &[&str] = &["//a//c", "//a//b//c//d", "//b[following::c]"];
 
 /// One early-exit cell: lazy `first()`/`exists()` against a full
@@ -980,8 +990,10 @@ fn measure_early_exit(big: &Document) -> Vec<EarlyExitCell> {
         .collect()
 }
 
-/// The lazy-dispatch rows: two predicate-free spines and two witness
-/// predicates, on `doc_balanced(4, d)` for these depths (1,366 / 5,462 /
+/// The lazy-dispatch rows: a predicate-free spine, a predicate read from
+/// its document-global `E1` set (`following`) and two window-local
+/// predicates (`child`; `//b[c]/d` is empty, so every window is
+/// evaluated), on `doc_balanced(4, d)` for these depths (1,366 / 5,462 /
 /// 21,846 / 87,382 / 349,526 nodes).
 const LAZY_DISPATCH_QUERIES: &[&str] = &["//a//c", "//b[following::c]", "//c[d]", "//b[c]/d"];
 const LAZY_DISPATCH_DEPTHS: [usize; 5] = [5, 6, 7, 8, 9];

@@ -23,7 +23,8 @@
 //! 10.7/10.8. Instead of filling the predicate for the whole document,
 //! the evaluator applies it as a filter to the candidates that reach it:
 //! the last step's `T(t) ∩ E1[[…]]` in `S←` before the inverse pass, and
-//! the nodes a predicate path reaches in the per-candidate witness walk.
+//! the nodes a predicate path reaches from a candidate set in the lazy
+//! cursor's forward-then-inverse pass.
 //! Each candidate is tested once. An attribute, text or other leaf
 //! candidate reads its stored text, so a pass over such candidates costs
 //! one `O(|D|)` sweep. An element candidate's string value concatenates
@@ -304,8 +305,9 @@ impl<'d> CoreXPathEvaluator<'d> {
     }
 
     /// Attach a shared axis-result memo ([`crate::batch::AxisMemo`]), or
-    /// none: repeat `(axis, node-test, input-fingerprint)` applications —
-    /// and the document-global `T(t)` and predicate sets — are then
+    /// none: repeat `(axis, node-test, input)` applications (the input
+    /// keyed by its [`NodeSet::memo_key`]) — and the document-global
+    /// `T(t)` and predicate sets — are then
     /// served from the memo instead of re-running their passes. This is
     /// how [`crate::batch::QuerySet`] amortizes one document traversal
     /// over a whole batch of queries; results are unchanged.
@@ -425,55 +427,31 @@ impl<'d> CoreXPathEvaluator<'d> {
         Ok(next)
     }
 
-    /// Witness-only predicate check for one candidate node: does `pred`
-    /// hold at `x`?
-    ///
-    /// Where the set-at-a-time `E1`/`S←` route computes the
-    /// document-global predicate set (one `T(t)` + inverse pass per
-    /// step), this walks the predicate path **forward from `{x}` alone**
-    /// — `x ∈ S←[[π]] ⇔ S→[[π]]({x}) ≠ ∅` (Definition 10.2) — so a
-    /// quantified predicate like `[following::c]` touches only the
-    /// frontier reachable from `x` and stops at the first witness (or the
-    /// first empty frontier). The cursor layer uses this per candidate,
-    /// short-circuiting `and`/`or`/`not` along the way; the materialized
-    /// evaluators keep the set-at-a-time route, which stays the source of
-    /// truth for differential testing.
-    pub(crate) fn pred_holds(
+    /// The inverse half of `S←[[π]]` (Definition 10.2) for a relative
+    /// path with steps `steps`, run back over the frontiers of one
+    /// forward pass `S→` from the candidate set `N` instead of over
+    /// `T(t)`: its intersection with `N` is `S←[[π]] ∩ N`. The cost
+    /// follows what `N` reaches rather than `|D|`, so the lazy cursor
+    /// runs a predicate whose path stays near its candidates this way,
+    /// one window of candidates at a time.
+    pub(crate) fn s_backward_from(
         &self,
-        pred: &CorePred,
-        x: NodeId,
-        budget: &EvalBudget,
-    ) -> EvalResult<bool> {
-        match pred {
-            CorePred::And(l, r) => {
-                Ok(self.pred_holds(l, x, budget)? && self.pred_holds(r, x, budget)?)
-            }
-            CorePred::Or(l, r) => {
-                Ok(self.pred_holds(l, x, budget)? || self.pred_holds(r, x, budget)?)
-            }
-            CorePred::Not(inner) => Ok(!self.pred_holds(inner, x, budget)?),
-            CorePred::Path(p, test) => self.path_holds_from(p, test.as_ref(), x, budget),
-        }
-    }
-
-    /// `S→[[π]]({x}) ≠ ∅` with empty-frontier early exit.
-    fn path_holds_from(
-        &self,
-        p: &CorePath,
+        steps: &[CoreStep],
         test: Option<&ValueTest>,
-        x: NodeId,
+        n: &NodeSet,
         budget: &EvalBudget,
-    ) -> EvalResult<bool> {
-        let ctx = [x];
-        let mut n = self.start_set(&p.start, &ctx);
-        for step in &p.steps {
-            if n.is_empty() {
-                return Ok(false);
-            }
-            budget.check()?;
-            n = self.advance_step(step, &n, budget)?;
-        }
-        Ok(!self.value_filter(test, n).is_empty())
+    ) -> EvalResult<NodeSet> {
+        let Some((step, rest)) = steps.split_first() else {
+            return Ok(self.value_filter(test, n.clone()));
+        };
+        budget.check()?;
+        let reached = self.advance_step(step, n, budget)?;
+        let back = if rest.is_empty() {
+            self.value_filter(test, reached)
+        } else {
+            self.s_backward_from(rest, test, &reached, budget)?.intersect(&reached)
+        };
+        self.inverse_expand(step.axis, &back)
     }
 
     /// Keep the candidates that pass a predicate path's value test (all
@@ -490,9 +468,9 @@ impl<'d> CoreXPathEvaluator<'d> {
     }
 
     /// `χ(N) ∩ T(t)` — the axis application plus node test of one step,
-    /// memoized under `(axis, test, fingerprint(N))` when a batch memo is
+    /// memoized under `(axis, test, N.memo_key())` when a batch memo is
     /// attached: identical spine prefixes across a batch collapse to one
-    /// pass (equal inputs fingerprint equally, so sharing cascades down
+    /// pass (equal inputs key equally, so sharing cascades down
     /// shared prefixes step by step).
     fn expand_axis_test(&self, axis: Axis, test: &NodeTest, n: &NodeSet) -> EvalResult<NodeSet> {
         self.memoized(MemoOp::Step(axis, test, n), || {
@@ -581,7 +559,7 @@ impl<'d> CoreXPathEvaluator<'d> {
     }
 
     /// `χ⁻¹(X)` through the batch memo when attached, keyed on
-    /// `(axis, fingerprint(X))` like the forward expansions.
+    /// `(axis, X.memo_key())` like the forward expansions.
     fn inverse_expand(&self, axis: Axis, set: &NodeSet) -> EvalResult<NodeSet> {
         self.memoized(MemoOp::Inverse(axis, set), || Ok(self.axis_backward(axis, set)))
     }

@@ -4,42 +4,38 @@
 //! caller sees a single node. For `exists`/`first`/`take(k)` workloads
 //! that wastes the entire tail of the document: the answer is determined
 //! by a prefix, and the paper's set-at-a-time passes cannot stop early.
-//! This module adds a pull-based layer over the Core XPath algebra that
-//! can.
+//! This module runs the same §10 operators one window of the id space at
+//! a time, so it can.
 //!
 //! # How it works
 //!
 //! Every forward axis is *preorder-monotone* (outputs never precede
 //! inputs in document order), so a spine of forward steps evaluates
 //! **block-synchronously** over the id space: the pipeline advances a
-//! window `[lo, hi)` of `LAZY_BLOCK` (4096) ids at a time, feeds
-//! each step's [`StepStreamer`] the upstream nodes accepted inside the
-//! window, and filters that step's own window of raw axis output down to
-//! accepted nodes — node test per candidate, then each predicate by the
-//! witness equivalence `x ∈ S←[[π]] ⇔ S→[[π]]({x}) ≠ ∅` (Definition
-//! 10.2), which short-circuits on the first witness instead of computing
-//! the document-global predicate set. The witness walk runs per
-//! candidate only when its frontier is structurally bounded; a predicate
-//! whose walk could touch Ω(|D|) nodes per candidate (`descendant`,
-//! `following`, the sibling axes, …) instead probes a document-global
-//! `E1` set computed once per cursor, so a window of candidates never
-//! costs more than one set-at-a-time predicate pass. Once every input `< hi` has been
-//! fed, outputs `< hi` are final, so a finished window is emitted and
-//! never revisited — a caller that stops pulling never pays for the
-//! document past its last window.
+//! window `[lo, hi)` of `LAZY_BLOCK` (4096) ids at a time and computes
+//! each step's share of Definition 10.2's `χ(N) ∩ T(t) ∩ E1[[e1]] ∩ …`
+//! on the window's words: the step's [`StepStreamer`] image (typed by
+//! the §4 strip), `T(t)` from the window's slice of the kind and name
+//! columns, and one intersection per predicate. A predicate path that
+//! stays near its candidates runs one forward and one inverse pass from
+//! the window's candidates; any other predicate is its document-global
+//! `E1` set, built once per cursor the first time a window has
+//! candidates.
 //!
-//! Which queries take the pipeline is decided once, at compile time, by
-//! the analyzer's lazy verdict ([`crate::analyze::laziness`]). Queries
+//! Once every input `< hi` has been fed, outputs `< hi` are final, so a
+//! finished window is emitted and never revisited: a caller that stops
+//! pulling never pays for the document past its last window, and a full
+//! drain costs the set-at-a-time passes plus a per-window overhead.
+//!
+//! Which queries can take the pipeline is decided once, at compile time,
+//! by the analyzer's lazy verdict ([`crate::analyze::laziness`]). Queries
 //! it rules out (reverse axes, `parent`, `id`, non-path queries,
 //! const-folded plans) fall back to a *materializing* cursor: the first
 //! pull runs the plan's ordinary evaluation under the cursor's
 //! [`EvalBudget`] and subsequent pulls serve slices of the finished set.
-//! Even a streamable spine takes the pipeline only for a bounded take:
-//! [`CompiledQuery::select_lazy_with`](crate::query::CompiledQuery::select_lazy_with)
-//! streams when the caller's take hint `k` satisfies `8·k ≤ |D|`, and
-//! every unbounded drain materializes. The word-parallel passes beat the
-//! per-candidate pipeline on a full drain at every size `bench_axes`
-//! measures (its `lazy_dispatch` section, guarded by `--check`).
+//! An eligible query streams when the caller passes a take hint
+//! ([`CompiledQuery::select_lazy_with`](crate::query::CompiledQuery::select_lazy_with));
+//! a hint-less cursor is a full drain and materializes.
 //!
 //! # Cursor invariants
 //!
@@ -61,7 +57,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use xpath_axes::StepStreamer;
+use xpath_axes::{Kernel, KernelCounters, StepStreamer};
+use xpath_xml::nodeset::each_window_id;
 use xpath_xml::{Document, NodeId};
 
 use crate::context::{Context, EvalBudget, EvalResult};
@@ -70,10 +67,13 @@ use crate::node_test::ResolvedTest;
 use crate::nodeset::NodeSet;
 use crate::plan::Plan;
 
-/// Ids per window the lazy pipeline processes between budget checks. One
-/// window of per-candidate filtering is the minimum overhead a lazy
-/// evaluation pays before its first early exit can fire.
+/// Ids per window: the pipeline polls the budget once per window, and a
+/// lazy evaluation pays at least one window of work before its first
+/// early exit can fire.
 const LAZY_BLOCK: u32 = 4096;
+
+/// One window of the id space, one bit per id from the window's `lo`.
+type Window = [u64; LAZY_BLOCK as usize / 64];
 
 /// A pull-based node iterator in document order.
 ///
@@ -120,7 +120,7 @@ enum State<'q, 'd> {
     Lazy(Box<LazyPipeline<'q, 'd>>),
     /// Materializing fallback, not yet run: the first pull evaluates the
     /// plan under the cursor's budget.
-    Pending { plan: &'q Plan, kernels: Arc<xpath_axes::KernelCounters>, ctx: Context },
+    Pending { plan: &'q Plan, kernels: Arc<KernelCounters>, ctx: Context },
     /// Materialized: serving slices of the finished answer. `Arc` makes
     /// clones O(1).
     Drained { ids: Arc<Vec<NodeId>>, pos: usize },
@@ -128,21 +128,24 @@ enum State<'q, 'd> {
 
 impl<'q, 'd> QueryCursor<'q, 'd> {
     /// Build the lazy pipeline cursor (caller has checked the query's
-    /// [`Laziness`](crate::analyze::Laziness) verdict).
+    /// [`Laziness`](crate::analyze::Laziness) verdict). The pipeline's
+    /// axis passes are tallied into `kernels`.
     pub(crate) fn lazy(
         doc: &'d Document,
         path: &'q CorePath,
+        kernels: Arc<KernelCounters>,
         ctx: Context,
         budget: EvalBudget,
     ) -> QueryCursor<'q, 'd> {
-        QueryCursor { doc, budget, state: State::Lazy(Box::new(LazyPipeline::new(doc, path, ctx))) }
+        let pipeline = LazyPipeline::new(doc, path, kernels, ctx);
+        QueryCursor { doc, budget, state: State::Lazy(Box::new(pipeline)) }
     }
 
     /// Build the materializing fallback cursor.
     pub(crate) fn materializing(
         doc: &'d Document,
         plan: &'q Plan,
-        kernels: Arc<xpath_axes::KernelCounters>,
+        kernels: Arc<KernelCounters>,
         ctx: Context,
         budget: EvalBudget,
     ) -> QueryCursor<'q, 'd> {
@@ -182,7 +185,11 @@ impl NodeCursor for QueryCursor<'_, '_> {
             return Ok(0);
         }
         match &mut self.state {
-            State::Lazy(p) => p.next_block(self.doc, &self.budget, out, max),
+            State::Lazy(p) => {
+                // Polled on every pull, finished windows included.
+                self.budget.check()?;
+                p.next_block(&self.budget, out, max)
+            }
             State::Pending { plan, kernels, ctx } => {
                 let v = plan.execute(self.doc, *ctx, kernels, &self.budget, None)?;
                 let ids = Arc::new(crate::query::into_node_set(v)?.into_vec());
@@ -217,8 +224,13 @@ impl NodeCursor for QueryCursor<'_, '_> {
 /// step, advanced window-by-window (see the [module docs](self)).
 struct LazyPipeline<'q, 'd> {
     doc: &'d Document,
-    /// Backs the per-candidate predicate walks ([`CoreXPathEvaluator::pred_holds`]).
+    /// Runs the predicate passes: the window-local forward and inverse
+    /// passes and the document-global `E1` sets.
     ev: CoreXPathEvaluator<'d>,
+    /// The query's planner tally: each stage's streamer counts as one
+    /// dense pass, and `ev`'s passes are merged in when the pipeline
+    /// drops.
+    kernels: Arc<KernelCounters>,
     steps: &'q [CoreStep],
     /// One axis streamer per step, beside the step's node test resolved
     /// against the document once.
@@ -232,49 +244,47 @@ struct LazyPipeline<'q, 'd> {
     /// Window output not yet handed to the caller.
     buf: Vec<NodeId>,
     buf_pos: usize,
-    /// Document-global predicate verdicts (a predicate path starting at
-    /// `/` or `id(c)` does not depend on the candidate), keyed by the
-    /// predicate's address inside the compiled query.
-    globals: HashMap<usize, bool>,
-    /// Materialized `E1` sets for context-dependent predicates whose
-    /// per-candidate witness walk is *unbounded* (see
-    /// [`witness_walk_is_bounded`]): computed once per cursor, then each
-    /// candidate is a membership probe. Keyed like `globals`.
+    /// The document-global `E1` sets of the predicates that are not
+    /// [`window_local`], keyed by the predicate's address inside the
+    /// compiled query and built on first use.
     pred_sets: HashMap<usize, NodeSet>,
 }
 
-/// Can `S→[[p]]({x})` stay cheap for a single candidate?
+/// Is predicate path `p` window-local: does `S→[[p]]` from a window of
+/// candidates stay near them?
 ///
-/// True when every step's frontier is bounded by local structure
-/// (`self`/`child`/`parent`/`ancestor(-or-self)`/`attribute`/`namespace`
-/// — at most a fanout or a root path per step), no step carries nested
-/// predicates (those route through a document-global `E1` pass *inside*
-/// the walk). A value test on the path is one string-value test per node
-/// the walk reaches, so it keeps the walk bounded: the walk for
-/// `[@qty > 5]` is one attribute hop plus one test. An element's string
-/// value is built once and cached by the document, so an ancestor that
-/// many candidates reach (`[parent::* != 'x']`) is not rescanned per
-/// candidate. Everything else
-/// — `descendant`, the sibling axes, `following`/`preceding`, `id` — can
-/// materialize an Ω(|D|) frontier **per candidate**, so a window of
-/// candidates would cost Ω(|D|·window) and a lazy `first()` would come
-/// out slower than full evaluation; for those the pipeline computes the
-/// document-global predicate set once and probes it instead.
-fn witness_walk_is_bounded(p: &CorePath) -> bool {
+/// True for a relative path whose steps are all bounded by local
+/// structure (`self`/`child`/`parent`/`ancestor(-or-self)`/`attribute`/
+/// `namespace` — at most a fanout or a root path per node) and carry no
+/// nested predicate (whose `E1` would be a document-global pass anyway).
+/// A value test keeps a path window-local: it reads each node reached
+/// once, and an element's string value is built once and cached by the
+/// document, so an ancestor that many windows reach
+/// (`[parent::* != 'x']`) is not rescanned. Everything else —
+/// `descendant`, the sibling axes, `following`/`preceding`, `id`, an
+/// absolute path — can reach Ω(|D|) nodes from one window, so it reads
+/// its document-global `E1` set instead, built once per cursor.
+fn window_local(p: &CorePath) -> bool {
     use xpath_syntax::Axis;
-    p.steps.iter().all(|s| {
-        s.preds.is_empty()
-            && matches!(
-                s.axis,
-                Axis::SelfAxis
-                    | Axis::Child
-                    | Axis::Parent
-                    | Axis::Ancestor
-                    | Axis::AncestorOrSelf
-                    | Axis::Attribute
-                    | Axis::Namespace
-            )
-    })
+    matches!(p.start, CoreStart::Context)
+        && p.steps.iter().all(|s| {
+            s.preds.is_empty()
+                && matches!(
+                    s.axis,
+                    Axis::SelfAxis
+                        | Axis::Child
+                        | Axis::Parent
+                        | Axis::Ancestor
+                        | Axis::AncestorOrSelf
+                        | Axis::Attribute
+                        | Axis::Namespace
+                )
+        })
+}
+
+/// `f` applied word by word to two windows.
+fn zip_with(a: &Window, b: &Window, f: impl Fn(u64, u64) -> u64) -> Window {
+    std::array::from_fn(|i| f(a[i], b[i]))
 }
 
 impl std::fmt::Debug for LazyPipeline<'_, '_> {
@@ -292,8 +302,10 @@ impl Clone for LazyPipeline<'_, '_> {
         LazyPipeline {
             doc: self.doc,
             // The evaluator is stateless apart from its planner tally;
-            // clones get a fresh one over the same document.
+            // clones get a fresh one over the same document, so no pass
+            // is merged into `kernels` twice.
             ev: CoreXPathEvaluator::new(self.doc),
+            kernels: self.kernels.clone(),
             steps: self.steps,
             stages: self.stages.clone(),
             start_ids: self.start_ids.clone(),
@@ -302,7 +314,6 @@ impl Clone for LazyPipeline<'_, '_> {
             n: self.n,
             buf: self.buf.clone(),
             buf_pos: self.buf_pos,
-            globals: self.globals.clone(),
             pred_sets: self.pred_sets.clone(),
         }
     }
@@ -310,6 +321,7 @@ impl Clone for LazyPipeline<'_, '_> {
 
 impl Drop for LazyPipeline<'_, '_> {
     fn drop(&mut self) {
+        self.kernels.merge(self.ev.kernel_counts());
         // `start_ids` and `buf` are shelf buffers (`into_vec` / recycled
         // window output); return them so cancelled or abandoned cursors
         // don't bleed the thread-local shelves dry.
@@ -319,7 +331,12 @@ impl Drop for LazyPipeline<'_, '_> {
 }
 
 impl<'q, 'd> LazyPipeline<'q, 'd> {
-    fn new(doc: &'d Document, path: &'q CorePath, ctx: Context) -> LazyPipeline<'q, 'd> {
+    fn new(
+        doc: &'d Document,
+        path: &'q CorePath,
+        kernels: Arc<KernelCounters>,
+        ctx: Context,
+    ) -> LazyPipeline<'q, 'd> {
         let ev = CoreXPathEvaluator::new(doc);
         let start_ids = ev.start_set(&path.start, &[ctx.node]).into_vec();
         let stages = path
@@ -334,22 +351,21 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
         LazyPipeline {
             doc,
             ev,
+            kernels,
             steps: &path.steps,
             stages,
             start_ids,
             start_pos: 0,
             lo: 0,
             n: doc.len() as u32,
-            buf: Vec::new(),
+            buf: xpath_xml::pool::take_ids(),
             buf_pos: 0,
-            globals: HashMap::new(),
             pred_sets: HashMap::new(),
         }
     }
 
     fn next_block(
         &mut self,
-        doc: &Document,
         budget: &EvalBudget,
         out: &mut NodeSet,
         max: usize,
@@ -366,7 +382,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
             }
             self.buf.clear();
             self.buf_pos = 0;
-            self.pull_window(doc, budget)?;
+            self.pull_window(budget)?;
         }
     }
 
@@ -377,126 +393,86 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
 
     /// Advance one window `[lo, hi)` through every stage, appending the
     /// final stage's accepted nodes to `buf`. The budget is polled once
-    /// per window plus inside every predicate witness walk, so a trip
-    /// costs at most one window of work.
-    fn pull_window(&mut self, doc: &Document, budget: &EvalBudget) -> EvalResult<()> {
+    /// per window plus before every predicate pass, so a trip costs at
+    /// most one window of work; a window that trips runs again on the
+    /// next pull (feeding a streamer an input twice adds nothing).
+    fn pull_window(&mut self, budget: &EvalBudget) -> EvalResult<()> {
         budget.check()?;
-        let hi = self.lo.saturating_add(LAZY_BLOCK).min(self.n);
-        // The stage scratch is a shelf buffer; hand it back on every exit
-        // path (including a budget trip inside a predicate walk).
-        let mut accepted = xpath_xml::pool::take_ids();
-        let r = self.fill_window(doc, budget, hi, &mut accepted);
-        xpath_xml::pool::give_ids(accepted);
-        r
-    }
-
-    /// The body of [`LazyPipeline::pull_window`], with the stage scratch
-    /// owned by the caller so it survives `?` exits.
-    fn fill_window(
-        &mut self,
-        doc: &Document,
-        budget: &EvalBudget,
-        hi: u32,
-        accepted: &mut Vec<NodeId>,
-    ) -> EvalResult<()> {
-        let steps = self.steps;
-        let special = doc.special_words();
-
-        // Stage-0 inputs: start ids inside the window (earlier ones were
-        // fed in earlier windows; start ids are sorted).
-        while self.start_pos < self.start_ids.len() && self.start_ids[self.start_pos].0 < hi {
-            accepted.push(self.start_ids[self.start_pos]);
+        let (doc, lo, steps) = (self.doc, self.lo, self.steps);
+        let hi = lo.saturating_add(LAZY_BLOCK).min(self.n);
+        // Stage-0 inputs: the start ids inside the window (earlier ones
+        // were fed in earlier windows; start ids are sorted).
+        let mut window: Window = [0; _];
+        while let Some(x) = self.start_ids.get(self.start_pos).filter(|x| x.0 < hi) {
+            let i = x.0 - lo;
+            window[(i / 64) as usize] |= 1 << (i % 64);
             self.start_pos += 1;
         }
-
         for (i, step) in steps.iter().enumerate() {
-            // The stage borrow ends before the predicate walks below need
-            // `&mut self`: candidates is an owned window of the output.
             let (stage, test) = &mut self.stages[i];
-            let test = *test;
-            // Feed the upstream window (ascending — within a window the
-            // candidate scan is ascending, and windows only move right).
-            for &x in &*accepted {
-                stage.push(doc, x);
-            }
-            let strip = stage.needs_type_strip();
-            // All upstream inputs < hi are in, so this window of raw axis
-            // output is final (block-synchronous invariant).
-            let candidates = stage.expanded().restrict_range(self.lo, hi);
-
-            accepted.clear();
-            for c in &candidates {
-                // §4 type strip, per candidate (`child` filtered specials
-                // inline; `attribute`/`namespace` *produce* them).
-                if strip && xpath_axes::bulk::is_special(special, c.0) {
-                    continue;
-                }
-                if !test.matches(doc, c) {
-                    continue;
-                }
-                let mut ok = true;
-                for pred in &step.preds {
-                    if !self.pred_holds_cached(pred, c, budget)? {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    accepted.push(c);
-                }
+            // All upstream inputs < hi are in once this window's are fed,
+            // so the image below hi is final (block-synchronous invariant).
+            let live = &mut window[..(hi - lo).div_ceil(64) as usize];
+            stage.push_window(doc, lo, live);
+            stage.read_window(doc, lo, live);
+            test.retain_window(doc, lo, live);
+            for pred in &step.preds {
+                window = self.pred_window(pred, &window, budget)?;
             }
         }
-
-        self.buf.extend_from_slice(accepted);
+        if lo == 0 {
+            for _ in &self.stages {
+                self.kernels.record(Kernel::BulkDense);
+            }
+        }
+        each_window_id(lo, &window, |x| self.buf.push(x));
         self.lo = hi;
         Ok(())
     }
 
-    /// Per-candidate predicate check with short-circuiting connectives.
-    /// Document-global predicate paths (non-`Context` start) are cached by
-    /// address: their verdict is candidate-independent, so one witness
-    /// walk serves the whole cursor. Connectives recurse here (not into
-    /// the evaluator) so globals nested under `and`/`or`/`not` cache too.
-    /// Context-dependent paths split on [`witness_walk_is_bounded`]:
-    /// bounded walks run per candidate, unbounded ones probe a
-    /// once-per-cursor `E1` set cached in `pred_sets`.
-    fn pred_holds_cached(
+    /// The candidates in `cand` at which `pred` holds: `E1[[pred]] ∩ cand`
+    /// over the window. Connectives combine the windows of their
+    /// operands, each operand seeing only the candidates still open.
+    fn pred_window(
         &mut self,
-        pred: &CorePred,
-        x: NodeId,
+        pred: &'q CorePred,
+        cand: &Window,
         budget: &EvalBudget,
-    ) -> EvalResult<bool> {
+    ) -> EvalResult<Window> {
+        if cand.iter().all(|&w| w == 0) {
+            return Ok(*cand);
+        }
+        let lo = self.lo;
+        let mut held: Window = [0; _];
         match pred {
             CorePred::And(l, r) => {
-                Ok(self.pred_holds_cached(l, x, budget)? && self.pred_holds_cached(r, x, budget)?)
+                let left = self.pred_window(l, cand, budget)?;
+                return self.pred_window(r, &left, budget);
             }
             CorePred::Or(l, r) => {
-                Ok(self.pred_holds_cached(l, x, budget)? || self.pred_holds_cached(r, x, budget)?)
+                let left = self.pred_window(l, cand, budget)?;
+                let right = self.pred_window(r, &zip_with(cand, &left, |c, l| c & !l), budget)?;
+                return Ok(zip_with(&left, &right, |l, r| l | r));
             }
-            CorePred::Not(inner) => Ok(!self.pred_holds_cached(inner, x, budget)?),
-            CorePred::Path(p, _) if !matches!(p.start, CoreStart::Context) => {
-                let key = pred as *const CorePred as usize;
-                if let Some(&v) = self.globals.get(&key) {
-                    return Ok(v);
-                }
-                let v = self.ev.pred_holds(pred, x, budget)?;
-                self.globals.insert(key, v);
-                Ok(v)
+            CorePred::Not(inner) => {
+                let held = self.pred_window(inner, cand, budget)?;
+                return Ok(zip_with(cand, &held, |c, h| c & !h));
             }
-            CorePred::Path(p, _) if witness_walk_is_bounded(p) => {
-                self.ev.pred_holds(pred, x, budget)
+            CorePred::Path(p, test) if window_local(p) => {
+                let cands = NodeSet::from_window(lo, cand);
+                let set = self.ev.s_backward_from(&p.steps, test.as_ref(), &cands, budget)?;
+                set.read_window(lo, &mut held);
             }
             CorePred::Path(..) => {
                 let key = pred as *const CorePred as usize;
-                if let Some(s) = self.pred_sets.get(&key) {
-                    return Ok(s.contains(x));
+                if !self.pred_sets.contains_key(&key) {
+                    let set = self.ev.pred_set(pred, budget)?;
+                    self.pred_sets.insert(key, set);
                 }
-                let s = self.ev.pred_set(pred, budget)?;
-                let v = s.contains(x);
-                self.pred_sets.insert(key, s);
-                Ok(v)
+                self.pred_sets[&key].read_window(lo, &mut held);
             }
         }
+        Ok(zip_with(&held, cand, |h, c| h & c))
     }
 }
 
@@ -538,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn value_tested_predicates_walk_per_candidate() {
+    fn value_tested_predicates_are_window_local() {
         let pred_path = |q: &str| {
             let c =
                 crate::corexpath::compile_xpatterns(&xpath_syntax::parse_normalized(q).unwrap())
@@ -548,9 +524,10 @@ mod tests {
                 other => panic!("{q}: {other:?}"),
             }
         };
-        assert!(witness_walk_is_bounded(&pred_path("//book[@price > 30]")));
-        assert!(witness_walk_is_bounded(&pred_path("//book[author/last != 'Hull']")));
-        assert!(!witness_walk_is_bounded(&pred_path("//book[.//last < 3]")));
+        assert!(window_local(&pred_path("//book[@price > 30]")));
+        assert!(window_local(&pred_path("//book[author/last != 'Hull']")));
+        assert!(!window_local(&pred_path("//book[.//last < 3]")));
+        assert!(!window_local(&pred_path("//book[/bookstore]")));
         let d = doc_bookstore();
         let q = CompiledQuery::compile("//book[@price > 30]/title").unwrap();
         let want = q.select(&d).unwrap();

@@ -114,7 +114,7 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
         Laziness::Lazy => writeln!(
             report,
             "lazy:      lazy — spine streams (forward axes, preorder-monotone); \
-             bounded takes with 8·k ≤ |D| stream; full drains materialize"
+             a take hint runs it window by window; full drains materialize"
         ),
         materialize => writeln!(report, "lazy:      {materialize}"),
     };
@@ -307,12 +307,12 @@ mod tests {
 
     #[test]
     fn explain_reports_lazy_cursor_verdict() {
-        // Streamable spine: bounded takes stream and full drains
+        // Streamable spine: hinted takes stream and full drains
         // materialize, the same rule at every document size.
         for size in [100, 200_000] {
             let x = explain_q("//a[b]", size);
             assert!(x.report.contains("lazy:      lazy — spine streams"), "{}", x.report);
-            let rule = "bounded takes with 8·k ≤ |D| stream; full drains materialize";
+            let rule = "a take hint runs it window by window; full drains materialize";
             assert!(x.report.contains(rule), "{}", x.report);
         }
         // A reverse step in the spine rules the pipeline out.

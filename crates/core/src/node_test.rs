@@ -102,6 +102,29 @@ impl<'t> ResolvedTest<'t> {
     pub(crate) fn matches(self, doc: &Document, n: NodeId) -> bool {
         with_check!(self, doc, |check| check(n))
     }
+
+    /// Intersect `window` (one bit per id from `lo`, a multiple of 64)
+    /// with `T(t)`: the column compare of [`matching_set`] over the
+    /// window's slice, one 64-id block per nonzero word, so words
+    /// without a candidate cost nothing.
+    pub(crate) fn retain_window(self, doc: &Document, lo: u32, window: &mut [u64]) {
+        let (kinds, names) = (doc.kind_bytes(), doc.name_ids());
+        for (w, word) in window.iter_mut().enumerate().filter(|(_, word)| **word != 0) {
+            let base = lo as usize + w * 64;
+            let end = (base + 64).min(kinds.len());
+            *word &= match self {
+                ResolvedTest::Never => 0,
+                ResolvedTest::Any => u64::MAX,
+                ResolvedTest::Kind(k) => eq_mask(&kinds[base..end], k as u8),
+                ResolvedTest::Name(k, id) => {
+                    eq_mask(&names[base..end], id.0) & eq_mask(&kinds[base..end], k as u8)
+                }
+                r @ ResolvedTest::Prefix(..) => (0..end - base)
+                    .filter(|&j| r.matches(doc, NodeId((base + j) as u32)))
+                    .fold(0, |m, j| m | 1 << j),
+            };
+        }
+    }
 }
 
 /// The set `T(t)` (§4) relative to an axis: all nodes of the document
@@ -127,25 +150,31 @@ pub fn matching_set(doc: &Document, axis: Axis, test: &NodeTest) -> Vec<NodeId> 
     out
 }
 
-/// Call `f` with every index of `column` holding `v`, in ascending order.
-/// A branch-free compare over each 64-entry block skips blocks without a
-/// match, so a rare value costs one vectorizable pass over the column.
+/// Call `f` with every index of `column` holding `v`, in ascending order:
+/// one [`eq_mask`] per 64-entry block.
 fn each_equal<T: Copy + PartialEq>(column: &[T], v: T, mut f: impl FnMut(usize)) {
-    const BLOCK: usize = 64;
-    let mut blocks = column.chunks_exact(BLOCK);
-    let mut emit = |base: usize, block: &[T]| {
-        for (j, &x) in block.iter().enumerate() {
-            if x == v {
-                f(base + j);
-            }
-        }
-    };
-    for (b, block) in blocks.by_ref().enumerate() {
-        if block.iter().fold(false, |hit, &x| hit | (x == v)) {
-            emit(b * BLOCK, block);
+    for (b, block) in column.chunks(64).enumerate() {
+        let mut m = eq_mask(block, v);
+        while m != 0 {
+            f(b * 64 + m.trailing_zeros() as usize);
+            m &= m - 1;
         }
     }
-    emit(column.len() - blocks.remainder().len(), blocks.remainder());
+}
+
+/// Bit `j` set iff `block[j] == v`, for a block of at most 64 entries.
+/// The compares fill a byte per entry, so they vectorize and no branch
+/// depends on the data; a multiply then gathers eight bytes' low bits
+/// into one byte of the mask.
+fn eq_mask<T: Copy + PartialEq>(block: &[T], v: T) -> u64 {
+    let mut hits = [0u8; 64];
+    for (hit, &x) in hits.iter_mut().zip(block) {
+        *hit = u8::from(x == v);
+    }
+    hits.chunks_exact(8).enumerate().fold(0, |m, (i, eight)| {
+        let bytes = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+        m | bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56 << (8 * i)
+    })
 }
 
 /// Filter a node list in place by a node test.
@@ -176,6 +205,7 @@ pub fn filter_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nodeset::NodeSet;
     use xpath_xml::generate::doc_figure8;
     use xpath_xml::Document;
 
@@ -279,9 +309,17 @@ mod tests {
                 let mut v: Vec<NodeId> = d.all_nodes().collect();
                 filter(&d, axis, test, &mut v);
                 assert_eq!(v, want, "{axis:?} {test:?}");
-                let mut set = crate::nodeset::NodeSet::full(d.len() as u32);
+                let mut set = NodeSet::full(d.len() as u32);
                 filter_set(&d, axis, test, &mut set);
                 assert_eq!(set.to_vec(), want, "{axis:?} {test:?}");
+                for lo in [0u32, 64] {
+                    let mut window = vec![0u64; d.len().div_ceil(64)];
+                    NodeSet::full(d.len() as u32).read_window(lo, &mut window);
+                    ResolvedTest::new(&d, axis, test).retain_window(&d, lo, &mut window);
+                    let tail: Vec<NodeId> = want.iter().copied().filter(|n| n.0 >= lo).collect();
+                    let got = NodeSet::from_window(lo, &window);
+                    assert_eq!(got, tail, "{axis:?} {test:?} window at {lo}");
+                }
             }
         }
     }

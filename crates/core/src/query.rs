@@ -302,13 +302,12 @@ impl CompiledQuery {
     /// The general lazy entry point: an explicit [`EvalBudget`] plus an
     /// optional *take hint* — how many nodes the caller expects to pull
     /// (`Some(1)` for `exists`/`first`, `None` for a full drain). A
-    /// [lazy-eligible](CompiledQuery::lazy_eligible) query streams iff
-    /// the hint is `Some(k)` with `8·k ≤ |D|`; every unbounded drain
-    /// materializes, because the word-parallel passes beat the
-    /// per-candidate pipeline on a full drain at every size `bench_axes`
-    /// measures (its `lazy_dispatch` rows). The choice never changes the
-    /// nodes produced, only when the work happens. Construction is
-    /// infallible — evaluation errors surface on the first pull.
+    /// [lazy-eligible](CompiledQuery::lazy_eligible) query with a hint
+    /// streams on the window pipeline; without one it materializes,
+    /// since a full drain gains nothing from stopping early. The choice
+    /// never changes the nodes produced, only when the work happens.
+    /// Construction is infallible — evaluation errors surface on the
+    /// first pull.
     pub fn select_lazy_with<'q, 'd>(
         &'q self,
         doc: &'d Document,
@@ -316,19 +315,17 @@ impl CompiledQuery {
         budget: EvalBudget,
         take_hint: Option<usize>,
     ) -> QueryCursor<'q, 'd> {
-        if self.lazy_eligible() {
+        if take_hint.is_some() && self.lazy_eligible() {
             let path = &self.plan.algebra().expect("a lazy verdict implies an algebra").path;
-            if take_hint.is_some_and(|k| (k as u64).saturating_mul(8) <= doc.len() as u64) {
-                return QueryCursor::lazy(doc, path, ctx, budget);
-            }
+            return QueryCursor::lazy(doc, path, self.kernels.clone(), ctx, budget);
         }
         QueryCursor::materializing(doc, &self.plan, self.kernels.clone(), ctx, budget)
     }
 
     /// Can this query run on the lazy cursor pipeline at all? Reads the
     /// analyzer's verdict ([`crate::analyze::laziness`]). An eligible
-    /// query still materializes a full drain or a take of more than
-    /// |D|/8 nodes — see [`CompiledQuery::select_lazy_with`].
+    /// query still materializes a hint-less full drain — see
+    /// [`CompiledQuery::select_lazy_with`].
     pub fn lazy_eligible(&self) -> bool {
         self.plan.report().laziness.is_lazy()
     }
@@ -477,6 +474,14 @@ mod tests {
         let scalar = CompiledQuery::compile("count(//book[1])").unwrap();
         scalar.evaluate_root(&d).unwrap();
         assert_eq!(scalar.planner_stats().total(), 0);
+        // A lazy cursor tallies its passes too: one dense pass per spine
+        // step, plus the predicate passes it ran.
+        let big = xpath_xml::generate::doc_balanced(4, 7, &["a", "b", "c", "d"]);
+        for text in ["//b[following::c]", "//c[d]", "//a//c"] {
+            let lazy = CompiledQuery::compile(text).unwrap();
+            assert!(lazy.first(&big).unwrap().is_some());
+            assert!(lazy.planner_stats().total() > 0, "{text}: lazy first() records nothing");
+        }
     }
 
     #[test]

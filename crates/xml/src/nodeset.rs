@@ -633,50 +633,55 @@ impl NodeSet {
         }
     }
 
-    // ----- id-range projection -----
+    /// The ids set in `window`, one bit per id from `lo` (a multiple of
+    /// 64), as a sorted vector: the inverse of [`NodeSet::read_window`].
+    pub fn from_window(lo: u32, window: &[u64]) -> NodeSet {
+        let mut v = pool::take_ids();
+        v.resize(simd::popcount(window) as usize, NodeId(0));
+        let mut k = 0;
+        each_window_id(lo, window, |x| {
+            v[k] = x;
+            k += 1;
+        });
+        NodeSet::from_sorted(v)
+    }
 
-    /// The subset of `self` with ids in `[lo, hi)` — how the lazy cursor
-    /// cuts one window out of a step's candidates. `O(log n)` + a copy on
-    /// the sparse representation; a masked word copy on the dense one.
-    /// The result keeps `self`'s representation.
-    pub fn restrict_range(&self, lo: u32, hi: u32) -> NodeSet {
-        if lo >= hi {
-            return NodeSet::new();
-        }
+    /// Overwrite `out` with the members of `self` in the window
+    /// `[lo, lo + 64·out.len())`, one bit per id from `lo` (a multiple
+    /// of 64) — how the lazy cursor reads one window of a step's image
+    /// or of a predicate set. A word copy on the dense representation; a
+    /// binary search plus one bit per member on the sparse one.
+    pub fn read_window(&self, lo: u32, out: &mut [u64]) {
+        debug_assert_eq!(lo % WORD_BITS, 0, "windows are word-aligned");
         match &self.repr {
+            Repr::Bits { words, .. } => {
+                let src = words.get((lo / WORD_BITS) as usize..).unwrap_or_default();
+                let k = src.len().min(out.len());
+                out[..k].copy_from_slice(&src[..k]);
+                out[k..].fill(0);
+            }
             Repr::Vec(v) => {
+                out.fill(0);
+                let span = out.len() as u64 * u64::from(WORD_BITS);
                 let start = v.partition_point(|n| n.0 < lo);
-                let end = v.partition_point(|n| n.0 < hi);
-                let mut out = pool::take_ids();
-                out.extend_from_slice(&v[start..end]);
-                NodeSet::from_sorted(out)
-            }
-            Repr::Bits { words, universe, .. } => {
-                let hi = hi.min(*universe);
-                if lo >= hi {
-                    return NodeSet::new();
+                for n in v[start..].iter().take_while(|n| u64::from(n.0 - lo) < span) {
+                    let i = n.0 - lo;
+                    out[(i / WORD_BITS) as usize] |= 1 << (i % WORD_BITS);
                 }
-                let mut out = pool::take_words();
-                out.resize(words.len(), 0);
-                let (lw, lb) = ((lo / WORD_BITS) as usize, lo % WORD_BITS);
-                let (hw, hb) = ((hi / WORD_BITS) as usize, hi % WORD_BITS);
-                let lo_mask = u64::MAX << lb;
-                let hi_mask = if hb == 0 { 0 } else { u64::MAX >> (WORD_BITS - hb) };
-                let mut len = 0u32;
-                if lw == hw {
-                    out[lw] = words[lw] & lo_mask & hi_mask;
-                    len += out[lw].count_ones();
-                } else {
-                    out[lw] = words[lw] & lo_mask;
-                    len += out[lw].count_ones();
-                    len += simd::copy_into_count(&words[lw + 1..hw], &mut out[lw + 1..hw]) as u32;
-                    if hb != 0 {
-                        out[hw] = words[hw] & hi_mask;
-                        len += out[hw].count_ones();
-                    }
-                }
-                NodeSet { repr: Repr::Bits { words: out, universe: *universe, len } }
             }
+        }
+    }
+}
+
+/// Call `f` with every id set in `window`, one bit per id from `lo`,
+/// ascending: the inverse of [`NodeSet::read_window`].
+#[inline]
+pub fn each_window_id(lo: u32, window: &[u64], mut f: impl FnMut(NodeId)) {
+    for (w, &word) in window.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(NodeId(lo + w as u32 * WORD_BITS + bits.trailing_zeros()));
+            bits &= bits - 1;
         }
     }
 }
@@ -855,6 +860,7 @@ pub enum Iter<'a> {
 impl Iterator for Iter<'_> {
     type Item = NodeId;
 
+    #[inline]
     fn next(&mut self) -> Option<NodeId> {
         match self {
             Iter::Vec(it) => it.next().copied(),
@@ -1060,15 +1066,20 @@ mod tests {
     }
 
     #[test]
-    fn restrict_range_projects_both_reprs() {
+    fn read_window_reads_both_reprs() {
         let ids = [0u32, 3, 63, 64, 100, 129, 190];
         for s in [ns(&ids), dense(&ids, 200)] {
-            let got = s.restrict_range(63, 130);
-            assert_eq!(got, ns(&[63, 64, 100, 129]), "{s:?}");
-            assert_eq!(got.is_dense(), s.is_dense(), "repr preserved");
-            assert_eq!(s.restrict_range(5, 5), NodeSet::new());
-            assert_eq!(s.restrict_range(191, 1000), NodeSet::new());
-            assert_eq!(s.restrict_range(0, 1000), s);
+            let mut out = [u64::MAX; 2];
+            s.read_window(64, &mut out);
+            assert_eq!(out, [1 | 1 << 36, 1 << 1 | 1 << 62], "{s:?}");
+            // A window past the last member (or past the universe) is empty.
+            s.read_window(192, &mut out);
+            assert_eq!(out, [0, 0], "{s:?}");
+            let mut all = [0u64; 4];
+            s.read_window(0, &mut all);
+            assert_eq!(all, [1 | 1 << 3 | 1 << 63, 1 | 1 << 36, 1 << 1 | 1 << 62, 0], "{s:?}");
+            assert_eq!(NodeSet::from_window(0, &all), s);
+            assert_eq!(NodeSet::from_window(64, &all[1..]), ns(&[64, 100, 129, 190]));
         }
     }
 

@@ -163,8 +163,8 @@ fn lazy_verdict_matches_the_cursor() {
         let mut lazy_runs = 0;
         for seed in 0..8u64 {
             let doc = doc_random(seed, &RandomDocConfig { elements: 35, ..Default::default() });
-            // A take of one streams once it is at most an eighth of |D|.
-            let pipeline = lazy && 8 <= doc.len();
+            // A take hint streams every lazy-eligible query.
+            let pipeline = lazy;
             for ctx in contexts(&doc) {
                 let want = node_set(execute_adhoc(&e, Strategy::TopDown, None, &doc, ctx).unwrap());
                 let mut cursor =

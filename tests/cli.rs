@@ -77,7 +77,7 @@ fn explain_mode_reports_streamability() {
     assert!(stdout.contains("lazy:      lazy — spine streams"), "{stdout}");
     // It states the route rule, not a size threshold.
     assert!(
-        stdout.contains("bounded takes with 8·k ≤ |D| stream; full drains materialize"),
+        stdout.contains("a take hint runs it window by window; full drains materialize"),
         "{stdout}"
     );
     // A reverse step in the spine, or a query outside the algebra,

@@ -18,9 +18,10 @@ use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDo
 use gkp_xpath::{Compiler, Document, EvalBudget, EvalError, NodeCursor, NodeSet, Strategy, Value};
 
 /// The seven query shapes benchmarked in BENCH_axes.json (mirrored by
-/// `tests/backend_differential.rs`): streamable spines, witness-predicate
-/// shapes the lazy pipeline must route through `pred_holds`, and
-/// reverse-axis shapes that exercise the materializing fallback.
+/// `tests/backend_differential.rs`): streamable spines, predicate shapes
+/// the lazy pipeline answers from a document-global `E1` set or a
+/// window-local pass, and reverse-axis shapes that exercise the
+/// materializing fallback.
 const BENCH_QUERIES: &[&str] = &[
     "//a//c",
     "//a//b//c//d",
@@ -123,7 +124,8 @@ fn cursor_matches_evaluate_on_random_documents() {
 }
 
 /// Value tests (`π op c`): the lazy pipeline checks `[@qty > 5]` by one
-/// attribute hop plus a string-value test per candidate; `exists`,
+/// attribute pass from a window's candidates plus a string-value test
+/// per attribute reached; `exists`,
 /// `first`, prefixes and drains must match full evaluation, including on
 /// non-numeric and whitespace-padded values.
 #[test]
@@ -222,6 +224,36 @@ fn lazy_full_drain_matches_on_large_document() {
         assert!(cur.is_lazy(), "{q}: expected the lazy pipeline at |D| = {}", doc.len());
         assert_eq!(cur.collect_set().unwrap(), want, "{q}: lazy drain diverges");
         assert!(!c.select_lazy(&doc).is_lazy(), "{q}: a hint-less drain must materialize");
+    }
+}
+
+/// A trip in the middle of a drain: one block pulled, the next pull
+/// cancelled, then the flag cleared and the rest drained. The cursor must
+/// resume where it stopped, both with a document-global `E1` already
+/// built (`//b[following::c]`) and with a window-local predicate pass
+/// (`//c[d]`).
+#[test]
+fn cursor_resumes_after_a_trip_mid_drain() {
+    let doc = doc_balanced(4, 8, &["a", "b", "c", "d"]);
+    let compiler = Compiler::new();
+    for q in ["//b[following::c]", "//c[d]"] {
+        let c = compiler.compile(q).unwrap();
+        let want = c.select(&doc).unwrap().into_vec();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let budget = EvalBudget::unlimited().with_cancel(cancel.clone());
+        let mut cur = c.select_lazy_with(&doc, Context::of(doc.root()), budget, Some(1));
+        assert!(cur.is_lazy(), "{q}: expected the lazy pipeline");
+        let mut first = NodeSet::new();
+        assert_eq!(cur.next_block(&mut first, 64).unwrap(), 64, "{q}: first block");
+        cancel.store(true, Ordering::SeqCst);
+        let mut out = NodeSet::new();
+        let err = cur.next_block(&mut out, 64).unwrap_err();
+        assert!(matches!(err, EvalError::Cancelled), "{q}: got {err:?}");
+        assert!(out.is_empty(), "{q}: a cancelled pull must not emit partial output");
+        cancel.store(false, Ordering::SeqCst);
+        let mut got = first.into_vec();
+        got.extend(cur.collect_set().unwrap().iter());
+        assert_eq!(got, want, "{q}: the resumed drain diverges");
     }
 }
 
