@@ -44,11 +44,13 @@
 //!   ≥10⁵-node document, including the `//b[following::c]` shape whose
 //!   predicate reads a document-global `E1` set built once per cursor;
 //! * **lazy_dispatch** — the window pipeline against materializing:
-//!   `first()`, a take of |D|/8 nodes and the full drain of four
+//!   `first()`, a take of |D|/8 nodes and the full drain of six
 //!   lazy-eligible queries (a predicate-free spine, a predicate read from
-//!   its `E1` set and two window-local predicates), each on the
-//!   lazy pipeline (take hint 1) and materialized (no hint), on 1,366 to
-//!   349,526 nodes;
+//!   its `E1` set, two window-local predicates and two upward ones, which
+//!   read `E1` too), each on the lazy pipeline (take hint 1) and
+//!   materialized (no hint), on 1,366 to 349,526 nodes, plus three upward
+//!   predicates on a wide document (one element whose children are half
+//!   the document);
 //! * **snapshot** — the zero-copy document store (`xpath_xml::snap`): a
 //!   cold parse of the ≥10⁵-node document's XML text vs an mmap'd
 //!   snapshot load of the same document (O(header) open, arenas mapped
@@ -92,7 +94,7 @@ use xpath_core::{
     Strategy, Value,
 };
 use xpath_syntax::Axis;
-use xpath_xml::generate::doc_balanced;
+use xpath_xml::generate::{doc_balanced, doc_flat_text};
 
 use xpath_xml::rng::Rng;
 use xpath_xml::{Document, NodeId, NodeSet};
@@ -854,27 +856,28 @@ fn fan_out_pass() -> Vec<String> {
 
 /// Lazy-dispatch guard: a take hint routes a query onto the window
 /// pipeline, so lazy `first()` and a lazy take of |D|/8 nodes must each
-/// run at ≥ 0.8× the speed of materializing, at every size and query.
-/// The pipeline runs the same set-at-a-time passes per window, so its
-/// worst case is a materialized pass plus a per-window overhead. Drain
-/// ratios are recorded in `BENCH_axes.json`, not guarded: a hint-less
-/// drain materializes.
+/// run at ≥ 0.8× the speed of materializing, in every row, wide ones
+/// included. The pipeline runs the same set-at-a-time passes per window,
+/// so its worst case is a materialized pass plus a per-window overhead.
+/// Drain ratios are recorded in `BENCH_axes.json`, not guarded: a
+/// hint-less drain materializes, but a hinted take of nearly every node
+/// (`xpq --limit N` with N near |D|) costs what a lazy drain does.
 fn lazy_dispatch_pass() -> Vec<String> {
     let mut failures = Vec::new();
     for c in measure_lazy_dispatch() {
         let first = LazyDispatchCell::lazy_speedup(c.first_ns);
         let take = LazyDispatchCell::lazy_speedup(c.take_ns);
         eprintln!(
-            "check: lazy dispatch {:<18} {:>6} nodes  first lazy {:>9}ns  materialized \
+            "check: lazy dispatch {:<18} {:<8} {:>6} nodes  first lazy {:>9}ns  materialized \
              {:>9}ns  {first:>5.2}x  take({}) {take:>5.2}x",
-            c.query, c.nodes, c.first_ns[0], c.first_ns[1], c.take
+            c.query, c.doc, c.nodes, c.first_ns[0], c.first_ns[1], c.take
         );
         for (pull, ratio) in [("first()", first), ("take(|D|/8)", take)] {
             if ratio < 0.8 {
                 failures.push(format!(
-                    "lazy dispatch {} @ {} nodes: lazy {pull} at {ratio:.2}x of materialized \
-                     (< 0.8x)",
-                    c.query, c.nodes
+                    "lazy dispatch {} @ {} {} nodes: lazy {pull} at {ratio:.2}x of \
+                     materialized (< 0.8x)",
+                    c.query, c.doc, c.nodes
                 ));
             }
         }
@@ -990,18 +993,27 @@ fn measure_early_exit(big: &Document) -> Vec<EarlyExitCell> {
         .collect()
 }
 
-/// The lazy-dispatch rows: a predicate-free spine, a predicate read from
-/// its document-global `E1` set (`following`) and two window-local
-/// predicates (`child`; `//b[c]/d` is empty, so every window is
-/// evaluated), on `doc_balanced(4, d)` for these depths (1,366 / 5,462 /
-/// 21,846 / 87,382 / 349,526 nodes).
-const LAZY_DISPATCH_QUERIES: &[&str] = &["//a//c", "//b[following::c]", "//c[d]", "//b[c]/d"];
+/// The lazy-dispatch rows on `doc_balanced(4, d)` for these depths
+/// (1,366 / 5,462 / 21,846 / 87,382 / 349,526 nodes): a predicate-free
+/// spine, a predicate read from its document-global `E1` set
+/// (`following`), two window-local predicates (`child`; `//b[c]/d` is
+/// empty, so every window is evaluated) and two upward predicates, which
+/// read their `E1` sets too (`parent`, `ancestor`).
+const LAZY_DISPATCH_QUERIES: &[&str] =
+    &["//a//c", "//b[following::c]", "//c[d]", "//b[c]/d", "//c[parent::b]", "//d[ancestor::b]"];
 const LAZY_DISPATCH_DEPTHS: [usize; 5] = [5, 6, 7, 8, 9];
+/// The wide rows: upward predicates on `doc_flat_text(n)`, one element
+/// with `n` children (21,846 / 87,382 nodes), where every window shares
+/// the same parent and ancestors.
+const LAZY_DISPATCH_WIDE_QUERIES: &[&str] = &["//b[parent::a]", "//b[ancestor::a]", "//b[../b]"];
+const LAZY_DISPATCH_WIDTHS: [usize; 2] = [10_922, 43_690];
 
 /// One lazy-dispatch row: `first()`, a take of |D|/8 nodes and the full
 /// drain, each on the lazy pipeline (`[0]`) and materialized (`[1]`).
 struct LazyDispatchCell {
     query: &'static str,
+    /// `balanced` or `wide`.
+    doc: &'static str,
     nodes: usize,
     take: usize,
     first_ns: [u64; 2],
@@ -1033,11 +1045,14 @@ fn pull(q: &CompiledQuery, doc: &Document, lazy: bool, k: usize) -> NodeSet {
 }
 
 fn measure_lazy_dispatch() -> Vec<LazyDispatchCell> {
+    let balanced = LAZY_DISPATCH_DEPTHS.map(|depth| {
+        ("balanced", doc_balanced(4, depth, &["a", "b", "c", "d"]), LAZY_DISPATCH_QUERIES)
+    });
+    let wide = LAZY_DISPATCH_WIDTHS.map(|n| ("wide", doc_flat_text(n), LAZY_DISPATCH_WIDE_QUERIES));
     let mut cells = Vec::new();
-    for depth in LAZY_DISPATCH_DEPTHS {
-        let doc = doc_balanced(4, depth, &["a", "b", "c", "d"]);
+    for (shape, doc, queries) in balanced.into_iter().chain(wide) {
         let take = doc.len() / 8;
-        for &query in LAZY_DISPATCH_QUERIES {
+        for &query in queries {
             let q = Compiler::new().compile(query).unwrap();
             let mut ns = [[0u64; 2]; 3];
             for (row, k) in [1, take, usize::MAX].into_iter().enumerate() {
@@ -1054,6 +1069,7 @@ fn measure_lazy_dispatch() -> Vec<LazyDispatchCell> {
             }
             cells.push(LazyDispatchCell {
                 query,
+                doc: shape,
                 nodes: doc.len(),
                 take,
                 first_ns: ns[0],
@@ -1484,6 +1500,7 @@ fn main() {
     let rows = measure_lazy_dispatch().into_iter().map(|c| {
         Json::obj(vec![
             ("query", Json::Str(c.query.to_owned())),
+            ("doc", Json::Str(c.doc.to_owned())),
             ("nodes", count(c.nodes)),
             ("take", count(c.take)),
             ("first_lazy_ns", Json::num(c.first_ns[0])),

@@ -17,10 +17,10 @@
 //! on the window's words: the step's [`StepStreamer`] image (typed by
 //! the §4 strip), `T(t)` from the window's slice of the kind and name
 //! columns, and one intersection per predicate. A predicate path that
-//! stays near its candidates runs one forward and one inverse pass from
-//! the window's candidates; any other predicate is its document-global
-//! `E1` set, built once per cursor the first time a window has
-//! candidates.
+//! only moves down from its candidates runs one forward and one inverse
+//! pass from the window's candidates; any other predicate is its
+//! document-global `E1` set, built once per cursor the first time a
+//! window has candidates.
 //!
 //! Once every input `< hi` has been fed, outputs `< hi` are final, so a
 //! finished window is emitted and never revisited: a caller that stops
@@ -57,7 +57,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use xpath_axes::{Kernel, KernelCounters, StepStreamer};
+use xpath_axes::{KernelCounters, StepStreamer};
 use xpath_xml::nodeset::each_window_id;
 use xpath_xml::{Document, NodeId};
 
@@ -227,9 +227,8 @@ struct LazyPipeline<'q, 'd> {
     /// Runs the predicate passes: the window-local forward and inverse
     /// passes and the document-global `E1` sets.
     ev: CoreXPathEvaluator<'d>,
-    /// The query's planner tally: each stage's streamer counts as one
-    /// dense pass, and `ev`'s passes are merged in when the pipeline
-    /// drops.
+    /// The query's planner tally: `ev`'s passes are merged in when the
+    /// pipeline drops. The streamed spine steps are not among them.
     kernels: Arc<KernelCounters>,
     steps: &'q [CoreStep],
     /// One axis streamer per step, beside the step's node test resolved
@@ -250,20 +249,17 @@ struct LazyPipeline<'q, 'd> {
     pred_sets: HashMap<usize, NodeSet>,
 }
 
-/// Is predicate path `p` window-local: does `S→[[p]]` from a window of
-/// candidates stay near them?
-///
-/// True for a relative path whose steps are all bounded by local
-/// structure (`self`/`child`/`parent`/`ancestor(-or-self)`/`attribute`/
-/// `namespace` — at most a fanout or a root path per node) and carry no
-/// nested predicate (whose `E1` would be a document-global pass anyway).
-/// A value test keeps a path window-local: it reads each node reached
-/// once, and an element's string value is built once and cached by the
-/// document, so an ancestor that many windows reach
-/// (`[parent::* != 'x']`) is not rescanned. Everything else —
-/// `descendant`, the sibling axes, `following`/`preceding`, `id`, an
-/// absolute path — can reach Ω(|D|) nodes from one window, so it reads
-/// its document-global `E1` set instead, built once per cursor.
+/// Is predicate path `p` window-local: a relative path that only moves
+/// down (`self`/`child`/`attribute`/`namespace`) with no nested
+/// predicate? Its forward passes reach each node from one ancestor only,
+/// so all windows together visit a node at most once per step, and each
+/// inverse pass is `parent` of what was reached; a value test reads each
+/// node reached once. Any other path reads its `E1` set, built once per
+/// cursor: `descendant`, the sibling axes, `following`/`preceding`, `id`
+/// and an absolute path can reach Ω(|D|) nodes from one window, and the
+/// inverse of `parent`/`ancestor` (`child`/`descendant`) fans out again,
+/// in every window, over the children or the subtree of an ancestor that
+/// many windows share.
 fn window_local(p: &CorePath) -> bool {
     use xpath_syntax::Axis;
     matches!(p.start, CoreStart::Context)
@@ -271,13 +267,7 @@ fn window_local(p: &CorePath) -> bool {
             s.preds.is_empty()
                 && matches!(
                     s.axis,
-                    Axis::SelfAxis
-                        | Axis::Child
-                        | Axis::Parent
-                        | Axis::Ancestor
-                        | Axis::AncestorOrSelf
-                        | Axis::Attribute
-                        | Axis::Namespace
+                    Axis::SelfAxis | Axis::Child | Axis::Attribute | Axis::Namespace
                 )
         })
 }
@@ -382,6 +372,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
             }
             self.buf.clear();
             self.buf_pos = 0;
+            budget.check()?;
             self.pull_window(budget)?;
         }
     }
@@ -392,12 +383,13 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
     }
 
     /// Advance one window `[lo, hi)` through every stage, appending the
-    /// final stage's accepted nodes to `buf`. The budget is polled once
-    /// per window plus before every predicate pass, so a trip costs at
-    /// most one window of work; a window that trips runs again on the
-    /// next pull (feeding a streamer an input twice adds nothing).
+    /// final stage's accepted nodes to `buf`. The caller polls the budget
+    /// before each window and the predicate passes poll it before each
+    /// pass, so a trip costs at most one window of work. A window that
+    /// trips part-way runs again on the next pull: its start ids and the
+    /// stages already fed stay fed, and feeding a streamer an input twice
+    /// adds nothing.
     fn pull_window(&mut self, budget: &EvalBudget) -> EvalResult<()> {
-        budget.check()?;
         let (doc, lo, steps) = (self.doc, self.lo, self.steps);
         let hi = lo.saturating_add(LAZY_BLOCK).min(self.n);
         // Stage-0 inputs: the start ids inside the window (earlier ones
@@ -418,11 +410,6 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
             test.retain_window(doc, lo, live);
             for pred in &step.preds {
                 window = self.pred_window(pred, &window, budget)?;
-            }
-        }
-        if lo == 0 {
-            for _ in &self.stages {
-                self.kernels.record(Kernel::BulkDense);
             }
         }
         each_window_id(lo, &window, |x| self.buf.push(x));
@@ -482,7 +469,7 @@ mod tests {
     use crate::context::EvalError;
     use crate::query::CompiledQuery;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use xpath_xml::generate::{doc_bookstore, doc_figure8};
+    use xpath_xml::generate::{doc_balanced, doc_bookstore, doc_figure8};
 
     fn lazy_cursor<'q, 'd>(q: &'q CompiledQuery, doc: &'d Document) -> QueryCursor<'q, 'd> {
         let c = q.select_lazy_with(doc, Context::of(doc.root()), EvalBudget::unlimited(), Some(1));
@@ -528,6 +515,10 @@ mod tests {
         assert!(window_local(&pred_path("//book[author/last != 'Hull']")));
         assert!(!window_local(&pred_path("//book[.//last < 3]")));
         assert!(!window_local(&pred_path("//book[/bookstore]")));
+        // Upward steps read `E1`.
+        assert!(!window_local(&pred_path("//title[parent::book]")));
+        assert!(!window_local(&pred_path("//title[../@price > 30]")));
+        assert!(!window_local(&pred_path("//last[ancestor-or-self::book]")));
         let d = doc_bookstore();
         let q = CompiledQuery::compile("//book[@price > 30]/title").unwrap();
         let want = q.select(&d).unwrap();
@@ -558,5 +549,30 @@ mod tests {
         // Clearing the flag lets the same cursor finish.
         flag.store(false, Ordering::Relaxed);
         assert_eq!(c.collect_set().unwrap(), q.select(&d).unwrap());
+    }
+
+    #[test]
+    fn a_window_that_trips_part_way_runs_again() {
+        // Six windows.
+        let d = doc_balanced(4, 7, &["a", "b", "c", "d"]);
+        let tripped = EvalBudget::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
+        // Trips while the `E1` set is built, and in every window-local pass.
+        for qs in ["//b[following::c]", "//c[d]"] {
+            let q = CompiledQuery::compile(qs).unwrap();
+            let mut c = lazy_cursor(&q, &d);
+            let State::Lazy(p) = &mut c.state else { unreachable!() };
+            let (mut got, mut trips) = (NodeSet::new(), 0);
+            while p.lo < p.n {
+                // The trip leaves the window's start ids consumed and the
+                // stages up to the tripping predicate fed.
+                if p.pull_window(&tripped).is_err() {
+                    trips += 1;
+                    p.pull_window(&EvalBudget::unlimited()).unwrap();
+                }
+                p.buf.drain(..).for_each(|x| got.insert(x));
+            }
+            assert!(trips > 0, "{qs}: no window tripped");
+            assert_eq!(got, q.select(&d).unwrap(), "{qs}");
+        }
     }
 }

@@ -231,7 +231,9 @@ fn lazy_full_drain_matches_on_large_document() {
 /// cancelled, then the flag cleared and the rest drained. The cursor must
 /// resume where it stopped, both with a document-global `E1` already
 /// built (`//b[following::c]`) and with a window-local predicate pass
-/// (`//c[d]`).
+/// (`//c[d]`). The pull polls the budget before any window work; a trip
+/// part-way through a window is tested in `cursor.rs`
+/// (`a_window_that_trips_part_way_runs_again`).
 #[test]
 fn cursor_resumes_after_a_trip_mid_drain() {
     let doc = doc_balanced(4, 8, &["a", "b", "c", "d"]);
