@@ -24,7 +24,7 @@
 //!   exit, deadlines and cancellation without giving up the bulk
 //!   kernel's staircase and chain-walk routes;
 //! * [`stats`] — the [`Kernel`] tally of which materialization each axis
-//!   application took, and the [`BatchMode`] label of a batched run.
+//!   application took.
 //!
 //! Tests assert that the bulk kernel and the direct per-node axes agree
 //! with the Algorithm 3.2 reference on random documents.
@@ -45,7 +45,7 @@ pub use fast::{
     axis_from, axis_from_into, eval_axis, eval_axis_untyped_fast, idx_in, inverse_axis_set,
     order_for_axis,
 };
-pub use stats::{BatchMode, Kernel, KernelCounters, KernelCounts};
+pub use stats::{Kernel, KernelCounters, KernelCounts};
 pub use stream::{is_streamable, StepStreamer};
 pub use typed::eval_axis_alg32;
 

@@ -1,12 +1,11 @@
-//! The tally of which axis materialization ran, and the label of how a
-//! batch ran.
+//! The tally of which axis materialization ran.
 //!
 //! The axis kernel has no cost model: [`crate::bulk`] materializes
 //! interval axes by the node set's own density rule
 //! ([`NodeSet::from_ranges`](xpath_xml::NodeSet::from_ranges)) and walks
 //! a chain axis per node only for a single input node. [`Kernel`] names
 //! the route an application took, and [`KernelCounters`] tallies them for
-//! `planner_stats()`. [`BatchMode`] labels what a batched evaluation did.
+//! `planner_stats()`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,38 +31,6 @@ impl Kernel {
             Kernel::PerNode => "per_node",
             Kernel::BulkSparse => "bulk_sparse",
             Kernel::BulkDense => "bulk_dense",
-        }
-    }
-}
-
-/// How a batched evaluation ran (`xpath_core::batch::QuerySet`): a label
-/// of what happened, not a choice a caller makes. The batch memo is
-/// attached exactly when the batch repeats a unit; a memo-free batch fans
-/// out by the size rule in `xpath_core::batch`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum BatchMode {
-    /// The batch's axis memo was attached: identical
-    /// `(axis, node-test, input)` applications across the
-    /// batch ran once (whether or not the queries also fanned out). The
-    /// [`name`](BatchMode::name) is a stable key (`bench_e2e` reports
-    /// `batch.mode_share.lock_step_shared`), not a description.
-    LockStepShared,
-    /// No memo, and the queries fanned out one chunk per scoped worker,
-    /// each evaluated exactly as an independent evaluation would be.
-    PerQuerySharded,
-    /// No memo and no fan-out: N independent evaluations on the caller's
-    /// thread.
-    Serial,
-}
-
-impl BatchMode {
-    /// Stable snake_case name (used in `BENCH_axes.json` and the CLI
-    /// batch report).
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchMode::LockStepShared => "lock_step_shared",
-            BatchMode::PerQuerySharded => "per_query_sharded",
-            BatchMode::Serial => "serial",
         }
     }
 }
@@ -210,14 +177,6 @@ mod tests {
         assert_eq!(c.snapshot().total(), 6);
         assert_eq!(s.plus(s).bulk_dense, 4);
         assert!(s.to_string().contains("per-node"));
-    }
-
-    #[test]
-    fn batch_mode_names_are_stable() {
-        // `bench_e2e` keys `batch.mode_share.*` on these strings.
-        let names = [BatchMode::LockStepShared, BatchMode::PerQuerySharded, BatchMode::Serial]
-            .map(BatchMode::name);
-        assert_eq!(names, ["lock_step_shared", "per_query_sharded", "serial"]);
     }
 
     #[test]

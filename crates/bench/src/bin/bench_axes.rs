@@ -19,15 +19,9 @@
 //!   paper's TopDown evaluator, on each query as the compiler rewrites it;
 //! * **batch_eval** — the batched multi-query layer (`xpath_core::batch`):
 //!   a 16-query shared-prefix batch and a disjoint batch, each as one
-//!   `QuerySet::evaluate_all` (single-thread, batch memo sharing) vs
-//!   N independent `CompiledQuery` evaluations, with the mode taken and
-//!   the memo hit counts recorded; then the fan-out rows: memo-free
-//!   `light` (Core XPath) and `heavy` (general-engine) batches and the
-//!   memo-attached `shared_prefix` and `disjoint` batches on 342 to
-//!   87,382 nodes, each at a 1-thread budget, at a 2-thread budget under
-//!   the size rule (with the `workers` it ran) and forced over two
-//!   threads — the rows that place `FANOUT_MIN_NODES` and
-//!   `FANOUT_MIN_NODES_GENERAL`;
+//!   `QuerySet::evaluate_all` (batch memo sharing) vs N independent
+//!   `CompiledQuery` evaluations, with the mode taken and the memo hit
+//!   counts recorded;
 //! * **strategy_choice** — what `Strategy::Auto` picks for served
 //!   aggregates: `count(//c)` (the serve workload's query) and the
 //!   `count()`-wrapped bench shapes, timed under Auto (which lifts the
@@ -70,29 +64,23 @@
 //!   `cargo run --release -p xpath-bench --bin bench_axes [-- out.json]`
 //!   `… --check`      run every guard in `GUARDS` (simd, batch,
 //!                    early-exit, snapshot, strategy-choice, node-test,
-//!                    fan-out, lazy-dispatch, prepared, serve and
-//!                    axis-kernel; each pass's doc comment states its
-//!                    bars), re-measure a failing one up to
-//!                    `CHECK_ATTEMPTS` times, and exit non-zero listing
-//!                    every violation that persists. Every timing
-//!                    baseline but the fan-out rows' 2-thread budget is
-//!                    pinned to a 1-thread budget, so CI core counts
-//!                    can't flake those guards.
+//!                    lazy-dispatch, prepared, serve and axis-kernel;
+//!                    each pass's doc comment states its bars),
+//!                    re-measure a failing one up to `CHECK_ATTEMPTS`
+//!                    times, and exit non-zero listing every violation
+//!                    that persists. Every evaluation timed runs on the
+//!                    calling thread, so CI core counts can't flake
+//!                    those guards.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xpath_axes::bulk;
 use xpath_bench::serve_bench::{
     check_serve, closed_loop, measure_overhead, BenchServer, ServeOverhead,
 };
-use xpath_core::batch::AxisMemo;
 use xpath_core::corexpath::{compile, CoreXPathEvaluator};
 use xpath_core::serve::Json;
-use xpath_core::{
-    CompiledQuery, Compiler, Context, EvalBudget, NodeCursor, QueryCache, QuerySetBuilder,
-    Strategy, Value,
-};
+use xpath_core::{CompiledQuery, Compiler, Context, EvalBudget, NodeCursor, QueryCache, Strategy};
 use xpath_syntax::Axis;
 use xpath_xml::generate::{doc_balanced, doc_flat_text};
 
@@ -308,8 +296,8 @@ fn measure_simd_cells() -> Vec<SimdCell> {
     cells
 }
 
-/// One batch_eval measurement: the batch as one single-threaded
-/// `QuerySet::evaluate_all` vs N independent prepared evaluations.
+/// One batch_eval measurement: the batch as one `QuerySet::evaluate_all`
+/// vs N independent prepared evaluations.
 struct BatchCell {
     workload: &'static str,
     queries: usize,
@@ -327,7 +315,7 @@ impl BatchCell {
 }
 
 fn measure_batch(doc: &Document, workload: &'static str, texts: &[String]) -> BatchCell {
-    let compiler = Compiler::new().threads(1);
+    let compiler = Compiler::new();
     let compiled: Vec<_> = texts.iter().map(|q| compiler.compile(q).unwrap()).collect();
     let set = xpath_core::QuerySetBuilder::with_compiler(compiler)
         .queries(texts.iter().cloned())
@@ -365,152 +353,10 @@ fn measure_batch(doc: &Document, workload: &'static str, texts: &[String]) -> Ba
     }
 }
 
-/// The fan-out rows' documents: `doc_balanced(4, d)` for these depths,
-/// 342 / 1,366 / 5,462 / 21,846 / 87,382 nodes. The memo-free batches run
-/// on the first four.
-const FAN_OUT_DEPTHS: [usize; 5] = [4, 5, 6, 7, 8];
-
-/// The fan-out rows' batches: `light` and `heavy` repeat no unit, so no
-/// memo is attached (`light` runs on Core XPath, `heavy` on the general
-/// engines); `shared_prefix` and `disjoint` attach it. The flag says which
-/// also run on the 87,382-node document.
-fn fan_out_workloads() -> [(&'static str, Vec<String>, bool); 4] {
-    let owned = |qs: &[&str]| qs.iter().map(ToString::to_string).collect::<Vec<_>>();
-    [
-        ("light", owned(&["//a/b", "//b//c", "//c[preceding::a]", "count(//d)"]), false),
-        (
-            "heavy",
-            owned(&["count(//b[1])", "//c[d][2]", "count(//c[1])", "//b[position() = last()]"]),
-            false,
-        ),
-        ("shared_prefix", batch_shared_prefix(), true),
-        ("disjoint", batch_disjoint(), true),
-    ]
-}
-
-/// The batch split in two halves over the caller and one scoped worker,
-/// each query running its own plan with `memo` shared by both halves:
-/// the fan-out `QuerySet` runs, forced whatever the document size.
-/// Results come back in input order.
-fn split_two(
-    doc: &Document,
-    queries: &[Arc<CompiledQuery>],
-    memo: Option<&AxisMemo>,
-) -> Vec<Value> {
-    let kernels = xpath_axes::KernelCounters::new();
-    let budget = EvalBudget::unlimited();
-    let ctx = Context::of(doc.root());
-    let eval =
-        |q: &Arc<CompiledQuery>| q.plan().execute(doc, ctx, &kernels, &budget, memo).unwrap();
-    if let Some(m) = memo {
-        m.begin_evaluation();
-    }
-    let (first, second) = queries.split_at(queries.len() / 2);
-    std::thread::scope(|scope| {
-        let worker = scope.spawn(|| second.iter().map(eval).collect::<Vec<_>>());
-        let mut out: Vec<Value> = first.iter().map(eval).collect();
-        out.extend(worker.join().expect("split worker panicked"));
-        out
-    })
-}
-
-/// One fan-out row: a batch at a 1-thread budget (`serial_ns`), at a
-/// 2-thread budget under the dispatch rule (`budget_ns`, with the
-/// `workers` the rule ran), and forced over two threads (`split_ns`).
-struct FanOutCell {
-    workload: &'static str,
-    nodes: usize,
-    queries: usize,
-    memo: bool,
-    workers: usize,
-    serial_ns: u64,
-    budget_ns: u64,
-    split_ns: u64,
-}
-
-impl FanOutCell {
-    fn rule_vs_serial(&self) -> f64 {
-        self.serial_ns as f64 / self.budget_ns.max(1) as f64
-    }
-
-    fn split_vs_serial(&self) -> f64 {
-        self.serial_ns as f64 / self.split_ns.max(1) as f64
-    }
-
-    /// The guard's verdict on this row: a row the size rule fans out must
-    /// be at least as fast as serial.
-    fn violation(&self) -> Option<String> {
-        let ratio = self.rule_vs_serial();
-        (self.workers > 1 && ratio < 1.0).then(|| {
-            format!(
-                "fan-out {} @ {} nodes: {ratio:.2}x of serial < 1.0x",
-                self.workload, self.nodes
-            )
-        })
-    }
-}
-
-fn measure_fan_out(doc: &Document, workload: &'static str, texts: &[String]) -> FanOutCell {
-    let set = |threads| {
-        QuerySetBuilder::new().queries(texts.iter().cloned()).threads(threads).build().unwrap()
-    };
-    let (serial, budget) = (set(1), set(2));
-    let memo = budget.sharing().shared_units > 0;
-    let shared = AxisMemo::new();
-    let split_memo = memo.then_some(&shared);
-    let want = serial.evaluate_all(doc).into_results();
-    let ran = budget.evaluate_all(doc);
-    assert_eq!(ran.results(), &want[..], "{workload}: the 2-thread budget diverges");
-    let split = split_two(doc, budget.queries(), split_memo);
-    assert!(
-        want.iter().zip(&split).all(|(w, s)| w.as_ref() == Ok(s)),
-        "{workload}: split diverges"
-    );
-    let workers = ran.stats().workers;
-    drop(ran);
-    let times = time_ns_interleaved(&mut [
-        &mut || {
-            std::hint::black_box(serial.evaluate_all(doc));
-        },
-        &mut || {
-            std::hint::black_box(budget.evaluate_all(doc));
-        },
-        &mut || {
-            std::hint::black_box(split_two(doc, budget.queries(), split_memo));
-        },
-    ]);
-    FanOutCell {
-        workload,
-        nodes: doc.len(),
-        queries: texts.len(),
-        memo,
-        workers,
-        serial_ns: times[0],
-        budget_ns: times[1],
-        split_ns: times[2],
-    }
-}
-
-/// Every fan-out row: the memo-free batches on the first four
-/// [`FAN_OUT_DEPTHS`] documents, the memo-attached ones on all five.
-fn measure_fan_out_rows() -> Vec<FanOutCell> {
-    let workloads = fan_out_workloads();
-    let mut cells = Vec::new();
-    for (i, depth) in FAN_OUT_DEPTHS.into_iter().enumerate() {
-        let doc = doc_balanced(4, depth, &["a", "b", "c", "d"]);
-        for (workload, texts, memo) in &workloads {
-            if *memo || i + 1 < FAN_OUT_DEPTHS.len() {
-                cells.push(measure_fan_out(&doc, workload, texts));
-            }
-        }
-    }
-    cells
-}
-
 /// One strategy-choice cell: a `count()`-wrapped path under Auto, the
 /// bare path on its fragment engine, and the wrapped query under forced
-/// OptMinContext, timed interleaved at a 1-thread budget after checking
-/// that Auto and OptMinContext agree.
+/// OptMinContext, timed interleaved after checking that Auto and
+/// OptMinContext agree.
 struct ChoiceCell {
     query: String,
     auto_strategy: Strategy,
@@ -637,7 +483,6 @@ const GUARDS: &[(&str, GuardPass)] = &[
     ("snapshot", |_, big| snapshot_pass(big)),
     ("strategy-choice", |doc, _| choice_pass(doc)),
     ("node-test", |doc, _| node_test_pass(doc)),
-    ("fan-out", |_, _| fan_out_pass()),
     ("lazy-dispatch", |_, _| lazy_dispatch_pass()),
     ("prepared", |_, _| prepared_pass()),
     ("serve", |doc, _| check_serve(doc)),
@@ -832,26 +677,6 @@ fn node_test_pass(doc: &Document) -> Vec<String> {
         "node tests: /descendant::c vs /descendant::* {name_vs_kind:.2}x (bar 2x), \
          //c vs /descendant::c {slash_vs_merged:.2}x (bar 1.3x)"
     )]
-}
-
-/// Fan-out guard: every batch_eval row the size rule fans out at a
-/// 2-thread budget is at least as fast as serial.
-fn fan_out_pass() -> Vec<String> {
-    let cells = measure_fan_out_rows();
-    for c in &cells {
-        eprintln!(
-            "check: fan-out {:<13} {:>6} nodes memo {:<5} workers {}  serial {:>9}ns  \
-             budget 2 {:>5.2}x  split {:>5.2}x",
-            c.workload,
-            c.nodes,
-            c.memo,
-            c.workers,
-            c.serial_ns,
-            c.rule_vs_serial(),
-            c.split_vs_serial()
-        );
-    }
-    cells.iter().filter_map(FanOutCell::violation).collect()
 }
 
 /// Lazy-dispatch guard: a take hint routes a query onto the window
@@ -1372,7 +1197,7 @@ fn main() {
     // kernel vs the paper's TopDown evaluator ----
     let kernel_ev = CoreXPathEvaluator::new(&doc);
     let unlimited = EvalBudget::unlimited();
-    let top_down = Compiler::new().default_strategy(Strategy::TopDown).threads(1);
+    let top_down = Compiler::new().default_strategy(Strategy::TopDown);
     let mut rows = Vec::new();
     for &q in BENCH_QUERIES {
         let e = Compiler::new().parse(q).unwrap();
@@ -1404,10 +1229,9 @@ fn main() {
     let big = doc_balanced(4, 9, &["a", "b", "c", "d"]);
 
     // ---- batched multi-query evaluation: one QuerySet pass vs N
-    // independent evaluations (single-thread budget, so the speedup is
-    // pure memo sharing, not parallelism) ----
+    // independent evaluations (the speedup is memo sharing) ----
     let threads_available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut rows: Vec<Json> = [
+    let rows: Vec<Json> = [
         measure_batch(&doc, "shared_prefix", &batch_shared_prefix()),
         measure_batch(&doc, "disjoint", &batch_disjoint()),
     ]
@@ -1427,28 +1251,10 @@ fn main() {
         ])
     })
     .collect();
-    // The fan-out rows: each batch at a 2-thread budget under the size
-    // rule and forced over two threads, against a 1-thread budget.
-    rows.extend(measure_fan_out_rows().iter().map(|c| {
-        Json::obj(vec![
-            ("workload", Json::Str(c.workload.to_owned())),
-            ("queries", count(c.queries)),
-            ("nodes", count(c.nodes)),
-            ("threads_available", count(threads_available)),
-            ("threads_budget", Json::num(2)),
-            ("memo", Json::Bool(c.memo)),
-            ("workers", count(c.workers)),
-            ("serial_ns", Json::num(c.serial_ns)),
-            ("budget_ns", Json::num(c.budget_ns)),
-            ("split_ns", Json::num(c.split_ns)),
-            ("speedup_budget_vs_serial", ratio(c.rule_vs_serial(), 2)),
-            ("speedup_split_vs_serial", ratio(c.split_vs_serial(), 2)),
-        ])
-    }));
     report.push(("batch_eval", Json::Arr(rows)));
 
     // ---- strategy choice: Auto vs the bare path on its fragment engine vs
-    // forced OptMinContext, on count()-wrapped paths (1-thread budget) ----
+    // forced OptMinContext, on count()-wrapped paths ----
     let rows = choice_paths().map(|path| {
         let c = measure_choice(&doc, path);
         Json::obj(vec![

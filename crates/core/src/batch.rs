@@ -8,31 +8,21 @@
 //! [`Arc<CompiledQuery>`] handles from a
 //! [`QueryCache`](crate::cache::QueryCache)) into a `Send + Sync`
 //! [`QuerySet`]; [`QuerySet::evaluate_all`] then runs each query's own
-//! plan, in input order, under two rules:
-//!
-//! * **the memo** — when the batch's static profile ([`BatchSharing`])
-//!   finds a repeated unit (a spine prefix or a predicate that occurs
-//!   twice), every query runs with one per-evaluation [`AxisMemo`]
-//!   attached to its Core XPath evaluator. In §10 each `S→` step and each
-//!   `E1`/`χ⁻¹` pass depends only on its input set, and the memo keys on
-//!   exactly that: `(operation, axis, node test, input memo key)`
-//!   ([`NodeSet::memo_key`]). So a repeated application is a hit whatever
-//!   order the queries run in: sharing cascades down shared spine
-//!   prefixes, and the document-global `T(t)` and predicate (`E1`) sets
-//!   (value tests included) dedupe across every position in the batch.
-//!   Each repeated unit is a guaranteed hit, so the memo is attached
-//!   exactly when it has something to serve.
-//! * **the fan-out** — on a large enough document the queries split into
-//!   `k = min(budget, queries, MAX_SHARDS)` contiguous chunks, by a size
-//!   rule with two thresholds ([`FANOUT_MIN_NODES`],
-//!   [`FANOUT_MIN_NODES_GENERAL`]) that `bench_axes`'s `batch_eval` rows
-//!   place. The caller's thread runs the first chunk and `k − 1` scoped
-//!   workers run the rest, sharing the one memo. This fan-out is the only
-//!   place query evaluation spawns threads: every single evaluation, a
-//!   worker's included, runs on its calling thread.
+//! plan, in input order, on the calling thread. The one rule is the memo:
+//! when the batch's static profile ([`BatchSharing`]) finds a repeated
+//! unit (a spine prefix or a predicate that occurs twice), every query
+//! runs with one per-evaluation [`AxisMemo`] attached to its Core XPath
+//! evaluator. In §10 each `S→` step and each `E1`/`χ⁻¹` pass depends only
+//! on its input set, and the memo keys on exactly that: `(operation, axis,
+//! node test, input memo key)` ([`NodeSet::memo_key`]). So a repeated
+//! application is a hit whatever order the queries run in: sharing
+//! cascades down shared spine prefixes, and the document-global `T(t)` and
+//! predicate (`E1`) sets (value tests included) dedupe across every
+//! position in the batch. Each repeated unit is a guaranteed hit, so the
+//! memo is attached exactly when it has something to serve.
 //!
 //! [`BatchStats::mode`] labels what ran ([`BatchMode`]): the memo
-//! attached, else a fan-out, else serial.
+//! attached, else serial.
 //!
 //! # Memo-key semantics
 //!
@@ -45,21 +35,11 @@
 //! a wrong answer. Distinct sets collide with probability ~2⁻⁶⁴ per
 //! pair; the differential suite (`tests/batch_differential.rs`) pins
 //! batched results bit-identical to independent evaluation across
-//! documents, batch shapes and thread budgets. Non-fragment queries
-//! (strategies outside Core XPath / XPatterns) always run their normal
-//! engines — batching never changes any result, only how often a pass
-//! runs. The memo's hit and miss counts are exact on one thread; workers
-//! that race on one key may both run its pass.
-//!
-//! # Thread budget
-//!
-//! The budget caps the per-query fan-out. It resolves as: explicit
-//! request ([`QuerySetBuilder::threads`], [`Compiler::threads`], `xpq
-//! --threads N`) > the [`THREADS_ENV`] environment variable >
-//! [`std::thread::available_parallelism`] capped at [`MAX_AUTO_THREADS`]
-//! (see [`resolve_threads`]). Whether the batch fans out at all is
-//! decided per document by the size rule ([`FANOUT_MIN_NODES`],
-//! [`FANOUT_MIN_NODES_GENERAL`]), with or without the memo.
+//! documents and batch shapes. Non-fragment queries (strategies outside
+//! Core XPath / XPatterns) always run their normal engines — batching
+//! never changes any result, only how often a pass runs. Each evaluation
+//! runs on one thread with a memo of its own, so the memo's hit and miss
+//! counts are exact.
 //!
 //! ```
 //! use xpath_core::batch::QuerySetBuilder;
@@ -81,9 +61,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use xpath_axes::{BatchMode, KernelCounters, KernelCounts};
+use xpath_axes::{KernelCounters, KernelCounts};
 use xpath_syntax::{Axis, NodeTest};
 use xpath_xml::rng::splitmix64;
 use xpath_xml::Document;
@@ -95,103 +75,37 @@ use crate::nodeset::NodeSet;
 use crate::query::{CompiledQuery, Compiler};
 use crate::value::Value;
 
-/// Environment variable bounding the auto-resolved thread budget, e.g.
-/// `GKP_THREADS=4`. `GKP_THREADS=1` keeps every batch on the caller's
-/// thread process-wide.
-pub const THREADS_ENV: &str = "GKP_THREADS";
-
-/// Cap on the auto-resolved budget. Each fan-out worker evaluates whole
-/// queries, and those are memory-bound axis passes over one shared
-/// document, so workers past a few cores mostly contend for memory
-/// bandwidth; a server also evaluates several requests at once. The cap
-/// is a bound on oversubscription, not a measured optimum.
-pub const MAX_AUTO_THREADS: usize = 8;
-
-/// Resolve a requested thread budget: an explicit `n ≥ 1` wins; `0`
-/// (auto) reads [`THREADS_ENV`] once per process, falling back to
-/// [`std::thread::available_parallelism`] capped at [`MAX_AUTO_THREADS`]
-/// when the variable is unset or rejected (see
-/// [`threads_env_rejects`]).
-pub fn resolve_threads(requested: u32) -> usize {
-    if requested >= 1 {
-        return requested as usize;
-    }
-    auto_threads().0
+/// How one batched evaluation ran ([`BatchStats::mode`]): a label of what
+/// happened, not a choice a caller makes. The batch memo is attached
+/// exactly when the batch repeats a unit.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum BatchMode {
+    /// The batch's axis memo was attached: identical
+    /// `(axis, node-test, input)` applications across the batch ran once.
+    /// The [`name`](BatchMode::name) is a stable key (`bench_e2e` reports
+    /// `batch.mode_share.lock_step_shared`), not a description.
+    LockStepShared,
+    /// No memo: N independent evaluations on the caller's thread.
+    Serial,
 }
 
-/// Diagnostics from the one-time [`THREADS_ENV`] read behind
-/// [`resolve_threads`]: one line when the value was rejected (not a
-/// positive integer), empty when the variable was unset or valid.
-/// `xpq -v` prints these.
-pub fn threads_env_rejects() -> &'static [String] {
-    &auto_threads().1
-}
-
-/// The one-time [`THREADS_ENV`] read: the auto budget and its diagnostics.
-fn auto_threads() -> &'static (usize, Vec<String>) {
-    static AUTO: OnceLock<(usize, Vec<String>)> = OnceLock::new();
-    AUTO.get_or_init(|| {
-        let machine =
-            std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_AUTO_THREADS));
-        let value = std::env::var_os(THREADS_ENV).map(|v| v.to_string_lossy().into_owned());
-        parse_threads_env(value.as_deref(), machine)
-    })
-}
-
-/// Parse a [`THREADS_ENV`] value: a positive integer wins; unset or blank
-/// means `fallback`; anything else also means `fallback`, plus one
-/// diagnostic line naming the rejected value.
-fn parse_threads_env(value: Option<&str>, fallback: usize) -> (usize, Vec<String>) {
-    let Some(raw) = value.filter(|v| !v.trim().is_empty()) else {
-        return (fallback, Vec::new());
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => (n, Vec::new()),
-        _ => (
-            fallback,
-            vec![format!(
-                "{THREADS_ENV}: ignored {raw:?}: not a positive integer; \
-                 using {fallback} (machine parallelism)"
-            )],
-        ),
+impl BatchMode {
+    /// Stable snake_case name (used in `BENCH_axes.json` and the CLI
+    /// batch report).
+    pub fn name(self) -> &'static str {
+        match self {
+            BatchMode::LockStepShared => "lock_step_shared",
+            BatchMode::Serial => "serial",
+        }
     }
 }
 
-/// Hard cap on the workers a batch fan-out splits into, whatever the
-/// requested thread budget: it bounds the spawn count even for absurd
-/// `--threads` requests.
-pub(crate) const MAX_SHARDS: usize = 64;
-
-/// A batch fans out on a document of at least this many nodes.
-/// `bench_axes`'s `batch_eval` rows at a 2-thread budget place it: the
-/// `light` batch (four memo-free Core XPath queries) and the
-/// memo-attached `shared_prefix` and `disjoint` batches lose or break
-/// even when split at 5,462 nodes and win at 21,846.
-pub const FANOUT_MIN_NODES: u32 = 16_384;
-
-/// A batch with a general-engine query (one outside Core XPath and
-/// XPatterns, whose evaluator builds per-node tables) fans out from this
-/// many nodes on. `bench_axes`'s `batch_eval` rows of the `heavy`
-/// batch (four general-engine queries at a 2-thread budget) place it:
-/// the two-thread split loses to serial at 342 nodes and wins at 1,366.
-pub const FANOUT_MIN_NODES_GENERAL: u32 = 1_024;
-
-/// Split `[0, items)` into `shards` near-equal contiguous ranges (at most
-/// one per item): the chunks of the query list a [`QuerySet`] fans out,
-/// one per worker.
-fn chunk_ranges(items: u32, shards: usize) -> Vec<(u32, u32)> {
-    let k = (shards as u64).clamp(1, u64::from(items).max(1));
-    let bound = |i: u64| (i * u64::from(items) / k) as u32;
-    (0..k).map(|i| (bound(i), bound(i + 1))).collect()
-}
-
-/// The [`BatchMode`] label of a run: the memo attached, else a fan-out
-/// across more than one chunk, else serial.
-pub(crate) fn mode_of(memo: bool, workers: usize) -> BatchMode {
-    match (memo, workers) {
-        (true, _) => BatchMode::LockStepShared,
-        (false, 2..) => BatchMode::PerQuerySharded,
-        (false, _) => BatchMode::Serial,
+/// The [`BatchMode`] label of a run: the memo attached, else serial.
+pub(crate) fn mode_of(memo: bool) -> BatchMode {
+    if memo {
+        BatchMode::LockStepShared
+    } else {
+        BatchMode::Serial
     }
 }
 
@@ -247,8 +161,11 @@ impl MemoOp<'_> {
 /// The per-evaluation axis-result memo of a batch: maps
 /// `(operation, axis, node-test, input-memo-key)` keys to finished
 /// [`NodeSet`]s so each distinct application runs once per batch
-/// evaluation. Thread-safe (`Mutex`-guarded map, atomic counters), so the
-/// fan-out's workers share one; results are computed outside the lock.
+/// evaluation. The `Mutex`-guarded map and atomic counters keep it `Sync`
+/// (evaluators and cursors hold `&AxisMemo` and stay `Send`), but no two
+/// threads share one: each concurrent [`QuerySet::evaluate_all`] takes
+/// the set's memo by `try_lock` or a fresh one. Results are computed
+/// outside the lock.
 #[derive(Debug, Default)]
 pub struct AxisMemo {
     map: Mutex<HashMap<u64, NodeSet>>,
@@ -331,7 +248,6 @@ impl AxisMemo {
 #[derive(Clone, Debug, Default)]
 pub struct QuerySetBuilder {
     compiler: Compiler,
-    threads: Option<u32>,
     pending: Vec<Pending>,
 }
 
@@ -348,9 +264,7 @@ impl QuerySetBuilder {
     }
 
     /// A builder compiling raw strings with a configured [`Compiler`]
-    /// (optimizer, strategy, bindings, thread budget — the compiler's
-    /// budget also becomes the batch default unless
-    /// [`QuerySetBuilder::threads`] overrides it).
+    /// (strategy, bindings, budgets).
     pub fn with_compiler(compiler: Compiler) -> QuerySetBuilder {
         QuerySetBuilder { compiler, ..QuerySetBuilder::default() }
     }
@@ -381,13 +295,10 @@ impl QuerySetBuilder {
         self
     }
 
-    /// Thread budget for batch evaluation: `0` auto-resolves
-    /// (`GKP_THREADS` / the machine, see [`resolve_threads`]), `1` keeps
-    /// everything on the caller's thread. Defaults to the builder
-    /// compiler's budget. The budget caps the fan-out's workers; it never
-    /// changes results.
-    pub fn threads(mut self, threads: u32) -> QuerySetBuilder {
-        self.threads = Some(threads);
+    /// Does nothing and returns `self`: every batch evaluates on its
+    /// calling thread. Kept so that existing callers still build; new code
+    /// should not call it.
+    pub fn threads(self, _threads: u32) -> QuerySetBuilder {
         self
     }
 
@@ -416,7 +327,6 @@ impl QuerySetBuilder {
         let sharing = analyze_sharing(&queries);
         Ok(QuerySet {
             queries,
-            threads: self.threads.unwrap_or_else(|| self.compiler.configured_threads()),
             sharing,
             kernels: Arc::new(KernelCounters::new()),
             memo: Mutex::new(AxisMemo::new()),
@@ -492,7 +402,6 @@ fn analyze_sharing(queries: &[Arc<CompiledQuery>]) -> BatchSharing {
 #[derive(Debug)]
 pub struct QuerySet {
     queries: Vec<Arc<CompiledQuery>>,
-    threads: u32,
     sharing: BatchSharing,
     /// Planner decisions accumulated across batch evaluations (batch
     /// evaluations record here, not into the member queries' per-handle
@@ -522,11 +431,6 @@ impl QuerySet {
         &self.queries
     }
 
-    /// The configured thread budget (`0` = auto-resolve at evaluation).
-    pub fn threads(&self) -> u32 {
-        self.threads
-    }
-
     /// The batch's static sharing profile (computed at build time).
     pub fn sharing(&self) -> BatchSharing {
         self.sharing
@@ -540,25 +444,10 @@ impl QuerySet {
         self.kernels.snapshot()
     }
 
-    /// How many chunks [`QuerySet::evaluate_all`] splits the queries into
-    /// on a document of `universe` nodes: `min(budget, queries,
-    /// MAX_SHARDS)` when the document has at least [`FANOUT_MIN_NODES`]
-    /// nodes, or at least [`FANOUT_MIN_NODES_GENERAL`] when a query runs
-    /// on a general engine; otherwise one.
-    pub(crate) fn shards(&self, universe: u32) -> usize {
-        let general = self.len() > self.sharing.fragment_queries;
-        let large =
-            universe >= FANOUT_MIN_NODES || (general && universe >= FANOUT_MIN_NODES_GENERAL);
-        if !large {
-            return 1;
-        }
-        resolve_threads(self.threads).min(self.len()).clamp(1, MAX_SHARDS)
-    }
-
     /// Evaluate every query against `doc` from the document root, in one
     /// batch pass. Per-query results come back in input order, each
     /// exactly what [`CompiledQuery::evaluate_root`] would have returned
-    /// (bit-identical with and without the memo, at any thread budget).
+    /// (bit-identical with and without the memo).
     pub fn evaluate_all(&self, doc: &Document) -> BatchResult {
         self.evaluate_all_at(doc, Context::of(doc.root()))
     }
@@ -571,8 +460,8 @@ impl QuerySet {
     /// [`QuerySet::evaluate_all_at`] under an [`EvalBudget`]: the budget
     /// is polled before each query and before every axis pass inside it
     /// (see [`Plan::execute`](crate::plan::Plan::execute)).
-    /// When it trips, the query it interrupts and every later one in its
-    /// chunk carry the trip error ([`crate::EvalError::Cancelled`] /
+    /// When it trips, the query it interrupts and every later one carry
+    /// the trip error ([`crate::EvalError::Cancelled`] /
     /// [`crate::EvalError::DeadlineExceeded`]); finished results are
     /// kept. A trip leaves no memo entry half-built.
     pub fn evaluate_all_with(
@@ -581,7 +470,6 @@ impl QuerySet {
         ctx: Context,
         budget: &EvalBudget,
     ) -> BatchResult {
-        let shards = self.shards(doc.len() as u32);
         // One memo per evaluation: the set's own when it is free, a fresh
         // one when a concurrent evaluation holds it.
         let memoize = self.sharing.shared_units > 0;
@@ -598,42 +486,17 @@ impl QuerySet {
         if let Some(m) = memo {
             m.begin_evaluation();
         }
-        let eval = |i: u32| -> EvalResult<Value> {
-            budget.check()?;
-            let plan = self.queries[i as usize].plan();
-            plan.execute(doc, ctx, &self.kernels, budget, memo)
-        };
-        let n = self.len() as u32;
         let mut results = crate::pool::take_results();
-        // The caller's thread runs the first chunk, one scoped worker each
-        // of the rest; results are collected in chunk order, i.e. input
-        // order. A panicking worker propagates after the scope joins. One
-        // chunk runs inline: a scope allocates, and the unsplit batch must
-        // stay allocation-free.
-        let workers = if shards <= 1 {
-            results.extend((0..n).map(eval));
-            1
-        } else {
-            let ranges = chunk_ranges(n, shards);
-            std::thread::scope(|scope| {
-                let spawned: Vec<_> = ranges[1..]
-                    .iter()
-                    .map(|&(lo, hi)| scope.spawn(move || (lo..hi).map(eval).collect::<Vec<_>>()))
-                    .collect();
-                results.extend((ranges[0].0..ranges[0].1).map(eval));
-                for worker in spawned {
-                    results.extend(worker.join().expect("batch worker panicked"));
-                }
-            });
-            ranges.len()
-        };
+        results.extend(self.queries.iter().map(|q| {
+            budget.check()?;
+            q.plan().execute(doc, ctx, &self.kernels, budget, memo)
+        }));
         let stats = BatchStats {
-            mode: mode_of(memo.is_some(), workers),
+            mode: mode_of(memo.is_some()),
             queries: self.len(),
             fragment_queries: self.sharing.fragment_queries,
             memo_hits: memo.map_or(0, AxisMemo::hits),
             memo_misses: memo.map_or(0, AxisMemo::misses),
-            workers,
         };
         // Hand the memo's buffers back now, not at the next evaluation's
         // start: evaluations in between then see every buffer on the
@@ -705,7 +568,7 @@ impl Drop for BatchResult {
 /// How one batch evaluation ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchStats {
-    /// What ran: the memo attached, else a fan-out, else serial.
+    /// What ran: the memo attached, else serial.
     pub mode: BatchMode,
     /// Queries in the batch.
     pub queries: usize,
@@ -715,9 +578,6 @@ pub struct BatchStats {
     pub memo_hits: u64,
     /// Axis applications that ran and seeded the memo (zero without it).
     pub memo_misses: u64,
-    /// Chunks the queries ran in: the caller's thread plus the scoped
-    /// workers (1 when the batch did not fan out).
-    pub workers: usize,
 }
 
 #[cfg(test)]
@@ -729,7 +589,6 @@ mod tests {
     #[test]
     fn batch_matches_independent_evaluation_on_every_path() {
         let small = doc_bookstore();
-        // Past FANOUT_MIN_NODES: both batches fan out at 4 threads.
         let large = doc_balanced(4, 7, &["section", "book", "author", "title"]);
         let queries = [
             "//book[author]",
@@ -748,30 +607,23 @@ mod tests {
                     .iter()
                     .map(|q| Compiler::new().compile(q).unwrap().evaluate_root(d).unwrap())
                     .collect();
-                for threads in [1u32, 4] {
-                    let set = QuerySetBuilder::new()
-                        .queries(batch.iter().copied())
-                        .threads(threads)
-                        .build()
-                        .unwrap();
-                    let out = set.evaluate_all(d);
-                    let mode = out.stats().mode;
-                    seen.insert(mode);
-                    assert_eq!(mode == BatchMode::LockStepShared, batch.len() == queries.len());
-                    assert_eq!(out.stats().workers, set.shards(d.len() as u32));
-                    assert_eq!(out.len(), batch.len());
-                    for (i, r) in out.results().iter().enumerate() {
-                        assert_eq!(
-                            r.as_ref().unwrap(),
-                            &independent[i],
-                            "{mode:?}/{threads}t diverges on {}",
-                            batch[i]
-                        );
-                    }
+                let set = QuerySetBuilder::new().queries(batch.iter().copied()).build().unwrap();
+                let out = set.evaluate_all(d);
+                let mode = out.stats().mode;
+                seen.insert(mode);
+                assert_eq!(mode == BatchMode::LockStepShared, batch.len() == queries.len());
+                assert_eq!(out.len(), batch.len());
+                for (i, r) in out.results().iter().enumerate() {
+                    assert_eq!(
+                        r.as_ref().unwrap(),
+                        &independent[i],
+                        "{mode:?} diverges on {}",
+                        batch[i]
+                    );
                 }
             }
         }
-        assert_eq!(seen.len(), 3, "every label is reached: {seen:?}");
+        assert_eq!(seen.len(), 2, "every label is reached: {seen:?}");
     }
 
     #[test]
@@ -819,69 +671,23 @@ mod tests {
     }
 
     #[test]
-    fn nothing_repeats_means_no_memo_and_small_work_no_fan_out() {
-        // Disjoint single-step queries on a tiny document: no memo, and
-        // the work cannot repay a spawn even with a wide budget.
+    fn nothing_repeats_means_no_memo() {
+        // Disjoint single-step queries: no unit repeats, so no memo.
         let d = doc_bookstore();
-        let set = QuerySetBuilder::new()
-            .query("//book")
-            .query("count(//title)")
-            .threads(8)
-            .build()
-            .unwrap();
+        let set = QuerySetBuilder::new().query("//book").query("count(//title)").build().unwrap();
         assert_eq!(set.sharing().shared_units, 0);
-        assert_eq!(set.shards(d.len() as u32), 1);
         let out = set.evaluate_all(&d);
         assert_eq!((out.stats().mode, out.stats().memo_hits), (BatchMode::Serial, 0));
-        // A single query never fans out, however large the document.
-        let one = QuerySetBuilder::new().query("//b").threads(8).build().unwrap();
-        assert_eq!(one.shards(1 << 20), 1);
         // A provably empty query runs no path, so its repeat is no unit.
         let empty = QuerySetBuilder::new().query("//b/@x/c").query("//b/@x/c").build().unwrap();
         assert_eq!(empty.sharing().total_units, 0, "{:?}", empty.sharing());
     }
 
     #[test]
-    fn heavy_batch_on_a_small_document_stays_serial() {
-        // Four general-engine queries on 342 nodes: below
-        // FANOUT_MIN_NODES_GENERAL, so a 4-thread budget still runs
-        // serial; from 1,366 nodes the same batch fans out.
-        let heavy = ["count(//b[1])", "//c[d][2]", "count(//c[1])", "//b[position() = last()]"];
-        let set = QuerySetBuilder::new().queries(heavy).threads(4).build().unwrap();
-        assert_eq!(set.sharing().fragment_queries, 0, "{:?}", set.sharing());
-        let small = doc_balanced(4, 4, &["a", "b", "c", "d"]);
-        assert_eq!(small.len(), 342);
-        let out = set.evaluate_all(&small);
-        assert_eq!((out.stats().workers, out.stats().mode), (1, BatchMode::Serial));
-        let larger = doc_balanced(4, 5, &["a", "b", "c", "d"]);
-        assert_eq!(set.evaluate_all(&larger).stats().workers, 4);
-    }
-
-    #[test]
-    fn resolve_threads_explicit_wins() {
-        assert_eq!(resolve_threads(3), 3);
-        assert_eq!(resolve_threads(1), 1);
-        assert!(resolve_threads(0) >= 1, "auto resolves to at least one thread");
-    }
-
-    #[test]
-    fn threads_env_rejects_are_reported_and_fall_back() {
-        // Valid values win silently; unset and blank fall back silently.
-        assert_eq!(parse_threads_env(Some("4"), 2), (4, Vec::new()));
-        assert_eq!(parse_threads_env(Some(" 3 "), 2), (3, Vec::new()));
-        assert_eq!(parse_threads_env(None, 2), (2, Vec::new()));
-        assert_eq!(parse_threads_env(Some("  "), 2), (2, Vec::new()));
-        // Garbage, zero and negatives fall back to the same value, with
-        // one report each naming the variable and the rejected value.
-        for bad in ["abc", "0", "-1", "2.5"] {
-            let (n, diagnostics) = parse_threads_env(Some(bad), 2);
-            assert_eq!(n, 2, "{bad}");
-            assert_eq!(diagnostics.len(), 1, "{bad}: {diagnostics:?}");
-            assert!(diagnostics[0].starts_with(THREADS_ENV), "{diagnostics:?}");
-            assert!(diagnostics[0].contains(&format!("{bad:?}")), "{diagnostics:?}");
-        }
-        // The process-wide read reports at most one line.
-        assert!(threads_env_rejects().len() <= 1);
+    fn batch_mode_names_are_stable() {
+        // `bench_e2e` keys `batch.mode_share.*` on these strings.
+        let names = [BatchMode::LockStepShared, BatchMode::Serial].map(BatchMode::name);
+        assert_eq!(names, ["lock_step_shared", "serial"]);
     }
 
     #[test]
@@ -917,22 +723,49 @@ mod tests {
     fn query_set_is_send_sync_and_reusable_across_documents() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<QuerySet>();
-        let set =
-            Arc::new(QuerySetBuilder::new().query("count(//b)").query("//b").build().unwrap());
+        // `//b` repeats inside `count(//b)`, so the memo is attached; the
+        // general-engine `count(//b[1])` between them keeps each evaluation
+        // running for a while after its first memo miss.
+        let texts = ["count(//b)", "count(//b[1])", "//b"];
+        let set = Arc::new(QuerySetBuilder::new().queries(texts).build().unwrap());
+        assert!(set.sharing().shared_units > 0, "{:?}", set.sharing());
+        // Each thread's memo counts equal a solo evaluation's on the same
+        // document: two concurrent evaluations never share a memo. The
+        // barrier starts every round's two evaluations together, so they
+        // overlap; the rounds are checked after both threads finish, so a
+        // failing round cannot strand the other thread at the barrier.
+        let solo = |d: &Document| {
+            let alone = QuerySetBuilder::new().queries(texts).build().unwrap();
+            let stats = *alone.evaluate_all(d).stats();
+            (stats.mode, stats.memo_hits, stats.memo_misses)
+        };
+        let rounds = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
-            for docs in [2, 3] {
-                let set = Arc::clone(&set);
+            for bs in [2_000, 3_000] {
+                let (set, rounds) = (Arc::clone(&set), &rounds);
                 s.spawn(move || {
-                    let xml = format!("<a>{}</a>", "<b/>".repeat(docs));
+                    let xml = format!("<a>{}</a>", "<b/>".repeat(bs));
                     let d = Document::parse_str(&xml).unwrap();
-                    let out = set.evaluate_all(&d);
-                    assert_eq!(out.results()[0].as_ref().unwrap().to_string(), docs.to_string());
-                    assert_eq!(
-                        out.results()[1].as_ref().unwrap(),
-                        &Value::NodeSet(
-                            d.all_nodes().filter(|&n| d.name(n) == Some("b")).collect::<NodeSet>()
-                        )
-                    );
+                    let ran: Vec<_> = (0..10)
+                        .map(|_| {
+                            rounds.wait();
+                            let out = set.evaluate_all(&d);
+                            let stats = *out.stats();
+                            ((stats.mode, stats.memo_hits, stats.memo_misses), out.into_results())
+                        })
+                        .collect();
+                    let want = solo(&d);
+                    assert_eq!(want.0, BatchMode::LockStepShared);
+                    assert!(want.1 > 0, "{want:?}");
+                    let all_b = d.all_nodes().filter(|&n| d.name(n) == Some("b")).collect();
+                    let answers =
+                        [Value::Number(bs as f64), Value::Number(1.0), Value::NodeSet(all_b)];
+                    for (counts, results) in ran {
+                        assert_eq!(counts, want);
+                        for (got, answer) in results.iter().zip(&answers) {
+                            assert_eq!(got.as_ref(), Ok(answer));
+                        }
+                    }
                 });
             }
         });

@@ -138,16 +138,13 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
 }
 
 /// Explain how a [`QuerySet`](crate::batch::QuerySet) will evaluate on a
-/// document of `doc_size` nodes: the static sharing profile, whether the
-/// batch memo is attached, and how many chunks the queries fan out
-/// across — the batch counterpart of [`explain`], surfaced by
-/// `xpq --explain` when several `-e` expressions (or a `--query-file`)
-/// form a batch.
+/// document of `doc_size` nodes: the static sharing profile and whether
+/// the batch memo is attached — the batch counterpart of [`explain`],
+/// surfaced by `xpq --explain` when several `-e` expressions (or a
+/// `--query-file`) form a batch.
 pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
     let sharing = set.sharing();
-    let threads = crate::batch::resolve_threads(set.threads());
     let memo = sharing.shared_units > 0;
-    let shards = set.shards(doc_size as u32);
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -157,8 +154,8 @@ pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
         sharing.shared_units,
         sharing.total_units,
     );
-    let mode = crate::batch::mode_of(memo, shards);
-    let _ = writeln!(report, "batch mode @ |D| = {doc_size}, {threads} thread(s): {}", mode.name());
+    let mode = crate::batch::mode_of(memo);
+    let _ = writeln!(report, "batch mode @ |D| = {doc_size}: {}", mode.name());
     let _ = if memo {
         writeln!(
             report,
@@ -168,13 +165,6 @@ pub fn explain_batch(set: &crate::batch::QuerySet, doc_size: usize) -> String {
     } else {
         writeln!(report, "  memo: off, no unit repeats")
     };
-    let _ = writeln!(
-        report,
-        "  workers: {shards} (a batch fans out at |D| ≥ {}, or at |D| ≥ {} with a \
-         general-engine query)",
-        crate::batch::FANOUT_MIN_NODES,
-        crate::batch::FANOUT_MIN_NODES_GENERAL,
-    );
     report
 }
 

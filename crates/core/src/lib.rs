@@ -23,7 +23,7 @@
 //! | [`plan`] | — | document-independent execution plans (static phase), one-shot [`plan::execute_adhoc`], the differential oracle [`plan::evaluate_all_agree`] |
 //! | [`query`] | — | [`Compiler`] / [`CompiledQuery`]: compile once, evaluate many |
 //! | [`cache`] | — | sharded LRU [`QueryCache`] shared across workers |
-//! | [`batch`] | — | [`QuerySet`]: batched multi-query evaluation with shared axis passes; per-query fan-out, the only place evaluation spawns threads |
+//! | [`batch`] | — | [`QuerySet`]: batched multi-query evaluation with shared axis passes, on the calling thread |
 //! | [`store`] | — | [`DocumentStore`]: directory of mmap'd snapshots, generational reload |
 //! | [`serve`] | — | [`serve::Server`]: line-JSON query server — the one [`serve::Json`] codec, admission control, a pure request decoder, metrics |
 
@@ -60,7 +60,7 @@ pub mod wadler;
 pub mod xpatterns;
 
 pub use analyze::{AnalysisStats, Diagnostic, Laziness, QueryReport, Satisfiability, Severity};
-pub use batch::{BatchResult, BatchStats, QuerySet, QuerySetBuilder};
+pub use batch::{BatchMode, BatchResult, BatchStats, QuerySet, QuerySetBuilder};
 pub use cache::{CacheStats, QueryCache};
 pub use context::{Context, EvalBudget, EvalError, EvalResult};
 pub use cursor::{NodeCursor, QueryCursor};

@@ -24,7 +24,8 @@
 //!
 //! [`CompiledQuery`] is immutable and `Send + Sync`; share it across
 //! worker threads directly or via [`crate::cache::QueryCache`], which
-//! amortizes compilation across an entire fleet of workers.
+//! amortizes compilation across an entire fleet of workers. Evaluation
+//! never spawns threads: every call runs on its calling thread.
 
 use std::fmt;
 
@@ -47,7 +48,6 @@ use xpath_xml::NodeId;
 pub struct Compiler {
     default_strategy: Strategy,
     naive_budget: Option<u64>,
-    threads: u32,
     bindings: Bindings,
 }
 
@@ -76,17 +76,10 @@ impl Compiler {
         self
     }
 
-    /// Default thread budget of a
-    /// [`QuerySetBuilder`](crate::batch::QuerySetBuilder) built from this
-    /// compiler: `0` (the default) auto-resolves from `GKP_THREADS` / the
-    /// machine's parallelism, `1` keeps the batch on the caller's thread.
-    /// It caps the batch's per-query fan-out (whether a batch fans out at
-    /// all is the size rule of [`QuerySet`](crate::batch::QuerySet),
-    /// decided per document), the only place evaluation spawns threads; a
-    /// single compiled query always evaluates on the calling thread, so
-    /// the budget is not part of the plan and never changes results.
-    pub fn threads(mut self, threads: u32) -> Compiler {
-        self.threads = threads;
+    /// Does nothing and returns `self`: every evaluation, batched or
+    /// not, runs on its calling thread. Kept so that existing callers
+    /// still build; new code should not call it.
+    pub fn threads(self, _threads: u32) -> Compiler {
         self
     }
 
@@ -124,8 +117,7 @@ impl Compiler {
 
     /// A stable fingerprint of this compiler's settings, used with the
     /// query text as the [`crate::cache::QueryCache`] key. Two compilers
-    /// with equal fingerprints produce identical compiled queries. The
-    /// thread budget is not part of it: plans do not depend on it.
+    /// with equal fingerprints produce identical compiled queries.
     pub fn options_fingerprint(&self) -> String {
         // Bindings has no Hash/Eq, and its HashMap iteration order varies
         // per instance — render the entries in sorted name order instead.
@@ -135,13 +127,6 @@ impl Compiler {
             self.naive_budget,
             self.bindings.sorted()
         )
-    }
-
-    /// The configured thread budget (`0` = auto) — the default a
-    /// [`QuerySetBuilder`](crate::batch::QuerySetBuilder) built from this
-    /// compiler inherits.
-    pub(crate) fn configured_threads(&self) -> u32 {
-        self.threads
     }
 }
 
@@ -487,21 +472,6 @@ mod tests {
             let k = lazy.planner_stats();
             assert_eq!((k.per_node, k.bulk_sparse, k.bulk_dense), want, "{text}");
         }
-    }
-
-    #[test]
-    fn thread_budget_is_not_part_of_the_plan_or_the_cache_key() {
-        let d = doc_bookstore();
-        let serial = Compiler::new().threads(1).compile("//book[author]").unwrap();
-        let wide = Compiler::new().threads(8).compile("//book[author]").unwrap();
-        // Plans do not depend on the budget, so one cache entry serves
-        // every budget…
-        assert_eq!(
-            Compiler::new().threads(1).options_fingerprint(),
-            Compiler::new().threads(8).options_fingerprint()
-        );
-        // …and the answer is the same either way.
-        assert_eq!(wide.evaluate_root(&d).unwrap(), serial.evaluate_root(&d).unwrap());
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!
 //! The `op` field may be omitted when `query`/`queries` is present.
 //! Optional eval fields: `id` (echoed verbatim on the response),
-//! `timeout_ms` (per-request deadline), `threads` (per-request batch
-//! fan-out budget, clamped to the server's cap), `limit` (max node-set string
-//! values returned; the `count` field is always exact).
+//! `timeout_ms` (per-request deadline), `limit` (max node-set string
+//! values returned; the `count` field is always exact). Unknown fields
+//! are ignored.
 //!
 //! Each per-query result is `{"ok":true,"type":…,…}` or
 //! `{"ok":false,"error":{"kind":…,"message":…}}`; request-level
@@ -43,11 +43,9 @@
 //! A semaphore-style [`PermitPool`] bounds concurrent evaluations: a
 //! request acquires a permit before compiling/evaluating and waits at
 //! most the configured admission timeout, failing with `overloaded`
-//! instead of queueing unboundedly. The per-request `threads` budget is
-//! fed to [`Compiler::threads`]; it caps the workers a batched request
-//! (`queries`) fans out to, and a single query always evaluates on its
-//! connection thread. So worst-case CPU oversubscription is bounded by
-//! `permits × max_request_threads` regardless of client count.
+//! instead of queueing unboundedly. Every evaluation, batched or not,
+//! runs on its connection thread, so at most `permits` evaluations run
+//! at once regardless of client count.
 //!
 //! # Metrics
 //!
@@ -119,12 +117,6 @@ pub struct ServeConfig {
     /// Evaluation permits (max concurrent evaluations). Default: the
     /// machine's available parallelism.
     pub permits: usize,
-    /// Per-request thread-budget cap fed to [`Compiler::threads`]
-    /// (requests asking for more are clamped); it bounds a batched
-    /// request's fan-out. Worst-case CPU use is
-    /// `permits × max_request_threads`. Default 1: under concurrent
-    /// load, parallelism comes from requests, not from fan-out.
-    pub max_request_threads: u32,
     /// How long a request may wait for a permit before `overloaded`.
     pub admission_timeout: Duration,
     /// Socket read timeout; doubles as the shutdown-poll tick for
@@ -146,7 +138,6 @@ impl ServeConfig {
             store_dir: store_dir.into(),
             cache_capacity: 256,
             permits: cores,
-            max_request_threads: 1,
             admission_timeout: Duration::from_millis(100),
             read_timeout: Duration::from_millis(100),
             max_line_bytes: 1 << 20,
@@ -340,8 +331,7 @@ impl Server {
     fn eval(&self, id: Option<&Json>, req: &EvalRequest) -> Result<Json, Failure> {
         let _permit = self.admit()?;
         let doc = self.open(&req.doc)?;
-        let threads = req.threads.clamp(1, self.config.max_request_threads.max(1));
-        let compiler = Compiler::new().threads(threads);
+        let compiler = Compiler::new();
         let compiled = self.compile(&compiler, &req.texts);
         let started = Instant::now();
         let (evaluated, batch) = self.execute(&doc, compiler, &compiled, req.timeout_ms);
@@ -430,7 +420,6 @@ impl Server {
                         ("fragment_queries", Json::num(stats.fragment_queries as u64)),
                         ("memo_hits", Json::num(stats.memo_hits)),
                         ("memo_misses", Json::num(stats.memo_misses)),
-                        ("workers", Json::num(stats.workers as u64)),
                     ]));
                     result.into_results()
                 }

@@ -60,8 +60,6 @@ pub(crate) struct EvalRequest {
     pub doc: String,
     /// Per-request deadline.
     pub timeout_ms: Option<u64>,
-    /// Requested fan-out budget (default 1), before the server's cap.
-    pub threads: u32,
     /// Node-set string values returned per result.
     pub limit: usize,
 }
@@ -176,16 +174,13 @@ fn decode_eval(fields: &mut [(String, Json)]) -> Result<EvalRequest, (Endpoint, 
             None => return Err((endpoint, "timeout_ms must be a non-negative integer")),
         },
     };
-    // `threads` and `limit` are lenient: a value that is not a
-    // non-negative integer means the default.
-    let threads = take(fields, "threads")
-        .and_then(|v| v.as_u64())
-        .map_or(1, |t| u32::try_from(t).unwrap_or(u32::MAX));
+    // `limit` is lenient: a value that is not a non-negative integer
+    // means the default.
     let limit = take(fields, "limit")
         .and_then(|v| v.as_u64())
         .map_or(DEFAULT_VALUE_LIMIT, |l| usize::try_from(l).unwrap_or(usize::MAX))
         .min(MAX_VALUE_LIMIT);
-    Ok(EvalRequest { texts, doc, timeout_ms, threads, limit })
+    Ok(EvalRequest { texts, doc, timeout_ms, limit })
 }
 
 /// The stable snake_case kind of an evaluation or compile error.
@@ -304,7 +299,6 @@ mod tests {
                 texts: vec!["//a".to_owned(), "//b".to_owned()],
                 doc: "d".to_owned(),
                 timeout_ms: Some(5),
-                threads: 3,
                 limit: 2,
             })
         );
@@ -330,15 +324,15 @@ mod tests {
     }
 
     #[test]
-    fn threads_and_limit_fall_back_and_clamp() {
+    fn limit_falls_back_and_clamps() {
         let e = eval(r#"{"doc":"d","query":"//a"}"#);
-        assert_eq!((e.timeout_ms, e.threads, e.limit), (None, 1, DEFAULT_VALUE_LIMIT));
-        let e = eval(r#"{"doc":"d","query":"//a","threads":"x","limit":-1}"#);
-        assert_eq!((e.threads, e.limit), (1, DEFAULT_VALUE_LIMIT));
-        let e = eval(r#"{"doc":"d","query":"//a","threads":1e12,"limit":1e12}"#);
-        assert_eq!((e.threads, e.limit), (u32::MAX, MAX_VALUE_LIMIT));
-        let e = eval(r#"{"doc":"d","query":"//a","threads":0,"limit":0}"#);
-        assert_eq!((e.threads, e.limit), (0, 0));
+        assert_eq!((e.timeout_ms, e.limit), (None, DEFAULT_VALUE_LIMIT));
+        let e = eval(r#"{"doc":"d","query":"//a","limit":-1}"#);
+        assert_eq!(e.limit, DEFAULT_VALUE_LIMIT);
+        let e = eval(r#"{"doc":"d","query":"//a","limit":1e12}"#);
+        assert_eq!(e.limit, MAX_VALUE_LIMIT);
+        let e = eval(r#"{"doc":"d","query":"//a","limit":0}"#);
+        assert_eq!(e.limit, 0);
         // `query` wins over `queries`, whatever `queries` holds.
         assert_eq!(eval(r#"{"doc":"d","query":"//a","queries":[1]}"#).texts, ["//a"]);
     }

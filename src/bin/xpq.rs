@@ -9,7 +9,7 @@
 //! xpq snapshot info <SNAP>
 //! xpq snapshot verify <SNAP>
 //! xpq serve --store DIR (--unix PATH | --tcp ADDR) [--permits N]
-//!           [--max-threads N] [--cache N] [--admission-ms N] [--verify]
+//!           [--cache N] [--admission-ms N] [--verify]
 //! xpq client (--unix PATH | --tcp ADDR) [--timeout-ms N]
 //!
 //! Reads FILE (or stdin) as XML and evaluates the query — or the whole
@@ -49,15 +49,6 @@
 //!                           stderr; with --time, reports the amortized
 //!                           per-evaluation cost). Batches re-run
 //!                           evaluate_all N times
-//!   -T, --threads <N>       thread budget for the batch fan-out (one
-//!                           chunk of -e queries per worker): 0 = auto
-//!                           (GKP_THREADS env, then the machine's
-//!                           parallelism — the default), 1 = serial, N
-//!                           caps the workers. A single query always
-//!                           runs on one thread. A batch splits only on
-//!                           a document of ≥ 16384 nodes (≥ 1024 with a
-//!                           general-engine query); never changes
-//!                           results
 //!   -c, --classify          print the Figure-1 fragment classification and exit
 //!   -n, --normalize         print the normalized (unabbreviated) query, after
 //!                           the rewrite pass every compile runs, and exit
@@ -65,8 +56,7 @@
 //!                           bottom-up candidates, axis-kernel routes,
 //!                           static-analysis verdicts including the lazy
 //!                           verdict; for batches, additionally whether
-//!                           the memo is attached and how many workers
-//!                           run) and exit. Sizes are the
+//!                           the memo is attached) and exit. Sizes are the
 //!                           FILE's or --snapshot's node count, else an
 //!                           assumed 1000 nodes
 //!       --lint              compile every query and print the static
@@ -83,8 +73,8 @@
 //!                           results, and the axis kernel's
 //!                           materialization tally (per-node / bulk-sparse / bulk-dense /
 //!                           memo-shared) after evaluation; batches also
-//!                           report what ran (memo, fan-out or serial),
-//!                           the memo hits and misses, and the workers
+//!                           report what ran (memo or serial) and the
+//!                           memo hits and misses
 //!       --serialize         print matched subtrees as XML instead of string values
 //!       --verify            run all algorithms and require agreement (the
 //!                           differential oracle) before printing results
@@ -112,16 +102,16 @@
 //!                           dispatch tier the word-sweep kernels will run
 //!                           on (scalar / vector), the GKP_NO_SIMD
 //!                           override state (any value but unset, empty,
-//!                           0, false or auto pins scalar) and the
-//!                           resolved thread budget, then exit (no query
-//!                           needed)
+//!                           0, false or auto pins scalar), then exit
+//!                           (no query needed)
 //! ```
 //!
 //! The tool follows the two-phase API: queries are **compiled once**
 //! (document-independent static phase) into [`gkp_xpath::CompiledQuery`]
 //! handles — a batch into one [`gkp_xpath::QuerySet`] — then evaluated
-//! `--repeat` times against the document. Batch results print in input
-//! order, each preceded by a `# <query>` header line.
+//! `--repeat` times against the document, on the calling thread. Batch
+//! results print in input order, each preceded by a `# <query>` header
+//! line.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -146,7 +136,6 @@ const ASSUMED_DOC_SIZE: usize = 1000;
 struct Options {
     strategy: Strategy,
     repeat: u32,
-    threads: u32,
     classify_only: bool,
     normalize_only: bool,
     explain_only: bool,
@@ -175,15 +164,14 @@ const STRATEGIES: &str =
     "naive pool bottomup topdown mincontext optmincontext corexpath xpatterns auto";
 
 fn usage() -> &'static str {
-    "usage: xpq [-s STRATEGY] [-r N] [-T N] [-c] [-n] [--explain] [--lint [--json]] [-v] [--serialize] [--verify] [--stats] [--ns] [--time] [--exists | --first | --limit K] [--timeout-ms N] (<QUERY> | -e EXPR... | --query-file F) [FILE]\n\
+    "usage: xpq [-s STRATEGY] [-r N] [-c] [-n] [--explain] [--lint [--json]] [-v] [--serialize] [--verify] [--stats] [--ns] [--time] [--exists | --first | --limit K] [--timeout-ms N] (<QUERY> | -e EXPR... | --query-file F) [FILE]\n\
      strategies: naive pool bottomup topdown mincontext optmincontext corexpath xpatterns auto\n\
      -e/--expr: add a query to the batch (repeatable); --query-file: one query per line (#-comments skipped)\n\
-     -T/--threads: batch fan-out budget (0 = auto via GKP_THREADS/machine, 1 = serial); a batch fans out at |D| >= 16384 (>= 1024 with a general-engine query)\n\
      --lint: static-analyze the queries (no document); exits 1 on error-severity diagnostics\n\
      --exists/--first/--limit: early-exit evaluation via the lazy cursor (single node-set query); exit 1 = no match, 2 = evaluation error\n\
      --timeout-ms: deadline for the whole evaluation; exits 124 when it trips\n\
      --snapshot: evaluate against an mmap'd snapshot file instead of XML (see `xpq snapshot`)\n\
-     --bench-info: print detected CPU features, the active kernel tier (scalar / vector), the GKP_NO_SIMD state and the thread budget, then exit\n\
+     --bench-info: print detected CPU features, the active kernel tier (scalar / vector), and the GKP_NO_SIMD state, then exit\n\
      snapshot subcommand: xpq snapshot (build [--ns] <XML> <SNAP> | info <SNAP> | verify <SNAP>)"
 }
 
@@ -191,7 +179,6 @@ fn parse_args() -> Result<Options, String> {
     let mut o = Options {
         strategy: Strategy::Auto,
         repeat: 1,
-        threads: 0,
         classify_only: false,
         normalize_only: false,
         explain_only: false,
@@ -251,10 +238,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or(format!("invalid repeat count {n:?}"))?;
-            }
-            "-T" | "--threads" => {
-                let n = args.next().ok_or("missing thread count")?;
-                o.threads = n.parse::<u32>().map_err(|_| format!("invalid thread count {n:?}"))?;
             }
             "-e" | "--expr" => {
                 o.exprs.push(args.next().ok_or("missing expression after -e/--expr")?);
@@ -523,10 +506,10 @@ fn lint(compiler: &Compiler, queries: &[String], json: bool) -> ExitCode {
 }
 
 /// `--bench-info`: the runtime CPU-feature probe, the kernel tier the
-/// word-sweep dispatch resolved to, the `GKP_NO_SIMD` override state and
-/// the resolved thread budget — the context needed to interpret a BENCH_axes.json `simd` section
+/// word-sweep dispatch resolved to and the `GKP_NO_SIMD` override state —
+/// the context needed to interpret a BENCH_axes.json `simd` section
 /// captured on this machine.
-fn print_bench_info(threads: u32) {
+fn print_bench_info() {
     use gkp_xpath::xml::simd;
 
     println!("cpu features:");
@@ -539,8 +522,6 @@ fn print_bench_info(threads: u32) {
         Some(v) => println!("{}:  set ({v:?})", simd::NO_SIMD_ENV),
         None => println!("{}:  unset (auto dispatch)", simd::NO_SIMD_ENV),
     }
-    let resolved = gkp_xpath::core::batch::resolve_threads(threads);
-    println!("threads:      {resolved}{}", if threads == 0 { " (auto)" } else { "" });
 }
 
 /// `xpq snapshot (build|info|verify)` — manage on-disk document
@@ -636,13 +617,12 @@ fn serve_cmd(args: &[String]) -> ExitCode {
     use std::time::Duration;
 
     const USAGE: &str = "usage: xpq serve --store DIR (--unix PATH | --tcp ADDR) \
-         [--permits N] [--max-threads N] [--cache N] [--admission-ms N] [--verify]";
+         [--permits N] [--cache N] [--admission-ms N] [--verify]";
 
     let mut store: Option<String> = None;
     let mut unix: Option<String> = None;
     let mut tcp: Option<String> = None;
     let mut permits: Option<usize> = None;
-    let mut max_threads: Option<u32> = None;
     let mut cache: Option<usize> = None;
     let mut admission_ms: Option<u64> = None;
     let mut verify = false;
@@ -658,9 +638,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             "--permits" => take("--permits")
                 .and_then(|v| v.parse().map_err(|_| "--permits: not a number".into()))
                 .map(|v| permits = Some(v)),
-            "--max-threads" => take("--max-threads")
-                .and_then(|v| v.parse().map_err(|_| "--max-threads: not a number".into()))
-                .map(|v| max_threads = Some(v)),
             "--cache" => take("--cache")
                 .and_then(|v| v.parse().map_err(|_| "--cache: not a number".into()))
                 .map(|v| cache = Some(v)),
@@ -690,9 +667,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
     let mut config = ServeConfig::new(&store);
     if let Some(p) = permits {
         config.permits = p.max(1);
-    }
-    if let Some(t) = max_threads {
-        config.max_request_threads = t.max(1);
     }
     if let Some(c) = cache {
         config.cache_capacity = c.max(1);
@@ -865,7 +839,7 @@ fn main() -> ExitCode {
     // Kernel-dispatch introspection: which word-sweep tier the SIMD
     // module selected and why. No query or document is involved.
     if opts.bench_info {
-        print_bench_info(opts.threads);
+        print_bench_info();
         return ExitCode::SUCCESS;
     }
     let queries = match collect_queries(&opts) {
@@ -876,7 +850,7 @@ fn main() -> ExitCode {
         }
     };
     let batch = queries.len() > 1;
-    let compiler = Compiler::new().default_strategy(opts.strategy).threads(opts.threads);
+    let compiler = Compiler::new().default_strategy(opts.strategy);
 
     // Lint mode: static analysis only, no document. Per-query parse
     // failures are reported as error-severity diagnostics (affecting the
@@ -889,7 +863,7 @@ fn main() -> ExitCode {
     // Static-only modes (no document needed: the static phase is
     // document-independent). Each batch member prints under its own
     // header; --explain explains the compiled plan and additionally
-    // reports the batch memo rule and the worker count.
+    // reports the batch memo rule.
     if opts.normalize_only || opts.classify_only || opts.explain_only {
         // --explain states its |D|-dependent rules at the given document's
         // node count; without a FILE or --snapshot it assumes a size and
@@ -992,12 +966,6 @@ fn main() -> ExitCode {
             .map(|q| gkp_xpath::AnalysisStats::of(q.report()))
             .fold(gkp_xpath::AnalysisStats::default(), gkp_xpath::AnalysisStats::plus);
         eprintln!("analysis: {analysis}");
-        let resolved = gkp_xpath::core::batch::resolve_threads(opts.threads);
-        eprintln!("threads:  {resolved}{}", if opts.threads == 0 { " (auto)" } else { "" });
-        // A rejected GKP_THREADS value is reported the same way.
-        for d in gkp_xpath::core::batch::threads_env_rejects() {
-            eprintln!("threads:  {d}");
-        }
     }
 
     // Load the document.
@@ -1111,13 +1079,12 @@ fn main() -> ExitCode {
     if opts.verbose || opts.repeat > 1 {
         if let (true, Some(s)) = (batch, batch_stats) {
             eprintln!(
-                "batch: mode={}, {} queries ({} fragment), {} memo hits / {} misses, {} worker(s)",
+                "batch: mode={}, {} queries ({} fragment), {} memo hits / {} misses",
                 s.mode.name(),
                 s.queries,
                 s.fragment_queries,
                 s.memo_hits,
-                s.memo_misses,
-                s.workers
+                s.memo_misses
             );
         }
         // Axis-kernel provenance: which materializations actually ran,

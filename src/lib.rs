@@ -107,11 +107,11 @@ pub use xpath_core as core;
 pub use xpath_syntax as syntax;
 pub use xpath_xml as xml;
 
-pub use xpath_axes::{BatchMode, KernelCounts};
+pub use xpath_axes::KernelCounts;
 pub use xpath_core::analyze::{
     AnalysisStats, Diagnostic, Laziness, QueryReport, Satisfiability, Severity,
 };
-pub use xpath_core::batch::{BatchResult, BatchStats, QuerySet, QuerySetBuilder};
+pub use xpath_core::batch::{BatchMode, BatchResult, BatchStats, QuerySet, QuerySetBuilder};
 pub use xpath_core::cache::{CacheStats, QueryCache};
 pub use xpath_core::context::{EvalBudget, EvalError};
 pub use xpath_core::cursor::{NodeCursor, QueryCursor};

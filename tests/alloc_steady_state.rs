@@ -73,9 +73,8 @@ fn steady_state_evaluation_is_allocation_free() {
     // Fragment-engine queries only: the general engines (bottom-up CVT,
     // MinContext, …) materialize data-dependent per-node tables; the
     // zero-allocation guarantee targets the compile-once / evaluate-many
-    // fragment paths. `threads(1)` keeps every pass on this thread —
-    // scoped workers would bring their own (cold) shelves.
-    let compiler = Compiler::new().threads(1);
+    // fragment paths.
+    let compiler = Compiler::new();
     let queries: Vec<CompiledQuery> = [
         "//book[author]",
         "//book[author]/title",
@@ -113,7 +112,6 @@ fn steady_state_evaluation_is_allocation_free() {
         .map(|(batch, mode)| {
             let set = QuerySetBuilder::with_compiler(compiler.clone())
                 .queries(batch.iter().copied())
-                .threads(1)
                 .build()
                 .unwrap();
             for doc in &docs {

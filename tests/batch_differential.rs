@@ -1,21 +1,18 @@
 //! Batch differential suite: `QuerySet::evaluate_all` must be
 //! bit-identical to N independent `CompiledQuery::evaluate` calls — same
 //! values, same node sets, same per-query errors — for random query
-//! batches (duplicates included) on the six BENCH query shapes, on every
-//! path a batch can take (memo attached or not, fanned out or not) and
-//! thread budget. The inputs pick the path: a repeated unit attaches the
-//! memo, and a large enough document makes the fan-out split. CI runs
-//! this suite at `GKP_THREADS=1` and `GKP_THREADS=4`; explicit 1- and
-//! 4-thread builds below cover both budgets regardless of the
-//! environment.
+//! batches (duplicates included) on the six BENCH query shapes, on both
+//! paths a batch can take (memo attached or not). The inputs pick the
+//! path: a repeated unit attaches the memo.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use gkp_xpath::axes::BatchMode;
 use gkp_xpath::xml::generate::{doc_balanced, doc_bookstore, doc_random, RandomDocConfig};
 use gkp_xpath::xml::rng::Rng;
-use gkp_xpath::{BatchResult, Compiler, Document, EvalBudget, EvalError, QuerySetBuilder, Value};
+use gkp_xpath::{
+    BatchMode, BatchResult, Compiler, Document, EvalBudget, EvalError, QuerySetBuilder, Value,
+};
 
 /// The six query shapes benchmarked in BENCH_axes.json.
 const BENCH_QUERIES: &[&str] = &[
@@ -39,33 +36,23 @@ const EXTRA_QUERIES: &[&str] = &[
     "//*[c = '100']",
 ];
 
-/// Evaluate `batch` as one set at 1 and 4 threads and compare with
-/// independent evaluation; returns the 4-thread run's result.
+/// Evaluate `batch` as one set and compare with independent evaluation;
+/// returns the batch's result.
 fn assert_batches_match(doc: &Document, batch: &[&str], label: &str) -> BatchResult {
     let compiler = Compiler::new();
     let independent: Vec<Result<Value, _>> =
         batch.iter().map(|q| compiler.compile(q).unwrap().evaluate_root(doc)).collect();
-    let mut last = None;
-    for threads in [1u32, 4] {
-        let set = QuerySetBuilder::new().queries(batch.iter().copied()).threads(threads).build();
-        let out = set.unwrap().evaluate_all(doc);
-        assert_eq!(out.len(), batch.len(), "{label}");
-        let mode = out.stats().mode;
-        for (i, (got, want)) in out.results().iter().zip(&independent).enumerate() {
-            match (got, want) {
-                (Ok(g), Ok(w)) => assert_eq!(
-                    g, w,
-                    "{label}: {mode:?} diverges on {:?} ({threads} threads)",
-                    batch[i]
-                ),
-                (g, w) => {
-                    panic!("{label}: result kinds diverge on {:?}: {g:?} vs {w:?}", batch[i])
-                }
-            }
+    let set = QuerySetBuilder::new().queries(batch.iter().copied()).build();
+    let out = set.unwrap().evaluate_all(doc);
+    assert_eq!(out.len(), batch.len(), "{label}");
+    let mode = out.stats().mode;
+    for (i, (got, want)) in out.results().iter().zip(&independent).enumerate() {
+        match (got, want) {
+            (Ok(g), Ok(w)) => assert_eq!(g, w, "{label}: {mode:?} diverges on {:?}", batch[i]),
+            (g, w) => panic!("{label}: result kinds diverge on {:?}: {g:?} vs {w:?}", batch[i]),
         }
-        last = Some(out);
     }
-    last.unwrap()
+    out
 }
 
 #[test]
@@ -81,16 +68,14 @@ fn batches_agree_on_bench_query_shapes() {
 }
 
 #[test]
-fn fan_out_agrees_with_and_without_the_memo() {
-    // The 21,846-node document is past `FANOUT_MIN_NODES`, so a 4-thread
-    // budget splits both batches; only the first repeats a unit and
-    // attaches the memo.
+fn large_document_batches_agree_with_and_without_the_memo() {
+    // On 21,846 nodes, only the first batch repeats a unit and attaches
+    // the memo; both run serially on this thread.
     let doc = doc_balanced(4, 7, &["a", "b", "c", "d"]);
     let memo_free = ["//a/b", "//b//c", "//c[preceding::a]", "count(//d)"];
     for (batch, memo) in [(BENCH_QUERIES, true), (&memo_free[..], false)] {
-        let out = assert_batches_match(&doc, batch, "fan-out");
+        let out = assert_batches_match(&doc, batch, "large document");
         let stats = out.stats();
-        assert!(stats.workers > 1, "{batch:?} must fan out at 4 threads: {stats:?}");
         assert_eq!(stats.mode == BatchMode::LockStepShared, memo, "{stats:?}");
         assert_eq!(stats.memo_misses > 0, memo, "{stats:?}");
     }
@@ -106,10 +91,10 @@ fn cancelled_batches_fail_every_slot_and_leave_the_set_reusable() {
     let cases: [(&[&str], &Document, BatchMode); 3] = [
         (BENCH_QUERIES, &small, BatchMode::LockStepShared),
         (&memo_free, &small, BatchMode::Serial),
-        (&memo_free, &large, BatchMode::PerQuerySharded),
+        (&memo_free, &large, BatchMode::Serial),
     ];
     for (batch, doc, mode) in cases {
-        let build = || QuerySetBuilder::new().queries(batch.iter().copied()).threads(4).build();
+        let build = || QuerySetBuilder::new().queries(batch.iter().copied()).build();
         let set = build().unwrap();
         let root = gkp_xpath::core::Context::of(doc.root());
         let out = set.evaluate_all_with(doc, root, &cancelled);
@@ -154,7 +139,7 @@ fn lock_step_really_shares_on_duplicate_heavy_batches() {
     // one application per unit of the single corpus.
     let doc = doc_balanced(4, 5, &["a", "b", "c", "d"]);
     let lock_step = |batch: Vec<&str>| {
-        let set = QuerySetBuilder::new().queries(batch).threads(1).build().unwrap();
+        let set = QuerySetBuilder::new().queries(batch).build().unwrap();
         assert!(set.sharing().shared_units > 0, "the corpus repeats a prefix on its own");
         set
     };
@@ -211,15 +196,13 @@ fn non_root_contexts_agree_too() {
     // With its duplicate the batch attaches the memo; without, it runs
     // memo-free.
     for batch in [&batch[..], &batch[..2]] {
-        for threads in [1, 4] {
-            let set = QuerySetBuilder::new().queries(batch.iter().copied()).threads(threads);
-            let out = set.build().unwrap().evaluate_all_at(&doc, ctx);
-            let mode = out.stats().mode;
-            assert_eq!(mode == BatchMode::LockStepShared, batch.len() == 3, "{mode:?}");
-            for (q, got) in batch.iter().zip(out.results()) {
-                let want = compiler.compile(q).unwrap().evaluate(&doc, ctx).unwrap();
-                assert_eq!(got.as_ref().unwrap(), &want, "{q} under {mode:?}");
-            }
+        let set = QuerySetBuilder::new().queries(batch.iter().copied());
+        let out = set.build().unwrap().evaluate_all_at(&doc, ctx);
+        let mode = out.stats().mode;
+        assert_eq!(mode == BatchMode::LockStepShared, batch.len() == 3, "{mode:?}");
+        for (q, got) in batch.iter().zip(out.results()) {
+            let want = compiler.compile(q).unwrap().evaluate(&doc, ctx).unwrap();
+            assert_eq!(got.as_ref().unwrap(), &want, "{q} under {mode:?}");
         }
     }
 }
@@ -238,7 +221,7 @@ fn count_wrapped_shared_prefix_batches_share_lock_step() {
         "count(//a//b//c | //d)",
     ];
     assert_batches_match(&doc, &batch, "count-wrapped shared prefix");
-    let set = QuerySetBuilder::new().queries(batch).threads(1).build().unwrap();
+    let set = QuerySetBuilder::new().queries(batch).build().unwrap();
     let sharing = set.sharing();
     assert_eq!(sharing.fragment_queries, batch.len(), "{sharing:?}");
     assert!(sharing.shared_units > 0, "{sharing:?}");
@@ -264,7 +247,7 @@ fn value_test_batches_share_lock_step() {
         let doc = doc_random(seed, &RandomDocConfig { elements: 80, ..RandomDocConfig::default() });
         assert_batches_match(&doc, &batch, &format!("value tests, random seed {seed}"));
     }
-    let set = QuerySetBuilder::new().queries(batch).threads(1).build().unwrap();
+    let set = QuerySetBuilder::new().queries(batch).build().unwrap();
     assert_eq!(set.sharing().fragment_queries, batch.len(), "{:?}", set.sharing());
     let doc = doc_random(0, &RandomDocConfig { elements: 80, ..RandomDocConfig::default() });
     let out = set.evaluate_all(&doc);

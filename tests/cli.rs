@@ -283,28 +283,22 @@ fn verbose_reports_fragment_and_strategy() {
     assert_eq!(code, 0);
     assert!(stderr.contains("fragment:"), "{stderr}");
     assert!(stderr.contains("strategy:"), "{stderr}");
-    assert!(stderr.contains("threads:"), "{stderr}");
 }
 
 #[test]
-fn threads_flag_caps_the_batch_fan_out_without_changing_results() {
-    let batch = ["-e", "//title", "-e", "count(//book)", "-e", "//book[@year > 2000]/title"];
-    let (serial, _, code) = xpq(&[&["--threads", "1"], &batch[..]].concat(), XML);
-    assert_eq!(code, 0);
-    assert_eq!(
-        serial,
-        "# //title\nFoundations\nXPath\n# count(//book)\n2\n# //book[@year > 2000]/title\nXPath\n"
-    );
-    let (wide, stderr, code) = xpq(&[&["-T", "8", "-v"], &batch[..]].concat(), XML);
-    assert_eq!(code, 0);
-    assert_eq!(wide, serial, "thread budget must not change results");
-    assert!(stderr.contains("threads:  8"), "{stderr}");
-    // Invalid counts are rejected.
-    for bad in ["many", "-1"] {
-        let (_, stderr, code) = xpq(&[&["-T", bad], &batch[..]].concat(), XML);
-        assert_eq!(code, 2, "{bad}");
-        assert!(stderr.contains("invalid thread count"), "{stderr}");
+fn removed_thread_options_are_usage_errors() {
+    // Every evaluation runs on its calling thread; the options that once
+    // capped a batch fan-out are unknown now. `-T` and `--threads` fall
+    // into the positional slots, which leaves one argument too many.
+    for flag in ["-T", "--threads"] {
+        let (_, stderr, code) = xpq(&[flag, "2", "//title"], XML);
+        assert_eq!(code, 2, "{flag}: {stderr}");
+        let (stdout, stderr, code) = xpq(&[flag, "2", "-e", "//title", "-e", "//book"], XML);
+        assert_eq!((stdout.as_str(), code), ("", 2), "{flag}: {stderr}");
     }
+    let (_, stderr, code) = xpq(&["serve", "--max-threads", "2"], "");
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown flag --max-threads"), "{stderr}");
 }
 
 #[test]
@@ -337,10 +331,8 @@ fn batch_results_match_independent_invocations() {
 fn batch_verbose_reports_mode_and_memo_hits() {
     // A duplicated query repeats every unit, so the batch memo is
     // attached and serves the second copy's steps.
-    let (_, stderr, code) = xpq(
-        &["-v", "-T", "1", "-e", "//book/title", "-e", "//book/title", "-e", "//book/@year"],
-        XML,
-    );
+    let (_, stderr, code) =
+        xpq(&["-v", "-e", "//book/title", "-e", "//book/title", "-e", "//book/@year"], XML);
     assert_eq!(code, 0, "{stderr}");
     assert!(stderr.contains("batch: mode=lock_step_shared"), "{stderr}");
     let hits: u64 = stderr
@@ -403,18 +395,10 @@ fn batch_explain_reports_the_mode_decision() {
     assert!(stdout.contains("batch:"), "{stdout}");
     assert!(stdout.contains("batch mode @"), "{stdout}");
     assert!(stdout.contains("step units shared"), "{stdout}");
-    // The duplicate repeats every unit: the memo rule and the worker
-    // count are stated, the retired cost crossover is not.
+    // The duplicate repeats every unit: the memo rule is stated, the
+    // retired cost crossover is not.
     assert!(stdout.contains("memo: attached"), "{stdout}");
-    assert!(stdout.contains("workers: 1"), "{stdout}");
     assert!(!stdout.contains("pays above") && !stdout.contains("repay"), "{stdout}");
-    // The workers: line names the size rule and its two thresholds.
-    let rule = format!(
-        "a batch fans out at |D| ≥ {}, or at |D| ≥ {} with a general-engine query",
-        gkp_xpath::core::batch::FANOUT_MIN_NODES,
-        gkp_xpath::core::batch::FANOUT_MIN_NODES_GENERAL
-    );
-    assert!(stdout.contains(&rule), "{stdout}");
 }
 
 #[test]

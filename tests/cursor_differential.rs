@@ -306,11 +306,8 @@ fn expired_deadline_surfaces_as_deadline_exceeded() {
 fn cancelled_cursor_is_repollable_and_leaks_no_shelf_buffers() {
     use gkp_xpath::xml::pool;
 
-    // threads(1) keeps every pass on this thread: the shelf counters
-    // below are thread-local, and scoped workers would bring their own.
     let doc = doc_balanced(4, 6, &["a", "b", "c", "d"]);
-    let compiler = Compiler::new().threads(1);
-    let c = compiler.compile("//a//c").unwrap();
+    let c = Compiler::new().compile("//a//c").unwrap();
     let want = c.select(&doc).unwrap();
 
     // A pre-set flag cancels the very first pull; the cursor is NOT

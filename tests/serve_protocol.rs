@@ -162,50 +162,6 @@ fn deadline_trips_are_structured_and_connection_survives() {
 }
 
 #[test]
-fn request_threads_are_clamped_and_never_change_results() {
-    let (_dir, server, sock, accept) = start_with("threads", |c| c.max_request_threads = 2);
-    let mut client = Client::connect(&sock);
-    // Four queries outside Core XPath / XPatterns: nothing for the batch
-    // memo to share, so a wide enough budget lets the batch fan out.
-    let batch = r#"["count(//c[1])","count(//d[2])","//b[position() = last()]","string(//c[3])"]"#;
-    let mut batch_results = Vec::new();
-    let mut workers = Vec::new();
-    let mut single_results = Vec::new();
-    for threads in [1, 2, 64] {
-        let resp = client
-            .roundtrip(&format!(r#"{{"doc":"bench","queries":{batch},"threads":{threads}}}"#));
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{threads} threads");
-        let results = resp.get("results").unwrap().as_arr().unwrap().to_vec();
-        assert_eq!(results.len(), 4);
-        assert!(results.iter().all(|r| r.get("ok") == Some(&Json::Bool(true))), "{results:?}");
-        batch_results.push(results);
-        let stats = resp.get("batch").expect("batched evals report batch stats");
-        let mode = stats.get("mode").and_then(Json::as_str);
-        assert!(
-            matches!(mode, Some("lock_step_shared" | "per_query_sharded" | "serial")),
-            "batch.mode is a BatchMode::name(): {mode:?}"
-        );
-        workers.push(stats.get("workers").unwrap().as_u64().unwrap());
-
-        let resp = client.roundtrip(&format!(
-            r#"{{"doc":"bench","query":"//b[position() = last()]","threads":{threads}}}"#
-        ));
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{threads} threads");
-        assert!(resp.get("batch").is_none(), "a single query is not a batch");
-        single_results.push(resp.get("results").unwrap().clone());
-    }
-    // The budget changes at most the route, never the answer.
-    assert!(batch_results.iter().all(|r| *r == batch_results[0]), "{batch_results:?}");
-    assert!(single_results.iter().all(|r| *r == single_results[0]), "{single_results:?}");
-    // A 1-thread budget keeps the batch on one worker; 64 is clamped to
-    // the server's cap of 2, so it fans out exactly as 2 does.
-    assert_eq!(workers[0], 1, "{workers:?}");
-    assert!(workers.iter().all(|&w| w <= 2), "{workers:?}");
-    assert_eq!(workers[2], workers[1], "{workers:?}");
-    finish(&server, accept, &sock);
-}
-
-#[test]
 fn stats_over_the_wire_reflect_served_requests() {
     let (_dir, server, sock, accept) = start("stats");
     let mut client = Client::connect(&sock);
