@@ -32,6 +32,12 @@
 //!   descendant step by the rewrite every compile runs) and `//b[c]`,
 //!   plus the bare `T(c)` scan that `//b[c]`'s `S←` runs, each with its
 //!   ratio to `/descendant::*`;
+//! * **positional** — positional predicates on MinContext, which decides
+//!   the closed form `position() op R` by index: `/a/b[5000]`,
+//!   `/a/b[last()]`, `/a/b[position() < 3]` and the filter expression
+//!   `(/a/b)[5000]` on `doc_flat(10,000)` against the bare `/a/b`, and
+//!   the inner path `//c[d[2]]` on the 87,382-node balanced document
+//!   against the bare `//c`;
 //! * **early_exit** — the lazy cursor layer (`xpath_core::cursor`):
 //!   `first()`/`exists()` (stop at the first window with a match) vs a
 //!   full materializing evaluation of the same compiled query on the
@@ -64,7 +70,8 @@
 //!   `cargo run --release -p xpath-bench --bin bench_axes [-- out.json]`
 //!   `… --check`      run every guard in `GUARDS` (simd, batch,
 //!                    early-exit, snapshot, strategy-choice, node-test,
-//!                    lazy-dispatch, prepared, serve and axis-kernel;
+//!                    positional, lazy-dispatch, prepared, serve and
+//!                    axis-kernel;
 //!                    each pass's doc comment states its bars),
 //!                    re-measure a failing one up to `CHECK_ATTEMPTS`
 //!                    times, and exit non-zero listing every violation
@@ -464,6 +471,71 @@ fn node_test_ratios(cells: &[NodeTestCell]) -> (f64, f64) {
     (ns(1) / ns(0), ns(2) / ns(1))
 }
 
+/// The positional rows: (document label, query, the bare path it is
+/// measured against, guarded). On `doc_flat(10,000)` the closed-form
+/// predicates must cost about what the bare path does; the filter
+/// expression and the inner path are recorded only.
+const POSITIONAL_ROWS: &[(&str, &str, &str, bool)] = &[
+    ("flat", "/a/b[5000]", "/a/b", true),
+    ("flat", "/a/b[last()]", "/a/b", true),
+    ("flat", "/a/b[position() < 3]", "/a/b", true),
+    ("flat", "(/a/b)[5000]", "/a/b", false),
+    ("balanced", "//c[d[2]]", "//c", false),
+];
+
+/// One positional row: the query and its bare path, timed interleaved
+/// under Auto.
+struct PositionalCell {
+    doc: &'static str,
+    nodes: usize,
+    query: &'static str,
+    bare: &'static str,
+    guarded: bool,
+    matches: usize,
+    ns: u64,
+    bare_ns: u64,
+}
+
+impl PositionalCell {
+    fn vs_bare(&self) -> f64 {
+        self.ns as f64 / self.bare_ns.max(1) as f64
+    }
+}
+
+fn measure_positional() -> Vec<PositionalCell> {
+    let flat = xpath_xml::generate::doc_flat(10_000);
+    let balanced = doc_balanced(4, 8, &["a", "b", "c", "d"]);
+    let top_down = Compiler::new().default_strategy(Strategy::TopDown);
+    POSITIONAL_ROWS
+        .iter()
+        .map(|&(label, query, bare, guarded)| {
+            let doc = if label == "flat" { &flat } else { &balanced };
+            let q = Compiler::new().compile(query).unwrap();
+            let b = Compiler::new().compile(bare).unwrap();
+            let answer = q.select(doc).unwrap();
+            assert_eq!(answer, top_down.compile(query).unwrap().select(doc).unwrap(), "{query}");
+            let times = time_ns_interleaved(&mut [
+                &mut || {
+                    std::hint::black_box(q.select(doc).unwrap());
+                },
+                &mut || {
+                    std::hint::black_box(b.select(doc).unwrap());
+                },
+            ]);
+            PositionalCell {
+                doc: label,
+                nodes: doc.len(),
+                query,
+                bare,
+                guarded,
+                matches: answer.len(),
+                ns: times[0],
+                bare_ns: times[1],
+            }
+        })
+        .collect()
+}
+
 /// On shared CI runners a single noisy-neighbor spike can push a
 /// sub-microsecond cell past the ratio bars, so `--check` re-measures a
 /// failing guard from scratch; only violations that persist across every
@@ -483,6 +555,7 @@ const GUARDS: &[(&str, GuardPass)] = &[
     ("snapshot", |_, big| snapshot_pass(big)),
     ("strategy-choice", |doc, _| choice_pass(doc)),
     ("node-test", |doc, _| node_test_pass(doc)),
+    ("positional", |_, _| positional_pass()),
     ("lazy-dispatch", |_, _| lazy_dispatch_pass()),
     ("prepared", |_, _| prepared_pass()),
     ("serve", |doc, _| check_serve(doc)),
@@ -677,6 +750,29 @@ fn node_test_pass(doc: &Document) -> Vec<String> {
         "node tests: /descendant::c vs /descendant::* {name_vs_kind:.2}x (bar 2x), \
          //c vs /descendant::c {slash_vs_merged:.2}x (bar 1.3x)"
     )]
+}
+
+/// Positional guard: on `doc_flat(10,000)`, `/a/b[5000]`, `/a/b[last()]`
+/// and `/a/b[position() < 3]` must each cost at most 2x the bare `/a/b`.
+/// MinContext decides each predicate once for the 10,000-node candidate
+/// list, so the step costs one child expansion; evaluated per candidate
+/// they cost 15-21x.
+fn positional_pass() -> Vec<String> {
+    let mut failures = Vec::new();
+    for c in measure_positional() {
+        let ratio = c.vs_bare();
+        eprintln!(
+            "check: positional {:<22} {:<8} {:>6} matches {:>9}ns  bare {} {:>9}ns  ({ratio:.2}x)",
+            c.query, c.doc, c.matches, c.ns, c.bare, c.bare_ns
+        );
+        if c.guarded && ratio > 2.0 {
+            failures.push(format!(
+                "positional {}: {}ns vs bare {} {}ns ({ratio:.2}x > 2x)",
+                c.query, c.ns, c.bare, c.bare_ns
+            ));
+        }
+    }
+    failures
 }
 
 /// Lazy-dispatch guard: a take hint routes a query onto the window
@@ -1285,6 +1381,23 @@ fn main() {
         ])
     });
     report.push(("node_tests", Json::Arr(rows.collect())));
+
+    // ---- positional predicates: closed-form position tests against the
+    // bare path ----
+    let rows = measure_positional().into_iter().map(|c| {
+        Json::obj(vec![
+            ("query", Json::Str(c.query.to_owned())),
+            ("doc", Json::Str(c.doc.to_owned())),
+            ("nodes", count(c.nodes)),
+            ("matches", count(c.matches)),
+            ("ns", Json::num(c.ns)),
+            ("bare_path", Json::Str(c.bare.to_owned())),
+            ("bare_path_ns", Json::num(c.bare_ns)),
+            ("vs_bare_path", ratio(c.vs_bare(), 2)),
+            ("guarded", Json::Bool(c.guarded)),
+        ])
+    });
+    report.push(("positional", Json::Arr(rows.collect())));
 
     // ---- early-exit: lazy cursor first()/exists() vs full evaluation on
     // the ≥1e5-node document ----

@@ -10,7 +10,9 @@
 //!   general evaluator;
 //! * the relevant-context set `Relev(N)` (§8.2) of every subexpression;
 //! * which subexpressions OptMinContext will evaluate bottom-up
-//!   (`boolean(π)` / `π RelOp c` occurrences, §11.1);
+//!   (`boolean(π)` / `π RelOp c` occurrences, §11.1), and which
+//!   predicates MinContext decides by index (`[by position]`: the closed
+//!   form `position() op R` of [`crate::mincontext`]);
 //! * the context-value-table row counts the bottom-up algorithm would
 //!   materialize for a given document size (Theorem 6.6 made concrete).
 
@@ -21,6 +23,7 @@ use xpath_syntax::{Expr, PathStart};
 use crate::analyze::Laziness;
 use crate::corexpath::CoreDialect;
 use crate::fragment::Fragment;
+use crate::mincontext::position_test;
 use crate::plan::{Plan, Strategy};
 use crate::relev::relev;
 use crate::wadler;
@@ -119,20 +122,34 @@ pub fn explain(plan: &Plan, doc_size: usize) -> Explanation {
         materialize => writeln!(report, "lazy:      {materialize}"),
     };
 
-    // Per-subexpression relevance and bottom-up candidacy.
+    // Per-subexpression relevance, bottom-up candidacy, and the
+    // predicates MinContext decides by index.
+    let mut by_position = std::collections::HashSet::new();
+    e.walk(&mut |sub| {
+        let preds: Vec<&Expr> = match sub {
+            Expr::Path(p) => p.steps.iter().flat_map(|s| &s.predicates).collect(),
+            Expr::Filter { predicates, .. } => predicates.iter().collect(),
+            _ => Vec::new(),
+        };
+        by_position.extend(
+            preds.into_iter().filter(|p| position_test(p).is_some()).map(|p| p as *const Expr),
+        );
+    });
     let mut bottomup_paths = 0usize;
     let _ = writeln!(report, "subexpressions (Relev, CVT rows @ |D| = {doc_size}):");
     e.walk(&mut |sub| {
         let rel = relev(sub);
         let rows = estimated_rows(doc_size, rel.has_cn(), rel.has_cp(), rel.has_cs());
-        let bu = if wadler::bottomup_candidate(sub).is_some() {
+        let tag = if wadler::bottomup_candidate(sub).is_some() {
             bottomup_paths += 1;
             "  [bottom-up]"
+        } else if by_position.contains(&(sub as *const Expr)) {
+            "  [by position]"
         } else {
             ""
         };
         let shown = one_line(sub, 52);
-        let _ = writeln!(report, "  {rel:?}  rows≈{rows:<10} {shown}{bu}");
+        let _ = writeln!(report, "  {rel:?}  rows≈{rows:<10} {shown}{tag}");
     });
     Explanation { fragment: c.fragment, report, bottomup_paths }
 }
@@ -347,6 +364,21 @@ mod tests {
         assert_eq!(x.fragment, Fragment::FullXPath);
         assert!(x.report.contains("OptMinContext"), "{}", x.report);
         assert!(x.report.contains("Restriction 2"), "{}", x.report);
+    }
+
+    #[test]
+    fn closed_form_predicates_are_tagged_by_position() {
+        let x = explain_q("//a[position() mod 2 = 1][last()]/b[@c][2]", 100);
+        let tagged: Vec<&str> = x
+            .report
+            .lines()
+            .filter(|l| l.ends_with("[by position]"))
+            .map(|l| l.rsplit("  ").nth(1).unwrap())
+            .collect();
+        assert_eq!(tagged, ["position() = last()", "position() = 2"], "{}", x.report);
+        // `@c` stays a bottom-up candidate; the modulus runs per candidate.
+        assert!(x.report.contains("boolean(attribute::c)  [bottom-up]"), "{}", x.report);
+        assert!(x.report.contains("position() mod 2 = 1\n"), "{}", x.report);
     }
 
     #[test]

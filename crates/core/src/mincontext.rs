@@ -11,7 +11,15 @@
 //!    `⊆ dom × 2^dom`;
 //! 3. **Treating position and size in a loop** — predicates that depend on
 //!    `cp`/`cs` are evaluated in a loop over the pairs of previous/current
-//!    context node rather than materialized in tables.
+//!    context node rather than materialized in tables. The loop is one
+//!    helper, `filter_candidates`, shared by outermost steps, inner paths
+//!    and filter expressions. It decides a predicate of the closed form
+//!    `position() op R` (`R` a constant, `last()`, or a sum or difference
+//!    of the two; see `position_test`) once per candidate list, by
+//!    index, instead of once per candidate: `=` picks one node, the order
+//!    comparisons keep a slice, `!=` drops at most one node. Such
+//!    predicates read no table, so a step whose predicates all have that
+//!    form skips the frontier-wide `eval_by_cnode_only` pass.
 //!
 //! The four procedures below mirror the Appendix A pseudocode:
 //! `eval_outermost_locpath`, `eval_by_cnode_only`, `eval_single_context`
@@ -22,10 +30,11 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use xpath_syntax::{BinaryOp, Expr, LocationPath, PathStart, Step};
+use xpath_syntax::{Axis, BinaryOp, Expr, LocationPath, PathStart, Step};
 use xpath_xml::{Document, NodeId};
 
 use crate::bottomup::CvTable;
+use crate::compare::{mirror, num_cmp};
 use crate::context::{Context, EvalBudget, EvalError, EvalResult};
 use crate::eval_common::{
     apply_binary, position_of, predicate_holds, step_candidates, step_candidates_set,
@@ -114,50 +123,80 @@ impl<'d> MinContextEvaluator<'d> {
     }
 
     /// One outermost location step: set-at-a-time expansion through the
-    /// bulk axis engine, then predicates either per node (cn-only) or in
-    /// the (p, s) loop.
+    /// bulk axis engine, then predicates either over the whole candidate
+    /// set (cn-only) or in the (p, s) loop.
     fn outermost_step(&self, step: &Step, x: &NodeSet, _ctx: Context) -> EvalResult<NodeSet> {
         self.eval_budget.check()?;
-        // Y := nodes reachable from X via χ::t.
-        let y = step_candidates_set(self.doc, step.axis, &step.test, x);
-        for pred in &step.predicates {
-            self.eval_by_cnode_only(pred, &y)?;
-        }
-        if step.predicates.iter().all(|p| !relev(p).has_pos_or_size()) {
-            // Fast path: no predicate inspects cp/cs — filter Y directly.
-            let mut r = Vec::with_capacity(y.len());
-            'outer: for node in &y {
-                for pred in &step.predicates {
-                    let v = self.eval_single_context(pred, Context::of(node))?;
-                    if !predicate_holds(&v, 1) {
-                        continue 'outer;
-                    }
-                }
-                r.push(node);
+        let preds = &step.predicates;
+        if preds.iter().all(|p| !relev(p).has_pos_or_size()) {
+            // Fast path: no predicate inspects cp/cs — filter
+            // Y := χ::t(X) as one list.
+            let y = step_candidates_set(self.doc, step.axis, &step.test, x);
+            if preds.is_empty() {
+                return Ok(y);
             }
-            Ok(NodeSet::from_sorted(r))
-        } else {
-            // (p, s) loop over pairs of previous/current context node.
-            let mut r: Vec<NodeId> = Vec::new();
-            for src in x {
-                let mut z = step_candidates(self.doc, step.axis, &step.test, src);
-                for pred in &step.predicates {
-                    let m = z.len();
-                    let mut kept = Vec::with_capacity(m);
-                    for (j, &node) in z.iter().enumerate() {
-                        let pos = position_of(step.axis, j, m);
-                        let v = self
-                            .eval_single_context(pred, Context::new(node, pos, m.max(1) as u32))?;
-                        if predicate_holds(&v, pos) {
-                            kept.push(node);
-                        }
-                    }
-                    z = kept;
-                }
-                r.extend(z);
-            }
-            Ok(NodeSet::from_unsorted(r))
+            self.tabulate_predicates(preds, &y)?;
+            let kept = self.filter_candidates(step.axis, preds, y.into_vec())?;
+            return Ok(NodeSet::from_sorted(kept));
         }
+        if !by_position_only(preds) {
+            let y = step_candidates_set(self.doc, step.axis, &step.test, x);
+            self.tabulate_predicates(preds, &y)?;
+        }
+        // (p, s) loop over pairs of previous/current context node.
+        let mut r: Vec<NodeId> = Vec::new();
+        for src in x {
+            let z = step_candidates(self.doc, step.axis, &step.test, src);
+            r.extend(self.filter_candidates(step.axis, preds, z)?);
+        }
+        Ok(NodeSet::from_unsorted(r))
+    }
+
+    /// MinContext's one predicate loop (§8.2 idea 3): keep the nodes of
+    /// `z`, one candidate list in document order whose positions count
+    /// along `axis`, that pass every predicate of `preds` in turn. A
+    /// closed-form position test ([`position_test`]) is decided once for
+    /// the list; any other predicate is evaluated per candidate at
+    /// `⟨node, position, size⟩`, reading the tables that
+    /// [`MinContextEvaluator::tabulate_predicates`] built.
+    pub(crate) fn filter_candidates(
+        &self,
+        axis: Axis,
+        preds: &[Expr],
+        mut z: Vec<NodeId>,
+    ) -> EvalResult<Vec<NodeId>> {
+        for pred in preds {
+            if z.is_empty() {
+                break;
+            }
+            if let Some(test) = position_test(pred) {
+                test.retain(axis, &mut z);
+                continue;
+            }
+            let m = z.len();
+            let mut kept = Vec::with_capacity(m);
+            for (j, &node) in z.iter().enumerate() {
+                let pos = position_of(axis, j, m);
+                let v = self.eval_single_context(pred, Context::new(node, pos, m as u32))?;
+                if predicate_holds(&v, pos) {
+                    kept.push(node);
+                }
+            }
+            z = kept;
+        }
+        Ok(z)
+    }
+
+    /// Build the `{cn}` tables [`MinContextEvaluator::filter_candidates`]
+    /// reads for `preds` over `cover`, a superset of every candidate list
+    /// the loop will see. Closed-form position tests read no table and
+    /// are skipped; callers skip building `cover` at all when
+    /// [`by_position_only`] holds.
+    pub(crate) fn tabulate_predicates(&self, preds: &[Expr], cover: &NodeSet) -> EvalResult<()> {
+        for pred in preds.iter().filter(|p| position_test(p).is_none()) {
+            self.eval_by_cnode_only(pred, cover)?;
+        }
+        Ok(())
     }
 
     /// Appendix A `eval_by_cnode_only`: for every node `M` in the subtree
@@ -201,40 +240,30 @@ impl<'d> MinContextEvaluator<'d> {
             }
             Expr::Filter { primary, predicates } => {
                 self.eval_by_cnode_only(primary, x)?;
-                // Predicates see the nodes of the primary's results.
-                let mut all_targets = NodeSet::new();
-                for n in dom.as_ref() {
-                    let v = self.eval_single_context(primary, Context::of(n))?;
-                    if let Some(s) = v.as_node_set() {
-                        all_targets.union_with(s);
+                // The primary's value at every domain node, evaluated once.
+                let values = dom
+                    .iter()
+                    .map(|n| Ok((n, self.eval_single_context(primary, Context::of(n))?)))
+                    .collect::<EvalResult<Vec<_>>>()?;
+                if !by_position_only(predicates) {
+                    // Predicates see the nodes of the primary's results.
+                    let mut all_targets = NodeSet::new();
+                    for (_, v) in &values {
+                        if let Some(s) = v.as_node_set() {
+                            all_targets.union_with(s);
+                        }
                     }
+                    self.tabulate_predicates(predicates, &all_targets)?;
                 }
-                for pred in predicates {
-                    self.eval_by_cnode_only(pred, &all_targets)?;
-                }
-                for n in dom.as_ref() {
-                    let v = self.eval_single_context(primary, Context::of(n))?;
+                for (n, v) in values {
                     let Some(set) = v.into_node_set() else {
                         return Err(EvalError::TypeMismatch(
                             "predicates require a node-set primary expression".into(),
                         ));
                     };
-                    let mut s = set.into_vec();
-                    for pred in predicates {
-                        let m = s.len();
-                        let mut kept = Vec::with_capacity(m);
-                        for (j, &node) in s.iter().enumerate() {
-                            let pos = (j + 1) as u32;
-                            let v = self.eval_single_context(
-                                pred,
-                                Context::new(node, pos, m.max(1) as u32),
-                            )?;
-                            if predicate_holds(&v, pos) {
-                                kept.push(node);
-                            }
-                        }
-                        s = kept;
-                    }
+                    // Filter predicates count positions in document
+                    // order, as a forward axis does.
+                    let s = self.filter_candidates(Axis::Child, predicates, set.into_vec())?;
                     table.insert(Context::of(n), Value::NodeSet(NodeSet::from_sorted(s)));
                 }
             }
@@ -364,27 +393,15 @@ impl<'d> MinContextEvaluator<'d> {
             for (_, set) in &rel_map {
                 frontier.union_with(set);
             }
+            if !by_position_only(&step.predicates) {
+                let y = step_candidates_set(self.doc, step.axis, &step.test, &frontier);
+                self.tabulate_predicates(&step.predicates, &y)?;
+            }
             // Expand the step once per distinct frontier node.
             let mut expansion: HashMap<NodeId, NodeSet> = HashMap::new();
-            for pred in &step.predicates {
-                let y = step_candidates_set(self.doc, step.axis, &step.test, &frontier);
-                self.eval_by_cnode_only(pred, &y)?;
-            }
             for src in &frontier {
-                let mut z = step_candidates(self.doc, step.axis, &step.test, src);
-                for pred in &step.predicates {
-                    let m = z.len();
-                    let mut kept = Vec::with_capacity(m);
-                    for (j, &node) in z.iter().enumerate() {
-                        let pos = position_of(step.axis, j, m);
-                        let v = self
-                            .eval_single_context(pred, Context::new(node, pos, m.max(1) as u32))?;
-                        if predicate_holds(&v, pos) {
-                            kept.push(node);
-                        }
-                    }
-                    z = kept;
-                }
+                let z = step_candidates(self.doc, step.axis, &step.test, src);
+                let z = self.filter_candidates(step.axis, &step.predicates, z)?;
                 expansion.insert(src, NodeSet::from_sorted(z));
             }
             // Compose.
@@ -408,6 +425,151 @@ impl<'d> MinContextEvaluator<'d> {
         }
         Ok(rel_map)
     }
+}
+
+/// One side of a closed-form position bound: a number constant or
+/// `last()`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Term {
+    Const(f64),
+    Last,
+}
+
+impl Term {
+    fn of(e: &Expr) -> Option<Term> {
+        match e {
+            Expr::Call { name, args } if name == "last" && args.is_empty() => Some(Term::Last),
+            _ => constant(e).map(Term::Const),
+        }
+    }
+
+    fn value(self, size: u32) -> f64 {
+        match self {
+            Term::Const(c) => c,
+            Term::Last => f64::from(size),
+        }
+    }
+}
+
+/// A number literal, possibly negated.
+fn constant(e: &Expr) -> Option<f64> {
+    match e {
+        Expr::Number(v) => Some(*v),
+        Expr::Neg(inner) => constant(inner).map(|v| -v),
+        _ => None,
+    }
+}
+
+/// A predicate of the closed form `position() op R`: `op` one of
+/// `= != < <= > >=` (either operand order) and `R` a [`Term`] or the sum
+/// or difference of two. Its value depends only on the candidate's
+/// position and the list's size, so [`PositionTest::retain`] decides it
+/// for a whole candidate list at once.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct PositionTest {
+    /// The comparison, oriented as `position() op R`.
+    op: BinaryOp,
+    /// `R`'s first term, and the `+`/`-` and second term if any.
+    left: Term,
+    right: Option<(BinaryOp, Term)>,
+}
+
+/// Classify `pred` as a closed-form position test. MinContext's predicate
+/// loop and `--explain`'s `[by position]` tag both read this one
+/// definition. Anything else, such as `position() mod 2 = 1`, is `None`
+/// and runs per candidate.
+pub(crate) fn position_test(pred: &Expr) -> Option<PositionTest> {
+    let Expr::Binary { op, left, right } = pred else {
+        return None;
+    };
+    if !op.is_relational() {
+        return None;
+    }
+    let is_position =
+        |e: &Expr| matches!(e, Expr::Call { name, args } if name == "position" && args.is_empty());
+    let (op, bound) = if is_position(left) {
+        (*op, right)
+    } else if is_position(right) {
+        (mirror(*op), left)
+    } else {
+        return None;
+    };
+    let (left, right) = match bound.as_ref() {
+        Expr::Binary { op: arith @ (BinaryOp::Add | BinaryOp::Sub), left, right } => {
+            (Term::of(left)?, Some((*arith, Term::of(right)?)))
+        }
+        other => (Term::of(other)?, None),
+    };
+    Some(PositionTest { op, left, right })
+}
+
+/// Whether every predicate of `preds` is a closed-form position test, so
+/// the predicate loop reads no `{cn}` table and the candidate cover need
+/// not be built.
+pub(crate) fn by_position_only(preds: &[Expr]) -> bool {
+    preds.iter().all(|p| position_test(p).is_some())
+}
+
+impl PositionTest {
+    /// `R` for a candidate list of `size` nodes, computed as the
+    /// interpreter computes it.
+    fn bound(&self, size: u32) -> f64 {
+        let l = self.left.value(size);
+        match self.right {
+            None => l,
+            Some((BinaryOp::Add, r)) => l + r.value(size),
+            Some((_, r)) => l - r.value(size),
+        }
+    }
+
+    /// Keep the nodes of `z` (one non-empty candidate list in document
+    /// order, positions counted along `axis`) whose position passes the
+    /// test. The kept positions are found with `num_cmp` by binary
+    /// search, so a fractional, zero, negative, out-of-range or NaN bound
+    /// keeps exactly what per-candidate evaluation keeps.
+    fn retain(&self, axis: Axis, z: &mut Vec<NodeId>) {
+        let m = z.len() as u32;
+        let r = self.bound(m);
+        let holds = |op: BinaryOp, p: u32| num_cmp(op, f64::from(p), r);
+        // The passing positions lo+1 ..= hi (`!=`: all but those).
+        let (lo, hi) = match self.op {
+            BinaryOp::Lt | BinaryOp::Le => (0, leading(m, |p| holds(self.op, p))),
+            BinaryOp::Gt | BinaryOp::Ge => (leading(m, |p| !holds(self.op, p)), m),
+            _ => (leading(m, |p| !holds(BinaryOp::Ge, p)), leading(m, |p| holds(BinaryOp::Le, p))),
+        };
+        let hi = hi.max(lo);
+        // The same positions as indices into `z`: the inverse of
+        // `position_of`, which counts reverse axes from the back.
+        let (a, b) = if axis.is_forward() { (lo, hi) } else { (m - hi, m - lo) };
+        let (a, b) = (a as usize, b as usize);
+        debug_assert!(
+            a == b || {
+                let ends = [position_of(axis, a, z.len()), position_of(axis, b - 1, z.len())];
+                ends.contains(&(lo + 1)) && ends.contains(&hi)
+            }
+        );
+        if self.op == BinaryOp::Ne {
+            z.drain(a..b);
+        } else {
+            z.truncate(b);
+            z.drain(..a);
+        }
+    }
+}
+
+/// The number of leading positions of `1..=m` for which `f` holds, `f`
+/// being true up to some position and false after it.
+fn leading(m: u32, f: impl Fn(u32) -> bool) -> u32 {
+    let (mut lo, mut hi) = (0, m);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if f(mid + 1) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Convenience: evaluate a query string with MinContext.
@@ -538,5 +700,66 @@ mod tests {
         let mc = MinContextEvaluator::new(&d).evaluate(&e, Context::of(d.root())).unwrap();
         assert!(naive.semantically_equal(&mc));
         assert_eq!(mc.as_node_set().unwrap().len(), 5);
+    }
+
+    /// The predicate of `/child::a[p]` as the compiler rewrites it.
+    fn predicate(p: &str) -> Expr {
+        let e = crate::query::Compiler::new().parse(&format!("/child::a[{p}]")).unwrap();
+        let Expr::Path(path) = e else { panic!("{p}: not a path") };
+        path.steps[0].predicates[0].clone()
+    }
+
+    #[test]
+    fn closed_form_position_tests_are_classified() {
+        for p in [
+            "3",
+            "-1",
+            "1.5",
+            "last()",
+            "last() - 1",
+            "position() = last() + 1",
+            "1 + last() > position()",
+            "position() < 2.5",
+            "position() != last()",
+            "2 >= position()",
+        ] {
+            assert!(position_test(&predicate(p)).is_some(), "{p} is closed-form");
+        }
+        for p in [
+            "position() mod 2 = 1",
+            "position() = last() div 2",
+            "position() = count(b)",
+            "position() = position()",
+            "@x",
+            "position() = 1 and @x",
+            "last() = 3",
+        ] {
+            assert!(position_test(&predicate(p)).is_none(), "{p} runs per candidate");
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_per_candidate_evaluation() {
+        // Every comparison against edge-case bounds, decided by index,
+        // against the same predicate run through the interpreter per
+        // candidate (a `{cp,cs}` conjunct that always holds hides the
+        // closed form from the classifier).
+        let d = doc_flat(6);
+        let ops = ["=", "!=", "<", "<=", ">", ">="];
+        let bounds = ["0", "-2", "1", "3.5", "6", "7", "0 div 0", "1 div 0", "last() - 1.5"];
+        for op in ops {
+            for r in bounds {
+                for axis in ["child::b", "preceding-sibling::b"] {
+                    let base = if axis == "child::b" { "/a" } else { "/a/b[last()]" };
+                    let fast = format!("{base}/{axis}[position() {op} {r}]");
+                    let slow = format!("{base}/{axis}[position() {op} {r} and last() > 0]");
+                    let run = |q: &str| {
+                        let e = crate::query::Compiler::new().parse(q).unwrap();
+                        MinContextEvaluator::new(&d).evaluate(&e, Context::of(d.root())).unwrap()
+                    };
+                    assert_eq!(run(&fast), run(&slow), "{fast}");
+                }
+            }
+        }
     }
 }

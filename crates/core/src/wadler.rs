@@ -26,8 +26,8 @@ use xpath_xml::NodeId;
 use crate::bottomup::CvTable;
 use crate::compare::compare;
 use crate::context::{Context, EvalError, EvalResult};
-use crate::eval_common::{position_of, predicate_holds, step_candidates};
-use crate::mincontext::MinContextEvaluator;
+use crate::eval_common::step_candidates;
+use crate::mincontext::{by_position_only, MinContextEvaluator};
 use crate::naive::NaiveEvaluator;
 use crate::node_test;
 use crate::nodeset::NodeSet;
@@ -291,26 +291,18 @@ impl<'d> MinContextEvaluator<'d> {
         // Y' := {y ∈ Y | node test t holds}.
         let mut y1 = acc;
         node_test::filter_set(doc, step.axis, &step.test, &mut y1);
-        for pred in &step.predicates {
+        let preds = &step.predicates;
+        if !by_position_only(preds) {
             // Tables for predicate parts that only need the context node.
             // Candidates may include nodes outside Y' (they participate in
             // position counting), so cover the whole inverse image's
             // candidate space: all nodes matching the test.
             let cover = NodeSet::from_sorted(node_test::matching_set(doc, step.axis, &step.test));
-            self.eval_by_cnode_only(pred, &cover)?;
+            self.tabulate_predicates(preds, &cover)?;
         }
-        if step.predicates.iter().all(|p| !relev(p).has_pos_or_size()) {
+        if preds.iter().all(|p| !relev(p).has_pos_or_size()) {
             // Y'' := {y ∈ Y' | all predicates hold}; R := χ⁻¹(Y'').
-            let mut y2 = Vec::with_capacity(y1.len());
-            'outer: for node in &y1 {
-                for pred in &step.predicates {
-                    let v = self.eval_single_context(pred, Context::of(node))?;
-                    if !predicate_holds(&v, 1) {
-                        continue 'outer;
-                    }
-                }
-                y2.push(node);
-            }
+            let y2 = self.filter_candidates(step.axis, preds, y1.into_vec())?;
             Ok(xpath_axes::bulk::inverse_axis_set(doc, step.axis, &NodeSet::from_sorted(y2)))
         } else {
             // Positional predicates: loop over candidate sources
@@ -323,20 +315,8 @@ impl<'d> MinContextEvaluator<'d> {
             let x1 = xpath_axes::bulk::inverse_axis_set(doc, step.axis, &y1);
             let mut r: Vec<NodeId> = Vec::new();
             for src in &x1 {
-                let mut z = step_candidates(doc, step.axis, &step.test, src);
-                for pred in &step.predicates {
-                    let m = z.len();
-                    let mut kept = Vec::with_capacity(m);
-                    for (j, &node) in z.iter().enumerate() {
-                        let pos = position_of(step.axis, j, m);
-                        let v = self
-                            .eval_single_context(pred, Context::new(node, pos, m.max(1) as u32))?;
-                        if predicate_holds(&v, pos) {
-                            kept.push(node);
-                        }
-                    }
-                    z = kept;
-                }
+                let z = step_candidates(doc, step.axis, &step.test, src);
+                let z = self.filter_candidates(step.axis, preds, z)?;
                 if z.iter().any(|&n| y1.contains(n)) {
                     r.push(src);
                 }

@@ -388,6 +388,29 @@ fn explain_sizes_come_from_the_given_document() {
     assert!(stdout.contains("sorted vec below 32 result nodes"), "{stdout}");
 }
 
+/// `--explain` tags the predicates MinContext decides by index, in
+/// either operand order and on filter expressions, and no other: not
+/// `position() mod 2 = 1`, nor the subexpressions inside a tagged one.
+#[test]
+fn explain_tags_closed_form_position_tests() {
+    let (stdout, stderr, code) =
+        xpq(&["--explain", "(//book[position() mod 2 = 1][last() - 1 <= position()])[2]"], "");
+    assert_eq!(code, 0, "{stderr}");
+    let tagged: Vec<&str> =
+        stdout.lines().filter(|l| l.contains("[by position]")).map(str::trim).collect();
+    assert_eq!(
+        tagged,
+        [
+            "{cp,cs}  rows≈500500     last() - 1 <= position()  [by position]",
+            "{cp}  rows≈1000       position() = 2  [by position]",
+        ],
+        "{stdout}"
+    );
+    let modulo: Vec<&str> =
+        stdout.lines().filter(|l| l.trim_end().ends_with("position() mod 2 = 1")).collect();
+    assert_eq!(modulo.len(), 1, "{stdout}");
+}
+
 #[test]
 fn batch_explain_reports_the_mode_decision() {
     let (stdout, _, code) = xpq(&["--explain", "-e", "//book[author]", "-e", "//book[author]"], "");
